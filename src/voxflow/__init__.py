@@ -1,6 +1,6 @@
 """Volumetric radar-echo motion estimation and extrapolation nowcasting."""
 
-from .advect import ExtrapolationConfig, advect_once, extrapolate
+from .advect import advect_once, extrapolate
 from .analysis import (
     cell_split_diagnostic,
     coverage_vs_corr_histogram,
@@ -19,19 +19,14 @@ from .flow import (
     gradient_check,
     loss_divergence,
     loss_multiscale,
-    loss_sequence,
-    loss_single,
     loss_total,
-    loss_total_with_grad,
 )
 from .grid import (
     MotionField,
-    OobPolicy,
     RadarVolume,
     RainField,
     Space,
     avg_pool2d,
-    bilinear_sample,
     cmax,
     max_pool_vertical,
 )

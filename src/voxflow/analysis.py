@@ -93,18 +93,10 @@ def _mean_rain(vol: RadarVolume) -> np.ndarray:
     return acc / t_count
 
 
-def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
-                     precip_threshold_mmh: float = 0.0,
-                     component: str = "both") -> float:
-    """Pearson correlation between the motion fields of levels i and j over
-    the precipitating region of the corresponding input slices.
-
-    The region is where the summed time-mean rain of the two slices exceeds
-    the threshold. component selects 'u', 'v', or 'both' (u and v
-    concatenated into one vector).
-    """
-    rain = _mean_rain(vol)
-    region = (rain[i] + rain[j] > precip_threshold_mmh) & vol.mask[i] & vol.mask[j]
+def _pair_corr(mf: MotionField, rain: np.ndarray, mask: np.ndarray, i: int,
+               j: int, precip_threshold_mmh: float, component: str) -> float:
+    """motion_pair_corr given the volume's time-mean rain and static mask."""
+    region = (rain[i] + rain[j] > precip_threshold_mmh) & mask[i] & mask[j]
     if region.sum() < 2:
         return float("nan")
     ui, vi = mf.level(i)
@@ -121,6 +113,20 @@ def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
     return _pearson(a, b)
 
 
+def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
+                     precip_threshold_mmh: float = 0.0,
+                     component: str = "both") -> float:
+    """Pearson correlation between the motion fields of levels i and j over
+    the precipitating region of the corresponding input slices.
+
+    The region is where the summed time-mean rain of the two slices exceeds
+    the threshold. component selects 'u', 'v', or 'both' (u and v
+    concatenated into one vector).
+    """
+    return _pair_corr(mf, _mean_rain(vol), vol.mask, i, j,
+                      precip_threshold_mmh, component)
+
+
 def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume],
                        precip_threshold_mmh: float = 0.0,
                        component: str = "both") -> np.ndarray:
@@ -133,10 +139,11 @@ def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume]
     for mf, vol in zip(mfs, inputs):
         if mf.nz != vol.shape[1]:
             raise ValueError("motion field and volume level counts differ")
+        rain = _mean_rain(vol)
         for i in range(z):
             for j in range(i + 1, z):
-                r = motion_pair_corr(mf, vol, i, j, precip_threshold_mmh,
-                                     component)
+                r = _pair_corr(mf, rain, vol.mask, i, j, precip_threshold_mmh,
+                               component)
                 if not math.isnan(r):
                     acc[i, j] += r
                     cnt[i, j] += 1

@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, rvol, svgplot
 from .advect import extrapolate
 from .denoise import denoise_volume
-from .errors import FormatError, NoOverlapError
+from .errors import DivergedError, FormatError, NoOverlapError
 from .flow import Criterion, LossConfig
 from .grid import MotionField, RadarVolume, cmax
 from .lucas_kanade import estimate_lucas_kanade
@@ -158,7 +158,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("-k", "--leads", type=int, required=True)
     p.add_argument("-o", "--out", default=None, help="output forecast .rvol")
     p.add_argument("--start-frame", type=int, default=-1,
-                   help="frame index advected forward (default: last)")
+                   help="index of the frame advected forward; negative "
+                        "values count from the end, Python-style "
+                        "(default: -1, the last frame)")
     _add_common(p)
     table["nowcast"] = p
 
@@ -175,9 +177,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = subs.add_parser("analyze", help="dataset analyses over a directory of volumes")
     p.add_argument("directory", help="directory of .rvol files")
-    p.add_argument("--which", required=True,
-                   choices=("ratios", "refl-corr", "motion-corr", "histogram",
-                            "outliers", "split"))
+    p.add_argument("--which", required=True, choices=tuple(_ANALYSES))
     p.add_argument("-o", "--outdir", default=None,
                    help="report directory (default: the dataset directory)")
     p.add_argument("--thresholds-dbz", type=str, default="0,20")
@@ -221,11 +221,10 @@ def _cmd_synth(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _loss_config(args, n_inputs: int, m_future: int) -> LossConfig:
+def _loss_config(args) -> LossConfig:
     crit = Criterion.MAE_DBR if args.criterion == "mae" else Criterion.MSE_DBR
     return LossConfig(beta=args.beta, scales=_parse_scales(args.scales),
-                      criterion=crit, n_inputs=max(n_inputs, 2),
-                      m_future=m_future)
+                      criterion=crit)
 
 
 def _cmd_estimate(args) -> int:
@@ -245,10 +244,9 @@ def _cmd_estimate(args) -> int:
         out.with_name(out.stem + "_trace.csv")
 
     if args.mode == "lk":
-        a = rain_to_dbr(volume_to_rain(cmax(vol) if vol.shape[1] > 1 else vol,
-                                       n - 2))
-        b = rain_to_dbr(volume_to_rain(cmax(vol) if vol.shape[1] > 1 else vol,
-                                       n - 1))
+        comp = cmax(vol) if vol.shape[1] > 1 else vol
+        a = rain_to_dbr(volume_to_rain(comp, n - 2))
+        b = rain_to_dbr(volume_to_rain(comp, n - 1))
         res = estimate_lucas_kanade(a.data[0], b.data[0], window=args.window)
         rvol.write_motion(out, res.motion)
         _write_csv(trace_path,
@@ -262,7 +260,7 @@ def _cmd_estimate(args) -> int:
     future = None
     if args.use_future and t_total > n:
         future = [volume_to_rain(vol, t) for t in range(n, t_total)]
-    cfg = _loss_config(args, n, len(future) if future else 0)
+    cfg = _loss_config(args)
     opt = OptimizerConfig(max_iters=args.iters, step_size=args.step,
                           momentum=args.momentum,
                           coarse_to_fine_levels=args.levels)
@@ -285,9 +283,11 @@ def _cmd_nowcast(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--leads must be >= 1")
     vol = rvol.read_rvol(args.volume)
     mf = rvol.read_motion(args.motion)
-    start = args.start_frame if args.start_frame >= 0 else vol.shape[0] - 1
-    if start >= vol.shape[0]:
-        raise ValueError(f"start frame {start} outside volume (T={vol.shape[0]})")
+    t_count = vol.shape[0]
+    if not -t_count <= args.start_frame < t_count:
+        raise ValueError(f"start frame {args.start_frame} outside volume "
+                         f"(T={t_count})")
+    start = args.start_frame % t_count
     last = volume_to_rain(vol, start)
     if mf.nz != last.nz:
         raise ValueError(f"motion has Z={mf.nz}, volume has Z={last.nz}")
@@ -378,152 +378,141 @@ def _pair_samples(files, low: int, mid: int, coverage_dbz: float):
     return samples
 
 
-def _cmd_analyze(args) -> int:
-    files = _dataset(args.directory)
-    outdir = Path(args.outdir) if args.outdir else Path(args.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _write_boxstats(outdir: Path, name: str, values: list[float],
+                    stamps: list[datetime], title: str, y_label: str) -> None:
+    """Month-wise box statistics of per-sample values as <name>.csv/.svg."""
+    stats = analysis.monthwise_boxstats(values, stamps)
+    rows = [[m, s.q1, s.median, s.q3, s.lo_whisker, s.hi_whisker,
+             s.count, ";".join(_fmt(o) for o in s.outliers)]
+            for m, s in stats.items()]
+    _write_csv(outdir / f"{name}.csv",
+               ["month", "q1", "median", "q3", "lo_whisker", "hi_whisker",
+                "count", "outliers"], rows)
+    svgplot.box_plot({str(m): s for m, s in stats.items()},
+                     outdir / f"{name}.svg", title=title, y_label=y_label)
+
+
+def _level_pair(args) -> tuple[int, int]:
     low, mid = (int(s) for s in args.level_pair.split(","))
+    return low, mid
 
-    if args.which == "ratios":
-        thresholds = _parse_floats(args.thresholds_dbz)
-        ratios = []
-        per_sample = []
-        for path, stem, ts in files:
-            vol = rvol.read_rvol(path)
-            r = analysis.rainy_ratio(vol, thresholds)
-            ratios.append(r)
-            per_sample.append((stem, ts, r))
-        mean = np.mean(ratios, axis=0)
-        rows = [[z, _fmt(thr), float(mean[z, j])]
-                for z in range(mean.shape[0])
-                for j, thr in enumerate(thresholds)]
-        _write_csv(outdir / "rainy_ratios.csv",
-                   ["level", "threshold_dbz", "fraction"], rows)
-        series = {f"> {thr:g} dBZ": [(z, float(mean[z, j]))
-                                     for z in range(mean.shape[0])]
-                  for j, thr in enumerate(thresholds)}
-        svgplot.line_chart(series, outdir / "rainy_ratios.svg",
-                           title="rainy-pixel ratio by altitude level",
-                           x_label="level index", y_label="fraction")
-        if len(thresholds) > 1:
-            vals = [float(r[0, 1]) for _, _, r in per_sample]
-        else:
-            vals = [float(r[0, 0]) for _, _, r in per_sample]
-        stats = analysis.monthwise_boxstats(vals, [ts for _, ts, _ in per_sample])
-        rows = [[m, s.q1, s.median, s.q3, s.lo_whisker, s.hi_whisker,
-                 s.count, ";".join(_fmt(o) for o in s.outliers)]
-                for m, s in stats.items()]
-        _write_csv(outdir / "rainy_ratio_monthwise.csv",
-                   ["month", "q1", "median", "q3", "lo_whisker", "hi_whisker",
-                    "count", "outliers"], rows)
-        svgplot.box_plot({str(m): s for m, s in stats.items()},
-                         outdir / "rainy_ratio_monthwise.svg",
-                         title="monthly rainy-pixel ratio, lowest level",
-                         y_label="fraction")
-        print(f"wrote ratios reports to {outdir}")
-        return 0
 
-    if args.which == "refl-corr":
-        vols = [rvol.read_rvol(path) for path, _, _ in files]
-        mat = analysis.reflectivity_corr_matrix(vols)
-        _write_matrix(outdir / "reflectivity_corr.csv", mat)
-        svgplot.heatmap(mat, outdir / "reflectivity_corr.svg",
-                        title="reflectivity correlation by level pair",
-                        vmin=-1.0, vmax=1.0)
-        print(f"wrote reflectivity correlation to {outdir}")
-        return 0
+def _analyze_ratios(args, files, outdir: Path) -> str:
+    thresholds = _parse_floats(args.thresholds_dbz)
+    ratios = [analysis.rainy_ratio(rvol.read_rvol(path), thresholds)
+              for path, _, _ in files]
+    mean = np.mean(ratios, axis=0)
+    rows = [[z, _fmt(thr), float(mean[z, j])]
+            for z in range(mean.shape[0])
+            for j, thr in enumerate(thresholds)]
+    _write_csv(outdir / "rainy_ratios.csv",
+               ["level", "threshold_dbz", "fraction"], rows)
+    series = {f"> {thr:g} dBZ": [(z, float(mean[z, j]))
+                                 for z in range(mean.shape[0])]
+              for j, thr in enumerate(thresholds)}
+    svgplot.line_chart(series, outdir / "rainy_ratios.svg",
+                       title="rainy-pixel ratio by altitude level",
+                       x_label="level index", y_label="fraction")
+    col = 1 if len(thresholds) > 1 else 0
+    _write_boxstats(outdir, "rainy_ratio_monthwise",
+                    [float(r[0, col]) for r in ratios],
+                    [ts for _, _, ts in files],
+                    title="monthly rainy-pixel ratio, lowest level",
+                    y_label="fraction")
+    return "ratios reports"
 
-    if args.which == "motion-corr":
-        mfs, vols, stamps, corrs = [], [], [], []
-        for path, stem, ts in files:
-            mf = _motion_for(path)
-            if mf is None:
-                continue
-            vol = rvol.read_rvol(path)
-            mfs.append(mf)
-            vols.append(vol)
-            stamps.append(ts)
-            corrs.append(analysis.motion_pair_corr(mf, vol, low, mid))
-        if not mfs:
-            raise ValueError("no motion files found next to the volumes")
-        for component in ("both", "u", "v"):
-            mat = analysis.motion_corr_matrix(mfs, vols, component=component)
-            _write_matrix(outdir / f"motion_corr_{component}.csv", mat)
-            if component == "both":
-                svgplot.heatmap(mat, outdir / "motion_corr.svg",
-                                title="motion correlation by level pair",
-                                vmin=-1.0, vmax=1.0)
-        finite = [(c, ts) for c, ts in zip(corrs, stamps) if np.isfinite(c)]
-        if finite:
-            stats = analysis.monthwise_boxstats([c for c, _ in finite],
-                                                [ts for _, ts in finite])
-            rows = [[m, s.q1, s.median, s.q3, s.lo_whisker, s.hi_whisker,
-                     s.count, ";".join(_fmt(o) for o in s.outliers)]
-                    for m, s in stats.items()]
-            _write_csv(outdir / "motion_corr_monthwise.csv",
-                       ["month", "q1", "median", "q3", "lo_whisker",
-                        "hi_whisker", "count", "outliers"], rows)
-            svgplot.box_plot({str(m): s for m, s in stats.items()},
-                             outdir / "motion_corr_monthwise.svg",
-                             title=f"monthly motion correlation, levels "
-                                   f"{low}/{mid}",
-                             y_label="Pearson correlation")
-        print(f"wrote motion correlation reports to {outdir}")
-        return 0
 
-    if args.which == "histogram":
-        samples = _pair_samples(files, low, mid, args.coverage_dbz)
-        pairs = [(s.coverage, s.correlation) for s in samples]
-        cov_edges = np.linspace(0.0, 1.0, args.bins + 1)
-        corr_edges = np.linspace(-1.0, 1.0, args.bins + 1)
-        counts, xe, ye = analysis.coverage_vs_corr_histogram(pairs, cov_edges,
-                                                             corr_edges)
-        rows = []
-        for i in range(counts.shape[0]):
-            for j in range(counts.shape[1]):
-                rows.append([_fmt(float(xe[i])), _fmt(float(xe[i + 1])),
-                             _fmt(float(ye[j])), _fmt(float(ye[j + 1])),
-                             int(counts[i, j])])
-        _write_csv(outdir / "coverage_vs_corr.csv",
-                   ["coverage_lo", "coverage_hi", "corr_lo", "corr_hi",
-                    "count"], rows)
-        _write_csv(outdir / "coverage_vs_corr_samples.csv",
-                   ["sample_id", "timestamp", "coverage", "correlation"],
-                   [[s.sample_id, s.timestamp.isoformat(), s.coverage,
-                     s.correlation] for s in samples])
-        svgplot.heatmap(counts.T[::-1], outdir / "coverage_vs_corr.svg",
-                        title="sample density: coverage vs motion correlation")
-        print(f"wrote histogram reports to {outdir}")
-        return 0
+def _analyze_refl_corr(args, files, outdir: Path) -> str:
+    vols = [rvol.read_rvol(path) for path, _, _ in files]
+    mat = analysis.reflectivity_corr_matrix(vols)
+    _write_matrix(outdir / "reflectivity_corr.csv", mat)
+    svgplot.heatmap(mat, outdir / "reflectivity_corr.svg",
+                    title="reflectivity correlation by level pair",
+                    vmin=-1.0, vmax=1.0)
+    return "reflectivity correlation"
 
-    if args.which == "outliers":
-        samples = _pair_samples(files, low, mid, args.coverage_dbz)
-        usable = [s for s in samples if np.isfinite(s.correlation)]
-        ranked = analysis.rank_outliers(usable, args.top_k,
-                                        gap_minutes=args.gap_minutes)
-        by_id = {s.sample_id: s for s in usable}
-        rows = [[rank + 1, sid, by_id[sid].timestamp.isoformat(),
-                 by_id[sid].coverage, by_id[sid].correlation]
-                for rank, sid in enumerate(ranked.ids)]
-        _write_csv(outdir / "outliers.csv",
-                   ["rank", "sample_id", "timestamp", "coverage",
-                    "correlation"], rows)
-        if ranked.exhausted:
-            print(f"note: only {len(ranked.ids)} of {args.top_k} requested "
-                  "samples available", file=sys.stderr)
-        print(f"wrote outlier ranking to {outdir}")
-        return 0
 
-    # split diagnostic: treat each volume's frames as nowcast leads
+def _analyze_motion_corr(args, files, outdir: Path) -> str:
+    low, mid = _level_pair(args)
+    mfs, vols, stamps, corrs = [], [], [], []
+    for path, stem, ts in files:
+        mf = _motion_for(path)
+        if mf is None:
+            continue
+        vol = rvol.read_rvol(path)
+        mfs.append(mf)
+        vols.append(vol)
+        stamps.append(ts)
+        corrs.append(analysis.motion_pair_corr(mf, vol, low, mid))
+    if not mfs:
+        raise ValueError("no motion files found next to the volumes")
+    for component in ("both", "u", "v"):
+        mat = analysis.motion_corr_matrix(mfs, vols, component=component)
+        _write_matrix(outdir / f"motion_corr_{component}.csv", mat)
+        if component == "both":
+            svgplot.heatmap(mat, outdir / "motion_corr.svg",
+                            title="motion correlation by level pair",
+                            vmin=-1.0, vmax=1.0)
+    finite = [(c, ts) for c, ts in zip(corrs, stamps) if np.isfinite(c)]
+    if finite:
+        _write_boxstats(outdir, "motion_corr_monthwise",
+                        [c for c, _ in finite], [ts for _, ts in finite],
+                        title=f"monthly motion correlation, levels {low}/{mid}",
+                        y_label="Pearson correlation")
+    return "motion correlation reports"
+
+
+def _analyze_histogram(args, files, outdir: Path) -> str:
+    low, mid = _level_pair(args)
+    samples = _pair_samples(files, low, mid, args.coverage_dbz)
+    pairs = [(s.coverage, s.correlation) for s in samples]
+    cov_edges = np.linspace(0.0, 1.0, args.bins + 1)
+    corr_edges = np.linspace(-1.0, 1.0, args.bins + 1)
+    counts, xe, ye = analysis.coverage_vs_corr_histogram(pairs, cov_edges,
+                                                         corr_edges)
+    rows = [[_fmt(float(xe[i])), _fmt(float(xe[i + 1])),
+             _fmt(float(ye[j])), _fmt(float(ye[j + 1])), int(counts[i, j])]
+            for i in range(counts.shape[0]) for j in range(counts.shape[1])]
+    _write_csv(outdir / "coverage_vs_corr.csv",
+               ["coverage_lo", "coverage_hi", "corr_lo", "corr_hi", "count"],
+               rows)
+    _write_csv(outdir / "coverage_vs_corr_samples.csv",
+               ["sample_id", "timestamp", "coverage", "correlation"],
+               [[s.sample_id, s.timestamp.isoformat(), s.coverage,
+                 s.correlation] for s in samples])
+    svgplot.heatmap(counts.T[::-1], outdir / "coverage_vs_corr.svg",
+                    title="sample density: coverage vs motion correlation")
+    return "histogram reports"
+
+
+def _analyze_outliers(args, files, outdir: Path) -> str:
+    low, mid = _level_pair(args)
+    samples = _pair_samples(files, low, mid, args.coverage_dbz)
+    usable = [s for s in samples if np.isfinite(s.correlation)]
+    ranked = analysis.rank_outliers(usable, args.top_k,
+                                    gap_minutes=args.gap_minutes)
+    by_id = {s.sample_id: s for s in usable}
+    rows = [[rank + 1, sid, by_id[sid].timestamp.isoformat(),
+             by_id[sid].coverage, by_id[sid].correlation]
+            for rank, sid in enumerate(ranked.ids)]
+    _write_csv(outdir / "outliers.csv",
+               ["rank", "sample_id", "timestamp", "coverage", "correlation"],
+               rows)
+    if ranked.exhausted:
+        print(f"note: only {len(ranked.ids)} of {args.top_k} requested "
+              "samples available", file=sys.stderr)
+    return "outlier ranking"
+
+
+def _analyze_split(args, files, outdir: Path) -> str:
+    """Split diagnostic: each volume's frames are treated as nowcast leads."""
     for path, stem, _ in files:
         vol = rvol.read_rvol(path)
         seq = [volume_to_rain(vol, t) for t in range(vol.shape[0])]
         diag = analysis.cell_split_diagnostic(seq, threshold=args.threshold)
-        rows = []
-        for li in range(len(seq)):
-            per_level = ";".join(str(c) for c in diag.level_counts[li])
-            rows.append([li, diag.cmax_counts[li], per_level,
-                         diag.cmax_rainy_cells[li]])
+        rows = [[li, diag.cmax_counts[li],
+                 ";".join(str(c) for c in diag.level_counts[li]),
+                 diag.cmax_rainy_cells[li]] for li in range(len(seq))]
         _write_csv(outdir / f"{stem}_split.csv",
                    ["lead", "cmax_components", "level_components",
                     "cmax_rainy_cells"], rows)
@@ -533,7 +522,25 @@ def _cmd_analyze(args) -> int:
             outdir / f"{stem}_split.svg",
             title=f"{stem}: component count of thresholded composite",
             x_label="lead", y_label="components")
-    print(f"wrote split diagnostics to {outdir}")
+    return "split diagnostics"
+
+
+_ANALYSES = {
+    "ratios": _analyze_ratios,
+    "refl-corr": _analyze_refl_corr,
+    "motion-corr": _analyze_motion_corr,
+    "histogram": _analyze_histogram,
+    "outliers": _analyze_outliers,
+    "split": _analyze_split,
+}
+
+
+def _cmd_analyze(args) -> int:
+    files = _dataset(args.directory)
+    outdir = Path(args.outdir) if args.outdir else Path(args.directory)
+    outdir.mkdir(parents=True, exist_ok=True)
+    what = _ANALYSES[args.which](args, files, outdir)
+    print(f"wrote {what} to {outdir}")
     return 0
 
 
@@ -547,8 +554,8 @@ def main(argv: list[str] | None = None) -> int:
     parser, table = build_parser()
     # first pass only to discover the subcommand for config handling
     pre, _ = parser.parse_known_args(argv)
-    args = _apply_config(parser, table[pre.command], argv)
     try:
+        args = _apply_config(parser, table[pre.command], argv)
         if args.command == "synth":
             return _cmd_synth(args, table["synth"])
         if args.command == "estimate":
@@ -558,7 +565,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_analyze(args)
-    except (FormatError, NoOverlapError, ValueError, OSError) as exc:
+    except (FormatError, NoOverlapError, DivergedError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,21 +44,16 @@ class Criterion(enum.Enum):
 
 @dataclass
 class LossConfig:
-    """Weights and layout of the total loss.
+    """Weights of the total loss.
 
     beta is the divergence-penalty weight, strictly inside (0, 1); scales are
-    the average-pooling factors of the multi-scale data term; n_inputs and
-    m_future describe the observed/future split of the frame sequence.
+    the average-pooling factors of the multi-scale data term. Data terms
+    always restrict to jointly valid cells.
     """
 
     beta: float = 0.1
     scales: tuple[int, ...] = (1, 2, 4, 8)
     criterion: Criterion = Criterion.MAE_DBR
-    n_inputs: int = 8
-    m_future: int = 16
-    # data terms always restrict to jointly valid cells; kept as an explicit
-    # contract marker
-    mask_aware: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
@@ -66,12 +61,6 @@ class LossConfig:
         self.scales = tuple(int(k) for k in self.scales)
         if not self.scales or any(k < 1 for k in self.scales):
             raise ValueError(f"scales must be non-empty, each >= 1, got {self.scales}")
-        if self.n_inputs < 2:
-            raise ValueError("n_inputs must be >= 2")
-        if self.m_future < 0:
-            raise ValueError("m_future must be >= 0")
-        if not self.mask_aware:
-            raise ValueError("masked evaluation cannot be disabled")
 
 
 # Sobel derivative stencils, normalized so a unit-slope linear ramp yields
@@ -86,18 +75,8 @@ def _as_dbr(f: RainField) -> RainField:
     return f if f.space is Space.DBR else rain_to_dbr(f)
 
 
-_COORD_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _coords(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (ny, nx)
-    if key not in _COORD_CACHE:
-        yg, xg = np.mgrid[0:ny, 0:nx].astype(np.float64)
-        _COORD_CACHE[key] = (yg, xg)
-    return _COORD_CACHE[key]
-
-
 def _warp_stack(
+    coords: tuple[np.ndarray, np.ndarray],
     sources: np.ndarray,
     masks: np.ndarray | None,
     targets: np.ndarray,
@@ -108,16 +87,16 @@ def _warp_stack(
 ):
     """Warped data terms of all consecutive pairs of one frame stack.
 
-    sources holds frames 0..T-2, targets frames 1..T-1; masks is (T, ny, nx)
-    or None for all-valid. The single time-invariant motion (vx, vy) warps
-    every source frame at once. Cells whose departure point leaves the
-    domain are invalid and excluded, so the clamped-index gathers never
-    contribute to the result. Returns per-pair arrays (sums (P,),
+    coords is the (y, x) cell-index grid; sources holds frames 0..T-2,
+    targets frames 1..T-1; masks is (T, ny, nx) or None for all-valid. The
+    single time-invariant motion (vx, vy) warps every source frame at once.
+    Cells whose departure point leaves the domain are invalid and excluded,
+    so the clamped-index gathers never contribute to the result. Returns per-pair arrays (sums (P,),
     counts (P,), d_sum/d_vx (P,ny,nx), d_sum/d_vy) with the gradient entries
     None when want_grad is False.
     """
     n_pairs, ny, nx = targets.shape
-    yg, xg = _coords(ny, nx)
+    yg, xg = coords
     xs = xg - vx
     ys = yg - vy
 
@@ -181,6 +160,13 @@ def _unpool_grad(g: np.ndarray, k: int, ny: int, nx: int) -> np.ndarray:
     return out
 
 
+def _sobel_divergence(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """d(u_x)/dx + d(u_y)/dy of one level via 3x3 Sobel stencils with
+    replicated edge padding."""
+    return (ndimage.correlate(ux, SOBEL_X, mode="nearest")
+            + ndimage.correlate(uy, SOBEL_Y, mode="nearest"))
+
+
 def divergence(mf: MotionField) -> np.ndarray:
     """Per-level horizontal divergence d(u_x)/dx + d(u_y)/dy via 3x3 Sobel
     stencils with replicated edge padding.
@@ -188,12 +174,7 @@ def divergence(mf: MotionField) -> np.ndarray:
     Edge rows/columns rely on the replication and should be excluded from
     penalties; see interior_mask.
     """
-    out = np.empty((mf.nz,) + mf.grid_shape)
-    for z in range(mf.nz):
-        ux, uy = mf.level(z)
-        out[z] = (ndimage.correlate(ux, SOBEL_X, mode="nearest")
-                  + ndimage.correlate(uy, SOBEL_Y, mode="nearest"))
-    return out
+    return np.stack([_sobel_divergence(*mf.level(z)) for z in range(mf.nz)])
 
 
 def interior_mask(ny: int, nx: int) -> np.ndarray:
@@ -206,37 +187,22 @@ def interior_mask(ny: int, nx: int) -> np.ndarray:
 
 def loss_divergence(mf: MotionField) -> float:
     """Mean magnitude of the divergence over interior cells of all levels."""
-    div = divergence(mf)
     inner = interior_mask(*mf.grid_shape)
-    if not inner.any():
+    n_int = int(inner.sum()) * mf.nz
+    if n_int == 0:
         return 0.0
-    return float(np.abs(div[:, inner]).mean())
-
-
-def _div_term_level(ux: np.ndarray, uy: np.ndarray, want_grad: bool):
-    """Per level: (sum |div| over interior, n_interior, d_sum/d_ux, d_sum/d_uy)."""
-    div = (ndimage.correlate(ux, SOBEL_X, mode="nearest")
-           + ndimage.correlate(uy, SOBEL_Y, mode="nearest"))
-    inner = interior_mask(*ux.shape)
-    n = int(inner.sum())
-    if n == 0:
-        return 0.0, 0, None, None
-    s = float(np.abs(div[inner]).sum())
-    if not want_grad:
-        return s, n, None, None
-    g = np.where(inner, np.sign(div), 0.0)
-    dux = ndimage.convolve(g, SOBEL_X, mode="constant", cval=0.0)
-    duy = ndimage.convolve(g, SOBEL_Y, mode="constant", cval=0.0)
-    return s, n, dux, duy
+    return sum(float(np.abs(d[inner]).sum()) for d in divergence(mf)) / n_int
 
 
 class SequenceObjective:
     """Cached evaluator of the total loss and its gradient for one frame
     sequence.
 
-    Pooled frame/mask pyramids are computed once at construction; evaluate()
-    is then cheap to call repeatedly with different motion fields, which is
-    what both the optimizer and the finite-difference check need.
+    Pooled frame/mask pyramids, the per-scale cell-index grids and the
+    interior mask of the divergence penalty are built once at construction;
+    evaluate() is then cheap to call repeatedly with different motion
+    fields, which is what both the optimizer and the finite-difference check
+    need.
     """
 
     def __init__(self, frames: Sequence[np.ndarray], masks: Sequence[np.ndarray],
@@ -258,6 +224,7 @@ class SequenceObjective:
             self.active_scales = (min(cfg.scales),)
         # pooled[k][z] -> (source stack, mask stack or None, target stack)
         self.pooled: dict[int, list[tuple]] = {}
+        self.coords: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k in self.active_scales:
             per_z = []
             for z in range(self.nz):
@@ -266,6 +233,11 @@ class SequenceObjective:
                 per_z.append((stack[:-1], None if mstack.all() else mstack,
                               stack[1:]))
             self.pooled[k] = per_z
+            h, w = per_z[0][2].shape[1:]
+            yg, xg = np.mgrid[0:h, 0:w].astype(np.float64)
+            self.coords[k] = (yg, xg)
+        self.inner = interior_mask(self.ny, self.nx)
+        self.n_interior = int(self.inner.sum()) * self.nz
 
     def evaluate(self, u: np.ndarray, want_grad: bool = True):
         """Returns (total, data_term, div_term, grad-or-None) for motion u
@@ -290,8 +262,8 @@ class SequenceObjective:
                     vx = avg_pool2d(u[z, 0], k) / k
                     vy = avg_pool2d(u[z, 1], k) / k
                 sums, counts, dvx, dvy = _warp_stack(
-                    sources, mstack, targets, vx, vy, cfg.criterion,
-                    want_grad)
+                    self.coords[k], sources, mstack, targets, vx, vy,
+                    cfg.criterion, want_grad)
                 per_z.append((sums, dvx, dvy))
                 n_tot += counts
             if (n_tot == 0).any():
@@ -306,12 +278,16 @@ class SequenceObjective:
                     grad[z, 1] += _unpool_grad(gy, k, self.ny, self.nx)
 
         div_val = 0.0
-        n_int = int(interior_mask(self.ny, self.nx).sum()) * self.nz
+        n_int = self.n_interior
         if n_int > 0:
+            inner = self.inner
             for z in range(self.nz):
-                s, n, dux, duy = _div_term_level(u[z, 0], u[z, 1], want_grad)
-                div_val += s
-                if want_grad and dux is not None:
+                div = _sobel_divergence(u[z, 0], u[z, 1])
+                div_val += float(np.abs(div[inner]).sum())
+                if want_grad:
+                    g = np.where(inner, np.sign(div), 0.0)
+                    dux = ndimage.convolve(g, SOBEL_X, mode="constant", cval=0.0)
+                    duy = ndimage.convolve(g, SOBEL_Y, mode="constant", cval=0.0)
                     grad[z, 0] = (1.0 - cfg.beta) * grad[z, 0] \
                         + cfg.beta * dux / n_int
                     grad[z, 1] = (1.0 - cfg.beta) * grad[z, 1] \
@@ -324,48 +300,22 @@ class SequenceObjective:
         return total, data_val, div_val, grad
 
 
-def _dbr_arrays(phi: Sequence[RainField]):
+def _evaluate(phi: Sequence[RainField], mf: MotionField,
+              cfg: LossConfig) -> tuple[float, float, float]:
+    """(total, data_term, div_term) of one motion field on a RainField
+    sequence, converted to dBR."""
     fields = [_as_dbr(f) for f in phi]
-    frames = [f.data for f in fields]
-    masks = [f.mask for f in fields]
-    return frames, masks, fields[0].nz
-
-
-def _check_motion(mf: MotionField, nz: int, ny: int, nx: int):
-    if mf.grid_shape != (ny, nx):
-        raise ValueError(f"motion grid {mf.grid_shape} != field grid {(ny, nx)}")
-    if mf.nz != nz:
-        raise ValueError(f"motion has Z={mf.nz}, fields have Z={nz}")
-
-
-def _data_term(phi: Sequence[RainField], mf: MotionField, cfg: LossConfig,
-               scales: tuple[int, ...]) -> float:
-    frames, masks, nz = _dbr_arrays(phi)
-    _check_motion(mf, nz, *frames[0].shape[1:])
-    sub = LossConfig(beta=cfg.beta, scales=scales, criterion=cfg.criterion,
-                     n_inputs=cfg.n_inputs, m_future=cfg.m_future)
-    obj = SequenceObjective(frames, masks, sub)
-    _, data_val, _, _ = obj.evaluate(mf.u, want_grad=False)
+    obj = SequenceObjective([f.data for f in fields], [f.mask for f in fields],
+                            cfg)
+    if mf.grid_shape != (obj.ny, obj.nx):
+        raise ValueError(f"motion grid {mf.grid_shape} != field grid "
+                         f"{(obj.ny, obj.nx)}")
+    if mf.nz != obj.nz:
+        raise ValueError(f"motion has Z={mf.nz}, fields have Z={obj.nz}")
+    total, data_val, div_val, _ = obj.evaluate(mf.u, want_grad=False)
     if not np.isfinite(data_val):
         raise NoOverlapError("a frame pair has no jointly valid cells")
-    return float(data_val)
-
-
-def loss_single(psi_t: RainField, psi_next: RainField, mf: MotionField,
-                cfg: LossConfig | None = None) -> float:
-    """Data term of one frame pair: mean criterion between the one-step
-    backward warp of psi_t and psi_next over jointly valid cells."""
-    cfg = cfg or LossConfig()
-    return _data_term([psi_t, psi_next], mf, cfg, (1,))
-
-
-def loss_sequence(phi: Sequence[RainField], mf: MotionField,
-                  cfg: LossConfig | None = None) -> float:
-    """Mean one-step data term across all consecutive pairs of a sequence."""
-    cfg = cfg or LossConfig()
-    if len(phi) < 2:
-        raise ValueError("sequence must contain at least 2 frames")
-    return _data_term(phi, mf, cfg, (1,))
+    return total, data_val, div_val
 
 
 def loss_multiscale(phi: Sequence[RainField], mf: MotionField,
@@ -373,37 +323,18 @@ def loss_multiscale(phi: Sequence[RainField], mf: MotionField,
     """Mean of the sequence data term over the configured pooling scales,
     with motion vectors rescaled to each pooled grid.
 
-    Scales that would pool the grid below 4 x 4 cells cannot constrain
-    motion and are skipped for that grid size."""
-    cfg = cfg or LossConfig()
-    if len(phi) < 2:
-        raise ValueError("sequence must contain at least 2 frames")
-    return _data_term(phi, mf, cfg, cfg.scales)
+    With scales=(1,) this is the one-step data term: the mean criterion
+    between the backward warp of each frame and its successor over jointly
+    valid cells, averaged over all consecutive pairs. Scales that would pool
+    the grid below 4 x 4 cells cannot constrain motion and are skipped for
+    that grid size."""
+    return _evaluate(phi, mf, cfg or LossConfig())[1]
 
 
 def loss_total(phi: Sequence[RainField], mf: MotionField,
                cfg: LossConfig | None = None) -> float:
     """(1 - beta) * multiscale data term + beta * divergence penalty."""
-    cfg = cfg or LossConfig()
-    return ((1.0 - cfg.beta) * loss_multiscale(phi, mf, cfg)
-            + cfg.beta * loss_divergence(mf))
-
-
-def loss_total_with_grad(phi: Sequence[RainField], mf: MotionField,
-                         cfg: LossConfig | None = None):
-    """loss_total plus its analytic gradient w.r.t. the motion field.
-
-    Returns (total, data_term, divergence_term, grad) with grad shaped like
-    mf.u (Z x 2 x Y x X).
-    """
-    cfg = cfg or LossConfig()
-    frames, masks, nz = _dbr_arrays(phi)
-    _check_motion(mf, nz, *frames[0].shape[1:])
-    obj = SequenceObjective(frames, masks, cfg)
-    total, data_val, div_val, grad = obj.evaluate(mf.u, want_grad=True)
-    if not np.isfinite(total):
-        raise NoOverlapError("a frame pair has no jointly valid cells")
-    return total, data_val, div_val, grad
+    return _evaluate(phi, mf, cfg or LossConfig())[0]
 
 
 def gradient_check(cfg: LossConfig | None = None, n_instances: int = 5,

@@ -8,7 +8,7 @@ sentinel values are never stored inside float arrays.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +29,6 @@ class Space(enum.Enum):
 #: Fixed lower bound of the dBR space; rain rates at or below the dBR
 #: threshold map to this value exactly.
 DBR_FLOOR = -15.0
-
-
-class OobPolicy(enum.Enum):
-    """Out-of-bounds policy for interpolation."""
-
-    ZERO = "zero"
-    CLAMP = "clamp"
 
 
 @dataclass
@@ -256,71 +249,3 @@ def cmax_field(f: RainField) -> RainField:
     mask = f.mask.any(axis=0, keepdims=True)
     data = np.where(mask, data, fill)
     return RainField(data=data, space=f.space, mask=mask)
-
-
-def bilinear_sample(
-    field: np.ndarray, x: float, y: float, oob: OobPolicy = OobPolicy.ZERO
-) -> float:
-    """Bilinear interpolation of a 2-D field at a single (x, y) point.
-
-    ZERO treats everything outside [0, X-1] x [0, Y-1] as 0; CLAMP clamps the
-    coordinates onto the boundary.
-    """
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise ValueError(f"sample coordinates must be finite, got ({x}, {y})")
-    out = bilinear_sample_many(
-        np.asarray(field, dtype=np.float64),
-        np.asarray([x], dtype=np.float64),
-        np.asarray([y], dtype=np.float64),
-        oob,
-    )
-    return float(out[0])
-
-
-def bilinear_sample_many(
-    field: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    oob: OobPolicy = OobPolicy.ZERO,
-    fill: float = 0.0,
-) -> np.ndarray:
-    """Vectorized bilinear sampling of a 2-D field at arrays of coordinates.
-
-    With ZERO policy, out-of-domain neighbor contributions take the value
-    ``fill`` (0 by default); this keeps the convex-combination property in
-    shifted spaces such as dBR, where fill is the space floor.
-    """
-    field = np.asarray(field, dtype=np.float64)
-    if np.any(~np.isfinite(xs)) or np.any(~np.isfinite(ys)):
-        raise ValueError("sample coordinates must be finite")
-    ny, nx = field.shape
-    if oob is OobPolicy.CLAMP:
-        xs = np.clip(xs, 0.0, nx - 1.0)
-        ys = np.clip(ys, 0.0, ny - 1.0)
-        shifted = field
-        offset = 0.0
-    else:
-        # sample field - fill with zero OOB, then add fill back
-        shifted = field - fill
-        offset = fill
-
-    x0 = np.floor(xs)
-    y0 = np.floor(ys)
-    wx = xs - x0
-    wy = ys - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    x1 = x0 + 1
-    y1 = y0 + 1
-
-    def gather(yi, xi):
-        inside = (yi >= 0) & (yi < ny) & (xi >= 0) & (xi < nx)
-        vals = shifted[np.clip(yi, 0, ny - 1), np.clip(xi, 0, nx - 1)]
-        return np.where(inside, vals, 0.0)
-
-    f00 = gather(y0, x0)
-    f01 = gather(y0, x1)
-    f10 = gather(y1, x0)
-    f11 = gather(y1, x1)
-    out = (1 - wy) * ((1 - wx) * f00 + wx * f01) + wy * ((1 - wx) * f10 + wx * f11)
-    return out + offset

@@ -140,4 +140,6 @@ def read_motion(path: str | Path) -> MotionField:
                 raise FormatError(name, f"implausible dimension {dim}")
         n = z * 2 * y * x
         raw = np.frombuffer(_read_exactly(fh, 4 * n, "payload"), dtype="<f4")
+        if fh.read(1):
+            raise FormatError("chunk", "unexpected trailing bytes after the payload")
     return MotionField(raw.reshape(z, 2, y, x).astype(np.float64))

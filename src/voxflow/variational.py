@@ -19,16 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergedError, NoOverlapError
-from .flow import LossConfig, SequenceObjective, _as_dbr, gradient_check
+from .flow import LossConfig, SequenceObjective, _as_dbr
 from .grid import DBR_FLOOR, MotionField, RainField, avg_pool2d, pool_mask_all, upsample2d
-
-
-class Init(enum.Enum):
-    """Optimization schedule: PYRAMID refines coarse-to-fine from the zero
-    field at the coarsest grid; ZERO runs a single full-resolution stage."""
-
-    ZERO = "zero"
-    PYRAMID = "pyramid"
 
 
 class LevelStatus(enum.Enum):
@@ -45,15 +37,14 @@ class OptimizerConfig:
     every iteration and is additionally backtracked by miss_decay whenever a
     step fails to improve on the best iterate. After reset_after consecutive
     misses the search restarts from the best iterate with momentum cleared.
-    max_iters applies per coarse-to-fine stage.
+    max_iters applies per coarse-to-fine stage; coarse_to_fine_levels=1
+    runs a single full-resolution stage.
     """
 
     max_iters: int = 200
     step_size: float = 0.5
     momentum: float = 0.85
     coarse_to_fine_levels: int = 3
-    init: Init = Init.PYRAMID
-    grad_check: bool = False
     step_decay: float = 0.995
     miss_decay: float = 0.7
     reset_after: int = 6
@@ -173,7 +164,7 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
     if not has_signal:
         return np.zeros((2, ny, nx)), LevelStatus.NO_SIGNAL, []
 
-    n_pyr = 1 if opt.init is Init.ZERO else opt.coarse_to_fine_levels
+    n_pyr = opt.coarse_to_fine_levels
     while n_pyr > 1 and min(ny, nx) // (2 ** (n_pyr - 1)) < 16:
         n_pyr -= 1
 
@@ -216,11 +207,6 @@ def estimate_variational(
     opt = opt or OptimizerConfig()
     if len(inputs) < 2:
         raise ValueError("need at least 2 input frames")
-    if opt.grad_check:
-        err = gradient_check(cfg, n_instances=3, size=16, seed=0)
-        if err >= 1e-4:
-            raise AssertionError(
-                f"analytic gradient check failed: max relative error {err:.3e}")
 
     phi = list(inputs) + (list(future) if future else [])
     fields = [_as_dbr(f) for f in phi]

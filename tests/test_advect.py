@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxflow.advect import ExtrapolationConfig, advect_once, extrapolate
+from voxflow.advect import advect_once, extrapolate
 from voxflow.grid import MotionField, RainField, Space
 
 
@@ -127,10 +127,6 @@ class TestExtrapolate:
         f = RainField(data=np.zeros((1, 4, 4)), space=Space.MMH)
         with pytest.raises(ValueError):
             extrapolate(f, uniform_motion(0.0, 0.0, ny=4, nx=4), 0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ExtrapolationConfig(steps=0)
 
     def test_advection_and_column_max_do_not_commute_under_shear(self):
         from voxflow.grid import cmax_field

@@ -132,6 +132,22 @@ class TestMotionCorr:
             vals.append(motion_pair_corr(MotionField(u), vol, 0, 1))
         assert abs(np.mean(vals)) < 0.12
 
+    def test_matrix_is_mean_of_pair_correlations(self):
+        rng = np.random.default_rng(11)
+        mfs, vols = [], []
+        for _ in range(3):
+            data = rng.uniform(-10.0, 50.0, (4, 3, 12, 12))
+            vols.append(RadarVolume(data=data, z_levels=[500.0, 1000.0, 1500.0]))
+            mfs.append(MotionField(rng.normal(0.0, 1.0, (3, 2, 12, 12))))
+        for component in ("both", "u", "v"):
+            m = motion_corr_matrix(mfs, vols, precip_threshold_mmh=1.0,
+                                   component=component)
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    rs = [motion_pair_corr(mf, vol, i, j, 1.0, component)
+                          for mf, vol in zip(mfs, vols)]
+                    assert m[i, j] == m[j, i] == sum(rs) / len(rs)
+
     def test_precip_mask_restricts_region(self):
         # levels agree inside the precipitating half, disagree outside
         planes = [np.full((16, 16), NO_ECHO_DBZ) for _ in range(2)]

@@ -124,6 +124,23 @@ class TestNowcast:
             run("nowcast", vol, zero, "-k", "0")
         assert err.value.code == 2
 
+    def test_start_frame_is_python_style_index(self, uniform_files, tmp_path,
+                                               capsys):
+        d, vol = uniform_files
+        zero = tmp_path / "zero.rmf"
+        write_motion(zero, MotionField(np.zeros((8, 2, 128, 128))))
+        out = tmp_path / "fc.rvol"
+        assert run("nowcast", vol, zero, "-k", "1", "--start-frame", "-5",
+                   "-o", out) == 0
+        assert "from frame 19" in capsys.readouterr().out
+        np.testing.assert_allclose(read_rvol(out).data[0],
+                                   read_rvol(vol).data[19], atol=1e-3)
+        for bad in ("24", "-25"):
+            assert run("nowcast", vol, zero, "-k", "1", "--start-frame", bad,
+                       "-o", out) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"error: start frame {bad} outside volume (T=24)"]
+
     def test_level_mismatch_is_data_error(self, uniform_files, tmp_path):
         d, vol = uniform_files
         bad = tmp_path / "bad.rmf"
@@ -243,6 +260,31 @@ class TestConfigFile:
             run("synth", "--config", cfg, "--preset", "uniform",
                 "-o", tmp_path / "x.rvol")
         assert err.value.code == 2
+
+
+class TestErrors:
+    def test_missing_config_file_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert run("synth", "--config", missing, "--preset", "uniform",
+                   "-o", tmp_path / "x.rvol") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: [Errno 2] No such file or directory: "
+                       f"'{missing}'"]
+
+    def test_diverged_estimate_is_data_error(self, uniform_files, monkeypatch,
+                                             capsys):
+        from voxflow import cli
+        from voxflow.errors import DivergedError
+
+        def diverge(*args, **kwargs):
+            raise DivergedError(3)
+
+        monkeypatch.setattr(cli, "estimate_variational", diverge)
+        d, vol = uniform_files
+        assert run("estimate", vol, "--inputs", "2",
+                   "-o", d / "never.rmf") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: optimization diverged at iteration 3"]
 
 
 class TestTimestampParsing:

@@ -6,14 +6,12 @@ from voxflow.errors import NoOverlapError
 from voxflow.flow import (
     Criterion,
     LossConfig,
+    SequenceObjective,
     divergence,
     gradient_check,
     loss_divergence,
     loss_multiscale,
-    loss_sequence,
-    loss_single,
     loss_total,
-    loss_total_with_grad,
 )
 from voxflow.grid import MotionField, RainField, Space
 
@@ -29,6 +27,10 @@ def uniform_motion(ux, uy, nz=1, ny=16, nx=16):
     return MotionField(u)
 
 
+#: The one-step data term: the multiscale term at the finest scale only.
+ONE_STEP = LossConfig(scales=(1,))
+
+
 def smooth_random(rng, ny=16, nx=16, lo=-10.0, hi=5.0):
     from scipy.ndimage import gaussian_filter
     f = gaussian_filter(rng.normal(size=(ny, nx)), 2.0)
@@ -42,34 +44,36 @@ class TestLossSingle:
         f0 = dbr_field(smooth_random(rng)[None])
         mf = uniform_motion(1.0, -2.0)
         f1 = advect_once(f0, mf)
-        assert loss_single(f0, f1, mf) == pytest.approx(0.0, abs=1e-12)
+        assert loss_multiscale([f0, f1], mf, ONE_STEP) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_zero_for_stationary_pair(self):
         rng = np.random.default_rng(1)
         f = dbr_field(smooth_random(rng)[None])
-        assert loss_single(f, f, uniform_motion(0.0, 0.0)) == 0.0
+        assert loss_multiscale([f, f], uniform_motion(0.0, 0.0), ONE_STEP) == 0.0
 
     def test_constant_offset_gives_mae_one(self):
         rng = np.random.default_rng(2)
         base = smooth_random(rng)[None]
         f0 = dbr_field(base)
         f1 = dbr_field(base + 1.0)
-        got = loss_single(f0, f1, uniform_motion(0.0, 0.0))
+        got = loss_multiscale([f0, f1], uniform_motion(0.0, 0.0), ONE_STEP)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_mse_criterion_squares(self):
         rng = np.random.default_rng(3)
         base = smooth_random(rng)[None]
-        cfg = LossConfig(criterion=Criterion.MSE_DBR)
-        got = loss_single(dbr_field(base), dbr_field(base + 2.0),
-                          uniform_motion(0.0, 0.0), cfg)
+        cfg = LossConfig(scales=(1,), criterion=Criterion.MSE_DBR)
+        got = loss_multiscale([dbr_field(base), dbr_field(base + 2.0)],
+                              uniform_motion(0.0, 0.0), cfg)
         assert got == pytest.approx(4.0, abs=1e-12)
 
     def test_no_overlap_raises(self):
         f0 = dbr_field(np.zeros((1, 4, 4)), mask=np.zeros((1, 4, 4), bool))
         f1 = dbr_field(np.zeros((1, 4, 4)))
         with pytest.raises(NoOverlapError):
-            loss_single(f0, f1, uniform_motion(0.0, 0.0, ny=4, nx=4))
+            loss_multiscale([f0, f1], uniform_motion(0.0, 0.0, ny=4, nx=4),
+                            ONE_STEP)
 
 
 class TestLossSequence:
@@ -79,7 +83,8 @@ class TestLossSequence:
         frames = [dbr_field(smooth_random(rng)[None])]
         for _ in range(5):
             frames.append(advect_once(frames[-1], mf))
-        assert loss_sequence(frames, mf) == pytest.approx(0.0, abs=1e-6)
+        assert loss_multiscale(frames, mf, ONE_STEP) == pytest.approx(
+            0.0, abs=1e-6)
 
     def test_positive_at_wrong_motion(self):
         rng = np.random.default_rng(5)
@@ -87,22 +92,27 @@ class TestLossSequence:
         frames = [dbr_field(smooth_random(rng)[None])]
         for _ in range(4):
             frames.append(advect_once(frames[-1], mf))
-        assert loss_sequence(frames, uniform_motion(0.0, 0.0)) > 0.01
+        assert loss_multiscale(frames, uniform_motion(0.0, 0.0), ONE_STEP) > 0.01
 
     def test_needs_two_frames(self):
         with pytest.raises(ValueError):
-            loss_sequence([dbr_field(np.zeros((1, 4, 4)))],
-                          uniform_motion(0.0, 0.0, ny=4, nx=4))
+            loss_multiscale([dbr_field(np.zeros((1, 4, 4)))],
+                            uniform_motion(0.0, 0.0, ny=4, nx=4), ONE_STEP)
 
 
 class TestLossMultiscale:
     def test_single_scale_equals_sequence(self):
+        # the pair-averaged mean error of one backward warp per frame pair
         rng = np.random.default_rng(6)
         frames = [dbr_field(smooth_random(rng)[None]) for _ in range(3)]
         mf = uniform_motion(0.3, 0.2)
-        cfg = LossConfig(scales=(1,))
-        assert loss_multiscale(frames, mf, cfg) == pytest.approx(
-            loss_sequence(frames, mf, cfg))
+        per_pair = []
+        for f0, f1 in zip(frames, frames[1:]):
+            warped = advect_once(f0, mf)
+            valid = warped.mask & f1.mask
+            per_pair.append(np.abs(warped.data - f1.data)[valid].mean())
+        assert loss_multiscale(frames, mf, ONE_STEP) == pytest.approx(
+            np.mean(per_pair), rel=1e-12)
 
     def test_pooled_and_rescaled_loss_small_at_true_uniform_motion(self):
         rng = np.random.default_rng(7)
@@ -242,13 +252,17 @@ class TestGradients:
     def test_gradient_with_heavier_divergence_weight(self):
         assert gradient_check(LossConfig(beta=0.6), n_instances=2, seed=2) < 1e-4
 
-    def test_loss_total_with_grad_consistent_with_loss_total(self):
+    def test_evaluate_consistent_with_loss_total(self):
         rng = np.random.default_rng(12)
         frames = [dbr_field(smooth_random(rng)[None]) for _ in range(3)]
         mf = MotionField(rng.normal(0, 0.5, (1, 2, 16, 16)))
-        total, data, div, grad = loss_total_with_grad(frames, mf)
-        assert total == pytest.approx(loss_total(frames, mf))
         cfg = LossConfig()
+        obj = SequenceObjective([f.data for f in frames],
+                                [f.mask for f in frames], cfg)
+        total, data, div, grad = obj.evaluate(mf.u)
+        assert total == loss_total(frames, mf)
+        assert data == loss_multiscale(frames, mf)
+        assert div == loss_divergence(mf)
         assert total == pytest.approx((1 - cfg.beta) * data + cfg.beta * div)
         assert grad.shape == mf.u.shape
 
@@ -259,7 +273,8 @@ class TestGradients:
         frames = [dbr_field(smooth_random(rng)[None], mask=mask.copy())
                   for _ in range(2)]
         cfg = LossConfig(beta=1e-9, scales=(1,))
-        _, _, _, grad = loss_total_with_grad(frames,
-                                             uniform_motion(0.25, 0.0), cfg)
+        obj = SequenceObjective([f.data for f in frames],
+                                [f.mask for f in frames], cfg)
+        _, _, _, grad = obj.evaluate(uniform_motion(0.25, 0.0).u)
         # far inside the masked half nothing constrains the motion
         assert np.abs(grad[0, :, :, 12:]).max() < 1e-9

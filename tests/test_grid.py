@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from voxflow.advect import warp_plane
 from voxflow.grid import (
     MotionField,
-    OobPolicy,
     RadarVolume,
     RainField,
     Space,
     avg_pool2d,
-    bilinear_sample,
     cmax,
     max_pool_vertical,
     pool_mask_all,
@@ -145,6 +144,18 @@ def hand_bilinear(field, x, y):
     return total
 
 
+def bilinear_sample(field, x, y):
+    """Bilinear value of field at (x, y), taken from advect.warp_plane with
+    fill 0: output cell (0, 0) departs from (x, y) when its motion is
+    (-x, -y)."""
+    ux = np.zeros(field.shape)
+    uy = np.zeros(field.shape)
+    ux[0, 0] = -x
+    uy[0, 0] = -y
+    out, _ = warp_plane(field, np.ones(field.shape, bool), ux, uy, fill=0.0)
+    return out[0, 0]
+
+
 class TestBilinearSample:
     def test_exact_at_nodes(self):
         rng = np.random.default_rng(2)
@@ -159,7 +170,7 @@ class TestBilinearSample:
 
     def test_outside_with_zero_policy_matches_hand_oracle(self):
         f = np.full((3, 3), 4.0)
-        got = bilinear_sample(f, -0.5, 1.0, OobPolicy.ZERO)
+        got = bilinear_sample(f, -0.5, 1.0)
         assert got == pytest.approx(hand_bilinear(f, -0.5, 1.0))
         assert got == pytest.approx(2.0)  # half the boundary value
 
@@ -171,11 +182,6 @@ class TestBilinearSample:
             y = rng.uniform(-2, 7)
             assert bilinear_sample(f, x, y) == pytest.approx(
                 hand_bilinear(f, x, y), abs=1e-12)
-
-    def test_clamp_policy(self):
-        f = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert bilinear_sample(f, -5.0, 0.0, OobPolicy.CLAMP) == pytest.approx(1.0)
-        assert bilinear_sample(f, 5.0, 5.0, OobPolicy.CLAMP) == pytest.approx(4.0)
 
     def test_linear_in_field(self):
         rng = np.random.default_rng(4)

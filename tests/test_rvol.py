@@ -168,3 +168,13 @@ class TestMotionFile:
         path.write_bytes(raw[:-8])
         with pytest.raises(FormatError):
             read_motion(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        mf = MotionField(np.zeros((1, 2, 4, 4)))
+        path = tmp_path / "m.rmf"
+        write_motion(path, mf)
+        with open(path, "ab") as fh:
+            fh.write(b"junk")
+        with pytest.raises(FormatError) as err:
+            read_motion(path)
+        assert err.value.field == "chunk"

@@ -137,13 +137,6 @@ class TestEstimateVariational:
         np.testing.assert_array_equal(seq.motion.u, par.motion.u)
         assert seq.statuses == par.statuses
 
-    def test_grad_check_flag_runs(self):
-        vol, _ = blob_scene(velocities=[[[1.0, 0.0]]], t_count=2)
-        inputs = [volume_to_rain(vol, 0), volume_to_rain(vol, 1)]
-        opt = OptimizerConfig(max_iters=10, grad_check=True)
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=opt)
-        assert res.statuses == [LevelStatus.OK]
-
     def test_optimizer_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
