@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import MotionField, RainField
+from .grid import MotionField, RainField, bilinear_sample, sample_mask
 
 
 def warp_plane(plane: np.ndarray, mask: np.ndarray, ux: np.ndarray,
@@ -26,39 +26,17 @@ def warp_plane(plane: np.ndarray, mask: np.ndarray, ux: np.ndarray,
     the space floor. Non-finite departure coordinates raise ValueError.
     """
     ny, nx = plane.shape
-    ygrid, xgrid = np.mgrid[0:ny, 0:nx].astype(np.float64)
-    xs = xgrid - ux
-    ys = ygrid - uy
-    if np.any(~np.isfinite(xs)) or np.any(~np.isfinite(ys)):
+    xs = np.arange(nx, dtype=np.float64) - ux
+    ys = np.arange(ny, dtype=np.float64)[:, None] - uy
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("sample coordinates must be finite")
-    # sample plane - fill with zero outside the domain, then add fill back
-    shifted = np.asarray(plane, dtype=np.float64) - fill
-
-    x0 = np.floor(xs)
-    y0 = np.floor(ys)
-    wx = xs - x0
-    wy = ys - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    x1 = x0 + 1
-    y1 = y0 + 1
-
-    def gather(yi, xi):
-        inside = (yi >= 0) & (yi < ny) & (xi >= 0) & (xi < nx)
-        vals = shifted[np.clip(yi, 0, ny - 1), np.clip(xi, 0, nx - 1)]
-        return np.where(inside, vals, 0.0)
-
-    f00 = gather(y0, x0)
-    f01 = gather(y0, x1)
-    f10 = gather(y1, x0)
-    f11 = gather(y1, x1)
-    out = (1 - wy) * ((1 - wx) * f00 + wx * f01) + wy * ((1 - wx) * f10 + wx * f11)
-    out = out + fill
-
-    inside = (xs >= 0) & (xs <= nx - 1) & (ys >= 0) & (ys <= ny - 1)
-    xi = np.clip(np.rint(xs).astype(np.int64), 0, nx - 1)
-    yi = np.clip(np.rint(ys).astype(np.int64), 0, ny - 1)
-    return out, inside & mask[yi, xi]
+    # sample plane - fill with zeros outside the domain, then add fill back;
+    # two zero cells before each axis keep both clamped corners of
+    # floor(x) = -2 outside, one after covers floor(x) = n - 1
+    shifted = np.pad(np.asarray(plane, dtype=np.float64) - fill,
+                     ((2, 1), (2, 1)))
+    out, _, _ = bilinear_sample(shifted, xs, ys, pad=2)
+    return out + fill, sample_mask(mask, xs, ys)
 
 
 def advect_once(f: RainField, mf: MotionField) -> RainField:

@@ -121,8 +121,15 @@ def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
 
     The region is where the summed time-mean rain of the two slices exceeds
     the threshold. component selects 'u', 'v', or 'both' (u and v
-    concatenated into one vector).
+    concatenated into one vector). Level indices outside [0, Z) raise
+    ValueError.
     """
+    if mf.nz != vol.shape[1]:
+        raise ValueError("motion field and volume level counts differ")
+    for idx in (i, j):
+        if not 0 <= idx < mf.nz:
+            raise ValueError(f"level index {idx} outside [0, {mf.nz}): "
+                             f"the volume has {mf.nz} levels")
     return _pair_corr(mf, _mean_rain(vol), vol.mask, i, j,
                       precip_threshold_mmh, component)
 

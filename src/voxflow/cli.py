@@ -77,6 +77,10 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config(parser: argparse.ArgumentParser, sub: argparse.ArgumentParser,
                   argv: list[str]) -> argparse.Namespace:
     """Two-pass parse so config-file values become defaults that explicit
@@ -92,7 +96,10 @@ def _apply_config(parser: argparse.ArgumentParser, sub: argparse.ArgumentParser,
                 parser.error(f"unknown config key: {key}")
             action = known[key]
             if isinstance(action, argparse._StoreTrueAction):
-                defaults[key] = text.lower() in ("1", "true", "yes", "on")
+                defaults[key] = _BOOLEANS.get(text.lower())
+                if defaults[key] is None:
+                    parser.error(f"config key {key}: expected one of "
+                                 f"{'/'.join(_BOOLEANS)}, got {text!r}")
             elif action.type is not None:
                 defaults[key] = action.type(text)
             else:

@@ -31,7 +31,10 @@ from .grid import (
     RainField,
     Space,
     avg_pool2d,
+    bilinear_sample,
+    inside,
     pool_mask_all,
+    sample_mask,
     upsample2d,
 )
 from .transform import rain_to_dbr
@@ -76,7 +79,6 @@ def _as_dbr(f: RainField) -> RainField:
 
 
 def _warp_stack(
-    coords: tuple[np.ndarray, np.ndarray],
     sources: np.ndarray,
     masks: np.ndarray | None,
     targets: np.ndarray,
@@ -87,43 +89,23 @@ def _warp_stack(
 ):
     """Warped data terms of all consecutive pairs of one frame stack.
 
-    coords is the (y, x) cell-index grid; sources holds frames 0..T-2,
-    targets frames 1..T-1; masks is (T, ny, nx) or None for all-valid. The
-    single time-invariant motion (vx, vy) warps every source frame at once.
-    Cells whose departure point leaves the domain are invalid and excluded,
-    so the clamped-index gathers never contribute to the result. Returns per-pair arrays (sums (P,),
-    counts (P,), d_sum/d_vx (P,ny,nx), d_sum/d_vy) with the gradient entries
-    None when want_grad is False.
+    sources holds frames 0..T-2, targets frames 1..T-1; masks is (T, ny, nx)
+    or None for all-valid. The single time-invariant motion (vx, vy) warps
+    every source frame at once. Cells whose departure point leaves the
+    domain are invalid and excluded, so the clamped corners never contribute
+    to the result. Returns per-pair arrays (sums (P,), counts (P,),
+    d_sum/d_vx (P,ny,nx), d_sum/d_vy) with the gradient entries None when
+    want_grad is False.
     """
     n_pairs, ny, nx = targets.shape
-    yg, xg = coords
-    xs = xg - vx
-    ys = yg - vy
-
-    x0 = np.floor(xs)
-    y0 = np.floor(ys)
-    wx = xs - x0
-    wy = ys - y0
-    x0i = np.clip(x0.astype(np.int64), 0, nx - 1)
-    y0i = np.clip(y0.astype(np.int64), 0, ny - 1)
-    x1i = np.minimum(x0i + 1, nx - 1)
-    y1i = np.minimum(y0i + 1, ny - 1)
-
-    f00 = sources[:, y0i, x0i]
-    f01 = sources[:, y0i, x1i]
-    f10 = sources[:, y1i, x0i]
-    f11 = sources[:, y1i, x1i]
-    warped = (1 - wy) * ((1 - wx) * f00 + wx * f01) \
-        + wy * ((1 - wx) * f10 + wx * f11)
-
-    inside = (xs >= 0) & (xs <= nx - 1) & (ys >= 0) & (ys <= ny - 1)
+    xs = np.arange(nx, dtype=np.float64) - vx
+    ys = np.arange(ny, dtype=np.float64)[:, None] - vy
+    warped, gx, gy = bilinear_sample(sources, xs, ys, want_grad=want_grad)
     if masks is None:
-        valid = inside
-        counts = np.full(n_pairs, int(inside.sum()))
+        valid = inside(xs, ys, ny, nx)
+        counts = np.full(n_pairs, int(valid.sum()))
     else:
-        yn = np.clip(np.rint(ys).astype(np.int64), 0, ny - 1)
-        xn = np.clip(np.rint(xs).astype(np.int64), 0, nx - 1)
-        valid = inside & masks[:-1][:, yn, xn] & masks[1:]
+        valid = sample_mask(masks[:-1], xs, ys) & masks[1:]
         counts = valid.reshape(n_pairs, -1).sum(axis=1)
 
     r = np.where(valid, warped - targets, 0.0)
@@ -135,11 +117,7 @@ def _warp_stack(
         dr = 2.0 * r
     if not want_grad:
         return sums, counts, None, None
-
-    # derivative of the bilinear sample w.r.t. the departure coordinates;
     # the departure point is (x - vx, y - vy), hence the sign flip
-    gx = (1 - wy) * (f01 - f00) + wy * (f11 - f10)
-    gy = (1 - wx) * (f10 - f00) + wx * (f11 - f01)
     return sums, counts, -dr * gx, -dr * gy
 
 
@@ -198,11 +176,10 @@ class SequenceObjective:
     """Cached evaluator of the total loss and its gradient for one frame
     sequence.
 
-    Pooled frame/mask pyramids, the per-scale cell-index grids and the
-    interior mask of the divergence penalty are built once at construction;
-    evaluate() is then cheap to call repeatedly with different motion
-    fields, which is what both the optimizer and the finite-difference check
-    need.
+    Pooled frame/mask pyramids and the interior mask of the divergence
+    penalty are built once at construction; evaluate() is then cheap to call
+    repeatedly with different motion fields, which is what both the
+    optimizer and the finite-difference check need.
     """
 
     def __init__(self, frames: Sequence[np.ndarray], masks: Sequence[np.ndarray],
@@ -224,7 +201,6 @@ class SequenceObjective:
             self.active_scales = (min(cfg.scales),)
         # pooled[k][z] -> (source stack, mask stack or None, target stack)
         self.pooled: dict[int, list[tuple]] = {}
-        self.coords: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k in self.active_scales:
             per_z = []
             for z in range(self.nz):
@@ -233,9 +209,6 @@ class SequenceObjective:
                 per_z.append((stack[:-1], None if mstack.all() else mstack,
                               stack[1:]))
             self.pooled[k] = per_z
-            h, w = per_z[0][2].shape[1:]
-            yg, xg = np.mgrid[0:h, 0:w].astype(np.float64)
-            self.coords[k] = (yg, xg)
         self.inner = interior_mask(self.ny, self.nx)
         self.n_interior = int(self.inner.sum()) * self.nz
 
@@ -262,8 +235,8 @@ class SequenceObjective:
                     vx = avg_pool2d(u[z, 0], k) / k
                     vy = avg_pool2d(u[z, 1], k) / k
                 sums, counts, dvx, dvy = _warp_stack(
-                    self.coords[k], sources, mstack, targets, vx, vy,
-                    cfg.criterion, want_grad)
+                    sources, mstack, targets, vx, vy, cfg.criterion,
+                    want_grad)
                 per_z.append((sums, dvx, dvy))
                 n_tot += counts
             if (n_tot == 0).any():

@@ -216,6 +216,57 @@ def upsample2d(field: np.ndarray, k: int) -> np.ndarray:
     return np.repeat(np.repeat(field, k, axis=-2), k, axis=-1)
 
 
+def bilinear_sample(planes: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                    pad: int = 0, want_grad: bool = False):
+    """The package's one bilinear kernel: samples of a (..., H, W) stack of
+    planes at the points (xs, ys), shared by every plane of the stack.
+
+    The corners of a point are floor(x) + pad and the cell after it on each
+    axis, clamped to the array edge; a stack padded by ``pad`` cells before
+    each axis is thus sampled at unpadded coordinates. Coordinates are
+    clamped in floating point before the integer cast, so huge departures
+    land on the edge without a cast warning. Returns (samples, d/dx, d/dy),
+    the derivatives with respect to the sample point being None unless
+    want_grad.
+    """
+    h, w = planes.shape[-2:]
+    x0 = np.floor(xs)
+    y0 = np.floor(ys)
+    wx = xs - x0
+    wy = ys - y0
+    x0i = np.clip(x0 + pad, 0, w - 1).astype(np.int64)
+    y0i = np.clip(y0 + pad, 0, h - 1).astype(np.int64)
+    x1i = np.minimum(x0i + 1, w - 1)
+    y1i = np.minimum(y0i + 1, h - 1)
+
+    f00 = planes[..., y0i, x0i]
+    f01 = planes[..., y0i, x1i]
+    f10 = planes[..., y1i, x0i]
+    f11 = planes[..., y1i, x1i]
+    out = (1 - wy) * ((1 - wx) * f00 + wx * f01) \
+        + wy * ((1 - wx) * f10 + wx * f11)
+    if not want_grad:
+        return out, None, None
+    gx = (1 - wy) * (f01 - f00) + wy * (f11 - f10)
+    gy = (1 - wx) * (f10 - f00) + wx * (f11 - f01)
+    return out, gx, gy
+
+
+def inside(xs: np.ndarray, ys: np.ndarray, ny: int, nx: int) -> np.ndarray:
+    """Points (xs, ys) inside an ny x nx domain, edges included; a cell
+    whose departure point is outside is invalid."""
+    return (xs >= 0) & (xs <= nx - 1) & (ys >= 0) & (ys <= ny - 1)
+
+
+def sample_mask(masks: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Nearest-cell lookup of a (..., Y, X) validity stack at the points
+    (xs, ys); False wherever the point leaves the domain."""
+    ny, nx = masks.shape[-2:]
+    xn = np.clip(np.rint(xs), 0, nx - 1).astype(np.int64)
+    yn = np.clip(np.rint(ys), 0, ny - 1).astype(np.int64)
+    return inside(xs, ys, ny, nx) & masks[..., yn, xn]
+
+
 def max_pool_vertical(vol: RadarVolume, factor: int) -> RadarVolume:
     """Max-pool adjacent altitude groups of size factor.
 

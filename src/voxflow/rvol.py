@@ -17,6 +17,7 @@ RMF1 layout, little-endian:
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -80,6 +81,15 @@ def _read_exactly(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _check_size(fh, declared: int) -> None:
+    """Reject a header whose declared remainder outruns the file before
+    anything that large is allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if declared > left:
+        raise FormatError("payload", f"header declares {declared} more bytes, "
+                                     f"file holds {left}")
+
+
 def read_rvol(path: str | Path) -> RadarVolume:
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -96,9 +106,10 @@ def read_rvol(path: str | Path) -> RadarVolume:
         if dtype not in (DTYPE_F32, DTYPE_U8):
             raise FormatError("dtype", f"unknown dtype code {dtype}")
         (dt_seconds,) = struct.unpack("<I", _read_exactly(fh, 4, "dt_seconds"))
+        n = t * z * y * x
+        _check_size(fh, 4 * z + (4 if dtype == DTYPE_F32 else 1) * n)
         levels = np.frombuffer(_read_exactly(fh, 4 * z, "altitudes"),
                                dtype="<f4").astype(np.float64)
-        n = t * z * y * x
         if dtype == DTYPE_F32:
             raw = np.frombuffer(_read_exactly(fh, 4 * n, "payload"), dtype="<f4")
             data = raw.reshape(t, z, y, x).astype(np.float64)
@@ -116,8 +127,11 @@ def read_rvol(path: str | Path) -> RadarVolume:
                 raise FormatError("chunk", f"unknown trailing chunk {tag!r}")
             raw = np.frombuffer(_read_exactly(fh, n, "rho_hv"), dtype=np.uint8)
             rho = raw.reshape(t, z, y, x).astype(np.float64) / 200.0
-    return RadarVolume(data=data, z_levels=levels, dt=float(dt_seconds),
-                       mask=mask, rho_hv=rho)
+    try:
+        return RadarVolume(data=data, z_levels=levels, dt=float(dt_seconds),
+                           mask=mask, rho_hv=rho)
+    except ValueError as exc:
+        raise FormatError("altitudes", str(exc)) from None
 
 
 def write_motion(path: str | Path, mf: MotionField) -> None:
@@ -139,7 +153,11 @@ def read_motion(path: str | Path) -> MotionField:
             if dim == 0 or dim > _MAX_DIM:
                 raise FormatError(name, f"implausible dimension {dim}")
         n = z * 2 * y * x
+        _check_size(fh, 4 * n)
         raw = np.frombuffer(_read_exactly(fh, 4 * n, "payload"), dtype="<f4")
         if fh.read(1):
             raise FormatError("chunk", "unexpected trailing bytes after the payload")
-    return MotionField(raw.reshape(z, 2, y, x).astype(np.float64))
+    try:
+        return MotionField(raw.reshape(z, 2, y, x).astype(np.float64))
+    except ValueError as exc:
+        raise FormatError("payload", str(exc)) from None

@@ -24,8 +24,13 @@ from .grid import DBR_FLOOR, MotionField, RainField, avg_pool2d, pool_mask_all, 
 
 
 class LevelStatus(enum.Enum):
+    """Outcome of one level: OK, NO_SIGNAL (nothing to track, zero field)
+    or NO_ACCEPTED_STEP (descent tried steps and rejected every one, so the
+    field is still the zero start)."""
+
     OK = "ok"
     NO_SIGNAL = "no_signal"
+    NO_ACCEPTED_STEP = "no_accepted_step"
 
 
 @dataclass
@@ -85,8 +90,9 @@ def default_threads() -> int:
 
 def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
              trace: list[TraceRow] | None,
-             global_only: bool = False) -> np.ndarray:
-    """Momentum subgradient descent tracking the best iterate.
+             global_only: bool = False) -> tuple[np.ndarray, int, int]:
+    """Momentum subgradient descent tracking the best iterate; returns
+    (best iterate, accepted steps, rejected steps).
 
     With global_only the gradient is projected onto spatially constant
     fields (descent over one translation vector per level), the 2-dof
@@ -108,6 +114,7 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
     vel = np.zeros_like(u)
     step = opt.step_size
     misses = 0
+    accepted = rejected = 0
     for it in range(1, opt.max_iters + 1):
         if global_only:
             grad = np.broadcast_to(grad.mean(axis=(2, 3), keepdims=True),
@@ -124,10 +131,12 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
             best_total = total
             u_best = u_cur.copy()
             misses = 0
+            accepted += 1
             if trace is not None:
                 trace.append((total, data, div))
         else:
             misses += 1
+            rejected += 1
             step *= opt.miss_decay
             vel *= 0.5
             if misses >= opt.reset_after:
@@ -138,7 +147,7 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
         step *= opt.step_decay
         if step < opt.min_step:
             break
-    return u_best
+    return u_best, accepted, rejected
 
 
 def _stage_scales(cfg: LossConfig, factor: int) -> tuple[int, ...]:
@@ -157,7 +166,8 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
     global translation (gradient descent projected onto constant fields),
     then refines per cell, upsampling by 2 between stages. The trace covers
     the full-resolution stage only (coarser stages build the
-    initialization).
+    initialization). A level whose stages rejected every trial step is
+    reported as NO_ACCEPTED_STEP.
     """
     ny, nx = frames[0].shape
     has_signal = any((f[m] > DBR_FLOOR + 1e-9).any() for f, m in zip(frames, masks))
@@ -170,6 +180,7 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
 
     trace: list[TraceRow] = []
     u = None
+    accepted = rejected = 0
     for lev in range(n_pyr - 1, -1, -1):
         factor = 2 ** lev
         fr = [avg_pool2d(f, factor)[None] for f in frames]
@@ -181,11 +192,18 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
         stage_trace = trace if factor == 1 else None
         if u is None:
             u = np.zeros((1, 2, h, w))
-            u = _descend(obj, u, opt, stage_trace, global_only=True)
+            u, acc, rej = _descend(obj, u, opt, stage_trace, global_only=True)
+            accepted += acc
+            rejected += rej
         else:
             u = (upsample2d(u, 2) * 2.0)[:, :, :h, :w]
-        u = _descend(obj, u, opt, stage_trace)
-    return u[0], LevelStatus.OK, trace
+        u, acc, rej = _descend(obj, u, opt, stage_trace)
+        accepted += acc
+        rejected += rej
+    status = LevelStatus.OK
+    if accepted == 0 and rejected > 0:
+        status = LevelStatus.NO_ACCEPTED_STEP
+    return u[0], status, trace
 
 
 def estimate_variational(

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,15 @@ class TestEstimate:
         mf = read_motion(out)
         assert mf.nz == 1
         assert np.isfinite(mf.u).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_level_that_never_accepts_a_step_is_reported(self, uniform_files,
+                                                         capsys):
+        d, vol = uniform_files
+        assert run("estimate", vol, "--inputs", "3", "--iters", "3",
+                   "--step", "1e30", "-o", d / "stuck.rmf") == 0
+        out = capsys.readouterr().out
+        assert f"(levels: {','.join(['no_accepted_step'] * 8)})" in out
 
     def test_corrupt_volume_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.rvol"
@@ -235,6 +246,17 @@ class TestAnalyze:
         csvs = list(dataset_dir.glob("*_split.csv"))
         assert len(csvs) == 2
 
+    @pytest.mark.parametrize("which", ["motion-corr", "histogram"])
+    @pytest.mark.parametrize("pair", ["0,9", "0,-1"])
+    def test_level_pair_outside_volume_exit_1(self, dataset_dir, tmp_path,
+                                              capsys, which, pair):
+        assert run("analyze", dataset_dir, "--which", which, "--level-pair",
+                   pair, "-o", tmp_path) == 1
+        bad = pair.split(",")[1]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: level index {bad} outside [0, 8): "
+                       "the volume has 8 levels"]
+
     def test_empty_directory_exit_1(self, tmp_path, capsys):
         assert run("analyze", tmp_path, "--which", "ratios") == 1
         assert "no volumes found" in capsys.readouterr().err
@@ -262,6 +284,20 @@ class TestConfigFile:
         assert err.value.code == 2
 
 
+    def test_non_boolean_flag_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "q.cfg"
+        out = tmp_path / "q.rvol"
+        cfg.write_text("preset = uniform\nquantize = maybe\n")
+        with pytest.raises(SystemExit) as err:
+            run("synth", "--config", cfg, "-o", out)
+        assert err.value.code == 2
+        assert "config key quantize" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text("preset = uniform\nframes = 2\nquantize = OFF\n")
+        assert run("synth", "--config", cfg, "-o", out) == 0
+        assert out.read_bytes()[21] == 0  # dtype f32: not quantized
+
+
 class TestErrors:
     def test_missing_config_file_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
@@ -285,6 +321,25 @@ class TestErrors:
                    "-o", d / "never.rmf") == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: optimization diverged at iteration 3"]
+
+
+    def test_payload_larger_than_file_is_data_error(self, uniform_files,
+                                                    tmp_path, capsys):
+        d, vol = uniform_files
+        huge_vol = tmp_path / "huge.rvol"
+        huge_vol.write_bytes(b"RVOL\x01" + struct.pack(
+            "<IIII", 100_000, 2, 100_000, 100_000) + b"\x00"
+            + struct.pack("<I2f", 300, 500.0, 1000.0))
+        huge_mf = tmp_path / "huge.rmf"
+        huge_mf.write_bytes(b"RMF1" + struct.pack("<III", *[100_000] * 3))
+        assert run("verify", huge_vol, vol, "-o", tmp_path / "m.csv") == 1
+        assert run("nowcast", vol, huge_mf, "-k", "1",
+                   "-o", tmp_path / "fc.rvol") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: payload: header declares 8000000000000008 "
+                       "more bytes, file holds 8",
+                       "error: payload: header declares 8000000000000000 "
+                       "more bytes, file holds 0"]
 
 
 class TestTimestampParsing:

@@ -168,11 +168,21 @@ class TestBilinearSample:
         f = np.array([[0.0, 2.0]])
         assert bilinear_sample(f, 0.5, 0.0) == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_outside_with_zero_policy_matches_hand_oracle(self):
         f = np.full((3, 3), 4.0)
         got = bilinear_sample(f, -0.5, 1.0)
         assert got == pytest.approx(hand_bilinear(f, -0.5, 1.0))
         assert got == pytest.approx(2.0)  # half the boundary value
+        # departures far beyond the int64 range take the fill value, invalid
+        for x, y in ((1e30, 1.0), (-1e30, 1.0), (1.0, 1e30), (1.0, -1e30)):
+            assert bilinear_sample(f, x, y) == hand_bilinear(f, x, y) == 0.0
+            ux = np.zeros(f.shape)
+            uy = np.zeros(f.shape)
+            ux[0, 0], uy[0, 0] = -x, -y
+            out, valid = warp_plane(f, np.ones(f.shape, bool), ux, uy,
+                                    fill=-15.0)
+            assert out[0, 0] == -15.0 and not valid[0, 0]
 
     def test_random_points_match_hand_oracle(self):
         rng = np.random.default_rng(9)

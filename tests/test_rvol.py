@@ -1,9 +1,19 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxflow.errors import FormatError
 from voxflow.grid import MotionField, RadarVolume
-from voxflow.rvol import read_motion, read_rvol, write_motion, write_rvol
+from voxflow.rvol import (
+    RMF_MAGIC,
+    RVOL_MAGIC,
+    read_motion,
+    read_rvol,
+    write_motion,
+    write_rvol,
+)
 from voxflow.synth import generate, preset
 
 
@@ -131,6 +141,29 @@ class TestRvolValidation:
             read_rvol(path)
         assert err.value.field == "T"
 
+    def test_payload_larger_than_file(self, tmp_path):
+        # each dimension passes the plausibility check; their product is
+        # 8e15 bytes, which must be refused before any allocation
+        path = tmp_path / "huge.rvol"
+        path.write_bytes(RVOL_MAGIC + b"\x01"
+                         + struct.pack("<IIII", 100_000, 2, 100_000, 100_000)
+                         + b"\x00" + struct.pack("<I", 300)
+                         + struct.pack("<2f", 500.0, 1000.0) + bytes(64))
+        with pytest.raises(FormatError) as err:
+            read_rvol(path)
+        assert err.value.field == "payload"
+
+    def test_non_increasing_altitudes(self, tmp_path):
+        vol = sample_volume(np.random.default_rng(9))
+        path = tmp_path / "a.rvol"
+        write_rvol(path, vol)
+        raw = bytearray(path.read_bytes())
+        raw[26:30] = struct.pack("<f", 2000.0)  # first of the two altitudes
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            read_rvol(path)
+        assert err.value.field == "altitudes"
+
     def test_unknown_trailing_chunk(self, tmp_path):
         rng = np.random.default_rng(6)
         vol = sample_volume(rng)
@@ -169,6 +202,24 @@ class TestMotionFile:
         with pytest.raises(FormatError):
             read_motion(path)
 
+    def test_payload_larger_than_file(self, tmp_path):
+        path = tmp_path / "huge.rmf"
+        path.write_bytes(RMF_MAGIC + struct.pack("<III", 100_000, 100_000,
+                                                 100_000) + bytes(64))
+        with pytest.raises(FormatError) as err:
+            read_motion(path)
+        assert err.value.field == "payload"
+
+    def test_non_finite_payload(self, tmp_path):
+        path = tmp_path / "nan.rmf"
+        write_motion(path, MotionField(np.zeros((1, 2, 2, 2))))
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            read_motion(path)
+        assert err.value.field == "payload"
+
     def test_trailing_bytes_rejected(self, tmp_path):
         mf = MotionField(np.zeros((1, 2, 4, 4)))
         path = tmp_path / "m.rmf"
@@ -178,3 +229,76 @@ class TestMotionFile:
         with pytest.raises(FormatError) as err:
             read_motion(path)
         assert err.value.field == "chunk"
+
+
+@pytest.fixture(scope="module")
+def valid_bytes(tmp_path_factory):
+    """One valid file per format, the seed of the mutation fuzzer."""
+    d = tmp_path_factory.mktemp("valid")
+    write_rvol(d / "v.rvol", sample_volume(np.random.default_rng(10),
+                                           with_rho=True, with_mask=True))
+    write_motion(d / "m.rmf", MotionField(np.random.default_rng(11).normal(
+        0, 2, (2, 2, 3, 4))))
+    return {"rvol": (d / "v.rvol").read_bytes(),
+            "rmf": (d / "m.rmf").read_bytes()}
+
+
+_WORD = (st.floats(width=32).map(lambda v: struct.pack("<f", v))
+         | st.integers(0, 2 ** 32 - 1).map(lambda v: struct.pack("<I", v))
+         | st.binary(min_size=1, max_size=4))
+
+
+@st.composite
+def _mutated(draw, valid: bytes) -> bytes:
+    """A valid file with a few words after the magic overwritten by
+    arbitrary floats, integers or bytes, then possibly cut or extended.
+    Positions come from a seeded random source: Hypothesis' own integers
+    favour the range ends, which would mostly rewrite the magic."""
+    rnd = draw(st.randoms(use_true_random=False))
+    raw = bytearray(valid)
+    for _ in range(rnd.randint(1, 3)):
+        word = draw(_WORD)
+        last = len(raw) - len(word)
+        # half the writes land in the header and the altitudes
+        pos = rnd.randint(4, min(last, 64) if rnd.random() < 0.5 else last)
+        raw[pos:pos + len(word)] = word
+    if rnd.random() < 0.5:
+        return bytes(raw)
+    return bytes(raw[:rnd.randint(0, len(raw))]) + draw(st.binary(max_size=16))
+
+
+#: reader, the type it returns, its magic plus version
+READERS = {
+    "rvol": (read_rvol, RadarVolume, RVOL_MAGIC + b"\x01"),
+    "rmf": (read_motion, MotionField, RMF_MAGIC),
+}
+
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _read_or_format_error(name: str, path, raw: bytes) -> None:
+    """The reader's only outcomes: a valid object or a FormatError."""
+    reader, kind, _ = READERS[name]
+    path.write_bytes(raw)
+    try:
+        assert isinstance(reader(path), kind)
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+class TestReadersFuzz:
+    @_FUZZ
+    @given(data=st.data())
+    def test_arbitrary_bytes(self, tmp_path, name, data):
+        magic = READERS[name][2]
+        raw = data.draw(st.binary(max_size=200)
+                        | st.binary(max_size=200).map(lambda b: magic + b))
+        _read_or_format_error(name, tmp_path / "f", raw)
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_mutated_valid_file(self, tmp_path, valid_bytes, name, data):
+        raw = data.draw(_mutated(valid_bytes[name]))
+        _read_or_format_error(name, tmp_path / "f", raw)

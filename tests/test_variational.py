@@ -82,6 +82,19 @@ class TestEstimateVariational:
         assert res.statuses[1] == LevelStatus.NO_SIGNAL
         np.testing.assert_array_equal(res.motion.u[1], 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_level_that_never_accepts_a_step_is_flagged(self):
+        # a 1e30-cell step sends every departure out of the domain: each
+        # trial is rejected, the field stays zero and the level is not OK
+        vol, _ = blob_scene(nz=2, velocities=[[[1.0, 0.0]], [[0.0, 1.0]]],
+                            t_count=3)
+        inputs = [volume_to_rain(vol, t) for t in range(3)]
+        res = estimate_variational(
+            inputs, cfg=FAST_CFG, opt=OptimizerConfig(max_iters=3,
+                                                      step_size=1e30))
+        assert res.statuses == [LevelStatus.NO_ACCEPTED_STEP] * 2
+        np.testing.assert_array_equal(res.motion.u, 0.0)
+
     def test_divergence_error_carries_iteration(self):
         # a field with real signal plus NaN contamination diverges at once
         yg, xg = np.mgrid[0:16, 0:16]
