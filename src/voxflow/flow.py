@@ -91,29 +91,33 @@ def _warp_stack(
 
     sources holds frames 0..T-2, targets frames 1..T-1; masks is (T, ny, nx)
     or None for all-valid. The single time-invariant motion (vx, vy) warps
-    every source frame at once. Cells whose departure point leaves the
-    domain are invalid and excluded, so the clamped corners never contribute
-    to the result. Returns per-pair arrays (sums (P,), counts (P,),
-    d_sum/d_vx (P,ny,nx), d_sum/d_vy) with the gradient entries None when
-    want_grad is False.
+    every source frame at once; leading axes of vx and vy (shape
+    (..., ny, nx)) hold independent motions, and every result gains them
+    after the pair axis. Cells whose departure point leaves the domain are
+    invalid and excluded, so the clamped corners never contribute to the
+    result. Returns (sums (P, ...), counts broadcastable to (P, ...),
+    d_sum/d_vx (P, ..., ny, nx), d_sum/d_vy) with the gradient entries None
+    when want_grad is False.
     """
     n_pairs, ny, nx = targets.shape
     xs = np.arange(nx, dtype=np.float64) - vx
     ys = np.arange(ny, dtype=np.float64)[:, None] - vy
     warped, gx, gy = bilinear_sample(sources, xs, ys, want_grad=want_grad)
+    # pair stacks broadcast against the motions' leading axes
+    per_pair = (n_pairs,) + (1,) * (vx.ndim - 2) + (ny, nx)
     if masks is None:
         valid = inside(xs, ys, ny, nx)
-        counts = np.full(n_pairs, int(valid.sum()))
     else:
-        valid = sample_mask(masks[:-1], xs, ys) & masks[1:]
-        counts = valid.reshape(n_pairs, -1).sum(axis=1)
+        valid = sample_mask(masks[:-1], xs, ys) & masks[1:].reshape(per_pair)
+    counts = valid.reshape(valid.shape[:-2] + (-1,)).sum(axis=-1)
 
-    r = np.where(valid, warped - targets, 0.0)
+    r = np.where(valid, warped - targets.reshape(per_pair), 0.0)
+    cells = r.shape[:-2] + (-1,)
     if criterion is Criterion.MAE_DBR:
-        sums = np.abs(r).reshape(n_pairs, -1).sum(axis=1)
+        sums = np.abs(r).reshape(cells).sum(axis=-1)
         dr = np.sign(r)
     else:
-        sums = (r * r).reshape(n_pairs, -1).sum(axis=1)
+        sums = (r * r).reshape(cells).sum(axis=-1)
         dr = 2.0 * r
     if not want_grad:
         return sums, counts, None, None
@@ -128,21 +132,22 @@ def _unpool_grad(g: np.ndarray, k: int, ny: int, nx: int) -> np.ndarray:
     if k == 1:
         return g.copy()
     up = upsample2d(g, k) / float(k ** 3)
-    out = up[:ny, :nx].copy()
-    if up.shape[0] > ny:
-        out[ny - 1, :] += up[ny:, :nx].sum(axis=0)
-    if up.shape[1] > nx:
-        out[:, nx - 1] += up[:ny, nx:].sum(axis=1)
-    if up.shape[0] > ny and up.shape[1] > nx:
-        out[ny - 1, nx - 1] += up[ny:, nx:].sum()
+    out = up[..., :ny, :nx].copy()
+    uy, ux = up.shape[-2:]
+    if uy > ny:
+        out[..., ny - 1, :] += up[..., ny:, :nx].sum(axis=-2)
+    if ux > nx:
+        out[..., nx - 1] += up[..., :ny, nx:].sum(axis=-1)
+    if uy > ny and ux > nx:
+        out[..., ny - 1, nx - 1] += up[..., ny:, nx:].sum(axis=(-2, -1))
     return out
 
 
 def _sobel_divergence(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
-    """d(u_x)/dx + d(u_y)/dy of one level via 3x3 Sobel stencils with
-    replicated edge padding."""
-    return (ndimage.correlate(ux, SOBEL_X, mode="nearest")
-            + ndimage.correlate(uy, SOBEL_Y, mode="nearest"))
+    """d(u_x)/dx + d(u_y)/dy of one level, or of a stack of them on the
+    leading axes, via 3x3 Sobel stencils with replicated edge padding."""
+    return (ndimage.correlate(ux, SOBEL_X, mode="nearest", axes=(-2, -1))
+            + ndimage.correlate(uy, SOBEL_Y, mode="nearest", axes=(-2, -1)))
 
 
 def divergence(mf: MotionField) -> np.ndarray:
@@ -178,8 +183,9 @@ class SequenceObjective:
 
     Pooled frame/mask pyramids and the interior mask of the divergence
     penalty are built once at construction; evaluate() is then cheap to call
-    repeatedly with different motion fields, which is what both the
-    optimizer and the finite-difference check need.
+    repeatedly with different motion fields, which is what the optimizer
+    needs, and scores a batch of them in one call, which is what the
+    finite-difference check needs.
     """
 
     def __init__(self, frames: Sequence[np.ndarray], masks: Sequence[np.ndarray],
@@ -210,66 +216,77 @@ class SequenceObjective:
                               stack[1:]))
             self.pooled[k] = per_z
         self.inner = interior_mask(self.ny, self.nx)
-        self.n_interior = int(self.inner.sum()) * self.nz
+        # flat indices, so a batch gathers contiguous rows to sum
+        self.inner_cells = np.flatnonzero(self.inner)
+        self.n_interior = self.inner_cells.size * self.nz
 
     def evaluate(self, u: np.ndarray, want_grad: bool = True):
         """Returns (total, data_term, div_term, grad-or-None) for motion u
         of shape Z x 2 x Y x X.
 
+        Leading axes of u, (..., Z, 2, Y, X), hold independent motion
+        fields scored in one batch; the three terms are then arrays over
+        those axes and grad has u's shape.
+
         A frame pair with no jointly valid cells makes the data term +inf
-        (the motion pushed everything out of view); callers treat such
-        iterates as rejected.
+        (the motion pushed everything out of view; in a batch, for every
+        field of it); callers treat such iterates as rejected.
         """
         cfg = self.cfg
+        batch = u.shape[:-4]
         n_scales = len(self.active_scales)
         grad = np.zeros_like(u) if want_grad else None
-        data_val = 0.0
+        data_val = np.zeros(batch)
         for k in self.active_scales:
-            n_tot = np.zeros(self.n_pairs)
+            n_tot = np.zeros((self.n_pairs,) + batch)
             per_z = []
             for z in range(self.nz):
                 sources, mstack, targets = self.pooled[k][z]
-                if k == 1:
-                    vx, vy = u[z, 0], u[z, 1]
-                else:
-                    vx = avg_pool2d(u[z, 0], k) / k
-                    vy = avg_pool2d(u[z, 1], k) / k
+                v = u[..., z, :, :, :]
+                if k > 1:
+                    v = avg_pool2d(v, k) / k
                 sums, counts, dvx, dvy = _warp_stack(
-                    sources, mstack, targets, vx, vy, cfg.criterion,
-                    want_grad)
+                    sources, mstack, targets, v[..., 0, :, :], v[..., 1, :, :],
+                    cfg.criterion, want_grad)
                 per_z.append((sums, dvx, dvy))
                 n_tot += counts
             if (n_tot == 0).any():
                 return np.inf, np.inf, 0.0, grad
             w = 1.0 / (n_tot * self.n_pairs * n_scales)
             for z, (sums, dvx, dvy) in enumerate(per_z):
-                data_val += float((sums * w).sum())
+                data_val += (sums * w).sum(axis=0)
                 if want_grad:
-                    gx = np.einsum("p,pyx->yx", w, dvx)
-                    gy = np.einsum("p,pyx->yx", w, dvy)
-                    grad[z, 0] += _unpool_grad(gx, k, self.ny, self.nx)
-                    grad[z, 1] += _unpool_grad(gy, k, self.ny, self.nx)
+                    gx = np.einsum("p...,p...yx->...yx", w, dvx)
+                    gy = np.einsum("p...,p...yx->...yx", w, dvy)
+                    grad[..., z, 0, :, :] += _unpool_grad(gx, k, self.ny, self.nx)
+                    grad[..., z, 1, :, :] += _unpool_grad(gy, k, self.ny, self.nx)
 
-        div_val = 0.0
+        div_val = np.zeros(batch)
         n_int = self.n_interior
         if n_int > 0:
             inner = self.inner
             for z in range(self.nz):
-                div = _sobel_divergence(u[z, 0], u[z, 1])
-                div_val += float(np.abs(div[inner]).sum())
+                div = _sobel_divergence(u[..., z, 0, :, :], u[..., z, 1, :, :])
+                cells = div.reshape(batch + (-1,)).take(self.inner_cells, axis=-1)
+                div_val += np.abs(cells).sum(axis=-1)
                 if want_grad:
                     g = np.where(inner, np.sign(div), 0.0)
-                    dux = ndimage.convolve(g, SOBEL_X, mode="constant", cval=0.0)
-                    duy = ndimage.convolve(g, SOBEL_Y, mode="constant", cval=0.0)
-                    grad[z, 0] = (1.0 - cfg.beta) * grad[z, 0] \
+                    dux = ndimage.convolve(g, SOBEL_X, mode="constant",
+                                           cval=0.0, axes=(-2, -1))
+                    duy = ndimage.convolve(g, SOBEL_Y, mode="constant",
+                                           cval=0.0, axes=(-2, -1))
+                    gz = grad[..., z, :, :, :]
+                    gz[..., 0, :, :] = (1.0 - cfg.beta) * gz[..., 0, :, :] \
                         + cfg.beta * dux / n_int
-                    grad[z, 1] = (1.0 - cfg.beta) * grad[z, 1] \
+                    gz[..., 1, :, :] = (1.0 - cfg.beta) * gz[..., 1, :, :] \
                         + cfg.beta * duy / n_int
             div_val /= n_int
         elif want_grad:
             grad *= (1.0 - cfg.beta)
 
         total = (1.0 - cfg.beta) * data_val + cfg.beta * div_val
+        if not batch:
+            total, data_val, div_val = float(total), float(data_val), float(div_val)
         return total, data_val, div_val, grad
 
 
@@ -314,7 +331,8 @@ def gradient_check(cfg: LossConfig | None = None, n_instances: int = 5,
                    size: int = 16, seed: int = 0, step: float = 1e-6) -> float:
     """Validate analytic gradients of loss_total against central finite
     differences on random two-frame instances; returns the max relative
-    error across all motion components."""
+    error across all motion components. The perturbed fields of an instance
+    are scored as batches, each bitwise equal to a call per field."""
     cfg = cfg or LossConfig()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -327,15 +345,18 @@ def gradient_check(cfg: LossConfig | None = None, n_instances: int = 5,
         u = rng.uniform(-1.5, 1.5, (1, 2, size, size))
         obj = SequenceObjective(frames, masks, cfg)
         _, _, _, grad = obj.evaluate(u, want_grad=True)
-        fd = np.zeros_like(grad)
-        for idx in np.ndindex(grad.shape):
-            orig = u[idx]
-            u[idx] = orig + step
-            lp = obj.evaluate(u, want_grad=False)[0]
-            u[idx] = orig - step
-            lm = obj.evaluate(u, want_grad=False)[0]
-            u[idx] = orig
+        # perturb one component per batch entry; chunks bound the memory
+        fd = np.empty(u.size)
+        chunk = max(1, 2 ** 18 // u.size)
+        for lo in range(0, u.size, chunk):
+            idx = np.arange(lo, min(lo + chunk, u.size))
+            du = np.zeros((idx.size, u.size))
+            du[np.arange(idx.size), idx] = step
+            du = du.reshape((idx.size,) + u.shape)
+            lp = obj.evaluate(u + du, want_grad=False)[0]
+            lm = obj.evaluate(u - du, want_grad=False)[0]
             fd[idx] = (lp - lm) / (2.0 * step)
+        fd = fd.reshape(u.shape)
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-4)
         worst = max(worst, float((np.abs(grad - fd) / denom).max()))
     return worst

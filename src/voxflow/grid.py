@@ -226,29 +226,33 @@ def bilinear_sample(planes: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     each axis is thus sampled at unpadded coordinates. Coordinates are
     clamped in floating point before the integer cast, so huge departures
     land on the edge without a cast warning. Returns (samples, d/dx, d/dy),
-    the derivatives with respect to the sample point being None unless
-    want_grad.
+    each of shape planes.shape[:-2] + the points' shape, the derivatives
+    with respect to the sample point being None unless want_grad.
     """
     h, w = planes.shape[-2:]
     x0 = np.floor(xs)
     y0 = np.floor(ys)
     wx = xs - x0
     wy = ys - y0
-    x0i = np.clip(x0 + pad, 0, w - 1).astype(np.int64)
-    y0i = np.clip(y0 + pad, 0, h - 1).astype(np.int64)
+    x0i = np.minimum(np.maximum(x0 + pad, 0), w - 1).astype(np.int64)
+    y0i = np.minimum(np.maximum(y0 + pad, 0), h - 1).astype(np.int64)
     x1i = np.minimum(x0i + 1, w - 1)
-    y1i = np.minimum(y0i + 1, h - 1)
+    row0 = y0i * w
+    row1 = np.minimum(y0i + 1, h - 1) * w
 
-    f00 = planes[..., y0i, x0i]
-    f01 = planes[..., y0i, x1i]
-    f10 = planes[..., y1i, x0i]
-    f11 = planes[..., y1i, x1i]
-    out = (1 - wy) * ((1 - wx) * f00 + wx * f01) \
-        + wy * ((1 - wx) * f10 + wx * f11)
+    # gather from the flattened planes: one index array per corner
+    flat = planes.reshape(planes.shape[:-2] + (h * w,))
+    f00 = flat.take(row0 + x0i, axis=-1)
+    f01 = flat.take(row0 + x1i, axis=-1)
+    f10 = flat.take(row1 + x0i, axis=-1)
+    f11 = flat.take(row1 + x1i, axis=-1)
+    cx = 1 - wx
+    cy = 1 - wy
+    out = cy * (cx * f00 + wx * f01) + wy * (cx * f10 + wx * f11)
     if not want_grad:
         return out, None, None
-    gx = (1 - wy) * (f01 - f00) + wy * (f11 - f10)
-    gy = (1 - wx) * (f10 - f00) + wx * (f11 - f01)
+    gx = cy * (f01 - f00) + wy * (f11 - f10)
+    gy = cx * (f10 - f00) + wx * (f11 - f01)
     return out, gx, gy
 
 

@@ -266,6 +266,34 @@ class TestGradients:
         assert total == pytest.approx((1 - cfg.beta) * data + cfg.beta * div)
         assert grad.shape == mf.u.shape
 
+    def test_batch_matches_separate_calls_bitwise(self):
+        # masked, two levels, three pairs, a grid no scale divides
+        rng = np.random.default_rng(14)
+        frames = [np.maximum(rng.normal(-5.0, 6.0, (2, 13, 19)), -15.0)
+                  for _ in range(4)]
+        masks = [rng.random((2, 13, 19)) > 0.05 for _ in range(4)]
+        for crit in Criterion:
+            obj = SequenceObjective(frames, masks,
+                                    LossConfig(scales=(1, 2, 4), criterion=crit))
+            u = rng.uniform(-2.0, 2.0, (3, 2, 2, 2, 13, 19))
+            total, data, div, grad = obj.evaluate(u)
+            assert total.shape == data.shape == div.shape == (3, 2)
+            assert grad.shape == u.shape
+            for j in np.ndindex(3, 2):
+                t1, d1, v1, g1 = obj.evaluate(u[j])
+                assert (total[j], data[j], div[j]) == (t1, d1, v1)
+                assert grad[j].tobytes() == g1.tobytes()
+
+    def test_batch_with_an_empty_pair_is_infinite(self):
+        rng = np.random.default_rng(15)
+        frames = [smooth_random(rng)[None] for _ in range(2)]
+        obj = SequenceObjective(frames, [np.ones((1, 16, 16), bool)] * 2,
+                                LossConfig())
+        u = np.zeros((2, 1, 2, 16, 16))
+        u[1, :, 0] = 40.0  # every departure leaves the domain
+        total, data, _, _ = obj.evaluate(u, want_grad=False)
+        assert total == data == np.inf
+
     def test_masked_cells_get_no_data_gradient(self):
         rng = np.random.default_rng(13)
         mask = np.ones((1, 16, 16), bool)
