@@ -22,6 +22,10 @@ from .transform import volume_to_rain
 #: 4-connected neighborhood for component counting.
 CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
+# thresholds of the reflectivity and motion correlations; see their docstrings
+ECHO_THRESHOLD_DBZ = 0.0
+PRECIP_THRESHOLD_MMH = 0.0
+
 
 def rainy_ratio(vol: RadarVolume, thresholds_dbz: Sequence[float]) -> np.ndarray:
     """Fraction of valid cells exceeding each reflectivity threshold, per
@@ -50,13 +54,12 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float((da * db).sum() / denom)
 
 
-def reflectivity_corr_matrix(vols: Sequence[RadarVolume],
-                             echo_threshold_dbz: float = 0.0) -> np.ndarray:
+def reflectivity_corr_matrix(vols: Sequence[RadarVolume]) -> np.ndarray:
     """Mean pixel-wise Pearson correlation between altitude-level pairs.
 
     Every frame of every volume is one sample; a sample qualifies only when
-    echo above the threshold is present at all altitude levels. Entries with
-    no usable samples are NaN; the diagonal is exactly 1.
+    echo above ECHO_THRESHOLD_DBZ is present at all altitude levels. Entries
+    with no usable samples are NaN; the diagonal is exactly 1.
     """
     z = vols[0].shape[1]
     acc = np.zeros((z, z))
@@ -65,7 +68,7 @@ def reflectivity_corr_matrix(vols: Sequence[RadarVolume],
         t_count = vol.shape[0]
         for t in range(t_count):
             frame = vol.data[t]
-            if not all((frame[zi][vol.mask[zi]] > echo_threshold_dbz).any()
+            if not all((frame[zi][vol.mask[zi]] > ECHO_THRESHOLD_DBZ).any()
                        for zi in range(z)):
                 continue
             for i in range(z):
@@ -94,9 +97,9 @@ def _mean_rain(vol: RadarVolume) -> np.ndarray:
 
 
 def _pair_corr(mf: MotionField, rain: np.ndarray, mask: np.ndarray, i: int,
-               j: int, precip_threshold_mmh: float, component: str) -> float:
+               j: int, component: str) -> float:
     """motion_pair_corr given the volume's time-mean rain and static mask."""
-    region = (rain[i] + rain[j] > precip_threshold_mmh) & mask[i] & mask[j]
+    region = (rain[i] + rain[j] > PRECIP_THRESHOLD_MMH) & mask[i] & mask[j]
     if region.sum() < 2:
         return float("nan")
     ui, vi = mf.level(i)
@@ -114,13 +117,12 @@ def _pair_corr(mf: MotionField, rain: np.ndarray, mask: np.ndarray, i: int,
 
 
 def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
-                     precip_threshold_mmh: float = 0.0,
                      component: str = "both") -> float:
     """Pearson correlation between the motion fields of levels i and j over
     the precipitating region of the corresponding input slices.
 
     The region is where the summed time-mean rain of the two slices exceeds
-    the threshold. component selects 'u', 'v', or 'both' (u and v
+    PRECIP_THRESHOLD_MMH. component selects 'u', 'v', or 'both' (u and v
     concatenated into one vector). Level indices outside [0, Z) raise
     ValueError.
     """
@@ -130,12 +132,10 @@ def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
         if not 0 <= idx < mf.nz:
             raise ValueError(f"level index {idx} outside [0, {mf.nz}): "
                              f"the volume has {mf.nz} levels")
-    return _pair_corr(mf, _mean_rain(vol), vol.mask, i, j,
-                      precip_threshold_mmh, component)
+    return _pair_corr(mf, _mean_rain(vol), vol.mask, i, j, component)
 
 
 def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume],
-                       precip_threshold_mmh: float = 0.0,
                        component: str = "both") -> np.ndarray:
     """Mean pairwise motion correlation matrix over a dataset of samples."""
     if len(mfs) != len(inputs):
@@ -149,8 +149,7 @@ def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume]
         rain = _mean_rain(vol)
         for i in range(z):
             for j in range(i + 1, z):
-                r = _pair_corr(mf, rain, vol.mask, i, j, precip_threshold_mmh,
-                               component)
+                r = _pair_corr(mf, rain, vol.mask, i, j, component)
                 if not math.isnan(r):
                     acc[i, j] += r
                     cnt[i, j] += 1

@@ -25,7 +25,7 @@ from .grid import MotionField, RadarVolume, cmax
 from .lucas_kanade import estimate_lucas_kanade
 from .synth import PRESET_NAMES, generate, preset
 from .transform import rain_to_dbr, rain_to_dbz, volume_to_rain
-from .variational import OptimizerConfig, default_threads, estimate_variational
+from .variational import OptimizerConfig, estimate_variational
 from .verify import verify_nowcast
 
 
@@ -43,12 +43,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_scales(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split(",") if s.strip())
+def _comma_list(convert, form: str, count: int | None = None):
+    """argparse type for a comma-separated list; a malformed list is a
+    usage error that names the expected form."""
+    def parse(text: str) -> tuple:
+        try:
+            items = tuple(convert(s) for s in text.split(",") if s.strip())
+        except ValueError:
+            items = ()
+        if not items or (count is not None and len(items) != count):
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        return items
+    return parse
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(s) for s in text.split(",") if s.strip()]
+_scales = _comma_list(int, "comma-separated integers such as 1,2,4")
+_floats = _comma_list(float, "comma-separated numbers such as 1,5,10")
+_level_pair = _comma_list(int, "two comma-separated indices such as 0,2", 2)
 
 
 _TS_RE = re.compile(r"(\d{8})[T_-]?(\d{4})")
@@ -101,7 +112,10 @@ def _apply_config(parser: argparse.ArgumentParser, sub: argparse.ArgumentParser,
                     parser.error(f"config key {key}: expected one of "
                                  f"{'/'.join(_BOOLEANS)}, got {text!r}")
             elif action.type is not None:
-                defaults[key] = action.type(text)
+                try:
+                    defaults[key] = action.type(text)
+                except (argparse.ArgumentTypeError, ValueError) as exc:
+                    parser.error(f"config key {key}: {exc}")
             else:
                 defaults[key] = text
         sub.set_defaults(**defaults)
@@ -145,7 +159,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--use-future", action="store_true",
                    help="fit mode: include the remaining frames in the loss")
     p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--scales", type=str, default="1,2,4,8")
+    p.add_argument("--scales", type=_scales, default="1,2,4,8")
     p.add_argument("--iters", type=int, default=120)
     p.add_argument("--step", type=float, default=0.5)
     p.add_argument("--momentum", type=float, default=0.85)
@@ -159,7 +173,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(p)
     table["estimate"] = p
 
-    p = subs.add_parser("nowcast", help="extrapolate a volume with a motion field")
+    p = subs.add_parser("nowcast", help="extrapolate a volume with a motion field",
+                        description="The forecast's one static mask is the "
+                        "AND of every lead's mask.")
     p.add_argument("volume", help="input .rvol path")
     p.add_argument("motion", help="input .rmf path")
     p.add_argument("-k", "--leads", type=int, required=True)
@@ -175,7 +191,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("forecast", help="forecast .rvol path")
     p.add_argument("truth", help="observed .rvol path")
     p.add_argument("-o", "--out", default=None, help="metrics CSV path")
-    p.add_argument("--thresholds", type=str, default="1,5,10",
+    p.add_argument("--thresholds", type=_floats, default="1,5,10",
                    help="rain-rate thresholds in mm/h")
     p.add_argument("--offset", type=int, default=None,
                    help="truth frame index of lead 1 (default: aligned ends)")
@@ -187,11 +203,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--which", required=True, choices=tuple(_ANALYSES))
     p.add_argument("-o", "--outdir", default=None,
                    help="report directory (default: the dataset directory)")
-    p.add_argument("--thresholds-dbz", type=str, default="0,20")
+    p.add_argument("--thresholds-dbz", type=_floats, default="0,20")
     p.add_argument("--threshold", type=float, default=1.0,
                    help="mm/h threshold of the split diagnostic")
     p.add_argument("--coverage-dbz", type=float, default=20.0)
-    p.add_argument("--level-pair", type=str, default="0,2",
+    p.add_argument("--level-pair", type=_level_pair, default="0,2",
                    help="low,mid level indices for pair analyses")
     p.add_argument("--gap-minutes", type=float, default=60.0)
     p.add_argument("--top-k", type=int, default=3)
@@ -230,8 +246,7 @@ def _cmd_synth(args, parser: argparse.ArgumentParser) -> int:
 
 def _loss_config(args) -> LossConfig:
     crit = Criterion.MAE_DBR if args.criterion == "mae" else Criterion.MSE_DBR
-    return LossConfig(beta=args.beta, scales=_parse_scales(args.scales),
-                      criterion=crit)
+    return LossConfig(beta=args.beta, scales=args.scales, criterion=crit)
 
 
 def _cmd_estimate(args) -> int:
@@ -271,8 +286,7 @@ def _cmd_estimate(args) -> int:
     opt = OptimizerConfig(max_iters=args.iters, step_size=args.step,
                           momentum=args.momentum,
                           coarse_to_fine_levels=args.levels)
-    result = estimate_variational(inputs, future=future, cfg=cfg, opt=opt,
-                                  threads=default_threads())
+    result = estimate_variational(inputs, future=future, cfg=cfg, opt=opt)
     rvol.write_motion(out, result.motion)
     rows = []
     for z, trace in enumerate(result.traces):
@@ -323,8 +337,7 @@ def _cmd_verify(args) -> int:
                          f"{k} leads at offset {offset}")
     preds = [volume_to_rain(fc, t) for t in range(k)]
     obss = [volume_to_rain(truth, offset + t) for t in range(k)]
-    thresholds = _parse_floats(args.thresholds)
-    report = verify_nowcast(preds, obss, thresholds)
+    report = verify_nowcast(preds, obss, args.thresholds)
     sample_id = Path(args.forecast).stem
     rows = []
     for lead in report.leads:
@@ -332,7 +345,7 @@ def _cmd_verify(args) -> int:
         rows.append([sample_id, lead, "me", "", float(me)])
         rows.append([sample_id, lead, "mae", "", float(mae)])
         rows.append([sample_id, lead, "mse", "", float(mse)])
-        for thr in thresholds:
+        for thr in args.thresholds:
             p, r, e = report.categorical(lead, thr)
             rows.append([sample_id, lead, "precision", _fmt(thr), float(p)])
             rows.append([sample_id, lead, "recall", _fmt(thr), float(r)])
@@ -399,13 +412,8 @@ def _write_boxstats(outdir: Path, name: str, values: list[float],
                      outdir / f"{name}.svg", title=title, y_label=y_label)
 
 
-def _level_pair(args) -> tuple[int, int]:
-    low, mid = (int(s) for s in args.level_pair.split(","))
-    return low, mid
-
-
 def _analyze_ratios(args, files, outdir: Path) -> str:
-    thresholds = _parse_floats(args.thresholds_dbz)
+    thresholds = args.thresholds_dbz
     ratios = [analysis.rainy_ratio(rvol.read_rvol(path), thresholds)
               for path, _, _ in files]
     mean = np.mean(ratios, axis=0)
@@ -440,7 +448,7 @@ def _analyze_refl_corr(args, files, outdir: Path) -> str:
 
 
 def _analyze_motion_corr(args, files, outdir: Path) -> str:
-    low, mid = _level_pair(args)
+    low, mid = args.level_pair
     mfs, vols, stamps, corrs = [], [], [], []
     for path, stem, ts in files:
         mf = _motion_for(path)
@@ -470,7 +478,7 @@ def _analyze_motion_corr(args, files, outdir: Path) -> str:
 
 
 def _analyze_histogram(args, files, outdir: Path) -> str:
-    low, mid = _level_pair(args)
+    low, mid = args.level_pair
     samples = _pair_samples(files, low, mid, args.coverage_dbz)
     pairs = [(s.coverage, s.correlation) for s in samples]
     cov_edges = np.linspace(0.0, 1.0, args.bins + 1)
@@ -493,7 +501,7 @@ def _analyze_histogram(args, files, outdir: Path) -> str:
 
 
 def _analyze_outliers(args, files, outdir: Path) -> str:
-    low, mid = _level_pair(args)
+    low, mid = args.level_pair
     samples = _pair_samples(files, low, mid, args.coverage_dbz)
     usable = [s for s in samples if np.isfinite(s.correlation)]
     ranked = analysis.rank_outliers(usable, args.top_k,

@@ -14,53 +14,51 @@ from .grid import NO_ECHO_DBZ, RadarVolume
 #: 3x3 diamond (4-connected cross) structuring element.
 DIAMOND = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
+# QC settings; the docstrings below say how each is applied.
+RHO_MIN = 0.6
+ECHO_THRESHOLD_DBZ = 0.0
+OPEN_ITERS = 2
+PROTECT_DBZ = 40.0
+DILATE_ITERS = 2
 
-def polarimetric_filter(vol: RadarVolume, rho_min: float = 0.6) -> RadarVolume:
-    """Remove echoes wherever the copolar correlation falls below rho_min.
+
+def polarimetric_filter(vol: RadarVolume) -> RadarVolume:
+    """Remove echoes wherever the copolar correlation falls below RHO_MIN.
 
     Removed cells are set to the no-echo value; the validity mask is
     unchanged (the observation existed, it was just not precipitation).
     """
     if vol.rho_hv is None:
         raise ValueError("polarimetric_filter requires a volume with rho_hv")
-    if not (0.0 < rho_min <= 1.0):
-        raise ValueError(f"rho_min must lie in (0, 1], got {rho_min}")
-    data = np.where(vol.rho_hv < rho_min, NO_ECHO_DBZ, vol.data)
+    data = np.where(vol.rho_hv < RHO_MIN, NO_ECHO_DBZ, vol.data)
     return RadarVolume(data=data, z_levels=vol.z_levels, dt=vol.dt,
                        mask=vol.mask.copy(), rho_hv=vol.rho_hv.copy())
 
 
-def morphological_clean(
-    vol: RadarVolume,
-    open_iters: int = 2,
-    protect_dbz: float = 40.0,
-    dilate_iters: int = 2,
-    echo_threshold_dbz: float = 0.0,
-) -> RadarVolume:
+def morphological_clean(vol: RadarVolume) -> RadarVolume:
     """Remove small isolated echo regions per altitude level.
 
     Per level and frame, independently: the binary echo mask (reflectivity
-    above echo_threshold_dbz) is opened open_iters times with the 3x3
-    diamond element; cells above protect_dbz, dilated dilate_iters times with
-    the same element, are exempt from removal. Removed cells become no-echo.
+    above ECHO_THRESHOLD_DBZ) is opened OPEN_ITERS times with the 3x3
+    diamond element; cells above PROTECT_DBZ, dilated DILATE_ITERS times
+    with the same element, are exempt from removal. Removed cells become
+    no-echo.
     """
-    if open_iters < 0 or dilate_iters < 0:
-        raise ValueError("iteration counts must be non-negative")
     data = vol.data.copy()
     t_count, z_count = vol.shape[:2]
     for t in range(t_count):
         for z in range(z_count):
             plane = data[t, z]
-            echo = plane > echo_threshold_dbz
-            if open_iters > 0 and echo.any():
+            echo = plane > ECHO_THRESHOLD_DBZ
+            if echo.any():
                 opened = ndimage.binary_opening(echo, structure=DIAMOND,
-                                                iterations=open_iters)
+                                                iterations=OPEN_ITERS)
             else:
                 opened = echo
-            protected = plane > protect_dbz
-            if dilate_iters > 0 and protected.any():
+            protected = plane > PROTECT_DBZ
+            if protected.any():
                 protected = ndimage.binary_dilation(protected, structure=DIAMOND,
-                                                    iterations=dilate_iters)
+                                                    iterations=DILATE_ITERS)
             removed = echo & ~opened & ~protected
             plane[removed] = NO_ECHO_DBZ
     rho = vol.rho_hv.copy() if vol.rho_hv is not None else None
@@ -68,13 +66,9 @@ def morphological_clean(
                        mask=vol.mask.copy(), rho_hv=rho)
 
 
-def denoise_volume(vol: RadarVolume, rho_min: float = 0.6,
-                   open_iters: int = 2, protect_dbz: float = 40.0,
-                   dilate_iters: int = 2) -> RadarVolume:
+def denoise_volume(vol: RadarVolume) -> RadarVolume:
     """Full QC chain: polarimetric filter (when rho_hv is present) followed
     by morphological cleaning."""
     if vol.rho_hv is not None:
-        vol = polarimetric_filter(vol, rho_min=rho_min)
-    return morphological_clean(vol, open_iters=open_iters,
-                               protect_dbz=protect_dbz,
-                               dilate_iters=dilate_iters)
+        vol = polarimetric_filter(vol)
+    return morphological_clean(vol)

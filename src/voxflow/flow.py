@@ -157,7 +157,7 @@ def divergence(mf: MotionField) -> np.ndarray:
     Edge rows/columns rely on the replication and should be excluded from
     penalties; see interior_mask.
     """
-    return np.stack([_sobel_divergence(*mf.level(z)) for z in range(mf.nz)])
+    return _sobel_divergence(mf.u[:, 0], mf.u[:, 1])
 
 
 def interior_mask(ny: int, nx: int) -> np.ndarray:
@@ -168,13 +168,24 @@ def interior_mask(ny: int, nx: int) -> np.ndarray:
     return m
 
 
+def _divergence_term(u: np.ndarray, inner_cells: np.ndarray):
+    """Mean |div u| over the interior cells (flat indices) of all levels of
+    u (..., Z, 2, Y, X), per motion field, and div u (..., Z, Y, X)."""
+    div = _sobel_divergence(u[..., 0, :, :], u[..., 1, :, :])
+    n_int = inner_cells.size * u.shape[-4]
+    if n_int == 0:
+        return np.zeros(u.shape[:-4]), div
+    # take, unlike a boolean index, sums a batch entry as a single field;
+    # levels add in order, where np.sum would pair 8 or more of them
+    cells = div.reshape(div.shape[:-2] + (-1,)).take(inner_cells, axis=-1)
+    per_level = np.abs(cells).sum(axis=-1)
+    return sum(np.moveaxis(per_level, -1, 0)) / n_int, div
+
+
 def loss_divergence(mf: MotionField) -> float:
     """Mean magnitude of the divergence over interior cells of all levels."""
-    inner = interior_mask(*mf.grid_shape)
-    n_int = int(inner.sum()) * mf.nz
-    if n_int == 0:
-        return 0.0
-    return sum(float(np.abs(d[inner]).sum()) for d in divergence(mf)) / n_int
+    inner_cells = np.flatnonzero(interior_mask(*mf.grid_shape))
+    return float(_divergence_term(mf.u, inner_cells)[0])
 
 
 class SequenceObjective:
@@ -216,7 +227,6 @@ class SequenceObjective:
                               stack[1:]))
             self.pooled[k] = per_z
         self.inner = interior_mask(self.ny, self.nx)
-        # flat indices, so a batch gathers contiguous rows to sum
         self.inner_cells = np.flatnonzero(self.inner)
         self.n_interior = self.inner_cells.size * self.nz
 
@@ -261,26 +271,18 @@ class SequenceObjective:
                     grad[..., z, 0, :, :] += _unpool_grad(gx, k, self.ny, self.nx)
                     grad[..., z, 1, :, :] += _unpool_grad(gy, k, self.ny, self.nx)
 
-        div_val = np.zeros(batch)
+        div_val, div = _divergence_term(u, self.inner_cells)
         n_int = self.n_interior
-        if n_int > 0:
-            inner = self.inner
-            for z in range(self.nz):
-                div = _sobel_divergence(u[..., z, 0, :, :], u[..., z, 1, :, :])
-                cells = div.reshape(batch + (-1,)).take(self.inner_cells, axis=-1)
-                div_val += np.abs(cells).sum(axis=-1)
-                if want_grad:
-                    g = np.where(inner, np.sign(div), 0.0)
-                    dux = ndimage.convolve(g, SOBEL_X, mode="constant",
-                                           cval=0.0, axes=(-2, -1))
-                    duy = ndimage.convolve(g, SOBEL_Y, mode="constant",
-                                           cval=0.0, axes=(-2, -1))
-                    gz = grad[..., z, :, :, :]
-                    gz[..., 0, :, :] = (1.0 - cfg.beta) * gz[..., 0, :, :] \
-                        + cfg.beta * dux / n_int
-                    gz[..., 1, :, :] = (1.0 - cfg.beta) * gz[..., 1, :, :] \
-                        + cfg.beta * duy / n_int
-            div_val /= n_int
+        if want_grad and n_int > 0:
+            g = np.where(self.inner, np.sign(div), 0.0)
+            dux = ndimage.convolve(g, SOBEL_X, mode="constant", cval=0.0,
+                                   axes=(-2, -1))
+            duy = ndimage.convolve(g, SOBEL_Y, mode="constant", cval=0.0,
+                                   axes=(-2, -1))
+            grad[..., 0, :, :] = (1.0 - cfg.beta) * grad[..., 0, :, :] \
+                + cfg.beta * dux / n_int
+            grad[..., 1, :, :] = (1.0 - cfg.beta) * grad[..., 1, :, :] \
+                + cfg.beta * duy / n_int
         elif want_grad:
             grad *= (1.0 - cfg.beta)
 

@@ -18,6 +18,10 @@ from .flow import SOBEL_X, SOBEL_Y
 from .grid import MotionField, RainField
 from .advect import warp_plane
 
+# rejection threshold and refinement passes; see estimate_lucas_kanade
+TAU = 0.05
+ITERATIONS = 3
+
 
 @dataclass
 class LucasKanadeResult:
@@ -37,7 +41,7 @@ def _as_plane(f) -> np.ndarray:
     return arr
 
 
-def _solve(frame0: np.ndarray, frame1: np.ndarray, window: int, tau: float):
+def _solve(frame0: np.ndarray, frame1: np.ndarray, window: int):
     ix = ndimage.correlate(0.5 * (frame0 + frame1), SOBEL_X, mode="nearest")
     iy = ndimage.correlate(0.5 * (frame0 + frame1), SOBEL_Y, mode="nearest")
     it = frame1 - frame0
@@ -54,7 +58,7 @@ def _solve(frame0: np.ndarray, frame1: np.ndarray, window: int, tau: float):
     tr = sxx + syy
     lam_min = 0.5 * (tr - np.sqrt(np.maximum((sxx - syy) ** 2 + 4 * sxy ** 2, 0.0)))
     grad_energy = float(np.mean(ix * ix + iy * iy))
-    accepted = lam_min > tau * max(grad_energy, 1e-300)
+    accepted = lam_min > TAU * max(grad_energy, 1e-300)
 
     det = sxx * syy - sxy * sxy
     safe = np.where(accepted, det, 1.0)
@@ -63,13 +67,12 @@ def _solve(frame0: np.ndarray, frame1: np.ndarray, window: int, tau: float):
     return du, dv, accepted
 
 
-def estimate_lucas_kanade(frame0, frame1, window: int = 15, tau: float = 0.05,
-                          iterations: int = 3) -> LucasKanadeResult:
+def estimate_lucas_kanade(frame0, frame1, window: int = 15) -> LucasKanadeResult:
     """Estimate a single-level motion field between two consecutive frames.
 
-    window is the side of the averaging window (odd, >= 3); tau rejects
-    pixels whose smallest structure-tensor eigenvalue falls below tau times
-    the mean gradient energy. A few warp-and-refine passes handle
+    window is the side of the averaging window (odd, >= 3). Pixels whose
+    smallest structure-tensor eigenvalue falls below TAU times the mean
+    gradient energy are rejected; ITERATIONS warp-and-refine passes handle
     displacements beyond the linear range.
     """
     if window < 3 or window % 2 == 0:
@@ -84,9 +87,9 @@ def estimate_lucas_kanade(frame0, frame1, window: int = 15, tau: float = 0.05,
     ux = np.zeros((ny, nx))
     uy = np.zeros((ny, nx))
     accepted = np.zeros((ny, nx), dtype=bool)
-    for _ in range(max(1, iterations)):
+    for _ in range(ITERATIONS):
         warped, _ = warp_plane(a, ones, ux, uy, fill=0.0)
-        du, dv, accepted = _solve(warped, b, window, tau)
+        du, dv, accepted = _solve(warped, b, window)
         if not accepted.any():
             return LucasKanadeResult(
                 motion=MotionField.zero(1, ny, nx),

@@ -10,6 +10,9 @@ from pathlib import Path
 from typing import Sequence
 
 PALETTE = ("#1f77b4", "#2ca02c", "#d62728", "#9467bd", "#ff7f0e", "#8c564b")
+LINE_SIZE = (640, 420)  # canvas (width, height) in pixels
+BOX_SIZE = (720, 420)
+CELL = 34  # side of a heatmap cell in pixels
 
 
 def _svg(width: int, height: int, body: list[str]) -> str:
@@ -24,8 +27,8 @@ def _fmt(v: float) -> str:
 
 
 def line_chart(series: dict[str, Sequence[tuple[float, float]]], path: str | Path,
-               title: str = "", x_label: str = "", y_label: str = "",
-               width: int = 640, height: int = 420) -> None:
+               title: str = "", x_label: str = "", y_label: str = "") -> None:
+    width, height = LINE_SIZE
     margin = 56
     pw, ph = width - 2 * margin, height - 2 * margin
     pts = [p for s in series.values() for p in s]
@@ -86,17 +89,15 @@ def _heat_color(t: float) -> str:
 
 
 def heatmap(matrix, path: str | Path, title: str = "",
-            row_labels: Sequence[str] | None = None,
-            col_labels: Sequence[str] | None = None,
-            vmin: float | None = None, vmax: float | None = None,
-            cell: int = 34) -> None:
+            vmin: float | None = None, vmax: float | None = None) -> None:
+    """Rows and columns are labelled with their indices."""
     import numpy as np
 
     m = np.asarray(matrix, dtype=float)
     rows, cols = m.shape
     margin = 70
-    width = margin + cols * cell + 30
-    height = margin + rows * cell + 30
+    width = margin + cols * CELL + 30
+    height = margin + rows * CELL + 30
     finite = m[np.isfinite(m)]
     lo = vmin if vmin is not None else (float(finite.min()) if finite.size else 0.0)
     hi = vmax if vmax is not None else (float(finite.max()) if finite.size else 1.0)
@@ -109,32 +110,31 @@ def heatmap(matrix, path: str | Path, title: str = "",
     for i in range(rows):
         for j in range(cols):
             v = m[i, j]
-            x = margin + j * cell
-            y = margin + i * cell
+            x = margin + j * CELL
+            y = margin + i * CELL
             if np.isfinite(v):
                 color = _heat_color((v - lo) / (hi - lo))
-                body.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                body.append(f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
                             f'fill="{color}" stroke="#ccc"/>')
-                body.append(f'<text x="{x + cell / 2}" y="{y + cell / 2 + 3}" '
+                body.append(f'<text x="{x + CELL / 2}" y="{y + CELL / 2 + 3}" '
                             f'text-anchor="middle" font-size="9">{v:.2f}</text>')
             else:
-                body.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                body.append(f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
                             f'fill="#eee" stroke="#ccc"/>')
     for i in range(rows):
-        label = row_labels[i] if row_labels else str(i)
-        body.append(f'<text x="{margin - 6}" y="{margin + i * cell + cell / 2 + 3}" '
-                    f'text-anchor="end" font-size="10">{label}</text>')
+        body.append(f'<text x="{margin - 6}" y="{margin + i * CELL + CELL / 2 + 3}" '
+                    f'text-anchor="end" font-size="10">{i}</text>')
     for j in range(cols):
-        label = col_labels[j] if col_labels else str(j)
-        body.append(f'<text x="{margin + j * cell + cell / 2}" y="{margin - 8}" '
-                    f'text-anchor="middle" font-size="10">{label}</text>')
+        body.append(f'<text x="{margin + j * CELL + CELL / 2}" y="{margin - 8}" '
+                    f'text-anchor="middle" font-size="10">{j}</text>')
     Path(path).write_text(_svg(width, height, body))
 
 
 def box_plot(stats: dict, path: str | Path, title: str = "",
-             y_label: str = "", width: int = 720, height: int = 420) -> None:
+             y_label: str = "") -> None:
     """stats maps group label -> BoxStats-like object (q1, median, q3,
     lo_whisker, hi_whisker, outliers)."""
+    width, height = BOX_SIZE
     margin = 56
     pw, ph = width - 2 * margin, height - 2 * margin
     if not stats:

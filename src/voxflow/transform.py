@@ -1,8 +1,8 @@
 """Unit conversions between reflectivity, rain rate, and normalized dBR space.
 
-The Z-R relationship is Z = a * R^b with the canonical Marshall-Palmer
-constants a=200, b=1.6 as defaults. The dBR floor threshold defaults to
-10**-1.5 mm/h so the mapping is continuous at the floor (-15 dBR).
+The Z-R relationship is Z = a * R^b with the Marshall-Palmer constants
+MARSHALL_PALMER_A = 200 and MARSHALL_PALMER_B = 1.6. The dBR floor threshold
+is 10**-1.5 mm/h so the mapping is continuous at the floor (-15 dBR).
 """
 
 from __future__ import annotations
@@ -19,25 +19,20 @@ MARSHALL_PALMER_B = 1.6
 DBR_THRESHOLD_MMH = 10.0 ** (DBR_FLOOR / 10.0)
 
 
-def dbz_to_rain(
-    dbz: np.ndarray | RadarVolume,
-    a: float = MARSHALL_PALMER_A,
-    b: float = MARSHALL_PALMER_B,
-    mask: np.ndarray | None = None,
-) -> RainField:
+def dbz_to_rain(dbz: np.ndarray | RadarVolume,
+                mask: np.ndarray | None = None) -> RainField:
     """Convert reflectivity (dBZ) to rain rate via R = (10^(dBZ/10) / a)^(1/b).
 
     Takes a 2-D/3-D dBZ array (one frame, not a whole RadarVolume). Values at
     or below the no-echo sentinel convert to exactly 0 mm/h; invalid cells
     come out as 0 with the mask cleared.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"Z-R constants must be positive, got a={a}, b={b}")
     if isinstance(dbz, RadarVolume):
         raise TypeError("pass a single Z x Y x X frame, not a RadarVolume")
     arr = np.asarray(dbz, dtype=np.float64)
     with np.errstate(over="ignore"):
-        rain = np.power(np.power(10.0, arr / 10.0) / a, 1.0 / b)
+        rain = np.power(np.power(10.0, arr / 10.0) / MARSHALL_PALMER_A,
+                        1.0 / MARSHALL_PALMER_B)
     rain = np.nan_to_num(rain, nan=0.0, posinf=np.inf)
     rain = np.where(arr <= NO_ECHO_DBZ, 0.0, rain)
     if mask is None:
@@ -48,34 +43,31 @@ def dbz_to_rain(
     return RainField(data=rain, space=Space.MMH, mask=mask)
 
 
-def volume_to_rain(vol: RadarVolume, t: int, a: float = MARSHALL_PALMER_A,
-                   b: float = MARSHALL_PALMER_B) -> RainField:
+def volume_to_rain(vol: RadarVolume, t: int) -> RainField:
     """Rain-rate field for frame t of a volume, honoring the volume mask."""
-    return dbz_to_rain(vol.frame(t), a=a, b=b, mask=vol.mask)
+    return dbz_to_rain(vol.frame(t), mask=vol.mask)
 
 
-def rain_to_dbz(r: RainField, a: float = MARSHALL_PALMER_A,
-                b: float = MARSHALL_PALMER_B, no_echo_dbz: float = -32.0) -> np.ndarray:
-    """Invert the Z-R relationship; rates mapping below no_echo_dbz (or zero
+def rain_to_dbz(r: RainField) -> np.ndarray:
+    """Invert the Z-R relationship; rates mapping below NO_ECHO_DBZ (or zero
     rates) take the no-echo value."""
     if r.space is not Space.MMH:
         raise ValueError("rain_to_dbz expects a field in mm/h space")
     with np.errstate(divide="ignore"):
-        dbz = 10.0 * np.log10(a) + 10.0 * b * np.log10(r.data)
-    return np.maximum(np.nan_to_num(dbz, nan=no_echo_dbz, neginf=no_echo_dbz),
-                      no_echo_dbz)
+        dbz = (10.0 * np.log10(MARSHALL_PALMER_A)
+               + 10.0 * MARSHALL_PALMER_B * np.log10(r.data))
+    return np.maximum(np.nan_to_num(dbz, nan=NO_ECHO_DBZ, neginf=NO_ECHO_DBZ),
+                      NO_ECHO_DBZ)
 
 
-def rain_to_dbr(r: RainField, threshold: float = DBR_THRESHOLD_MMH) -> RainField:
-    """Log-transform rain rates: values above threshold map to 10*log10(R),
-    values at or below map to the fixed floor."""
+def rain_to_dbr(r: RainField) -> RainField:
+    """Log-transform rain rates: values above DBR_THRESHOLD_MMH map to
+    10*log10(R), values at or below map to the fixed floor."""
     if r.space is not Space.MMH:
         raise ValueError("rain_to_dbr expects a field in mm/h space")
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
     with np.errstate(divide="ignore"):
         dbr = 10.0 * np.log10(np.maximum(r.data, 1e-300))
-    dbr = np.where(r.data > threshold, dbr, DBR_FLOOR)
+    dbr = np.where(r.data > DBR_THRESHOLD_MMH, dbr, DBR_FLOOR)
     return RainField(data=dbr, space=Space.DBR, mask=r.mask.copy())
 
 

@@ -33,27 +33,30 @@ class LevelStatus(enum.Enum):
     NO_ACCEPTED_STEP = "no_accepted_step"
 
 
+# Step schedule of the descent: the step decays by STEP_DECAY every
+# iteration and by MISS_DECAY after each trial that fails to improve on the
+# best iterate; RESET_AFTER such misses in a row restart from the best
+# iterate with momentum cleared; the descent stops below MIN_STEP cells.
+STEP_DECAY = 0.995
+MISS_DECAY = 0.7
+RESET_AFTER = 6
+MIN_STEP = 5e-4
+
+
 @dataclass
 class OptimizerConfig:
     """Knobs of the subgradient descent.
 
     step_size is the initial per-iteration displacement change in grid
-    cells (the raw gradient is sup-norm normalized); it decays by step_decay
-    every iteration and is additionally backtracked by miss_decay whenever a
-    step fails to improve on the best iterate. After reset_after consecutive
-    misses the search restarts from the best iterate with momentum cleared.
-    max_iters applies per coarse-to-fine stage; coarse_to_fine_levels=1
-    runs a single full-resolution stage.
+    cells (the raw gradient is sup-norm normalized). max_iters applies per
+    coarse-to-fine stage; coarse_to_fine_levels=1 runs a single
+    full-resolution stage.
     """
 
     max_iters: int = 200
     step_size: float = 0.5
     momentum: float = 0.85
     coarse_to_fine_levels: int = 3
-    step_decay: float = 0.995
-    miss_decay: float = 0.7
-    reset_after: int = 6
-    min_step: float = 5e-4
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -64,8 +67,6 @@ class OptimizerConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.coarse_to_fine_levels < 1:
             raise ValueError("coarse_to_fine_levels must be >= 1")
-        if not (0.0 < self.step_decay <= 1.0) or not (0.0 < self.miss_decay <= 1.0):
-            raise ValueError("decay factors must lie in (0, 1]")
 
 
 #: One accepted iterate: (loss_total, data_term, divergence_term).
@@ -137,15 +138,15 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
         else:
             misses += 1
             rejected += 1
-            step *= opt.miss_decay
+            step *= MISS_DECAY
             vel *= 0.5
-            if misses >= opt.reset_after:
+            if misses >= RESET_AFTER:
                 u_cur = u_best.copy()
                 vel[:] = 0.0
                 _, _, _, grad = obj.evaluate(u_cur, want_grad=True)
                 misses = 0
-        step *= opt.step_decay
-        if step < opt.min_step:
+        step *= STEP_DECAY
+        if step < MIN_STEP:
             break
     return u_best, accepted, rejected
 

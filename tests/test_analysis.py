@@ -140,11 +140,10 @@ class TestMotionCorr:
             vols.append(RadarVolume(data=data, z_levels=[500.0, 1000.0, 1500.0]))
             mfs.append(MotionField(rng.normal(0.0, 1.0, (3, 2, 12, 12))))
         for component in ("both", "u", "v"):
-            m = motion_corr_matrix(mfs, vols, precip_threshold_mmh=1.0,
-                                   component=component)
+            m = motion_corr_matrix(mfs, vols, component=component)
             for i in range(3):
                 for j in range(i + 1, 3):
-                    rs = [motion_pair_corr(mf, vol, i, j, 1.0, component)
+                    rs = [motion_pair_corr(mf, vol, i, j, component)
                           for mf, vol in zip(mfs, vols)]
                     assert m[i, j] == m[j, i] == sum(rs) / len(rs)
 

@@ -158,6 +158,21 @@ class TestNowcast:
         write_motion(bad, MotionField(np.zeros((3, 2, 128, 128))))
         assert run("nowcast", vol, bad, "-k", "2") == 1
 
+    def test_mask_is_and_of_every_lead(self, uniform_files, tmp_path):
+        # RVOL keeps one static mask: a cell whose departure point leaves
+        # the domain by the last lead is invalid at every lead
+        d, vol = uniform_files
+        shift = tmp_path / "shift.rmf"
+        u = np.zeros((8, 2, 128, 128))
+        u[:, 0] = 1.0  # one cell per step toward +x
+        write_motion(shift, MotionField(u))
+        out = tmp_path / "fc.rvol"
+        assert run("nowcast", vol, shift, "-k", "3", "-o", out) == 0
+        fc = read_rvol(out)
+        # lead 1 alone loses column 0 only; lead 3 loses columns 0-2
+        assert not fc.mask[:, :, :3].any()
+        assert fc.mask[:, :, 3:].all()
+
 
 class TestVerify:
     def test_forecast_equal_truth_scores_perfectly(self, uniform_files, tmp_path):
@@ -283,6 +298,22 @@ class TestConfigFile:
                 "-o", tmp_path / "x.rvol")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command, line, message", [
+        (("synth", "--preset", "uniform"), "seed = abc",
+         "config key seed: invalid literal for int() with base 10: 'abc'"),
+        (("estimate", "v.rvol"), "scales = 1,x",
+         "config key scales: expected comma-separated integers such as "
+         "1,2,4, got '1,x'"),
+    ])
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys,
+                                                       command, line, message):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as err:
+            run(*command, "--config", cfg, "-o", tmp_path / "x.out")
+        assert err.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == f"voxflow: error: {message}"
 
     def test_non_boolean_flag_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "q.cfg"
@@ -299,6 +330,33 @@ class TestConfigFile:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv, form", [
+        (("analyze", "d", "--which", "motion-corr", "--level-pair", "1"),
+         "two comma-separated indices such as 0,2"),
+        (("analyze", "d", "--which", "histogram", "--level-pair", "a,b"),
+         "two comma-separated indices such as 0,2"),
+        (("analyze", "d", "--which", "ratios", "--thresholds-dbz", "5,x"),
+         "comma-separated numbers such as 1,5,10"),
+        (("estimate", "v.rvol", "--scales", "x"),
+         "comma-separated integers such as 1,2,4"),
+        (("verify", "f.rvol", "t.rvol", "--thresholds", ""),
+         "comma-separated numbers such as 1,5,10"),
+    ])
+    def test_malformed_list_is_usage_error(self, capsys, argv, form):
+        with pytest.raises(SystemExit) as err:
+            run(*argv)
+        assert err.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == (f"voxflow {argv[0]}: error: argument {argv[-2]}: "
+                        f"expected {form}, got {argv[-1]!r}")
+
+    def test_scale_out_of_range_is_data_error(self, uniform_files, capsys):
+        d, vol = uniform_files
+        assert run("estimate", vol, "--scales", "1,0",
+                   "-o", d / "never.rmf") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: scales must be non-empty, each >= 1, got (1, 0)"]
+
     def test_missing_config_file_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         assert run("synth", "--config", missing, "--preset", "uniform",

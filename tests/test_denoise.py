@@ -68,7 +68,7 @@ class TestPolarimetricFilter:
         data = np.full((1, 1, 2, 2), 30.0)
         rho = np.array([[[[0.3, 0.95], [0.59, 0.6]]]])
         vol = RadarVolume(data=data, z_levels=[500.0], rho_hv=rho)
-        out = polarimetric_filter(vol, rho_min=0.6)
+        out = polarimetric_filter(vol)
         assert out.data[0, 0, 0, 0] == NO_ECHO_DBZ
         assert out.data[0, 0, 0, 1] == 30.0
         assert out.data[0, 0, 1, 0] == NO_ECHO_DBZ
@@ -142,10 +142,6 @@ class TestMorphologicalClean:
         permuted = morphological_clean(make_vol([planes[2], planes[0], planes[1]]))
         np.testing.assert_array_equal(direct.data[0, 1], permuted.data[0, 2])
         np.testing.assert_array_equal(direct.data[0, 0], permuted.data[0, 1])
-
-    def test_rejects_negative_iterations(self):
-        with pytest.raises(ValueError):
-            morphological_clean(make_vol([np.zeros((4, 4))]), open_iters=-1)
 
     def test_diamond_is_cross(self):
         np.testing.assert_array_equal(

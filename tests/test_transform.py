@@ -36,12 +36,6 @@ class TestDbzToRain:
         assert out.data[0, 0, 1] == 0.0
         assert not out.mask[0, 0, 1]
 
-    def test_rejects_bad_constants(self):
-        with pytest.raises(ValueError):
-            dbz_to_rain(np.zeros((2, 2)), a=-1.0)
-        with pytest.raises(ValueError):
-            dbz_to_rain(np.zeros((2, 2)), b=0.0)
-
     def test_monotone_in_dbz(self):
         dbz = np.linspace(-20, 60, 81).reshape(1, -1)
         rain = dbz_to_rain(dbz).data[0, 0]
@@ -77,11 +71,6 @@ class TestRainToDbr:
         rain = np.linspace(0.05, 30.0, 100).reshape(1, -1)
         dbr = rain_to_dbr(RainField(data=rain, space=Space.MMH)).data[0, 0]
         assert (np.diff(dbr) > 0).all()
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            rain_to_dbr(RainField(data=np.zeros((2, 2)), space=Space.MMH),
-                        threshold=0.0)
 
 
 class TestDbrToRain:
