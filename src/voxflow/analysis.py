@@ -14,7 +14,6 @@ from datetime import datetime
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import MotionField, RadarVolume, RainField, cmax
 from .transform import volume_to_rain
@@ -301,6 +300,7 @@ def rank_outliers(samples: Sequence[OutlierSample], k: int,
 
 def count_components(plane: np.ndarray) -> int:
     """Number of 4-connected components of a boolean plane."""
+    from scipy import ndimage
     _, n = ndimage.label(plane, structure=CROSS)
     return int(n)
 

@@ -7,7 +7,6 @@ cleaning never introduces vertical coupling.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import NO_ECHO_DBZ, RadarVolume
 
@@ -44,6 +43,7 @@ def morphological_clean(vol: RadarVolume) -> RadarVolume:
     with the same element, are exempt from removal. Removed cells become
     no-echo.
     """
+    from scipy import ndimage
     data = vol.data.copy()
     t_count, z_count = vol.shape[:2]
     for t in range(t_count):

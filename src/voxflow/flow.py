@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NoOverlapError
 from .grid import (
@@ -72,6 +71,29 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
                     [-2.0, 0.0, 2.0],
                     [-1.0, 0.0, 1.0]]) / 8.0
 SOBEL_Y = SOBEL_X.T.copy()
+
+
+def correlate3x3(a: np.ndarray, kernel: np.ndarray, pad: str) -> np.ndarray:
+    """3x3 correlation over the last two axes of a, the border padded by
+    edge replication (pad="edge") or zeros (pad="constant"); pass the
+    flipped kernel to convolve. The non-zero taps add to zero in raster
+    order, as in scipy.ndimage.correlate, so the result equals ndimage's
+    (mode "nearest" or "constant") bit for bit."""
+    ny, nx = a.shape[-2:]
+    padded = np.zeros(a.shape[:-2] + (ny + 2, nx + 2))
+    padded[..., 1:-1, 1:-1] = a
+    if pad == "edge":
+        padded[..., 0, 1:-1] = a[..., 0, :]
+        padded[..., -1, 1:-1] = a[..., -1, :]
+        padded[..., 0] = padded[..., 1]
+        padded[..., -1] = padded[..., -2]
+    out = np.zeros(a.shape)
+    term = np.empty(a.shape)
+    for (i, j), w in np.ndenumerate(kernel):
+        if w:
+            np.multiply(padded[..., i:i + ny, j:j + nx], w, out=term)
+            out += term
+    return out
 
 
 def _as_dbr(f: RainField) -> RainField:
@@ -146,8 +168,7 @@ def _unpool_grad(g: np.ndarray, k: int, ny: int, nx: int) -> np.ndarray:
 def _sobel_divergence(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
     """d(u_x)/dx + d(u_y)/dy of one level, or of a stack of them on the
     leading axes, via 3x3 Sobel stencils with replicated edge padding."""
-    return (ndimage.correlate(ux, SOBEL_X, mode="nearest", axes=(-2, -1))
-            + ndimage.correlate(uy, SOBEL_Y, mode="nearest", axes=(-2, -1)))
+    return correlate3x3(ux, SOBEL_X, "edge") + correlate3x3(uy, SOBEL_Y, "edge")
 
 
 def divergence(mf: MotionField) -> np.ndarray:
@@ -275,10 +296,9 @@ class SequenceObjective:
         n_int = self.n_interior
         if want_grad and n_int > 0:
             g = np.where(self.inner, np.sign(div), 0.0)
-            dux = ndimage.convolve(g, SOBEL_X, mode="constant", cval=0.0,
-                                   axes=(-2, -1))
-            duy = ndimage.convolve(g, SOBEL_Y, mode="constant", cval=0.0,
-                                   axes=(-2, -1))
+            # adjoint of the stencil: convolve, zero outside the grid
+            dux = correlate3x3(g, SOBEL_X[::-1, ::-1], "constant")
+            duy = correlate3x3(g, SOBEL_Y[::-1, ::-1], "constant")
             grad[..., 0, :, :] = (1.0 - cfg.beta) * grad[..., 0, :, :] \
                 + cfg.beta * dux / n_int
             grad[..., 1, :, :] = (1.0 - cfg.beta) * grad[..., 1, :, :] \
@@ -335,6 +355,7 @@ def gradient_check(cfg: LossConfig | None = None, n_instances: int = 5,
     differences on random two-frame instances; returns the max relative
     error across all motion components. The perturbed fields of an instance
     are scored as batches, each bitwise equal to a call per field."""
+    from scipy import ndimage
     cfg = cfg or LossConfig()
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .flow import SOBEL_X, SOBEL_Y
+from .flow import SOBEL_X, SOBEL_Y, correlate3x3
 from .grid import MotionField, RainField
 from .advect import warp_plane
 
@@ -42,8 +41,10 @@ def _as_plane(f) -> np.ndarray:
 
 
 def _solve(frame0: np.ndarray, frame1: np.ndarray, window: int):
-    ix = ndimage.correlate(0.5 * (frame0 + frame1), SOBEL_X, mode="nearest")
-    iy = ndimage.correlate(0.5 * (frame0 + frame1), SOBEL_Y, mode="nearest")
+    from scipy import ndimage
+    mean = 0.5 * (frame0 + frame1)
+    ix = correlate3x3(mean, SOBEL_X, "edge")
+    iy = correlate3x3(mean, SOBEL_Y, "edge")
     it = frame1 - frame0
 
     def wmean(a):
@@ -99,6 +100,7 @@ def estimate_lucas_kanade(frame0, frame1, window: int = 15) -> LucasKanadeResult
 
     # fill rejected pixels from the nearest accepted one
     if not accepted.all():
+        from scipy import ndimage
         _, (iy_idx, ix_idx) = ndimage.distance_transform_edt(
             ~accepted, return_indices=True)
         ux = ux[iy_idx, ix_idx]

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import NO_ECHO_DBZ, MotionField, RadarVolume
 
@@ -166,6 +165,7 @@ def _truth_field(scn: SyntheticScenario) -> MotionField:
 
 def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
     """Render the scenario into a RadarVolume plus its ground-truth motion."""
+    from scipy import ndimage
     t_count, z_count, ny, nx = scn.shape
     for cell in scn.cells:
         if not (0 <= cell.y < ny and 0 <= cell.x < nx):

@@ -81,12 +81,17 @@ class VariationalResult:
 
 
 def default_threads() -> int:
-    """Parallelism cap from the VOXFLOW_THREADS environment variable."""
+    """Parallelism cap from the VOXFLOW_THREADS environment variable
+    (default 1); anything but a positive integer is a ValueError."""
     raw = os.environ.get("VOXFLOW_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(
+            f"VOXFLOW_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,

@@ -1,11 +1,15 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from voxflow.cli import main, parse_stem_timestamp
-from voxflow.rvol import read_motion, read_rvol, write_motion
-from voxflow.grid import MotionField
+from voxflow.rvol import read_motion, read_rvol, write_motion, write_rvol
+from voxflow.grid import MotionField, RadarVolume
 
 
 def run(*args):
@@ -380,6 +384,16 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: optimization diverged at iteration 3"]
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_is_data_error(self, uniform_files, monkeypatch,
+                                            capsys, value):
+        monkeypatch.setenv("VOXFLOW_THREADS", value)
+        d, vol = uniform_files
+        assert run("estimate", vol, "--inputs", "2",
+                   "-o", d / "never.rmf") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: VOXFLOW_THREADS must be a positive integer, "
+                       f"got {value!r}"]
 
     def test_payload_larger_than_file_is_data_error(self, uniform_files,
                                                     tmp_path, capsys):
@@ -398,6 +412,56 @@ class TestErrors:
                        "more bytes, file holds 8",
                        "error: payload: header declares 8000000000000000 "
                        "more bytes, file holds 0"]
+
+
+_NO_SCIPY_CHILD = """
+import sys
+import voxflow
+import voxflow.cli
+
+data, out = sys.argv[1:]
+vol, truth = data + "/20210610_1200.rvol", data + "/20210610_1200.truth.rmf"
+for argv in (
+        ["estimate", vol, "--mode", "3d", "--inputs", "4", "--iters", "5",
+         "--scales", "1,2", "-o", out + "/3d.rmf"],
+        ["estimate", vol, "--mode", "2d-cmax", "--inputs", "4", "--iters", "5",
+         "--scales", "1,2", "-o", out + "/2d.rmf"],
+        ["nowcast", vol, truth, "-k", "2", "--start-frame", "3",
+         "-o", out + "/fc.rvol"],
+        ["verify", out + "/fc.rvol", vol, "-o", out + "/metrics.csv"],
+        ["analyze", data, "--which", "motion-corr", "--level-pair", "0,1",
+         "-o", out]):
+    assert voxflow.cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+class TestStartup:
+    def test_commands_without_scipy_do_not_load_it(self, tmp_path):
+        """Importing voxflow and running estimate (3d, 2d-cmax), nowcast,
+        verify and analyze motion-corr in a fresh process loads no scipy
+        module."""
+        rng = np.random.default_rng(0)
+        yy, xx = np.mgrid[0:24, 0:24]
+        frames = np.array([[40.0 * np.exp(
+            -((yy - 12) ** 2 + (xx - 6 - t - z) ** 2) / 18.0)
+            for z in range(2)] for t in range(6)])
+        data = np.where(frames > 2.0, frames, -32.0)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "out").mkdir()
+        write_rvol(tmp_path / "data" / "20210610_1200.rvol",
+                   RadarVolume(data=data, z_levels=np.array([1000.0, 2000.0])))
+        write_motion(tmp_path / "data" / "20210610_1200.truth.rmf",
+                     MotionField(rng.uniform(-1.0, 1.0, (2, 2, 24, 24))))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "VOXFLOW_THREADS"}
+        env["PYTHONPATH"] = str(src)
+        child = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path / "data"),
+             str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
 
 
 class TestTimestampParsing:

@@ -4,9 +4,12 @@ import pytest
 from voxflow.advect import advect_once
 from voxflow.errors import NoOverlapError
 from voxflow.flow import (
+    SOBEL_X,
+    SOBEL_Y,
     Criterion,
     LossConfig,
     SequenceObjective,
+    correlate3x3,
     divergence,
     gradient_check,
     loss_divergence,
@@ -184,6 +187,26 @@ class TestDivergence:
         u[0, 1] = xg - c
         div = divergence(MotionField(u))
         np.testing.assert_allclose(div[0, 1:-1, 1:-1], 0.0, atol=1e-10)
+
+
+class TestStencil:
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 5), (2, 3), (3, 3), (17, 29)])
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    @pytest.mark.parametrize("kernel", [SOBEL_X, SOBEL_Y], ids=["x", "y"])
+    def test_bitwise_equal_to_ndimage(self, grid, lead, kernel):
+        from scipy import ndimage
+        a = np.random.default_rng(0).normal(size=lead + grid)
+        a[..., ::2, ::3] *= 0.0  # signed zeros, whose sign must carry over
+        cases = [
+            (correlate3x3(a, kernel, "edge"),
+             ndimage.correlate(a, kernel, mode="nearest", axes=(-2, -1))),
+            (correlate3x3(a, kernel[::-1, ::-1], "constant"),
+             ndimage.convolve(a, kernel, mode="constant", axes=(-2, -1))),
+        ]
+        for got, want in cases:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLossDivergence:
