@@ -11,15 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .denoise import DIAMOND
 from .grid import MotionField, RadarVolume, RainField, cmax
 from .transform import volume_to_rain
-
-#: 4-connected neighborhood for component counting.
-CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 # thresholds of the reflectivity and motion correlations; see their docstrings
 ECHO_THRESHOLD_DBZ = 0.0
@@ -53,37 +52,46 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float((da * db).sum() / denom)
 
 
-def reflectivity_corr_matrix(vols: Sequence[RadarVolume]) -> np.ndarray:
+def _pair_mean(z: int, rows: Iterable[tuple[int, int, float]]) -> np.ndarray:
+    """Mirrored z x z matrix of the mean r of (i, j, r) rows with i < j,
+    summed in row order; NaN r are skipped, entries without a finite r are
+    NaN and the diagonal is exactly 1."""
+    acc = np.zeros((z, z))
+    cnt = np.zeros((z, z), dtype=int)
+    for i, j, r in rows:
+        if not math.isnan(r):
+            acc[i, j] += r
+            cnt[i, j] += 1
+    with np.errstate(invalid="ignore"):
+        mean = acc / cnt  # 0 / 0 is NaN: no usable sample
+    out = np.where(np.tri(z, dtype=bool), mean.T, mean)
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+def reflectivity_corr_matrix(vols: Iterable[RadarVolume]) -> np.ndarray:
     """Mean pixel-wise Pearson correlation between altitude-level pairs.
 
     Every frame of every volume is one sample; a sample qualifies only when
     echo above ECHO_THRESHOLD_DBZ is present at all altitude levels. Entries
-    with no usable samples are NaN; the diagonal is exactly 1.
+    with no usable samples are NaN; the diagonal is exactly 1. vols may be
+    any iterable, such as a generator that reads one volume at a time; an
+    empty one raises ValueError.
     """
-    z = vols[0].shape[1]
-    acc = np.zeros((z, z))
-    cnt = np.zeros((z, z), dtype=int)
+    z = None
+    rows = []
     for vol in vols:
-        t_count = vol.shape[0]
-        for t in range(t_count):
-            frame = vol.data[t]
+        z = vol.shape[1] if z is None else z
+        for frame in vol.data:
             if not all((frame[zi][vol.mask[zi]] > ECHO_THRESHOLD_DBZ).any()
                        for zi in range(z)):
                 continue
-            for i in range(z):
-                for j in range(i + 1, z):
-                    joint = vol.mask[i] & vol.mask[j]
-                    r = _pearson(frame[i][joint], frame[j][joint])
-                    if not math.isnan(r):
-                        acc[i, j] += r
-                        cnt[i, j] += 1
-    out = np.full((z, z), np.nan)
-    np.fill_diagonal(out, 1.0)
-    for i in range(z):
-        for j in range(i + 1, z):
-            if cnt[i, j]:
-                out[i, j] = out[j, i] = acc[i, j] / cnt[i, j]
-    return out
+            for i, j in combinations(range(z), 2):
+                joint = vol.mask[i] & vol.mask[j]
+                rows.append((i, j, _pearson(frame[i][joint], frame[j][joint])))
+    if z is None:
+        raise ValueError("no volumes given")
+    return _pair_mean(z, rows)
 
 
 def _mean_rain(vol: RadarVolume) -> np.ndarray:
@@ -140,25 +148,14 @@ def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume]
     if len(mfs) != len(inputs):
         raise ValueError("need one input volume per motion field")
     z = mfs[0].nz
-    acc = np.zeros((z, z))
-    cnt = np.zeros((z, z), dtype=int)
+    rows = []
     for mf, vol in zip(mfs, inputs):
         if mf.nz != vol.shape[1]:
             raise ValueError("motion field and volume level counts differ")
         rain = _mean_rain(vol)
-        for i in range(z):
-            for j in range(i + 1, z):
-                r = _pair_corr(mf, rain, vol.mask, i, j, component)
-                if not math.isnan(r):
-                    acc[i, j] += r
-                    cnt[i, j] += 1
-    out = np.full((z, z), np.nan)
-    np.fill_diagonal(out, 1.0)
-    for i in range(z):
-        for j in range(i + 1, z):
-            if cnt[i, j]:
-                out[i, j] = out[j, i] = acc[i, j] / cnt[i, j]
-    return out
+        rows += [(i, j, _pair_corr(mf, rain, vol.mask, i, j, component))
+                 for i, j in combinations(range(z), 2)]
+    return _pair_mean(z, rows)
 
 
 @dataclass
@@ -205,13 +202,7 @@ def monthwise_boxstats(values: Sequence[float],
 def coverage_ratio(vol: RadarVolume, threshold_dbz: float = 20.0) -> float:
     """Mean fraction of valid CMAX pixels exceeding the threshold across
     the volume's frames."""
-    comp = cmax(vol)
-    m = comp.mask[0]
-    denom = comp.shape[0] * int(m.sum())
-    if denom == 0:
-        return 0.0
-    vals = comp.data[:, 0][:, m]
-    return float(np.count_nonzero(vals > threshold_dbz) / denom)
+    return float(rainy_ratio(cmax(vol), (threshold_dbz,))[0, 0])
 
 
 def coverage_vs_corr_histogram(
@@ -247,18 +238,17 @@ class OutlierSample:
 @dataclass
 class RankedOutliers:
     ids: list[str]
-    requested: int
     exhausted: bool = False
 
 
-def _avg_ranks(keys: list[tuple[float, int]]) -> np.ndarray:
-    """Average ranks (1-based) of the first tuple element, ascending."""
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    ranks = np.zeros(len(keys))
+def _avg_ranks(values: list[float]) -> np.ndarray:
+    """Average ranks (1-based) of the values, ascending."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = np.zeros(len(values))
     i = 0
     while i < len(order):
         j = i
-        while j + 1 < len(order) and keys[order[j + 1]][0] == keys[order[i]][0]:
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
             j += 1
         avg = (i + j) / 2.0 + 1.0
         for k in range(i, j + 1):
@@ -275,33 +265,36 @@ def rank_outliers(samples: Sequence[OutlierSample], k: int,
     Ties in the combined score break toward the earlier timestamp. Samples
     closer than gap_minutes to an already selected one are skipped so one
     long event does not fill the list. When fewer than k samples survive,
-    all of them are returned with the exhausted flag set.
+    all of them are returned with the exhausted flag set; k = 0 returns no
+    samples and a negative k raises ValueError.
     """
+    if k < 0:
+        raise ValueError(f"top-k must be >= 0, got {k}")
     if not samples:
-        return RankedOutliers(ids=[], requested=k, exhausted=k > 0)
-    cov_rank = _avg_ranks([(-s.coverage, 0) for s in samples])
-    cor_rank = _avg_ranks([(s.correlation, 0) for s in samples])
+        return RankedOutliers(ids=[], exhausted=k > 0)
+    cov_rank = _avg_ranks([-s.coverage for s in samples])
+    cor_rank = _avg_ranks([s.correlation for s in samples])
     combined = cov_rank + cor_rank
     order = sorted(range(len(samples)),
                    key=lambda i: (combined[i], samples[i].timestamp,
                                   samples[i].sample_id))
     chosen: list[OutlierSample] = []
     for idx in order:
+        if len(chosen) == k:
+            break
         s = samples[idx]
         if any(abs((s.timestamp - c.timestamp).total_seconds()) < gap_minutes * 60.0
                for c in chosen):
             continue
         chosen.append(s)
-        if len(chosen) == k:
-            break
-    return RankedOutliers(ids=[s.sample_id for s in chosen], requested=k,
+    return RankedOutliers(ids=[s.sample_id for s in chosen],
                           exhausted=len(chosen) < k)
 
 
 def count_components(plane: np.ndarray) -> int:
     """Number of 4-connected components of a boolean plane."""
     from scipy import ndimage
-    _, n = ndimage.label(plane, structure=CROSS)
+    _, n = ndimage.label(plane, structure=DIAMOND)
     return int(n)
 
 

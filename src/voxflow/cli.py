@@ -57,6 +57,21 @@ def _comma_list(convert, form: str, count: int | None = None):
     return parse
 
 
+def _int_in(lo: int, hi: float = float("inf")):
+    """argparse type for an integer in [lo, hi]; anything else is a usage
+    error that names the range."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer in [{lo}, {hi}], got {text!r}")
+        return value
+    return parse
+
+
 _scales = _comma_list(int, "comma-separated integers such as 1,2,4")
 _floats = _comma_list(float, "comma-separated numbers such as 1,5,10")
 _level_pair = _comma_list(int, "two comma-separated indices such as 0,2", 2)
@@ -140,8 +155,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--preset", choices=PRESET_NAMES, default=None)
     p.add_argument("-o", "--out", default=None, help="output .rvol path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=int, default=None,
-                   help="override the preset's frame count")
+    p.add_argument("--frames", type=_int_in(1), default=None,
+                   help="override the preset's frame count (>= 1)")
     p.add_argument("--crop-scale", action="store_true",
                    help="512 x 512 geometry for the uniform preset")
     p.add_argument("--quantize", action="store_true",
@@ -210,8 +225,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--level-pair", type=_level_pair, default="0,2",
                    help="low,mid level indices for pair analyses")
     p.add_argument("--gap-minutes", type=float, default=60.0)
-    p.add_argument("--top-k", type=int, default=3)
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--top-k", type=int, default=3, help="samples to rank, >= 0")
+    p.add_argument("--bins", type=_int_in(1, 1000), default=20,
+                   help="histogram bins per axis, 1 to 1000")
     _add_common(p)
     table["analyze"] = p
 
@@ -378,24 +394,31 @@ def _motion_for(path: Path) -> MotionField | None:
     return None
 
 
-def _pair_samples(files, low: int, mid: int, coverage_dbz: float):
-    """Per-sample (id, timestamp, coverage, low/mid motion correlation)."""
-    samples = []
+def _motion_samples(files):
+    """(stem, timestamp, volume, motion) of every volume with a motion file.
+
+    The motion file is looked up before the volume is read; the count of
+    volumes without one is noted on stderr once the files are exhausted.
+    """
     skipped = 0
     for path, stem, ts in files:
-        vol = rvol.read_rvol(path)
         mf = _motion_for(path)
         if mf is None:
             skipped += 1
             continue
-        cov = analysis.coverage_ratio(vol, threshold_dbz=coverage_dbz)
-        corr = analysis.motion_pair_corr(mf, vol, low, mid)
-        samples.append(analysis.OutlierSample(sample_id=stem, timestamp=ts,
-                                              coverage=cov, correlation=corr))
+        yield stem, ts, rvol.read_rvol(path), mf
     if skipped:
         print(f"note: {skipped} volume(s) had no motion file and were skipped",
               file=sys.stderr)
-    return samples
+
+
+def _pair_samples(files, low: int, mid: int, coverage_dbz: float):
+    """Per-sample (id, timestamp, coverage, low/mid motion correlation)."""
+    return [analysis.OutlierSample(
+                sample_id=stem, timestamp=ts,
+                coverage=analysis.coverage_ratio(vol, threshold_dbz=coverage_dbz),
+                correlation=analysis.motion_pair_corr(mf, vol, low, mid))
+            for stem, ts, vol, mf in _motion_samples(files)]
 
 
 def _write_boxstats(outdir: Path, name: str, values: list[float],
@@ -438,8 +461,8 @@ def _analyze_ratios(args, files, outdir: Path) -> str:
 
 
 def _analyze_refl_corr(args, files, outdir: Path) -> str:
-    vols = [rvol.read_rvol(path) for path, _, _ in files]
-    mat = analysis.reflectivity_corr_matrix(vols)
+    mat = analysis.reflectivity_corr_matrix(rvol.read_rvol(path)
+                                            for path, _, _ in files)
     _write_matrix(outdir / "reflectivity_corr.csv", mat)
     svgplot.heatmap(mat, outdir / "reflectivity_corr.svg",
                     title="reflectivity correlation by level pair",
@@ -449,18 +472,11 @@ def _analyze_refl_corr(args, files, outdir: Path) -> str:
 
 def _analyze_motion_corr(args, files, outdir: Path) -> str:
     low, mid = args.level_pair
-    mfs, vols, stamps, corrs = [], [], [], []
-    for path, stem, ts in files:
-        mf = _motion_for(path)
-        if mf is None:
-            continue
-        vol = rvol.read_rvol(path)
-        mfs.append(mf)
-        vols.append(vol)
-        stamps.append(ts)
-        corrs.append(analysis.motion_pair_corr(mf, vol, low, mid))
-    if not mfs:
+    samples = list(_motion_samples(files))
+    if not samples:
         raise ValueError("no motion files found next to the volumes")
+    _, stamps, vols, mfs = zip(*samples)
+    corrs = [analysis.motion_pair_corr(mf, vol, low, mid) for mf, vol in zip(mfs, vols)]
     for component in ("both", "u", "v"):
         mat = analysis.motion_corr_matrix(mfs, vols, component=component)
         _write_matrix(outdir / f"motion_corr_{component}.csv", mat)

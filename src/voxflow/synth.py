@@ -19,6 +19,10 @@ from .grid import NO_ECHO_DBZ, MotionField, RadarVolume
 #: Gaussian contributions below this dBZ level are treated as no echo, which
 #: gives every cell a sharp, finite support.
 ECHO_FLOOR_DBZ = 2.0
+#: reflectivity range (dBZ) of injected speckles, drawn uniformly
+SPECKLE_DBZ = (10.0, 35.0)
+#: copolar correlation coefficient of clutter cells
+CLUTTER_RHO = 0.3
 
 
 @dataclass
@@ -61,13 +65,10 @@ class SyntheticScenario:
     rotation_omega: float | None = None
     level_amp_scale: np.ndarray | None = None
     speckle_prob: float = 0.0
-    speckle_dbz: tuple[float, float] = (10.0, 35.0)
     clutter_cells: list[GaussianCell] = field(default_factory=list)
-    clutter_rho: float = 0.3
     amplitude_trend: float = 0.0
     seed: int = 0
     z_levels: np.ndarray | None = None
-    dt: float = 300.0
 
     def __post_init__(self):
         t, z, y, x = self.shape
@@ -194,17 +195,17 @@ def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
                 near_echo = ndimage.binary_dilation(plane > NO_ECHO_DBZ,
                                                     iterations=3)
                 hits &= ~near_echo
-                amps = rng.uniform(*scn.speckle_dbz, size=(ny, nx))
+                amps = rng.uniform(*SPECKLE_DBZ, size=(ny, nx))
                 plane = np.where(hits, amps, plane)
             for cp in clutter_planes:
                 clutter = np.where(cp >= ECHO_FLOOR_DBZ, cp, -np.inf)
                 in_clutter = clutter > plane
                 plane = np.where(in_clutter, clutter, plane)
                 if rho is not None:
-                    rho[t, z][in_clutter] = scn.clutter_rho
+                    rho[t, z][in_clutter] = CLUTTER_RHO
             data[t, z] = plane
 
-    vol = RadarVolume(data=data, z_levels=scn.z_levels, dt=scn.dt, rho_hv=rho)
+    vol = RadarVolume(data=data, z_levels=scn.z_levels, rho_hv=rho)
     return vol, _truth_field(scn)
 
 
@@ -272,8 +273,7 @@ def preset(name: str, frames: int | None = None, seed: int = 0,
         scn = SyntheticScenario(
             shape=(8, 2, 128, 128), cells=cells, velocities=vel,
             speckle_prob=0.001,
-            clutter_cells=[GaussianCell(20.0, 104.0, 45.0, 5.0)],
-            clutter_rho=0.3, seed=seed)
+            clutter_cells=[GaussianCell(20.0, 104.0, 45.0, 5.0)], seed=seed)
     elif key == "split":
         # one cell; the upper level starts 7 cells east and moves slower, so
         # both levels align exactly at the forecast start (t=7) and the true

@@ -36,16 +36,6 @@ class ContingencyTable:
     def total(self) -> int:
         return self.hits + self.misses + self.false_alarms + self.correct_negatives
 
-    def merged(self, other: "ContingencyTable") -> "ContingencyTable":
-        if (other.threshold, other.lead) != (self.threshold, self.lead):
-            raise ValueError("can only merge tables of the same threshold and lead")
-        return ContingencyTable(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            false_alarms=self.false_alarms + other.false_alarms,
-            correct_negatives=self.correct_negatives + other.correct_negatives,
-            threshold=self.threshold, lead=self.lead)
-
 
 def _joint(pred: RainField, obs: RainField):
     if pred.space is not Space.MMH or obs.space is not Space.MMH:
@@ -57,29 +47,38 @@ def _joint(pred: RainField, obs: RainField):
     return pred.data[valid], obs.data[valid]
 
 
+def _sums(p: np.ndarray, o: np.ndarray) -> tuple[float, float, float, int]:
+    """Sums of the error, absolute error and squared error over joined
+    cells, and the cell count."""
+    d = p - o
+    return float(d.sum()), float(np.abs(d).sum()), float((d * d).sum()), int(d.size)
+
+
+def _counts(p: np.ndarray, o: np.ndarray, threshold: float) -> tuple[int, int, int, int]:
+    """(hits, misses, false alarms, correct negatives) over joined cells at
+    value >= threshold."""
+    py = p >= threshold
+    oy = o >= threshold
+    return (int(np.count_nonzero(py & oy)), int(np.count_nonzero(~py & oy)),
+            int(np.count_nonzero(py & ~oy)), int(np.count_nonzero(~py & ~oy)))
+
+
 def continuous_metrics(pred: RainField, obs: RainField) -> tuple[float, float, float]:
     """(mean error, mean absolute error, mean squared error) over jointly
     valid cells."""
     p, o = _joint(pred, obs)
     if p.size == 0:
         raise NoOverlapError("no jointly valid cells")
-    d = p - o
-    return float(d.mean()), float(np.abs(d).mean()), float((d * d).mean())
+    err, ab, sq, n = _sums(p, o)
+    return err / n, ab / n, sq / n
 
 
 def contingency(pred: RainField, obs: RainField, threshold: float,
                 lead: int = 0) -> ContingencyTable:
     """Binarize both fields at value >= threshold and count the four
     categories over jointly valid cells."""
-    p, o = _joint(pred, obs)
-    py = p >= threshold
-    oy = o >= threshold
-    return ContingencyTable(
-        hits=int(np.count_nonzero(py & oy)),
-        misses=int(np.count_nonzero(~py & oy)),
-        false_alarms=int(np.count_nonzero(py & ~oy)),
-        correct_negatives=int(np.count_nonzero(~py & ~oy)),
-        threshold=threshold, lead=lead)
+    return ContingencyTable(*_counts(*_joint(pred, obs), threshold),
+                            threshold=threshold, lead=lead)
 
 
 def precision_recall_ets(t: ContingencyTable) -> tuple[float, float, float]:
@@ -102,32 +101,28 @@ def precision_recall_ets(t: ContingencyTable) -> tuple[float, float, float]:
 
 
 @dataclass
-class _LeadAccumulator:
-    err_sum: float = 0.0
-    abs_sum: float = 0.0
-    sq_sum: float = 0.0
-    count: int = 0
-
-
-@dataclass
 class VerificationReport:
     """Micro-averaged scores per lead time and per (lead, threshold)."""
 
     leads: list[int]
     thresholds: list[float]
     samples: int
-    _continuous: dict[int, _LeadAccumulator] = field(default_factory=dict)
+    #: per lead: error, absolute-error and squared-error sums, cell count
+    _continuous: dict[int, tuple[float, float, float, int]] = field(default_factory=dict)
     tables: dict[tuple[int, float], ContingencyTable] = field(default_factory=dict)
 
     def continuous(self, lead: int) -> tuple[float, float, float]:
-        acc = self._continuous[lead]
-        if acc.count == 0:
+        err, ab, sq, n = self._continuous[lead]
+        if n == 0:
             raise NoOverlapError(f"no valid cells accumulated at lead {lead}")
-        return (acc.err_sum / acc.count, acc.abs_sum / acc.count,
-                acc.sq_sum / acc.count)
+        return err / n, ab / n, sq / n
 
     def categorical(self, lead: int, threshold: float) -> tuple[float, float, float]:
         return precision_recall_ets(self.tables[(lead, threshold)])
+
+
+def _added(acc: tuple, new: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(acc, new))
 
 
 def _as_cmax_mmh(f: RainField) -> RainField:
@@ -155,27 +150,18 @@ def verify_nowcast(
     n_leads = len(model_outputs[0])
     leads = list(range(1, n_leads + 1))
     thresholds = [float(t) for t in thresholds]
-    report = VerificationReport(leads=leads, thresholds=thresholds,
-                                samples=len(model_outputs))
-    for lead in leads:
-        report._continuous[lead] = _LeadAccumulator()
-        for thr in thresholds:
-            report.tables[(lead, thr)] = ContingencyTable(threshold=thr, lead=lead)
-
+    sums = {lead: (0.0, 0.0, 0.0, 0) for lead in leads}
+    counts = {(lead, thr): (0, 0, 0, 0) for lead in leads for thr in thresholds}
     for preds, obss in zip(model_outputs, observations):
         if len(preds) != n_leads or len(obss) != n_leads:
             raise ValueError("every sample must cover the same lead times")
         for i, lead in enumerate(leads):
-            pred = _as_cmax_mmh(preds[i])
-            obs = _as_cmax_mmh(obss[i])
-            p, o = _joint(pred, obs)
-            acc = report._continuous[lead]
-            d = p - o
-            acc.err_sum += float(d.sum())
-            acc.abs_sum += float(np.abs(d).sum())
-            acc.sq_sum += float((d * d).sum())
-            acc.count += int(d.size)
+            p, o = _joint(_as_cmax_mmh(preds[i]), _as_cmax_mmh(obss[i]))
+            sums[lead] = _added(sums[lead], _sums(p, o))
             for thr in thresholds:
-                tbl = contingency(pred, obs, thr, lead=lead)
-                report.tables[(lead, thr)] = report.tables[(lead, thr)].merged(tbl)
-    return report
+                counts[(lead, thr)] = _added(counts[(lead, thr)], _counts(p, o, thr))
+    tables = {(lead, thr): ContingencyTable(*c, threshold=thr, lead=lead)
+              for (lead, thr), c in counts.items()}
+    return VerificationReport(leads=leads, thresholds=thresholds,
+                              samples=len(model_outputs), _continuous=sums,
+                              tables=tables)

@@ -85,6 +85,16 @@ class TestReflectivityCorr:
         m = reflectivity_corr_matrix([vol])
         assert np.isnan(m[0, 1])
 
+    def test_generator_equals_list_bit_for_bit(self):
+        vols = [generate(preset(name, frames=4))[0] for name in ("shear8", "uniform")]
+        from_list = reflectivity_corr_matrix(vols)
+        from_generator = reflectivity_corr_matrix(v for v in vols)
+        assert from_list.tobytes() == from_generator.tobytes()
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="no volumes"):
+            reflectivity_corr_matrix(iter([]))
+
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(4)
         vol = vol_from_planes([rng.uniform(0, 50, (10, 10)) for _ in range(4)])
@@ -253,6 +263,15 @@ class TestRankOutliers:
         out = rank_outliers([self._s("a", 0, 0.5, 0.5)], 5)
         assert out.ids == ["a"]
         assert out.exhausted
+
+    def test_k_zero_selects_nothing(self):
+        out = rank_outliers([self._s("a", 0, 0.5, 0.5), self._s("b", 30, 0.2, 0.1)], 0)
+        assert out.ids == []
+        assert not out.exhausted
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="top-k must be >= 0"):
+            rank_outliers([self._s("a", 0, 0.5, 0.5)], -1)
 
     def test_invariant_under_monotone_rescaling(self):
         rng = np.random.default_rng(8)

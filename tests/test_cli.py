@@ -1,4 +1,5 @@
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -276,6 +277,32 @@ class TestAnalyze:
         assert err == [f"error: level index {bad} outside [0, 8): "
                        "the volume has 8 levels"]
 
+    @pytest.mark.parametrize("which", ["motion-corr", "histogram", "outliers"])
+    def test_volume_without_motion_is_skipped_with_note(self, dataset_dir, tmp_path,
+                                                        capsys, which):
+        data = tmp_path / "data"
+        data.mkdir()
+        for vol in sorted(dataset_dir.glob("*.rvol")):
+            shutil.copy(vol, data / vol.name)
+        truth = sorted(dataset_dir.glob("*.truth.rmf"))[0]
+        shutil.copy(truth, data / truth.name)
+        assert run("analyze", data, "--which", which, "-o", tmp_path / "out") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "note: 1 volume(s) had no motion file and were skipped" in err
+
+    def test_top_k_zero_ranks_nothing(self, dataset_dir, tmp_path, capsys):
+        assert run("analyze", dataset_dir, "--which", "outliers", "--top-k", "0",
+                   "-o", tmp_path) == 0
+        assert (tmp_path / "outliers.csv").read_text().splitlines() == [
+            "rank,sample_id,timestamp,coverage,correlation"]
+        assert capsys.readouterr().err == ""
+
+    def test_negative_top_k_is_data_error(self, dataset_dir, tmp_path, capsys):
+        assert run("analyze", dataset_dir, "--which", "outliers", "--top-k", "-2",
+                   "-o", tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: top-k must be >= 0, got -2"]
+
     def test_empty_directory_exit_1(self, tmp_path, capsys):
         assert run("analyze", tmp_path, "--which", "ratios") == 1
         assert "no volumes found" in capsys.readouterr().err
@@ -345,6 +372,16 @@ class TestErrors:
          "comma-separated integers such as 1,2,4"),
         (("verify", "f.rvol", "t.rvol", "--thresholds", ""),
          "comma-separated numbers such as 1,5,10"),
+        (("analyze", "d", "--which", "histogram", "--bins", "0"),
+         "an integer in [1, 1000]"),
+        (("analyze", "d", "--which", "histogram", "--bins", "-3"),
+         "an integer in [1, 1000]"),
+        (("analyze", "d", "--which", "histogram", "--bins", "1001"),
+         "an integer in [1, 1000]"),
+        (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "0"),
+         "an integer in [1, inf]"),
+        (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "-2"),
+         "an integer in [1, inf]"),
     ])
     def test_malformed_list_is_usage_error(self, capsys, argv, form):
         with pytest.raises(SystemExit) as err:

@@ -85,7 +85,7 @@ class TestPresets:
     def test_noisy_injects_speckle_and_clutter(self):
         scn = preset("noisy")
         assert scn.speckle_prob == pytest.approx(0.001)
-        assert scn.clutter_rho == pytest.approx(0.3)
+        assert len(scn.clutter_cells) == 1
         vol, _ = generate(scn)
         clean, _ = generate(clean_copy(scn))
         assert vol.rho_hv is not None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from voxflow.errors import NoOverlapError
-from voxflow.grid import RainField, Space
+from voxflow.grid import RainField, Space, cmax_field
 from voxflow.verify import (
     ContingencyTable,
     contingency,
@@ -223,3 +223,16 @@ class TestVerifyNowcast:
         report = verify_nowcast(persistence, frames[1:], thresholds=(1.0,))
         maes = [report.continuous(lead)[1] for lead in report.leads]
         assert all(b > a for a, b in zip(maes, maes[1:]))
+
+    def test_one_sample_equals_single_field_scores(self):
+        rng = np.random.default_rng(12)
+        mask = rng.random((3, 16, 16)) > 0.2
+        preds = [mmh(rng.gamma(0.6, 6.0, (3, 16, 16)), mask) for _ in range(3)]
+        obss = [mmh(rng.gamma(0.6, 6.0, (3, 16, 16)), mask) for _ in range(3)]
+        thresholds = (1.0, 5.0, 10.0)
+        report = verify_nowcast(preds, obss, thresholds)
+        for lead, (pred, obs) in enumerate(zip(preds, obss), start=1):
+            p, o = cmax_field(pred), cmax_field(obs)
+            assert report.continuous(lead) == continuous_metrics(p, o)
+            for thr in thresholds:
+                assert report.tables[(lead, thr)] == contingency(p, o, thr, lead=lead)
