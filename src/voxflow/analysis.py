@@ -76,12 +76,15 @@ def reflectivity_corr_matrix(vols: Iterable[RadarVolume]) -> np.ndarray:
     echo above ECHO_THRESHOLD_DBZ is present at all altitude levels. Entries
     with no usable samples are NaN; the diagonal is exactly 1. vols may be
     any iterable, such as a generator that reads one volume at a time; an
-    empty one raises ValueError.
+    empty one, or one whose volumes differ in level count, raises
+    ValueError.
     """
     z = None
     rows = []
-    for vol in vols:
+    for n, vol in enumerate(vols):
         z = vol.shape[1] if z is None else z
+        if vol.shape[1] != z:
+            raise ValueError(f"volume {n} has Z={vol.shape[1]}, expected Z={z}")
         for frame in vol.data:
             if not all((frame[zi][vol.mask[zi]] > ECHO_THRESHOLD_DBZ).any()
                        for zi in range(z)):

@@ -43,9 +43,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _comma_list(convert, form: str, count: int | None = None):
-    """argparse type for a comma-separated list; a malformed list is a
-    usage error that names the expected form."""
+def _comma_list(convert, form: str, count: int | None = None,
+                distinct: bool = False):
+    """argparse type for a comma-separated list; a malformed list, or a
+    repeated value where values must be distinct, is a usage error that
+    names the expected form."""
     def parse(text: str) -> tuple:
         try:
             items = tuple(convert(s) for s in text.split(",") if s.strip())
@@ -53,6 +55,9 @@ def _comma_list(convert, form: str, count: int | None = None):
             items = ()
         if not items or (count is not None and len(items) != count):
             raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        if distinct and len(set(items)) != len(items):
+            raise argparse.ArgumentTypeError(
+                f"expected {form} without repeats, got {text!r}")
         return items
     return parse
 
@@ -73,7 +78,8 @@ def _int_in(lo: int, hi: float = float("inf")):
 
 
 _scales = _comma_list(int, "comma-separated integers such as 1,2,4")
-_floats = _comma_list(float, "comma-separated numbers such as 1,5,10")
+_floats = _comma_list(float, "comma-separated numbers such as 1,5,10",
+                      distinct=True)
 _level_pair = _comma_list(int, "two comma-separated indices such as 0,2", 2)
 
 
@@ -435,10 +441,23 @@ def _write_boxstats(outdir: Path, name: str, values: list[float],
                      outdir / f"{name}.svg", title=title, y_label=y_label)
 
 
+def _volumes(files):
+    """Each corpus volume in turn, read when asked for; a volume whose
+    level count differs from the first volume's is a data error that names
+    it."""
+    nz = None
+    for path, _, _ in files:
+        vol = rvol.read_rvol(path)
+        nz = vol.shape[1] if nz is None else nz
+        if vol.shape[1] != nz:
+            raise ValueError(f"{path} has Z={vol.shape[1]}, expected Z={nz} "
+                             "as in the first volume")
+        yield vol
+
+
 def _analyze_ratios(args, files, outdir: Path) -> str:
     thresholds = args.thresholds_dbz
-    ratios = [analysis.rainy_ratio(rvol.read_rvol(path), thresholds)
-              for path, _, _ in files]
+    ratios = [analysis.rainy_ratio(vol, thresholds) for vol in _volumes(files)]
     mean = np.mean(ratios, axis=0)
     rows = [[z, _fmt(thr), float(mean[z, j])]
             for z in range(mean.shape[0])
@@ -461,8 +480,7 @@ def _analyze_ratios(args, files, outdir: Path) -> str:
 
 
 def _analyze_refl_corr(args, files, outdir: Path) -> str:
-    mat = analysis.reflectivity_corr_matrix(rvol.read_rvol(path)
-                                            for path, _, _ in files)
+    mat = analysis.reflectivity_corr_matrix(_volumes(files))
     _write_matrix(outdir / "reflectivity_corr.csv", mat)
     svgplot.heatmap(mat, outdir / "reflectivity_corr.svg",
                     title="reflectivity correlation by level pair",

@@ -218,18 +218,28 @@ def upsample2d(field: np.ndarray, k: int) -> np.ndarray:
 
 def bilinear_sample(planes: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                     pad: int = 0, want_grad: bool = False):
-    """The package's one bilinear kernel: samples of a (..., H, W) stack of
-    planes at the points (xs, ys), shared by every plane of the stack.
+    """Samples of a (..., H, W) stack of planes at the points (xs, ys),
+    shared by every plane of the stack: bilinear_geometry, then
+    bilinear_apply. Returns (samples, d/dx, d/dy), each of shape
+    planes.shape[:-2] + the points' shape, the derivatives with respect to
+    the sample point being None unless want_grad.
+    """
+    h, w = planes.shape[-2:]
+    return bilinear_apply(planes, bilinear_geometry(xs, ys, h, w, pad),
+                          want_grad)
+
+
+def bilinear_geometry(xs: np.ndarray, ys: np.ndarray, h: int, w: int,
+                      pad: int = 0) -> tuple:
+    """Corner geometry of the points (xs, ys) in H x W planes: the four flat
+    corner indices (i00, i01, i10, i11) and the weights (cx, wx, cy, wy).
 
     The corners of a point are floor(x) + pad and the cell after it on each
     axis, clamped to the array edge; a stack padded by ``pad`` cells before
     each axis is thus sampled at unpadded coordinates. Coordinates are
     clamped in floating point before the integer cast, so huge departures
-    land on the edge without a cast warning. Returns (samples, d/dx, d/dy),
-    each of shape planes.shape[:-2] + the points' shape, the derivatives
-    with respect to the sample point being None unless want_grad.
+    land on the edge without a cast warning.
     """
-    h, w = planes.shape[-2:]
     x0 = np.floor(xs)
     y0 = np.floor(ys)
     wx = xs - x0
@@ -239,20 +249,48 @@ def bilinear_sample(planes: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     x1i = np.minimum(x0i + 1, w - 1)
     row0 = y0i * w
     row1 = np.minimum(y0i + 1, h - 1) * w
+    corners = (row0 + x0i, row0 + x1i, row1 + x0i, row1 + x1i)
+    return corners, 1 - wx, wx, 1 - wy, wy
 
-    # gather from the flattened planes: one index array per corner
-    flat = planes.reshape(planes.shape[:-2] + (h * w,))
-    f00 = flat.take(row0 + x0i, axis=-1)
-    f01 = flat.take(row0 + x1i, axis=-1)
-    f10 = flat.take(row1 + x0i, axis=-1)
-    f11 = flat.take(row1 + x1i, axis=-1)
-    cx = 1 - wx
-    cy = 1 - wy
-    out = cy * (cx * f00 + wx * f01) + wy * (cx * f10 + wx * f11)
+
+def bilinear_apply(planes: np.ndarray, geometry: tuple,
+                   want_grad: bool = False, out: np.ndarray | None = None,
+                   work: list[np.ndarray] | None = None):
+    """The package's one bilinear kernel: samples of a (..., H, W) stack at
+    the points whose bilinear_geometry is given; returns as bilinear_sample.
+
+    out (the samples) and work (six arrays: four corners, two products),
+    all of the samples' shape, may be caller-owned buffers reused across
+    calls; the arithmetic is the same with or without them.
+    """
+    corners, cx, wx, cy, wy = geometry
+    shape = planes.shape[:-2] + corners[0].shape
+    if out is None:
+        out = np.empty(shape)
+    if work is None:
+        work = [np.empty(shape) for _ in range(6)]
+    # gather from the flattened planes: one index array per corner; the
+    # indices are in range by construction, and mode="clip" lets take
+    # write into the buffer directly
+    flat = planes.reshape(planes.shape[:-2] + (-1,))
+    f00, f01, f10, f11 = (flat.take(i, axis=-1, out=buf, mode="clip")
+                          for i, buf in zip(corners, work))
+    a, b = work[4:]
+    # out = cy * (cx * f00 + wx * f01) + wy * (cx * f10 + wx * f11)
+    top = np.add(np.multiply(cx, f00, out=a), np.multiply(wx, f01, out=b),
+                 out=a)
+    bottom = np.add(np.multiply(cx, f10, out=b),
+                    np.multiply(wx, f11, out=out), out=b)
+    np.add(np.multiply(cy, top, out=a), np.multiply(wy, bottom, out=b),
+           out=out)
     if not want_grad:
         return out, None, None
-    gx = cy * (f01 - f00) + wy * (f11 - f10)
-    gy = cx * (f10 - f00) + wx * (f11 - f01)
+    # gx = cy * (f01 - f00) + wy * (f11 - f10)
+    # gy = cx * (f10 - f00) + wx * (f11 - f01)
+    gx = (np.multiply(cy, np.subtract(f01, f00, out=a), out=a)
+          + np.multiply(wy, np.subtract(f11, f10, out=b), out=b))
+    gy = (np.multiply(cx, np.subtract(f10, f00, out=a), out=a)
+          + np.multiply(wx, np.subtract(f11, f01, out=b), out=b))
     return out, gx, gy
 
 
@@ -266,9 +304,24 @@ def sample_mask(masks: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     """Nearest-cell lookup of a (..., Y, X) validity stack at the points
     (xs, ys); False wherever the point leaves the domain."""
     ny, nx = masks.shape[-2:]
+    return mask_apply(masks, mask_geometry(xs, ys, ny, nx))
+
+
+def mask_geometry(xs: np.ndarray, ys: np.ndarray, ny: int,
+                  nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-cell flat index of the points (xs, ys) in an ny x nx domain,
+    clamped to its edge, and whether each point is inside it."""
     xn = np.clip(np.rint(xs), 0, nx - 1).astype(np.int64)
     yn = np.clip(np.rint(ys), 0, ny - 1).astype(np.int64)
-    return inside(xs, ys, ny, nx) & masks[..., yn, xn]
+    return yn * nx + xn, inside(xs, ys, ny, nx)
+
+
+def mask_apply(masks: np.ndarray, geometry: tuple[np.ndarray, np.ndarray],
+               out: np.ndarray | None = None) -> np.ndarray:
+    """sample_mask at the points whose mask_geometry is given."""
+    nearest, valid = geometry
+    flat = masks.reshape(masks.shape[:-2] + (-1,))
+    return np.logical_and(valid, flat.take(nearest, axis=-1), out=out)
 
 
 def max_pool_vertical(vol: RadarVolume, factor: int) -> RadarVolume:

@@ -139,6 +139,7 @@ def verify_nowcast(
     Accepts one sample (a sequence of per-lead RainFields for forecast and
     observation alike) or many (a sequence of such sequences). Volumetric
     fields are collapsed to their column maximum prior to evaluation.
+    Repeated thresholds raise ValueError.
     """
     if len(model_outputs) == 0:
         raise ValueError("no forecasts given")
@@ -150,6 +151,8 @@ def verify_nowcast(
     n_leads = len(model_outputs[0])
     leads = list(range(1, n_leads + 1))
     thresholds = [float(t) for t in thresholds]
+    if len(set(thresholds)) != len(thresholds):
+        raise ValueError(f"repeated threshold in {thresholds}")
     sums = {lead: (0.0, 0.0, 0.0, 0) for lead in leads}
     counts = {(lead, thr): (0, 0, 0, 0) for lead in leads for thr in thresholds}
     for preds, obss in zip(model_outputs, observations):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from voxflow.advect import advect_once, extrapolate
-from voxflow.grid import MotionField, RainField, Space
+from voxflow.grid import (
+    MotionField,
+    RainField,
+    Space,
+    bilinear_sample,
+    sample_mask,
+)
 
 
 def uniform_motion(ux, uy, nz=1, ny=16, nx=16):
@@ -142,3 +148,107 @@ class TestExtrapolate:
                                    MotionField(u[:1]))
         pooled_last = cmax_field(advect_once(field, sheared))
         assert not np.allclose(pooled_first.data, pooled_last.data)
+
+
+def reference_leads(f, mf, k):
+    """k one-step warps, each plane on its own through grid.bilinear_sample
+    and grid.sample_mask: the per-lead path the level-outer extrapolate
+    must reproduce byte for byte."""
+    fill = f.fill_value
+    _, ny, nx = f.data.shape
+    data, mask = f.data, f.mask
+    leads = []
+    for _ in range(k):
+        out = np.empty_like(data)
+        out_mask = np.empty_like(mask)
+        for z in range(f.nz):
+            ux, uy = mf.level(z)
+            xs = np.arange(nx, dtype=np.float64) - ux
+            ys = np.arange(ny, dtype=np.float64)[:, None] - uy
+            shifted = np.pad(data[z] - fill, ((2, 1), (2, 1)))
+            sampled, _, _ = bilinear_sample(shifted, xs, ys, pad=2)
+            out[z] = sampled + fill
+            out_mask[z] = sample_mask(mask[z], xs, ys)
+        data, mask = out, out_mask
+        leads.append((data, mask))
+    return leads
+
+
+def rotation_motion(nz, ny, nx, rng):
+    """A different rotation plus fractional drift on every level."""
+    yg, xg = np.mgrid[0:ny, 0:nx].astype(float)
+    u = np.empty((nz, 2, ny, nx))
+    for z in range(nz):
+        omega = 0.02 * (z + 1)
+        u[z, 0] = -omega * (yg - ny / 2) + rng.uniform(-1.5, 1.5)
+        u[z, 1] = omega * (xg - nx / 2) + rng.uniform(-1.5, 1.5)
+    return MotionField(u)
+
+
+def assert_leads_equal_bytes(leads, reference):
+    assert len(leads) == len(reference)
+    for lead, (data, mask) in zip(leads, reference):
+        assert lead.data.tobytes() == data.tobytes()
+        assert lead.mask.tobytes() == mask.tobytes()
+
+
+class TestExtrapolateMatchesPerLeadWarps:
+    def test_fractional_and_rotational_motion(self):
+        rng = np.random.default_rng(11)
+        f = random_field(rng, ny=20, nx=24)
+        for mf in (uniform_motion(0.37, -1.61, ny=20, nx=24),
+                   rotation_motion(1, 20, 24, rng)):
+            assert_leads_equal_bytes(extrapolate(f, mf, 5),
+                                     reference_leads(f, mf, 5))
+
+    def test_levels_with_different_motion(self):
+        rng = np.random.default_rng(12)
+        f = random_field(rng, nz=3, ny=18, nx=22)
+        mf = rotation_motion(3, 18, 22, rng)
+        assert_leads_equal_bytes(extrapolate(f, mf, 4),
+                                 reference_leads(f, mf, 4))
+
+    @pytest.mark.parametrize("space", [Space.MMH, Space.DBR])
+    def test_partially_masked_field(self, space):
+        rng = np.random.default_rng(13)
+        data = rng.uniform(0.0, 20.0, (2, 16, 16))
+        if space is Space.DBR:
+            data -= 15.0  # the dBR floor is -15: keeps values valid
+        mask = rng.uniform(size=data.shape) > 0.2
+        f = RainField(data=data, space=space, mask=mask)
+        mf = rotation_motion(2, 16, 16, rng)
+        assert_leads_equal_bytes(extrapolate(f, mf, 6),
+                                 reference_leads(f, mf, 6))
+
+    def test_zero_motion_is_bit_exact_identity(self):
+        rng = np.random.default_rng(14)
+        mask = rng.uniform(size=(2, 16, 16)) > 0.3
+        f = RainField(data=rng.uniform(0.0, 20.0, (2, 16, 16)),
+                      space=Space.MMH, mask=mask)
+        for lead in extrapolate(f, uniform_motion(0.0, 0.0, nz=2), 3):
+            assert lead.data.tobytes() == f.data.tobytes()
+            assert lead.mask.tobytes() == f.mask.tobytes()
+
+    def test_advect_once_is_first_lead(self):
+        rng = np.random.default_rng(15)
+        f = random_field(rng, nz=2)
+        mf = rotation_motion(2, 16, 16, rng)
+        once = advect_once(f, mf)
+        first = extrapolate(f, mf, 1)[0]
+        assert once.data.tobytes() == first.data.tobytes()
+        assert once.mask.tobytes() == first.mask.tobytes()
+        assert once.space is first.space
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_motion_rejected(self, bad):
+        f = random_field(np.random.default_rng(16), nz=2)
+        mf = uniform_motion(0.5, 0.5, nz=2)
+        mf.u[1, 1, 3, 4] = bad  # set after the constructor's check
+        with pytest.raises(ValueError, match="finite"):
+            extrapolate(f, mf, 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_lead_count_below_one_rejected(self, k):
+        f = random_field(np.random.default_rng(17))
+        with pytest.raises(ValueError, match="lead count"):
+            extrapolate(f, uniform_motion(0.5, 0.5), k)

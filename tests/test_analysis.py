@@ -95,6 +95,15 @@ class TestReflectivityCorr:
         with pytest.raises(ValueError, match="no volumes"):
             reflectivity_corr_matrix(iter([]))
 
+    @pytest.mark.parametrize("levels", [(3, 2), (2, 3)])
+    def test_mixed_level_counts_rejected(self, levels):
+        rng = np.random.default_rng(5)
+        vols = [vol_from_planes([rng.uniform(1, 50, (8, 8)) for _ in range(z)])
+                for z in levels]
+        with pytest.raises(ValueError, match=f"volume 1 has Z={levels[1]}, "
+                                             f"expected Z={levels[0]}"):
+            reflectivity_corr_matrix(vols)
+
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(4)
         vol = vol_from_planes([rng.uniform(0, 50, (10, 10)) for _ in range(4)])

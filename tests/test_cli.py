@@ -303,6 +303,22 @@ class TestAnalyze:
         assert capsys.readouterr().err.splitlines() == [
             "error: top-k must be >= 0, got -2"]
 
+    @pytest.mark.parametrize("which", ["ratios", "refl-corr"])
+    @pytest.mark.parametrize("presets", [("shear8", "shear2"),
+                                         ("shear2", "shear8")])
+    def test_mixed_level_counts_exit_1(self, tmp_path, capsys, which, presets):
+        data = tmp_path / "data"
+        data.mkdir()
+        paths = [data / f"202106{10 + i:02d}_1200.rvol" for i in range(2)]
+        for path, name in zip(paths, presets):
+            assert run("synth", "--preset", name, "-o", path, "--frames", "2") == 0
+        capsys.readouterr()
+        assert run("analyze", data, "--which", which, "-o", tmp_path / "out") == 1
+        expected, got = (p[-1] for p in presets)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {paths[1]} has Z={got}, expected Z={expected} "
+            "as in the first volume"]
+
     def test_empty_directory_exit_1(self, tmp_path, capsys):
         assert run("analyze", tmp_path, "--which", "ratios") == 1
         assert "no volumes found" in capsys.readouterr().err
@@ -382,6 +398,12 @@ class TestErrors:
          "an integer in [1, inf]"),
         (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "-2"),
          "an integer in [1, inf]"),
+        (("verify", "f.rvol", "t.rvol", "--thresholds", "1,1"),
+         "comma-separated numbers such as 1,5,10 without repeats"),
+        (("verify", "f.rvol", "t.rvol", "--thresholds", "1,5,1.0"),
+         "comma-separated numbers such as 1,5,10 without repeats"),
+        (("analyze", "d", "--which", "ratios", "--thresholds-dbz", "0,20,0"),
+         "comma-separated numbers such as 1,5,10 without repeats"),
     ])
     def test_malformed_list_is_usage_error(self, capsys, argv, form):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voxflow import grid
 from voxflow.advect import warp_plane
 from voxflow.grid import (
     MotionField,
@@ -208,6 +209,59 @@ class TestBilinearSample:
     def test_nan_coordinates_rejected(self):
         with pytest.raises(ValueError):
             bilinear_sample(np.zeros((3, 3)), np.nan, 0.0)
+
+
+class TestBilinearSplit:
+    """bilinear_sample is bilinear_geometry followed by bilinear_apply; the
+    apply step gives the same bytes with fresh or caller-owned buffers."""
+
+    def batched_case(self, rng):
+        planes = rng.normal(size=(3, 2, 9, 11))  # (P, ..., Y, X)
+        xs = rng.uniform(-3.0, 13.0, (4, 9, 11))  # points with a batch axis
+        ys = rng.uniform(-3.0, 11.0, (4, 9, 11))
+        xs[0, 0, :3] = (-1e30, 1e30, 4.0)  # far outside and on a node
+        return planes, xs, ys
+
+    def test_sample_equals_geometry_then_apply_with_gradient(self):
+        planes, xs, ys = self.batched_case(np.random.default_rng(21))
+        got = grid.bilinear_sample(planes, xs, ys, pad=1, want_grad=True)
+        geometry = grid.bilinear_geometry(xs, ys, 9, 11, pad=1)
+        shape = (3, 2, 4, 9, 11)
+        assert [r.shape for r in got] == [shape] * 3
+        out = np.full(shape, np.nan)
+        work = [np.full(shape, np.nan) for _ in range(6)]
+        for _ in range(2):  # buffers holding an earlier result are reused
+            split = grid.bilinear_apply(planes, geometry, want_grad=True,
+                                        out=out, work=work)
+            assert split[0] is out
+            for a, b in zip(got, split):
+                assert a.tobytes() == b.tobytes()
+
+    def test_matches_corner_expression(self):
+        planes, xs, ys = self.batched_case(np.random.default_rng(22))
+        out, gx, gy = grid.bilinear_sample(planes, xs, ys, want_grad=True)
+        (i00, i01, i10, i11), cx, wx, cy, wy = grid.bilinear_geometry(
+            xs, ys, 9, 11)
+        flat = planes.reshape(3, 2, -1)
+        f00, f01, f10, f11 = (flat[..., i] for i in (i00, i01, i10, i11))
+        expect = cy * (cx * f00 + wx * f01) + wy * (cx * f10 + wx * f11)
+        assert out.tobytes() == expect.tobytes()
+        assert gx.tobytes() == (cy * (f01 - f00) + wy * (f11 - f10)).tobytes()
+        assert gy.tobytes() == (cx * (f10 - f00) + wx * (f11 - f01)).tobytes()
+
+    def test_mask_geometry_then_apply_equals_sample_mask(self):
+        rng = np.random.default_rng(23)
+        masks = rng.uniform(size=(3, 9, 11)) > 0.3
+        xs = rng.uniform(-2.0, 12.0, (9, 11))
+        ys = rng.uniform(-2.0, 10.0, (9, 11))
+        got = grid.sample_mask(masks, xs, ys)
+        nearest, valid = grid.mask_geometry(xs, ys, 9, 11)
+        out = np.ones((3, 9, 11), dtype=bool)
+        assert grid.mask_apply(masks, (nearest, valid), out=out) is out
+        np.testing.assert_array_equal(out, got)
+        yn = np.clip(np.rint(ys), 0, 8).astype(int)
+        xn = np.clip(np.rint(xs), 0, 10).astype(int)
+        np.testing.assert_array_equal(got, valid & masks[:, yn, xn])
 
 
 class TestTypes:

@@ -224,6 +224,12 @@ class TestVerifyNowcast:
         maes = [report.continuous(lead)[1] for lead in report.leads]
         assert all(b > a for a, b in zip(maes, maes[1:]))
 
+    @pytest.mark.parametrize("thresholds", [(1.0, 1.0), (1, 5.0, 1.0)])
+    def test_repeated_thresholds_rejected(self, thresholds):
+        obs = mmh(np.full((1, 4, 4), 5.0))
+        with pytest.raises(ValueError, match="repeated threshold"):
+            verify_nowcast([obs], [obs], thresholds=thresholds)
+
     def test_one_sample_equals_single_field_scores(self):
         rng = np.random.default_rng(12)
         mask = rng.random((3, 16, 16)) > 0.2
