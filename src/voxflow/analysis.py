@@ -147,12 +147,18 @@ def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
 
 def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume],
                        component: str = "both") -> np.ndarray:
-    """Mean pairwise motion correlation matrix over a dataset of samples."""
+    """Mean pairwise motion correlation matrix over a dataset of samples.
+
+    Every sample must have the first sample's level count; one that differs
+    raises ValueError.
+    """
     if len(mfs) != len(inputs):
         raise ValueError("need one input volume per motion field")
     z = mfs[0].nz
     rows = []
-    for mf, vol in zip(mfs, inputs):
+    for n, (mf, vol) in enumerate(zip(mfs, inputs)):
+        if mf.nz != z:
+            raise ValueError(f"sample {n} has Z={mf.nz}, expected Z={z}")
         if mf.nz != vol.shape[1]:
             raise ValueError("motion field and volume level counts differ")
         rain = _mean_rain(vol)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections.abc import Sequence
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .advect import extrapolate
 from .denoise import denoise_volume
 from .errors import DivergedError, FormatError, NoOverlapError
 from .flow import Criterion, LossConfig
-from .grid import MotionField, RadarVolume, cmax
+from .grid import MotionField, RadarVolume, RainField, cmax
 from .lucas_kanade import estimate_lucas_kanade
 from .synth import PRESET_NAMES, generate, preset
 from .transform import rain_to_dbr, rain_to_dbz, volume_to_rain
@@ -324,19 +325,22 @@ def _cmd_estimate(args) -> int:
 def _cmd_nowcast(args, parser: argparse.ArgumentParser) -> int:
     if args.leads < 1:
         parser.error("--leads must be >= 1")
-    vol = rvol.read_rvol(args.volume)
-    mf = rvol.read_motion(args.motion)
-    t_count = vol.shape[0]
+    t_count = rvol.read_header(args.volume).t
     if not -t_count <= args.start_frame < t_count:
         raise ValueError(f"start frame {args.start_frame} outside volume "
                          f"(T={t_count})")
     start = args.start_frame % t_count
-    last = volume_to_rain(vol, start)
+    vol = rvol.read_rvol(args.volume, frames=(start, start + 1))
+    mf = rvol.read_motion(args.motion)
+    last = volume_to_rain(vol, 0)
     if mf.nz != last.nz:
         raise ValueError(f"motion has Z={mf.nz}, volume has Z={last.nz}")
     leads = extrapolate(last, mf, args.leads)
-    data = np.stack([rain_to_dbz(f) for f in leads])
-    mask = np.logical_and.reduce([f.mask for f in leads])
+    data = np.empty((args.leads,) + last.data.shape)
+    mask = np.ones(last.data.shape, dtype=bool)
+    for out, lead in zip(data, leads):
+        out[...] = rain_to_dbz(lead)
+        mask &= lead.mask
     forecast = RadarVolume(data=data, z_levels=vol.z_levels, dt=vol.dt,
                            mask=mask)
     out = Path(args.out) if args.out else \
@@ -346,20 +350,35 @@ def _cmd_nowcast(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+class _RainFrames(Sequence):
+    """The frames of a volume as rain fields, each converted when it is
+    indexed, so a consumer that takes one at a time holds one at a time."""
+
+    def __init__(self, vol: RadarVolume):
+        self.vol = vol
+
+    def __len__(self) -> int:
+        return self.vol.shape[0]
+
+    def __getitem__(self, t: int) -> RainField:
+        return volume_to_rain(self.vol, t)
+
+
 def _cmd_verify(args) -> int:
     fc = rvol.read_rvol(args.forecast)
-    truth = rvol.read_rvol(args.truth)
-    if fc.shape[1:] != truth.shape[1:]:
+    head = rvol.read_header(args.truth)
+    t_truth, grid = head.t, (head.z, head.y, head.x)
+    if fc.shape[1:] != grid:
         raise ValueError(f"grid mismatch: forecast {fc.shape[1:]} vs "
-                         f"truth {truth.shape[1:]}")
+                         f"truth {grid}")
     k = fc.shape[0]
-    offset = args.offset if args.offset is not None else truth.shape[0] - k
-    if offset < 0 or offset + k > truth.shape[0]:
-        raise ValueError(f"truth volume (T={truth.shape[0]}) cannot cover "
+    offset = args.offset if args.offset is not None else t_truth - k
+    if offset < 0 or offset + k > t_truth:
+        raise ValueError(f"truth volume (T={t_truth}) cannot cover "
                          f"{k} leads at offset {offset}")
-    preds = [volume_to_rain(fc, t) for t in range(k)]
-    obss = [volume_to_rain(truth, offset + t) for t in range(k)]
-    report = verify_nowcast(preds, obss, args.thresholds)
+    truth = rvol.read_rvol(args.truth, frames=(offset, offset + k))
+    report = verify_nowcast([_RainFrames(fc)], [_RainFrames(truth)],
+                            args.thresholds)
     sample_id = Path(args.forecast).stem
     rows = []
     for lead in report.leads:
@@ -404,15 +423,18 @@ def _motion_samples(files):
     """(stem, timestamp, volume, motion) of every volume with a motion file.
 
     The motion file is looked up before the volume is read; the count of
-    volumes without one is noted on stderr once the files are exhausted.
+    volumes without one is noted on stderr once the files are exhausted. A
+    volume whose level count differs from the first one's is a data error.
     """
-    skipped = 0
+    skipped, nz = 0, None
     for path, stem, ts in files:
         mf = _motion_for(path)
         if mf is None:
             skipped += 1
             continue
-        yield stem, ts, rvol.read_rvol(path), mf
+        vol = rvol.read_rvol(path)
+        nz = _same_levels(path, vol, nz)
+        yield stem, ts, vol, mf
     if skipped:
         print(f"note: {skipped} volume(s) had no motion file and were skipped",
               file=sys.stderr)
@@ -441,17 +463,22 @@ def _write_boxstats(outdir: Path, name: str, values: list[float],
                      outdir / f"{name}.svg", title=title, y_label=y_label)
 
 
+def _same_levels(path: Path, vol: RadarVolume, nz: int | None) -> int:
+    """The corpus level count: the first volume's. A volume whose level
+    count differs from it is a data error that names the volume."""
+    if nz is not None and vol.shape[1] != nz:
+        raise ValueError(f"{path} has Z={vol.shape[1]}, expected Z={nz} "
+                         "as in the first volume")
+    return vol.shape[1]
+
+
 def _volumes(files):
-    """Each corpus volume in turn, read when asked for; a volume whose
-    level count differs from the first volume's is a data error that names
-    it."""
+    """Each corpus volume in turn, read when asked for, with the level
+    count checked by _same_levels."""
     nz = None
     for path, _, _ in files:
         vol = rvol.read_rvol(path)
-        nz = vol.shape[1] if nz is None else nz
-        if vol.shape[1] != nz:
-            raise ValueError(f"{path} has Z={vol.shape[1]}, expected Z={nz} "
-                             "as in the first volume")
+        nz = _same_levels(path, vol, nz)
         yield vol
 
 

@@ -101,13 +101,13 @@ class RainField:
                 self.mask = np.broadcast_to(self.mask[None], self.data.shape).copy()
             if self.mask.shape != self.data.shape:
                 raise ValueError(f"mask shape {self.mask.shape} != {self.data.shape}")
-        valid = self.data[self.mask]
-        valid = valid[np.isfinite(valid)]
-        if valid.size:
-            if self.space is Space.MMH and valid.min() < 0:
-                raise ValueError("MMH field has negative valid values")
-            if self.space is Space.DBR and valid.min() < DBR_FLOOR - 1e-9:
-                raise ValueError(f"DBR field has valid values below {DBR_FLOOR}")
+        # lowest finite valid value, +inf when there is none
+        lowest = np.min(self.data, where=self.mask & np.isfinite(self.data),
+                        initial=np.inf)
+        if self.space is Space.MMH and lowest < 0:
+            raise ValueError("MMH field has negative valid values")
+        if self.space is Space.DBR and lowest < DBR_FLOOR - 1e-9:
+            raise ValueError(f"DBR field has valid values below {DBR_FLOOR}")
 
     @property
     def nz(self) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,52 +82,119 @@ def _read_exactly(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def _check_size(fh, declared: int) -> None:
+def _check_size(fh, declared: int, what: str = "payload") -> None:
     """Reject a header whose declared remainder outruns the file before
     anything that large is allocated."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if declared > left:
-        raise FormatError("payload", f"header declares {declared} more bytes, "
-                                     f"file holds {left}")
+        raise FormatError(what, f"header declares {declared} more bytes, "
+                                f"file holds {left}")
 
 
-def read_rvol(path: str | Path) -> RadarVolume:
+class RvolHeader(NamedTuple):
+    """The fixed-size RVOL header: dimensions, payload dtype code and the
+    time step."""
+
+    t: int
+    z: int
+    y: int
+    x: int
+    dtype: int
+    dt_seconds: int
+
+
+def _parse_header(fh) -> RvolHeader:
+    magic = fh.read(4)
+    if magic != RVOL_MAGIC:
+        raise FormatError("magic", f"expected {RVOL_MAGIC!r}, got {magic!r}")
+    (version,) = struct.unpack("<B", _read_exactly(fh, 1, "version"))
+    if version != RVOL_VERSION:
+        raise FormatError("version", f"unsupported version {version}")
+    t, z, y, x = struct.unpack("<IIII", _read_exactly(fh, 16, "dims"))
+    for name, dim in (("T", t), ("Z", z), ("Y", y), ("X", x)):
+        if dim == 0 or dim > _MAX_DIM:
+            raise FormatError(name, f"implausible dimension {dim}")
+    (dtype,) = struct.unpack("<B", _read_exactly(fh, 1, "dtype"))
+    if dtype not in (DTYPE_F32, DTYPE_U8):
+        raise FormatError("dtype", f"unknown dtype code {dtype}")
+    (dt_seconds,) = struct.unpack("<I", _read_exactly(fh, 4, "dt_seconds"))
+    return RvolHeader(t, z, y, x, dtype, dt_seconds)
+
+
+def read_header(path: str | Path) -> RvolHeader:
+    """The validated header of an RVOL file, without its payload."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != RVOL_MAGIC:
-            raise FormatError("magic", f"expected {RVOL_MAGIC!r}, got {magic!r}")
-        (version,) = struct.unpack("<B", _read_exactly(fh, 1, "version"))
-        if version != RVOL_VERSION:
-            raise FormatError("version", f"unsupported version {version}")
-        t, z, y, x = struct.unpack("<IIII", _read_exactly(fh, 16, "dims"))
-        for name, dim in (("T", t), ("Z", z), ("Y", y), ("X", x)):
-            if dim == 0 or dim > _MAX_DIM:
-                raise FormatError(name, f"implausible dimension {dim}")
-        (dtype,) = struct.unpack("<B", _read_exactly(fh, 1, "dtype"))
-        if dtype not in (DTYPE_F32, DTYPE_U8):
-            raise FormatError("dtype", f"unknown dtype code {dtype}")
-        (dt_seconds,) = struct.unpack("<I", _read_exactly(fh, 4, "dt_seconds"))
-        n = t * z * y * x
+        return _parse_header(fh)
+
+
+def _frames_valid(fh, count: int, shape: tuple, dtype) -> np.ndarray | bool:
+    """AND of the validity of the next count payload frames, read one frame
+    at a time and checked on the stored values (finite for f32, not 255 for
+    u8) without decoding them; True when count is 0."""
+    if not count:
+        return True
+    frame = np.empty(shape, dtype=dtype)
+    valid = np.ones(shape, dtype=bool)
+    ok = np.empty(shape, dtype=bool)
+    for _ in range(count):
+        if fh.readinto(frame) != frame.nbytes:
+            raise FormatError("payload", f"truncated file: expected "
+                                         f"{frame.nbytes} more bytes")
+        if frame.dtype == np.uint8:
+            np.not_equal(frame, 255, out=ok)
+        else:
+            np.isfinite(frame, out=ok)
+        valid &= ok
+    return valid
+
+
+def read_rvol(path: str | Path,
+              frames: tuple[int, int] | None = None) -> RadarVolume:
+    """Read an RVOL file, or only its frames [start, stop) when frames is
+    given.
+
+    The frames read are decoded as a whole-volume read decodes them. The
+    static mask still covers every frame of the file: each frame outside
+    the range is checked for invalid cells one at a time, without decoding
+    it. A range that is empty or outside [0, T) is a FormatError.
+    """
+    with open(path, "rb") as fh:
+        t, z, y, x, dtype, dt_seconds = _parse_header(fh)
+        start, stop = (0, t) if frames is None else frames
+        if not 0 <= start < stop <= t:
+            raise FormatError("frames", f"range [{start}, {stop}) is empty or "
+                                        f"outside the volume (T={t})")
+        count, frame_n = stop - start, z * y * x
+        n = t * frame_n
         _check_size(fh, 4 * z + (4 if dtype == DTYPE_F32 else 1) * n)
         levels = np.frombuffer(_read_exactly(fh, 4 * z, "altitudes"),
                                dtype="<f4").astype(np.float64)
+        stored = "<f4" if dtype == DTYPE_F32 else np.uint8
+        before = _frames_valid(fh, start, (z, y, x), stored)
         if dtype == DTYPE_F32:
-            raw = np.frombuffer(_read_exactly(fh, 4 * n, "payload"), dtype="<f4")
-            data = raw.reshape(t, z, y, x).astype(np.float64)
+            raw = np.frombuffer(_read_exactly(fh, 4 * count * frame_n,
+                                              "payload"), dtype="<f4")
+            data = raw.reshape(count, z, y, x).astype(np.float64)
             invalid = ~np.isfinite(data)
             data = np.where(invalid, NO_ECHO_DBZ, data)
         else:
-            raw = np.frombuffer(_read_exactly(fh, n, "payload"), dtype=np.uint8)
-            data, invalid = _dequantize_dbz(raw.reshape(t, z, y, x).copy())
+            raw = np.frombuffer(_read_exactly(fh, count * frame_n, "payload"),
+                                dtype=np.uint8)
+            data, invalid = _dequantize_dbz(raw.reshape(count, z, y, x).copy())
         mask = ~invalid.any(axis=0)
+        mask &= before
+        mask &= _frames_valid(fh, t - stop, (z, y, x), stored)
 
         rho = None
         tag = fh.read(4)
         if tag:
             if tag != RHOH_MAGIC:
                 raise FormatError("chunk", f"unknown trailing chunk {tag!r}")
-            raw = np.frombuffer(_read_exactly(fh, n, "rho_hv"), dtype=np.uint8)
-            rho = raw.reshape(t, z, y, x).astype(np.float64) / 200.0
+            _check_size(fh, n, "rho_hv")
+            fh.seek(start * frame_n, os.SEEK_CUR)
+            raw = np.frombuffer(_read_exactly(fh, count * frame_n, "rho_hv"),
+                                dtype=np.uint8)
+            rho = raw.reshape(count, z, y, x).astype(np.float64) / 200.0
     try:
         return RadarVolume(data=data, z_levels=levels, dt=float(dt_seconds),
                            mask=mask, rho_hv=rho)

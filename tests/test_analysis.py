@@ -180,6 +180,14 @@ class TestMotionCorr:
         mf = MotionField(u)
         assert motion_pair_corr(mf, vol, 0, 1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("levels", [(3, 2), (2, 3)])
+    def test_mixed_level_counts_rejected(self, levels):
+        samples = [self._sample([(1.0, 0.5)] * z) for z in levels]
+        mfs, vols = zip(*samples)
+        with pytest.raises(ValueError, match=f"sample 1 has Z={levels[1]}, "
+                                             f"expected Z={levels[0]}"):
+            motion_corr_matrix(mfs, vols)
+
     def test_shear8_truth_structure(self):
         vol, truth = generate(preset("shear8"))
         m = motion_corr_matrix([truth], [vol])

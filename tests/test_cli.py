@@ -216,6 +216,48 @@ class TestVerify:
         assert "mismatch" in capsys.readouterr().err
 
 
+class TestFrameRangeReads:
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_invalid_cells_in_unread_frames_match_whole_reads(
+            self, uniform_files, tmp_path, monkeypatch, quantize):
+        # nowcast reads frame 7 and verify frames 8-10; invalid cells only
+        # in frames 0 and 23 must still clear the static mask of both
+        d, vol = uniform_files
+        src = read_rvol(vol)
+        data = src.data.copy()
+        data[0, 2, 40:44, 50:60] = np.nan
+        data[23, 5, 90, 10:30] = np.nan
+        path = tmp_path / "holes.rvol"
+        write_rvol(path, RadarVolume(data=src.data if quantize else data,
+                                     z_levels=src.z_levels, dt=src.dt),
+                   quantize=quantize)
+        if quantize:  # the writer stores one static mask; 255 per frame
+            raw = bytearray(path.read_bytes())
+            payload = len(raw) - data.size  # the u8 payload ends the file
+            for i in np.flatnonzero(np.isnan(data)):
+                raw[payload + i] = 255
+            path.write_bytes(bytes(raw))
+        assert not read_rvol(path, frames=(7, 11)).mask.all()
+
+        def outputs(tag):
+            (tmp_path / tag).mkdir()  # one stem: the CSV holds the stem
+            fc, csv = tmp_path / tag / "fc.rvol", tmp_path / tag / "m.csv"
+            assert run("nowcast", path, d / "u.truth.rmf", "-k", "3",
+                       "--start-frame", "7", "-o", fc) == 0
+            assert run("verify", fc, path, "--offset", "8", "-o", csv) == 0
+            return fc.read_bytes(), csv.read_bytes()
+
+        ranged = outputs("ranged")
+
+        def whole_read(p, frames=None):
+            full = read_rvol(p)
+            lo, hi = frames or (0, full.shape[0])
+            return RadarVolume(data=full.data[lo:hi], z_levels=full.z_levels,
+                               dt=full.dt, mask=full.mask)
+        monkeypatch.setattr("voxflow.cli.rvol.read_rvol", whole_read)
+        assert ranged == outputs("whole")
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("dataset")
@@ -303,17 +345,21 @@ class TestAnalyze:
         assert capsys.readouterr().err.splitlines() == [
             "error: top-k must be >= 0, got -2"]
 
-    @pytest.mark.parametrize("which", ["ratios", "refl-corr"])
+    @pytest.mark.parametrize("which", ["ratios", "refl-corr", "motion-corr",
+                                       "histogram", "outliers"])
     @pytest.mark.parametrize("presets", [("shear8", "shear2"),
                                          ("shear2", "shear8")])
     def test_mixed_level_counts_exit_1(self, tmp_path, capsys, which, presets):
+        # synth writes each volume's truth motion, which the motion analyses
+        # read; levels 0 and 1 exist in both volumes
         data = tmp_path / "data"
         data.mkdir()
         paths = [data / f"202106{10 + i:02d}_1200.rvol" for i in range(2)]
         for path, name in zip(paths, presets):
             assert run("synth", "--preset", name, "-o", path, "--frames", "2") == 0
         capsys.readouterr()
-        assert run("analyze", data, "--which", which, "-o", tmp_path / "out") == 1
+        assert run("analyze", data, "--which", which, "--level-pair", "0,1",
+                   "-o", tmp_path / "out") == 1
         expected, got = (p[-1] for p in presets)
         assert capsys.readouterr().err.splitlines() == [
             f"error: {paths[1]} has Z={got}, expected Z={expected} "

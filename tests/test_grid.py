@@ -281,6 +281,20 @@ class TestTypes:
             RainField(data=np.array([[-20.0]]), space=Space.DBR)
         RainField(data=np.array([[-15.0]]), space=Space.DBR)
 
+    @pytest.mark.parametrize("space, below", [(Space.MMH, -1.0),
+                                              (Space.DBR, -20.0)])
+    def test_floor_ignores_masked_and_non_finite_values(self, space, below):
+        # one masked-out value below the floor and non-finite values,
+        # -inf among them, are not checked
+        data = np.array([[below, np.nan, -np.inf, 1.0]])
+        mask = np.array([[False, True, True, True]])
+        RainField(data=data, space=space, mask=mask)
+        RainField(data=np.full((2, 2), np.nan), space=space)
+        # an empty valid set passes, a valid value below the floor does not
+        RainField(data=data, space=space, mask=np.zeros_like(mask))
+        with pytest.raises(ValueError, match="below|negative"):
+            RainField(data=data, space=space, mask=~mask)
+
     def test_motion_field_must_be_finite(self):
         u = np.zeros((1, 2, 4, 4))
         u[0, 0, 0, 0] = np.inf

@@ -9,6 +9,7 @@ from voxflow.grid import MotionField, RadarVolume
 from voxflow.rvol import (
     RMF_MAGIC,
     RVOL_MAGIC,
+    read_header,
     read_motion,
     read_rvol,
     write_motion,
@@ -176,6 +177,72 @@ class TestRvolValidation:
         assert err.value.field == "chunk"
 
 
+def _write_with_holes(path, vol, quantize, holes):
+    """Write vol, then make each (t, z, y, x) cell of holes invalid in that
+    frame only: NaN in an f32 payload, 255 in a u8 one. The writer itself
+    stores one static mask."""
+    write_rvol(path, vol, quantize=quantize)
+    raw = bytearray(path.read_bytes())
+    payload = 26 + 4 * vol.shape[1]
+    size = 1 if quantize else 4
+    for cell in holes:
+        at = payload + size * int(np.ravel_multi_index(cell, vol.shape))
+        raw[at:at + size] = b"\xff" if quantize else struct.pack("<f", np.nan)
+    path.write_bytes(bytes(raw))
+
+
+#: every non-empty frame range of the 3-frame sample volume
+_RANGES = [(lo, hi) for lo in range(3) for hi in range(lo + 1, 4)]
+
+
+class TestRvolFrameRange:
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("with_rho", [False, True])
+    def test_range_equals_whole_read_sliced(self, tmp_path, quantize, with_rho):
+        vol = sample_volume(np.random.default_rng(20), with_rho=with_rho,
+                            with_mask=True)
+        path = tmp_path / "v.rvol"
+        _write_with_holes(path, vol, quantize, [(0, 1, 2, 3), (2, 0, 7, 9)])
+        assert read_header(path) == (3, 2, 8, 10, int(quantize), 300)
+        whole = read_rvol(path)
+        for lo, hi in _RANGES:
+            part = read_rvol(path, frames=(lo, hi))
+            assert part.data.tobytes() == whole.data[lo:hi].tobytes()
+            assert part.mask.tobytes() == whole.mask.tobytes()
+            if with_rho:
+                assert part.rho_hv.tobytes() == whole.rho_hv[lo:hi].tobytes()
+            else:
+                assert part.rho_hv is None
+            assert part.z_levels.tobytes() == whole.z_levels.tobytes()
+            assert part.dt == whole.dt
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_invalid_cell_outside_range_clears_mask(self, tmp_path, quantize):
+        vol = sample_volume(np.random.default_rng(21))
+        path = tmp_path / "v.rvol"
+        _write_with_holes(path, vol, quantize, [(0, 1, 2, 3), (2, 0, 7, 9)])
+        mask = read_rvol(path, frames=(1, 2)).mask
+        assert not mask[1, 2, 3] and not mask[0, 7, 9]
+        assert np.count_nonzero(~mask) == 2
+
+    @pytest.mark.parametrize("frames", [(0, 0), (2, 1), (-1, 2), (0, 4), (3, 4)])
+    def test_empty_or_outside_range_is_error(self, tmp_path, frames):
+        path = tmp_path / "v.rvol"
+        write_rvol(path, sample_volume(np.random.default_rng(22)))
+        with pytest.raises(FormatError) as err:
+            read_rvol(path, frames=frames)
+        assert err.value.field == "frames"
+
+    @pytest.mark.parametrize("frames", _RANGES)
+    def test_truncated_rho_chunk_is_error_for_any_range(self, tmp_path, frames):
+        path = tmp_path / "v.rvol"
+        write_rvol(path, sample_volume(np.random.default_rng(23), with_rho=True))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError) as err:
+            read_rvol(path, frames=frames)
+        assert err.value.field == "rho_hv"
+
+
 class TestMotionFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -267,22 +334,26 @@ def _mutated(draw, valid: bytes) -> bytes:
     return bytes(raw[:rnd.randint(0, len(raw))]) + draw(st.binary(max_size=16))
 
 
-#: reader, the type it returns, its magic plus version
+#: reader, the type it returns, its magic plus version, and a strategy for
+#: its keyword arguments: the RVOL reader also reads frame ranges, valid,
+#: empty and outside the volume alike
 READERS = {
-    "rvol": (read_rvol, RadarVolume, RVOL_MAGIC + b"\x01"),
-    "rmf": (read_motion, MotionField, RMF_MAGIC),
+    "rvol": (read_rvol, RadarVolume, RVOL_MAGIC + b"\x01",
+             st.fixed_dictionaries({"frames": st.none() | st.tuples(
+                 st.integers(-1, 4), st.integers(-1, 4))})),
+    "rmf": (read_motion, MotionField, RMF_MAGIC, st.just({})),
 }
 
 _FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def _read_or_format_error(name: str, path, raw: bytes) -> None:
+def _read_or_format_error(name: str, path, raw: bytes, data) -> None:
     """The reader's only outcomes: a valid object or a FormatError."""
-    reader, kind, _ = READERS[name]
+    reader, kind, _, kwargs = READERS[name]
     path.write_bytes(raw)
     try:
-        assert isinstance(reader(path), kind)
+        assert isinstance(reader(path, **data.draw(kwargs)), kind)
     except FormatError:
         pass
 
@@ -295,10 +366,10 @@ class TestReadersFuzz:
         magic = READERS[name][2]
         raw = data.draw(st.binary(max_size=200)
                         | st.binary(max_size=200).map(lambda b: magic + b))
-        _read_or_format_error(name, tmp_path / "f", raw)
+        _read_or_format_error(name, tmp_path / "f", raw, data)
 
     @_FUZZ
     @given(data=st.data())
     def test_mutated_valid_file(self, tmp_path, valid_bytes, name, data):
         raw = data.draw(_mutated(valid_bytes[name]))
-        _read_or_format_error(name, tmp_path / "f", raw)
+        _read_or_format_error(name, tmp_path / "f", raw, data)
