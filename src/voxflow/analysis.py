@@ -17,12 +17,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .denoise import DIAMOND
-from .grid import MotionField, RadarVolume, RainField, cmax
-from .transform import volume_to_rain
+from .grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, cmax
+from .transform import volume_to_rain  # noqa: F401  bound by benchmarks/launcher.py
 
-# thresholds of the reflectivity and motion correlations; see their docstrings
+# echo threshold of the reflectivity correlation; see its docstring
 ECHO_THRESHOLD_DBZ = 0.0
-PRECIP_THRESHOLD_MMH = 0.0
 
 
 def rainy_ratio(vol: RadarVolume, thresholds_dbz: Sequence[float]) -> np.ndarray:
@@ -97,19 +96,15 @@ def reflectivity_corr_matrix(vols: Iterable[RadarVolume]) -> np.ndarray:
     return _pair_mean(z, rows)
 
 
-def _mean_rain(vol: RadarVolume) -> np.ndarray:
-    """Time-mean rain rate per level (Z x Y x X), invalid cells as 0."""
-    t_count = vol.shape[0]
-    acc = np.zeros(vol.shape[1:])
-    for t in range(t_count):
-        acc += volume_to_rain(vol, t).data
-    return acc / t_count
+def _echo(vol: RadarVolume) -> np.ndarray:
+    """Z x Y x X: the cell holds finite dBZ above NO_ECHO_DBZ in some frame."""
+    return ((vol.data > NO_ECHO_DBZ) & np.isfinite(vol.data)).any(axis=0)
 
 
-def _pair_corr(mf: MotionField, rain: np.ndarray, mask: np.ndarray, i: int,
+def _pair_corr(mf: MotionField, echo: np.ndarray, mask: np.ndarray, i: int,
                j: int, component: str) -> float:
-    """motion_pair_corr given the volume's time-mean rain and static mask."""
-    region = (rain[i] + rain[j] > PRECIP_THRESHOLD_MMH) & mask[i] & mask[j]
+    """motion_pair_corr given the volume's echo cells and static mask."""
+    region = (echo[i] | echo[j]) & mask[i] & mask[j]
     if region.sum() < 2:
         return float("nan")
     ui, vi = mf.level(i)
@@ -131,10 +126,11 @@ def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
     """Pearson correlation between the motion fields of levels i and j over
     the precipitating region of the corresponding input slices.
 
-    The region is where the summed time-mean rain of the two slices exceeds
-    PRECIP_THRESHOLD_MMH. component selects 'u', 'v', or 'both' (u and v
-    concatenated into one vector). Level indices outside [0, Z) raise
-    ValueError.
+    The region is the cells valid at both levels where either level holds
+    finite dBZ above NO_ECHO_DBZ in some frame: exactly the cells whose
+    summed time-mean rain rate of the two slices is above 0 mm/h. component
+    selects 'u', 'v', or 'both' (u and v concatenated into one vector).
+    Level indices outside [0, Z) raise ValueError.
     """
     if mf.nz != vol.shape[1]:
         raise ValueError("motion field and volume level counts differ")
@@ -142,13 +138,14 @@ def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
         if not 0 <= idx < mf.nz:
             raise ValueError(f"level index {idx} outside [0, {mf.nz}): "
                              f"the volume has {mf.nz} levels")
-    return _pair_corr(mf, _mean_rain(vol), vol.mask, i, j, component)
+    return _pair_corr(mf, _echo(vol), vol.mask, i, j, component)
 
 
 def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume],
                        component: str = "both") -> np.ndarray:
     """Mean pairwise motion correlation matrix over a dataset of samples.
 
+    Each pair correlation is motion_pair_corr's, over the same region.
     Every sample must have the first sample's level count; one that differs
     raises ValueError.
     """
@@ -161,8 +158,8 @@ def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume]
             raise ValueError(f"sample {n} has Z={mf.nz}, expected Z={z}")
         if mf.nz != vol.shape[1]:
             raise ValueError("motion field and volume level counts differ")
-        rain = _mean_rain(vol)
-        rows += [(i, j, _pair_corr(mf, rain, vol.mask, i, j, component))
+        echo = _echo(vol)
+        rows += [(i, j, _pair_corr(mf, echo, vol.mask, i, j, component))
                  for i, j in combinations(range(z), 2)]
     return _pair_mean(z, rows)
 
@@ -330,19 +327,19 @@ class SplitDiagnostic:
 def cell_split_diagnostic(volume_nowcast: Sequence[RainField],
                           threshold: float = 1.0) -> SplitDiagnostic:
     """Component counts of the thresholded CMAX composite at each lead,
-    alongside per-level counts."""
+    alongside per-level counts. The leads are taken one at a time, so a
+    lazy sequence holds one field at a time."""
     if not volume_nowcast:
         raise ValueError("empty nowcast sequence")
-    nz = volume_nowcast[0].nz
     cmax_counts = []
     rainy = []
-    level_counts = np.zeros((len(volume_nowcast), nz), dtype=int)
-    for li, f in enumerate(volume_nowcast):
+    level_counts = []
+    for f in volume_nowcast:
         wet = (f.data >= threshold) & f.mask
         comp = wet.any(axis=0)
         cmax_counts.append(count_components(comp))
         rainy.append(int(comp.sum()))
-        for z in range(nz):
-            level_counts[li, z] = count_components(wet[z])
-    return SplitDiagnostic(cmax_counts=cmax_counts, level_counts=level_counts,
+        level_counts.append([count_components(plane) for plane in wet])
+    return SplitDiagnostic(cmax_counts=cmax_counts,
+                           level_counts=np.array(level_counts, dtype=int),
                            cmax_rainy_cells=rainy)

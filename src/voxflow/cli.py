@@ -200,7 +200,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         "AND of every lead's mask.")
     p.add_argument("volume", help="input .rvol path")
     p.add_argument("motion", help="input .rmf path")
-    p.add_argument("-k", "--leads", type=int, required=True)
+    p.add_argument("-k", "--leads", type=_int_in(1), required=True)
     p.add_argument("-o", "--out", default=None, help="output forecast .rvol")
     p.add_argument("--start-frame", type=int, default=-1,
                    help="index of the frame advected forward; negative "
@@ -322,9 +322,7 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_nowcast(args, parser: argparse.ArgumentParser) -> int:
-    if args.leads < 1:
-        parser.error("--leads must be >= 1")
+def _cmd_nowcast(args) -> int:
     t_count = rvol.read_header(args.volume).t
     if not -t_count <= args.start_frame < t_count:
         raise ValueError(f"start frame {args.start_frame} outside volume "
@@ -333,8 +331,6 @@ def _cmd_nowcast(args, parser: argparse.ArgumentParser) -> int:
     vol = rvol.read_rvol(args.volume, frames=(start, start + 1))
     mf = rvol.read_motion(args.motion)
     last = volume_to_rain(vol, 0)
-    if mf.nz != last.nz:
-        raise ValueError(f"motion has Z={mf.nz}, volume has Z={last.nz}")
     leads = extrapolate(last, mf, args.leads)
     data = np.empty((args.leads,) + last.data.shape)
     mask = np.ones(last.data.shape, dtype=bool)
@@ -362,6 +358,10 @@ class _RainFrames(Sequence):
 
     def __getitem__(self, t: int) -> RainField:
         return volume_to_rain(self.vol, t)
+
+    def __iter__(self):
+        # the default __iter__ calls volume_to_rain once past the end to stop
+        return map(self.__getitem__, range(len(self)))
 
 
 def _cmd_verify(args) -> int:
@@ -583,18 +583,17 @@ def _analyze_outliers(args, files, outdir: Path) -> str:
 def _analyze_split(args, files, outdir: Path) -> str:
     """Split diagnostic: each volume's frames are treated as nowcast leads."""
     for path, stem, _ in files:
-        vol = rvol.read_rvol(path)
-        seq = [volume_to_rain(vol, t) for t in range(vol.shape[0])]
-        diag = analysis.cell_split_diagnostic(seq, threshold=args.threshold)
-        rows = [[li, diag.cmax_counts[li],
-                 ";".join(str(c) for c in diag.level_counts[li]),
-                 diag.cmax_rainy_cells[li]] for li in range(len(seq))]
+        diag = analysis.cell_split_diagnostic(
+            _RainFrames(rvol.read_rvol(path)), threshold=args.threshold)
+        rows = [[li, n, ";".join(str(c) for c in counts), cells]
+                for li, (n, counts, cells) in enumerate(zip(
+                    diag.cmax_counts, diag.level_counts,
+                    diag.cmax_rainy_cells))]
         _write_csv(outdir / f"{stem}_split.csv",
                    ["lead", "cmax_components", "level_components",
                     "cmax_rainy_cells"], rows)
         svgplot.line_chart(
-            {"cmax components": [(li, diag.cmax_counts[li])
-                                 for li in range(len(seq))]},
+            {"cmax components": list(enumerate(diag.cmax_counts))},
             outdir / f"{stem}_split.svg",
             title=f"{stem}: component count of thresholded composite",
             x_label="lead", y_label="components")
@@ -637,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "estimate":
             return _cmd_estimate(args)
         if args.command == "nowcast":
-            return _cmd_nowcast(args, table["nowcast"])
+            return _cmd_nowcast(args)
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_analyze(args)

@@ -8,7 +8,8 @@ RVOL layout, little-endian:
         dtype 0: f32, invalid cells stored as NaN
         dtype 1: u8 with dBZ = v/2 - 32 (covers [-32, 95] in 0.5 dBZ steps),
                  v = 255 reserved for invalid
-    optional trailing chunk "RHOH": u8 payload [t][z][y][x], rho_hv = v/200
+    optional trailing chunk "RHOH": u8 payload [t][z][y][x], rho_hv = v/200,
+        which ends the file
 
 RMF1 layout, little-endian:
     magic "RMF1" | u32 Z, Y, X | f32 payload [z][component][y][x]
@@ -39,7 +40,9 @@ _MAX_DIM = 100_000
 
 
 def _quantize_dbz(data: np.ndarray, invalid: np.ndarray) -> np.ndarray:
-    v = np.rint((data + 32.0) * 2.0)
+    """u8 codes; invalid and non-finite cells get 255, as an f32 read has it."""
+    invalid = invalid | ~np.isfinite(data)
+    v = np.rint((np.where(invalid, NO_ECHO_DBZ, data) + 32.0) * 2.0)
     v = np.clip(v, 0, 254).astype(np.uint8)
     v[invalid] = 255
     return v
@@ -195,6 +198,10 @@ def read_rvol(path: str | Path,
             raw = np.frombuffer(_read_exactly(fh, count * frame_n, "rho_hv"),
                                 dtype=np.uint8)
             rho = raw.reshape(count, z, y, x).astype(np.float64) / 200.0
+            fh.seek((t - stop) * frame_n, os.SEEK_CUR)
+            if fh.read(1):
+                raise FormatError("chunk", "unexpected trailing bytes after "
+                                           "the RHOH chunk")
     try:
         return RadarVolume(data=data, z_levels=levels, dt=float(dt_seconds),
                            mask=mask, rho_hv=rho)

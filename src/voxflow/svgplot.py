@@ -12,6 +12,7 @@ from typing import Sequence
 PALETTE = ("#1f77b4", "#2ca02c", "#d62728", "#9467bd", "#ff7f0e", "#8c564b")
 LINE_SIZE = (640, 420)  # canvas (width, height) in pixels
 BOX_SIZE = (720, 420)
+MARGIN = 56  # line and box charts: canvas edge to axes box, in pixels
 CELL = 34  # side of a heatmap cell in pixels
 
 
@@ -26,54 +27,66 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def line_chart(series: dict[str, Sequence[tuple[float, float]]], path: str | Path,
-               title: str = "", x_label: str = "", y_label: str = "") -> None:
-    width, height = LINE_SIZE
-    margin = 56
-    pw, ph = width - 2 * margin, height - 2 * margin
-    pts = [p for s in series.values() for p in s]
-    if not pts:
+def _scale(values: Sequence[float], start: float, length: float):
+    """Linear map of the values' range (widened by 1 when flat) onto
+    start .. start + length pixels, and the range's ends and midpoint."""
+    v0, v1 = min(values), max(values)
+    if v1 == v0:
+        v1 = v0 + 1.0
+    ticks = (v0, (v0 + v1) / 2, v1)
+    return (lambda v: start + (v - v0) / (v1 - v0) * length), ticks
+
+
+def _chart(path: str | Path, size: tuple[int, int], ys: Sequence[float],
+           title: str, y_label: str, xs: Sequence[float] | None = None,
+           x_label: str = ""):
+    """(body, sx, sy) of the frame shared by line_chart and box_plot: axes
+    box, title, y label and ticks, and x label and ticks when xs is given
+    (else sx is None). Without ys, writes the "no data" canvas; returns None."""
+    width, height = size
+    if not ys:
         Path(path).write_text(_svg(width, height, [
             f'<text x="{width / 2}" y="{height / 2}" text-anchor="middle">no data</text>']))
-        return
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-
-    def sx(v):
-        return margin + (v - x0) / (x1 - x0) * pw
-
-    def sy(v):
-        return height - margin - (v - y0) / (y1 - y0) * ph
-
-    body = [f'<rect x="{margin}" y="{margin}" width="{pw}" height="{ph}" '
+        return None
+    pw, ph = width - 2 * MARGIN, height - 2 * MARGIN
+    sy, y_ticks = _scale(ys, height - MARGIN, -ph)
+    body = [f'<rect x="{MARGIN}" y="{MARGIN}" width="{pw}" height="{ph}" '
             'fill="none" stroke="#888"/>']
     if title:
         body.append(f'<text x="{width / 2}" y="24" text-anchor="middle" '
                     f'font-size="15">{title}</text>')
-    body.append(f'<text x="{width / 2}" y="{height - 12}" text-anchor="middle" '
-                f'font-size="12">{x_label}</text>')
+    sx, x_ticks = None, ()
+    if xs is not None:
+        sx, x_ticks = _scale(xs, MARGIN, pw)
+        body.append(f'<text x="{width / 2}" y="{height - 12}" '
+                    f'text-anchor="middle" font-size="12">{x_label}</text>')
     body.append(f'<text x="16" y="{height / 2}" text-anchor="middle" '
                 f'font-size="12" transform="rotate(-90 16 {height / 2})">{y_label}</text>')
-    for tick in (x0, (x0 + x1) / 2, x1):
-        body.append(f'<text x="{sx(tick):.1f}" y="{height - margin + 16}" '
+    for tick in x_ticks:
+        body.append(f'<text x="{sx(tick):.1f}" y="{height - MARGIN + 16}" '
                     f'text-anchor="middle" font-size="10">{_fmt(tick)}</text>')
-    for tick in (y0, (y0 + y1) / 2, y1):
-        body.append(f'<text x="{margin - 6}" y="{sy(tick):.1f}" '
+    for tick in y_ticks:
+        body.append(f'<text x="{MARGIN - 6}" y="{sy(tick):.1f}" '
                     f'text-anchor="end" font-size="10">{_fmt(tick)}</text>')
+    return body, sx, sy
+
+
+def line_chart(series: dict[str, Sequence[tuple[float, float]]], path: str | Path,
+               title: str = "", x_label: str = "", y_label: str = "") -> None:
+    pts = [p for s in series.values() for p in s]
+    chart = _chart(path, LINE_SIZE, [p[1] for p in pts], title, y_label,
+                   xs=[p[0] for p in pts], x_label=x_label)
+    if chart is None:
+        return
+    body, sx, sy = chart
     for idx, (name, data) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
         coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in data)
         body.append(f'<polyline points="{coords}" fill="none" '
                     f'stroke="{color}" stroke-width="1.5"/>')
-        body.append(f'<text x="{margin + 8}" y="{margin + 16 + 14 * idx}" '
+        body.append(f'<text x="{MARGIN + 8}" y="{MARGIN + 16 + 14 * idx}" '
                     f'font-size="11" fill="{color}">{name}</text>')
-    Path(path).write_text(_svg(width, height, body))
+    Path(path).write_text(_svg(*LINE_SIZE, body))
 
 
 def _heat_color(t: float) -> str:
@@ -134,38 +147,18 @@ def box_plot(stats: dict, path: str | Path, title: str = "",
              y_label: str = "") -> None:
     """stats maps group label -> BoxStats-like object (q1, median, q3,
     lo_whisker, hi_whisker, outliers)."""
-    width, height = BOX_SIZE
-    margin = 56
-    pw, ph = width - 2 * margin, height - 2 * margin
-    if not stats:
-        Path(path).write_text(_svg(width, height, [
-            f'<text x="{width / 2}" y="{height / 2}" text-anchor="middle">no data</text>']))
-        return
     all_vals = []
     for s in stats.values():
         all_vals += [s.lo_whisker, s.hi_whisker] + list(s.outliers)
-    y0, y1 = min(all_vals), max(all_vals)
-    if y1 == y0:
-        y1 = y0 + 1.0
-
-    def sy(v):
-        return height - margin - (v - y0) / (y1 - y0) * ph
-
-    n = len(stats)
-    slot = pw / n
+    chart = _chart(path, BOX_SIZE, all_vals, title, y_label)
+    if chart is None:
+        return
+    body, _, sy = chart
+    width, height = BOX_SIZE
+    slot = (width - 2 * MARGIN) / len(stats)
     bw = slot * 0.5
-    body = [f'<rect x="{margin}" y="{margin}" width="{pw}" height="{ph}" '
-            'fill="none" stroke="#888"/>']
-    if title:
-        body.append(f'<text x="{width / 2}" y="24" text-anchor="middle" '
-                    f'font-size="15">{title}</text>')
-    body.append(f'<text x="16" y="{height / 2}" text-anchor="middle" font-size="12" '
-                f'transform="rotate(-90 16 {height / 2})">{y_label}</text>')
-    for tick in (y0, (y0 + y1) / 2, y1):
-        body.append(f'<text x="{margin - 6}" y="{sy(tick):.1f}" text-anchor="end" '
-                    f'font-size="10">{_fmt(tick)}</text>')
     for idx, (label, s) in enumerate(stats.items()):
-        cx = margin + slot * (idx + 0.5)
+        cx = MARGIN + slot * (idx + 0.5)
         body.append(f'<line x1="{cx:.1f}" y1="{sy(s.lo_whisker):.1f}" '
                     f'x2="{cx:.1f}" y2="{sy(s.hi_whisker):.1f}" stroke="#333"/>')
         body.append(f'<rect x="{cx - bw / 2:.1f}" y="{sy(s.q3):.1f}" width="{bw:.1f}" '
@@ -177,6 +170,6 @@ def box_plot(stats: dict, path: str | Path, title: str = "",
         for o in s.outliers:
             body.append(f'<circle cx="{cx:.1f}" cy="{sy(o):.1f}" r="2" '
                         'fill="none" stroke="#333"/>')
-        body.append(f'<text x="{cx:.1f}" y="{height - margin + 16}" '
+        body.append(f'<text x="{cx:.1f}" y="{height - MARGIN + 16}" '
                     f'text-anchor="middle" font-size="10">{label}</text>')
     Path(path).write_text(_svg(width, height, body))

@@ -3,6 +3,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from voxflow import analysis
 from voxflow.analysis import (
     OutlierSample,
     cell_split_diagnostic,
@@ -18,6 +19,7 @@ from voxflow.analysis import (
 )
 from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, Space
 from voxflow.synth import generate, preset
+from voxflow.transform import volume_to_rain
 
 
 def vol_from_planes(planes, mask=None):
@@ -197,6 +199,75 @@ class TestMotionCorr:
         # smooth decay away from the diagonal
         first_row = m[0, 1:]
         assert (np.diff(first_row) < 0).all()
+
+
+def _rain_rule_corr(mf, vol, i, j, component):
+    """Reference motion_pair_corr: the region is where the summed
+    time-mean volume_to_rain of levels i and j exceeds 0 mm/h, on cells
+    valid at both levels."""
+    rain = sum(volume_to_rain(vol, t).data for t in range(vol.shape[0]))
+    rain = rain / vol.shape[0]
+    region = (rain[i] + rain[j] > 0.0) & vol.mask[i] & vol.mask[j]
+    if region.sum() < 2:
+        return float("nan")
+    (ui, vi), (uj, vj) = mf.level(i), mf.level(j)
+    a, b = {"u": (ui[region], uj[region]), "v": (vi[region], vj[region]),
+            "both": (np.concatenate([ui[region], vi[region]]),
+                     np.concatenate([uj[region], vj[region]]))}[component]
+    return analysis._pearson(a, b)
+
+
+def _hostile_sample(seed):
+    """A 3 x 4 x 10 x 10 volume of no echo with scattered rain, faint
+    -31.5 dBZ echo in one frame only, NaN, +-inf and -50 dBZ cells and
+    masked cells; levels 2 and 3 hold no echo in most samples. Also a
+    random motion field."""
+    rng = np.random.default_rng(seed)
+    t, z, n = 3, 4, 10
+    data = np.full((t, z, n, n), NO_ECHO_DBZ)
+    top = 4 if seed % 3 == 0 else 2  # levels that may hold echo
+    for value, count in ((35.0, 12), (-31.5, 10), (np.nan, 10),
+                         (np.inf, 10), (-np.inf, 6), (-50.0, 6)):
+        levels = top if np.isfinite(value) and value > NO_ECHO_DBZ else z
+        cells = (rng.integers(t, size=count), rng.integers(levels, size=count),
+                 rng.integers(n, size=count), rng.integers(n, size=count))
+        data[cells] = value
+    mask = rng.random((z, n, n)) < 0.8
+    vol = RadarVolume(data=data, z_levels=500.0 * (1 + np.arange(z)), mask=mask)
+    return MotionField(rng.normal(0.0, 1.0, (z, 2, n, n))), vol
+
+
+class TestMotionRegionOracle:
+    """motion_pair_corr and motion_corr_matrix find their region without
+    converting to rain; the old rain rule must give the same numbers."""
+
+    SEEDS = range(6)
+
+    @pytest.mark.parametrize("component", ["both", "u", "v"])
+    def test_pair_corr_equals_rain_rule(self, component):
+        got, want = [], []
+        for seed in self.SEEDS:
+            mf, vol = _hostile_sample(seed)
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    got.append(motion_pair_corr(mf, vol, i, j, component))
+                    want.append(_rain_rule_corr(mf, vol, i, j, component))
+        assert np.array_equal(got, want, equal_nan=True)
+        # both finite and NaN correlations are compared
+        assert 0 < np.isnan(want).sum() < len(want)
+
+    @pytest.mark.parametrize("component", ["both", "u", "v"])
+    def test_matrix_equals_rain_rule(self, component):
+        mfs, vols = zip(*(_hostile_sample(seed) for seed in self.SEEDS))
+        want = np.eye(4)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                rs = [_rain_rule_corr(mf, vol, i, j, component)
+                      for mf, vol in zip(mfs, vols)]
+                rs = [r for r in rs if not np.isnan(r)]
+                want[i, j] = want[j, i] = sum(rs) / len(rs) if rs else np.nan
+        got = motion_corr_matrix(mfs, vols, component=component)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestMonthwiseBoxstats:

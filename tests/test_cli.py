@@ -140,6 +140,16 @@ class TestNowcast:
             run("nowcast", vol, zero, "-k", "0")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("leads", ["-1", "x", "2.5"])
+    def test_malformed_leads_is_usage_error(self, capsys, leads):
+        # rejected while parsing, before any file is opened
+        with pytest.raises(SystemExit) as err:
+            run("nowcast", "missing.rvol", "missing.rmf", "-k", leads)
+        assert err.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == ("voxflow nowcast: error: argument -k/--leads: "
+                        f"expected an integer in [1, inf], got {leads!r}")
+
     def test_start_frame_is_python_style_index(self, uniform_files, tmp_path,
                                                capsys):
         d, vol = uniform_files

@@ -81,6 +81,22 @@ class TestRvolRoundTrip:
         back = read_rvol(path)
         assert not back.mask[0, 0, 1]
 
+    def test_u8_and_f32_agree_on_invalid_cells(self, tmp_path):
+        # NaN and +inf in cells the mask calls valid: the f32 file stores
+        # them as they are and its reader drops them, so the u8 file codes
+        # them 255
+        data = np.array([[[[np.nan, np.inf], [10.0, 20.0]]]])
+        mask = np.array([[[True, True], [False, True]]])
+        vol = RadarVolume(data=data, z_levels=[500.0], mask=mask)
+        masks = []
+        for quantize in (False, True):
+            path = tmp_path / f"q{int(quantize)}.rvol"
+            write_rvol(path, vol, quantize=quantize)
+            masks.append(read_rvol(path).mask)
+        np.testing.assert_array_equal(masks[0], [[[False, False], [False, True]]])
+        np.testing.assert_array_equal(masks[1], masks[0])
+        assert (tmp_path / "q1.rvol").read_bytes()[-4:] == bytes([255, 255, 255, 104])
+
     def test_rho_chunk_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         vol = sample_volume(rng, with_rho=True)
@@ -241,6 +257,16 @@ class TestRvolFrameRange:
         with pytest.raises(FormatError) as err:
             read_rvol(path, frames=frames)
         assert err.value.field == "rho_hv"
+
+    @pytest.mark.parametrize("frames", [None] + _RANGES)
+    def test_bytes_after_rho_chunk_are_error(self, tmp_path, frames):
+        path = tmp_path / "v.rvol"
+        write_rvol(path, sample_volume(np.random.default_rng(24), with_rho=True))
+        with open(path, "ab") as fh:
+            fh.write(b"junkjunk")
+        with pytest.raises(FormatError) as err:
+            read_rvol(path, frames=frames)
+        assert err.value.field == "chunk"
 
 
 class TestMotionFile:
