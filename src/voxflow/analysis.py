@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,14 +101,33 @@ def _echo(vol: RadarVolume) -> np.ndarray:
     return ((vol.data > NO_ECHO_DBZ) & np.isfinite(vol.data)).any(axis=0)
 
 
-def _pair_corr(mf: MotionField, echo: np.ndarray, mask: np.ndarray, i: int,
-               j: int, component: str) -> float:
-    """motion_pair_corr given the volume's echo cells and static mask."""
-    region = (echo[i] | echo[j]) & mask[i] & mask[j]
+class MotionSample(NamedTuple):
+    """A motion field with the two Z x Y x X planes of its volume that the
+    motion correlations read: the echo cells (see motion_pair_corr) and the
+    static mask. The reflectivity itself is not kept."""
+
+    motion: MotionField
+    echo: np.ndarray
+    mask: np.ndarray
+
+
+def motion_sample(mf: MotionField, vol: RadarVolume) -> MotionSample:
+    """The MotionSample of a motion field and its input volume."""
+    return MotionSample(mf, _echo(vol), vol.mask)
+
+
+def _levels(s: MotionSample) -> int:
+    if s.motion.nz != s.echo.shape[0]:
+        raise ValueError("motion field and volume level counts differ")
+    return s.motion.nz
+
+
+def _pair_corr(s: MotionSample, i: int, j: int, component: str) -> float:
+    region = (s.echo[i] | s.echo[j]) & s.mask[i] & s.mask[j]
     if region.sum() < 2:
         return float("nan")
-    ui, vi = mf.level(i)
-    uj, vj = mf.level(j)
+    ui, vi = s.motion.level(i)
+    uj, vj = s.motion.level(j)
     if component == "u":
         a, b = ui[region], uj[region]
     elif component == "v":
@@ -132,13 +151,18 @@ def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
     selects 'u', 'v', or 'both' (u and v concatenated into one vector).
     Level indices outside [0, Z) raise ValueError.
     """
-    if mf.nz != vol.shape[1]:
-        raise ValueError("motion field and volume level counts differ")
+    return sample_pair_corr(motion_sample(mf, vol), i, j, component)
+
+
+def sample_pair_corr(s: MotionSample, i: int, j: int,
+                     component: str = "both") -> float:
+    """motion_pair_corr of a MotionSample."""
+    nz = _levels(s)
     for idx in (i, j):
-        if not 0 <= idx < mf.nz:
-            raise ValueError(f"level index {idx} outside [0, {mf.nz}): "
-                             f"the volume has {mf.nz} levels")
-    return _pair_corr(mf, _echo(vol), vol.mask, i, j, component)
+        if not 0 <= idx < nz:
+            raise ValueError(f"level index {idx} outside [0, {nz}): "
+                             f"the volume has {nz} levels")
+    return _pair_corr(s, i, j, component)
 
 
 def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume],
@@ -151,16 +175,24 @@ def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume]
     """
     if len(mfs) != len(inputs):
         raise ValueError("need one input volume per motion field")
-    z = mfs[0].nz
+    return sample_corr_matrix(map(motion_sample, mfs, inputs), component)
+
+
+def sample_corr_matrix(samples: Iterable[MotionSample],
+                       component: str = "both") -> np.ndarray:
+    """motion_corr_matrix of MotionSamples, which may be any iterable; an
+    empty one raises ValueError."""
+    z = None
     rows = []
-    for n, (mf, vol) in enumerate(zip(mfs, inputs)):
-        if mf.nz != z:
-            raise ValueError(f"sample {n} has Z={mf.nz}, expected Z={z}")
-        if mf.nz != vol.shape[1]:
-            raise ValueError("motion field and volume level counts differ")
-        echo = _echo(vol)
-        rows += [(i, j, _pair_corr(mf, echo, vol.mask, i, j, component))
+    for n, s in enumerate(samples):
+        z = s.motion.nz if z is None else z
+        if s.motion.nz != z:
+            raise ValueError(f"sample {n} has Z={s.motion.nz}, expected Z={z}")
+        _levels(s)
+        rows += [(i, j, _pair_corr(s, i, j, component))
                  for i, j in combinations(range(z), 2)]
+    if z is None:
+        raise ValueError("no samples given")
     return _pair_mean(z, rows)
 
 

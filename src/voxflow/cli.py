@@ -273,15 +273,18 @@ def _loss_config(args) -> LossConfig:
 
 
 def _cmd_estimate(args) -> int:
-    vol = rvol.read_rvol(args.volume)
+    t_total = rvol.read_header(args.volume).t
+    n = min(args.inputs, t_total)
+    if n < 2:
+        raise ValueError(f"need at least 2 input frames, volume has {t_total}")
+    # every step before the estimator works frame by frame, so only the
+    # frames the estimator uses are read
+    vol = rvol.read_rvol(args.volume,
+                         frames=None if args.use_future else (0, n))
     if args.denoise:
         vol = denoise_volume(vol)
     if args.mode == "2d-cmax":
         vol = cmax(vol)
-    t_total = vol.shape[0]
-    n = min(args.inputs, t_total)
-    if n < 2:
-        raise ValueError(f"need at least 2 input frames, volume has {t_total}")
 
     stem = Path(args.volume)
     out = Path(args.out) if args.out else stem.with_suffix(".rmf")
@@ -517,13 +520,17 @@ def _analyze_refl_corr(args, files, outdir: Path) -> str:
 
 def _analyze_motion_corr(args, files, outdir: Path) -> str:
     low, mid = args.level_pair
-    samples = list(_motion_samples(files))
+    # one pass over the corpus; a sample keeps its echo and mask planes,
+    # not its volume
+    samples, stamps, corrs = [], [], []
+    for _, ts, vol, mf in _motion_samples(files):
+        samples.append(analysis.motion_sample(mf, vol))
+        stamps.append(ts)
+        corrs.append(analysis.sample_pair_corr(samples[-1], low, mid))
     if not samples:
         raise ValueError("no motion files found next to the volumes")
-    _, stamps, vols, mfs = zip(*samples)
-    corrs = [analysis.motion_pair_corr(mf, vol, low, mid) for mf, vol in zip(mfs, vols)]
     for component in ("both", "u", "v"):
-        mat = analysis.motion_corr_matrix(mfs, vols, component=component)
+        mat = analysis.sample_corr_matrix(samples, component=component)
         _write_matrix(outdir / f"motion_corr_{component}.csv", mat)
         if component == "both":
             svgplot.heatmap(mat, outdir / "motion_corr.svg",

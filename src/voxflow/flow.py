@@ -30,11 +30,12 @@ from .grid import (
     RainField,
     Space,
     avg_pool2d,
-    bilinear_sample,
+    bilinear_apply,
+    bilinear_geometry,
     inside,
+    mask_apply,
+    mask_geometry,
     pool_mask_all,
-    sample_mask,
-    upsample2d,
 )
 from .transform import rain_to_dbr
 
@@ -73,27 +74,50 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
 SOBEL_Y = SOBEL_X.T.copy()
 
 
-def correlate3x3(a: np.ndarray, kernel: np.ndarray, pad: str) -> np.ndarray:
+def correlate3x3(a: np.ndarray, kernel: np.ndarray, pad: str,
+                 out: np.ndarray | None = None,
+                 work: tuple | None = None) -> np.ndarray:
     """3x3 correlation over the last two axes of a, the border padded by
     edge replication (pad="edge") or zeros (pad="constant"); pass the
     flipped kernel to convolve. The non-zero taps add to zero in raster
     order, as in scipy.ndimage.correlate, so the result equals ndimage's
-    (mode "nearest" or "constant") bit for bit."""
+    (mode "nearest" or "constant") bit for bit. out (a's shape) and work
+    (the padded plane, two cells larger on each axis, and one array of a's
+    shape) may be caller-owned buffers."""
     ny, nx = a.shape[-2:]
-    padded = np.zeros(a.shape[:-2] + (ny + 2, nx + 2))
+    padded, term = work or (np.empty(a.shape[:-2] + (ny + 2, nx + 2)),
+                            np.empty(a.shape))
     padded[..., 1:-1, 1:-1] = a
     if pad == "edge":
         padded[..., 0, 1:-1] = a[..., 0, :]
         padded[..., -1, 1:-1] = a[..., -1, :]
         padded[..., 0] = padded[..., 1]
         padded[..., -1] = padded[..., -2]
-    out = np.zeros(a.shape)
-    term = np.empty(a.shape)
+    else:
+        padded[..., (0, -1), :] = 0.0
+        padded[..., (0, -1)] = 0.0
+    out = np.empty(a.shape) if out is None else out
+    out.fill(0.0)
     for (i, j), w in np.ndenumerate(kernel):
         if w:
             np.multiply(padded[..., i:i + ny, j:j + nx], w, out=term)
             out += term
     return out
+
+
+class _Workspace:
+    """Named arrays reused across calls. ws(name, shape) returns the array
+    last returned for that name when shape and dtype match, else a new one
+    that replaces it, so one name holds one array at a time."""
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def __call__(self, name, shape: tuple, dtype=np.float64) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
 
 
 def _as_dbr(f: RainField) -> RainField:
@@ -108,6 +132,8 @@ def _warp_stack(
     vy: np.ndarray,
     criterion: Criterion,
     want_grad: bool,
+    ws,
+    grad_out: tuple | None = None,
 ):
     """Warped data terms of all consecutive pairs of one frame stack.
 
@@ -120,41 +146,77 @@ def _warp_stack(
     result. Returns (sums (P, ...), counts broadcastable to (P, ...),
     d_sum/d_vx (P, ..., ny, nx), d_sum/d_vy) with the gradient entries None
     when want_grad is False.
+
+    Every array this writes comes from ws(name, shape, dtype), so a call
+    overwrites the previous call's gradients; grad_out, two arrays of the
+    gradients' shape, receives them instead when given.
     """
     n_pairs, ny, nx = targets.shape
-    xs = np.arange(nx, dtype=np.float64) - vx
-    ys = np.arange(ny, dtype=np.float64)[:, None] - vy
-    warped, gx, gy = bilinear_sample(sources, xs, ys, want_grad=want_grad)
+    pts = vx.shape
+    planes = (n_pairs,) + pts
+    xs = np.subtract(np.arange(nx, dtype=np.float64), vx, out=ws("xs", pts))
+    ys = np.subtract(np.arange(ny, dtype=np.float64)[:, None], vy,
+                     out=ws("ys", pts))
+    geometry = bilinear_geometry(
+        xs, ys, ny, nx,
+        out=(tuple(ws(("corner", i), pts, np.int64) for i in range(4)),
+             *(ws(("weight", i), pts) for i in range(4))))
+    work = [ws(("work", i), planes) for i in range(6)]
+    warped, gx, gy = bilinear_apply(sources, geometry, want_grad,
+                                    out=ws("warped", planes), work=work)
     # pair stacks broadcast against the motions' leading axes
     per_pair = (n_pairs,) + (1,) * (vx.ndim - 2) + (ny, nx)
+    # the corner index and weight arrays are free again
+    (nearest, column, _, _), coord = geometry[0], geometry[1]
+    test = ws("test", pts, bool)
     if masks is None:
-        valid = inside(xs, ys, ny, nx)
+        valid = inside(xs, ys, ny, nx, out=ws("inside", pts, bool), work=test)
     else:
-        valid = sample_mask(masks[:-1], xs, ys) & masks[1:].reshape(per_pair)
-    counts = valid.reshape(valid.shape[:-2] + (-1,)).sum(axis=-1)
+        valid = mask_apply(
+            masks[:-1],
+            mask_geometry(xs, ys, ny, nx,
+                          out=(nearest, ws("inside", pts, bool)),
+                          work=(coord, column, test)),
+            out=ws("valid", planes, bool))
+        valid &= masks[1:].reshape(per_pair)
+    # one count per plane: a reduction along an axis would cast the
+    # booleans through a 64 KB buffer
+    counts = np.fromiter(map(np.count_nonzero, valid.reshape(-1, ny * nx)),
+                         np.int64).reshape(valid.shape[:-2])
 
-    r = np.where(valid, warped - targets.reshape(per_pair), 0.0)
+    r = np.subtract(warped, targets.reshape(per_pair), out=warped)
+    np.copyto(r, 0.0, where=np.logical_not(valid, out=valid))
     cells = r.shape[:-2] + (-1,)
     if criterion is Criterion.MAE_DBR:
-        sums = np.abs(r).reshape(cells).sum(axis=-1)
-        dr = np.sign(r)
+        sums = np.abs(r, out=work[0]).reshape(cells).sum(axis=-1)
+        dr = np.sign(r, out=r)
     else:
-        sums = (r * r).reshape(cells).sum(axis=-1)
-        dr = 2.0 * r
+        sums = np.multiply(r, r, out=work[0]).reshape(cells).sum(axis=-1)
+        dr = np.multiply(2.0, r, out=r)
     if not want_grad:
         return sums, counts, None, None
     # the departure point is (x - vx, y - vy), hence the sign flip
-    return sums, counts, -dr * gx, -dr * gy
+    dvx, dvy = (gx, gy) if grad_out is None else grad_out
+    np.negative(dr, out=dr)
+    return (sums, counts, np.multiply(dr, gx, out=dvx),
+            np.multiply(dr, gy, out=dvy))
 
 
-def _unpool_grad(g: np.ndarray, k: int, ny: int, nx: int) -> np.ndarray:
-    """Adjoint of (avg_pool2d then divide-by-k): spread each coarse-cell
-    gradient over its k x k block with weight 1/k^3, folding replication
-    padding back onto the edge cells."""
+def _add_unpooled(grad: np.ndarray, g: np.ndarray, k: int, ws) -> None:
+    """grad += the adjoint of (avg_pool2d then divide-by-k) applied to g:
+    each coarse-cell gradient spread over its k x k block with weight
+    1/k^3, replication padding folded back onto the edge cells."""
     if k == 1:
-        return g.copy()
-    up = upsample2d(g, k) / float(k ** 3)
-    out = up[..., :ny, :nx].copy()
+        grad += g
+        return
+    ny, nx = grad.shape[-2:]
+    hk, wk = g.shape[-2:]
+    up = ws("up", g.shape[:-2] + (hk * k, wk * k))
+    # block replication, as upsample2d
+    up.reshape(g.shape[:-2] + (hk, k, wk, k))[...] = g[..., :, None, :, None]
+    up /= float(k ** 3)
+    out = up[..., :ny, :nx]
+    # the folds read only the padding, which out does not cover
     uy, ux = up.shape[-2:]
     if uy > ny:
         out[..., ny - 1, :] += up[..., ny:, :nx].sum(axis=-2)
@@ -162,13 +224,27 @@ def _unpool_grad(g: np.ndarray, k: int, ny: int, nx: int) -> np.ndarray:
         out[..., nx - 1] += up[..., :ny, nx:].sum(axis=-1)
     if uy > ny and ux > nx:
         out[..., ny - 1, nx - 1] += up[..., ny:, nx:].sum(axis=(-2, -1))
-    return out
+    grad += out
 
 
-def _sobel_divergence(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+def _sobel_divergence(ux: np.ndarray, uy: np.ndarray,
+                      ws: _Workspace | None = None) -> np.ndarray:
     """d(u_x)/dx + d(u_y)/dy of one level, or of a stack of them on the
-    leading axes, via 3x3 Sobel stencils with replicated edge padding."""
-    return correlate3x3(ux, SOBEL_X, "edge") + correlate3x3(uy, SOBEL_Y, "edge")
+    leading axes, via 3x3 Sobel stencils with replicated edge padding;
+    written into ws("div") when a workspace is given."""
+    ws = ws or _Workspace()
+    work = _stencil_work(ux.shape, ws)
+    div = correlate3x3(ux, SOBEL_X, "edge", out=ws("div", ux.shape),
+                       work=work)
+    return np.add(div, correlate3x3(uy, SOBEL_Y, "edge",
+                                    out=ws("div_y", uy.shape), work=work),
+                  out=div)
+
+
+def _stencil_work(shape: tuple, ws: _Workspace) -> tuple:
+    """correlate3x3's work arrays for planes of the given shape."""
+    ny, nx = shape[-2:]
+    return ws("padded", shape[:-2] + (ny + 2, nx + 2)), ws("term", shape)
 
 
 def divergence(mf: MotionField) -> np.ndarray:
@@ -189,17 +265,22 @@ def interior_mask(ny: int, nx: int) -> np.ndarray:
     return m
 
 
-def _divergence_term(u: np.ndarray, inner_cells: np.ndarray):
+def _divergence_term(u: np.ndarray, inner_cells: np.ndarray,
+                     ws: _Workspace | None = None):
     """Mean |div u| over the interior cells (flat indices) of all levels of
-    u (..., Z, 2, Y, X), per motion field, and div u (..., Z, Y, X)."""
-    div = _sobel_divergence(u[..., 0, :, :], u[..., 1, :, :])
+    u (..., Z, 2, Y, X), per motion field, and div u (..., Z, Y, X), which
+    is ws("div") when a workspace is given."""
+    ws = ws or _Workspace()
+    div = _sobel_divergence(u[..., 0, :, :], u[..., 1, :, :], ws)
     n_int = inner_cells.size * u.shape[-4]
     if n_int == 0:
         return np.zeros(u.shape[:-4]), div
     # take, unlike a boolean index, sums a batch entry as a single field;
     # levels add in order, where np.sum would pair 8 or more of them
-    cells = div.reshape(div.shape[:-2] + (-1,)).take(inner_cells, axis=-1)
-    per_level = np.abs(cells).sum(axis=-1)
+    cells = div.reshape(div.shape[:-2] + (-1,)).take(
+        inner_cells, axis=-1, mode="clip",
+        out=ws("cells", div.shape[:-2] + inner_cells.shape))
+    per_level = np.abs(cells, out=cells).sum(axis=-1)
     return sum(np.moveaxis(per_level, -1, 0)) / n_int, div
 
 
@@ -217,7 +298,11 @@ class SequenceObjective:
     penalty are built once at construction; evaluate() is then cheap to call
     repeatedly with different motion fields, which is what the optimizer
     needs, and scores a batch of them in one call, which is what the
-    finite-difference check needs.
+    finite-difference check needs. The arrays evaluate() writes are built on
+    its first call for each scale and batch shape and reused by later calls
+    of that shape, so a call allocates little beyond the gradient it
+    returns; one objective must therefore not evaluate in two threads at
+    once.
     """
 
     def __init__(self, frames: Sequence[np.ndarray], masks: Sequence[np.ndarray],
@@ -250,6 +335,10 @@ class SequenceObjective:
         self.inner = interior_mask(self.ny, self.nx)
         self.inner_cells = np.flatnonzero(self.inner)
         self.n_interior = self.inner_cells.size * self.nz
+        self.border = ~self.inner
+        # one workspace per scale, named arrays of the current batch shape
+        self._ws = {k: _Workspace() for k in self.active_scales}
+        self._div_ws = _Workspace()
 
     def evaluate(self, u: np.ndarray, want_grad: bool = True):
         """Returns (total, data_term, div_term, grad-or-None) for motion u
@@ -257,7 +346,8 @@ class SequenceObjective:
 
         Leading axes of u, (..., Z, 2, Y, X), hold independent motion
         fields scored in one batch; the three terms are then arrays over
-        those axes and grad has u's shape.
+        those axes and grad has u's shape. grad is a new array on every
+        call.
 
         A frame pair with no jointly valid cells makes the data term +inf
         (the motion pushed everything out of view; in a batch, for every
@@ -269,16 +359,24 @@ class SequenceObjective:
         grad = np.zeros_like(u) if want_grad else None
         data_val = np.zeros(batch)
         for k in self.active_scales:
+            ws = self._ws[k]
             n_tot = np.zeros((self.n_pairs,) + batch)
             per_z = []
             for z in range(self.nz):
                 sources, mstack, targets = self.pooled[k][z]
                 v = u[..., z, :, :, :]
                 if k > 1:
-                    v = avg_pool2d(v, k) / k
+                    pooled = ws("v", v.shape[:-2] + sources.shape[-2:])
+                    v = np.divide(avg_pool2d(v, k, out=pooled), k, out=pooled)
+                # levels after the first keep their gradients apart
+                grad_out = None
+                if want_grad and self.nz > 1:
+                    grad_out = ws("level_grads",
+                                  (self.nz, 2, self.n_pairs) + v.shape[:-3]
+                                  + sources.shape[-2:])[z]
                 sums, counts, dvx, dvy = _warp_stack(
                     sources, mstack, targets, v[..., 0, :, :], v[..., 1, :, :],
-                    cfg.criterion, want_grad)
+                    cfg.criterion, want_grad, ws, grad_out)
                 per_z.append((sums, dvx, dvy))
                 n_tot += counts
             if (n_tot == 0).any():
@@ -287,22 +385,28 @@ class SequenceObjective:
             for z, (sums, dvx, dvy) in enumerate(per_z):
                 data_val += (sums * w).sum(axis=0)
                 if want_grad:
-                    gx = np.einsum("p...,p...yx->...yx", w, dvx)
-                    gy = np.einsum("p...,p...yx->...yx", w, dvy)
-                    grad[..., z, 0, :, :] += _unpool_grad(gx, k, self.ny, self.nx)
-                    grad[..., z, 1, :, :] += _unpool_grad(gy, k, self.ny, self.nx)
+                    for c, dv in enumerate((dvx, dvy)):
+                        g = np.einsum("p...,p...yx->...yx", w, dv,
+                                      out=ws("g", dv.shape[1:]))
+                        _add_unpooled(grad[..., z, c, :, :], g, k, ws)
 
-        div_val, div = _divergence_term(u, self.inner_cells)
+        ws = self._div_ws
+        div_val, div = _divergence_term(u, self.inner_cells, ws)
         n_int = self.n_interior
         if want_grad and n_int > 0:
-            g = np.where(self.inner, np.sign(div), 0.0)
+            g = np.sign(div, out=div)
+            np.copyto(g, 0.0, where=self.border)
             # adjoint of the stencil: convolve, zero outside the grid
-            dux = correlate3x3(g, SOBEL_X[::-1, ::-1], "constant")
-            duy = correlate3x3(g, SOBEL_Y[::-1, ::-1], "constant")
-            grad[..., 0, :, :] = (1.0 - cfg.beta) * grad[..., 0, :, :] \
-                + cfg.beta * dux / n_int
-            grad[..., 1, :, :] = (1.0 - cfg.beta) * grad[..., 1, :, :] \
-                + cfg.beta * duy / n_int
+            work = _stencil_work(g.shape, ws)
+            dux = correlate3x3(g, SOBEL_X[::-1, ::-1], "constant",
+                               out=ws("div_y", g.shape), work=work)
+            duy = correlate3x3(g, SOBEL_Y[::-1, ::-1], "constant",
+                               out=ws("adjoint_y", g.shape), work=work)
+            for c, du in enumerate((dux, duy)):
+                gc = grad[..., c, :, :]
+                np.multiply(1.0 - cfg.beta, gc, out=gc)
+                np.divide(np.multiply(cfg.beta, du, out=du), n_int, out=du)
+                gc += du
         elif want_grad:
             grad *= (1.0 - cfg.beta)
 

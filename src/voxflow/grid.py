@@ -174,12 +174,13 @@ def _pad_to_multiple(field: np.ndarray, k: int, edge: bool) -> np.ndarray:
     return np.pad(field, width, mode="constant", constant_values=False)
 
 
-def avg_pool2d(field: np.ndarray, k: int) -> np.ndarray:
+def avg_pool2d(field: np.ndarray, k: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Block-average the trailing two axes by factor k.
 
     Non-divisible sizes are padded by edge replication before pooling; use
     pool_mask_all on the matching mask so padded blocks come out invalid.
-    k=1 is the identity.
+    k=1 is the identity. out, when given for k > 1, receives the result.
     """
     if k <= 0:
         raise ValueError(f"pooling factor must be >= 1, got {k}")
@@ -189,7 +190,7 @@ def avg_pool2d(field: np.ndarray, k: int) -> np.ndarray:
     field = _pad_to_multiple(field, k, edge=True)
     ny, nx = field.shape[-2:]
     shape = field.shape[:-2] + (ny // k, k, nx // k, k)
-    return field.reshape(shape).mean(axis=(-3, -1))
+    return field.reshape(shape).mean(axis=(-3, -1), out=out)
 
 
 def pool_mask_all(mask: np.ndarray, k: int) -> np.ndarray:
@@ -230,7 +231,7 @@ def bilinear_sample(planes: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 
 
 def bilinear_geometry(xs: np.ndarray, ys: np.ndarray, h: int, w: int,
-                      pad: int = 0) -> tuple:
+                      pad: int = 0, out: tuple | None = None) -> tuple:
     """Corner geometry of the points (xs, ys) in H x W planes: the four flat
     corner indices (i00, i01, i10, i11) and the weights (cx, wx, cy, wy).
 
@@ -238,19 +239,43 @@ def bilinear_geometry(xs: np.ndarray, ys: np.ndarray, h: int, w: int,
     axis, clamped to the array edge; a stack padded by ``pad`` cells before
     each axis is thus sampled at unpadded coordinates. Coordinates are
     clamped in floating point before the integer cast, so huge departures
-    land on the edge without a cast warning.
+    land on the edge without a cast warning. out, a geometry returned by an
+    earlier call for points of the same shape, is overwritten and returned
+    instead of allocating a new one.
     """
-    x0 = np.floor(xs)
-    y0 = np.floor(ys)
-    wx = xs - x0
-    wy = ys - y0
-    x0i = np.minimum(np.maximum(x0 + pad, 0), w - 1).astype(np.int64)
-    y0i = np.minimum(np.maximum(y0 + pad, 0), h - 1).astype(np.int64)
-    x1i = np.minimum(x0i + 1, w - 1)
-    row0 = y0i * w
-    row1 = np.minimum(y0i + 1, h - 1) * w
-    corners = (row0 + x0i, row0 + x1i, row1 + x0i, row1 + x1i)
-    return corners, 1 - wx, wx, 1 - wy, wy
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
+        out = (tuple(np.empty(shape, np.int64) for _ in range(4)),
+               *(np.empty(shape) for _ in range(4)))
+    (i00, i01, i10, i11), cx, wx, cy, wy = out
+    x0 = np.floor(xs, out=cx)
+    y0 = np.floor(ys, out=cy)
+    np.subtract(xs, x0, out=wx)
+    np.subtract(ys, y0, out=wy)
+    # i00 = first column, i01 = the column after it, i10 = first row's
+    # offset, i11 = the step to the row after it (w, or 0 on the last row)
+    _clamp_cast(np.add(x0, pad, out=x0), w, i00)
+    np.minimum(np.add(i00, 1, out=i01), w - 1, out=i01)
+    _clamp_cast(np.add(y0, pad, out=y0), h, i10)
+    np.minimum(np.add(i10, 1, out=i11), h - 1, out=i11)
+    np.subtract(i11, i10, out=i11)
+    np.multiply(i11, w, out=i11)
+    np.multiply(i10, w, out=i10)
+    # top corners = row offset + column; bottom corners = top + row step
+    np.add(i00, i10, out=i00)
+    np.add(i01, i10, out=i01)
+    np.add(i00, i11, out=i10)
+    np.add(i01, i11, out=i11)
+    np.subtract(1, wx, out=cx)
+    np.subtract(1, wy, out=cy)
+    return out
+
+
+def _clamp_cast(coord: np.ndarray, n: int, out: np.ndarray) -> None:
+    """out = coord clamped to [0, n - 1] and cast to integer; coord is
+    overwritten."""
+    np.minimum(np.maximum(coord, 0, out=coord), n - 1, out=coord)
+    np.copyto(out, coord, casting="unsafe")
 
 
 def bilinear_apply(planes: np.ndarray, geometry: tuple,
@@ -261,7 +286,8 @@ def bilinear_apply(planes: np.ndarray, geometry: tuple,
 
     out (the samples) and work (six arrays: four corners, two products),
     all of the samples' shape, may be caller-owned buffers reused across
-    calls; the arithmetic is the same with or without them.
+    calls; the arithmetic is the same with or without them. The two
+    derivatives are returned in work[4] and work[5].
     """
     corners, cx, wx, cy, wy = geometry
     shape = planes.shape[:-2] + corners[0].shape
@@ -285,19 +311,31 @@ def bilinear_apply(planes: np.ndarray, geometry: tuple,
            out=out)
     if not want_grad:
         return out, None, None
-    # gx = cy * (f01 - f00) + wy * (f11 - f10)
-    # gy = cx * (f10 - f00) + wx * (f11 - f01)
-    gx = (np.multiply(cy, np.subtract(f01, f00, out=a), out=a)
-          + np.multiply(wy, np.subtract(f11, f10, out=b), out=b))
-    gy = (np.multiply(cx, np.subtract(f10, f00, out=a), out=a)
-          + np.multiply(wx, np.subtract(f11, f01, out=b), out=b))
+    # gx = cy * (f01 - f00) + wy * (f11 - f10), into a
+    gx = np.add(np.multiply(cy, np.subtract(f01, f00, out=a), out=a),
+                np.multiply(wy, np.subtract(f11, f10, out=b), out=b), out=a)
+    # gy = cx * (f10 - f00) + wx * (f11 - f01), into b; the corner samples
+    # are dead after their last use here
+    gy = np.add(np.multiply(cx, np.subtract(f10, f00, out=f00), out=f00),
+                np.multiply(wx, np.subtract(f11, f01, out=f01), out=f01),
+                out=b)
     return out, gx, gy
 
 
-def inside(xs: np.ndarray, ys: np.ndarray, ny: int, nx: int) -> np.ndarray:
+def inside(xs: np.ndarray, ys: np.ndarray, ny: int, nx: int,
+           out: np.ndarray | None = None,
+           work: np.ndarray | None = None) -> np.ndarray:
     """Points (xs, ys) inside an ny x nx domain, edges included; a cell
-    whose departure point is outside is invalid."""
-    return (xs >= 0) & (xs <= nx - 1) & (ys >= 0) & (ys <= ny - 1)
+    whose departure point is outside is invalid. out (the result) and work
+    (one boolean array of the points' shape) may be caller-owned buffers."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(xs), np.shape(ys)), bool)
+    test = np.empty(out.shape, bool) if work is None else work
+    np.greater_equal(xs, 0, out=out)
+    out &= np.less_equal(xs, nx - 1, out=test)
+    out &= np.greater_equal(ys, 0, out=test)
+    out &= np.less_equal(ys, ny - 1, out=test)
+    return out
 
 
 def sample_mask(masks: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -307,13 +345,26 @@ def sample_mask(masks: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     return mask_apply(masks, mask_geometry(xs, ys, ny, nx))
 
 
-def mask_geometry(xs: np.ndarray, ys: np.ndarray, ny: int,
-                  nx: int) -> tuple[np.ndarray, np.ndarray]:
+def mask_geometry(xs: np.ndarray, ys: np.ndarray, ny: int, nx: int,
+                  out: tuple | None = None,
+                  work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-cell flat index of the points (xs, ys) in an ny x nx domain,
-    clamped to its edge, and whether each point is inside it."""
-    xn = np.clip(np.rint(xs), 0, nx - 1).astype(np.int64)
-    yn = np.clip(np.rint(ys), 0, ny - 1).astype(np.int64)
-    return yn * nx + xn, inside(xs, ys, ny, nx)
+    clamped to its edge, and whether each point is inside it.
+
+    out (a geometry of an earlier call for points of the same shape) and
+    work (a float, an integer and a boolean array of the points' shape) may
+    be caller-owned buffers; the results are the same with or without them.
+    """
+    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
+    nearest, valid = out or (np.empty(shape, np.int64), None)
+    coord, column, test = work or (np.empty(shape), np.empty(shape, np.int64),
+                                   None)
+    np.copyto(column, np.clip(np.rint(xs, out=coord), 0, nx - 1, out=coord),
+              casting="unsafe")
+    np.copyto(nearest, np.clip(np.rint(ys, out=coord), 0, ny - 1, out=coord),
+              casting="unsafe")
+    np.add(np.multiply(nearest, nx, out=nearest), column, out=nearest)
+    return nearest, inside(xs, ys, ny, nx, out=valid, work=test)
 
 
 def mask_apply(masks: np.ndarray, geometry: tuple[np.ndarray, np.ndarray],
@@ -321,7 +372,10 @@ def mask_apply(masks: np.ndarray, geometry: tuple[np.ndarray, np.ndarray],
     """sample_mask at the points whose mask_geometry is given."""
     nearest, valid = geometry
     flat = masks.reshape(masks.shape[:-2] + (-1,))
-    return np.logical_and(valid, flat.take(nearest, axis=-1), out=out)
+    # the indices are in range by construction; mode="clip" lets take
+    # write into out directly
+    out = flat.take(nearest, axis=-1, out=out, mode="clip")
+    return np.logical_and(valid, out, out=out)
 
 
 def max_pool_vertical(vol: RadarVolume, factor: int) -> RadarVolume:

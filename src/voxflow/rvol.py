@@ -56,6 +56,12 @@ def _dequantize_dbz(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_rvol(path: str | Path, vol: RadarVolume, quantize: bool = False) -> None:
+    """Write vol as RVOL, its reflectivity as f32 or, with quantize, as u8.
+    rho_hv has no invalid code, so a non-finite rho_hv value is a
+    ValueError, raised before the file is opened."""
+    if vol.rho_hv is not None and not np.isfinite(vol.rho_hv).all():
+        raise ValueError("rho_hv holds non-finite values, which RVOL "
+                         "cannot store")
     t, z, y, x = vol.shape
     dtype = DTYPE_U8 if quantize else DTYPE_F32
     invalid = np.broadcast_to(~vol.mask[None], vol.shape)

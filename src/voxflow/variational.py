@@ -115,7 +115,9 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
         raise NoOverlapError("frames share no valid cells at the initial iterate")
     if trace is not None:
         trace.append((best_total, data, div))
-    u_best = u.copy()
+    # evaluate returns a new gradient array each call, so the best
+    # iterate's raw gradient can be kept for a reset
+    u_best, grad_best = u.copy(), grad
     u_cur = u
     vel = np.zeros_like(u)
     step = opt.step_size
@@ -135,7 +137,7 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
             raise DivergedError(it)
         if total < best_total:
             best_total = total
-            u_best = u_cur.copy()
+            u_best, grad_best = u_cur.copy(), grad
             misses = 0
             accepted += 1
             if trace is not None:
@@ -146,9 +148,8 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
             step *= MISS_DECAY
             vel *= 0.5
             if misses >= RESET_AFTER:
-                u_cur = u_best.copy()
+                u_cur, grad = u_best.copy(), grad_best
                 vel[:] = 0.0
-                _, _, _, grad = obj.evaluate(u_cur, want_grad=True)
                 misses = 0
         step *= STEP_DECAY
         if step < MIN_STEP:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from voxflow.flow import (
     loss_multiscale,
     loss_total,
 )
-from voxflow.grid import MotionField, RainField, Space
+from voxflow.grid import MotionField, RainField, Space, avg_pool2d, upsample2d
 
 
 def dbr_field(data, mask=None):
@@ -208,6 +210,19 @@ class TestStencil:
             assert np.array_equal(got, want)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    def test_reused_buffers_give_the_same_bytes(self, lead):
+        a = np.random.default_rng(1).normal(size=lead + (6, 7))
+        out = np.full(a.shape, np.nan)
+        work = (np.full(lead + (8, 9), np.nan), np.full(a.shape, np.nan))
+        # each call follows one in the other pad mode, whose border and
+        # sums the buffers still hold
+        for kernel, pad in [(SOBEL_X, "edge"), (SOBEL_Y[::-1, ::-1], "constant"),
+                            (SOBEL_Y, "edge"), (SOBEL_X[::-1, ::-1], "constant")]:
+            got = correlate3x3(a, kernel, pad, out=out, work=work)
+            assert got is out
+            assert got.tobytes() == correlate3x3(a, kernel, pad).tobytes()
+
 
 class TestLossDivergence:
     def test_constant_field(self):
@@ -329,3 +344,215 @@ class TestGradients:
         _, _, _, grad = obj.evaluate(uniform_motion(0.25, 0.0).u)
         # far inside the masked half nothing constrains the motion
         assert np.abs(grad[0, :, :, 12:]).max() < 1e-9
+
+
+# The objective as it was before evaluate() reused a workspace: every
+# array allocated afresh, the stencils from scipy.ndimage (bitwise equal to
+# correlate3x3, see TestStencil). Kept as the reference that the workspace
+# evaluate must match bit for bit.
+
+def _ref_bilinear(planes, xs, ys, want_grad):
+    h, w = planes.shape[-2:]
+    x0, y0 = np.floor(xs), np.floor(ys)
+    wx, wy = xs - x0, ys - y0
+    x0i = np.minimum(np.maximum(x0, 0), w - 1).astype(np.int64)
+    y0i = np.minimum(np.maximum(y0, 0), h - 1).astype(np.int64)
+    x1i = np.minimum(x0i + 1, w - 1)
+    row0, row1 = y0i * w, np.minimum(y0i + 1, h - 1) * w
+    flat = planes.reshape(planes.shape[:-2] + (-1,))
+    f00, f01, f10, f11 = (flat.take(i, axis=-1) for i in (
+        row0 + x0i, row0 + x1i, row1 + x0i, row1 + x1i))
+    cx, cy = 1 - wx, 1 - wy
+    out = cy * (cx * f00 + wx * f01) + wy * (cx * f10 + wx * f11)
+    if not want_grad:
+        return out, None, None
+    return (out, cy * (f01 - f00) + wy * (f11 - f10),
+            cx * (f10 - f00) + wx * (f11 - f01))
+
+
+def _ref_warp_stack(sources, masks, targets, vx, vy, criterion, want_grad):
+    n_pairs, ny, nx = targets.shape
+    xs = np.arange(nx, dtype=np.float64) - vx
+    ys = np.arange(ny, dtype=np.float64)[:, None] - vy
+    warped, gx, gy = _ref_bilinear(sources, xs, ys, want_grad)
+    per_pair = (n_pairs,) + (1,) * (vx.ndim - 2) + (ny, nx)
+    valid = (xs >= 0) & (xs <= nx - 1) & (ys >= 0) & (ys <= ny - 1)
+    if masks is not None:
+        xn = np.clip(np.rint(xs), 0, nx - 1).astype(np.int64)
+        yn = np.clip(np.rint(ys), 0, ny - 1).astype(np.int64)
+        flat = masks[:-1].reshape(n_pairs, -1)
+        valid = np.logical_and(valid, flat.take(yn * nx + xn, axis=-1))
+        valid = valid & masks[1:].reshape(per_pair)
+    counts = valid.reshape(valid.shape[:-2] + (-1,)).sum(axis=-1)
+    r = np.where(valid, warped - targets.reshape(per_pair), 0.0)
+    cells = r.shape[:-2] + (-1,)
+    if criterion is Criterion.MAE_DBR:
+        sums = np.abs(r).reshape(cells).sum(axis=-1)
+        dr = np.sign(r)
+    else:
+        sums = (r * r).reshape(cells).sum(axis=-1)
+        dr = 2.0 * r
+    if not want_grad:
+        return sums, counts, None, None
+    return sums, counts, -dr * gx, -dr * gy
+
+
+def _ref_unpool_grad(g, k, ny, nx):
+    if k == 1:
+        return g.copy()
+    up = upsample2d(g, k) / float(k ** 3)
+    out = up[..., :ny, :nx].copy()
+    uy, ux = up.shape[-2:]
+    if uy > ny:
+        out[..., ny - 1, :] += up[..., ny:, :nx].sum(axis=-2)
+    if ux > nx:
+        out[..., nx - 1] += up[..., :ny, nx:].sum(axis=-1)
+    if uy > ny and ux > nx:
+        out[..., ny - 1, nx - 1] += up[..., ny:, nx:].sum(axis=(-2, -1))
+    return out
+
+
+def _ref_evaluate(obj, u, want_grad=True):
+    from scipy import ndimage
+    cfg = obj.cfg
+    batch = u.shape[:-4]
+    n_scales = len(obj.active_scales)
+    grad = np.zeros_like(u) if want_grad else None
+    data_val = np.zeros(batch)
+    for k in obj.active_scales:
+        n_tot = np.zeros((obj.n_pairs,) + batch)
+        per_z = []
+        for z in range(obj.nz):
+            sources, mstack, targets = obj.pooled[k][z]
+            v = u[..., z, :, :, :]
+            if k > 1:
+                v = avg_pool2d(v, k) / k
+            sums, counts, dvx, dvy = _ref_warp_stack(
+                sources, mstack, targets, v[..., 0, :, :], v[..., 1, :, :],
+                cfg.criterion, want_grad)
+            per_z.append((sums, dvx, dvy))
+            n_tot += counts
+        if (n_tot == 0).any():
+            return np.inf, np.inf, 0.0, grad
+        w = 1.0 / (n_tot * obj.n_pairs * n_scales)
+        for z, (sums, dvx, dvy) in enumerate(per_z):
+            data_val += (sums * w).sum(axis=0)
+            if want_grad:
+                gx = np.einsum("p...,p...yx->...yx", w, dvx)
+                gy = np.einsum("p...,p...yx->...yx", w, dvy)
+                grad[..., z, 0, :, :] += _ref_unpool_grad(gx, k, obj.ny, obj.nx)
+                grad[..., z, 1, :, :] += _ref_unpool_grad(gy, k, obj.ny, obj.nx)
+
+    axes = (-2, -1)
+    div = (ndimage.correlate(u[..., 0, :, :], SOBEL_X, mode="nearest", axes=axes)
+           + ndimage.correlate(u[..., 1, :, :], SOBEL_Y, mode="nearest", axes=axes))
+    n_int = obj.n_interior
+    div_val = np.zeros(batch)
+    if n_int:
+        cells = div.reshape(div.shape[:-2] + (-1,)).take(obj.inner_cells, axis=-1)
+        per_level = np.abs(cells).sum(axis=-1)
+        div_val = sum(np.moveaxis(per_level, -1, 0)) / n_int
+    if want_grad and n_int > 0:
+        g = np.where(obj.inner, np.sign(div), 0.0)
+        dux = ndimage.convolve(g, SOBEL_X, mode="constant", axes=axes)
+        duy = ndimage.convolve(g, SOBEL_Y, mode="constant", axes=axes)
+        grad[..., 0, :, :] = (1.0 - cfg.beta) * grad[..., 0, :, :] \
+            + cfg.beta * dux / n_int
+        grad[..., 1, :, :] = (1.0 - cfg.beta) * grad[..., 1, :, :] \
+            + cfg.beta * duy / n_int
+    elif want_grad:
+        grad *= (1.0 - cfg.beta)
+    total = (1.0 - cfg.beta) * data_val + cfg.beta * div_val
+    if not batch:
+        total, data_val, div_val = float(total), float(data_val), float(div_val)
+    return total, data_val, div_val, grad
+
+
+def _same_bytes(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestWorkspaceEvaluate:
+    """evaluate() writes into arrays kept across calls; its results must
+    be the reference's, bit for bit, whatever the earlier calls were."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_equal_to_allocating_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        nz = 1 + seed % 2
+        ny, nx = [(16, 16), (13, 19), (24, 9)][seed % 3]
+        n_frames = 2 + seed % 3
+        frames = [np.maximum(rng.normal(-3.0, 8.0, (nz, ny, nx)), -15.0)
+                  for _ in range(n_frames)]
+        if seed % 3:
+            masks = [rng.random((nz, ny, nx)) > 0.1 for _ in range(n_frames)]
+        else:
+            masks = [np.ones((nz, ny, nx), bool)] * n_frames
+        cfg = LossConfig(beta=[0.1, 0.6][seed % 2],
+                         scales=[(1, 2, 4), (1, 3), (2, 4, 8)][seed % 3],
+                         criterion=list(Criterion)[seed // 3])
+        obj = SequenceObjective(frames, masks, cfg)
+        # batch shapes change between calls, so arrays are both reused and
+        # replaced; motions range from sub-cell to far out of the domain
+        for call, batch in enumerate([(), (3,), (), (2, 2), (3,), ()]):
+            amp = [0.4, 2.5, 30.0][call % 3]
+            u = rng.uniform(-amp, amp, batch + (nz, 2, ny, nx))
+            u[..., 0, 0, 1, 2] = [1e30, -1e30][call % 2]
+            want_grad = call != 4
+            got = obj.evaluate(u, want_grad=want_grad)
+            want = _ref_evaluate(obj, u, want_grad=want_grad)
+            assert all(_same_bytes(a, b) for a, b in zip(got, want)), call
+
+    def test_lost_overlap_is_infinite_as_in_reference(self):
+        rng = np.random.default_rng(7)
+        frames = [smooth_random(rng)[None] for _ in range(3)]
+        obj = SequenceObjective(frames, [np.ones((1, 16, 16), bool)] * 3,
+                                LossConfig())
+        u = np.full((1, 2, 16, 16), 40.0)
+        for _ in range(2):
+            got, want = obj.evaluate(u), _ref_evaluate(obj, u)
+            assert got[:3] == want[:3] == (np.inf, np.inf, 0.0)
+            assert _same_bytes(got[3], want[3])
+
+    def test_later_calls_leave_a_returned_gradient_unchanged(self):
+        rng = np.random.default_rng(8)
+        frames = [smooth_random(rng)[None] for _ in range(3)]
+        masks = [rng.random((1, 16, 16)) > 0.1 for _ in range(3)]
+        obj = SequenceObjective(frames, masks, LossConfig())
+        u1 = rng.uniform(-1.0, 1.0, (1, 2, 16, 16))
+        g1 = obj.evaluate(u1)[3]
+        kept = g1.copy()
+        for u in (u1 + 0.5, rng.uniform(-1.0, 1.0, (2, 1, 2, 16, 16)), u1 - 0.5):
+            g = obj.evaluate(u)[3]
+            assert not np.shares_memory(g, g1)
+        assert g1.tobytes() == kept.tobytes()
+
+    def test_allocates_only_the_returned_gradient(self):
+        # the desk-scale objective: one 128^2 level, 8 frames, scales 1,2,4
+        y, x = np.mgrid[0:128, 0:128]
+        frames = [np.maximum(10.0 * np.sin((x - 1.3 * t) / 9.0)
+                             * np.cos((y - 0.7 * t) / 11.0), -15.0)[None]
+                  for t in range(8)]
+        masks = [np.ones((1, 128, 128), bool)] * 8
+        obj = SequenceObjective(frames, masks, LossConfig(scales=(1, 2, 4)))
+        u = np.random.default_rng(9).uniform(-1.0, 1.0, (1, 2, 128, 128))
+        obj.evaluate(u)
+        # NumPy's ufunc loops may stage operands in buffers of up to
+        # bufsize elements whatever the array sizes; the smallest bufsize
+        # keeps them out of the count, which is then of arrays alone
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        old = np.setbufsize(16)
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            grad = obj.evaluate(u)[3]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            np.setbufsize(old)
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - grad.nbytes < 64 * 1024

@@ -3,14 +3,19 @@ import pytest
 
 from voxflow.advect import advect_once
 from voxflow.errors import DivergedError
-from voxflow.flow import LossConfig
+from voxflow.flow import LossConfig, SequenceObjective
 from voxflow.grid import DBR_FLOOR, MotionField, RainField, Space
 from voxflow.lucas_kanade import estimate_lucas_kanade
 from voxflow.synth import GaussianCell, SyntheticScenario, generate
-from voxflow.transform import volume_to_rain
+from voxflow.transform import rain_to_dbr, volume_to_rain
 from voxflow.variational import (
+    MISS_DECAY,
+    MIN_STEP,
+    RESET_AFTER,
+    STEP_DECAY,
     LevelStatus,
     OptimizerConfig,
+    _descend,
     estimate_variational,
     mean_endpoint_error,
 )
@@ -173,3 +178,67 @@ class TestAgreementWithBaseline:
         pm = frames[-1].data[0] > 0.5
         diff = np.sqrt(((var.motion.u[0] - lk.motion.u[0]) ** 2).sum(axis=0))
         assert np.median(diff[pm]) < 0.3
+
+
+def _ref_descend(obj, u, opt, trace, global_only=False):
+    """_descend as it was when a reset evaluated the best iterate again;
+    returns its result and the number of resets."""
+    best_total, data, div, grad = obj.evaluate(u, want_grad=True)
+    trace.append((best_total, data, div))
+    u_best, u_cur = u.copy(), u
+    vel = np.zeros_like(u)
+    step, misses, accepted, rejected, resets = opt.step_size, 0, 0, 0, 0
+    for _ in range(opt.max_iters):
+        if global_only:
+            grad = np.broadcast_to(grad.mean(axis=(2, 3), keepdims=True),
+                                   grad.shape)
+        gmax = float(np.abs(grad).max())
+        if gmax < 1e-14:
+            break
+        vel = opt.momentum * vel - (step / gmax) * grad
+        u_cur = u_cur + vel
+        total, data, div, grad = obj.evaluate(u_cur, want_grad=True)
+        if total < best_total:
+            best_total, u_best, misses = total, u_cur.copy(), 0
+            accepted += 1
+            trace.append((total, data, div))
+        else:
+            misses += 1
+            rejected += 1
+            step *= MISS_DECAY
+            vel *= 0.5
+            if misses >= RESET_AFTER:
+                u_cur = u_best.copy()
+                vel[:] = 0.0
+                _, _, _, grad = obj.evaluate(u_cur, want_grad=True)
+                misses = 0
+                resets += 1
+        step *= STEP_DECAY
+        if step < MIN_STEP:
+            break
+    return (u_best, accepted, rejected), resets
+
+
+class TestDescendReset:
+    @pytest.mark.parametrize("global_only", [False, True])
+    def test_reset_keeps_the_best_gradient_instead_of_evaluating(self, global_only):
+        vol, _ = blob_scene(velocities=[[[1.5, -1.0]]], t_count=4)
+        frames = [rain_to_dbr(volume_to_rain(vol, t)) for t in range(4)]
+        obj = SequenceObjective([f.data for f in frames],
+                                [f.mask for f in frames], FAST_CFG)
+        calls = []
+        evaluate = obj.evaluate
+        obj.evaluate = lambda u, want_grad=True: (
+            calls.append(1), evaluate(u, want_grad))[1]
+        opt = OptimizerConfig(max_iters=80, step_size=1.0, momentum=0.95)
+        u0 = np.zeros((1, 2, 64, 64))
+        want_trace, got_trace = [], []
+        want, resets = _ref_descend(obj, u0, opt, want_trace, global_only)
+        ref_calls = len(calls)
+        calls.clear()
+        got = _descend(obj, u0, opt, got_trace, global_only)
+        assert resets > 0
+        assert len(calls) == ref_calls - resets
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+        assert got_trace == want_trace
