@@ -270,6 +270,39 @@ class TestMotionRegionOracle:
         assert np.array_equal(got, want, equal_nan=True)
 
 
+class TestMotionSamples:
+    """A MotionSample keeps a volume's echo and mask planes, which is all
+    the motion correlations read."""
+
+    @pytest.mark.parametrize("component", ["both", "u", "v"])
+    def test_samples_give_the_volumes_correlations(self, component):
+        mfs, vols = zip(*(_hostile_sample(seed) for seed in range(6)))
+        samples = [analysis.motion_sample(mf, vol) for mf, vol in zip(mfs, vols)]
+        for s, vol in zip(samples, vols):
+            assert s.echo.shape == s.mask.shape == vol.shape[1:]
+            assert not np.shares_memory(s.echo, vol.data)
+        got = analysis.sample_corr_matrix(iter(samples), component=component)
+        want = motion_corr_matrix(mfs, vols, component=component)
+        assert got.tobytes() == want.tobytes()
+        for s, mf, vol in zip(samples, mfs, vols):
+            assert np.array_equal(
+                analysis.sample_pair_corr(s, 0, 3, component),
+                motion_pair_corr(mf, vol, 0, 3, component), equal_nan=True)
+
+    def test_sample_checks_match_the_volume_checks(self):
+        mf, vol = _hostile_sample(0)
+        s = analysis.motion_sample(mf, vol)
+        with pytest.raises(ValueError, match="level index 4 outside"):
+            analysis.sample_pair_corr(s, 0, 4)
+        short = analysis.motion_sample(MotionField(mf.u[:3]), vol)
+        for call in (lambda: analysis.sample_pair_corr(short, 0, 1),
+                     lambda: analysis.sample_corr_matrix([short])):
+            with pytest.raises(ValueError, match="level counts differ"):
+                call()
+        with pytest.raises(ValueError, match="no samples given"):
+            analysis.sample_corr_matrix([])
+
+
 class TestMonthwiseBoxstats:
     def test_single_month_constant(self):
         ts = [datetime(2021, 6, 1) + timedelta(hours=i) for i in range(5)]

@@ -267,6 +267,42 @@ class TestFrameRangeReads:
         monkeypatch.setattr("voxflow.cli.rvol.read_rvol", whole_read)
         assert ranged == outputs("whole")
 
+    @pytest.mark.parametrize("extra", [
+        ["--mode", "3d"], ["--mode", "2d-cmax"], ["--mode", "lk", "--window", "5"],
+        ["--mode", "3d", "--denoise"], ["--mode", "3d", "--use-future"]])
+    def test_estimate_reads_only_its_inputs_as_a_whole_read_would(
+            self, tmp_path, monkeypatch, extra):
+        # a moving blob on two levels with rho_hv; the only invalid cell
+        # lies in frame 5, after the 4 input frames, and must still clear
+        # the static mask
+        t_count, n = 6, 32
+        yy, xx = np.mgrid[0:n, 0:n]
+        data = np.stack([[40.0 * np.exp(-((xx - 10 - 1.5 * t) ** 2
+                                          + (yy - 12 - 2 * z - t) ** 2) / 30.0)
+                          - 10.0 for z in range(2)] for t in range(t_count)])
+        data[5, 1, 3, 4] = np.nan
+        rho = np.random.default_rng(31).uniform(0.5, 1.0, data.shape)
+        path = tmp_path / "v.rvol"
+        write_rvol(path, RadarVolume(data=data, z_levels=[500.0, 1500.0],
+                                     rho_hv=rho))
+        assert not read_rvol(path, frames=(0, 4)).mask[1, 3, 4]
+
+        def outputs(tag):
+            out = tmp_path / tag / "m.rmf"
+            out.parent.mkdir()
+            assert run("estimate", path, *extra, "--inputs", "4", "--iters",
+                       "5", "--levels", "1", "--scales", "1,2", "-o", out) == 0
+            return out.read_bytes(), (tmp_path / tag / "m_trace.csv").read_bytes()
+
+        reads = []
+        monkeypatch.setattr("voxflow.cli.rvol.read_rvol", lambda p, frames=None: (
+            reads.append(frames), read_rvol(p, frames))[1])
+        ranged = outputs("ranged")
+        assert reads == [None if "--use-future" in extra else (0, 4)]
+        monkeypatch.setattr("voxflow.cli.rvol.read_rvol",
+                            lambda p, frames=None: read_rvol(p))
+        assert ranged == outputs("whole")
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -301,6 +337,21 @@ class TestAnalyze:
         assert (dataset_dir / "motion_corr_u.csv").exists()
         assert (dataset_dir / "motion_corr_v.csv").exists()
         assert (dataset_dir / "motion_corr.svg").exists()
+
+    def test_motion_corr_matrices_equal_the_library_ones(self, dataset_dir,
+                                                         tmp_path):
+        from voxflow import analysis, cli
+        assert run("analyze", dataset_dir, "--which", "motion-corr",
+                   "-o", tmp_path / "got") == 0
+        paths = [p for p, _, _ in cli._dataset(dataset_dir)]
+        mfs = [cli._motion_for(p) for p in paths]
+        vols = [read_rvol(p) for p in paths]
+        for component in ("both", "u", "v"):
+            name = f"motion_corr_{component}.csv"
+            cli._write_matrix(tmp_path / name, analysis.motion_corr_matrix(
+                mfs, vols, component=component))
+            assert (tmp_path / "got" / name).read_bytes() == \
+                (tmp_path / name).read_bytes()
 
     def test_histogram_and_outliers(self, dataset_dir):
         assert run("analyze", dataset_dir, "--which", "histogram",

@@ -97,6 +97,17 @@ class TestRvolRoundTrip:
         np.testing.assert_array_equal(masks[1], masks[0])
         assert (tmp_path / "q1.rvol").read_bytes()[-4:] == bytes([255, 255, 255, 104])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rho_is_rejected_before_writing(self, tmp_path, bad):
+        vol = sample_volume(np.random.default_rng(5), with_rho=True)
+        vol.rho_hv[1, 0, 2, 3] = bad
+        path = tmp_path / "v.rvol"
+        path.write_bytes(b"kept")
+        for quantize in (False, True):
+            with pytest.raises(ValueError, match="rho_hv holds non-finite"):
+                write_rvol(path, vol, quantize=quantize)
+            assert path.read_bytes() == b"kept"
+
     def test_rho_chunk_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         vol = sample_volume(rng, with_rho=True)
