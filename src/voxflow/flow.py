@@ -18,7 +18,6 @@ differences.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -125,11 +124,6 @@ def _as_dbr(f: RainField) -> RainField:
     return f if f.space is Space.DBR else rain_to_dbr(f)
 
 
-#: pairs are warped a chunk at a time, a chunk holding about this many
-#: cells, so that the chain of operations on a chunk runs in cache
-CHUNK_CELLS = 2 ** 14
-
-
 def _warp_stack(
     sources: np.ndarray,
     masks: np.ndarray | None,
@@ -137,8 +131,9 @@ def _warp_stack(
     vx: np.ndarray,
     vy: np.ndarray,
     criterion: Criterion,
+    want_grad: bool,
     ws: _Workspace,
-    grad: np.ndarray | None = None,
+    grad_out: np.ndarray | None = None,
 ):
     """Warped data terms of all consecutive pairs of one frame stack.
 
@@ -148,12 +143,17 @@ def _warp_stack(
     (..., ny, nx)) hold independent motions, and every result gains them
     after the pair axis. Cells whose departure point leaves the domain are
     invalid and excluded, so the clamped corners never contribute to the
-    result. Returns (sums (P, ...), counts broadcastable to (P, ...)); grad,
-    when given, receives d_sum/d_vx and d_sum/d_vy, shape (2, P, ..., ny,
-    nx). Every other array this writes comes from ws.
+    result. Returns (sums (P, ...), counts broadcastable to (P, ...),
+    d_sum/d_vx (P, ..., ny, nx), d_sum/d_vy) with the gradient entries None
+    when want_grad is False.
+
+    Every array this writes comes from ws(name, shape, dtype), so a call
+    overwrites the previous call's gradients; grad_out, shape (2, P, ...,
+    ny, nx), receives them instead when given.
     """
     n_pairs, ny, nx = targets.shape
     pts = vx.shape
+    planes = (n_pairs,) + pts
     xs = np.subtract(np.arange(nx, dtype=np.float64), vx, out=ws("xs", pts))
     ys = np.subtract(np.arange(ny, dtype=np.float64)[:, None], vy,
                      out=ws("ys", pts))
@@ -161,61 +161,45 @@ def _warp_stack(
         xs, ys, ny, nx,
         out=(tuple(ws(("corner", i), pts, np.int64) for i in range(4)),
              *(ws(("weight", i), pts) for i in range(4))))
-    inside_work = ws("test", pts, bool)
+    work = [ws(("work", i), planes) for i in range(6)]
+    warped, gx, gy = bilinear_apply(sources, geometry, want_grad,
+                                    out=ws("warped", planes), work=work)
+    # pair stacks broadcast against the motions' leading axes
+    per_pair = (n_pairs,) + (1,) * (vx.ndim - 2) + (ny, nx)
+    # the corner index and weight arrays are free again
+    (nearest, column, _, _), coord = geometry[0], geometry[1]
+    test = ws("test", pts, bool)
     if masks is None:
-        valid = inside(xs, ys, ny, nx, out=ws("inside", pts, bool),
-                       work=inside_work)
-        counts = _plane_counts(valid)
-        invalid = np.logical_not(valid, out=inside_work)
+        valid = inside(xs, ys, ny, nx, out=ws("inside", pts, bool), work=test)
     else:
-        nearest = mask_geometry(
-            xs, ys, ny, nx,
-            out=(ws("nearest", pts, np.int64), ws("inside", pts, bool)),
-            work=(ws("coord", pts), ws("column", pts, np.int64), inside_work))
-        counts = np.empty((n_pairs,) + pts[:-2], np.int64)
+        valid = mask_apply(
+            masks[:-1],
+            mask_geometry(xs, ys, ny, nx,
+                          out=(nearest, ws("inside", pts, bool)),
+                          work=(coord, column, test)),
+            out=ws("valid", planes, bool))
+        valid &= masks[1:].reshape(per_pair)
+    # one count per plane: a reduction along an axis would cast the
+    # booleans through a 64 KB buffer
+    counts = np.fromiter(map(np.count_nonzero, valid.reshape(-1, ny * nx)),
+                         np.int64).reshape(valid.shape[:-2])
 
-    size = max(1, min(n_pairs, CHUNK_CELLS // math.prod(pts)))
-    chunk = (size,) + pts
-    warped, work = ws("warped", chunk), [ws(("work", i), chunk)
-                                         for i in range(6)]
-    sums = np.empty((n_pairs,) + pts[:-2])
-    for p0 in range(0, n_pairs, size):
-        n = min(size, n_pairs - p0)
-        pairs = slice(p0, p0 + n)
-        # pair stacks broadcast against the motions' leading axes
-        per_pair = (n,) + (1,) * (vx.ndim - 2) + (ny, nx)
-        r, gx, gy = bilinear_apply(sources[pairs], geometry, grad is not None,
-                                   out=warped[:n], work=[a[:n] for a in work])
-        if masks is not None:
-            valid = mask_apply(masks[pairs], nearest,
-                               out=ws("valid", chunk, bool)[:n])
-            valid &= masks[p0 + 1:p0 + n + 1].reshape(per_pair)
-            counts[pairs] = _plane_counts(valid)
-            invalid = np.logical_not(valid, out=valid)
-        np.subtract(r, targets[pairs].reshape(per_pair), out=r)
-        np.copyto(r, 0.0, where=invalid)
-        cells = r.shape[:-2] + (-1,)
-        if criterion is Criterion.MAE_DBR:
-            sums[pairs] = np.abs(r, out=work[0][:n]).reshape(cells).sum(axis=-1)
-            dr = np.sign(r, out=r)
-        else:
-            sums[pairs] = np.multiply(r, r, out=work[0][:n]).reshape(
-                cells).sum(axis=-1)
-            dr = np.multiply(2.0, r, out=r)
-        if grad is not None:
-            # the departure point is (x - vx, y - vy), hence the sign flip
-            np.negative(dr, out=dr)
-            np.multiply(dr, gx, out=grad[0, pairs])
-            np.multiply(dr, gy, out=grad[1, pairs])
-    return sums, counts
-
-
-def _plane_counts(valid: np.ndarray) -> np.ndarray:
-    """Valid cells of each (Y, X) plane; a reduction along an axis would
-    cast the booleans through a 64 KB buffer."""
-    ny, nx = valid.shape[-2:]
-    return np.fromiter(map(np.count_nonzero, valid.reshape(-1, ny * nx)),
-                       np.int64).reshape(valid.shape[:-2])
+    r = np.subtract(warped, targets.reshape(per_pair), out=warped)
+    np.copyto(r, 0.0, where=np.logical_not(valid, out=valid))
+    cells = r.shape[:-2] + (-1,)
+    if criterion is Criterion.MAE_DBR:
+        sums = np.abs(r, out=work[0]).reshape(cells).sum(axis=-1)
+        dr = np.sign(r, out=r)
+    else:
+        sums = np.multiply(r, r, out=work[0]).reshape(cells).sum(axis=-1)
+        dr = np.multiply(2.0, r, out=r)
+    if not want_grad:
+        return sums, counts, None, None
+    # the departure point is (x - vx, y - vy), hence the sign flip
+    dvx, dvy = (gx, gy) if grad_out is None else grad_out
+    np.negative(dr, out=dr)
+    return (sums, counts, np.multiply(dr, gx, out=dvx),
+            np.multiply(dr, gy, out=dvy))
 
 
 def _add_unpooled(grad: np.ndarray, g: np.ndarray, k: int,
@@ -385,24 +369,26 @@ class SequenceObjective:
                 if k > 1:
                     pooled = ws("v", v.shape[:-2] + sources.shape[-2:])
                     v = np.divide(avg_pool2d(v, k, out=pooled), k, out=pooled)
-                dv = None
-                if want_grad:
-                    dv = ws("dv", (self.nz, 2, self.n_pairs) + v.shape[:-3]
-                            + sources.shape[-2:])[z]
-                sums, counts = _warp_stack(
+                # a level's gradients must outlive the next level's warp
+                grad_out = None
+                if want_grad and self.nz > 1:
+                    grad_out = ws("level_grads",
+                                  (self.nz, 2, self.n_pairs) + v.shape[:-3]
+                                  + sources.shape[-2:])[z]
+                sums, counts, dvx, dvy = _warp_stack(
                     sources, mstack, targets, v[..., 0, :, :], v[..., 1, :, :],
-                    cfg.criterion, ws, dv)
-                per_z.append((sums, dv))
+                    cfg.criterion, want_grad, ws, grad_out)
+                per_z.append((sums, dvx, dvy))
                 n_tot += counts
             if (n_tot == 0).any():
                 return np.inf, np.inf, 0.0, grad
             w = 1.0 / (n_tot * self.n_pairs * n_scales)
-            for z, (sums, dv) in enumerate(per_z):
+            for z, (sums, dvx, dvy) in enumerate(per_z):
                 data_val += (sums * w).sum(axis=0)
                 if want_grad:
-                    for c in range(2):
-                        g = np.einsum("p...,p...yx->...yx", w, dv[c],
-                                      out=ws("g", dv.shape[2:]))
+                    for c, dv in enumerate((dvx, dvy)):
+                        g = np.einsum("p...,p...yx->...yx", w, dv,
+                                      out=ws("g", dv.shape[1:]))
                         _add_unpooled(grad[..., z, c, :, :], g, k, ws)
 
         ws = self._div_ws
