@@ -397,7 +397,8 @@ class SequenceObjective:
         if want_grad and n_int > 0:
             g = np.sign(div, out=div)
             np.copyto(g, 0.0, where=self.border)
-            # adjoint of the stencil: convolve, zero outside the grid
+            # adjoint of the stencil: convolve, zero outside the grid; dux
+            # takes the array of div's y term, free once div is summed
             work = _stencil_work(g.shape, ws)
             dux = correlate3x3(g, SOBEL_X[::-1, ::-1], "constant",
                                out=ws("div_y", g.shape), work=work)
