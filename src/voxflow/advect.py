@@ -24,47 +24,59 @@ from .grid import (
 )
 
 
-def _advect_level(data_out: np.ndarray, mask_out: np.ndarray,
-                  plane: np.ndarray, mask: np.ndarray, ux: np.ndarray,
-                  uy: np.ndarray, fill: float) -> None:
-    """Advect one 2-D plane and its validity mask len(data_out) times,
-    writing step j into data_out[j] and mask_out[j].
-
-    The motion is time-invariant, so the departure geometry is built once
-    and every step reuses it along with one padded plane and the kernel's
-    buffers. Out-of-domain neighbors contribute ``fill``, which keeps the
-    convex-combination property in shifted spaces such as dBR, where fill is
-    the space floor. Non-finite departure coordinates raise ValueError.
-    """
-    ny, nx = plane.shape
+def _departures(ux: np.ndarray, uy: np.ndarray, ny: int, nx: int) -> tuple:
+    """The departure geometry of one level under the motion (ux, uy): the
+    bilinear corners in a plane padded as _advect_planes pads it, and the
+    nearest-cell lookup of the mask. The motion is time-invariant, so every
+    step of the level reuses it. Non-finite departure coordinates raise
+    ValueError."""
     xs = np.arange(nx, dtype=np.float64) - ux
     ys = np.arange(ny, dtype=np.float64)[:, None] - uy
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("sample coordinates must be finite")
-    # sample plane - fill with zeros outside the domain, then add fill back;
     # two zero cells before each axis keep both clamped corners of
     # floor(x) = -2 outside, one after covers floor(x) = n - 1
+    return (bilinear_geometry(xs, ys, ny + 3, nx + 3, pad=2),
+            mask_geometry(xs, ys, ny, nx))
+
+
+def _advect_planes(plane: np.ndarray, fill: float, corners: tuple, k: int):
+    """Yield the 2-D plane advected 1, ..., k times through its level's
+    departure corners. Every step is written into one buffer, which the
+    next step overwrites, along with one padded plane and the kernel's
+    buffers. Out-of-domain neighbors contribute ``fill``, which keeps the
+    convex-combination property in shifted spaces such as dBR, where fill
+    is the space floor."""
+    ny, nx = plane.shape
+    # sample plane - fill with zeros outside the domain, then add fill back
     padded = np.zeros((ny + 3, nx + 3))
-    corners = bilinear_geometry(xs, ys, ny + 3, nx + 3, pad=2)
-    nearest = mask_geometry(xs, ys, ny, nx)
+    out = np.empty((ny, nx))
     work = [np.empty((ny, nx)) for _ in range(6)]
-    for out, out_mask in zip(data_out, mask_out):
+    for _ in range(k):
         np.subtract(plane, fill, out=padded[2:-1, 2:-1])
         bilinear_apply(padded, corners, out=out, work=work)
-        np.add(out, fill, out=out)
-        mask_apply(mask, nearest, out=out_mask)
-        plane, mask = out, out_mask
+        plane = np.add(out, fill, out=out)
+        yield out
+
+
+def _advect_masks(mask: np.ndarray, nearest: tuple, k: int):
+    """Yield the validity mask advected 1, ..., k times by nearest-cell
+    lookup. The steps alternate between two buffers, each overwritten two
+    steps later; a lookup cannot write into its own input."""
+    buffers = (np.empty(mask.shape, bool), np.empty(mask.shape, bool))
+    for j in range(k):
+        mask = mask_apply(mask, nearest, out=buffers[j % 2])
+        yield mask
 
 
 def warp_plane(plane: np.ndarray, mask: np.ndarray, ux: np.ndarray,
                uy: np.ndarray, fill: float) -> tuple[np.ndarray, np.ndarray]:
     """One backward warp of a single 2-D plane plus its validity mask; see
-    _advect_level."""
+    _advect_planes."""
     plane = np.asarray(plane, dtype=np.float64)
-    out = np.empty((1,) + plane.shape)
-    out_mask = np.empty((1,) + plane.shape, dtype=bool)
-    _advect_level(out, out_mask, plane, mask, ux, uy, fill)
-    return out[0], out_mask[0]
+    corners, nearest = _departures(ux, uy, *plane.shape)
+    return (next(_advect_planes(plane, fill, corners, 1)),
+            next(_advect_masks(mask, nearest, 1)))
 
 
 def advect_once(f: RainField, mf: MotionField) -> RainField:
@@ -72,11 +84,17 @@ def advect_once(f: RainField, mf: MotionField) -> RainField:
     return extrapolate(f, mf, 1)[0]
 
 
-def extrapolate(f: RainField, mf: MotionField, k: int) -> list[RainField]:
+def extrapolate(f: RainField, mf: MotionField, k: int,
+                sink=None) -> list[RainField] | None:
     """k iterated one-step advections of the field; returns the k leads.
 
     Levels are advected one after another, each through its own departure
-    geometry, so only one level's geometry is held at a time.
+    geometry, so only one level's geometry is held at a time. With sink,
+    no lead is kept and None is returned: each level first advects its
+    mask k times and ANDs the k lead masks, then calls sink(t, z, plane)
+    for t = 0, ..., k - 1 with the level's lead t as a one-level RainField
+    whose mask is that AND. The plane's data is overwritten once sink
+    returns.
     """
     if k < 1:
         raise ValueError(f"lead count must be >= 1, got {k}")
@@ -85,11 +103,24 @@ def extrapolate(f: RainField, mf: MotionField, k: int) -> list[RainField]:
             f"field grid {f.data.shape[1:]} != motion grid {mf.grid_shape}")
     if f.nz != mf.nz:
         raise ValueError(f"field has Z={f.nz} but motion has Z={mf.nz}")
-    data = np.empty((k,) + f.data.shape)
-    mask = np.empty((k,) + f.data.shape, dtype=bool)
+    ny, nx = mf.grid_shape
+    if sink is None:
+        data = np.empty((k,) + f.data.shape)
+        mask = np.empty((k,) + f.data.shape, dtype=bool)
     for z in range(f.nz):
-        ux, uy = mf.level(z)
-        _advect_level(data[:, z], mask[:, z], f.data[z], f.mask[z], ux, uy,
-                      f.fill_value)
-    return [RainField(data=d, space=f.space, mask=m)
-            for d, m in zip(data, mask)]
+        corners, nearest = _departures(*mf.level(z), ny, nx)
+        masks = _advect_masks(f.mask[z], nearest, k)
+        planes = _advect_planes(f.data[z], f.fill_value, corners, k)
+        if sink is None:
+            for j, (m, d) in enumerate(zip(masks, planes)):
+                mask[j, z], data[j, z] = m, d
+        else:
+            valid = np.ones((ny, nx), dtype=bool)
+            for m in masks:
+                valid &= m
+            for t, d in enumerate(planes):
+                sink(t, z, RainField(data=d, space=f.space, mask=valid))
+    if sink is None:
+        return [RainField(data=d, space=f.space, mask=m)
+                for d, m in zip(data, mask)]
+    return None

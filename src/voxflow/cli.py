@@ -25,7 +25,7 @@ from .flow import Criterion, LossConfig
 from .grid import MotionField, RadarVolume, RainField, cmax
 from .lucas_kanade import estimate_lucas_kanade
 from .synth import PRESET_NAMES, generate, preset
-from .transform import rain_to_dbr, rain_to_dbz, volume_to_rain
+from .transform import cmax_rain, rain_to_dbr, rain_to_dbz, volume_to_rain
 from .variational import OptimizerConfig, estimate_variational
 from .verify import verify_nowcast
 
@@ -162,7 +162,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--preset", choices=PRESET_NAMES, default=None)
     p.add_argument("-o", "--out", default=None, help="output .rvol path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=_int_in(1), default=None,
+    p.add_argument("--frames", type=_int_in(1, rvol._MAX_DIM), default=None,
                    help="override the preset's frame count (>= 1)")
     p.add_argument("--crop-scale", action="store_true",
                    help="512 x 512 geometry for the uniform preset")
@@ -200,7 +200,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         "AND of every lead's mask.")
     p.add_argument("volume", help="input .rvol path")
     p.add_argument("motion", help="input .rmf path")
-    p.add_argument("-k", "--leads", type=_int_in(1), required=True)
+    p.add_argument("-k", "--leads", type=_int_in(1, rvol._MAX_DIM),
+                   required=True)
     p.add_argument("-o", "--out", default=None, help="output forecast .rvol")
     p.add_argument("--start-frame", type=int, default=-1,
                    help="index of the frame advected forward; negative "
@@ -334,54 +335,59 @@ def _cmd_nowcast(args) -> int:
     vol = rvol.read_rvol(args.volume, frames=(start, start + 1))
     mf = rvol.read_motion(args.motion)
     last = volume_to_rain(vol, 0)
-    leads = extrapolate(last, mf, args.leads)
-    data = np.empty((args.leads,) + last.data.shape)
-    mask = np.ones(last.data.shape, dtype=bool)
-    for out, lead in zip(data, leads):
-        out[...] = rain_to_dbz(lead)
-        mask &= lead.mask
-    forecast = RadarVolume(data=data, z_levels=vol.z_levels, dt=vol.dt,
-                           mask=mask)
     out = Path(args.out) if args.out else \
         Path(args.volume).with_suffix(".nowcast.rvol")
-    rvol.write_rvol(out, forecast)
+    # each plane is converted and written as it is advected; its mask, the
+    # AND of its level's leads, is the forecast's one static mask
+    with rvol.RvolWriter(out, (args.leads,) + last.data.shape, vol.z_levels,
+                         vol.dt) as writer:
+        extrapolate(last, mf, args.leads, sink=lambda t, z, lead: writer.write(
+            t, z, rain_to_dbz(lead)[0], lead.mask[0]))
     print(f"wrote {out} ({args.leads} leads from frame {start})")
     return 0
 
 
-class _RainFrames(Sequence):
-    """The frames of a volume as rain fields, each converted when it is
-    indexed, so a consumer that takes one at a time holds one at a time."""
+class _Frames(Sequence):
+    """count rain fields, field i made by make(i) when it is indexed, so a
+    consumer that takes one at a time holds one at a time."""
 
-    def __init__(self, vol: RadarVolume):
-        self.vol = vol
+    def __init__(self, count: int, make):
+        self.count, self.make = count, make
 
     def __len__(self) -> int:
-        return self.vol.shape[0]
+        return self.count
 
-    def __getitem__(self, t: int) -> RainField:
-        return volume_to_rain(self.vol, t)
+    def __getitem__(self, i: int) -> RainField:
+        return self.make(i)
 
     def __iter__(self):
-        # the default __iter__ calls volume_to_rain once past the end to stop
-        return map(self.__getitem__, range(len(self)))
+        # the default __iter__ calls make once past the end to stop
+        return map(self.make, range(self.count))
+
+
+def _rain_frames(vol: RadarVolume) -> _Frames:
+    """The frames of vol as rain fields, each converted when indexed."""
+    return _Frames(vol.shape[0], lambda t: volume_to_rain(vol, t))
 
 
 def _cmd_verify(args) -> int:
-    fc = rvol.read_rvol(args.forecast)
-    head = rvol.read_header(args.truth)
-    t_truth, grid = head.t, (head.z, head.y, head.x)
-    if fc.shape[1:] != grid:
-        raise ValueError(f"grid mismatch: forecast {fc.shape[1:]} vs "
-                         f"truth {grid}")
-    k = fc.shape[0]
-    offset = args.offset if args.offset is not None else t_truth - k
-    if offset < 0 or offset + k > t_truth:
-        raise ValueError(f"truth volume (T={t_truth}) cannot cover "
-                         f"{k} leads at offset {offset}")
-    truth = rvol.read_rvol(args.truth, frames=(offset, offset + k))
-    report = verify_nowcast([_RainFrames(fc)], [_RainFrames(truth)],
-                            args.thresholds)
+    with rvol.RvolReader(args.forecast) as fc, \
+            rvol.RvolReader(args.truth) as truth:
+        k, t_truth = fc.header.t, truth.header.t
+        if fc.header[1:4] != truth.header[1:4]:
+            raise ValueError(f"grid mismatch: forecast {fc.header[1:4]} vs "
+                             f"truth {truth.header[1:4]}")
+        offset = args.offset if args.offset is not None else t_truth - k
+        if offset < 0 or offset + k > t_truth:
+            raise ValueError(f"truth volume (T={t_truth}) cannot cover "
+                             f"{k} leads at offset {offset}")
+        # one lead of each volume is read and pooled to its column maximum
+        # at a time
+        report = verify_nowcast(
+            [_Frames(k, lambda t: cmax_rain(fc.read(t, t + 1), 0))],
+            [_Frames(k, lambda t: cmax_rain(
+                truth.read(offset + t, offset + t + 1), 0))],
+            args.thresholds)
     sample_id = Path(args.forecast).stem
     rows = []
     for lead in report.leads:
@@ -591,7 +597,7 @@ def _analyze_split(args, files, outdir: Path) -> str:
     """Split diagnostic: each volume's frames are treated as nowcast leads."""
     for path, stem, _ in files:
         diag = analysis.cell_split_diagnostic(
-            _RainFrames(rvol.read_rvol(path)), threshold=args.threshold)
+            _rain_frames(rvol.read_rvol(path)), threshold=args.threshold)
         rows = [[li, n, ";".join(str(c) for c in counts), cells]
                 for li, (n, counts, cells) in enumerate(zip(
                     diag.cmax_counts, diag.level_counts,
@@ -650,6 +656,11 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, NoOverlapError, DivergedError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a backstop: sizes a user controls are bounded before allocation
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

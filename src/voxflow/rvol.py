@@ -55,33 +55,87 @@ def _dequantize_dbz(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return data, invalid
 
 
+class RvolWriter:
+    """An RVOL file written one (t, z) reflectivity plane at a time.
+
+    Opening writes the header and the altitudes. write() stores a plane at
+    its offset in the payload, in any order, as f32 or, with quantize, as
+    u8. A dimension that read_rvol would reject is a ValueError, raised
+    before the file is opened. Used as a context manager, the writer
+    removes its file when the block raises or leaves a plane unwritten, so
+    no partial volume is left behind.
+    """
+
+    def __init__(self, path: str | Path, shape: tuple[int, int, int, int],
+                 z_levels: np.ndarray, dt: float, quantize: bool = False):
+        for name, dim in zip("TZYX", shape):
+            if not 1 <= dim <= _MAX_DIM:
+                raise ValueError(f"RVOL dimension {name}={dim} is outside "
+                                 f"[1, {_MAX_DIM}]")
+        self.path, self.shape = Path(path), tuple(shape)
+        self._dtype = DTYPE_U8 if quantize else DTYPE_F32
+        self._plane_bytes = (1 if quantize else 4) * shape[2] * shape[3]
+        self._unwritten = np.ones(shape[:2], dtype=bool)
+        self._fh = fh = open(path, "wb")
+        fh.write(RVOL_MAGIC)
+        fh.write(struct.pack("<B", RVOL_VERSION))
+        fh.write(struct.pack("<IIII", *shape))
+        fh.write(struct.pack("<B", self._dtype))
+        fh.write(struct.pack("<I", int(round(dt))))
+        fh.write(np.asarray(z_levels, dtype="<f4").tobytes())
+        self._payload = fh.tell()
+
+    def write(self, t: int, z: int, dbz: np.ndarray,
+              valid: np.ndarray) -> None:
+        """Store plane (t, z) of the reflectivity, invalid where valid is
+        False."""
+        if dbz.shape != self.shape[2:]:
+            raise ValueError(f"plane shape {dbz.shape} != {self.shape[2:]}")
+        if self._dtype == DTYPE_F32:
+            plane = dbz.astype("<f4")
+            plane[~valid] = np.nan
+        else:
+            plane = _quantize_dbz(dbz, ~valid)
+        self._fh.seek(self._payload
+                      + (t * self.shape[1] + z) * self._plane_bytes)
+        self._fh.write(plane)
+        self._unwritten[t, z] = False
+
+    def write_rho_hv(self, rho: np.ndarray) -> None:
+        """Append the RHOH chunk of a T x Z x Y x X rho_hv after the
+        payload."""
+        self._fh.seek(self._payload + self._unwritten.size * self._plane_bytes)
+        self._fh.write(RHOH_MAGIC)
+        self._fh.write(np.clip(np.rint(rho * 200.0), 0, 200).astype(np.uint8))
+
+    def __enter__(self) -> RvolWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._fh.close()
+        if exc_type is None and not self._unwritten.any():
+            return
+        self.path.unlink(missing_ok=True)
+        if exc_type is None:
+            raise ValueError(f"{np.count_nonzero(self._unwritten)} RVOL "
+                             "planes were never written")
+
+
 def write_rvol(path: str | Path, vol: RadarVolume, quantize: bool = False) -> None:
-    """Write vol as RVOL, its reflectivity as f32 or, with quantize, as u8.
-    rho_hv has no invalid code, so a non-finite rho_hv value is a
-    ValueError, raised before the file is opened."""
+    """Write vol as RVOL, its reflectivity as f32 or, with quantize, as u8:
+    RvolWriter's whole-volume case. rho_hv has no invalid code, so a
+    non-finite rho_hv value is a ValueError, raised before the file is
+    opened."""
     if vol.rho_hv is not None and not np.isfinite(vol.rho_hv).all():
         raise ValueError("rho_hv holds non-finite values, which RVOL "
                          "cannot store")
-    t, z, y, x = vol.shape
-    dtype = DTYPE_U8 if quantize else DTYPE_F32
-    invalid = np.broadcast_to(~vol.mask[None], vol.shape)
-    with open(path, "wb") as fh:
-        fh.write(RVOL_MAGIC)
-        fh.write(struct.pack("<B", RVOL_VERSION))
-        fh.write(struct.pack("<IIII", t, z, y, x))
-        fh.write(struct.pack("<B", dtype))
-        fh.write(struct.pack("<I", int(round(vol.dt))))
-        fh.write(np.asarray(vol.z_levels, dtype="<f4").tobytes())
-        if dtype == DTYPE_F32:
-            payload = vol.data.astype("<f4")
-            payload[invalid] = np.nan
-            fh.write(payload.tobytes())
-        else:
-            fh.write(_quantize_dbz(vol.data, invalid).tobytes())
+    t, z = vol.shape[:2]
+    with RvolWriter(path, vol.shape, vol.z_levels, vol.dt, quantize) as out:
+        for ti in range(t):
+            for zi in range(z):
+                out.write(ti, zi, vol.data[ti, zi], vol.mask[zi])
         if vol.rho_hv is not None:
-            fh.write(RHOH_MAGIC)
-            rho = np.clip(np.rint(vol.rho_hv * 200.0), 0, 200).astype(np.uint8)
-            fh.write(rho.tobytes())
+            out.write_rho_hv(vol.rho_hv)
 
 
 def _read_exactly(fh, n: int, what: str) -> bytes:
@@ -157,62 +211,114 @@ def _frames_valid(fh, count: int, shape: tuple, dtype) -> np.ndarray | bool:
     return valid
 
 
+class RvolReader:
+    """An open RVOL file whose frames are decoded when they are read.
+
+    Opening reads and checks the header, the altitudes and where the
+    payload and the optional RHOH chunk lie, and that nothing follows them;
+    it does not read the payload. The static mask covers every frame: the
+    first read() checks each frame outside its range for invalid cells
+    without decoding it, and later reads reuse that mask, so reading a
+    file one frame at a time reads each frame at most twice.
+    """
+
+    def __init__(self, path: str | Path):
+        self._fh = fh = open(path, "rb")
+        try:
+            self.header = head = _parse_header(fh)
+            t, z, y, x, dtype = head[:5]
+            self._stored = "<f4" if dtype == DTYPE_F32 else np.uint8
+            self._frame = z * y * x
+            self._frame_bytes = np.dtype(self._stored).itemsize * self._frame
+            n = t * self._frame
+            _check_size(fh, 4 * z + t * self._frame_bytes)
+            self.z_levels = np.frombuffer(
+                _read_exactly(fh, 4 * z, "altitudes"), dtype="<f4"
+            ).astype(np.float64)
+            self._payload = fh.tell()
+            self._rho = None
+            fh.seek(t * self._frame_bytes, os.SEEK_CUR)
+            tag = fh.read(4)
+            if tag:
+                if tag != RHOH_MAGIC:
+                    raise FormatError("chunk", f"unknown trailing chunk {tag!r}")
+                _check_size(fh, n, "rho_hv")
+                self._rho = fh.tell()
+                fh.seek(n, os.SEEK_CUR)
+                if fh.read(1):
+                    raise FormatError("chunk", "unexpected trailing bytes "
+                                               "after the RHOH chunk")
+        except BaseException:
+            fh.close()
+            raise
+        self._mask = None
+
+    def _valid(self, start: int, stop: int) -> np.ndarray | bool:
+        """AND of the validity of frames [start, stop), not decoded."""
+        head = self.header
+        self._fh.seek(self._payload + start * self._frame_bytes)
+        return _frames_valid(self._fh, stop - start,
+                             (head.z, head.y, head.x), self._stored)
+
+    def read(self, start: int, stop: int) -> RadarVolume:
+        """Frames [start, stop) with the file's static mask, decoded as a
+        whole-file read decodes them. A range that is empty or outside
+        [0, T) is a FormatError."""
+        t, z, y, x, dtype, dt_seconds = self.header
+        if not 0 <= start < stop <= t:
+            raise FormatError("frames", f"range [{start}, {stop}) is empty or "
+                                        f"outside the volume (T={t})")
+        count, fh = stop - start, self._fh
+        fh.seek(self._payload + start * self._frame_bytes)
+        raw = np.frombuffer(_read_exactly(fh, count * self._frame_bytes,
+                                          "payload"), dtype=self._stored)
+        if dtype == DTYPE_F32:
+            data = raw.reshape(count, z, y, x).astype(np.float64)
+            invalid = ~np.isfinite(data)
+            data = np.where(invalid, NO_ECHO_DBZ, data)
+        else:
+            data, invalid = _dequantize_dbz(raw.reshape(count, z, y, x).copy())
+        if self._mask is None:
+            self._mask = ~invalid.any(axis=0)
+            self._mask &= self._valid(0, start)
+            self._mask &= self._valid(stop, t)
+
+        rho = None
+        if self._rho is not None:
+            fh.seek(self._rho + start * self._frame)
+            raw = np.frombuffer(_read_exactly(fh, count * self._frame,
+                                              "rho_hv"), dtype=np.uint8)
+            rho = raw.reshape(count, z, y, x).astype(np.float64) / 200.0
+        try:
+            return RadarVolume(data=data, z_levels=self.z_levels,
+                               dt=float(dt_seconds), mask=self._mask.copy(),
+                               rho_hv=rho)
+        except ValueError as exc:
+            raise FormatError("altitudes", str(exc)) from None
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> RvolReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def read_rvol(path: str | Path,
               frames: tuple[int, int] | None = None) -> RadarVolume:
     """Read an RVOL file, or only its frames [start, stop) when frames is
-    given.
+    given: RvolReader's read on a file opened for that one read.
 
     The frames read are decoded as a whole-volume read decodes them. The
     static mask still covers every frame of the file: each frame outside
     the range is checked for invalid cells one at a time, without decoding
     it. A range that is empty or outside [0, T) is a FormatError.
     """
-    with open(path, "rb") as fh:
-        t, z, y, x, dtype, dt_seconds = _parse_header(fh)
-        start, stop = (0, t) if frames is None else frames
-        if not 0 <= start < stop <= t:
-            raise FormatError("frames", f"range [{start}, {stop}) is empty or "
-                                        f"outside the volume (T={t})")
-        count, frame_n = stop - start, z * y * x
-        n = t * frame_n
-        _check_size(fh, 4 * z + (4 if dtype == DTYPE_F32 else 1) * n)
-        levels = np.frombuffer(_read_exactly(fh, 4 * z, "altitudes"),
-                               dtype="<f4").astype(np.float64)
-        stored = "<f4" if dtype == DTYPE_F32 else np.uint8
-        before = _frames_valid(fh, start, (z, y, x), stored)
-        if dtype == DTYPE_F32:
-            raw = np.frombuffer(_read_exactly(fh, 4 * count * frame_n,
-                                              "payload"), dtype="<f4")
-            data = raw.reshape(count, z, y, x).astype(np.float64)
-            invalid = ~np.isfinite(data)
-            data = np.where(invalid, NO_ECHO_DBZ, data)
-        else:
-            raw = np.frombuffer(_read_exactly(fh, count * frame_n, "payload"),
-                                dtype=np.uint8)
-            data, invalid = _dequantize_dbz(raw.reshape(count, z, y, x).copy())
-        mask = ~invalid.any(axis=0)
-        mask &= before
-        mask &= _frames_valid(fh, t - stop, (z, y, x), stored)
-
-        rho = None
-        tag = fh.read(4)
-        if tag:
-            if tag != RHOH_MAGIC:
-                raise FormatError("chunk", f"unknown trailing chunk {tag!r}")
-            _check_size(fh, n, "rho_hv")
-            fh.seek(start * frame_n, os.SEEK_CUR)
-            raw = np.frombuffer(_read_exactly(fh, count * frame_n, "rho_hv"),
-                                dtype=np.uint8)
-            rho = raw.reshape(count, z, y, x).astype(np.float64) / 200.0
-            fh.seek((t - stop) * frame_n, os.SEEK_CUR)
-            if fh.read(1):
-                raise FormatError("chunk", "unexpected trailing bytes after "
-                                           "the RHOH chunk")
-    try:
-        return RadarVolume(data=data, z_levels=levels, dt=float(dt_seconds),
-                           mask=mask, rho_hv=rho)
-    except ValueError as exc:
-        raise FormatError("altitudes", str(exc)) from None
+    with RvolReader(path) as reader:
+        return reader.read(*((0, reader.header.t) if frames is None
+                             else frames))
 
 
 def write_motion(path: str | Path, mf: MotionField) -> None:

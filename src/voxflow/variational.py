@@ -165,6 +165,16 @@ def _stage_scales(cfg: LossConfig, factor: int) -> tuple[int, ...]:
     return kept or (min(cfg.scales),)
 
 
+def _pyramid_depth(levels: int, ny: int, nx: int) -> int:
+    """Stages of the coarse-to-fine pyramid: at most levels, each stage
+    halving the grid of the one after it, the coarsest keeping at least 16
+    cells on the shorter axis. The depth is computed, not counted down, so
+    a huge levels costs nothing."""
+    # 2 ** (n - 1) <= min(ny, nx) // 16 holds up to n = that quotient's
+    # bit length
+    return min(levels, max(1, (min(ny, nx) // 16).bit_length()))
+
+
 def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
                     cfg: LossConfig, opt: OptimizerConfig):
     """Estimate one level's motion; returns (u (2,Y,X), status, trace).
@@ -181,9 +191,7 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
     if not has_signal:
         return np.zeros((2, ny, nx)), LevelStatus.NO_SIGNAL, []
 
-    n_pyr = opt.coarse_to_fine_levels
-    while n_pyr > 1 and min(ny, nx) // (2 ** (n_pyr - 1)) < 16:
-        n_pyr -= 1
+    n_pyr = _pyramid_depth(opt.coarse_to_fine_levels, ny, nx)
 
     trace: list[TraceRow] = []
     u = None

@@ -3,14 +3,17 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from voxflow.advect import extrapolate
 from voxflow.cli import main, parse_stem_timestamp
 from voxflow.rvol import read_motion, read_rvol, write_motion, write_rvol
-from voxflow.grid import MotionField, RadarVolume
+from voxflow.grid import MotionField, RadarVolume, cmax_field
+from voxflow.transform import rain_to_dbz, volume_to_rain
 
 
 def run(*args):
@@ -140,7 +143,7 @@ class TestNowcast:
             run("nowcast", vol, zero, "-k", "0")
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("leads", ["-1", "x", "2.5"])
+    @pytest.mark.parametrize("leads", ["-1", "x", "2.5", "100001"])
     def test_malformed_leads_is_usage_error(self, capsys, leads):
         # rejected while parsing, before any file is opened
         with pytest.raises(SystemExit) as err:
@@ -148,7 +151,7 @@ class TestNowcast:
         assert err.value.code == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last == ("voxflow nowcast: error: argument -k/--leads: "
-                        f"expected an integer in [1, inf], got {leads!r}")
+                        f"expected an integer in [1, 100000], got {leads!r}")
 
     def test_start_frame_is_python_style_index(self, uniform_files, tmp_path,
                                                capsys):
@@ -172,6 +175,35 @@ class TestNowcast:
         bad = tmp_path / "bad.rmf"
         write_motion(bad, MotionField(np.zeros((3, 2, 128, 128))))
         assert run("nowcast", vol, bad, "-k", "2") == 1
+
+    def test_streamed_forecast_equals_the_whole_volume_forecast(
+            self, uniform_files, tmp_path):
+        # per-level sub-cell motion carries an invalid block of the start
+        # frame along and cells out of the domain, so the forecast mask
+        # differs from every single lead's
+        d, vol = uniform_files
+        whole_vol = read_rvol(vol)
+        data = whole_vol.data[5:9].copy()
+        data[2, 3, 40:50, 60:70] = np.nan
+        vol = tmp_path / "holes.rvol"
+        write_rvol(vol, RadarVolume(data=data, z_levels=whole_vol.z_levels,
+                                    dt=whole_vol.dt))
+        rng = np.random.default_rng(3)
+        mf = MotionField(rng.uniform(-2.5, 2.5, (8, 2, 1, 1))
+                         + rng.uniform(-0.5, 0.5, (8, 2, 128, 128)))
+        motion, out = tmp_path / "m.rmf", tmp_path / "fc.rvol"
+        write_motion(motion, mf)
+        assert run("nowcast", vol, motion, "-k", "5", "--start-frame", "2",
+                   "-o", out) == 0
+        src = read_rvol(vol, frames=(2, 3))
+        leads = extrapolate(volume_to_rain(src, 0), read_motion(motion), 5)
+        mask = np.logical_and.reduce([lead.mask for lead in leads])
+        assert not any((mask == lead.mask).all() for lead in leads)
+        whole = tmp_path / "whole.rvol"
+        write_rvol(whole, RadarVolume(
+            data=[rain_to_dbz(lead) for lead in leads], z_levels=src.z_levels,
+            dt=src.dt, mask=mask))
+        assert out.read_bytes() == whole.read_bytes()
 
     def test_mask_is_and_of_every_lead(self, uniform_files, tmp_path):
         # RVOL keeps one static mask: a cell whose departure point leaves
@@ -218,12 +250,52 @@ class TestVerify:
         # 3 continuous + 3 thresholds x 3 categorical, per 2 leads
         assert len(lines) - 1 == 2 * (3 + 9)
 
+    @pytest.mark.parametrize("offset", ["3", "8"])
+    def test_pooling_first_gives_the_csv_of_converting_first(
+            self, uniform_files, tmp_path, monkeypatch, offset):
+        d, vol = uniform_files
+        fc = tmp_path / "fc.rvol"
+        assert run("nowcast", vol, d / "u.truth.rmf", "-k", "8",
+                   "--start-frame", "7", "-o", fc) == 0
+
+        def metrics(tag):
+            csv = tmp_path / f"{tag}.csv"
+            assert run("verify", fc, vol, "--offset", offset, "-o", csv) == 0
+            return csv.read_bytes()
+
+        pooled = metrics("pooled")
+        monkeypatch.setattr("voxflow.cli.cmax_rain", lambda v, t: cmax_field(
+            volume_to_rain(v, t)))
+        assert pooled == metrics("converted")
+
     def test_mismatched_grids_exit_1(self, uniform_files, tmp_path, capsys):
         d, vol = uniform_files
         other = tmp_path / "o.rvol"
         run("synth", "--preset", "shear2", "-o", other)
         assert run("verify", vol, other) == 1
         assert "mismatch" in capsys.readouterr().err
+
+
+class TestStreamingMemory:
+    def test_peak_allocation_does_not_grow_with_the_lead_count(
+            self, uniform_files, tmp_path):
+        # nowcast holds one plane and verify one lead of each volume at a
+        # time; an 8 x 128^2 lead is 1 MiB of float64
+        d, vol = uniform_files
+        peaks = {}
+        for k in (4, 16):
+            fc = tmp_path / f"fc{k}.rvol"
+            for argv in (("nowcast", vol, d / "u.truth.rmf", "-k", k,
+                          "--start-frame", "0", "-o", fc),
+                         ("verify", fc, vol, "-o", tmp_path / f"m{k}.csv")):
+                tracemalloc.start()
+                try:
+                    assert run(*argv) == 0
+                    peaks[argv[0], k] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        for command in ("nowcast", "verify"):
+            assert peaks[command, 16] <= 1.1 * peaks[command, 4], peaks
 
 
 class TestFrameRangeReads:
@@ -502,15 +574,17 @@ class TestErrors:
         (("analyze", "d", "--which", "histogram", "--bins", "1001"),
          "an integer in [1, 1000]"),
         (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "0"),
-         "an integer in [1, inf]"),
+         "an integer in [1, 100000]"),
         (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "-2"),
-         "an integer in [1, inf]"),
+         "an integer in [1, 100000]"),
         (("verify", "f.rvol", "t.rvol", "--thresholds", "1,1"),
          "comma-separated numbers such as 1,5,10 without repeats"),
         (("verify", "f.rvol", "t.rvol", "--thresholds", "1,5,1.0"),
          "comma-separated numbers such as 1,5,10 without repeats"),
         (("analyze", "d", "--which", "ratios", "--thresholds-dbz", "0,20,0"),
          "comma-separated numbers such as 1,5,10 without repeats"),
+        (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames",
+          "100001"), "an integer in [1, 100000]"),
     ])
     def test_malformed_list_is_usage_error(self, capsys, argv, form):
         with pytest.raises(SystemExit) as err:
@@ -519,6 +593,15 @@ class TestErrors:
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last == (f"voxflow {argv[0]}: error: argument {argv[-2]}: "
                         f"expected {form}, got {argv[-1]!r}")
+
+    def test_memory_error_is_one_error_line(self, monkeypatch, capsys):
+        def exhausted(path):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setattr("voxflow.cli.rvol.read_header", exhausted)
+        assert run("nowcast", "v.rvol", "m.rmf", "-k", "2") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: out of memory: Unable to allocate 7.28 TiB "
+                       "for an array"]
 
     def test_scale_out_of_range_is_data_error(self, uniform_files, capsys):
         d, vol = uniform_files

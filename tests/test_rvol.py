@@ -5,10 +5,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxflow.errors import FormatError
+from voxflow import rvol as rvol_module
 from voxflow.grid import MotionField, RadarVolume
 from voxflow.rvol import (
+    RHOH_MAGIC,
     RMF_MAGIC,
     RVOL_MAGIC,
+    RvolReader,
+    RvolWriter,
     read_header,
     read_motion,
     read_rvol,
@@ -278,6 +282,149 @@ class TestRvolFrameRange:
         with pytest.raises(FormatError) as err:
             read_rvol(path, frames=frames)
         assert err.value.field == "chunk"
+
+
+def _whole_volume_bytes(vol, quantize):
+    """The RVOL bytes of vol as a writer that casts the whole volume at
+    once writes them: the reference of the plane writer."""
+    t, z, y, x = vol.shape
+    head = (RVOL_MAGIC + struct.pack("<BIIIIBI", 1, t, z, y, x, int(quantize),
+                                     int(round(vol.dt)))
+            + np.asarray(vol.z_levels, dtype="<f4").tobytes())
+    invalid = np.broadcast_to(~vol.mask[None], vol.shape)
+    if quantize:
+        invalid = invalid | ~np.isfinite(vol.data)
+        v = np.rint((np.where(invalid, -32.0, vol.data) + 32.0) * 2.0)
+        payload = np.clip(v, 0, 254).astype(np.uint8)
+        payload[invalid] = 255
+    else:
+        payload = vol.data.astype("<f4")
+        payload[invalid] = np.nan
+    rho = b"" if vol.rho_hv is None else RHOH_MAGIC + np.clip(
+        np.rint(vol.rho_hv * 200.0), 0, 200).astype(np.uint8).tobytes()
+    return head + payload.tobytes() + rho
+
+
+def _holey_volume(seed, with_rho):
+    vol = sample_volume(np.random.default_rng(seed), with_rho=with_rho,
+                        with_mask=True)
+    vol.data[0, 1, 2, 3] = np.nan
+    vol.data[2, 0, 7, 9] = np.inf
+    vol.data[1, 1, 4, 4] = -40.0
+    return vol
+
+
+class TestRvolWriter:
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("with_rho", [False, True])
+    def test_write_rvol_equals_the_whole_volume_writer(self, tmp_path,
+                                                      quantize, with_rho):
+        vol = _holey_volume(40, with_rho)
+        path = tmp_path / "v.rvol"
+        write_rvol(path, vol, quantize=quantize)
+        assert path.read_bytes() == _whole_volume_bytes(vol, quantize)
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_planes_in_any_order_give_the_same_file(self, tmp_path, quantize):
+        vol = _holey_volume(41, with_rho=False)
+        order = [(t, z) for z in range(2) for t in (2, 0, 1)]
+        with RvolWriter(tmp_path / "p.rvol", vol.shape, vol.z_levels, vol.dt,
+                        quantize=quantize) as out:
+            for t, z in order:
+                out.write(t, z, vol.data[t, z], vol.mask[z])
+        assert (tmp_path / "p.rvol").read_bytes() == \
+            _whole_volume_bytes(vol, quantize)
+
+    @pytest.mark.parametrize("axis", range(4))
+    def test_dimension_the_reader_rejects_is_refused_before_opening(
+            self, tmp_path, axis):
+        shape = [1, 1, 1, 1]
+        shape[axis] = 100_001
+        vol = RadarVolume(data=np.zeros(shape), z_levels=np.arange(shape[1]))
+        path = tmp_path / "v.rvol"
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError, match="outside \\[1, 100000\\]"):
+            write_rvol(path, vol)
+        assert path.read_bytes() == b"kept"
+
+    def test_unwritten_plane_or_error_removes_the_file(self, tmp_path):
+        vol = sample_volume(np.random.default_rng(42))
+        path = tmp_path / "v.rvol"
+        with pytest.raises(ValueError, match="1 RVOL planes were never"):
+            with RvolWriter(path, vol.shape, vol.z_levels, vol.dt) as out:
+                for t, z in np.ndindex(vol.shape[:2]):
+                    if (t, z) != (1, 1):
+                        out.write(t, z, vol.data[t, z], vol.mask[z])
+        assert not path.exists()
+        with pytest.raises(KeyError):
+            with RvolWriter(path, vol.shape, vol.z_levels, vol.dt):
+                raise KeyError("stop")
+        assert not path.exists()
+
+
+#: damaged files: (label, bytes to keep from the end, bytes to append)
+_DAMAGE = [("truncated payload", -3, b""), ("trailing bytes", 0, b"ab"),
+           ("unknown chunk", 0, b"WHAT"), ("truncated rho_hv", -1, b""),
+           ("bytes after rho_hv", 0, b"junkjunk")]
+
+
+class TestRvolReader:
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("with_rho", [False, True])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+    def test_frames_one_at_a_time_equal_the_whole_read(
+            self, tmp_path, quantize, with_rho, order):
+        vol = sample_volume(np.random.default_rng(43), with_rho=with_rho,
+                            with_mask=True)
+        path = tmp_path / "v.rvol"
+        # invalid cells outside the first frame read still clear the mask
+        _write_with_holes(path, vol, quantize, [(0, 1, 2, 3), (2, 0, 7, 9)])
+        whole = read_rvol(path)
+        with RvolReader(path) as reader:
+            assert reader.header == read_header(path)
+            for t in order:
+                part = reader.read(t, t + 1)
+                assert part.data.tobytes() == whole.data[t:t + 1].tobytes()
+                assert part.mask.tobytes() == whole.mask.tobytes()
+                if with_rho:
+                    assert part.rho_hv.tobytes() == \
+                        whole.rho_hv[t:t + 1].tobytes()
+                else:
+                    assert part.rho_hv is None
+                assert part.z_levels.tobytes() == whole.z_levels.tobytes()
+                assert part.dt == whole.dt
+        assert not whole.mask[1, 2, 3] and not whole.mask[0, 7, 9]
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("label, keep, extra", _DAMAGE)
+    def test_damaged_file_fails_on_opening_as_read_rvol_fails(
+            self, tmp_path, quantize, label, keep, extra):
+        path = tmp_path / "v.rvol"
+        write_rvol(path, sample_volume(np.random.default_rng(44),
+                                       with_rho="rho" in label), quantize)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) + keep] + extra)
+        with pytest.raises(FormatError) as want:
+            read_rvol(path)
+        with pytest.raises(FormatError) as got:
+            RvolReader(path)
+        assert (got.value.field, str(got.value)) == \
+            (want.value.field, str(want.value))
+
+    def test_reads_after_the_first_reuse_its_mask(self, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "v.rvol"
+        _write_with_holes(path, sample_volume(np.random.default_rng(45)),
+                          False, [(2, 0, 7, 9)])
+        scanned = []
+        frames_valid = rvol_module._frames_valid
+        monkeypatch.setattr(rvol_module, "_frames_valid",
+                            lambda fh, count, *a: (scanned.append(count),
+                                                   frames_valid(fh, count, *a))[1])
+        with RvolReader(path) as reader:
+            for t in range(3):
+                assert not reader.read(t, t + 1).mask[0, 7, 9]
+        assert sum(scanned) == 2
 
 
 class TestMotionFile:

@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from voxflow.grid import DBR_FLOOR, RainField, Space
+from voxflow.grid import (
+    DBR_FLOOR,
+    NO_ECHO_DBZ,
+    RadarVolume,
+    RainField,
+    Space,
+    cmax_field,
+)
 from voxflow.transform import (
     DBR_THRESHOLD_MMH,
+    cmax_rain,
     dbr_to_rain,
     dbz_to_rain,
     rain_to_dbr,
     rain_to_dbz,
+    volume_to_rain,
 )
 
 # closed-form inverse of Z = a R^b with a=200, b=1.6:
@@ -97,3 +107,67 @@ class TestDbrToRain:
         dbr = rain_to_dbr(mmh)
         with pytest.raises(ValueError):
             rain_to_dbr(dbr)
+
+
+#: dBZ values a column maximum meets: the no-echo sentinel and its two
+#: neighbours, repeated values that tie, the stored range and beyond it,
+#: and the non-finite values that a valid cell may hold
+_DBZ = st.one_of(
+    st.sampled_from([NO_ECHO_DBZ, np.nextafter(NO_ECHO_DBZ, 0.0),
+                     np.nextafter(NO_ECHO_DBZ, -np.inf), -40.0, 0.0, 23.0,
+                     55.5, 95.0]),
+    st.floats(-80.0, 400.0),
+    st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def _dbz_volumes(draw) -> RadarVolume:
+    """Small T x Z x Y x X volumes, Z = 1 included, with masked cells and
+    often one column without a valid cell."""
+    t, z, y, x = (draw(st.integers(1, n)) for n in (2, 4, 4, 4))
+    data = np.array(draw(st.lists(_DBZ, min_size=t * z * y * x,
+                                  max_size=t * z * y * x)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=z * y * x,
+                                  max_size=z * y * x))).reshape(z, y, x)
+    if draw(st.booleans()):
+        mask[:, draw(st.integers(0, y - 1)), draw(st.integers(0, x - 1))] = False
+    return RadarVolume(data=data.reshape(t, z, y, x),
+                       z_levels=500.0 * np.arange(1, z + 1), mask=mask)
+
+
+class TestCmaxRain:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(vol=_dbz_volumes())
+    def test_pooling_in_dbz_first_gives_the_same_bytes(self, vol):
+        for t in range(vol.shape[0]):
+            want = cmax_field(volume_to_rain(vol, t))
+            got = cmax_rain(vol, t)
+            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(got.mask, want.mask)
+            assert got.data.tobytes() == want.data.tobytes()
+
+    def test_column_without_valid_cell_is_invalid_zero(self):
+        mask = np.array([[[True, False]], [[False, False]]])
+        vol = RadarVolume(data=np.full((1, 2, 1, 2), 40.0),
+                          z_levels=[500.0, 1500.0], mask=mask)
+        got = cmax_rain(vol, 0)
+        assert got.data.shape == (1, 1, 2)
+        assert got.mask.tolist() == [[[True, False]]]
+        assert got.data[0, 0, 1] == 0.0
+
+    def test_z_r_map_is_monotone_on_every_u8_code(self):
+        # each code decoded as the RVOL reader decodes it
+        dbz = np.arange(255, dtype=np.uint8).astype(np.float64) / 2.0 - 32.0
+        rain = dbz_to_rain(dbz[None]).data.ravel()
+        assert (np.diff(rain) >= 0).all()
+
+    def test_z_r_map_is_monotone_on_a_dense_f32_sample(self):
+        # an even spread over the stored range plus runs of consecutive f32
+        # values around the no-echo value and a few rain rates
+        spread = np.linspace(-40.0, 130.0, 1_000_001).astype(np.float32)
+        steps = np.arange(-20_000, 20_000, dtype=np.int32)
+        runs = [(np.array([c], np.float32).view(np.int32) + steps)
+                .view(np.float32) for c in (-32.0, -31.5, 0.5, 23.0, 47.25)]
+        dbz = np.sort(np.concatenate([spread, *runs])).astype(np.float64)
+        rain = dbz_to_rain(dbz[None]).data.ravel()
+        assert (np.diff(rain) >= 0).all()

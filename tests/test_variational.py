@@ -16,6 +16,7 @@ from voxflow.variational import (
     LevelStatus,
     OptimizerConfig,
     _descend,
+    _pyramid_depth,
     estimate_variational,
     mean_endpoint_error,
 )
@@ -242,3 +243,28 @@ class TestDescendReset:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
         assert got_trace == want_trace
+
+
+def _counted_depth(levels, ny, nx):
+    """The pyramid depth as _optimize_level once counted it down."""
+    n_pyr = levels
+    while n_pyr > 1 and min(ny, nx) // (2 ** (n_pyr - 1)) < 16:
+        n_pyr -= 1
+    return n_pyr
+
+
+class TestPyramidDepth:
+    SIDES = (1, 2, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65, 127, 128, 129,
+             255, 256, 257, 511, 512, 513, 1000, 4096, 65535, 65536, 100_000)
+
+    def test_closed_form_equals_the_counted_depth(self):
+        for levels in range(1, 20):
+            for ny in self.SIDES:
+                for nx in self.SIDES:
+                    assert _pyramid_depth(levels, ny, nx) == \
+                        _counted_depth(levels, ny, nx), (levels, ny, nx)
+
+    def test_huge_level_count_is_capped_by_the_grid(self):
+        # the counted-down loop took tens of seconds here
+        assert _pyramid_depth(100_000, 128, 128) == 4
+        assert _pyramid_depth(10 ** 18, 512, 300) == 5
