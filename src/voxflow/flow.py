@@ -120,6 +120,12 @@ class _Workspace:
         return a
 
 
+#: The warp clips motion components to +-MAX_MOTION cells: a departure
+#: that far is outside the grid like any larger one, and stays finite in
+#: float32.
+MAX_MOTION = 1e35
+
+
 def _as_dbr(f: RainField) -> RainField:
     return f if f.space is Space.DBR else rain_to_dbr(f)
 
@@ -149,21 +155,25 @@ def _warp_stack(
 
     Every array this writes comes from ws(name, shape, dtype), so a call
     overwrites the previous call's gradients; grad_out, shape (2, P, ...,
-    ny, nx), receives them instead when given.
+    ny, nx), receives them instead when given. The departure points, the
+    warp and the gradients are computed in the dtype of sources (float32
+    halves the memory traffic of this bandwidth-bound kernel); the sums
+    accumulate in float64.
     """
     n_pairs, ny, nx = targets.shape
+    dtype = sources.dtype
     pts = vx.shape
     planes = (n_pairs,) + pts
-    xs = np.subtract(np.arange(nx, dtype=np.float64), vx, out=ws("xs", pts))
-    ys = np.subtract(np.arange(ny, dtype=np.float64)[:, None], vy,
-                     out=ws("ys", pts))
+    xs = np.subtract(np.arange(nx, dtype=dtype), vx, out=ws("xs", pts, dtype))
+    ys = np.subtract(np.arange(ny, dtype=dtype)[:, None], vy,
+                     out=ws("ys", pts, dtype))
     geometry = bilinear_geometry(
         xs, ys, ny, nx,
         out=(tuple(ws(("corner", i), pts, np.int64) for i in range(4)),
-             *(ws(("weight", i), pts) for i in range(4))))
-    work = [ws(("work", i), planes) for i in range(6)]
+             *(ws(("weight", i), pts, dtype) for i in range(4))))
+    work = [ws(("work", i), planes, dtype) for i in range(6)]
     warped, gx, gy = bilinear_apply(sources, geometry, want_grad,
-                                    out=ws("warped", planes), work=work)
+                                    out=ws("warped", planes, dtype), work=work)
     # pair stacks broadcast against the motions' leading axes
     per_pair = (n_pairs,) + (1,) * (vx.ndim - 2) + (ny, nx)
     # the corner index and weight arrays are free again
@@ -188,10 +198,14 @@ def _warp_stack(
     np.copyto(r, 0.0, where=np.logical_not(valid, out=valid))
     cells = r.shape[:-2] + (-1,)
     if criterion is Criterion.MAE_DBR:
-        sums = np.abs(r, out=work[0]).reshape(cells).sum(axis=-1)
-        dr = np.sign(r, out=r)
+        sums = np.abs(r, out=work[0]).reshape(cells).sum(axis=-1,
+                                                          dtype=np.float64)
+        # np.sign in place takes several times as long; the corner
+        # samples' arrays are free
+        dr = np.sign(r, out=work[0])
     else:
-        sums = np.multiply(r, r, out=work[0]).reshape(cells).sum(axis=-1)
+        sums = np.multiply(r, r, out=work[0]).reshape(cells).sum(
+            axis=-1, dtype=np.float64)
         dr = np.multiply(2.0, r, out=r)
     if not want_grad:
         return sums, counts, None, None
@@ -304,6 +318,11 @@ class SequenceObjective:
     of that shape, so a call allocates little beyond the gradient it
     returns; one objective must therefore not evaluate in two threads at
     once.
+
+    The pooled frames keep the frames' floating dtype, and the warp runs in
+    it: float32 frames give a float32 warp. The motion, the weights of the
+    data term, the divergence term and the returned gradient are float64
+    whatever the frames.
     """
 
     def __init__(self, frames: Sequence[np.ndarray], masks: Sequence[np.ndarray],
@@ -359,22 +378,32 @@ class SequenceObjective:
         n_scales = len(self.active_scales)
         grad = np.zeros_like(u) if want_grad else None
         data_val = np.zeros(batch)
+        warp_u = u
+        if u.max() > MAX_MOTION or u.min() < -MAX_MOTION:
+            warp_u = np.clip(u, -MAX_MOTION, MAX_MOTION)
         for k in self.active_scales:
             ws = self._ws[k]
             n_tot = np.zeros((self.n_pairs,) + batch)
             per_z = []
             for z in range(self.nz):
                 sources, mstack, targets = self.pooled[k][z]
-                v = u[..., z, :, :, :]
+                v = warp_u[..., z, :, :, :]
                 if k > 1:
-                    pooled = ws("v", v.shape[:-2] + sources.shape[-2:])
-                    v = np.divide(avg_pool2d(v, k, out=pooled), k, out=pooled)
+                    hk, wk = sources.shape[-2:]
+                    pooled = ws("v", v.shape[:-2] + (hk, wk))
+                    # a grid k does not divide is edge-padded into a
+                    # workspace array
+                    padded = None
+                    if (hk * k, wk * k) != (self.ny, self.nx):
+                        padded = ws("v_padded", v.shape[:-2] + (hk * k, wk * k))
+                    v = np.divide(avg_pool2d(v, k, out=pooled, padded=padded),
+                                  k, out=pooled)
                 # a level's gradients must outlive the next level's warp
                 grad_out = None
                 if want_grad and self.nz > 1:
                     grad_out = ws("level_grads",
                                   (self.nz, 2, self.n_pairs) + v.shape[:-3]
-                                  + sources.shape[-2:])[z]
+                                  + sources.shape[-2:], sources.dtype)[z]
                 sums, counts, dvx, dvy = _warp_stack(
                     sources, mstack, targets, v[..., 0, :, :], v[..., 1, :, :],
                     cfg.criterion, want_grad, ws, grad_out)
@@ -395,13 +424,15 @@ class SequenceObjective:
         div_val, div = _divergence_term(u, self.inner_cells, ws)
         n_int = self.n_interior
         if want_grad and n_int > 0:
-            g = np.sign(div, out=div)
+            # np.sign in place takes several times as long; the array of
+            # div's y term is free once div is summed, and div's once g
+            # is taken
+            g = np.sign(div, out=ws("div_y", div.shape))
             np.copyto(g, 0.0, where=self.border)
-            # adjoint of the stencil: convolve, zero outside the grid; dux
-            # takes the array of div's y term, free once div is summed
+            # adjoint of the stencil: convolve, zero outside the grid
             work = _stencil_work(g.shape, ws)
             dux = correlate3x3(g, SOBEL_X[::-1, ::-1], "constant",
-                               out=ws("div_y", g.shape), work=work)
+                               out=div, work=work)
             duy = correlate3x3(g, SOBEL_Y[::-1, ::-1], "constant",
                                out=ws("adjoint_y", g.shape), work=work)
             for c, du in enumerate((dux, duy)):
@@ -455,23 +486,31 @@ def loss_total(phi: Sequence[RainField], mf: MotionField,
     return _evaluate(phi, mf, cfg or LossConfig())[0]
 
 
-def gradient_check(cfg: LossConfig | None = None, n_instances: int = 5,
-                   size: int = 16, seed: int = 0, step: float = 1e-6) -> float:
-    """Validate analytic gradients of loss_total against central finite
-    differences on random two-frame instances; returns the max relative
-    error across all motion components. The perturbed fields of an instance
-    are scored as batches, each bitwise equal to a call per field."""
+def _check_instances(n_instances: int, size: int, seed: int):
+    """The random two-frame instances of gradient_check: (frames, masks,
+    motion), float64 throughout."""
     from scipy import ndimage
-    cfg = cfg or LossConfig()
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(n_instances):
         base = ndimage.gaussian_filter(rng.normal(0.0, 4.0, (size, size)), 2.0)
         nxt = ndimage.gaussian_filter(rng.normal(0.0, 4.0, (size, size)), 2.0)
         frames = [np.asarray(base)[None] - 4.0, np.asarray(nxt)[None] - 3.0]
         frames = [np.maximum(f, DBR_FLOOR) for f in frames]
         masks = [np.ones((1, size, size), bool)] * 2
-        u = rng.uniform(-1.5, 1.5, (1, 2, size, size))
+        yield frames, masks, rng.uniform(-1.5, 1.5, (1, 2, size, size))
+
+
+def gradient_check(cfg: LossConfig | None = None, n_instances: int = 5,
+                   size: int = 16, seed: int = 0, step: float = 1e-6) -> float:
+    """Validate analytic gradients of loss_total against central finite
+    differences on random two-frame instances; returns the max relative
+    error across all motion components. The perturbed fields of an instance
+    are scored as batches, each bitwise equal to a call per field. The
+    frames are float64: central differences of this step mean nothing in
+    float32."""
+    cfg = cfg or LossConfig()
+    worst = 0.0
+    for frames, masks, u in _check_instances(n_instances, size, seed):
         obj = SequenceObjective(frames, masks, cfg)
         _, _, _, grad = obj.evaluate(u, want_grad=True)
         # perturb one component per batch entry; chunks bound the memory

@@ -157,37 +157,50 @@ class MotionField:
         return cls(np.zeros((nz, 2, ny, nx)))
 
 
-def _pad_to_multiple(field: np.ndarray, k: int, edge: bool) -> np.ndarray:
+def _pad_to_multiple(field: np.ndarray, k: int, edge: bool,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Pad the trailing two axes up to multiples of k.
 
     edge=True replicates the boundary (data); edge=False pads with zeros,
-    which marks padded mask cells invalid.
+    which marks padded mask cells invalid. out, of the padded shape and
+    field's dtype, receives the result when given; a field that needs no
+    padding is returned as it is.
     """
     ny, nx = field.shape[-2:]
     py = (-ny) % k
     px = (-nx) % k
     if py == 0 and px == 0:
         return field
-    width = [(0, 0)] * (field.ndim - 2) + [(0, py), (0, px)]
+    if out is None:
+        out = np.empty(field.shape[:-2] + (ny + py, nx + px), field.dtype)
+    out[..., :ny, :nx] = field
     if edge:
-        return np.pad(field, width, mode="edge")
-    return np.pad(field, width, mode="constant", constant_values=False)
+        out[..., ny:, :nx] = field[..., ny - 1:, :]
+        out[..., :, nx:] = out[..., :, nx - 1:nx]
+    else:
+        out[..., ny:, :] = 0
+        out[..., :, nx:] = 0
+    return out
 
 
-def avg_pool2d(field: np.ndarray, k: int,
-               out: np.ndarray | None = None) -> np.ndarray:
+def avg_pool2d(field: np.ndarray, k: int, out: np.ndarray | None = None,
+               padded: np.ndarray | None = None) -> np.ndarray:
     """Block-average the trailing two axes by factor k.
 
     Non-divisible sizes are padded by edge replication before pooling; use
     pool_mask_all on the matching mask so padded blocks come out invalid.
-    k=1 is the identity. out, when given for k > 1, receives the result.
+    k=1 is the identity. A floating field keeps its dtype, any other is
+    pooled in float64. out, when given for k > 1, receives the result, and
+    padded, of the padded shape, the edge-replicated field.
     """
     if k <= 0:
         raise ValueError(f"pooling factor must be >= 1, got {k}")
-    field = np.asarray(field, dtype=np.float64)
+    field = np.asarray(field)
+    if not np.issubdtype(field.dtype, np.floating):
+        field = field.astype(np.float64)
     if k == 1:
         return field.copy()
-    field = _pad_to_multiple(field, k, edge=True)
+    field = _pad_to_multiple(field, k, edge=True, out=padded)
     ny, nx = field.shape[-2:]
     shape = field.shape[:-2] + (ny // k, k, nx // k, k)
     return field.reshape(shape).mean(axis=(-3, -1), out=out)

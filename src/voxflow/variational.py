@@ -184,7 +184,8 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
     then refines per cell, upsampling by 2 between stages. The trace covers
     the full-resolution stage only (coarser stages build the
     initialization). A level whose stages rejected every trial step is
-    reported as NO_ACCEPTED_STEP.
+    reported as NO_ACCEPTED_STEP. Each stage's objective gets float32
+    frames, so it warps in float32; the motion stays float64.
     """
     ny, nx = frames[0].shape
     has_signal = any((f[m] > DBR_FLOOR + 1e-9).any() for f, m in zip(frames, masks))
@@ -198,7 +199,7 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
     accepted = rejected = 0
     for lev in range(n_pyr - 1, -1, -1):
         factor = 2 ** lev
-        fr = [avg_pool2d(f, factor)[None] for f in frames]
+        fr = [avg_pool2d(f, factor)[None].astype(np.float32) for f in frames]
         mk = [pool_mask_all(m, factor)[None] for m in masks]
         h, w = fr[0].shape[1:]
         stage_cfg = cfg if factor == 1 else replace(cfg,
@@ -234,7 +235,8 @@ def estimate_variational(
     frames (inference mode); when given, the concatenated observed+future
     sequence is fit (diagnostic mode). Levels are processed independently;
     a level with no precipitation signal comes back as a zero field with
-    status NO_SIGNAL.
+    status NO_SIGNAL. A grid that no configured scale pools to at least
+    4 x 4 cells is a ValueError.
     """
     cfg = cfg or LossConfig()
     opt = opt or OptimizerConfig()
@@ -248,6 +250,12 @@ def estimate_variational(
     for f in fields:
         if f.data.shape != shape:
             raise ValueError("all frames must share one shape")
+    ny, nx = shape[1:]
+    k = min(cfg.scales)
+    if min(ny, nx) // k < 4:
+        raise ValueError(
+            f"no pooling scale leaves a 4 x 4 grid of the {ny} x {nx} "
+            f"frames: the smallest, {k}, leaves {ny // k} x {nx // k}")
 
     def run(z: int):
         frames_z = [f.data[z] for f in fields]

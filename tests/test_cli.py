@@ -610,6 +610,34 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: scales must be non-empty, each >= 1, got (1, 0)"]
 
+    @pytest.mark.parametrize("scales", ["64", "1000", "1000000"])
+    def test_scales_that_leave_no_grid_are_one_error_line(self, uniform_files,
+                                                          scales):
+        # a child process under a 2 GiB address-space limit: should the
+        # check miss, the oversized pooling fails to allocate instead of
+        # taking the machine's memory
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        d, vol = uniform_files
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
+                   OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        child = subprocess.run(
+            [sys.executable, "-m", "voxflow.cli", "estimate", str(vol),
+             "--scales", scales, "-o", str(d / "never.rmf")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=limit)
+        k = int(scales)
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
+        assert child.stderr.splitlines() == [
+            f"error: no pooling scale leaves a 4 x 4 grid of the 128 x 128 "
+            f"frames: the smallest, {k}, leaves {128 // k} x {128 // k}"]
+        assert not (d / "never.rmf").exists()
+
     def test_missing_config_file_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         assert run("synth", "--config", missing, "--preset", "uniform",

@@ -11,6 +11,7 @@ from voxflow.flow import (
     Criterion,
     LossConfig,
     SequenceObjective,
+    _check_instances,
     correlate3x3,
     divergence,
     gradient_check,
@@ -531,28 +532,147 @@ class TestWorkspaceEvaluate:
 
     def test_allocates_only_the_returned_gradient(self):
         # the desk-scale objective: one 128^2 level, 8 frames, scales 1,2,4
-        y, x = np.mgrid[0:128, 0:128]
-        frames = [np.maximum(10.0 * np.sin((x - 1.3 * t) / 9.0)
-                             * np.cos((y - 0.7 * t) / 11.0), -15.0)[None]
-                  for t in range(8)]
-        masks = [np.ones((1, 128, 128), bool)] * 8
-        obj = SequenceObjective(frames, masks, LossConfig(scales=(1, 2, 4)))
-        u = np.random.default_rng(9).uniform(-1.0, 1.0, (1, 2, 128, 128))
-        obj.evaluate(u)
-        # NumPy's ufunc loops may stage operands in buffers of up to
-        # bufsize elements whatever the array sizes; the smallest bufsize
-        # keeps them out of the count, which is then of arrays alone
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        old = np.setbufsize(16)
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            grad = obj.evaluate(u)[3]
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            np.setbufsize(old)
-            if not tracing:
-                tracemalloc.stop()
+        obj, u = _desk_objective(128)
+        peak, grad = _evaluate_peak(obj, u)
         assert peak - grad.nbytes < 64 * 1024
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_grid_a_scale_does_not_divide_allocates_no_more(self, dtype):
+        # 130^2: scales 2 and 4 pad the motion, into a workspace array
+        peak_128, _ = _evaluate_peak(*_desk_objective(128, dtype))
+        peak_130, grad = _evaluate_peak(*_desk_objective(130, dtype))
+        assert peak_130 <= peak_128 + grad.nbytes
+
+
+def _desk_objective(n, dtype=np.float64):
+    """One n x n level, 8 frames, scales 1,2,4, and a motion to score."""
+    y, x = np.mgrid[0:n, 0:n]
+    frames = [np.maximum(10.0 * np.sin((x - 1.3 * t) / 9.0)
+                         * np.cos((y - 0.7 * t) / 11.0), -15.0)[None]
+              .astype(dtype) for t in range(8)]
+    masks = [np.ones((1, n, n), bool)] * 8
+    obj = SequenceObjective(frames, masks, LossConfig(scales=(1, 2, 4)))
+    return obj, np.random.default_rng(9).uniform(-1.0, 1.0, (1, 2, n, n))
+
+
+def _evaluate_peak(obj, u):
+    """(peak bytes traced during one evaluate after a warm-up call, the
+    gradient it returned)."""
+    obj.evaluate(u)
+    # NumPy's ufunc loops may stage operands in buffers of up to bufsize
+    # elements whatever the array sizes; the smallest bufsize keeps them
+    # out of the count, which is then of arrays alone
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    old = np.setbufsize(16)
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        grad = obj.evaluate(u)[3]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        np.setbufsize(old)
+        if not tracing:
+            tracemalloc.stop()
+    return peak, grad
+
+
+def _loss_and_grads(frames, masks, cfg, u):
+    """(total, gradient) of the float64 and of the float32 objective."""
+    got = []
+    for dtype in (np.float64, np.float32):
+        obj = SequenceObjective([f.astype(dtype) for f in frames], masks, cfg)
+        total, _, _, grad = obj.evaluate(u)
+        assert grad.dtype == np.float64
+        got.append((total, grad))
+    return got
+
+
+@pytest.fixture(scope="module")
+def desk_levels():
+    """(name, frames, masks, truth motion) of every level of the shear2,
+    uniform and rotation desk scenes: the 8 dBR input frames the estimator
+    sees."""
+    from voxflow.synth import generate, preset
+    from voxflow.transform import rain_to_dbr, volume_to_rain
+    levels = []
+    for name in ("shear2", "uniform", "rotation"):
+        vol, truth = generate(preset(name))
+        fields = [rain_to_dbr(volume_to_rain(vol, t)) for t in range(8)]
+        for z in range(vol.shape[1]):
+            levels.append((f"{name}/{z}", [f.data[z][None] for f in fields],
+                           [f.mask[z][None] for f in fields], truth.u[z][None]))
+    return levels
+
+
+class TestFloat32Objective:
+    """Float32 frames warp in float32; the result must stay close to the
+    float64 objective's, which gradient_check validates."""
+
+    def test_gradient_check_is_unchanged(self):
+        assert gradient_check(LossConfig(), 20, 16, 0) == 2.6629501089035085e-06
+
+    def test_matches_float64_on_the_gradient_check_instances(self):
+        for frames, masks, u in _check_instances(20, 16, 0):
+            (t64, g64), (t32, g32) = _loss_and_grads(frames, masks,
+                                                     LossConfig(), u)
+            assert abs(t32 - t64) <= 1e-6 * abs(t64)
+            assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+    @pytest.mark.parametrize("crit", list(Criterion))
+    def test_matches_float64_on_desk_levels(self, desk_levels, crit):
+        # Part-way to the truth and at it. At zero motion some pooled
+        # residuals are ties that the two dtypes round to different signs
+        # (float64 to about 1e-15), so sign(r) there, and the MAE
+        # subgradient, is noise.
+        # Near convergence the MSE loss is small against the float32
+        # rounding of the frames: up to 4e-6 relative at 0.9 x truth.
+        cfg = LossConfig(scales=(1, 2, 4), criterion=crit)
+        for name, frames, masks, truth in desk_levels:
+            for frac in (0.5, 0.9, 1.0):
+                (t64, g64), (t32, g32) = _loss_and_grads(frames, masks, cfg,
+                                                         frac * truth)
+                assert abs(t32 - t64) <= 1e-5 * t64, (name, frac)
+                # sign(r) flips on the few cells where r is about zero, so
+                # the difference is bounded in L1, not cell by cell
+                assert np.abs(g32 - g64).sum() <= 1e-3 * np.abs(g64).sum(), \
+                    (name, frac)
+
+    def test_motion_past_the_float32_range_leaves_the_grid(self):
+        # a departure of 1e300 cells overflows float32; clipped, it is
+        # outside like one of 1e36 cells (RuntimeWarning is an error here)
+        rng = np.random.default_rng(4)
+        frames = [smooth_random(rng)[None].astype(np.float32)
+                  for _ in range(3)]
+        obj = SequenceObjective(frames, [np.ones((1, 16, 16), bool)] * 3,
+                                LossConfig(scales=(1, 2)))
+        u = np.repeat(rng.uniform(-1.0, 1.0, (1, 1, 2, 16, 16)), 2, axis=0)
+        u[0, 0, 0, 3, 3], u[1, 0, 0, 3, 3] = 1e300, 1e36
+        _, data, _, grad = obj.evaluate(u)
+        assert np.isfinite(grad).all()
+        assert data[0] == data[1]
+        assert grad[0].tobytes() == grad[1].tobytes()
+
+    def test_float32_frames_give_float32_warp_planes(self):
+        rng = np.random.default_rng(3)
+        frames = [np.maximum(rng.normal(-3.0, 8.0, (2, 13, 19)), -15.0)
+                  .astype(np.float32) for _ in range(3)]
+        masks = [rng.random((2, 13, 19)) > 0.1 for _ in range(3)]
+        obj = SequenceObjective(frames, masks, LossConfig(scales=(1, 2, 4)))
+        u = rng.uniform(-2.0, 2.0, (2, 2, 13, 19))
+        total, _, _, grad = obj.evaluate(u)
+        assert isinstance(total, float) and grad.dtype == np.float64
+        for k in obj.active_scales:
+            sources, _, targets = obj.pooled[k][0]
+            assert sources.dtype == targets.dtype == np.float32
+            arrays = obj._ws[k]._arrays
+            for name in ("xs", "ys", "warped", "level_grads",
+                         *(("work", i) for i in range(6)),
+                         *(("weight", i) for i in range(4))):
+                assert arrays[name].dtype == np.float32, (k, name)
+            # the motion and its data-term gradient stay float64
+            assert arrays["g"].dtype == np.float64
+            if k > 1:
+                assert arrays["v"].dtype == arrays["v_padded"].dtype \
+                    == np.float64

@@ -59,6 +59,28 @@ class TestAvgPool:
         assert out.shape == (1, 2)
         assert out[0, 1] == pytest.approx(3.0)  # replicated edge
 
+    def test_padding_buffer_gives_the_bytes_of_np_pad(self):
+        rng = np.random.default_rng(5)
+        f = rng.normal(size=(2, 3, 13, 19))
+        for k in (2, 3, 4):
+            py, px = -13 % k, -19 % k
+            want = np.pad(f, [(0, 0), (0, 0), (0, py), (0, px)], mode="edge")
+            padded = np.full(want.shape, np.nan)
+            got = avg_pool2d(f, k, padded=padded)
+            assert padded.tobytes() == want.tobytes()
+            assert got.tobytes() == avg_pool2d(f, k).tobytes()
+            assert got.tobytes() == want.reshape(
+                2, 3, want.shape[-2] // k, k, want.shape[-1] // k, k).mean(
+                    axis=(-3, -1)).tobytes()
+
+    def test_keeps_a_floating_dtype(self):
+        f = np.arange(30.0).reshape(5, 6)
+        for dtype in (np.float32, np.float64):
+            for k in (1, 2, 4):
+                assert avg_pool2d(f.astype(dtype), k).dtype == dtype
+        assert avg_pool2d(np.arange(16).reshape(4, 4), 2).dtype == np.float64
+        assert avg_pool2d(np.ones((4, 4), bool), 1).dtype == np.float64
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             avg_pool2d(np.zeros((4, 4)), 0)

@@ -156,6 +156,34 @@ class TestEstimateVariational:
         np.testing.assert_array_equal(seq.motion.u, par.motion.u)
         assert seq.statuses == par.statuses
 
+    @pytest.mark.parametrize("scales", [(64,), (1000, 64), (10 ** 6,)])
+    def test_scales_that_leave_no_4x4_grid_are_rejected(self, scales):
+        vol, _ = wide_blob_scene([[[1.0, 0.0]]], t_count=2)
+        inputs = [volume_to_rain(vol, t) for t in range(2)]
+        k = min(scales)
+        with pytest.raises(ValueError) as err:
+            estimate_variational(inputs, cfg=LossConfig(scales=scales),
+                                 opt=FAST_OPT)
+        assert str(err.value) == (
+            f"no pooling scale leaves a 4 x 4 grid of the 128 x 128 frames: "
+            f"the smallest, {k}, leaves {128 // k} x {128 // k}")
+
+    def test_float32_objective_warps_each_stage(self, monkeypatch):
+        from voxflow import variational
+        dtypes = []
+
+        class Recording(SequenceObjective):
+            def __init__(self, frames, masks, cfg):
+                dtypes.extend(f.dtype for f in frames)
+                super().__init__(frames, masks, cfg)
+
+        monkeypatch.setattr(variational, "SequenceObjective", Recording)
+        vol, _ = wide_blob_scene([[[1.0, 0.0]]], t_count=2)
+        inputs = [volume_to_rain(vol, t) for t in range(2)]
+        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        assert res.motion.u.dtype == np.float64
+
     def test_optimizer_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
