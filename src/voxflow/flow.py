@@ -396,7 +396,8 @@ class SequenceObjective:
                     padded = None
                     if (hk * k, wk * k) != (self.ny, self.nx):
                         padded = ws("v_padded", v.shape[:-2] + (hk * k, wk * k))
-                    v = np.divide(avg_pool2d(v, k, out=pooled, padded=padded),
+                    v = np.divide(avg_pool2d(v, k, out=pooled, padded=padded,
+                                             row=ws("v_row", pooled.shape)),
                                   k, out=pooled)
                 # a level's gradients must outlive the next level's warp
                 grad_out = None

@@ -184,14 +184,17 @@ def _pad_to_multiple(field: np.ndarray, k: int, edge: bool,
 
 
 def avg_pool2d(field: np.ndarray, k: int, out: np.ndarray | None = None,
-               padded: np.ndarray | None = None) -> np.ndarray:
+               padded: np.ndarray | None = None,
+               row: np.ndarray | None = None) -> np.ndarray:
     """Block-average the trailing two axes by factor k.
 
     Non-divisible sizes are padded by edge replication before pooling; use
     pool_mask_all on the matching mask so padded blocks come out invalid.
     k=1 is the identity. A floating field keeps its dtype, any other is
-    pooled in float64. out, when given for k > 1, receives the result, and
-    padded, of the padded shape, the edge-replicated field.
+    pooled in float64. The result is NumPy's mean over each block, bit for
+    bit. out (the result), padded (the field edge-padded to multiples of
+    k, used only when k does not divide its trailing axes) and row (an
+    array of the result's shape) may be caller-owned buffers.
     """
     if k <= 0:
         raise ValueError(f"pooling factor must be >= 1, got {k}")
@@ -202,8 +205,25 @@ def avg_pool2d(field: np.ndarray, k: int, out: np.ndarray | None = None,
         return field.copy()
     field = _pad_to_multiple(field, k, edge=True, out=padded)
     ny, nx = field.shape[-2:]
-    shape = field.shape[:-2] + (ny // k, k, nx // k, k)
-    return field.reshape(shape).mean(axis=(-3, -1), out=out)
+    if k >= 8:
+        # NumPy sums 8 or more cells of a block row pairwise
+        return field.reshape(field.shape[:-2] + (ny // k, k, nx // k, k)) \
+            .mean(axis=(-3, -1), out=out)
+    # A reduction over two short axes runs several times slower than
+    # these k * k strided additions, which keep its order: each block row
+    # summed from 0.0 cell by cell, then the row sums added from 0.0.
+    shape = field.shape[:-2] + (ny // k, nx // k)
+    out = np.empty(shape, field.dtype) if out is None else out
+    row = np.empty(shape, field.dtype) if row is None else row
+    for i in range(k):
+        total = out if i == 0 else row
+        np.add(0.0, field[..., i::k, 0::k], out=total)
+        for j in range(1, k):
+            total += field[..., i::k, j::k]
+        if i:
+            out += row
+    out /= k * k
+    return out
 
 
 def pool_mask_all(mask: np.ndarray, k: int) -> np.ndarray:

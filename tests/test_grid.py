@@ -69,9 +69,30 @@ class TestAvgPool:
             got = avg_pool2d(f, k, padded=padded)
             assert padded.tobytes() == want.tobytes()
             assert got.tobytes() == avg_pool2d(f, k).tobytes()
-            assert got.tobytes() == want.reshape(
-                2, 3, want.shape[-2] // k, k, want.shape[-1] // k, k).mean(
-                    axis=(-3, -1)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_numpy_block_mean(self, dtype):
+        # k < 8 adds strided views in the order NumPy's mean sums a block;
+        # signed zeros included, as both sum from 0.0
+        rng = np.random.default_rng(6)
+        for shape in [(2, 37, 45), (3, 2, 16, 16), (64, 40)]:
+            f = rng.normal(size=shape).astype(dtype)
+            f[..., ::3, ::2] = -0.0
+            f[..., 1::5, ::3] = 0.0
+            for k in range(2, 10):
+                ny, nx = shape[-2:]
+                padded = np.pad(f, [(0, 0)] * (f.ndim - 2)
+                                + [(0, -ny % k), (0, -nx % k)], mode="edge")
+                want = padded.reshape(
+                    f.shape[:-2] + (padded.shape[-2] // k, k,
+                                    padded.shape[-1] // k, k)).mean(
+                                        axis=(-3, -1))
+                got = avg_pool2d(f, k)
+                assert got.dtype == dtype
+                assert got.tobytes() == want.tobytes(), (shape, k)
+                out, row = np.full_like(want, np.nan), np.full_like(want, np.nan)
+                assert avg_pool2d(f, k, out=out, row=row) is out
+                assert out.tobytes() == want.tobytes(), (shape, k)
 
     def test_keeps_a_floating_dtype(self):
         f = np.arange(30.0).reshape(5, 6)
