@@ -356,13 +356,11 @@ class SplitDiagnostic:
         return levels_constant and max(self.cmax_counts) > self.cmax_counts[0]
 
 
-def cell_split_diagnostic(volume_nowcast: Sequence[RainField],
+def cell_split_diagnostic(volume_nowcast: Iterable[RainField],
                           threshold: float = 1.0) -> SplitDiagnostic:
     """Component counts of the thresholded CMAX composite at each lead,
     alongside per-level counts. The leads are taken one at a time, so a
-    lazy sequence holds one field at a time."""
-    if not volume_nowcast:
-        raise ValueError("empty nowcast sequence")
+    lazy iterable holds one field at a time."""
     cmax_counts = []
     rainy = []
     level_counts = []
@@ -372,6 +370,8 @@ def cell_split_diagnostic(volume_nowcast: Sequence[RainField],
         cmax_counts.append(count_components(comp))
         rainy.append(int(comp.sum()))
         level_counts.append([count_components(plane) for plane in wet])
+    if not cmax_counts:
+        raise ValueError("empty nowcast sequence")
     return SplitDiagnostic(cmax_counts=cmax_counts,
                            level_counts=np.array(level_counts, dtype=int),
                            cmax_rainy_cells=rainy)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from collections.abc import Sequence
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -22,10 +21,10 @@ from .advect import extrapolate
 from .denoise import denoise_volume
 from .errors import DivergedError, FormatError, NoOverlapError
 from .flow import Criterion, LossConfig
-from .grid import MotionField, RadarVolume, RainField, cmax
+from .grid import MotionField, RadarVolume, cmax
 from .lucas_kanade import estimate_lucas_kanade
 from .synth import PRESET_NAMES, generate, preset
-from .transform import cmax_rain, rain_to_dbr, rain_to_dbz, volume_to_rain
+from .transform import rain_to_dbr, rain_to_dbz, volume_to_rain
 from .variational import OptimizerConfig, estimate_variational
 from .verify import verify_nowcast
 
@@ -114,15 +113,15 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(parser: argparse.ArgumentParser, sub: argparse.ArgumentParser,
+def _apply_config(parser: argparse.ArgumentParser, table: dict,
                   argv: list[str]) -> argparse.Namespace:
-    """Two-pass parse so config-file values become defaults that explicit
-    flags override."""
+    """Two-pass parse so config-file values become defaults of the
+    subcommand's parser (table[command]) that explicit flags override."""
     args, _ = parser.parse_known_args(argv)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
+    if args.config:
+        sub = table[args.command]
         known = {a.dest: a for a in sub._actions}
-        values = _load_config(cfg_path)
+        values = _load_config(args.config)
         defaults = {}
         for key, text in values.items():
             if key not in known:
@@ -273,6 +272,11 @@ def _loss_config(args) -> LossConfig:
     return LossConfig(beta=args.beta, scales=args.scales, criterion=crit)
 
 
+#: columns of the loss trace CSV, one row per accepted iterate
+_TRACE_HEADER = ["level", "iteration", "loss_total", "loss_multiscale",
+                 "loss_divergence"]
+
+
 def _cmd_estimate(args) -> int:
     t_total = rvol.read_header(args.volume).t
     n = min(args.inputs, t_total)
@@ -293,14 +297,12 @@ def _cmd_estimate(args) -> int:
         out.with_name(out.stem + "_trace.csv")
 
     if args.mode == "lk":
-        comp = cmax(vol) if vol.shape[1] > 1 else vol
+        comp = cmax(vol)
         a = rain_to_dbr(volume_to_rain(comp, n - 2))
         b = rain_to_dbr(volume_to_rain(comp, n - 1))
         res = estimate_lucas_kanade(a.data[0], b.data[0], window=args.window)
         rvol.write_motion(out, res.motion)
-        _write_csv(trace_path,
-                   ["level", "iteration", "loss_total", "loss_multiscale",
-                    "loss_divergence"], [])
+        _write_csv(trace_path, _TRACE_HEADER, [])
         flag = " (all pixels rejected)" if res.all_rejected else ""
         print(f"wrote {out} (lk baseline{flag}) and {trace_path}")
         return 0
@@ -319,8 +321,7 @@ def _cmd_estimate(args) -> int:
     for z, trace in enumerate(result.traces):
         for i, (tot, data, div) in enumerate(trace):
             rows.append([z, i, float(tot), float(data), float(div)])
-    _write_csv(trace_path, ["level", "iteration", "loss_total",
-                            "loss_multiscale", "loss_divergence"], rows)
+    _write_csv(trace_path, _TRACE_HEADER, rows)
     statuses = ",".join(s.value for s in result.statuses)
     print(f"wrote {out} (levels: {statuses}) and {trace_path}")
     return 0
@@ -347,29 +348,6 @@ def _cmd_nowcast(args) -> int:
     return 0
 
 
-class _Frames(Sequence):
-    """count rain fields, field i made by make(i) when it is indexed, so a
-    consumer that takes one at a time holds one at a time."""
-
-    def __init__(self, count: int, make):
-        self.count, self.make = count, make
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, i: int) -> RainField:
-        return self.make(i)
-
-    def __iter__(self):
-        # the default __iter__ calls make once past the end to stop
-        return map(self.make, range(self.count))
-
-
-def _rain_frames(vol: RadarVolume) -> _Frames:
-    """The frames of vol as rain fields, each converted when indexed."""
-    return _Frames(vol.shape[0], lambda t: volume_to_rain(vol, t))
-
-
 def _cmd_verify(args) -> int:
     with rvol.RvolReader(args.forecast) as fc, \
             rvol.RvolReader(args.truth) as truth:
@@ -381,12 +359,12 @@ def _cmd_verify(args) -> int:
         if offset < 0 or offset + k > t_truth:
             raise ValueError(f"truth volume (T={t_truth}) cannot cover "
                              f"{k} leads at offset {offset}")
-        # one lead of each volume is read and pooled to its column maximum
-        # at a time
+        # one lead of each volume is read, pooled to its column maximum in
+        # dBZ and converted at a time
         report = verify_nowcast(
-            [_Frames(k, lambda t: cmax_rain(fc.read(t, t + 1), 0))],
-            [_Frames(k, lambda t: cmax_rain(
-                truth.read(offset + t, offset + t + 1), 0))],
+            (volume_to_rain(cmax(fc.read(t, t + 1)), 0) for t in range(k)),
+            (volume_to_rain(cmax(truth.read(t, t + 1)), 0)
+             for t in range(offset, offset + k)),
             args.thresholds)
     sample_id = Path(args.forecast).stem
     rows = []
@@ -596,8 +574,11 @@ def _analyze_outliers(args, files, outdir: Path) -> str:
 def _analyze_split(args, files, outdir: Path) -> str:
     """Split diagnostic: each volume's frames are treated as nowcast leads."""
     for path, stem, _ in files:
+        vol = rvol.read_rvol(path)
         diag = analysis.cell_split_diagnostic(
-            _rain_frames(rvol.read_rvol(path)), threshold=args.threshold)
+            (volume_to_rain(vol, t) for t in range(vol.shape[0])),
+            threshold=args.threshold)
+        del vol  # freed before the next volume is read
         rows = [[li, n, ";".join(str(c) for c in counts), cells]
                 for li, (n, counts, cells) in enumerate(zip(
                     diag.cmax_counts, diag.level_counts,
@@ -640,10 +621,8 @@ def _write_matrix(path: Path, mat: np.ndarray) -> None:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, table = build_parser()
-    # first pass only to discover the subcommand for config handling
-    pre, _ = parser.parse_known_args(argv)
     try:
-        args = _apply_config(parser, table[pre.command], argv)
+        args = _apply_config(parser, table, argv)
         if args.command == "synth":
             return _cmd_synth(args, table["synth"])
         if args.command == "estimate":

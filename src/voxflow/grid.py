@@ -414,8 +414,12 @@ def mask_apply(masks: np.ndarray, geometry: tuple[np.ndarray, np.ndarray],
 def max_pool_vertical(vol: RadarVolume, factor: int) -> RadarVolume:
     """Max-pool adjacent altitude groups of size factor.
 
-    Invalid cells are treated as -inf; an output cell is invalid only when
-    every cell of its group is invalid. z_levels become the group maxima.
+    The maximum is taken over the valid, finite cells of a group, the cells
+    that volume_to_rain converts; an output cell is invalid only when every
+    cell of its group is invalid, and a valid one without a finite valid
+    cell holds -inf, which converts to an invalid cell. So
+    volume_to_rain(cmax(vol), t) equals cmax_field(volume_to_rain(vol, t)),
+    the Z-R map being monotone. z_levels become the group maxima.
     factor = Z produces the column-maximum (CMAX) composite. rho_hv is
     dropped: the quality field has no defined pooling semantics.
     """
@@ -423,7 +427,8 @@ def max_pool_vertical(vol: RadarVolume, factor: int) -> RadarVolume:
     if factor <= 0 or z % factor != 0:
         raise ValueError(f"Z={z} not divisible by pooling factor {factor}")
     zp = z // factor
-    data = np.where(vol.mask[None], vol.data, -np.inf)
+    valid = np.isfinite(vol.data)  # and-ed in place: one boolean temporary
+    data = np.where(np.logical_and(valid, vol.mask, out=valid), vol.data, -np.inf)
     data = data.reshape(t, zp, factor, ny, nx).max(axis=2)
     mask = vol.mask.reshape(zp, factor, ny, nx).any(axis=1)
     # all-invalid groups hold -inf; replace with the no-echo sentinel

@@ -48,21 +48,6 @@ def volume_to_rain(vol: RadarVolume, t: int) -> RainField:
     return dbz_to_rain(vol.frame(t), mask=vol.mask)
 
 
-def cmax_rain(vol: RadarVolume, t: int) -> RainField:
-    """Rain-rate field of the column maximum of frame t over its valid
-    levels (Z -> 1), with the same bytes as
-    cmax_field(volume_to_rain(vol, t)).
-
-    The Z-R map is monotone, so the maximum is taken in dBZ and only the
-    pooled level is converted. A column without a valid cell is 0 mm/h and
-    invalid.
-    """
-    frame = vol.frame(t)
-    valid = vol.mask & np.isfinite(frame)
-    dbz = np.where(valid, frame, -np.inf).max(axis=0, keepdims=True)
-    return dbz_to_rain(dbz, mask=valid.any(axis=0, keepdims=True))
-
-
 def rain_to_dbz(r: RainField) -> np.ndarray:
     """Invert the Z-R relationship; rates mapping below NO_ECHO_DBZ (or zero
     rates) take the no-echo value."""

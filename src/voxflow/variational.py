@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergedError, NoOverlapError
-from .flow import LossConfig, SequenceObjective, _as_dbr
+from .flow import MAX_MOTION, LossConfig, SequenceObjective, _as_dbr
 from .grid import DBR_FLOOR, MotionField, RainField, avg_pool2d, pool_mask_all, upsample2d
 
 
@@ -61,8 +61,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        # NaN fails the comparison; the warp clips motion at MAX_MOTION,
+        # and a step near the float64 maximum overflows the momentum update
+        if not 0 < self.step_size <= MAX_MOTION:
+            raise ValueError(f"step_size must lie in (0, {MAX_MOTION:g}], "
+                             f"got {self.step_size!r}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
         if self.coarse_to_fine_levels < 1:
@@ -227,15 +230,14 @@ def estimate_variational(
     future: Sequence[RainField] | None = None,
     cfg: LossConfig | None = None,
     opt: OptimizerConfig | None = None,
-    threads: int | None = None,
 ) -> VariationalResult:
     """Estimate a per-level motion field minimizing the total loss.
 
     When ``future`` is omitted the objective covers only the observed input
     frames (inference mode); when given, the concatenated observed+future
-    sequence is fit (diagnostic mode). Levels are processed independently;
-    a level with no precipitation signal comes back as a zero field with
-    status NO_SIGNAL. A grid that no configured scale pools to at least
+    sequence is fit (diagnostic mode). Levels are processed independently,
+    on up to default_threads() threads; a level with no precipitation
+    signal comes back as a zero field with status NO_SIGNAL. A grid that no configured scale pools to at least
     4 x 4 cells is a ValueError.
     """
     cfg = cfg or LossConfig()
@@ -262,7 +264,7 @@ def estimate_variational(
         masks_z = [f.mask[z] for f in fields]
         return _optimize_level(frames_z, masks_z, cfg, opt)
 
-    threads = threads if threads is not None else default_threads()
+    threads = default_threads()
     if threads > 1 and nz > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, range(nz)))

@@ -9,8 +9,9 @@ sentinels that aggregation simply skips.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -125,46 +126,72 @@ def _added(acc: tuple, new: tuple) -> tuple:
     return tuple(a + b for a, b in zip(acc, new))
 
 
+#: marks the end of an iterable
+_MISSING = object()
+
+
 def _as_cmax_mmh(f: RainField) -> RainField:
     return cmax_field(f) if f.nz > 1 else f
 
 
+def _chained(first, rest: Iterable):
+    """first, then the items of rest, without holding first once taken."""
+    yield first
+    del first
+    yield from rest
+
+
 def verify_nowcast(
-    model_outputs: Sequence,
-    observations: Sequence,
+    model_outputs: Iterable,
+    observations: Iterable,
     thresholds: Sequence[float] = (1.0, 5.0, 10.0),
 ) -> VerificationReport:
     """Score forecasts against observations, independently per lead time.
 
-    Accepts one sample (a sequence of per-lead RainFields for forecast and
-    observation alike) or many (a sequence of such sequences). Volumetric
-    fields are collapsed to their column maximum prior to evaluation.
-    Repeated thresholds raise ValueError.
+    Accepts one sample (an iterable of per-lead RainFields for forecast and
+    observation alike) or many (an iterable of such iterables). Fields are
+    taken one lead at a time, so a lazy iterable holds one lead at a time,
+    and the sample and lead counts are checked as they are consumed.
+    Volumetric fields are collapsed to their column maximum prior to
+    evaluation. Repeated thresholds raise ValueError.
     """
-    if len(model_outputs) == 0:
+    model_outputs = iter(model_outputs)
+    first = next(model_outputs, _MISSING)
+    if first is _MISSING:
         raise ValueError("no forecasts given")
-    if isinstance(model_outputs[0], RainField):
-        model_outputs = [model_outputs]
-        observations = [observations]
-    if len(model_outputs) != len(observations):
-        raise ValueError("forecast and observation sample counts differ")
-    n_leads = len(model_outputs[0])
-    leads = list(range(1, n_leads + 1))
+    single = isinstance(first, RainField)
+    model_outputs = _chained(first, model_outputs)
+    del first
+    if single:
+        model_outputs, observations = [model_outputs], [observations]
     thresholds = [float(t) for t in thresholds]
     if len(set(thresholds)) != len(thresholds):
         raise ValueError(f"repeated threshold in {thresholds}")
-    sums = {lead: (0.0, 0.0, 0.0, 0) for lead in leads}
-    counts = {(lead, thr): (0, 0, 0, 0) for lead in leads for thr in thresholds}
-    for preds, obss in zip(model_outputs, observations):
-        if len(preds) != n_leads or len(obss) != n_leads:
-            raise ValueError("every sample must cover the same lead times")
-        for i, lead in enumerate(leads):
-            p, o = _joint(_as_cmax_mmh(preds[i]), _as_cmax_mmh(obss[i]))
-            sums[lead] = _added(sums[lead], _sums(p, o))
+    sums, counts = {}, {}
+    samples = end = 0
+    for preds, obss in itertools.zip_longest(model_outputs, observations,
+                                             fillvalue=_MISSING):
+        if preds is _MISSING or obss is _MISSING:
+            raise ValueError("forecast and observation sample counts differ")
+        samples += 1
+        preds, obss = iter(preds), iter(obss)
+        for lead in itertools.count(1):
+            pred, obs = next(preds, _MISSING), next(obss, _MISSING)
+            if pred is _MISSING or obs is _MISSING:
+                break
+            p, o = _joint(_as_cmax_mmh(pred), _as_cmax_mmh(obs))
+            sums[lead] = _added(sums.get(lead, (0.0, 0.0, 0.0, 0)), _sums(p, o))
             for thr in thresholds:
-                counts[(lead, thr)] = _added(counts[(lead, thr)], _counts(p, o, thr))
+                counts[lead, thr] = _added(counts.get((lead, thr), (0, 0, 0, 0)),
+                                           _counts(p, o, thr))
+            # a lazy iterable makes the next lead without this one
+            del pred, obs, p, o
+        # both iterables end at the first sample's lead count
+        if pred is not obs or (samples > 1 and lead != end):
+            raise ValueError("every sample must cover the same lead times")
+        end = lead
     tables = {(lead, thr): ContingencyTable(*c, threshold=thr, lead=lead)
               for (lead, thr), c in counts.items()}
-    return VerificationReport(leads=leads, thresholds=thresholds,
-                              samples=len(model_outputs), _continuous=sums,
-                              tables=tables)
+    return VerificationReport(leads=list(range(1, end)),
+                              thresholds=thresholds, samples=samples,
+                              _continuous=sums, tables=tables)

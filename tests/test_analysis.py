@@ -432,6 +432,19 @@ class TestCellSplitDiagnostic:
         assert (diag.level_counts == 1).all()
         assert diag.split_detected
 
+    def test_generator_gives_the_counts_of_a_list(self):
+        seq = [RainField(data=np.stack([self._gauss(24, 8 + 2 * k, sig=2.0),
+                                        self._gauss(24, 8 + k, sig=2.0)]),
+                         space=Space.MMH) for k in range(6)]
+        want = cell_split_diagnostic(seq, threshold=1.0)
+        got = cell_split_diagnostic((f for f in seq), threshold=1.0)
+        assert got.cmax_counts == want.cmax_counts
+        assert got.cmax_rainy_cells == want.cmax_rainy_cells
+        assert np.array_equal(got.level_counts, want.level_counts)
+        for empty in ([], iter([])):
+            with pytest.raises(ValueError, match="empty nowcast sequence"):
+                cell_split_diagnostic(empty)
+
     def test_empty_field_counts_zero(self):
         seq = [RainField(data=np.zeros((2, 16, 16)), space=Space.MMH)]
         diag = cell_split_diagnostic(seq, threshold=1.0)

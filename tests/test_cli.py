@@ -1,23 +1,46 @@
+import argparse
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxflow.advect import extrapolate
-from voxflow.cli import main, parse_stem_timestamp
+from voxflow.cli import build_parser, main, parse_stem_timestamp
 from voxflow.rvol import read_motion, read_rvol, write_motion, write_rvol
-from voxflow.grid import MotionField, RadarVolume, cmax_field
+from voxflow.grid import MotionField, RadarVolume
 from voxflow.transform import rain_to_dbz, volume_to_rain
 
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def _limit_child():
+    """Runs in the child before exec: a 2 GiB address space and 60 s of
+    CPU, so an unbounded allocation or loop fails there and only there."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+
+def run_limited(*args, cwd=None) -> subprocess.CompletedProcess:
+    """python -m voxflow.cli ARGS in a child process under _limit_child."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "voxflow.cli", *map(str, args)], cwd=cwd,
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_child)
 
 
 @pytest.fixture(scope="module")
@@ -264,8 +287,9 @@ class TestVerify:
             return csv.read_bytes()
 
         pooled = metrics("pooled")
-        monkeypatch.setattr("voxflow.cli.cmax_rain", lambda v, t: cmax_field(
-            volume_to_rain(v, t)))
+        # without the dBZ pooling verify converts every level and
+        # verify_nowcast takes the column maximum in mm/h
+        monkeypatch.setattr("voxflow.cli.cmax", lambda vol: vol)
         assert pooled == metrics("converted")
 
     def test_mismatched_grids_exit_1(self, uniform_files, tmp_path, capsys):
@@ -613,29 +637,29 @@ class TestErrors:
     @pytest.mark.parametrize("scales", ["64", "1000", "1000000"])
     def test_scales_that_leave_no_grid_are_one_error_line(self, uniform_files,
                                                           scales):
-        # a child process under a 2 GiB address-space limit: should the
-        # check miss, the oversized pooling fails to allocate instead of
-        # taking the machine's memory
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+        # should the check miss, the oversized pooling fails to allocate
+        # in the limited child instead of taking the machine's memory
         d, vol = uniform_files
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
-                   OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        child = subprocess.run(
-            [sys.executable, "-m", "voxflow.cli", "estimate", str(vol),
-             "--scales", scales, "-o", str(d / "never.rmf")],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=limit)
+        child = run_limited("estimate", vol, "--scales", scales,
+                            "-o", d / "never.rmf")
         k = int(scales)
         assert child.returncode == 1
         assert "Traceback" not in child.stderr
         assert child.stderr.splitlines() == [
             f"error: no pooling scale leaves a 4 x 4 grid of the 128 x 128 "
             f"frames: the smallest, {k}, leaves {128 // k} x {128 // k}"]
+        assert not (d / "never.rmf").exists()
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "1e308"])
+    def test_step_that_is_not_finite_or_too_large_is_one_error_line(
+            self, uniform_files, step):
+        # in a child, so that a warning would reach stderr
+        d, vol = uniform_files
+        child = run_limited("estimate", vol, "--inputs", "2", "--step", step,
+                            "-o", d / "never.rmf")
+        assert child.returncode == 1
+        assert child.stderr.splitlines() == [
+            f"error: step_size must lie in (0, 1e+35], got {float(step)!r}"]
         assert not (d / "never.rmf").exists()
 
     def test_missing_config_file_is_data_error(self, tmp_path, capsys):
@@ -691,6 +715,20 @@ class TestErrors:
                        "more bytes, file holds 0"]
 
 
+def _small_volume(path: Path, seed: int = 0) -> None:
+    """A 6 x 2 x 24^2 volume of one moving echo at path, and a random
+    motion field next to it as its .truth.rmf."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:24, 0:24]
+    frames = np.array([[40.0 * np.exp(
+        -((yy - 12) ** 2 + (xx - 6 - t - z) ** 2) / 18.0)
+        for z in range(2)] for t in range(6)])
+    data = np.where(frames > 2.0, frames, -32.0)
+    write_rvol(path, RadarVolume(data=data, z_levels=np.array([1000.0, 2000.0])))
+    write_motion(path.with_suffix(".truth.rmf"),
+                 MotionField(rng.uniform(-1.0, 1.0, (2, 2, 24, 24))))
+
+
 _NO_SCIPY_CHILD = """
 import sys
 import voxflow
@@ -719,18 +757,9 @@ class TestStartup:
         """Importing voxflow and running estimate (3d, 2d-cmax), nowcast,
         verify and analyze motion-corr in a fresh process loads no scipy
         module."""
-        rng = np.random.default_rng(0)
-        yy, xx = np.mgrid[0:24, 0:24]
-        frames = np.array([[40.0 * np.exp(
-            -((yy - 12) ** 2 + (xx - 6 - t - z) ** 2) / 18.0)
-            for z in range(2)] for t in range(6)])
-        data = np.where(frames > 2.0, frames, -32.0)
         (tmp_path / "data").mkdir()
         (tmp_path / "out").mkdir()
-        write_rvol(tmp_path / "data" / "20210610_1200.rvol",
-                   RadarVolume(data=data, z_levels=np.array([1000.0, 2000.0])))
-        write_motion(tmp_path / "data" / "20210610_1200.truth.rmf",
-                     MotionField(rng.uniform(-1.0, 1.0, (2, 2, 24, 24))))
+        _small_volume(tmp_path / "data" / "20210610_1200.rvol")
         src = Path(__file__).resolve().parents[1] / "src"
         env = {k: v for k, v in os.environ.items() if k != "VOXFLOW_THREADS"}
         env["PYTHONPATH"] = str(src)
@@ -739,6 +768,87 @@ class TestStartup:
              str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
+
+
+#: option and positional values that a careless or hostile caller passes
+_HOSTILE = ["0", "-1", "1000000000000", "1e308", "nan", "inf", "", "abc"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(tmp_path_factory):
+    """(directory for each run, fixture argv values per subcommand): a
+    6 x 2 x 24^2 volume with its motion, a forecast of it and a corpus of
+    two such volumes; every output path is relative to the run's
+    directory."""
+    d = tmp_path_factory.mktemp("fuzz")
+    vol, corpus = d / "v.rvol", d / "corpus"
+    _small_volume(vol)
+    corpus.mkdir()
+    for i, stem in enumerate(("20210610_1200", "20210711_1200")):
+        _small_volume(corpus / f"{stem}.rvol", seed=i)
+    fc = d / "fc.rvol"
+    assert run("nowcast", vol, d / "v.truth.rmf", "-k", "2", "-o", fc) == 0
+    fixtures = {
+        "synth": {"out": "s.rvol", "frames": "2"},
+        "estimate": {"volume": vol, "out": "m.rmf", "iters": "5",
+                     "scales": "1,2"},
+        "nowcast": {"volume": vol, "motion": d / "v.truth.rmf",
+                    "leads": "2", "out": "fc.rvol"},
+        "verify": {"forecast": fc, "truth": vol, "out": "m.csv"},
+        "analyze": {"directory": corpus, "outdir": "report"},
+    }
+    return d, fixtures
+
+
+@st.composite
+def _hostile_argv(draw, command: str, fixtures) -> list[str]:
+    """argv of the subcommand built from the parser's own actions: the
+    fixture values, a drawn choice for each choice option, drawn flags, and
+    a hostile value for one or two of the actions that take a value."""
+    _, table = build_parser()
+    actions = [a for a in table[command]._actions
+               if not isinstance(a, argparse._HelpAction)]
+    values = {k: str(v) for k, v in fixtures[command].items()}
+    for a in actions:
+        if a.choices is not None:
+            values[a.dest] = draw(st.sampled_from(sorted(a.choices)))
+        elif a.nargs == 0:
+            values[a.dest] = draw(st.booleans())
+    takes_value = [a for a in actions if a.choices is None and a.nargs != 0]
+    for a in draw(st.lists(st.sampled_from(takes_value), min_size=1,
+                           max_size=2, unique_by=lambda a: a.dest)):
+        values[a.dest] = draw(st.sampled_from(_HOSTILE))
+    argv = [command]
+    for a in actions:
+        value = values.get(a.dest, False)
+        if not a.option_strings:
+            argv.append(value)
+        elif value is True:
+            argv.append(a.option_strings[-1])
+        elif value is not False:
+            argv += [a.option_strings[-1], value]
+    return argv
+
+
+class TestHostileArguments:
+    @pytest.mark.parametrize("command", sorted(build_parser()[1]))
+    @settings(max_examples=8, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_every_command_ends_in_an_exit_code_not_a_traceback(
+            self, fuzz_runs, command, data):
+        # one child at a time, each under _limit_child's memory and CPU
+        # limits, so a missed bound fails in the child only
+        d, fixtures = fuzz_runs
+        argv = data.draw(_hostile_argv(command, fixtures))
+        child = run_limited(*argv, cwd=tempfile.mkdtemp(dir=d))
+        assert child.returncode in (0, 1, 2), (argv, child.stderr)
+        assert "Traceback" not in child.stderr, (argv, child.stderr)
+        assert "Warning" not in child.stderr, (argv, child.stderr)
+        # a failure is voxflow's own one-line error, not an import error
+        last = (child.stderr.splitlines() or [""])[-1]
+        assert child.returncode == 0 or re.match(
+            r"(voxflow( \w+)?: )?error: ", last), (argv, child.stderr)
 
 
 class TestTimestampParsing:

@@ -161,6 +161,16 @@ class TestMaxPoolVertical:
         assert out.mask[0, 0, 0]
         assert not out.mask[0, 0, 1]
 
+    def test_non_finite_valid_cells_are_skipped(self):
+        # volume_to_rain leaves a non-finite cell invalid, so the maximum
+        # skips it; a column with no finite valid cell holds -inf
+        data = np.array([[[[np.nan, 40.0, -np.inf, np.nan]],
+                          [[20.0, np.inf, np.inf, np.nan]]]])
+        vol = RadarVolume(data=data, z_levels=[500.0, 1000.0])
+        out = max_pool_vertical(vol, 2)
+        assert out.data[0, 0, 0].tolist() == [20.0, 40.0, -np.inf, -np.inf]
+        assert out.mask[0, 0].tolist() == [True] * 4
+
     def test_rejects_non_divisible(self):
         data = np.zeros((1, 3, 2, 2))
         with pytest.raises(ValueError):

@@ -8,11 +8,11 @@ from voxflow.grid import (
     RadarVolume,
     RainField,
     Space,
+    cmax,
     cmax_field,
 )
 from voxflow.transform import (
     DBR_THRESHOLD_MMH,
-    cmax_rain,
     dbr_to_rain,
     dbz_to_rain,
     rain_to_dbr,
@@ -136,12 +136,16 @@ def _dbz_volumes(draw) -> RadarVolume:
 
 
 class TestCmaxRain:
+    """verify pools each lead in dBZ with grid.cmax and converts one level;
+    that must give the bytes of converting every level first."""
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(vol=_dbz_volumes())
     def test_pooling_in_dbz_first_gives_the_same_bytes(self, vol):
+        pooled = cmax(vol)
         for t in range(vol.shape[0]):
             want = cmax_field(volume_to_rain(vol, t))
-            got = cmax_rain(vol, t)
+            got = volume_to_rain(pooled, t)
             assert np.array_equal(got.data, want.data)
             assert np.array_equal(got.mask, want.mask)
             assert got.data.tobytes() == want.data.tobytes()
@@ -150,7 +154,7 @@ class TestCmaxRain:
         mask = np.array([[[True, False]], [[False, False]]])
         vol = RadarVolume(data=np.full((1, 2, 1, 2), 40.0),
                           z_levels=[500.0, 1500.0], mask=mask)
-        got = cmax_rain(vol, 0)
+        got = volume_to_rain(cmax(vol), 0)
         assert got.data.shape == (1, 1, 2)
         assert got.mask.tolist() == [[[True, False]]]
         assert got.data[0, 0, 1] == 0.0

@@ -147,12 +147,14 @@ class TestEstimateVariational:
         b = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
         np.testing.assert_array_equal(a.motion.u, b.motion.u)
 
-    def test_parallel_levels_match_sequential(self):
+    def test_parallel_levels_match_sequential(self, monkeypatch):
         vol, _ = blob_scene(nz=2, velocities=[[[2.0, 0.0]], [[0.0, 2.0]]],
                             t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        seq = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT, threads=1)
-        par = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT, threads=2)
+        monkeypatch.setenv("VOXFLOW_THREADS", "1")
+        seq = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        monkeypatch.setenv("VOXFLOW_THREADS", "2")
+        par = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
         np.testing.assert_array_equal(seq.motion.u, par.motion.u)
         assert seq.statuses == par.statuses
 
@@ -187,8 +189,10 @@ class TestEstimateVariational:
     def test_optimizer_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(step_size=0.0)
+        for step in (0.0, -1.0, float("nan"), float("inf"), 1e308):
+            with pytest.raises(ValueError, match="step_size must lie in"):
+                OptimizerConfig(step_size=step)
+        assert OptimizerConfig(step_size=1e35).step_size == 1e35
         with pytest.raises(ValueError):
             OptimizerConfig(momentum=1.0)
 

@@ -242,3 +242,62 @@ class TestVerifyNowcast:
             assert report.continuous(lead) == continuous_metrics(p, o)
             for thr in thresholds:
                 assert report.tables[(lead, thr)] == contingency(p, o, thr, lead=lead)
+
+    def _samples(self):
+        """Forecasts of two samples, then their observations: 3 leads each."""
+        rng = np.random.default_rng(21)
+        return [[mmh(rng.gamma(0.6, 6.0, (2, 8, 8))) for _ in range(3)]
+                for _ in range(4)]
+
+    def test_iterators_give_the_scores_of_lists(self):
+        fields = self._samples()
+        preds, obss = fields[:2], fields[2:]
+        want = verify_nowcast(preds, obss)
+        got = verify_nowcast((iter(p) for p in preds), iter(map(iter, obss)))
+        assert (got.leads, got.samples) == (want.leads, want.samples)
+        assert got._continuous == want._continuous and got.tables == want.tables
+        one = verify_nowcast(preds[0], obss[0])
+        assert verify_nowcast(iter(preds[0]), iter(obss[0])).tables == one.tables
+
+    def test_a_generator_is_held_one_lead_at_a_time(self):
+        import weakref
+        made = []
+
+        def leads(n):
+            for _ in range(n):
+                # every earlier lead is freed before the next is made
+                assert all(ref() is None for ref in made)
+                f = mmh(np.full((2, 4, 4), 3.0))
+                made.append(weakref.ref(f))
+                yield f
+                del f
+
+        for one, many in ((leads(5), [mmh(np.full((1, 4, 4), 3.0))] * 5),
+                          ([leads(5)], [[mmh(np.full((1, 4, 4), 3.0))] * 5])):
+            made.clear()
+            assert verify_nowcast(one, many).leads == [1, 2, 3, 4, 5]
+            assert len(made) == 5
+
+    @pytest.mark.parametrize("what, sample", [
+        ("forecast lead", 0), ("observed lead", 0), ("forecast lead", 1),
+        ("observed lead", 1), ("extra lead", 1), ("sample", None)])
+    def test_counts_that_differ_are_found_while_consuming(self, what, sample):
+        fields = self._samples()
+        preds, obss = fields[:2], fields[2:]
+        message = "every sample must cover the same lead times"
+        if what == "sample":
+            obss.pop()
+            message = "forecast and observation sample counts differ"
+        elif what == "forecast lead":
+            preds[sample].pop()
+        elif what == "observed lead":
+            obss[sample].pop()
+        else:
+            preds[sample].append(preds[sample][0])
+            obss[sample].append(obss[sample][0])
+        with pytest.raises(ValueError, match=message):
+            verify_nowcast((iter(s) for s in preds), (iter(s) for s in obss))
+
+    def test_no_forecast_is_an_error(self):
+        with pytest.raises(ValueError, match="no forecasts given"):
+            verify_nowcast(iter([]), iter([]))
