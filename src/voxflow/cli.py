@@ -2,8 +2,7 @@
 
 Every command validates file magic before reading payloads, honors a flat
 key=value config file (command-line flags win), and exits 0 on success, 1 on
-runtime/data errors, and 2 on usage errors. VOXFLOW_THREADS caps per-level
-parallelism of the estimator.
+runtime/data errors, and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def _comma_list(convert, form: str, count: int | None = None,
     def parse(text: str) -> tuple:
         try:
             items = tuple(convert(s) for s in text.split(",") if s.strip())
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             items = ()
         if not items or (count is not None and len(items) != count):
             raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
@@ -77,8 +76,21 @@ def _int_in(lo: int, hi: float = float("inf")):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type for one finite number; anything else, NaN and +-inf
+    included, is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 _scales = _comma_list(int, "comma-separated integers such as 1,2,4")
-_floats = _comma_list(float, "comma-separated numbers such as 1,5,10",
+_floats = _comma_list(_finite, "comma-separated numbers such as 1,5,10",
                       distinct=True)
 _level_pair = _comma_list(int, "two comma-separated indices such as 0,2", 2)
 
@@ -175,7 +187,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--mode", choices=("3d", "2d-cmax", "lk"), default="3d")
     p.add_argument("-o", "--out", default=None, help="output .rmf path")
     p.add_argument("--trace", default=None, help="loss trace CSV path")
-    p.add_argument("--inputs", type=int, default=8,
+    p.add_argument("--inputs", type=_int_in(2, rvol._MAX_DIM), default=8,
                    help="number of observed frames fed to the estimator")
     p.add_argument("--use-future", action="store_true",
                    help="fit mode: include the remaining frames in the loss")
@@ -226,12 +238,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("-o", "--outdir", default=None,
                    help="report directory (default: the dataset directory)")
     p.add_argument("--thresholds-dbz", type=_floats, default="0,20")
-    p.add_argument("--threshold", type=float, default=1.0,
+    p.add_argument("--threshold", type=_finite, default=1.0,
                    help="mm/h threshold of the split diagnostic")
-    p.add_argument("--coverage-dbz", type=float, default=20.0)
+    p.add_argument("--coverage-dbz", type=_finite, default=20.0)
     p.add_argument("--level-pair", type=_level_pair, default="0,2",
                    help="low,mid level indices for pair analyses")
-    p.add_argument("--gap-minutes", type=float, default=60.0)
+    p.add_argument("--gap-minutes", type=_finite, default=60.0)
     p.add_argument("--top-k", type=int, default=3, help="samples to rank, >= 0")
     p.add_argument("--bins", type=_int_in(1, 1000), default=20,
                    help="histogram bins per axis, 1 to 1000")

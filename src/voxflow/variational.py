@@ -11,8 +11,6 @@ guarantees the accepted-iterate loss sequence is non-increasing.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -84,17 +82,11 @@ class VariationalResult:
 
 
 def default_threads() -> int:
-    """Parallelism cap from the VOXFLOW_THREADS environment variable
-    (default 1); anything but a positive integer is a ValueError."""
-    raw = os.environ.get("VOXFLOW_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(
-            f"VOXFLOW_THREADS must be a positive integer, got {raw!r}")
-    return threads
+    """Always 1: the levels are estimated one after another in the calling
+    thread. This exists only for the ``threads`` attribute of the
+    benchmark's ``variational.estimate`` span; a later benchmark change can
+    delete it."""
+    return 1
 
 
 def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
@@ -236,9 +228,9 @@ def estimate_variational(
     When ``future`` is omitted the objective covers only the observed input
     frames (inference mode); when given, the concatenated observed+future
     sequence is fit (diagnostic mode). Levels are processed independently,
-    on up to default_threads() threads; a level with no precipitation
-    signal comes back as a zero field with status NO_SIGNAL. A grid that no configured scale pools to at least
-    4 x 4 cells is a ValueError.
+    one after another; a level with no precipitation signal comes back as a
+    zero field with status NO_SIGNAL. A grid that no configured scale pools
+    to at least 4 x 4 cells is a ValueError.
     """
     cfg = cfg or LossConfig()
     opt = opt or OptimizerConfig()
@@ -259,18 +251,9 @@ def estimate_variational(
             f"no pooling scale leaves a 4 x 4 grid of the {ny} x {nx} "
             f"frames: the smallest, {k}, leaves {ny // k} x {nx // k}")
 
-    def run(z: int):
-        frames_z = [f.data[z] for f in fields]
-        masks_z = [f.mask[z] for f in fields]
-        return _optimize_level(frames_z, masks_z, cfg, opt)
-
-    threads = default_threads()
-    if threads > 1 and nz > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(nz)))
-    else:
-        results = [run(z) for z in range(nz)]
-
+    results = [_optimize_level([f.data[z] for f in fields],
+                               [f.mask[z] for f in fields], cfg, opt)
+               for z in range(nz)]
     u = np.stack([r[0] for r in results])
     statuses = [r[1] for r in results]
     traces = [r[2] for r in results]

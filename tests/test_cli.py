@@ -609,6 +609,31 @@ class TestErrors:
          "comma-separated numbers such as 1,5,10 without repeats"),
         (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames",
           "100001"), "an integer in [1, 100000]"),
+        (("verify", "f.rvol", "t.rvol", "--thresholds", "nan"),
+         "comma-separated numbers such as 1,5,10"),
+        (("verify", "f.rvol", "t.rvol", "--thresholds", "nan,nan"),
+         "comma-separated numbers such as 1,5,10"),
+        (("verify", "f.rvol", "t.rvol", "--thresholds", "1,inf"),
+         "comma-separated numbers such as 1,5,10"),
+        (("analyze", "d", "--which", "ratios", "--thresholds-dbz", "0,-inf"),
+         "comma-separated numbers such as 1,5,10"),
+        (("analyze", "d", "--which", "ratios", "--thresholds-dbz", "NaN"),
+         "comma-separated numbers such as 1,5,10"),
+        (("analyze", "d", "--which", "split", "--threshold", "nan"),
+         "a finite number"),
+        (("analyze", "d", "--which", "split", "--threshold", "inf"),
+         "a finite number"),
+        (("analyze", "d", "--which", "histogram", "--coverage-dbz", "nan"),
+         "a finite number"),
+        (("analyze", "d", "--which", "histogram", "--coverage-dbz",
+          "infinity"), "a finite number"),
+        (("analyze", "d", "--which", "outliers", "--gap-minutes", "nan"),
+         "a finite number"),
+        (("analyze", "d", "--which", "outliers", "--gap-minutes", "inf"),
+         "a finite number"),
+        (("estimate", "v.rvol", "--inputs", "1"), "an integer in [2, 100000]"),
+        (("estimate", "v.rvol", "--inputs", "-5"),
+         "an integer in [2, 100000]"),
     ])
     def test_malformed_list_is_usage_error(self, capsys, argv, form):
         with pytest.raises(SystemExit) as err:
@@ -685,16 +710,13 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: optimization diverged at iteration 3"]
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_count_is_data_error(self, uniform_files, monkeypatch,
-                                            capsys, value):
-        monkeypatch.setenv("VOXFLOW_THREADS", value)
-        d, vol = uniform_files
-        assert run("estimate", vol, "--inputs", "2",
-                   "-o", d / "never.rmf") == 1
+    def test_volume_of_one_frame_is_data_error(self, tmp_path, capsys):
+        vol = tmp_path / "one.rvol"
+        write_rvol(vol, RadarVolume(data=np.full((1, 1, 24, 24), 30.0),
+                                    z_levels=np.array([1000.0])))
+        assert run("estimate", vol, "-o", tmp_path / "never.rmf") == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: VOXFLOW_THREADS must be a positive integer, "
-                       f"got {value!r}"]
+        assert err == ["error: need at least 2 input frames, volume has 1"]
 
     def test_payload_larger_than_file_is_data_error(self, uniform_files,
                                                     tmp_path, capsys):
@@ -761,8 +783,7 @@ class TestStartup:
         (tmp_path / "out").mkdir()
         _small_volume(tmp_path / "data" / "20210610_1200.rvol")
         src = Path(__file__).resolve().parents[1] / "src"
-        env = {k: v for k, v in os.environ.items() if k != "VOXFLOW_THREADS"}
-        env["PYTHONPATH"] = str(src)
+        env = dict(os.environ, PYTHONPATH=str(src))
         child = subprocess.run(
             [sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path / "data"),
              str(tmp_path / "out")],

@@ -147,16 +147,34 @@ class TestEstimateVariational:
         b = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
         np.testing.assert_array_equal(a.motion.u, b.motion.u)
 
-    def test_parallel_levels_match_sequential(self, monkeypatch):
+    def test_levels_are_estimated_independently(self):
+        """Each level of a multi-level estimate is, bit for bit, that level
+        estimated alone as a one-level field."""
+        vol, _ = blob_scene(nz=3, velocities=[[[2.0, 0.0]], [[0.0, 2.0]],
+                                              [[-1.0, 1.5]]], t_count=3)
+        inputs = [volume_to_rain(vol, t) for t in range(3)]
+        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        assert not np.array_equal(res.motion.u[0], res.motion.u[1])
+        for z in range(3):
+            alone = estimate_variational(
+                [RainField(f.data[z], f.space, f.mask[z]) for f in inputs],
+                cfg=FAST_CFG, opt=FAST_OPT)
+            np.testing.assert_array_equal(res.motion.u[z], alone.motion.u[0])
+            assert [res.statuses[z]] == alone.statuses
+            assert [res.traces[z]] == alone.traces
+
+    def test_starts_no_thread(self, monkeypatch):
+        import threading
+
+        def refuse(thread):
+            raise AssertionError(f"estimate_variational started {thread!r}")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setenv("VOXFLOW_THREADS", "2")
         vol, _ = blob_scene(nz=2, velocities=[[[2.0, 0.0]], [[0.0, 2.0]]],
                             t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        monkeypatch.setenv("VOXFLOW_THREADS", "1")
-        seq = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
-        monkeypatch.setenv("VOXFLOW_THREADS", "2")
-        par = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
-        np.testing.assert_array_equal(seq.motion.u, par.motion.u)
-        assert seq.statuses == par.statuses
+        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        assert res.statuses == [LevelStatus.OK] * 2
 
     @pytest.mark.parametrize("scales", [(64,), (1000, 64), (10 ** 6,)])
     def test_scales_that_leave_no_4x4_grid_are_rejected(self, scales):
