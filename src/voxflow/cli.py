@@ -371,11 +371,11 @@ def _cmd_verify(args) -> int:
         if offset < 0 or offset + k > t_truth:
             raise ValueError(f"truth volume (T={t_truth}) cannot cover "
                              f"{k} leads at offset {offset}")
-        # one lead of each volume is read, pooled to its column maximum in
-        # dBZ and converted at a time
+        # one lead of each volume is read, pooled to its column maximum on
+        # the stored values, decoded and converted at a time
         report = verify_nowcast(
-            (volume_to_rain(cmax(fc.read(t, t + 1)), 0) for t in range(k)),
-            (volume_to_rain(cmax(truth.read(t, t + 1)), 0)
+            (volume_to_rain(fc.read_cmax(t), 0) for t in range(k)),
+            (volume_to_rain(truth.read_cmax(t), 0)
              for t in range(offset, offset + k)),
             args.thresholds)
     sample_id = Path(args.forecast).stem

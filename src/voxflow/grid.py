@@ -423,18 +423,33 @@ def max_pool_vertical(vol: RadarVolume, factor: int) -> RadarVolume:
     factor = Z produces the column-maximum (CMAX) composite. rho_hv is
     dropped: the quality field has no defined pooling semantics.
     """
-    t, z, ny, nx = vol.shape
+    z = vol.shape[1]
     if factor <= 0 or z % factor != 0:
         raise ValueError(f"Z={z} not divisible by pooling factor {factor}")
-    zp = z // factor
-    valid = np.isfinite(vol.data)  # and-ed in place: one boolean temporary
-    data = np.where(np.logical_and(valid, vol.mask, out=valid), vol.data, -np.inf)
-    data = data.reshape(t, zp, factor, ny, nx).max(axis=2)
-    mask = vol.mask.reshape(zp, factor, ny, nx).any(axis=1)
-    # all-invalid groups hold -inf; replace with the no-echo sentinel
-    data = np.where(mask[None], data, NO_ECHO_DBZ)
-    levels = vol.z_levels.reshape(zp, factor).max(axis=1)
+    data, mask = pool_max(vol.data.copy(), vol.mask, factor, NO_ECHO_DBZ)
+    levels = vol.z_levels.reshape(z // factor, factor).max(axis=1)
     return RadarVolume(data=data, z_levels=levels, dt=vol.dt, mask=mask)
+
+
+def pool_max(data: np.ndarray, mask: np.ndarray, factor: int,
+             fill) -> tuple[np.ndarray, np.ndarray]:
+    """max_pool_vertical on a bare (..., Z, Y, X) array and its Z x Y x X
+    validity: the maximum over each group of factor adjacent levels of the
+    cells that are valid and finite, in data's dtype, and the pooled
+    validity. A group without a valid cell holds fill; a valid one without
+    a finite valid cell holds the dtype's lowest value (-inf for floats).
+    data is overwritten: its cells that are invalid or not finite take the
+    lowest value.
+    """
+    *lead, z, ny, nx = data.shape
+    lowest = -np.inf if data.dtype.kind == "f" else np.iinfo(data.dtype).min
+    skip = np.isfinite(data)  # and-ed and negated in place: one temporary
+    np.logical_not(np.logical_and(skip, mask, out=skip), out=skip)
+    np.copyto(data, lowest, where=skip)
+    data = data.reshape(*lead, z // factor, factor, ny, nx).max(axis=-3)
+    mask = mask.reshape(z // factor, factor, ny, nx).any(axis=1)
+    np.copyto(data, fill, where=~mask)
+    return data, mask
 
 
 def cmax(vol: RadarVolume) -> RadarVolume:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError
-from .grid import NO_ECHO_DBZ, MotionField, RadarVolume
+from .grid import NO_ECHO_DBZ, MotionField, RadarVolume, pool_max
 
 RVOL_MAGIC = b"RVOL"
 RVOL_VERSION = 1
@@ -48,11 +48,18 @@ def _quantize_dbz(data: np.ndarray, invalid: np.ndarray) -> np.ndarray:
     return v
 
 
-def _dequantize_dbz(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    invalid = v == 255
-    data = v.astype(np.float64) / 2.0 - 32.0
-    data[invalid] = NO_ECHO_DBZ
-    return data, invalid
+#: the dBZ of each u8 code; the invalid code 255 decodes as NO_ECHO_DBZ
+_U8_DBZ = np.arange(256, dtype=np.uint8).astype(np.float64) / 2.0 - 32.0
+_U8_DBZ[255] = NO_ECHO_DBZ
+
+
+def _decode(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 dBZ of stored f32 or u8 values, NO_ECHO_DBZ where they are
+    invalid, and where they are valid: one pass from the stored dtype."""
+    if raw.dtype == np.uint8:
+        return _U8_DBZ[raw], raw != 255
+    valid = np.isfinite(raw)
+    return np.where(valid, raw, np.float64(NO_ECHO_DBZ)), valid
 
 
 class RvolWriter:
@@ -218,8 +225,15 @@ class RvolReader:
     payload and the optional RHOH chunk lie, and that nothing follows them;
     it does not read the payload. The static mask covers every frame: the
     first read() checks each frame outside its range for invalid cells
-    without decoding it, and later reads reuse that mask, so reading a
-    file one frame at a time reads each frame at most twice.
+    without decoding it, the first read_cmax() checks every frame, and
+    later reads reuse that mask, so reading a file one frame at a time
+    reads each frame at most twice.
+
+    read_cmax() pools a frame to its column maximum on the stored f32 or
+    u8 values, in a frame buffer the reader keeps, and decodes only the
+    pooled level: the maximum commutes with the exact f32 -> float64 cast
+    and with the monotone u8 decoding, so it returns the bytes of
+    grid.cmax(read(t, t + 1)) without a float64 copy of the frame.
     """
 
     def __init__(self, path: str | Path):
@@ -235,6 +249,9 @@ class RvolReader:
             self.z_levels = np.frombuffer(
                 _read_exactly(fh, 4 * z, "altitudes"), dtype="<f4"
             ).astype(np.float64)
+            if z > 1 and not np.all(np.diff(self.z_levels) > 0):
+                raise FormatError("altitudes",
+                                  "z_levels must be strictly increasing")
             self._payload = fh.tell()
             self._rho = None
             fh.seek(t * self._frame_bytes, os.SEEK_CUR)
@@ -251,7 +268,7 @@ class RvolReader:
         except BaseException:
             fh.close()
             raise
-        self._mask = None
+        self._mask = self._buffer = None
 
     def _valid(self, start: int, stop: int) -> np.ndarray | bool:
         """AND of the validity of frames [start, stop), not decoded."""
@@ -260,26 +277,25 @@ class RvolReader:
         return _frames_valid(self._fh, stop - start,
                              (head.z, head.y, head.x), self._stored)
 
+    def _check_range(self, start: int, stop: int) -> None:
+        if not 0 <= start < stop <= self.header.t:
+            raise FormatError("frames", f"range [{start}, {stop}) is empty or "
+                                        f"outside the volume "
+                                        f"(T={self.header.t})")
+
     def read(self, start: int, stop: int) -> RadarVolume:
         """Frames [start, stop) with the file's static mask, decoded as a
         whole-file read decodes them. A range that is empty or outside
         [0, T) is a FormatError."""
-        t, z, y, x, dtype, dt_seconds = self.header
-        if not 0 <= start < stop <= t:
-            raise FormatError("frames", f"range [{start}, {stop}) is empty or "
-                                        f"outside the volume (T={t})")
+        self._check_range(start, stop)
+        t, z, y, x, _, dt_seconds = self.header
         count, fh = stop - start, self._fh
         fh.seek(self._payload + start * self._frame_bytes)
         raw = np.frombuffer(_read_exactly(fh, count * self._frame_bytes,
                                           "payload"), dtype=self._stored)
-        if dtype == DTYPE_F32:
-            data = raw.reshape(count, z, y, x).astype(np.float64)
-            invalid = ~np.isfinite(data)
-            data = np.where(invalid, NO_ECHO_DBZ, data)
-        else:
-            data, invalid = _dequantize_dbz(raw.reshape(count, z, y, x).copy())
+        data, valid = _decode(raw.reshape(count, z, y, x))
         if self._mask is None:
-            self._mask = ~invalid.any(axis=0)
+            self._mask = valid.all(axis=0)
             self._mask &= self._valid(0, start)
             self._mask &= self._valid(stop, t)
 
@@ -289,12 +305,29 @@ class RvolReader:
             raw = np.frombuffer(_read_exactly(fh, count * self._frame,
                                               "rho_hv"), dtype=np.uint8)
             rho = raw.reshape(count, z, y, x).astype(np.float64) / 200.0
-        try:
-            return RadarVolume(data=data, z_levels=self.z_levels,
-                               dt=float(dt_seconds), mask=self._mask.copy(),
-                               rho_hv=rho)
-        except ValueError as exc:
-            raise FormatError("altitudes", str(exc)) from None
+        return RadarVolume(data=data, z_levels=self.z_levels,
+                           dt=float(dt_seconds), mask=self._mask.copy(),
+                           rho_hv=rho)
+
+    def read_cmax(self, t: int) -> RadarVolume:
+        """grid.cmax(read(t, t + 1)), byte for byte, pooled on the stored
+        values before the one pooled level is decoded. A frame outside
+        [0, T) is a FormatError."""
+        self._check_range(t, t + 1)
+        if self._mask is None:
+            self._mask = self._valid(0, self.header.t)
+        if self._buffer is None:
+            self._buffer = np.empty(self._mask.shape, self._stored)
+        self._fh.seek(self._payload + t * self._frame_bytes)
+        if self._fh.readinto(self._buffer) != self._frame_bytes:
+            raise FormatError("payload", "truncated file: expected "
+                                         f"{self._frame_bytes} bytes")
+        # a column without a valid cell takes the stored invalid value
+        top, mask = pool_max(self._buffer, self._mask, len(self.z_levels),
+                             255 if self.header.dtype == DTYPE_U8 else np.nan)
+        return RadarVolume(data=_decode(top[None])[0],
+                           z_levels=self.z_levels.max(keepdims=True),
+                           dt=float(self.header.dt_seconds), mask=mask)
 
     def close(self) -> None:
         self._fh.close()

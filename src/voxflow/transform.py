@@ -31,15 +31,13 @@ def dbz_to_rain(dbz: np.ndarray | RadarVolume,
         raise TypeError("pass a single Z x Y x X frame, not a RadarVolume")
     arr = np.asarray(dbz, dtype=np.float64)
     with np.errstate(over="ignore"):
-        rain = np.power(np.power(10.0, arr / 10.0) / MARSHALL_PALMER_A,
-                        1.0 / MARSHALL_PALMER_B)
-    rain = np.nan_to_num(rain, nan=0.0, posinf=np.inf)
-    rain = np.where(arr <= NO_ECHO_DBZ, 0.0, rain)
-    if mask is None:
-        mask = np.isfinite(arr)
-    else:
-        mask = np.asarray(mask, dtype=bool) & np.isfinite(arr)
-    rain = np.where(mask, rain, 0.0)
+        rain = np.power(10.0, arr / 10.0)
+        rain /= MARSHALL_PALMER_A
+        np.power(rain, 1.0 / MARSHALL_PALMER_B, out=rain)
+    mask = np.isfinite(arr) if mask is None else \
+        np.logical_and(mask, np.isfinite(arr))
+    # NaN rates come only from NaN cells, which the mask clears
+    np.copyto(rain, 0.0, where=~mask | (arr <= NO_ECHO_DBZ))
     return RainField(data=rain, space=Space.MMH, mask=mask)
 
 
@@ -56,8 +54,9 @@ def rain_to_dbz(r: RainField) -> np.ndarray:
     with np.errstate(divide="ignore"):
         dbz = (10.0 * np.log10(MARSHALL_PALMER_A)
                + 10.0 * MARSHALL_PALMER_B * np.log10(r.data))
-    return np.maximum(np.nan_to_num(dbz, nan=NO_ECHO_DBZ, neginf=NO_ECHO_DBZ),
-                      NO_ECHO_DBZ)
+    # NaN and -inf take the no-echo value, +inf the largest float
+    np.fmax(dbz, NO_ECHO_DBZ, out=dbz)
+    return np.minimum(dbz, np.finfo(np.float64).max, out=dbz)
 
 
 def rain_to_dbr(r: RainField) -> RainField:

@@ -287,10 +287,16 @@ class TestVerify:
             return csv.read_bytes()
 
         pooled = metrics("pooled")
-        # without the dBZ pooling verify converts every level and
+        # with whole-lead reads verify converts every level and
         # verify_nowcast takes the column maximum in mm/h
-        monkeypatch.setattr("voxflow.cli.cmax", lambda vol: vol)
+        leads = []
+
+        def whole_lead(reader, t):
+            leads.append(t)
+            return reader.read(t, t + 1)
+        monkeypatch.setattr("voxflow.rvol.RvolReader.read_cmax", whole_lead)
         assert pooled == metrics("converted")
+        assert len(leads) == 2 * 8
 
     def test_mismatched_grids_exit_1(self, uniform_files, tmp_path, capsys):
         d, vol = uniform_files

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxflow.errors import FormatError
 from voxflow import rvol as rvol_module
-from voxflow.grid import MotionField, RadarVolume
+from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, cmax
 from voxflow.rvol import (
     RHOH_MAGIC,
     RMF_MAGIC,
@@ -425,6 +426,135 @@ class TestRvolReader:
             for t in range(3):
                 assert not reader.read(t, t + 1).mask[0, 7, 9]
         assert sum(scanned) == 2
+
+
+def _cmax_volume(seed, z, with_rho):
+    """A 4-frame volume with masked cells, a column without a valid cell,
+    tied signed zeros, and NaN and +-inf cells stored in single frames."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((z, 6, 7)) < 0.8
+    mask[:, 0, 0] = False
+    data = rng.uniform(-40.0, 100.0, (4, z, 6, 7))
+    data[1, :, 4, 4] = 0.0
+    data[1, 0, 4, 4] = -0.0
+    data[0, 0, 1, 2], data[2, -1, 3, 3], data[3, 0, 5, 6] = \
+        np.nan, np.inf, -np.inf
+    rho = rng.uniform(0.0, 1.0, data.shape) if with_rho else None
+    return RadarVolume(data=data, z_levels=500.0 * np.arange(1, z + 1),
+                       mask=mask, rho_hv=rho)
+
+
+def _same_volume(got, want):
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.mask.tobytes() == want.mask.tobytes()
+    assert got.z_levels.tobytes() == want.z_levels.tobytes()
+    assert (got.dt, got.rho_hv) == (want.dt, None)
+
+
+#: read_cmax and read calls on one reader: pooled first, whole first, and
+#: every frame pooled in reverse
+_CALLS = [[("cmax", 2), ("read", 0), ("cmax", 0), ("cmax", 3), ("read", 1),
+           ("cmax", 1), ("cmax", 2)],
+          [("read", 3), ("cmax", 1), ("cmax", 3), ("read", 0), ("cmax", 0)],
+          [("cmax", 3), ("cmax", 2), ("cmax", 1), ("cmax", 0)]]
+
+
+class TestRvolReadCmax:
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("z", [1, 3])
+    @pytest.mark.parametrize("with_rho", [False, True])
+    @pytest.mark.parametrize("calls", _CALLS)
+    def test_equals_cmax_of_the_read(self, tmp_path, quantize, z, with_rho,
+                                     calls):
+        path = tmp_path / "v.rvol"
+        write_rvol(path, _cmax_volume(50 + z, z, with_rho), quantize)
+        whole = read_rvol(path)
+        # the NaN and +-inf cells clear the static mask of every frame
+        assert not whole.mask[0, 1, 2] and not whole.mask[-1, 3, 3]
+        with RvolReader(path) as reader:
+            for kind, t in calls:
+                if kind == "read":
+                    assert reader.read(t, t + 1).data.tobytes() == \
+                        whole.data[t:t + 1].tobytes()
+                    continue
+                with RvolReader(path) as fresh:
+                    want = cmax(fresh.read(t, t + 1))
+                _same_volume(reader.read_cmax(t), want)
+                assert want.data[0, 0, 0, 0] == NO_ECHO_DBZ
+                assert not want.mask[0, 0, 0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_random_volumes_equal_cmax_of_the_read(self, tmp_path, data):
+        t, z, y, x = (data.draw(st.integers(1, n)) for n in (3, 4, 3, 3))
+        values = st.one_of(st.floats(-60.0, 130.0), st.sampled_from(
+            [np.nan, np.inf, -np.inf, 0.0, -0.0, -32.0, 95.0]))
+        vol = RadarVolume(
+            data=np.array(data.draw(st.lists(values, min_size=t * z * y * x,
+                                             max_size=t * z * y * x)))
+            .reshape(t, z, y, x),
+            z_levels=np.arange(1, z + 1, dtype=float),
+            mask=np.array(data.draw(st.lists(
+                st.booleans(), min_size=z * y * x, max_size=z * y * x)))
+            .reshape(z, y, x))
+        path = tmp_path / "h.rvol"
+        write_rvol(path, vol, quantize=data.draw(st.booleans()))
+        with RvolReader(path) as reader, RvolReader(path) as ref:
+            for frame in data.draw(st.permutations(range(t))):
+                _same_volume(reader.read_cmax(frame),
+                             cmax(ref.read(frame, frame + 1)))
+
+    @pytest.mark.parametrize("t", [-1, 4])
+    def test_frame_outside_the_volume_is_read_error(self, tmp_path, t):
+        path = tmp_path / "v.rvol"
+        write_rvol(path, _cmax_volume(60, 2, False))
+        with RvolReader(path) as reader:
+            with pytest.raises(FormatError) as want:
+                reader.read(t, t + 1)
+            with pytest.raises(FormatError) as got:
+                reader.read_cmax(t)
+        assert (got.value.field, str(got.value)) == \
+            (want.value.field, str(want.value))
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_file_truncated_after_opening_is_read_error(self, tmp_path,
+                                                        quantize):
+        # frames larger than the file buffer, so the cut is read from disk
+        vol = RadarVolume(data=np.zeros((4, 2, 80, 80)), z_levels=[1.0, 2.0])
+        path = tmp_path / "v.rvol"
+        write_rvol(path, vol, quantize)
+        raw = path.read_bytes()
+        with RvolReader(path) as reader, RvolReader(path) as first:
+            reader.read_cmax(0)
+            path.write_bytes(raw[:len(raw) - 5])
+            with pytest.raises(FormatError) as want:
+                reader.read(3, 4)
+            with pytest.raises(FormatError) as got:
+                reader.read_cmax(3)
+            # the first call scans every frame for the static mask
+            with pytest.raises(FormatError) as scan:
+                first.read_cmax(0)
+        assert (got.value.field, str(got.value)) == \
+            (want.value.field, str(want.value))
+        assert scan.value.field == "payload"
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_pooled_read_allocates_less_than_a_float64_frame(self, tmp_path,
+                                                             quantize):
+        vol = RadarVolume(data=np.random.default_rng(62).uniform(
+            -20.0, 60.0, (3, 8, 64, 64)), z_levels=np.arange(1.0, 9.0))
+        path = tmp_path / "v.rvol"
+        write_rvol(path, vol, quantize)
+        with RvolReader(path) as reader:
+            reader.read_cmax(0)
+            tracemalloc.start()
+            try:
+                reader.read_cmax(1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 8 * 64 * 64, peak
 
 
 class TestMotionFile:

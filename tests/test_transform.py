@@ -58,6 +58,80 @@ class TestDbzToRain:
         np.testing.assert_allclose(back.data, rain.data, rtol=1e-10)
 
 
+def _dbz_to_rain_reference(dbz, mask=None):
+    """dbz_to_rain's data and mask as nan_to_num and np.where passes
+    computed them: the reference of the in-place clamps."""
+    arr = np.asarray(dbz, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        rain = np.power(np.power(10.0, arr / 10.0) / 200.0, 1.0 / 1.6)
+    rain = np.nan_to_num(rain, nan=0.0, posinf=np.inf)
+    rain = np.where(arr <= NO_ECHO_DBZ, 0.0, rain)
+    if mask is None:
+        mask = np.isfinite(arr)
+    else:
+        mask = np.asarray(mask, dtype=bool) & np.isfinite(arr)
+    return np.where(mask, rain, 0.0), mask
+
+
+def _rain_to_dbz_reference(r):
+    with np.errstate(divide="ignore"):
+        dbz = 10.0 * np.log10(200.0) + 10.0 * 1.6 * np.log10(r.data)
+    return np.maximum(np.nan_to_num(dbz, nan=NO_ECHO_DBZ, neginf=NO_ECHO_DBZ),
+                      NO_ECHO_DBZ)
+
+
+_MAX = np.finfo(np.float64).max
+#: the values a clamp meets: NaN, the infinities, signed zeros, subnormals,
+#: tiny and huge magnitudes, then any float at all
+_EDGE = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-310,
+                     -1e-310, 1e-300, _MAX, -_MAX, NO_ECHO_DBZ]),
+    st.floats(-60.0, 400.0),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@st.composite
+def _edge_arrays(draw):
+    """A small Z x Y x X array of _EDGE values and a random mask."""
+    shape = tuple(draw(st.integers(1, n)) for n in (2, 3, 4))
+    size = int(np.prod(shape))
+    data = np.array(draw(st.lists(_EDGE, min_size=size, max_size=size)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=size,
+                                  max_size=size)))
+    return data.reshape(shape), mask.reshape(shape)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestClampsMatchNanToNum:
+    """The in-place fmax/minimum clamps give nan_to_num's bytes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_edge_arrays(), masked=st.booleans())
+    def test_dbz_to_rain(self, case, masked):
+        dbz, mask = case
+        mask = mask if masked else None
+        got = dbz_to_rain(dbz, mask=mask)
+        want, want_mask = _dbz_to_rain_reference(dbz, mask)
+        assert np.array_equal(_bits(got.data), _bits(want))
+        assert np.array_equal(got.mask, want_mask)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_edge_arrays())
+    def test_rain_to_dbz(self, case):
+        rain, mask = case
+        # an MMH field holds no negative valid rate; NaN, -inf and negative
+        # values reach the clamps from invalid cells
+        field = RainField(data=rain, space=Space.MMH,
+                          mask=mask & ~(rain < 0))
+        with np.errstate(invalid="ignore"):
+            got = rain_to_dbz(field)
+            want = _rain_to_dbz_reference(field)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 class TestRainToDbr:
     def test_unity_is_zero(self):
         out = rain_to_dbr(RainField(data=np.array([[1.0]]), space=Space.MMH))
