@@ -250,19 +250,6 @@ def upsample2d(field: np.ndarray, k: int) -> np.ndarray:
     return np.repeat(np.repeat(field, k, axis=-2), k, axis=-1)
 
 
-def bilinear_sample(planes: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                    pad: int = 0, want_grad: bool = False):
-    """Samples of a (..., H, W) stack of planes at the points (xs, ys),
-    shared by every plane of the stack: bilinear_geometry, then
-    bilinear_apply. Returns (samples, d/dx, d/dy), each of shape
-    planes.shape[:-2] + the points' shape, the derivatives with respect to
-    the sample point being None unless want_grad.
-    """
-    h, w = planes.shape[-2:]
-    return bilinear_apply(planes, bilinear_geometry(xs, ys, h, w, pad),
-                          want_grad)
-
-
 def bilinear_geometry(xs: np.ndarray, ys: np.ndarray, h: int, w: int,
                       pad: int = 0, out: tuple | None = None) -> tuple:
     """Corner geometry of the points (xs, ys) in H x W planes: the four flat
@@ -315,7 +302,10 @@ def bilinear_apply(planes: np.ndarray, geometry: tuple,
                    want_grad: bool = False, out: np.ndarray | None = None,
                    work: list[np.ndarray] | None = None):
     """The package's one bilinear kernel: samples of a (..., H, W) stack at
-    the points whose bilinear_geometry is given; returns as bilinear_sample.
+    the points whose bilinear_geometry is given, shared by every plane of
+    the stack. Returns (samples, d/dx, d/dy), each of shape
+    planes.shape[:-2] + the points' shape, the derivatives with respect to
+    the sample point being None unless want_grad.
 
     out (the samples) and work (six arrays: four corners, two products),
     all of the samples' shape, may be caller-owned buffers reused across
@@ -371,13 +361,6 @@ def inside(xs: np.ndarray, ys: np.ndarray, ny: int, nx: int,
     return out
 
 
-def sample_mask(masks: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Nearest-cell lookup of a (..., Y, X) validity stack at the points
-    (xs, ys); False wherever the point leaves the domain."""
-    ny, nx = masks.shape[-2:]
-    return mask_apply(masks, mask_geometry(xs, ys, ny, nx))
-
-
 def mask_geometry(xs: np.ndarray, ys: np.ndarray, ny: int, nx: int,
                   out: tuple | None = None,
                   work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -402,7 +385,9 @@ def mask_geometry(xs: np.ndarray, ys: np.ndarray, ny: int, nx: int,
 
 def mask_apply(masks: np.ndarray, geometry: tuple[np.ndarray, np.ndarray],
                out: np.ndarray | None = None) -> np.ndarray:
-    """sample_mask at the points whose mask_geometry is given."""
+    """Nearest-cell lookup of a (..., Y, X) validity stack at the points
+    whose mask_geometry is given; False wherever the point leaves the
+    domain."""
     nearest, valid = geometry
     flat = masks.reshape(masks.shape[:-2] + (-1,))
     # the indices are in range by construction; mode="clip" lets take

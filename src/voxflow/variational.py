@@ -1,10 +1,14 @@
 """Per-sample variational motion estimation.
 
-Each altitude level is optimized independently: gradient descent with
-momentum on the sequence-consistent total loss, coarse-to-fine over an
-average-pooling pyramid (estimate at the coarsest grid, upsample the field
-by 2 with vector rescaling, refine). Step sizes are expressed in grid cells
-of maximum per-iteration displacement change, and a backtracking line search
+Each altitude level minimizes its own sequence-consistent total loss by
+gradient descent with momentum, coarse-to-fine over an average-pooling
+pyramid (estimate at the coarsest grid, upsample the field by 2 with vector
+rescaling, refine). Motion is highly correlated across levels, so a level
+above the first may start from the level below's final motion instead: it
+does so only when that motion scores a lower loss on the coarsest stage
+than the level's own global fit, and then refines it at full resolution
+against its own frames. Step sizes are expressed in grid cells of maximum
+per-iteration displacement change, and a backtracking line search
 guarantees the accepted-iterate loss sequence is non-increasing.
 """
 
@@ -24,7 +28,9 @@ from .grid import DBR_FLOOR, MotionField, RainField, avg_pool2d, pool_mask_all, 
 class LevelStatus(enum.Enum):
     """Outcome of one level: OK, NO_SIGNAL (nothing to track, zero field)
     or NO_ACCEPTED_STEP (descent tried steps and rejected every one, so the
-    field is still the zero start)."""
+    field is still the zero start). Starting from the level below's motion
+    counts as an accepted step, since that motion scored lower than the
+    level's global fit from the zero start."""
 
     OK = "ok"
     NO_SIGNAL = "no_signal"
@@ -76,9 +82,13 @@ TraceRow = tuple[float, float, float]
 
 @dataclass
 class VariationalResult:
+    """The motion, and per level its status, its full-resolution trace and
+    whether it started from the level below's motion."""
+
     motion: MotionField
     statuses: list[LevelStatus]
     traces: list[list[TraceRow]] = field(default_factory=list)
+    from_below: list[bool] = field(default_factory=list)
 
 
 def default_threads() -> int:
@@ -171,29 +181,38 @@ def _pyramid_depth(levels: int, ny: int, nx: int) -> int:
 
 
 def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
-                    cfg: LossConfig, opt: OptimizerConfig):
-    """Estimate one level's motion; returns (u (2,Y,X), status, trace).
+                    cfg: LossConfig, opt: OptimizerConfig,
+                    below: np.ndarray | None = None):
+    """Estimate one level's motion; returns (u (2,Y,X), status, trace,
+    from_below).
 
     The schedule starts from the zero field at the coarsest stage, fits a
     global translation (gradient descent projected onto constant fields),
-    then refines per cell, upsampling by 2 between stages. The trace covers
-    the full-resolution stage only (coarser stages build the
-    initialization). A level whose stages rejected every trial step is
-    reported as NO_ACCEPTED_STEP. Each stage's objective gets float32
-    frames, so it warps in float32; the motion stays float64.
+    then refines per cell, upsampling by 2 between stages. below, the level
+    below's final motion (2,Y,X), is then scored on the coarsest stage,
+    pooled to its grid: if its loss is strictly lower than the global
+    fit's, the other coarse stages are skipped and the full-resolution
+    stage descends from it (from_below). Either way the level minimizes its
+    own loss. The trace covers the full-resolution stage only (coarser
+    stages build the initialization). A level whose stages rejected every
+    trial step, and which did not start from below, is reported as
+    NO_ACCEPTED_STEP. Each stage's objective gets float32 frames, so it
+    warps in float32; the motion stays float64.
     """
     ny, nx = frames[0].shape
     has_signal = any((f[m] > DBR_FLOOR + 1e-9).any() for f, m in zip(frames, masks))
     if not has_signal:
-        return np.zeros((2, ny, nx)), LevelStatus.NO_SIGNAL, []
+        return np.zeros((2, ny, nx)), LevelStatus.NO_SIGNAL, [], False
 
     n_pyr = _pyramid_depth(opt.coarse_to_fine_levels, ny, nx)
 
     trace: list[TraceRow] = []
-    u = None
     accepted = rejected = 0
+    from_below = False
     for lev in range(n_pyr - 1, -1, -1):
         factor = 2 ** lev
+        if from_below and factor > 1:
+            continue
         fr = [avg_pool2d(f, factor)[None].astype(np.float32) for f in frames]
         mk = [pool_mask_all(m, factor)[None] for m in masks]
         h, w = fr[0].shape[1:]
@@ -201,12 +220,23 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
                                                     scales=_stage_scales(cfg, factor))
         obj = SequenceObjective(fr, mk, stage_cfg)
         stage_trace = trace if factor == 1 else None
-        if u is None:
-            u = np.zeros((1, 2, h, w))
-            u, acc, rej = _descend(obj, u, opt, stage_trace, global_only=True)
+        if lev == n_pyr - 1:
+            # the trace holds accepted iterates only, so the global fit's
+            # last row is its best loss
+            fit = [] if stage_trace is None else stage_trace
+            u, acc, rej = _descend(obj, np.zeros((1, 2, h, w)), opt, fit,
+                                   global_only=True)
             accepted += acc
             rejected += rej
-        else:
+            if below is not None:
+                start = (avg_pool2d(below, factor) / factor)[None]
+                from_below = obj.evaluate(start, want_grad=False)[0] < fit[-1][0]
+            if from_below:
+                u = below[None]
+                accepted += 1
+                if factor > 1:
+                    continue
+        elif not from_below:
             u = (upsample2d(u, 2) * 2.0)[:, :, :h, :w]
         u, acc, rej = _descend(obj, u, opt, stage_trace)
         accepted += acc
@@ -214,7 +244,7 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
     status = LevelStatus.OK
     if accepted == 0 and rejected > 0:
         status = LevelStatus.NO_ACCEPTED_STEP
-    return u[0], status, trace
+    return u[0], status, trace, from_below
 
 
 def estimate_variational(
@@ -227,10 +257,13 @@ def estimate_variational(
 
     When ``future`` is omitted the objective covers only the observed input
     frames (inference mode); when given, the concatenated observed+future
-    sequence is fit (diagnostic mode). Levels are processed independently,
-    one after another; a level with no precipitation signal comes back as a
-    zero field with status NO_SIGNAL. A grid that no configured scale pools
-    to at least 4 x 4 cells is a ValueError.
+    sequence is fit (diagnostic mode). Levels are processed one after
+    another from the lowest, each minimizing its own loss; a level above
+    the first starts from the level below's final motion only when that
+    motion scores lower on the level's coarsest stage than its own global
+    fit (recorded in ``from_below``). A level with no precipitation signal
+    comes back as a zero field with status NO_SIGNAL. A grid that no
+    configured scale pools to at least 4 x 4 cells is a ValueError.
     """
     cfg = cfg or LossConfig()
     opt = opt or OptimizerConfig()
@@ -251,14 +284,16 @@ def estimate_variational(
             f"no pooling scale leaves a 4 x 4 grid of the {ny} x {nx} "
             f"frames: the smallest, {k}, leaves {ny // k} x {nx // k}")
 
-    results = [_optimize_level([f.data[z] for f in fields],
-                               [f.mask[z] for f in fields], cfg, opt)
-               for z in range(nz)]
-    u = np.stack([r[0] for r in results])
-    statuses = [r[1] for r in results]
-    traces = [r[2] for r in results]
-    return VariationalResult(motion=MotionField(u), statuses=statuses,
-                             traces=traces)
+    results = []
+    for z in range(nz):
+        below = results[-1][0] if results else None
+        results.append(_optimize_level([f.data[z] for f in fields],
+                                       [f.mask[z] for f in fields], cfg, opt,
+                                       below))
+    motion, statuses, traces, from_below = (list(r) for r in zip(*results))
+    return VariationalResult(motion=MotionField(np.stack(motion)),
+                             statuses=statuses, traces=traces,
+                             from_below=from_below)
 
 
 def mean_endpoint_error(est: MotionField, truth: MotionField,

@@ -6,8 +6,10 @@ from voxflow.grid import (
     MotionField,
     RainField,
     Space,
-    bilinear_sample,
-    sample_mask,
+    bilinear_apply,
+    bilinear_geometry,
+    mask_apply,
+    mask_geometry,
 )
 
 
@@ -151,9 +153,9 @@ class TestExtrapolate:
 
 
 def reference_leads(f, mf, k):
-    """k one-step warps, each plane on its own through grid.bilinear_sample
-    and grid.sample_mask: the per-lead path the level-outer extrapolate
-    must reproduce byte for byte."""
+    """k one-step warps, each plane on its own through grid's bilinear and
+    nearest-cell geometry-then-apply pairs: the per-lead path the
+    level-outer extrapolate must reproduce byte for byte."""
     fill = f.fill_value
     _, ny, nx = f.data.shape
     data, mask = f.data, f.mask
@@ -166,9 +168,10 @@ def reference_leads(f, mf, k):
             xs = np.arange(nx, dtype=np.float64) - ux
             ys = np.arange(ny, dtype=np.float64)[:, None] - uy
             shifted = np.pad(data[z] - fill, ((2, 1), (2, 1)))
-            sampled, _, _ = bilinear_sample(shifted, xs, ys, pad=2)
+            sampled, _, _ = bilinear_apply(
+                shifted, bilinear_geometry(xs, ys, *shifted.shape, pad=2))
             out[z] = sampled + fill
-            out_mask[z] = sample_mask(mask[z], xs, ys)
+            out_mask[z] = mask_apply(mask[z], mask_geometry(xs, ys, ny, nx))
         data, mask = out, out_mask
         leads.append((data, mask))
     return leads

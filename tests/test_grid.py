@@ -264,9 +264,28 @@ class TestBilinearSample:
             bilinear_sample(np.zeros((3, 3)), np.nan, 0.0)
 
 
+def corner_reference(planes, xs, ys, pad=0):
+    """Samples and point derivatives of a stack padded by pad cells before
+    each axis, from the four clamped corner cells of each point, written
+    out by hand in the kernel's order of operations."""
+    h, w = planes.shape[-2:]
+    x0, y0 = np.floor(xs), np.floor(ys)
+    wx, wy = xs - x0, ys - y0
+    cx, cy = 1 - wx, 1 - wy
+    c0 = np.clip(x0 + pad, 0, w - 1).astype(np.int64)
+    r0 = np.clip(y0 + pad, 0, h - 1).astype(np.int64)
+    c1, r1 = np.minimum(c0 + 1, w - 1), np.minimum(r0 + 1, h - 1)
+    f00, f01 = planes[..., r0, c0], planes[..., r0, c1]
+    f10, f11 = planes[..., r1, c0], planes[..., r1, c1]
+    return (cy * (cx * f00 + wx * f01) + wy * (cx * f10 + wx * f11),
+            cy * (f01 - f00) + wy * (f11 - f10),
+            cx * (f10 - f00) + wx * (f11 - f01))
+
+
 class TestBilinearSplit:
-    """bilinear_sample is bilinear_geometry followed by bilinear_apply; the
-    apply step gives the same bytes with fresh or caller-owned buffers."""
+    """bilinear_geometry followed by bilinear_apply samples as the corner
+    expression written out by hand, and the apply step gives the same bytes
+    with fresh or caller-owned buffers."""
 
     def batched_case(self, rng):
         planes = rng.normal(size=(3, 2, 9, 11))  # (P, ..., Y, X)
@@ -275,26 +294,29 @@ class TestBilinearSplit:
         xs[0, 0, :3] = (-1e30, 1e30, 4.0)  # far outside and on a node
         return planes, xs, ys
 
-    def test_sample_equals_geometry_then_apply_with_gradient(self):
+    def test_apply_equals_hand_reference_with_gradient(self):
         planes, xs, ys = self.batched_case(np.random.default_rng(21))
-        got = grid.bilinear_sample(planes, xs, ys, pad=1, want_grad=True)
+        want = corner_reference(planes, xs, ys, pad=1)
         geometry = grid.bilinear_geometry(xs, ys, 9, 11, pad=1)
+        got = grid.bilinear_apply(planes, geometry, want_grad=True)
         shape = (3, 2, 4, 9, 11)
         assert [r.shape for r in got] == [shape] * 3
+        for a, b in zip(want, got):
+            assert a.tobytes() == b.tobytes()
         out = np.full(shape, np.nan)
         work = [np.full(shape, np.nan) for _ in range(6)]
         for _ in range(2):  # buffers holding an earlier result are reused
             split = grid.bilinear_apply(planes, geometry, want_grad=True,
                                         out=out, work=work)
             assert split[0] is out
-            for a, b in zip(got, split):
+            for a, b in zip(want, split):
                 assert a.tobytes() == b.tobytes()
 
     def test_matches_corner_expression(self):
         planes, xs, ys = self.batched_case(np.random.default_rng(22))
-        out, gx, gy = grid.bilinear_sample(planes, xs, ys, want_grad=True)
-        (i00, i01, i10, i11), cx, wx, cy, wy = grid.bilinear_geometry(
-            xs, ys, 9, 11)
+        (i00, i01, i10, i11), cx, wx, cy, wy = geometry = \
+            grid.bilinear_geometry(xs, ys, 9, 11)
+        out, gx, gy = grid.bilinear_apply(planes, geometry, want_grad=True)
         flat = planes.reshape(3, 2, -1)
         f00, f01, f10, f11 = (flat[..., i] for i in (i00, i01, i10, i11))
         expect = cy * (cx * f00 + wx * f01) + wy * (cx * f10 + wx * f11)
@@ -302,19 +324,21 @@ class TestBilinearSplit:
         assert gx.tobytes() == (cy * (f01 - f00) + wy * (f11 - f10)).tobytes()
         assert gy.tobytes() == (cx * (f10 - f00) + wx * (f11 - f01)).tobytes()
 
-    def test_mask_geometry_then_apply_equals_sample_mask(self):
+    def test_mask_geometry_then_apply_equals_hand_reference(self):
         rng = np.random.default_rng(23)
         masks = rng.uniform(size=(3, 9, 11)) > 0.3
         xs = rng.uniform(-2.0, 12.0, (9, 11))
         ys = rng.uniform(-2.0, 10.0, (9, 11))
-        got = grid.sample_mask(masks, xs, ys)
         nearest, valid = grid.mask_geometry(xs, ys, 9, 11)
         out = np.ones((3, 9, 11), dtype=bool)
         assert grid.mask_apply(masks, (nearest, valid), out=out) is out
-        np.testing.assert_array_equal(out, got)
+        np.testing.assert_array_equal(
+            grid.mask_apply(masks, grid.mask_geometry(xs, ys, 9, 11)), out)
+        inside = (xs >= 0) & (xs <= 10) & (ys >= 0) & (ys <= 8)
+        np.testing.assert_array_equal(valid, inside)
         yn = np.clip(np.rint(ys), 0, 8).astype(int)
         xn = np.clip(np.rint(xs), 0, 10).astype(int)
-        np.testing.assert_array_equal(got, valid & masks[:, yn, xn])
+        np.testing.assert_array_equal(out, inside & masks[:, yn, xn])
 
 
 class TestTypes:

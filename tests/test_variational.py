@@ -6,7 +6,7 @@ from voxflow.errors import DivergedError
 from voxflow.flow import LossConfig, SequenceObjective
 from voxflow.grid import DBR_FLOOR, MotionField, RainField, Space
 from voxflow.lucas_kanade import estimate_lucas_kanade
-from voxflow.synth import GaussianCell, SyntheticScenario, generate
+from voxflow.synth import GaussianCell, SyntheticScenario, generate, preset
 from voxflow.transform import rain_to_dbr, volume_to_rain
 from voxflow.variational import (
     MISS_DECAY,
@@ -213,6 +213,60 @@ class TestEstimateVariational:
         assert OptimizerConfig(step_size=1e35).step_size == 1e35
         with pytest.raises(ValueError):
             OptimizerConfig(momentum=1.0)
+
+
+def level_alone(inputs, z):
+    """Level z of the frames, estimated alone as a one-level field."""
+    return estimate_variational(
+        [RainField(f.data[z], f.space, f.mask[z]) for f in inputs],
+        cfg=FAST_CFG, opt=FAST_OPT)
+
+
+class TestStartFromBelow:
+    def test_equal_motion_starts_each_level_from_below(self, monkeypatch):
+        calls = []
+        evaluate = SequenceObjective.evaluate
+        monkeypatch.setattr(SequenceObjective, "evaluate",
+                            lambda self, u, want_grad=True: (
+                                calls.append(1), evaluate(self, u, want_grad))[1])
+        vol, truth = blob_scene(nz=3, velocities=[[[2.0, 0.0]]] * 3,
+                                t_count=3)
+        inputs = [volume_to_rain(vol, t) for t in range(3)]
+        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        stacked = len(calls)
+        calls.clear()
+        for z in range(3):
+            level_alone(inputs, z)
+        assert res.from_below == [False, True, True]
+        assert stacked < len(calls)
+        assert res.statuses == [LevelStatus.OK] * 3
+        pm = volume_to_rain(vol, 2).data > 0.1
+        for z in range(3):
+            epe = mean_endpoint_error(MotionField(res.motion.u[z:z + 1]),
+                                      MotionField(truth.u[z:z + 1]),
+                                      pm[z:z + 1])
+            assert epe < 0.2, (z, epe)
+
+    def test_shear_keeps_each_level_its_own_start(self):
+        vol, _ = generate(preset("shear2", frames=4))
+        inputs = [volume_to_rain(vol, t) for t in range(4)]
+        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        assert res.from_below == [False, False]
+        for z in range(2):
+            alone = level_alone(inputs, z)
+            assert res.motion.u[z].tobytes() == alone.motion.u[0].tobytes()
+            assert [res.statuses[z]] == alone.statuses
+            assert [res.traces[z]] == alone.traces
+
+    def test_stuck_levels_start_from_zero(self):
+        vol, _ = blob_scene(nz=3, velocities=[[[1.0, 0.0]]] * 3, t_count=3)
+        inputs = [volume_to_rain(vol, t) for t in range(3)]
+        res = estimate_variational(
+            inputs, cfg=FAST_CFG, opt=OptimizerConfig(max_iters=3,
+                                                      step_size=1e30))
+        assert res.statuses == [LevelStatus.NO_ACCEPTED_STEP] * 3
+        assert res.from_below == [False] * 3
+        np.testing.assert_array_equal(res.motion.u, 0.0)
 
 
 class TestAgreementWithBaseline:
