@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .denoise import DIAMOND
 from .grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, cmax
 from .transform import volume_to_rain  # noqa: F401  bound by benchmarks/launcher.py
 
@@ -304,10 +303,16 @@ def rank_outliers(samples: Sequence[OutlierSample], k: int,
     closer than gap_minutes to an already selected one are skipped so one
     long event does not fill the list. When fewer than k samples survive,
     all of them are returned with the exhausted flag set; k = 0 returns no
-    samples and a negative k raises ValueError.
+    samples and a negative k raises ValueError, as does a sample whose
+    coverage or correlation is not finite.
     """
     if k < 0:
         raise ValueError(f"top-k must be >= 0, got {k}")
+    for s in samples:
+        if not (math.isfinite(s.coverage) and math.isfinite(s.correlation)):
+            raise ValueError(f"sample {s.sample_id!r} has coverage "
+                             f"{s.coverage} and correlation {s.correlation}; "
+                             "both must be finite to be ranked")
     if not samples:
         return RankedOutliers(ids=[], exhausted=k > 0)
     cov_rank = _avg_ranks([-s.coverage for s in samples])
@@ -329,11 +334,47 @@ def rank_outliers(samples: Sequence[OutlierSample], k: int,
                           exhausted=len(chosen) < k)
 
 
+def _count_stack(stack: np.ndarray) -> np.ndarray:
+    """Number of 4-connected components of each plane of a boolean
+    (P, H, W) stack, counted in NumPy over horizontal runs of wet cells.
+
+    Two runs on adjacent rows of a plane join where they overlap, and an
+    overlap begins at the start of one of the two runs, so only the columns
+    where either cell starts a run are linked. Each round hooks the larger
+    root of every linked pair to the smaller one and jumps pointers until
+    every run points at its root; the roots left are the components.
+    """
+    p, h, w = stack.shape
+    start = stack.copy()
+    start[..., 1:] &= ~stack[..., :-1]
+    runs = np.flatnonzero(start)  # flat index of each run's first cell
+    link = stack[:, :-1] & stack[:, 1:]
+    link &= start[:, :-1] | start[:, 1:]
+    top = np.flatnonzero(link)
+    if h > 1:
+        top += top // ((h - 1) * w) * w  # (P, H-1, W) index to (P, H, W)
+    a = np.searchsorted(runs, top, side="right") - 1
+    b = np.searchsorted(runs, top + w, side="right") - 1
+    root = np.arange(runs.size)
+    while a.size:
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+        a, b = root[a], root[b]
+        keep = a != b
+        a, b = a[keep], b[keep]
+    heads = runs[root == np.arange(runs.size)]
+    return np.bincount(heads // (h * w), minlength=p)
+
+
 def count_components(plane: np.ndarray) -> int:
-    """Number of 4-connected components of a boolean plane."""
-    from scipy import ndimage
-    _, n = ndimage.label(plane, structure=DIAMOND)
-    return int(n)
+    """Number of 4-connected components of a boolean plane, counted in
+    NumPy; a plane that is not 2-D raises ValueError."""
+    plane = np.asarray(plane, dtype=bool)
+    if plane.ndim != 2:
+        raise ValueError(f"need a 2-D plane, got shape {plane.shape}")
+    return int(_count_stack(plane[None])[0])
 
 
 @dataclass
@@ -359,17 +400,19 @@ class SplitDiagnostic:
 def cell_split_diagnostic(volume_nowcast: Iterable[RainField],
                           threshold: float = 1.0) -> SplitDiagnostic:
     """Component counts of the thresholded CMAX composite at each lead,
-    alongside per-level counts. The leads are taken one at a time, so a
-    lazy iterable holds one field at a time."""
+    alongside per-level counts, all 4-connected and counted in NumPy. The
+    leads are taken one at a time, so a lazy iterable holds one field at a
+    time."""
     cmax_counts = []
     rainy = []
     level_counts = []
     for f in volume_nowcast:
         wet = (f.data >= threshold) & f.mask
         comp = wet.any(axis=0)
-        cmax_counts.append(count_components(comp))
+        counts = _count_stack(np.concatenate([comp[None], wet]))
+        cmax_counts.append(int(counts[0]))
         rainy.append(int(comp.sum()))
-        level_counts.append([count_components(plane) for plane in wet])
+        level_counts.append(counts[1:])
     if not cmax_counts:
         raise ValueError("empty nowcast sequence")
     return SplitDiagnostic(cmax_counts=cmax_counts,

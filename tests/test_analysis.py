@@ -2,6 +2,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxflow import analysis
 from voxflow.analysis import (
@@ -405,6 +406,15 @@ class TestRankOutliers:
                     for s in samples]
         assert rank_outliers(rescaled, 5, gap_minutes=0).ids == base
 
+    @pytest.mark.parametrize("bad", ["coverage", "correlation"])
+    def test_non_finite_sample_rejected_in_any_order(self, bad):
+        samples = [self._s("a", 0, 0.5, 0.1), self._s("b", 20, 0.4, 0.2),
+                   self._s("c", 40, 0.2, 0.3)]
+        setattr(samples[1], bad, float("nan"))
+        for order in (samples, samples[::-1]):
+            with pytest.raises(ValueError, match="sample 'b' .* finite"):
+                rank_outliers(order, 2, gap_minutes=0)
+
 
 class TestCellSplitDiagnostic:
     def _gauss(self, cy, cx, amp=8.0, sig=3.0, n=48):
@@ -457,3 +467,84 @@ class TestCellSplitDiagnostic:
         assert count_components(plane) == 2
         plane[1, 2] = True
         assert count_components(plane) == 1
+
+
+def _label_count(plane):
+    """Reference count: scipy.ndimage.label with the 4-connected diamond."""
+    from scipy import ndimage
+    from voxflow.denoise import DIAMOND
+    return int(ndimage.label(plane, structure=DIAMOND)[1])
+
+
+def _serpentine(arches, depth):
+    """One serpentine of arches (two legs two columns apart, joined on
+    their top row) whose neighbours join on the bottom row. Arch j's top is
+    higher the more times 2 divides j, a ruler sequence, so the arches merge
+    pairwise over about log2(arches) hooking rounds."""
+    g = np.zeros((depth + 2, 4 * arches - 1), bool)
+    for j in range(arches):
+        twos = (j & -j).bit_length() - 1 if j else depth
+        top = depth - min(twos, depth)
+        g[top:, 4 * j] = g[top:, 4 * j + 2] = True
+        g[top, 4 * j:4 * j + 3] = True
+    g[-1] = True
+    g[-1, 1::4] = False
+    return g
+
+
+#: name: (plane, its number of 4-connected components)
+_HARD_PLANES = {
+    "empty": (np.zeros((17, 23), bool), 0),
+    "all wet": (np.ones((17, 23), bool), 1),
+    "checkerboard": (np.indices((40, 40)).sum(axis=0) % 2 == 1, 800),
+    "one row": (np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], bool), 4),
+    "one column": (np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], bool).T, 4),
+    "one cell": (np.ones((1, 1), bool), 1),
+    "serpentine comb": (_serpentine(64, 7), 1),
+    "serpentine comb, flipped": (_serpentine(64, 7)[::-1, ::-1], 1),
+}
+
+
+@st.composite
+def _wet_stacks(draw):
+    """(P, H, W) boolean stacks of 1 to 3 planes from 1 x 1 to 40 x 40 with
+    wet densities from 0.05 to 0.95."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 40)),
+             draw(st.integers(1, 40)))
+    density = draw(st.floats(0.05, 0.95))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.random(shape) < density
+
+
+def _split_of_stack(stack):
+    """cell_split_diagnostic of one lead whose levels are the stack."""
+    data = np.where(stack, 2.0, 0.0)
+    return cell_split_diagnostic([RainField(data=data, space=Space.MMH)],
+                                 threshold=1.0)
+
+
+class TestCountComponents:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stack=_wet_stacks())
+    def test_equals_ndimage_label(self, stack):
+        diag = _split_of_stack(stack)
+        assert diag.cmax_counts == [_label_count(stack.any(axis=0))]
+        want = [_label_count(plane) for plane in stack]
+        assert diag.level_counts.tolist() == [want]
+        assert [count_components(plane) for plane in stack] == want
+
+    @pytest.mark.parametrize("name", sorted(_HARD_PLANES))
+    def test_hard_planes_equal_ndimage_label(self, name):
+        plane, want = _HARD_PLANES[name]
+        assert _label_count(plane) == want
+        assert count_components(plane) == want
+        assert _split_of_stack(plane[None]).level_counts.tolist() == [[want]]
+
+    def test_non_boolean_plane_counts_nonzero_cells(self):
+        plane = np.array([[0.0, 2.5, 0.0], [np.nan, 0.0, -1.0]])
+        assert count_components(plane) == 3
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+    def test_non_2d_plane_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            count_components(np.ones(shape, bool))
