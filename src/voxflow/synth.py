@@ -33,11 +33,24 @@ class GaussianCell:
     sigma: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.y) and math.isfinite(self.x)):
+            raise ValueError(
+                f"cell centre (y, x) must be finite, got ({self.y}, {self.x})")
         if not (0.0 <= self.amplitude_dbz <= 70.0):
             raise ValueError(
                 f"cell amplitude must lie in [0, 70] dBZ, got {self.amplitude_dbz}")
-        if self.sigma <= 0:
-            raise ValueError("cell sigma must be positive")
+        if not (0.0 < self.sigma < math.inf):
+            raise ValueError(f"cell sigma must be positive and finite, got {self.sigma}")
+
+
+def _finite_table(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a float64 array of the given shape, all of it finite."""
+    table = np.asarray(value, dtype=np.float64)
+    if table.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"{name} must be finite")
+    return table
 
 
 @dataclass
@@ -73,26 +86,28 @@ class SyntheticScenario:
     def __post_init__(self):
         t, z, y, x = self.shape
         n_cells = len(self.cells)
+        want = (z, max(n_cells, 1), 2)
         if self.velocities is None and self.rotation_omega is None:
-            self.velocities = np.zeros((z, max(n_cells, 1), 2))
+            self.velocities = np.zeros(want)
         if self.velocities is not None:
-            self.velocities = np.asarray(self.velocities, dtype=np.float64)
-            want = (z, n_cells, 2) if n_cells else (z, 1, 2)
-            if self.velocities.shape != want:
-                raise ValueError(
-                    f"velocities must have shape {want}, got {self.velocities.shape}")
-            if not np.all(np.isfinite(self.velocities)):
-                raise ValueError("velocities must be finite")
+            self.velocities = _finite_table(self.velocities, want, "velocities")
         if self.level_offsets is not None:
-            self.level_offsets = np.asarray(self.level_offsets, dtype=np.float64)
-            if self.level_offsets.shape != (z, n_cells, 2):
-                raise ValueError("level_offsets must have shape (Z, n_cells, 2)")
+            self.level_offsets = _finite_table(self.level_offsets,
+                                               (z, n_cells, 2), "level_offsets")
+        if self.switch_t is not None and self.switch_velocities is None:
+            raise ValueError("switch_t needs switch_velocities")
         if self.switch_velocities is not None:
-            self.switch_velocities = np.asarray(self.switch_velocities, float)
+            self.switch_velocities = _finite_table(self.switch_velocities, want,
+                                                   "switch_velocities")
         if self.level_amp_scale is not None:
-            self.level_amp_scale = np.asarray(self.level_amp_scale, float)
-            if self.level_amp_scale.shape != (z,):
-                raise ValueError("level_amp_scale must have one entry per level")
+            self.level_amp_scale = _finite_table(self.level_amp_scale, (z,),
+                                                 "level_amp_scale")
+        if self.rotation_omega is not None and not math.isfinite(self.rotation_omega):
+            raise ValueError(f"rotation_omega must be finite, got {self.rotation_omega}")
+        if not math.isfinite(self.amplitude_trend):
+            raise ValueError(f"amplitude_trend must be finite, got {self.amplitude_trend}")
+        if not (0.0 <= self.speckle_prob <= 1.0):
+            raise ValueError(f"speckle_prob must lie in [0, 1], got {self.speckle_prob}")
         if self.z_levels is None:
             self.z_levels = 500.0 + 500.0 * np.arange(z)
 
@@ -123,72 +138,150 @@ def _cell_position(scn: SyntheticScenario, z: int, b: int, t: int):
             x0 + v[0] * held + v2[0] * (t - held))
 
 
-def _render_frame(scn: SyntheticScenario, z: int, t: int,
-                  yg: np.ndarray, xg: np.ndarray) -> np.ndarray:
-    plane = np.full(yg.shape, -np.inf)
+#: slack added to ln(amp / floor) in a cell's support radius; it dwarfs the
+#: float error of the rendered contribution (see _add_gaussian)
+_LOG_MARGIN = 1e-6
+
+
+def _span(c: float, reach: float, n: int) -> tuple[int, int]:
+    """Index range [lo, hi) of an axis of n cells that holds every cell
+    within reach of c, padded outward for the rounding of c +- reach."""
+    pad = 1.0 + 1e-9 * (abs(c) + reach)
+    lo, hi = c - reach - pad, c + reach + pad
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return 0, n
+    return max(math.floor(lo), 0), min(math.floor(hi) + 1, n)
+
+
+def _add_gaussian(plane: np.ndarray, cy: float, cx: float, amp: float,
+                  sigma: float, work: np.ndarray) -> None:
+    """plane = max(plane, amp * exp(-r2 / (2 sigma^2))) wherever that
+    contribution can reach ECHO_FLOOR_DBZ; work is scratch of plane.size.
+
+    Inside the window every value equals, bit for bit, that of the
+    whole-plane formula amp * exp(-((yg - cy)**2 + (xg - cx)**2) / den):
+    the squares come from 1-D row and column terms, added negated, and
+    (-a) + (-b) rounds to -(a + b) exactly.
+
+    Outside the window the contribution is below the floor, where every
+    caller thresholds it away, so leaving it out changes no output. Proof:
+    let L = ln(amp / floor) <= ln 35 < 4 and den = 2 sigma^2. The window
+    holds every cell within R of the centre on each axis, where R^2 >=
+    den * (L + _LOG_MARGIN / 2): the computed log, sum, product and sqrt
+    each err by under 1e-15 relative, and _span pads the float ends. A cell
+    outside has r2 > R^2. Its computed r2 (a difference, a square and a sum
+    per term) is at least r2 (1 - 4 eps), eps = 2^-53, so the computed
+    exponent q <= -(L + _LOG_MARGIN / 2)(1 - 5 eps). NumPy's exp errs by a
+    few ulp, so exp(q) <= (floor / amp) exp(-_LOG_MARGIN / 2 + 40 eps), and
+    the product with amp, rounded, stays below floor * (1 - 4e-7). Cells of
+    amplitude below the floor never reach it, as exp(q) <= 1.
+    """
+    if not amp >= ECHO_FLOOR_DBZ:
+        return
+    den = 2.0 * sigma ** 2
+    reach = math.sqrt(den * (math.log(amp / ECHO_FLOOR_DBZ) + _LOG_MARGIN))
+    ny, nx = plane.shape
+    y0, y1 = _span(cy, reach, ny)
+    x0, x1 = _span(cx, reach, nx)
+    if y0 >= y1 or x0 >= x1:
+        return
+    neg_dy2 = -((np.arange(y0, y1, dtype=np.float64) - cy) ** 2)
+    neg_dx2 = -((np.arange(x0, x1, dtype=np.float64) - cx) ** 2)
+    # a contiguous buffer, so that exp takes the same (vector) loop as it
+    # does on a fresh array
+    out = work[:neg_dy2.size * neg_dx2.size].reshape(neg_dy2.size, neg_dx2.size)
+    np.add(neg_dy2[:, None], neg_dx2, out=out)
+    out /= den
+    np.exp(out, out=out)
+    out *= amp
+    window = plane[y0:y1, x0:x1]
+    np.maximum(window, out, out=window)
+
+
+def _threshold(plane: np.ndarray, fill: float) -> None:
+    """Set every value of plane under ECHO_FLOOR_DBZ (or NaN) to fill, as
+    np.where(plane >= ECHO_FLOOR_DBZ, plane, fill) would."""
+    np.copyto(plane, fill, where=~(plane >= ECHO_FLOOR_DBZ))
+
+
+def _render_frame(scn: SyntheticScenario, z: int, t: int, plane: np.ndarray,
+                  work: np.ndarray) -> None:
+    """Render level z of frame t into plane: the upper envelope of the
+    cells, with values under the echo floor set to no echo."""
+    plane.fill(-np.inf)
     amp_scale = 1.0 if scn.level_amp_scale is None else scn.level_amp_scale[z]
     for b, cell in enumerate(scn.cells):
         cy, cx = _cell_position(scn, z, b, t)
         amp = cell.amplitude_dbz * amp_scale + scn.amplitude_trend * t
         amp = min(max(amp, 0.0), 70.0)
-        r2 = (yg - cy) ** 2 + (xg - cx) ** 2
-        plane = np.maximum(plane, amp * np.exp(-r2 / (2.0 * cell.sigma ** 2)))
-    return plane
+        _add_gaussian(plane, cy, cx, amp, cell.sigma, work)
+    _threshold(plane, NO_ECHO_DBZ)
 
 
 def _truth_field(scn: SyntheticScenario) -> MotionField:
     t, z, ny, nx = scn.shape
-    yg, xg = np.mgrid[0:ny, 0:nx].astype(np.float64)
+    ys = np.arange(ny, dtype=np.float64)[:, None]
+    xs = np.arange(nx, dtype=np.float64)
     u = np.zeros((z, 2, ny, nx))
     if scn.rotation_omega is not None:
         # exact backward displacement of the rigid rotation
         cy, cx = (ny - 1) / 2.0, (nx - 1) / 2.0
         ang = scn.rotation_omega
-        dy, dx = yg - cy, xg - cx
+        dy, dx = ys - cy, xs - cx
         back_y = cy + dy * math.cos(ang) - dx * math.sin(ang)
         back_x = cx + dy * math.sin(ang) + dx * math.cos(ang)
-        for zi in range(z):
-            u[zi, 0] = xg - back_x
-            u[zi, 1] = yg - back_y
+        u[:, 0] = xs - back_x
+        u[:, 1] = ys - back_y
         return MotionField(u)
     if not scn.cells:
         return MotionField(u)
+    best = np.empty((ny, nx))
+    d2 = np.empty((ny, nx))
     for zi in range(z):
-        centers = np.array([_cell_start(scn, zi, b) for b in range(len(scn.cells))])
-        d2 = ((yg[None] - centers[:, 0, None, None]) ** 2
-              + (xg[None] - centers[:, 1, None, None]) ** 2)
-        nearest = np.argmin(d2, axis=0)
         vel = scn.velocities[zi]
-        u[zi, 0] = vel[:, 0][nearest]
-        u[zi, 1] = vel[:, 1][nearest]
+        # one shared velocity (to the sign of zero) is the level's field
+        if np.all((vel == vel[0]) & (np.signbit(vel) == np.signbit(vel[0]))):
+            u[zi] = vel[0][:, None, None]
+            continue
+        # each cell takes the velocity of its first nearest start, as argmin
+        # over the cells would pick it
+        best.fill(np.inf)
+        for b in range(len(scn.cells)):
+            cy, cx = _cell_start(scn, zi, b)
+            np.add((ys - cy) ** 2, (xs - cx) ** 2, out=d2)
+            closer = d2 < best
+            np.copyto(best, d2, where=closer)
+            np.copyto(u[zi], vel[b][:, None, None], where=closer)
     return MotionField(u)
 
 
 def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
     """Render the scenario into a RadarVolume plus its ground-truth motion."""
-    from scipy import ndimage
     t_count, z_count, ny, nx = scn.shape
     for cell in scn.cells:
         if not (0 <= cell.y < ny and 0 <= cell.x < nx):
             warnings.warn(f"cell at ({cell.y}, {cell.x}) starts outside the "
                           f"{ny} x {nx} grid; it will be clipped", stacklevel=2)
     rng = np.random.default_rng(scn.seed)
-    yg, xg = np.mgrid[0:ny, 0:nx].astype(np.float64)
     data = np.empty((t_count, z_count, ny, nx))
+    work = np.empty(ny * nx)
     rho = None
     if scn.clutter_cells:
         rho = np.full((t_count, z_count, ny, nx), 0.97)
 
     clutter_planes = []
     for cl in scn.clutter_cells:
-        r2 = (yg - cl.y) ** 2 + (xg - cl.x) ** 2
-        clutter_planes.append(cl.amplitude_dbz * np.exp(-r2 / (2.0 * cl.sigma ** 2)))
+        cp = np.full((ny, nx), -np.inf)
+        _add_gaussian(cp, cl.y, cl.x, cl.amplitude_dbz, cl.sigma, work)
+        _threshold(cp, -np.inf)
+        clutter_planes.append(cp)
 
     for t in range(t_count):
         for z in range(z_count):
-            plane = _render_frame(scn, z, t, yg, xg)
-            plane = np.where(plane >= ECHO_FLOOR_DBZ, plane, NO_ECHO_DBZ)
+            plane = data[t, z]
+            _render_frame(scn, z, t, plane, work)
             if scn.speckle_prob > 0:
+                from scipy import ndimage
                 hits = rng.random((ny, nx)) < scn.speckle_prob
                 # background only, clear of echo edges so speckles stay
                 # isolated single-cell artifacts
@@ -196,14 +289,12 @@ def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
                                                     iterations=3)
                 hits &= ~near_echo
                 amps = rng.uniform(*SPECKLE_DBZ, size=(ny, nx))
-                plane = np.where(hits, amps, plane)
+                np.copyto(plane, amps, where=hits)
             for cp in clutter_planes:
-                clutter = np.where(cp >= ECHO_FLOOR_DBZ, cp, -np.inf)
-                in_clutter = clutter > plane
-                plane = np.where(in_clutter, clutter, plane)
+                in_clutter = cp > plane
+                np.copyto(plane, cp, where=in_clutter)
                 if rho is not None:
                     rho[t, z][in_clutter] = CLUTTER_RHO
-            data[t, z] = plane
 
     vol = RadarVolume(data=data, z_levels=scn.z_levels, rho_hv=rho)
     return vol, _truth_field(scn)

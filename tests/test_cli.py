@@ -774,7 +774,8 @@ for argv in (
         ["verify", out + "/fc.rvol", vol, "-o", out + "/metrics.csv"],
         ["analyze", data, "--which", "motion-corr", "--level-pair", "0,1",
          "-o", out],
-        ["analyze", data, "--which", "split", "-o", out]):
+        ["analyze", data, "--which", "split", "-o", out],
+        ["synth", "--preset", "shear2", "--frames", "2", "-o", out + "/s.rvol"]):
     assert voxflow.cli.main(argv) == 0, argv
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
@@ -784,8 +785,8 @@ assert not loaded, loaded
 class TestStartup:
     def test_commands_without_scipy_do_not_load_it(self, tmp_path):
         """Importing voxflow and running estimate (3d, 2d-cmax), nowcast,
-        verify, analyze motion-corr and analyze split in a fresh process
-        loads no scipy module."""
+        verify, analyze motion-corr, analyze split and synth of a preset
+        without speckle in a fresh process loads no scipy module."""
         (tmp_path / "data").mkdir()
         (tmp_path / "out").mkdir()
         _small_volume(tmp_path / "data" / "20210610_1200.rvol")

@@ -1,11 +1,22 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxflow.advect import advect_once
-from voxflow.grid import NO_ECHO_DBZ
+from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume
 from voxflow.synth import (
+    CLUTTER_RHO,
+    ECHO_FLOOR_DBZ,
+    PRESET_NAMES,
+    SPECKLE_DBZ,
     GaussianCell,
     SyntheticScenario,
+    _cell_position,
+    _cell_start,
     clean_copy,
     generate,
     preset,
@@ -150,3 +161,217 @@ class TestScenarioValidation:
                                 amplitude_trend=5.0, z_levels=[500.0])
         vol, _ = generate(scn)
         assert vol.data[2].max() > vol.data[0].max() + 5.0
+
+
+# --- reference renderer: whole-plane formulas, one new array per step ------
+
+def _ref_render_frame(scn, z, t, yg, xg):
+    plane = np.full(yg.shape, -np.inf)
+    amp_scale = 1.0 if scn.level_amp_scale is None else scn.level_amp_scale[z]
+    for b, cell in enumerate(scn.cells):
+        cy, cx = _cell_position(scn, z, b, t)
+        amp = cell.amplitude_dbz * amp_scale + scn.amplitude_trend * t
+        amp = min(max(amp, 0.0), 70.0)
+        r2 = (yg - cy) ** 2 + (xg - cx) ** 2
+        plane = np.maximum(plane, amp * np.exp(-r2 / (2.0 * cell.sigma ** 2)))
+    return plane
+
+
+def _ref_truth_field(scn):
+    t, z, ny, nx = scn.shape
+    yg, xg = np.mgrid[0:ny, 0:nx].astype(np.float64)
+    u = np.zeros((z, 2, ny, nx))
+    if scn.rotation_omega is not None:
+        cy, cx = (ny - 1) / 2.0, (nx - 1) / 2.0
+        ang = scn.rotation_omega
+        dy, dx = yg - cy, xg - cx
+        back_y = cy + dy * math.cos(ang) - dx * math.sin(ang)
+        back_x = cx + dy * math.sin(ang) + dx * math.cos(ang)
+        for zi in range(z):
+            u[zi, 0] = xg - back_x
+            u[zi, 1] = yg - back_y
+        return MotionField(u)
+    if not scn.cells:
+        return MotionField(u)
+    for zi in range(z):
+        centers = np.array([_cell_start(scn, zi, b) for b in range(len(scn.cells))])
+        d2 = ((yg[None] - centers[:, 0, None, None]) ** 2
+              + (xg[None] - centers[:, 1, None, None]) ** 2)
+        nearest = np.argmin(d2, axis=0)
+        vel = scn.velocities[zi]
+        u[zi, 0] = vel[:, 0][nearest]
+        u[zi, 1] = vel[:, 1][nearest]
+    return MotionField(u)
+
+
+def _ref_generate(scn):
+    from scipy import ndimage
+    t_count, z_count, ny, nx = scn.shape
+    rng = np.random.default_rng(scn.seed)
+    yg, xg = np.mgrid[0:ny, 0:nx].astype(np.float64)
+    data = np.empty((t_count, z_count, ny, nx))
+    rho = None
+    if scn.clutter_cells:
+        rho = np.full((t_count, z_count, ny, nx), 0.97)
+    clutter_planes = []
+    for cl in scn.clutter_cells:
+        r2 = (yg - cl.y) ** 2 + (xg - cl.x) ** 2
+        clutter_planes.append(cl.amplitude_dbz * np.exp(-r2 / (2.0 * cl.sigma ** 2)))
+    for t in range(t_count):
+        for z in range(z_count):
+            plane = _ref_render_frame(scn, z, t, yg, xg)
+            plane = np.where(plane >= ECHO_FLOOR_DBZ, plane, NO_ECHO_DBZ)
+            if scn.speckle_prob > 0:
+                hits = rng.random((ny, nx)) < scn.speckle_prob
+                near_echo = ndimage.binary_dilation(plane > NO_ECHO_DBZ,
+                                                    iterations=3)
+                hits &= ~near_echo
+                amps = rng.uniform(*SPECKLE_DBZ, size=(ny, nx))
+                plane = np.where(hits, amps, plane)
+            for cp in clutter_planes:
+                clutter = np.where(cp >= ECHO_FLOOR_DBZ, cp, -np.inf)
+                in_clutter = clutter > plane
+                plane = np.where(in_clutter, clutter, plane)
+                if rho is not None:
+                    rho[t, z][in_clutter] = CLUTTER_RHO
+            data[t, z] = plane
+    vol = RadarVolume(data=data, z_levels=scn.z_levels, rho_hv=rho)
+    return vol, _ref_truth_field(scn)
+
+
+def _assert_same_bytes(scn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # cells starting outside
+        got, got_truth = generate(scn)
+        want, want_truth = _ref_generate(scn)
+    for name, a, b in (("data", got.data, want.data), ("mask", got.mask, want.mask),
+                       ("rho_hv", got.rho_hv, want.rho_hv),
+                       ("truth", got_truth.u, want_truth.u)):
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def _scenarios(draw):
+    t_count = draw(st.integers(1, 3))
+    z_count = draw(st.integers(1, 2))
+    ny, nx = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+
+    def centre(n):
+        # inside, on either edge of and outside the grid
+        return draw(st.one_of(st.sampled_from([0.0, n - 1.0, -0.5, n - 0.5, n]),
+                              st.floats(-2.0 * n - 10.0, 3.0 * n + 10.0)))
+
+    near_floor = st.floats(ECHO_FLOOR_DBZ - 1e-12, ECHO_FLOOR_DBZ + 1e-12)
+    cells = [GaussianCell(centre(ny), centre(nx),
+                          draw(st.one_of(near_floor, st.floats(0.0, 70.0))),
+                          draw(st.floats(0.3, 1e4)))
+             for _ in range(draw(st.integers(0, 3)))]
+    n = max(len(cells), 1)
+    speed = st.floats(-3.0, 3.0)
+    vel = np.array(draw(st.lists(speed, min_size=z_count * n * 2,
+                                 max_size=z_count * n * 2))).reshape(z_count, n, 2)
+    # small trends carry amplitudes near the floor through it from frame to
+    # frame; large ones clamp at 0 and 70 dBZ
+    trend = draw(st.one_of(st.just(0.0), st.floats(-2e-12, 2e-12),
+                           st.floats(-40.0, 40.0)))
+    amp_scale = draw(st.one_of(
+        st.none(), st.lists(st.floats(0.5, 1.5), min_size=z_count,
+                            max_size=z_count)))
+    return SyntheticScenario(shape=(t_count, z_count, ny, nx), cells=cells,
+                             velocities=vel, amplitude_trend=trend,
+                             level_amp_scale=amp_scale)
+
+
+class TestByteIdentityWithReference:
+    """generate keeps every output byte of the whole-plane formulas."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name, seed):
+        _assert_same_bytes(preset(name, seed=seed))
+
+    def test_crop_scale(self):
+        _assert_same_bytes(preset("uniform", crop_scale=True, frames=2))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scn=_scenarios())
+    def test_random_cells(self, scn):
+        _assert_same_bytes(scn)
+
+    def test_amplitude_at_the_floor_renders_its_centre(self):
+        cells = [GaussianCell(3.0, 4.0, ECHO_FLOOR_DBZ, 2.0)]
+        scn = SyntheticScenario(shape=(1, 1, 8, 8), cells=cells)
+        vol, _ = generate(scn)
+        assert vol.data[0, 0, 3, 4] == ECHO_FLOOR_DBZ
+        assert (vol.data > NO_ECHO_DBZ).sum() == 1
+        _assert_same_bytes(scn)
+
+    def test_velocities_equal_but_for_the_sign_of_zero(self):
+        """0.0 == -0.0, but each cell's region keeps its own bytes."""
+        cells = [GaussianCell(4.0, 4.0, 30.0, 2.0), GaussianCell(12.0, 12.0, 30.0, 2.0)]
+        vel = np.array([[[0.0, 1.0], [-0.0, 1.0]]])
+        _assert_same_bytes(SyntheticScenario(shape=(2, 1, 16, 16), cells=cells,
+                                             velocities=vel))
+
+    def test_peak_memory_is_a_few_planes(self):
+        """Beyond the arrays it returns, generate holds a few planes at
+        once (its work plane, the truth field's nearest-distance planes and
+        MotionField's finiteness check), not one per cell or arithmetic
+        step."""
+        scn = preset("shear8")
+        plane = 8 * scn.shape[2] * scn.shape[3]
+        generate(preset("shear8", frames=1))  # first-use allocations of NumPy
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            vol, truth = generate(scn)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        kept = vol.data.nbytes + vol.mask.nbytes + truth.u.nbytes
+        assert peak - kept < 6 * plane
+
+
+class TestParameterValidation:
+    """Parameters the renderer cannot draw fail at construction, naming
+    the field."""
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
+    def test_cell_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianCell(10.0, 10.0, 30.0, sigma)
+
+    @pytest.mark.parametrize("y, x", [(math.nan, 5.0), (5.0, math.inf)])
+    def test_cell_centre(self, y, x):
+        with pytest.raises(ValueError, match="centre"):
+            GaussianCell(y, x, 30.0, 2.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("level_offsets", np.full((1, 1, 2), np.nan)),
+        ("amplitude_trend", math.nan),
+        ("amplitude_trend", math.inf),
+        ("level_amp_scale", np.array([np.nan])),
+        ("speckle_prob", 2.0),
+        ("speckle_prob", -0.1),
+        ("speckle_prob", math.nan),
+        ("rotation_omega", math.nan),
+        ("switch_velocities", np.zeros(3)),
+        ("switch_velocities", np.full((1, 1, 2), np.inf)),
+    ])
+    def test_scenario_field(self, field, value):
+        kw = {"switch_t": 1} if field == "switch_velocities" else {}
+        with pytest.raises(ValueError, match=field):
+            SyntheticScenario(shape=(2, 1, 16, 16),
+                              cells=[GaussianCell(5.0, 5.0, 30.0, 2.0)],
+                              **kw, **{field: value})
+
+    def test_switch_t_needs_switch_velocities(self):
+        with pytest.raises(ValueError, match="switch_velocities"):
+            SyntheticScenario(shape=(2, 1, 16, 16),
+                              cells=[GaussianCell(5.0, 5.0, 30.0, 2.0)],
+                              switch_t=1)
