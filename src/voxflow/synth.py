@@ -138,64 +138,24 @@ def _cell_position(scn: SyntheticScenario, z: int, b: int, t: int):
             x0 + v[0] * held + v2[0] * (t - held))
 
 
-#: slack added to ln(amp / floor) in a cell's support radius; it dwarfs the
-#: float error of the rendered contribution (see _add_gaussian)
-_LOG_MARGIN = 1e-6
-
-
-def _span(c: float, reach: float, n: int) -> tuple[int, int]:
-    """Index range [lo, hi) of an axis of n cells that holds every cell
-    within reach of c, padded outward for the rounding of c +- reach."""
-    pad = 1.0 + 1e-9 * (abs(c) + reach)
-    lo, hi = c - reach - pad, c + reach + pad
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return 0, n
-    return max(math.floor(lo), 0), min(math.floor(hi) + 1, n)
-
-
 def _add_gaussian(plane: np.ndarray, cy: float, cx: float, amp: float,
                   sigma: float, work: np.ndarray) -> None:
-    """plane = max(plane, amp * exp(-r2 / (2 sigma^2))) wherever that
-    contribution can reach ECHO_FLOOR_DBZ; work is scratch of plane.size.
+    """plane = max(plane, amp * exp(-r2 / (2 sigma^2))); work is scratch of
+    plane's shape.
 
-    Inside the window every value equals, bit for bit, that of the
-    whole-plane formula amp * exp(-((yg - cy)**2 + (xg - cx)**2) / den):
-    the squares come from 1-D row and column terms, added negated, and
-    (-a) + (-b) rounds to -(a + b) exactly.
-
-    Outside the window the contribution is below the floor, where every
-    caller thresholds it away, so leaving it out changes no output. Proof:
-    let L = ln(amp / floor) <= ln 35 < 4 and den = 2 sigma^2. The window
-    holds every cell within R of the centre on each axis, where R^2 >=
-    den * (L + _LOG_MARGIN / 2): the computed log, sum, product and sqrt
-    each err by under 1e-15 relative, and _span pads the float ends. A cell
-    outside has r2 > R^2. Its computed r2 (a difference, a square and a sum
-    per term) is at least r2 (1 - 4 eps), eps = 2^-53, so the computed
-    exponent q <= -(L + _LOG_MARGIN / 2)(1 - 5 eps). NumPy's exp errs by a
-    few ulp, so exp(q) <= (floor / amp) exp(-_LOG_MARGIN / 2 + 40 eps), and
-    the product with amp, rounded, stays below floor * (1 - 4e-7). Cells of
-    amplitude below the floor never reach it, as exp(q) <= 1.
+    Every value equals, bit for bit, that of the whole-plane formula
+    amp * exp(-((yg - cy)**2 + (xg - cx)**2) / (2 sigma^2)): the squares
+    come from 1-D row and column terms, added negated, and (-a) + (-b)
+    rounds to -(a + b) exactly.
     """
-    if not amp >= ECHO_FLOOR_DBZ:
-        return
-    den = 2.0 * sigma ** 2
-    reach = math.sqrt(den * (math.log(amp / ECHO_FLOOR_DBZ) + _LOG_MARGIN))
     ny, nx = plane.shape
-    y0, y1 = _span(cy, reach, ny)
-    x0, x1 = _span(cx, reach, nx)
-    if y0 >= y1 or x0 >= x1:
-        return
-    neg_dy2 = -((np.arange(y0, y1, dtype=np.float64) - cy) ** 2)
-    neg_dx2 = -((np.arange(x0, x1, dtype=np.float64) - cx) ** 2)
-    # a contiguous buffer, so that exp takes the same (vector) loop as it
-    # does on a fresh array
-    out = work[:neg_dy2.size * neg_dx2.size].reshape(neg_dy2.size, neg_dx2.size)
-    np.add(neg_dy2[:, None], neg_dx2, out=out)
-    out /= den
-    np.exp(out, out=out)
-    out *= amp
-    window = plane[y0:y1, x0:x1]
-    np.maximum(window, out, out=window)
+    neg_dy2 = -((np.arange(ny, dtype=np.float64) - cy) ** 2)
+    neg_dx2 = -((np.arange(nx, dtype=np.float64) - cx) ** 2)
+    np.add(neg_dy2[:, None], neg_dx2, out=work)
+    work /= 2.0 * sigma ** 2
+    np.exp(work, out=work)
+    work *= amp
+    np.maximum(plane, work, out=plane)
 
 
 def _threshold(plane: np.ndarray, fill: float) -> None:
@@ -239,14 +199,12 @@ def _truth_field(scn: SyntheticScenario) -> MotionField:
     d2 = np.empty((ny, nx))
     for zi in range(z):
         vel = scn.velocities[zi]
-        # one shared velocity (to the sign of zero) is the level's field
-        if np.all((vel == vel[0]) & (np.signbit(vel) == np.signbit(vel[0]))):
-            u[zi] = vel[0][:, None, None]
-            continue
         # each cell takes the velocity of its first nearest start, as argmin
-        # over the cells would pick it
-        best.fill(np.inf)
-        for b in range(len(scn.cells)):
+        # over the cells would pick it (cell 0 where every distance is inf)
+        cy, cx = _cell_start(scn, zi, 0)
+        np.add((ys - cy) ** 2, (xs - cx) ** 2, out=best)
+        u[zi] = vel[0][:, None, None]
+        for b in range(1, len(scn.cells)):
             cy, cx = _cell_start(scn, zi, b)
             np.add((ys - cy) ** 2, (xs - cx) ** 2, out=d2)
             closer = d2 < best
@@ -264,7 +222,7 @@ def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
                           f"{ny} x {nx} grid; it will be clipped", stacklevel=2)
     rng = np.random.default_rng(scn.seed)
     data = np.empty((t_count, z_count, ny, nx))
-    work = np.empty(ny * nx)
+    work = np.empty((ny, nx))
     rho = None
     if scn.clutter_cells:
         rho = np.full((t_count, z_count, ny, nx), 0.97)

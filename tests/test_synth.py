@@ -318,6 +318,14 @@ class TestByteIdentityWithReference:
         _assert_same_bytes(SyntheticScenario(shape=(2, 1, 16, 16), cells=cells,
                                              velocities=vel))
 
+    def test_centres_so_far_that_every_distance_is_inf(self):
+        """Where every squared distance overflows, argmin picks cell 0."""
+        cells = [GaussianCell(1e200, 3.0, 30.0, 2.0), GaussianCell(-1e200, 5.0, 30.0, 2.0)]
+        vel = np.array([[[1.0, 2.0], [-3.0, 0.5]]])
+        scn = SyntheticScenario(shape=(2, 1, 8, 8), cells=cells, velocities=vel)
+        with np.errstate(over="ignore"):
+            _assert_same_bytes(scn)
+
     def test_peak_memory_is_a_few_planes(self):
         """Beyond the arrays it returns, generate holds a few planes at
         once (its work plane, the truth field's nearest-distance planes and
