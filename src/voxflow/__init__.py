@@ -28,9 +28,7 @@ from .grid import (
     Space,
     avg_pool2d,
     cmax,
-    max_pool_vertical,
 )
-from .lucas_kanade import estimate_lucas_kanade
 from .synth import GaussianCell, SyntheticScenario, generate, preset
 from .transform import dbr_to_rain, dbz_to_rain, rain_to_dbr
 from .variational import (

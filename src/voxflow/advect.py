@@ -69,16 +69,6 @@ def _advect_masks(mask: np.ndarray, nearest: tuple, k: int):
         yield mask
 
 
-def warp_plane(plane: np.ndarray, mask: np.ndarray, ux: np.ndarray,
-               uy: np.ndarray, fill: float) -> tuple[np.ndarray, np.ndarray]:
-    """One backward warp of a single 2-D plane plus its validity mask; see
-    _advect_planes."""
-    plane = np.asarray(plane, dtype=np.float64)
-    corners, nearest = _departures(ux, uy, *plane.shape)
-    return (next(_advect_planes(plane, fill, corners, 1)),
-            next(_advect_masks(mask, nearest, 1)))
-
-
 def advect_once(f: RainField, mf: MotionField) -> RainField:
     """Advect a field by one time step with the per-level motion field."""
     return extrapolate(f, mf, 1)[0]

@@ -21,9 +21,8 @@ from .denoise import denoise_volume
 from .errors import DivergedError, FormatError, NoOverlapError
 from .flow import Criterion, LossConfig
 from .grid import MotionField, RadarVolume, cmax
-from .lucas_kanade import estimate_lucas_kanade
 from .synth import PRESET_NAMES, generate, preset
-from .transform import rain_to_dbr, rain_to_dbz, volume_to_rain
+from .transform import rain_to_dbz, volume_to_rain
 from .variational import OptimizerConfig, estimate_variational
 from .verify import verify_nowcast
 
@@ -172,7 +171,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     # required, but validated after the config file is applied
     p.add_argument("--preset", choices=PRESET_NAMES, default=None)
     p.add_argument("-o", "--out", default=None, help="output .rvol path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the noisy preset's speckle; the other "
+                        "presets write the same bytes for every seed")
     p.add_argument("--frames", type=_int_in(1, rvol._MAX_DIM), default=None,
                    help="override the preset's frame count (>= 1)")
     p.add_argument("--crop-scale", action="store_true",
@@ -184,7 +185,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = subs.add_parser("estimate", help="estimate a motion field from a volume")
     p.add_argument("volume", help="input .rvol path")
-    p.add_argument("--mode", choices=("3d", "2d-cmax", "lk"), default="3d")
+    p.add_argument("--mode", choices=("3d", "2d-cmax"), default="3d")
     p.add_argument("-o", "--out", default=None, help="output .rmf path")
     p.add_argument("--trace", default=None, help="loss trace CSV path")
     p.add_argument("--inputs", type=_int_in(2, rvol._MAX_DIM), default=8,
@@ -201,8 +202,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--criterion", choices=("mae", "mse"), default="mae")
     p.add_argument("--denoise", action="store_true",
                    help="apply quality control before estimation")
-    p.add_argument("--window", type=int, default=15,
-                   help="window size of the lk baseline")
     _add_common(p)
     table["estimate"] = p
 
@@ -307,17 +306,6 @@ def _cmd_estimate(args) -> int:
     out = Path(args.out) if args.out else stem.with_suffix(".rmf")
     trace_path = Path(args.trace) if args.trace else \
         out.with_name(out.stem + "_trace.csv")
-
-    if args.mode == "lk":
-        comp = cmax(vol)
-        a = rain_to_dbr(volume_to_rain(comp, n - 2))
-        b = rain_to_dbr(volume_to_rain(comp, n - 1))
-        res = estimate_lucas_kanade(a.data[0], b.data[0], window=args.window)
-        rvol.write_motion(out, res.motion)
-        _write_csv(trace_path, _TRACE_HEADER, [])
-        flag = " (all pixels rejected)" if res.all_rejected else ""
-        print(f"wrote {out} (lk baseline{flag}) and {trace_path}")
-        return 0
 
     inputs = [volume_to_rain(vol, t) for t in range(n)]
     future = None

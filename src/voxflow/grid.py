@@ -137,7 +137,10 @@ class MotionField:
             self.u = self.u[None]
         if self.u.ndim != 4 or self.u.shape[1] != 2:
             raise ValueError(f"u must have shape Z x 2 x Y x X, got {self.u.shape}")
-        if not np.all(np.isfinite(self.u)):
+        # reductions allocate no copy of the field: NaN makes the maximum
+        # NaN, and an infinity shows in the maximum or the minimum
+        if self.u.size and not (np.isfinite(self.u.max())
+                                and np.isfinite(self.u.min())):
             raise ValueError("motion field must be finite everywhere")
 
     @property
@@ -396,50 +399,40 @@ def mask_apply(masks: np.ndarray, geometry: tuple[np.ndarray, np.ndarray],
     return np.logical_and(valid, out, out=out)
 
 
-def max_pool_vertical(vol: RadarVolume, factor: int) -> RadarVolume:
-    """Max-pool adjacent altitude groups of size factor.
-
-    The maximum is taken over the valid, finite cells of a group, the cells
-    that volume_to_rain converts; an output cell is invalid only when every
-    cell of its group is invalid, and a valid one without a finite valid
-    cell holds -inf, which converts to an invalid cell. So
-    volume_to_rain(cmax(vol), t) equals cmax_field(volume_to_rain(vol, t)),
-    the Z-R map being monotone. z_levels become the group maxima.
-    factor = Z produces the column-maximum (CMAX) composite. rho_hv is
-    dropped: the quality field has no defined pooling semantics.
-    """
-    z = vol.shape[1]
-    if factor <= 0 or z % factor != 0:
-        raise ValueError(f"Z={z} not divisible by pooling factor {factor}")
-    data, mask = pool_max(vol.data.copy(), vol.mask, factor, NO_ECHO_DBZ)
-    levels = vol.z_levels.reshape(z // factor, factor).max(axis=1)
-    return RadarVolume(data=data, z_levels=levels, dt=vol.dt, mask=mask)
-
-
-def pool_max(data: np.ndarray, mask: np.ndarray, factor: int,
+def pool_max(data: np.ndarray, mask: np.ndarray,
              fill) -> tuple[np.ndarray, np.ndarray]:
-    """max_pool_vertical on a bare (..., Z, Y, X) array and its Z x Y x X
-    validity: the maximum over each group of factor adjacent levels of the
-    cells that are valid and finite, in data's dtype, and the pooled
-    validity. A group without a valid cell holds fill; a valid one without
-    a finite valid cell holds the dtype's lowest value (-inf for floats).
-    data is overwritten: its cells that are invalid or not finite take the
-    lowest value.
+    """cmax on a bare (..., Z, Y, X) array and its Z x Y x X validity: the
+    maximum over the levels of the cells that are valid and finite, in
+    data's dtype, with the level axis kept, and the pooled validity. A
+    column without a valid cell holds fill; a valid one without a finite
+    valid cell holds the dtype's lowest value (-inf for floats). data is
+    overwritten: its cells that are invalid or not finite take the lowest
+    value.
     """
-    *lead, z, ny, nx = data.shape
     lowest = -np.inf if data.dtype.kind == "f" else np.iinfo(data.dtype).min
     skip = np.isfinite(data)  # and-ed and negated in place: one temporary
     np.logical_not(np.logical_and(skip, mask, out=skip), out=skip)
     np.copyto(data, lowest, where=skip)
-    data = data.reshape(*lead, z // factor, factor, ny, nx).max(axis=-3)
-    mask = mask.reshape(z // factor, factor, ny, nx).any(axis=1)
+    data = data.max(axis=-3, keepdims=True)
+    mask = mask.any(axis=0, keepdims=True)
     np.copyto(data, fill, where=~mask)
     return data, mask
 
 
 def cmax(vol: RadarVolume) -> RadarVolume:
-    """Column-maximum composite: max over all altitude levels (Z -> 1)."""
-    return max_pool_vertical(vol, vol.shape[1])
+    """Column-maximum composite: max over all altitude levels (Z -> 1).
+
+    The maximum is taken over the valid, finite cells of a column, the
+    cells that volume_to_rain converts; an output cell is invalid only when
+    every cell of its column is invalid, and a valid one without a finite
+    valid cell holds -inf, which converts to an invalid cell. So
+    volume_to_rain(cmax(vol), t) equals cmax_field(volume_to_rain(vol, t)),
+    the Z-R map being monotone. z_levels become the top level. rho_hv is
+    dropped: the quality field has no defined pooling semantics.
+    """
+    data, mask = pool_max(vol.data.copy(), vol.mask, NO_ECHO_DBZ)
+    return RadarVolume(data=data, z_levels=vol.z_levels.max(keepdims=True),
+                       dt=vol.dt, mask=mask)
 
 
 def cmax_field(f: RainField) -> RainField:

@@ -323,7 +323,7 @@ class RvolReader:
             raise FormatError("payload", "truncated file: expected "
                                          f"{self._frame_bytes} bytes")
         # a column without a valid cell takes the stored invalid value
-        top, mask = pool_max(self._buffer, self._mask, len(self.z_levels),
+        top, mask = pool_max(self._buffer, self._mask,
                              255 if self.header.dtype == DTYPE_U8 else np.nan)
         return RadarVolume(data=_decode(top[None])[0],
                            z_levels=self.z_levels.max(keepdims=True),

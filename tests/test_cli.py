@@ -119,15 +119,6 @@ class TestEstimate:
                    "--iters", "60", "--scales", "1,2,4", "-o", out) == 0
         assert read_motion(out).nz == 1
 
-    def test_lk_mode(self, uniform_files):
-        d, vol = uniform_files
-        out = d / "ulk.rmf"
-        assert run("estimate", vol, "--mode", "lk", "--inputs", "8",
-                   "-o", out) == 0
-        mf = read_motion(out)
-        assert mf.nz == 1
-        assert np.isfinite(mf.u).all()
-
     @pytest.mark.filterwarnings("error")
     def test_level_that_never_accepts_a_step_is_reported(self, uniform_files,
                                                          capsys):
@@ -370,7 +361,7 @@ class TestFrameRangeReads:
         assert ranged == outputs("whole")
 
     @pytest.mark.parametrize("extra", [
-        ["--mode", "3d"], ["--mode", "2d-cmax"], ["--mode", "lk", "--window", "5"],
+        ["--mode", "3d"], ["--mode", "2d-cmax"],
         ["--mode", "3d", "--denoise"], ["--mode", "3d", "--use-future"]])
     def test_estimate_reads_only_its_inputs_as_a_whole_read_would(
             self, tmp_path, monkeypatch, extra):
@@ -560,6 +551,8 @@ class TestConfigFile:
         (("estimate", "v.rvol"), "scales = 1,x",
          "config key scales: expected comma-separated integers such as "
          "1,2,4, got '1,x'"),
+        # the removed lk baseline's window
+        (("estimate", "v.rvol"), "window = 15", "unknown config key: window"),
     ])
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys,
                                                        command, line, message):
@@ -640,14 +633,25 @@ class TestErrors:
         (("estimate", "v.rvol", "--inputs", "1"), "an integer in [2, 100000]"),
         (("estimate", "v.rvol", "--inputs", "-5"),
          "an integer in [2, 100000]"),
+        # options that no longer exist; form is the whole last line
+        (("estimate", "v.rvol", "--mode", "lk"),
+         re.compile(r"voxflow estimate: error: argument --mode: invalid "
+                    r"choice: 'lk' \(choose from .*3d.*2d-cmax.*\)")),
+        (("estimate", "v.rvol", "--window", "5"),
+         re.compile(r"voxflow: error: unrecognized arguments: --window 5")),
     ])
     def test_malformed_list_is_usage_error(self, capsys, argv, form):
         with pytest.raises(SystemExit) as err:
             run(*argv)
         assert err.value.code == 2
-        last = capsys.readouterr().err.strip().splitlines()[-1]
-        assert last == (f"voxflow {argv[0]}: error: argument {argv[-2]}: "
-                        f"expected {form}, got {argv[-1]!r}")
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[0].startswith("usage: voxflow")
+        if isinstance(form, re.Pattern):
+            assert form.fullmatch(lines[-1]), lines[-1]
+        else:
+            assert lines[-1] == (f"voxflow {argv[0]}: error: argument "
+                                 f"{argv[-2]}: expected {form}, "
+                                 f"got {argv[-1]!r}")
 
     def test_memory_error_is_one_error_line(self, monkeypatch, capsys):
         def exhausted(path):

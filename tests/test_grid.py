@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from voxflow import grid
-from voxflow.advect import warp_plane
+from voxflow.advect import _advect_masks, _advect_planes, _departures
 from voxflow.grid import (
     MotionField,
     RadarVolume,
@@ -10,7 +12,6 @@ from voxflow.grid import (
     Space,
     avg_pool2d,
     cmax,
-    max_pool_vertical,
     pool_mask_all,
     upsample2d,
 )
@@ -134,19 +135,9 @@ class TestMaxPoolVertical:
         data = np.zeros((1, 2, 2, 2))
         data[0, 0] = [[1, 5], [2, 2]]
         data[0, 1] = [[3, 4], [0, 7]]
-        out = max_pool_vertical(self._vol(data), 2)
+        out = cmax(self._vol(data))
         np.testing.assert_array_equal(out.data[0, 0], [[3, 5], [2, 7]])
         assert out.z_levels[0] == 1000.0
-
-    def test_associative_16_to_1(self):
-        rng = np.random.default_rng(11)
-        data = rng.uniform(-30, 60, size=(2, 16, 6, 6))
-        vol = self._vol(data)
-        direct = max_pool_vertical(vol, 16)
-        staged = max_pool_vertical(max_pool_vertical(vol, 2), 8)
-        np.testing.assert_array_equal(direct.data, staged.data)
-        np.testing.assert_array_equal(direct.mask, staged.mask)
-        assert direct.z_levels[0] == staged.z_levels[0]
 
     def test_invalid_cells_ignored_unless_all_invalid(self):
         data = np.zeros((1, 2, 1, 2))
@@ -156,7 +147,7 @@ class TestMaxPoolVertical:
         mask[1, 0, 0] = False          # one level invalid: other wins
         mask[:, 0, 1] = False          # whole column invalid
         vol = RadarVolume(data=data, z_levels=[500.0, 1000.0], mask=mask)
-        out = max_pool_vertical(vol, 2)
+        out = cmax(vol)
         assert out.data[0, 0, 0, 0] == 10.0
         assert out.mask[0, 0, 0]
         assert not out.mask[0, 0, 1]
@@ -167,21 +158,9 @@ class TestMaxPoolVertical:
         data = np.array([[[[np.nan, 40.0, -np.inf, np.nan]],
                           [[20.0, np.inf, np.inf, np.nan]]]])
         vol = RadarVolume(data=data, z_levels=[500.0, 1000.0])
-        out = max_pool_vertical(vol, 2)
+        out = cmax(vol)
         assert out.data[0, 0, 0].tolist() == [20.0, 40.0, -np.inf, -np.inf]
         assert out.mask[0, 0].tolist() == [True] * 4
-
-    def test_rejects_non_divisible(self):
-        data = np.zeros((1, 3, 2, 2))
-        with pytest.raises(ValueError):
-            max_pool_vertical(self._vol(data), 2)
-
-    def test_cmax_is_full_pool(self):
-        rng = np.random.default_rng(5)
-        data = rng.uniform(-30, 60, size=(1, 4, 3, 3))
-        vol = self._vol(data)
-        np.testing.assert_array_equal(cmax(vol).data,
-                                      max_pool_vertical(vol, 4).data)
 
 
 def hand_bilinear(field, x, y):
@@ -198,10 +177,17 @@ def hand_bilinear(field, x, y):
     return total
 
 
+def warp_plane(plane, mask, ux, uy, fill):
+    """One backward warp of a 2-D plane and its mask through advection's
+    own departure geometry and kernels."""
+    corners, nearest = _departures(ux, uy, *plane.shape)
+    return (next(_advect_planes(plane, fill, corners, 1)),
+            next(_advect_masks(mask, nearest, 1)))
+
+
 def bilinear_sample(field, x, y):
-    """Bilinear value of field at (x, y), taken from advect.warp_plane with
-    fill 0: output cell (0, 0) departs from (x, y) when its motion is
-    (-x, -y)."""
+    """Bilinear value of field at (x, y), taken from warp_plane with fill
+    0: output cell (0, 0) departs from (x, y) when its motion is (-x, -y)."""
     ux = np.zeros(field.shape)
     uy = np.zeros(field.shape)
     ux[0, 0] = -x
@@ -377,6 +363,29 @@ class TestTypes:
         u[0, 0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             MotionField(u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("z", [0, 3, 7])
+    def test_motion_field_rejects_non_finite_in_any_level(self, z, bad):
+        u = np.zeros((8, 2, 4, 4))
+        u[z, 1, 3, 2] = bad
+        with pytest.raises(ValueError, match="finite everywhere"):
+            MotionField(u)
+
+    def test_empty_motion_field_is_accepted(self):
+        assert MotionField(np.zeros((0, 2, 4, 4))).nz == 0
+
+    def test_motion_field_check_copies_nothing(self):
+        # the finiteness check reduces the field: a boolean copy of it
+        # would take one byte per cell
+        u = np.zeros((8, 2, 512, 512))
+        tracemalloc.start()
+        try:
+            MotionField(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u.size
 
     def test_upsample_inverts_pool_for_constant_blocks(self):
         f = upsample2d(np.array([[1.0, 2.0], [3.0, 4.0]]), 3)
