@@ -13,7 +13,6 @@ from .analysis import (
 from .denoise import denoise_volume, morphological_clean, polarimetric_filter
 from .errors import DivergedError, FormatError, NoOverlapError
 from .flow import (
-    Criterion,
     LossConfig,
     divergence,
     gradient_check,

@@ -118,6 +118,9 @@ def motion_sample(mf: MotionField, vol: RadarVolume) -> MotionSample:
 def _levels(s: MotionSample) -> int:
     if s.motion.nz != s.echo.shape[0]:
         raise ValueError("motion field and volume level counts differ")
+    if s.motion.grid_shape != s.echo.shape[1:]:
+        raise ValueError(f"motion grid {s.motion.grid_shape} differs from "
+                         f"volume grid {s.echo.shape[1:]}")
     return s.motion.nz
 
 

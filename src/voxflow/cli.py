@@ -19,7 +19,7 @@ from . import analysis, rvol, svgplot
 from .advect import extrapolate
 from .denoise import denoise_volume
 from .errors import DivergedError, FormatError, NoOverlapError
-from .flow import Criterion, LossConfig
+from .flow import LossConfig
 from .grid import MotionField, RadarVolume, cmax
 from .synth import PRESET_NAMES, generate, preset
 from .transform import rain_to_dbz, volume_to_rain
@@ -127,12 +127,19 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 def _apply_config(parser: argparse.ArgumentParser, table: dict,
                   argv: list[str]) -> argparse.Namespace:
     """Two-pass parse so config-file values become defaults of the
-    subcommand's parser (table[command]) that explicit flags override."""
+    subcommand's parser (table[command]) that explicit flags override. Only
+    the second pass requires options, and not those the file sets."""
+    relaxed = [a for sub in table.values() for a in sub._actions
+               if a.required and a.option_strings]
+    for action in relaxed:
+        action.required = False
     args, _ = parser.parse_known_args(argv)
-    if args.config:
+    values = _load_config(args.config) if args.config else {}
+    for action in relaxed:
+        action.required = action.dest not in values
+    if values:
         sub = table[args.command]
         known = {a.dest: a for a in sub._actions}
-        values = _load_config(args.config)
         defaults = {}
         for key, text in values.items():
             if key not in known:
@@ -150,6 +157,9 @@ def _apply_config(parser: argparse.ArgumentParser, table: dict,
                     parser.error(f"config key {key}: {exc}")
             else:
                 defaults[key] = text
+            if action.choices and defaults[key] not in action.choices:
+                parser.error(f"config key {key}: expected one of "
+                             f"{', '.join(action.choices)}, got {text!r}")
         sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -168,9 +178,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     table = {}
 
     p = subs.add_parser("synth", help="generate a synthetic volume + truth motion")
-    # required, but validated after the config file is applied
-    p.add_argument("--preset", choices=PRESET_NAMES, default=None)
-    p.add_argument("-o", "--out", default=None, help="output .rvol path")
+    p.add_argument("--preset", choices=PRESET_NAMES, required=True)
+    p.add_argument("-o", "--out", required=True, help="output .rvol path")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the noisy preset's speckle; the other "
                         "presets write the same bytes for every seed")
@@ -195,11 +204,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--scales", type=_scales, default="1,2,4,8")
     p.add_argument("--iters", type=int, default=120)
-    p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--momentum", type=float, default=0.85)
-    p.add_argument("--levels", type=int, default=3,
-                   help="coarse-to-fine pyramid levels")
-    p.add_argument("--criterion", choices=("mae", "mse"), default="mae")
     p.add_argument("--denoise", action="store_true",
                    help="apply quality control before estimation")
     _add_common(p)
@@ -252,11 +256,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, table
 
 
-def _cmd_synth(args, parser: argparse.ArgumentParser) -> int:
-    if not args.preset:
-        parser.error("--preset is required")
-    if not args.out:
-        parser.error("an output path (-o/--out) is required")
+def _cmd_synth(args) -> int:
     scn = preset(args.preset, frames=args.frames, seed=args.seed,
                  crop_scale=args.crop_scale)
     vol, truth = generate(scn)
@@ -276,11 +276,6 @@ def _cmd_synth(args, parser: argparse.ArgumentParser) -> int:
             text = ", ".join(f"({vx:g}, {vy:g})" for vx, vy in vels)
             print(f"level {zi}: velocities {text}")
     return 0
-
-
-def _loss_config(args) -> LossConfig:
-    crit = Criterion.MAE_DBR if args.criterion == "mae" else Criterion.MSE_DBR
-    return LossConfig(beta=args.beta, scales=args.scales, criterion=crit)
 
 
 #: columns of the loss trace CSV, one row per accepted iterate
@@ -311,11 +306,9 @@ def _cmd_estimate(args) -> int:
     future = None
     if args.use_future and t_total > n:
         future = [volume_to_rain(vol, t) for t in range(n, t_total)]
-    cfg = _loss_config(args)
-    opt = OptimizerConfig(max_iters=args.iters, step_size=args.step,
-                          momentum=args.momentum,
-                          coarse_to_fine_levels=args.levels)
-    result = estimate_variational(inputs, future=future, cfg=cfg, opt=opt)
+    cfg = LossConfig(beta=args.beta, scales=args.scales)
+    result = estimate_variational(inputs, future=future, cfg=cfg,
+                                  opt=OptimizerConfig(max_iters=args.iters))
     rvol.write_motion(out, result.motion)
     rows = []
     for z, trace in enumerate(result.traces):
@@ -624,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config(parser, table, argv)
         if args.command == "synth":
-            return _cmd_synth(args, table["synth"])
+            return _cmd_synth(args)
         if args.command == "estimate":
             return _cmd_estimate(args)
         if args.command == "nowcast":

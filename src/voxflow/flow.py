@@ -7,17 +7,16 @@ the field's horizontal divergence:
 
     total = (1 - beta) * multiscale_data_term + beta * mean(|div u|)
 
-All data terms are computed in dBR space over jointly valid cells and are
-mean-reduced (over cells, pairs, and scales) so magnitudes are comparable
-across grid sizes. Gradients with respect to the motion field are analytic
-through the bilinear warp kernel, the pooling, and the Sobel divergence
-stencil; ``gradient_check`` validates them against central finite
-differences.
+All data terms are absolute differences in dBR over jointly valid cells
+and are mean-reduced (over cells, pairs, and scales) so magnitudes are
+comparable across grid sizes. Gradients with respect to the motion field
+are analytic through the bilinear warp kernel, the pooling, and the Sobel
+divergence stencil; ``gradient_check`` validates them against central
+finite differences.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,23 +39,17 @@ from .grid import (
 from .transform import rain_to_dbr
 
 
-class Criterion(enum.Enum):
-    MAE_DBR = "mae_dbr"
-    MSE_DBR = "mse_dbr"
-
-
 @dataclass
 class LossConfig:
     """Weights of the total loss.
 
     beta is the divergence-penalty weight, strictly inside (0, 1); scales are
-    the average-pooling factors of the multi-scale data term. Data terms
-    always restrict to jointly valid cells.
+    the average-pooling factors of the multi-scale data term. The data term
+    is the mean absolute difference in dBR, always over jointly valid cells.
     """
 
     beta: float = 0.1
     scales: tuple[int, ...] = (1, 2, 4, 8)
-    criterion: Criterion = Criterion.MAE_DBR
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
@@ -136,7 +129,6 @@ def _warp_stack(
     targets: np.ndarray,
     vx: np.ndarray,
     vy: np.ndarray,
-    criterion: Criterion,
     want_grad: bool,
     ws: _Workspace,
     grad_out: np.ndarray | None = None,
@@ -196,17 +188,11 @@ def _warp_stack(
 
     r = np.subtract(warped, targets.reshape(per_pair), out=warped)
     np.copyto(r, 0.0, where=np.logical_not(valid, out=valid))
-    cells = r.shape[:-2] + (-1,)
-    if criterion is Criterion.MAE_DBR:
-        sums = np.abs(r, out=work[0]).reshape(cells).sum(axis=-1,
-                                                          dtype=np.float64)
-        # np.sign in place takes several times as long; the corner
-        # samples' arrays are free
-        dr = np.sign(r, out=work[0])
-    else:
-        sums = np.multiply(r, r, out=work[0]).reshape(cells).sum(
-            axis=-1, dtype=np.float64)
-        dr = np.multiply(2.0, r, out=r)
+    sums = np.abs(r, out=work[0]).reshape(r.shape[:-2] + (-1,)).sum(
+        axis=-1, dtype=np.float64)
+    # np.sign in place takes several times as long; the corner samples'
+    # arrays are free
+    dr = np.sign(r, out=work[0])
     if not want_grad:
         return sums, counts, None, None
     # the departure point is (x - vx, y - vy), hence the sign flip
@@ -407,7 +393,7 @@ class SequenceObjective:
                                   + sources.shape[-2:], sources.dtype)[z]
                 sums, counts, dvx, dvy = _warp_stack(
                     sources, mstack, targets, v[..., 0, :, :], v[..., 1, :, :],
-                    cfg.criterion, want_grad, ws, grad_out)
+                    want_grad, ws, grad_out)
                 per_z.append((sums, dvx, dvy))
                 n_tot += counts
             if (n_tot == 0).any():
@@ -473,11 +459,11 @@ def loss_multiscale(phi: Sequence[RainField], mf: MotionField,
     """Mean of the sequence data term over the configured pooling scales,
     with motion vectors rescaled to each pooled grid.
 
-    With scales=(1,) this is the one-step data term: the mean criterion
-    between the backward warp of each frame and its successor over jointly
-    valid cells, averaged over all consecutive pairs. Scales that would pool
-    the grid below 4 x 4 cells cannot constrain motion and are skipped for
-    that grid size."""
+    With scales=(1,) this is the one-step data term: the mean absolute dBR
+    difference between the backward warp of each frame and its successor
+    over jointly valid cells, averaged over all consecutive pairs. Scales
+    that would pool the grid below 4 x 4 cells cannot constrain motion and
+    are skipped for that grid size."""
     return _evaluate(phi, mf, cfg or LossConfig())[1]
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergedError, NoOverlapError
-from .flow import MAX_MOTION, LossConfig, SequenceObjective, _as_dbr
+from .flow import LossConfig, SequenceObjective, _as_dbr
 from .grid import DBR_FLOOR, MotionField, RainField, avg_pool2d, pool_mask_all, upsample2d
 
 
@@ -37,43 +37,31 @@ class LevelStatus(enum.Enum):
     NO_ACCEPTED_STEP = "no_accepted_step"
 
 
-# Step schedule of the descent: the step decays by STEP_DECAY every
-# iteration and by MISS_DECAY after each trial that fails to improve on the
-# best iterate; RESET_AFTER such misses in a row restart from the best
-# iterate with momentum cleared; the descent stops below MIN_STEP cells.
+# Step schedule of the descent: the first step moves the motion by at most
+# STEP_SIZE cells and the velocity keeps MOMENTUM of itself per iteration;
+# the step decays by STEP_DECAY every iteration and by MISS_DECAY after each
+# trial that fails to improve on the best iterate; RESET_AFTER such misses
+# in a row restart from the best iterate with momentum cleared; the descent
+# stops below MIN_STEP cells. The pyramid has at most PYRAMID_STAGES stages.
+STEP_SIZE = 0.5
+MOMENTUM = 0.85
 STEP_DECAY = 0.995
 MISS_DECAY = 0.7
 RESET_AFTER = 6
 MIN_STEP = 5e-4
+PYRAMID_STAGES = 3
 
 
 @dataclass
 class OptimizerConfig:
-    """Knobs of the subgradient descent.
-
-    step_size is the initial per-iteration displacement change in grid
-    cells (the raw gradient is sup-norm normalized). max_iters applies per
-    coarse-to-fine stage; coarse_to_fine_levels=1 runs a single
-    full-resolution stage.
-    """
+    """Iteration budget of the subgradient descent: max_iters applies per
+    coarse-to-fine stage."""
 
     max_iters: int = 200
-    step_size: float = 0.5
-    momentum: float = 0.85
-    coarse_to_fine_levels: int = 3
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        # NaN fails the comparison; the warp clips motion at MAX_MOTION,
-        # and a step near the float64 maximum overflows the momentum update
-        if not 0 < self.step_size <= MAX_MOTION:
-            raise ValueError(f"step_size must lie in (0, {MAX_MOTION:g}], "
-                             f"got {self.step_size!r}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.coarse_to_fine_levels < 1:
-            raise ValueError("coarse_to_fine_levels must be >= 1")
 
 
 #: One accepted iterate: (loss_total, data_term, divergence_term).
@@ -125,7 +113,7 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
     u_best, grad_best = u.copy(), grad
     u_cur = u
     vel = np.zeros_like(u)
-    step = opt.step_size
+    step = STEP_SIZE
     misses = 0
     accepted = rejected = 0
     for it in range(1, opt.max_iters + 1):
@@ -135,7 +123,7 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
         gmax = float(np.abs(grad).max())
         if gmax < 1e-14:
             break
-        vel = opt.momentum * vel - (step / gmax) * grad
+        vel = MOMENTUM * vel - (step / gmax) * grad
         u_cur = u_cur + vel
         total, data, div, grad = obj.evaluate(u_cur, want_grad=True)
         if np.isnan(total):
@@ -204,7 +192,7 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
     if not has_signal:
         return np.zeros((2, ny, nx)), LevelStatus.NO_SIGNAL, [], False
 
-    n_pyr = _pyramid_depth(opt.coarse_to_fine_levels, ny, nx)
+    n_pyr = _pyramid_depth(PYRAMID_STAGES, ny, nx)
 
     trace: list[TraceRow] = []
     accepted = rejected = 0

@@ -191,6 +191,15 @@ class TestMotionCorr:
                                              f"expected Z={levels[0]}"):
             motion_corr_matrix(mfs, vols)
 
+    def test_motion_on_another_grid_rejected(self):
+        _, vol = self._sample([(1.0, 0.5)] * 2)
+        mf = MotionField(np.zeros((2, 2, 8, 8)))
+        message = r"motion grid \(8, 8\) differs from volume grid \(16, 16\)"
+        with pytest.raises(ValueError, match=message):
+            motion_pair_corr(mf, vol, 0, 1)
+        with pytest.raises(ValueError, match=message):
+            motion_corr_matrix([mf], [vol])
+
     def test_shear8_truth_structure(self):
         vol, truth = generate(preset("shear8"))
         m = motion_corr_matrix([truth], [vol])

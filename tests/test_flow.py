@@ -8,7 +8,6 @@ from voxflow.errors import NoOverlapError
 from voxflow.flow import (
     SOBEL_X,
     SOBEL_Y,
-    Criterion,
     LossConfig,
     SequenceObjective,
     _check_instances,
@@ -65,14 +64,6 @@ class TestLossSingle:
         f1 = dbr_field(base + 1.0)
         got = loss_multiscale([f0, f1], uniform_motion(0.0, 0.0), ONE_STEP)
         assert got == pytest.approx(1.0, abs=1e-12)
-
-    def test_mse_criterion_squares(self):
-        rng = np.random.default_rng(3)
-        base = smooth_random(rng)[None]
-        cfg = LossConfig(scales=(1,), criterion=Criterion.MSE_DBR)
-        got = loss_multiscale([dbr_field(base), dbr_field(base + 2.0)],
-                              uniform_motion(0.0, 0.0), cfg)
-        assert got == pytest.approx(4.0, abs=1e-12)
 
     def test_no_overlap_raises(self):
         f0 = dbr_field(np.zeros((1, 4, 4)), mask=np.zeros((1, 4, 4), bool))
@@ -284,10 +275,6 @@ class TestGradients:
     def test_analytic_matches_finite_differences_mae(self):
         assert gradient_check(LossConfig(), n_instances=3, seed=0) < 1e-4
 
-    def test_analytic_matches_finite_differences_mse(self):
-        cfg = LossConfig(criterion=Criterion.MSE_DBR)
-        assert gradient_check(cfg, n_instances=3, seed=1) < 1e-4
-
     def test_gradient_with_heavier_divergence_weight(self):
         assert gradient_check(LossConfig(beta=0.6), n_instances=2, seed=2) < 1e-4
 
@@ -311,17 +298,15 @@ class TestGradients:
         frames = [np.maximum(rng.normal(-5.0, 6.0, (2, 13, 19)), -15.0)
                   for _ in range(4)]
         masks = [rng.random((2, 13, 19)) > 0.05 for _ in range(4)]
-        for crit in Criterion:
-            obj = SequenceObjective(frames, masks,
-                                    LossConfig(scales=(1, 2, 4), criterion=crit))
-            u = rng.uniform(-2.0, 2.0, (3, 2, 2, 2, 13, 19))
-            total, data, div, grad = obj.evaluate(u)
-            assert total.shape == data.shape == div.shape == (3, 2)
-            assert grad.shape == u.shape
-            for j in np.ndindex(3, 2):
-                t1, d1, v1, g1 = obj.evaluate(u[j])
-                assert (total[j], data[j], div[j]) == (t1, d1, v1)
-                assert grad[j].tobytes() == g1.tobytes()
+        obj = SequenceObjective(frames, masks, LossConfig(scales=(1, 2, 4)))
+        u = rng.uniform(-2.0, 2.0, (3, 2, 2, 2, 13, 19))
+        total, data, div, grad = obj.evaluate(u)
+        assert total.shape == data.shape == div.shape == (3, 2)
+        assert grad.shape == u.shape
+        for j in np.ndindex(3, 2):
+            t1, d1, v1, g1 = obj.evaluate(u[j])
+            assert (total[j], data[j], div[j]) == (t1, d1, v1)
+            assert grad[j].tobytes() == g1.tobytes()
 
     def test_batch_with_an_empty_pair_is_infinite(self):
         rng = np.random.default_rng(15)
@@ -371,7 +356,7 @@ def _ref_bilinear(planes, xs, ys, want_grad):
             cx * (f10 - f00) + wx * (f11 - f01))
 
 
-def _ref_warp_stack(sources, masks, targets, vx, vy, criterion, want_grad):
+def _ref_warp_stack(sources, masks, targets, vx, vy, want_grad):
     n_pairs, ny, nx = targets.shape
     xs = np.arange(nx, dtype=np.float64) - vx
     ys = np.arange(ny, dtype=np.float64)[:, None] - vy
@@ -386,13 +371,8 @@ def _ref_warp_stack(sources, masks, targets, vx, vy, criterion, want_grad):
         valid = valid & masks[1:].reshape(per_pair)
     counts = valid.reshape(valid.shape[:-2] + (-1,)).sum(axis=-1)
     r = np.where(valid, warped - targets.reshape(per_pair), 0.0)
-    cells = r.shape[:-2] + (-1,)
-    if criterion is Criterion.MAE_DBR:
-        sums = np.abs(r).reshape(cells).sum(axis=-1)
-        dr = np.sign(r)
-    else:
-        sums = (r * r).reshape(cells).sum(axis=-1)
-        dr = 2.0 * r
+    sums = np.abs(r).reshape(r.shape[:-2] + (-1,)).sum(axis=-1)
+    dr = np.sign(r)
     if not want_grad:
         return sums, counts, None, None
     return sums, counts, -dr * gx, -dr * gy
@@ -430,7 +410,7 @@ def _ref_evaluate(obj, u, want_grad=True):
                 v = avg_pool2d(v, k) / k
             sums, counts, dvx, dvy = _ref_warp_stack(
                 sources, mstack, targets, v[..., 0, :, :], v[..., 1, :, :],
-                cfg.criterion, want_grad)
+                want_grad)
             per_z.append((sums, dvx, dvy))
             n_tot += counts
         if (n_tot == 0).any():
@@ -492,8 +472,7 @@ class TestWorkspaceEvaluate:
         else:
             masks = [np.ones((nz, ny, nx), bool)] * n_frames
         cfg = LossConfig(beta=[0.1, 0.6][seed % 2],
-                         scales=[(1, 2, 4), (1, 3), (2, 4, 8)][seed % 3],
-                         criterion=list(Criterion)[seed // 3])
+                         scales=[(1, 2, 4), (1, 3), (2, 4, 8)][seed % 3])
         obj = SequenceObjective(frames, masks, cfg)
         # batch shapes change between calls, so arrays are both reused and
         # replaced; motions range from sub-cell to far out of the domain
@@ -620,15 +599,12 @@ class TestFloat32Objective:
             assert abs(t32 - t64) <= 1e-6 * abs(t64)
             assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
 
-    @pytest.mark.parametrize("crit", list(Criterion))
-    def test_matches_float64_on_desk_levels(self, desk_levels, crit):
+    def test_matches_float64_on_desk_levels(self, desk_levels):
         # Part-way to the truth and at it. At zero motion some pooled
         # residuals are ties that the two dtypes round to different signs
         # (float64 to about 1e-15), so sign(r) there, and the MAE
         # subgradient, is noise.
-        # Near convergence the MSE loss is small against the float32
-        # rounding of the frames: up to 4e-6 relative at 0.9 x truth.
-        cfg = LossConfig(scales=(1, 2, 4), criterion=crit)
+        cfg = LossConfig(scales=(1, 2, 4))
         for name, frames, masks, truth in desk_levels:
             for frac in (0.5, 0.9, 1.0):
                 (t64, g64), (t32, g32) = _loss_and_grads(frames, masks, cfg,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voxflow import variational
 from voxflow.advect import advect_once
 from voxflow.errors import DivergedError
 from voxflow.flow import LossConfig, SequenceObjective
@@ -88,15 +89,15 @@ class TestEstimateVariational:
         np.testing.assert_array_equal(res.motion.u[1], 0.0)
 
     @pytest.mark.filterwarnings("error")
-    def test_level_that_never_accepts_a_step_is_flagged(self):
+    def test_level_that_never_accepts_a_step_is_flagged(self, monkeypatch):
         # a 1e30-cell step sends every departure out of the domain: each
         # trial is rejected, the field stays zero and the level is not OK
+        monkeypatch.setattr(variational, "STEP_SIZE", 1e30)
         vol, _ = blob_scene(nz=2, velocities=[[[1.0, 0.0]], [[0.0, 1.0]]],
                             t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        res = estimate_variational(
-            inputs, cfg=FAST_CFG, opt=OptimizerConfig(max_iters=3,
-                                                      step_size=1e30))
+        res = estimate_variational(inputs, cfg=FAST_CFG,
+                                   opt=OptimizerConfig(max_iters=3))
         assert res.statuses == [LevelStatus.NO_ACCEPTED_STEP] * 2
         np.testing.assert_array_equal(res.motion.u, 0.0)
 
@@ -188,7 +189,6 @@ class TestEstimateVariational:
             f"the smallest, {k}, leaves {128 // k} x {128 // k}")
 
     def test_float32_objective_warps_each_stage(self, monkeypatch):
-        from voxflow import variational
         dtypes = []
 
         class Recording(SequenceObjective):
@@ -206,12 +206,6 @@ class TestEstimateVariational:
     def test_optimizer_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
-        for step in (0.0, -1.0, float("nan"), float("inf"), 1e308):
-            with pytest.raises(ValueError, match="step_size must lie in"):
-                OptimizerConfig(step_size=step)
-        assert OptimizerConfig(step_size=1e35).step_size == 1e35
-        with pytest.raises(ValueError):
-            OptimizerConfig(momentum=1.0)
 
 
 def level_alone(inputs, z):
@@ -257,12 +251,12 @@ class TestStartFromBelow:
             assert [res.statuses[z]] == alone.statuses
             assert [res.traces[z]] == alone.traces
 
-    def test_stuck_levels_start_from_zero(self):
+    def test_stuck_levels_start_from_zero(self, monkeypatch):
+        monkeypatch.setattr(variational, "STEP_SIZE", 1e30)
         vol, _ = blob_scene(nz=3, velocities=[[[1.0, 0.0]]] * 3, t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        res = estimate_variational(
-            inputs, cfg=FAST_CFG, opt=OptimizerConfig(max_iters=3,
-                                                      step_size=1e30))
+        res = estimate_variational(inputs, cfg=FAST_CFG,
+                                   opt=OptimizerConfig(max_iters=3))
         assert res.statuses == [LevelStatus.NO_ACCEPTED_STEP] * 3
         assert res.from_below == [False] * 3
         np.testing.assert_array_equal(res.motion.u, 0.0)
@@ -275,7 +269,8 @@ def _ref_descend(obj, u, opt, trace, global_only=False):
     trace.append((best_total, data, div))
     u_best, u_cur = u.copy(), u
     vel = np.zeros_like(u)
-    step, misses, accepted, rejected, resets = opt.step_size, 0, 0, 0, 0
+    step = variational.STEP_SIZE
+    misses, accepted, rejected, resets = 0, 0, 0, 0
     for _ in range(opt.max_iters):
         if global_only:
             grad = np.broadcast_to(grad.mean(axis=(2, 3), keepdims=True),
@@ -283,7 +278,7 @@ def _ref_descend(obj, u, opt, trace, global_only=False):
         gmax = float(np.abs(grad).max())
         if gmax < 1e-14:
             break
-        vel = opt.momentum * vel - (step / gmax) * grad
+        vel = variational.MOMENTUM * vel - (step / gmax) * grad
         u_cur = u_cur + vel
         total, data, div, grad = obj.evaluate(u_cur, want_grad=True)
         if total < best_total:
@@ -309,7 +304,8 @@ def _ref_descend(obj, u, opt, trace, global_only=False):
 
 class TestDescendReset:
     @pytest.mark.parametrize("global_only", [False, True])
-    def test_reset_keeps_the_best_gradient_instead_of_evaluating(self, global_only):
+    def test_reset_keeps_the_best_gradient_instead_of_evaluating(
+            self, global_only, monkeypatch):
         vol, _ = blob_scene(velocities=[[[1.5, -1.0]]], t_count=4)
         frames = [rain_to_dbr(volume_to_rain(vol, t)) for t in range(4)]
         obj = SequenceObjective([f.data for f in frames],
@@ -318,7 +314,9 @@ class TestDescendReset:
         evaluate = obj.evaluate
         obj.evaluate = lambda u, want_grad=True: (
             calls.append(1), evaluate(u, want_grad))[1]
-        opt = OptimizerConfig(max_iters=80, step_size=1.0, momentum=0.95)
+        monkeypatch.setattr(variational, "STEP_SIZE", 1.0)
+        monkeypatch.setattr(variational, "MOMENTUM", 0.95)
+        opt = OptimizerConfig(max_iters=80)
         u0 = np.zeros((1, 2, 64, 64))
         want_trace, got_trace = [], []
         want, resets = _ref_descend(obj, u0, opt, want_trace, global_only)
