@@ -17,6 +17,7 @@ finite differences.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,7 +55,11 @@ class LossConfig:
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
             raise ValueError(f"beta must lie strictly inside (0, 1), got {self.beta}")
-        self.scales = tuple(int(k) for k in self.scales)
+        try:
+            self.scales = tuple(operator.index(k) for k in self.scales)
+        except TypeError:
+            raise ValueError(f"scales must be a sequence of integers, got "
+                             f"{self.scales!r}") from None
         if not self.scales or any(k < 1 for k in self.scales):
             raise ValueError(f"scales must be non-empty, each >= 1, got {self.scales}")
 

@@ -246,6 +246,19 @@ class TestLossTotal:
         with pytest.raises(ValueError):
             LossConfig(beta=-0.5)
 
+    @pytest.mark.parametrize("scales", [(2.5,), (1, 2.0), (float("nan"),),
+                                        (float("inf"),), ("2",), "124", 2],
+                             ids=["2.5", "2.0", "nan", "inf", "str", "one str",
+                                  "bare int"])
+    def test_non_integer_scales_rejected(self, scales):
+        with pytest.raises(ValueError, match="scales must be"):
+            LossConfig(scales=scales)
+
+    def test_numpy_integer_scales_kept(self):
+        cfg = LossConfig(scales=np.array([1, 2, 4]))
+        assert cfg.scales == (1, 2, 4)
+        assert all(type(k) is int for k in cfg.scales)
+
     def test_perfect_uniform_fit_is_divergence_free_zero(self):
         rng = np.random.default_rng(9)
         mf = uniform_motion(2.0, 0.0)

@@ -207,6 +207,41 @@ class TestEstimateVariational:
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
 
+    @pytest.mark.parametrize("max_iters", [float("nan"), 2.5, float("inf"),
+                                           3.0, "3", None])
+    def test_non_integer_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            OptimizerConfig(max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_runs(self):
+        opt = OptimizerConfig(max_iters=np.int64(3))
+        assert type(opt.max_iters) is int and opt.max_iters == 3
+        vol, _ = blob_scene(velocities=[[[1.0, 0.0]]], t_count=2)
+        inputs = [volume_to_rain(vol, t) for t in range(2)]
+        res = estimate_variational(inputs, cfg=FAST_CFG, opt=opt)
+        assert res.statuses == [LevelStatus.OK]
+
+
+class TestStopPrecision:
+    """The MIN_STEP stop ends each descent at the precision the pipeline
+    resolves; it must not cost end-point error. At MIN_STEP = 2e-2 cells
+    the largest level errors reach about 0.075 on both presets."""
+
+    @pytest.mark.parametrize("name, bound", [("uniform", 0.05),
+                                             ("shear2", 0.07)])
+    def test_every_level_keeps_its_end_point_error(self, name, bound):
+        # the CLI settings: 8 inputs, scales 1,2,4, 120 iterations; the
+        # error is taken over the last input's cells above 0.1 mm/h
+        vol, truth = generate(preset(name))
+        inputs = [volume_to_rain(vol, t) for t in range(8)]
+        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        precip = inputs[-1].data > 0.1
+        epes = [mean_endpoint_error(MotionField(res.motion.u[z:z + 1]),
+                                    MotionField(truth.u[z:z + 1]),
+                                    precip[z:z + 1])
+                for z in range(truth.u.shape[0])]
+        assert max(epes) < bound, epes
+
 
 def level_alone(inputs, z):
     """Level z of the frames, estimated alone as a one-level field."""
