@@ -31,7 +31,6 @@ from .grid import (
 from .synth import GaussianCell, SyntheticScenario, generate, preset
 from .transform import dbr_to_rain, dbz_to_rain, rain_to_dbr
 from .variational import (
-    OptimizerConfig,
     VariationalResult,
     estimate_variational,
     mean_endpoint_error,

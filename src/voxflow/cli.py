@@ -23,7 +23,7 @@ from .flow import LossConfig
 from .grid import MotionField, RadarVolume, cmax
 from .synth import PRESET_NAMES, generate, preset
 from .transform import rain_to_dbz, volume_to_rain
-from .variational import OptimizerConfig, estimate_variational
+from .variational import estimate_variational
 from .verify import verify_nowcast
 
 
@@ -203,7 +203,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="fit mode: include the remaining frames in the loss")
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--scales", type=_scales, default="1,2,4,8")
-    p.add_argument("--iters", type=int, default=120)
     p.add_argument("--denoise", action="store_true",
                    help="apply quality control before estimation")
     _add_common(p)
@@ -307,8 +306,7 @@ def _cmd_estimate(args) -> int:
     if args.use_future and t_total > n:
         future = [volume_to_rain(vol, t) for t in range(n, t_total)]
     cfg = LossConfig(beta=args.beta, scales=args.scales)
-    result = estimate_variational(inputs, future=future, cfg=cfg,
-                                  opt=OptimizerConfig(max_iters=args.iters))
+    result = estimate_variational(inputs, future=future, cfg=cfg)
     rvol.write_motion(out, result.motion)
     rows = []
     for z, trace in enumerate(result.traces):

@@ -15,7 +15,6 @@ guarantees the accepted-iterate loss sequence is non-increasing.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -42,8 +41,9 @@ class LevelStatus(enum.Enum):
 # STEP_SIZE cells and the velocity keeps MOMENTUM of itself per iteration;
 # the step decays by STEP_DECAY every iteration and by MISS_DECAY after each
 # trial that fails to improve on the best iterate; RESET_AFTER such misses
-# in a row restart from the best iterate with momentum cleared. The pyramid
-# has at most PYRAMID_STAGES stages.
+# in a row restart from the best iterate with momentum cleared. A stage
+# makes at most MAX_ITERS trial steps, and the pyramid has at most
+# PYRAMID_STAGES stages.
 #
 # MIN_STEP is the precision the pipeline resolves, in cells: a stage stops
 # once its largest per-iteration displacement change falls below it. The
@@ -58,24 +58,8 @@ STEP_DECAY = 0.995
 MISS_DECAY = 0.7
 RESET_AFTER = 6
 MIN_STEP = 5e-3
+MAX_ITERS = 120
 PYRAMID_STAGES = 3
-
-
-@dataclass
-class OptimizerConfig:
-    """Iteration budget of the subgradient descent: max_iters applies per
-    coarse-to-fine stage."""
-
-    max_iters: int = 200
-
-    def __post_init__(self):
-        try:
-            self.max_iters = operator.index(self.max_iters)
-        except TypeError:
-            raise ValueError(f"max_iters must be an integer, got "
-                             f"{self.max_iters!r}") from None
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 #: One accepted iterate: (loss_total, data_term, divergence_term).
@@ -101,16 +85,16 @@ def default_threads() -> int:
     return 1
 
 
-def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
-             trace: list[TraceRow] | None,
-             global_only: bool = False) -> tuple[np.ndarray, int, int]:
+def _descend(obj: SequenceObjective, u: np.ndarray,
+             trace: list[TraceRow] | None, global_only: bool = False
+             ) -> tuple[np.ndarray, float, int, int]:
     """Momentum subgradient descent tracking the best iterate; returns
-    (best iterate, accepted steps, rejected steps).
+    (best iterate, its loss, accepted steps, rejected steps).
 
-    The descent ends after opt.max_iters trials, at a zero gradient, or once
-    the working step falls below MIN_STEP cells. That last stop is a
-    precision stop, not a convergence test: it says the remaining moves are
-    smaller than the pipeline resolves, not that the loss has stopped
+    The descent stops after MAX_ITERS trial steps, at a zero gradient, or
+    once the working step falls below MIN_STEP cells. The MIN_STEP stop is
+    a precision stop, not a convergence test: it says the remaining moves
+    are smaller than the pipeline resolves, not that the loss has stopped
     falling.
 
     With global_only the gradient is projected onto spatially constant
@@ -136,7 +120,7 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
     step = STEP_SIZE
     misses = 0
     accepted = rejected = 0
-    for it in range(1, opt.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         if global_only:
             grad = np.broadcast_to(grad.mean(axis=(2, 3), keepdims=True),
                                    grad.shape)
@@ -167,7 +151,7 @@ def _descend(obj: SequenceObjective, u: np.ndarray, opt: OptimizerConfig,
         step *= STEP_DECAY
         if step < MIN_STEP:
             break
-    return u_best, accepted, rejected
+    return u_best, best_total, accepted, rejected
 
 
 def _stage_scales(cfg: LossConfig, factor: int) -> tuple[int, ...]:
@@ -178,19 +162,17 @@ def _stage_scales(cfg: LossConfig, factor: int) -> tuple[int, ...]:
     return kept or (min(cfg.scales),)
 
 
-def _pyramid_depth(levels: int, ny: int, nx: int) -> int:
-    """Stages of the coarse-to-fine pyramid: at most levels, each stage
-    halving the grid of the one after it, the coarsest keeping at least 16
-    cells on the shorter axis. The depth is computed, not counted down, so
-    a huge levels costs nothing."""
+def _pyramid_depth(ny: int, nx: int) -> int:
+    """Stages of the coarse-to-fine pyramid: at most PYRAMID_STAGES, each
+    stage halving the grid of the one after it, the coarsest keeping at
+    least 16 cells on the shorter axis."""
     # 2 ** (n - 1) <= min(ny, nx) // 16 holds up to n = that quotient's
     # bit length
-    return min(levels, max(1, (min(ny, nx) // 16).bit_length()))
+    return min(PYRAMID_STAGES, max(1, (min(ny, nx) // 16).bit_length()))
 
 
 def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
-                    cfg: LossConfig, opt: OptimizerConfig,
-                    below: np.ndarray | None = None):
+                    cfg: LossConfig, below: np.ndarray | None = None):
     """Estimate one level's motion; returns (u (2,Y,X), status, trace,
     from_below).
 
@@ -212,7 +194,7 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
     if not has_signal:
         return np.zeros((2, ny, nx)), LevelStatus.NO_SIGNAL, [], False
 
-    n_pyr = _pyramid_depth(PYRAMID_STAGES, ny, nx)
+    n_pyr = _pyramid_depth(ny, nx)
 
     trace: list[TraceRow] = []
     accepted = rejected = 0
@@ -229,16 +211,13 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
         obj = SequenceObjective(fr, mk, stage_cfg)
         stage_trace = trace if factor == 1 else None
         if lev == n_pyr - 1:
-            # the trace holds accepted iterates only, so the global fit's
-            # last row is its best loss
-            fit = [] if stage_trace is None else stage_trace
-            u, acc, rej = _descend(obj, np.zeros((1, 2, h, w)), opt, fit,
-                                   global_only=True)
+            u, fit, acc, rej = _descend(obj, np.zeros((1, 2, h, w)),
+                                        stage_trace, global_only=True)
             accepted += acc
             rejected += rej
             if below is not None:
                 start = (avg_pool2d(below, factor) / factor)[None]
-                from_below = obj.evaluate(start, want_grad=False)[0] < fit[-1][0]
+                from_below = obj.evaluate(start, want_grad=False)[0] < fit
             if from_below:
                 u = below[None]
                 accepted += 1
@@ -246,7 +225,7 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
                     continue
         elif not from_below:
             u = (upsample2d(u, 2) * 2.0)[:, :, :h, :w]
-        u, acc, rej = _descend(obj, u, opt, stage_trace)
+        u, _, acc, rej = _descend(obj, u, stage_trace)
         accepted += acc
         rejected += rej
     status = LevelStatus.OK
@@ -259,7 +238,6 @@ def estimate_variational(
     inputs: Sequence[RainField],
     future: Sequence[RainField] | None = None,
     cfg: LossConfig | None = None,
-    opt: OptimizerConfig | None = None,
 ) -> VariationalResult:
     """Estimate a per-level motion field minimizing the total loss.
 
@@ -269,12 +247,13 @@ def estimate_variational(
     another from the lowest, each minimizing its own loss; a level above
     the first starts from the level below's final motion only when that
     motion scores lower on the level's coarsest stage than its own global
-    fit (recorded in ``from_below``). A level with no precipitation signal
-    comes back as a zero field with status NO_SIGNAL. A grid that no
-    configured scale pools to at least 4 x 4 cells is a ValueError.
+    fit (recorded in ``from_below``). Each descent stage follows the fixed
+    schedule of this module's constants and ends after MAX_ITERS trial
+    steps at most. A level with no precipitation signal comes back as a
+    zero field with status NO_SIGNAL. A grid that no configured scale pools
+    to at least 4 x 4 cells is a ValueError.
     """
     cfg = cfg or LossConfig()
-    opt = opt or OptimizerConfig()
     if len(inputs) < 2:
         raise ValueError("need at least 2 input frames")
 
@@ -296,8 +275,7 @@ def estimate_variational(
     for z in range(nz):
         below = results[-1][0] if results else None
         results.append(_optimize_level([f.data[z] for f in fields],
-                                       [f.mask[z] for f in fields], cfg, opt,
-                                       below))
+                                       [f.mask[z] for f in fields], cfg, below))
     motion, statuses, traces, from_below = (list(r) for r in zip(*results))
     return VariationalResult(motion=MotionField(np.stack(motion)),
                              statuses=statuses, traces=traces,

@@ -27,13 +27,12 @@ from voxflow.grid import (
 from voxflow.cli import main as cli_main
 from voxflow.synth import clean_copy, generate, preset
 from voxflow.transform import volume_to_rain
-from voxflow.variational import OptimizerConfig, estimate_variational, mean_endpoint_error
+from voxflow.variational import estimate_variational, mean_endpoint_error
 from voxflow.verify import ContingencyTable, contingency, continuous_metrics, precision_recall_ets
 
 from test_denoise import clean_oracle
 
 ACCEPT_CFG = LossConfig(scales=(1, 2, 4))
-ACCEPT_OPT = OptimizerConfig()
 
 #: Cells counted as precipitating when scoring endpoint errors.
 PRECIP_MMH = 0.1
@@ -71,7 +70,7 @@ def test_motion_recovery_uniform():
     vol, truth = generate(preset("uniform"))
     inputs = rain_frames(vol, range(8))
     t0 = time.time()
-    res = estimate_variational(inputs, cfg=ACCEPT_CFG, opt=ACCEPT_OPT)
+    res = estimate_variational(inputs, cfg=ACCEPT_CFG)
     per_level = (time.time() - t0) / vol.shape[1]
     precip = volume_to_rain(vol, 7).data > PRECIP_MMH
     epe = mean_endpoint_error(res.motion, truth, precip)
@@ -85,8 +84,7 @@ def test_shear_contrast():
     n = 8
     inputs = rain_frames(vol, range(n))
     future = rain_frames(vol, range(n, 24))
-    res3d = estimate_variational(inputs, future=future, cfg=ACCEPT_CFG,
-                                 opt=ACCEPT_OPT)
+    res3d = estimate_variational(inputs, future=future, cfg=ACCEPT_CFG)
     precip = volume_to_rain(vol, n - 1).data > PRECIP_MMH
     for z in range(2):
         epe = mean_endpoint_error(MotionField(res3d.motion.u[z:z + 1]),
@@ -97,7 +95,7 @@ def test_shear_contrast():
     cvol = cmax(vol)
     res2d = estimate_variational(rain_frames(cvol, range(n)),
                                  future=rain_frames(cvol, range(n, 24)),
-                                 cfg=ACCEPT_CFG, opt=ACCEPT_OPT)
+                                 cfg=ACCEPT_CFG)
     cmax_precip = volume_to_rain(cvol, n - 1).data > PRECIP_MMH
     for z in range(2):
         epe = mean_endpoint_error(res2d.motion, MotionField(truth.u[z:z + 1]),
@@ -133,9 +131,9 @@ def test_divergence_penalty_effect():
     vol, _ = generate(preset("noisy"))
     inputs = rain_frames(vol, range(8))
     res_lo = estimate_variational(
-        inputs, cfg=LossConfig(beta=1e-3, scales=(1, 2, 4)), opt=ACCEPT_OPT)
+        inputs, cfg=LossConfig(beta=1e-3, scales=(1, 2, 4)))
     res_hi = estimate_variational(
-        inputs, cfg=LossConfig(beta=0.3, scales=(1, 2, 4)), opt=ACCEPT_OPT)
+        inputs, cfg=LossConfig(beta=0.3, scales=(1, 2, 4)))
     div_lo = loss_divergence(res_lo.motion)
     div_hi = loss_divergence(res_hi.motion)
     assert div_hi < div_lo, f"mean |div|: {div_hi:.4f} !< {div_lo:.4f}"

@@ -112,19 +112,22 @@ class TestEstimate:
         for vals in by_level.values():
             assert all(b <= a for a, b in zip(vals, vals[1:]))
 
-    def test_2d_cmax_mode_gives_single_level(self, uniform_files):
+    def test_2d_cmax_mode_gives_single_level(self, uniform_files,
+                                             monkeypatch):
+        monkeypatch.setattr("voxflow.variational.MAX_ITERS", 60)
         d, vol = uniform_files
         out = d / "u2d.rmf"
         assert run("estimate", vol, "--mode", "2d-cmax", "--inputs", "6",
-                   "--iters", "60", "--scales", "1,2,4", "-o", out) == 0
+                   "--scales", "1,2,4", "-o", out) == 0
         assert read_motion(out).nz == 1
 
     @pytest.mark.filterwarnings("error")
     def test_level_that_never_accepts_a_step_is_reported(self, uniform_files,
                                                          capsys, monkeypatch):
         monkeypatch.setattr("voxflow.variational.STEP_SIZE", 1e30)
+        monkeypatch.setattr("voxflow.variational.MAX_ITERS", 3)
         d, vol = uniform_files
-        assert run("estimate", vol, "--inputs", "3", "--iters", "3",
+        assert run("estimate", vol, "--inputs", "3",
                    "-o", d / "stuck.rmf") == 0
         out = capsys.readouterr().out
         assert f"(levels: {','.join(['no_accepted_step'] * 8)})" in out
@@ -384,11 +387,12 @@ class TestFrameRangeReads:
         def outputs(tag):
             out = tmp_path / tag / "m.rmf"
             out.parent.mkdir()
-            assert run("estimate", path, *extra, "--inputs", "4", "--iters",
-                       "5", "--scales", "1,2", "-o", out) == 0
+            assert run("estimate", path, *extra, "--inputs", "4",
+                       "--scales", "1,2", "-o", out) == 0
             return out.read_bytes(), (tmp_path / tag / "m_trace.csv").read_bytes()
 
         monkeypatch.setattr("voxflow.variational.PYRAMID_STAGES", 1)
+        monkeypatch.setattr("voxflow.variational.MAX_ITERS", 5)
         reads = []
         monkeypatch.setattr("voxflow.cli.rvol.read_rvol", lambda p, frames=None: (
             reads.append(frames), read_rvol(p, frames))[1])
@@ -572,6 +576,8 @@ class TestConfigFile:
         (("synth",), "preset = bogus",
          "config key preset: expected one of uniform, rotation, shear2, "
          "shear8, noisy, split, got 'bogus'"),
+        # the removed iteration cap
+        (("estimate", "v.rvol"), "iters = 5", "unknown config key: iters"),
     ])
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys,
                                                        command, line, message):
@@ -695,6 +701,8 @@ class TestErrors:
         (("estimate", "v.rvol", "--criterion", "mae"),
          re.compile(r"voxflow: error: unrecognized arguments: "
                     r"--criterion mae")),
+        (("estimate", "v.rvol", "--iters", "5"),
+         re.compile(r"voxflow: error: unrecognized arguments: --iters 5")),
     ])
     def test_malformed_list_is_usage_error(self, capsys, argv, form):
         with pytest.raises(SystemExit) as err:
@@ -813,9 +821,9 @@ import voxflow.cli
 data, out = sys.argv[1:]
 vol, truth = data + "/20210610_1200.rvol", data + "/20210610_1200.truth.rmf"
 for argv in (
-        ["estimate", vol, "--mode", "3d", "--inputs", "4", "--iters", "5",
+        ["estimate", vol, "--mode", "3d", "--inputs", "4",
          "--scales", "1,2", "-o", out + "/3d.rmf"],
-        ["estimate", vol, "--mode", "2d-cmax", "--inputs", "4", "--iters", "5",
+        ["estimate", vol, "--mode", "2d-cmax", "--inputs", "4",
          "--scales", "1,2", "-o", out + "/2d.rmf"],
         ["nowcast", vol, truth, "-k", "2", "--start-frame", "3",
          "-o", out + "/fc.rvol"],
@@ -867,8 +875,7 @@ def fuzz_runs(tmp_path_factory):
     assert run("nowcast", vol, d / "v.truth.rmf", "-k", "2", "-o", fc) == 0
     fixtures = {
         "synth": {"out": "s.rvol", "frames": "2"},
-        "estimate": {"volume": vol, "out": "m.rmf", "iters": "5",
-                     "scales": "1,2"},
+        "estimate": {"volume": vol, "out": "m.rmf", "scales": "1,2"},
         "nowcast": {"volume": vol, "motion": d / "v.truth.rmf",
                     "leads": "2", "out": "fc.rvol"},
         "verify": {"forecast": fc, "truth": vol, "out": "m.csv"},
@@ -938,7 +945,9 @@ class TestTimestampParsing:
 
 
 class TestPipelineDeterminism:
-    def test_metric_csv_bytes_identical_across_runs(self, tmp_path):
+    def test_metric_csv_bytes_identical_across_runs(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr("voxflow.variational.MAX_ITERS", 60)
         outputs = []
         for run_dir in ("r1", "r2"):
             d = tmp_path / run_dir
@@ -947,7 +956,7 @@ class TestPipelineDeterminism:
             assert run("synth", "--preset", "noisy", "-o", vol, "--seed",
                        "5", "--frames", "12") == 0
             mf = d / "n.rmf"
-            assert run("estimate", vol, "--inputs", "8", "--iters", "60",
+            assert run("estimate", vol, "--inputs", "8",
                        "--scales", "1,2,4", "-o", mf) == 0
             fc = d / "n.fc.rvol"
             assert run("nowcast", vol, mf, "-k", "4", "--start-frame", "7",

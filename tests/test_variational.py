@@ -14,7 +14,6 @@ from voxflow.variational import (
     RESET_AFTER,
     STEP_DECAY,
     LevelStatus,
-    OptimizerConfig,
     _descend,
     _pyramid_depth,
     estimate_variational,
@@ -22,7 +21,6 @@ from voxflow.variational import (
 )
 
 FAST_CFG = LossConfig(scales=(1, 2, 4))
-FAST_OPT = OptimizerConfig(max_iters=120)
 
 
 def blob_scene(nz=1, velocities=None, t_count=2, seed=0):
@@ -53,7 +51,7 @@ class TestEstimateVariational:
     def test_recovers_exact_translation_of_two_frames(self):
         vol, truth = wide_blob_scene([[[3.0, 0.0]]], t_count=2)
         inputs = [volume_to_rain(vol, 0), volume_to_rain(vol, 1)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         pm = volume_to_rain(vol, 1).data > 0.1
         assert mean_endpoint_error(res.motion, truth, pm) < 0.1
         assert res.statuses == [LevelStatus.OK]
@@ -61,14 +59,14 @@ class TestEstimateVariational:
     def test_identical_frames_give_near_zero_field(self):
         vol, _ = blob_scene(velocities=[[[0.0, 0.0]]], t_count=4)
         inputs = [volume_to_rain(vol, t) for t in range(4)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         assert np.abs(res.motion.u).max() < 0.05
 
     def test_per_level_shear_and_cmax_compromise(self):
         vol, truth = blob_scene(nz=2, velocities=[[[3.0, 0.0]], [[0.0, 3.0]]],
                                 t_count=6)
         inputs = [volume_to_rain(vol, t) for t in range(6)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         pm = volume_to_rain(vol, 5).data > 0.1
         for z in range(2):
             epe = mean_endpoint_error(MotionField(res.motion.u[z:z + 1]),
@@ -83,7 +81,7 @@ class TestEstimateVariational:
             data[t, 0] += 12.0 * np.exp(-((yg - 16.0) ** 2
                                           + (xg - 10.0 - t) ** 2) / 20.0)
         frames = [RainField(data=data[t], space=Space.DBR) for t in range(3)]
-        res = estimate_variational(frames, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(frames, cfg=FAST_CFG)
         assert res.statuses[0] == LevelStatus.OK
         assert res.statuses[1] == LevelStatus.NO_SIGNAL
         np.testing.assert_array_equal(res.motion.u[1], 0.0)
@@ -93,11 +91,11 @@ class TestEstimateVariational:
         # a 1e30-cell step sends every departure out of the domain: each
         # trial is rejected, the field stays zero and the level is not OK
         monkeypatch.setattr(variational, "STEP_SIZE", 1e30)
+        monkeypatch.setattr(variational, "MAX_ITERS", 3)
         vol, _ = blob_scene(nz=2, velocities=[[[1.0, 0.0]], [[0.0, 1.0]]],
                             t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        res = estimate_variational(inputs, cfg=FAST_CFG,
-                                   opt=OptimizerConfig(max_iters=3))
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         assert res.statuses == [LevelStatus.NO_ACCEPTED_STEP] * 2
         np.testing.assert_array_equal(res.motion.u, 0.0)
 
@@ -110,13 +108,13 @@ class TestEstimateVariational:
         frames = [RainField(data=bad.copy(), space=Space.DBR,
                             mask=np.ones((1, 16, 16), bool)) for _ in range(2)]
         with pytest.raises(DivergedError) as err:
-            estimate_variational(frames, cfg=FAST_CFG, opt=FAST_OPT)
+            estimate_variational(frames, cfg=FAST_CFG)
         assert err.value.iteration == 0
 
     def test_trace_is_non_increasing(self):
         vol, _ = blob_scene(velocities=[[[1.5, -1.0]]], t_count=4)
         inputs = [volume_to_rain(vol, t) for t in range(4)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         vals = [row[0] for row in res.traces[0]]
         assert len(vals) > 2
         assert all(b <= a for a, b in zip(vals, vals[1:]))
@@ -125,10 +123,10 @@ class TestEstimateVariational:
         vol, _ = blob_scene(nz=2, velocities=[[[2.0, 0.0]], [[0.0, 2.0]]],
                             t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         flipped = [RainField(data=f.data[::-1].copy(), space=f.space,
                              mask=f.mask[::-1].copy()) for f in inputs]
-        res_flipped = estimate_variational(flipped, cfg=FAST_CFG, opt=FAST_OPT)
+        res_flipped = estimate_variational(flipped, cfg=FAST_CFG)
         np.testing.assert_array_equal(res.motion.u[0], res_flipped.motion.u[1])
         np.testing.assert_array_equal(res.motion.u[1], res_flipped.motion.u[0])
 
@@ -136,15 +134,15 @@ class TestEstimateVariational:
         vol, truth = blob_scene(velocities=[[[2.0, 1.0]]], t_count=6)
         frames = [volume_to_rain(vol, t) for t in range(6)]
         res = estimate_variational(frames[:3], future=frames[3:],
-                                   cfg=FAST_CFG, opt=FAST_OPT)
+                                   cfg=FAST_CFG)
         pm = volume_to_rain(vol, 5).data > 0.1
         assert mean_endpoint_error(res.motion, truth, pm) < 0.3
 
     def test_deterministic_across_runs(self):
         vol, _ = blob_scene(velocities=[[[1.0, 1.0]]], t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        a = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
-        b = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        a = estimate_variational(inputs, cfg=FAST_CFG)
+        b = estimate_variational(inputs, cfg=FAST_CFG)
         np.testing.assert_array_equal(a.motion.u, b.motion.u)
 
     def test_levels_are_estimated_independently(self):
@@ -153,12 +151,12 @@ class TestEstimateVariational:
         vol, _ = blob_scene(nz=3, velocities=[[[2.0, 0.0]], [[0.0, 2.0]],
                                               [[-1.0, 1.5]]], t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         assert not np.array_equal(res.motion.u[0], res.motion.u[1])
         for z in range(3):
             alone = estimate_variational(
                 [RainField(f.data[z], f.space, f.mask[z]) for f in inputs],
-                cfg=FAST_CFG, opt=FAST_OPT)
+                cfg=FAST_CFG)
             np.testing.assert_array_equal(res.motion.u[z], alone.motion.u[0])
             assert [res.statuses[z]] == alone.statuses
             assert [res.traces[z]] == alone.traces
@@ -173,7 +171,7 @@ class TestEstimateVariational:
         vol, _ = blob_scene(nz=2, velocities=[[[2.0, 0.0]], [[0.0, 2.0]]],
                             t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         assert res.statuses == [LevelStatus.OK] * 2
 
     @pytest.mark.parametrize("scales", [(64,), (1000, 64), (10 ** 6,)])
@@ -182,8 +180,7 @@ class TestEstimateVariational:
         inputs = [volume_to_rain(vol, t) for t in range(2)]
         k = min(scales)
         with pytest.raises(ValueError) as err:
-            estimate_variational(inputs, cfg=LossConfig(scales=scales),
-                                 opt=FAST_OPT)
+            estimate_variational(inputs, cfg=LossConfig(scales=scales))
         assert str(err.value) == (
             f"no pooling scale leaves a 4 x 4 grid of the 128 x 128 frames: "
             f"the smallest, {k}, leaves {128 // k} x {128 // k}")
@@ -199,27 +196,9 @@ class TestEstimateVariational:
         monkeypatch.setattr(variational, "SequenceObjective", Recording)
         vol, _ = wide_blob_scene([[[1.0, 0.0]]], t_count=2)
         inputs = [volume_to_rain(vol, t) for t in range(2)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         assert dtypes and set(dtypes) == {np.dtype(np.float32)}
         assert res.motion.u.dtype == np.float64
-
-    def test_optimizer_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iters=0)
-
-    @pytest.mark.parametrize("max_iters", [float("nan"), 2.5, float("inf"),
-                                           3.0, "3", None])
-    def test_non_integer_max_iters_rejected(self, max_iters):
-        with pytest.raises(ValueError, match="max_iters must be an integer"):
-            OptimizerConfig(max_iters=max_iters)
-
-    def test_numpy_integer_max_iters_runs(self):
-        opt = OptimizerConfig(max_iters=np.int64(3))
-        assert type(opt.max_iters) is int and opt.max_iters == 3
-        vol, _ = blob_scene(velocities=[[[1.0, 0.0]]], t_count=2)
-        inputs = [volume_to_rain(vol, t) for t in range(2)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=opt)
-        assert res.statuses == [LevelStatus.OK]
 
 
 class TestStopPrecision:
@@ -230,11 +209,10 @@ class TestStopPrecision:
     @pytest.mark.parametrize("name, bound", [("uniform", 0.05),
                                              ("shear2", 0.07)])
     def test_every_level_keeps_its_end_point_error(self, name, bound):
-        # the CLI settings: 8 inputs, scales 1,2,4, 120 iterations; the
-        # error is taken over the last input's cells above 0.1 mm/h
+        # the CLI settings: 8 inputs, scales 1,2,4; the error is taken over the last input's cells above 0.1 mm/h
         vol, truth = generate(preset(name))
         inputs = [volume_to_rain(vol, t) for t in range(8)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         precip = inputs[-1].data > 0.1
         epes = [mean_endpoint_error(MotionField(res.motion.u[z:z + 1]),
                                     MotionField(truth.u[z:z + 1]),
@@ -247,7 +225,7 @@ def level_alone(inputs, z):
     """Level z of the frames, estimated alone as a one-level field."""
     return estimate_variational(
         [RainField(f.data[z], f.space, f.mask[z]) for f in inputs],
-        cfg=FAST_CFG, opt=FAST_OPT)
+        cfg=FAST_CFG)
 
 
 class TestStartFromBelow:
@@ -260,7 +238,7 @@ class TestStartFromBelow:
         vol, truth = blob_scene(nz=3, velocities=[[[2.0, 0.0]]] * 3,
                                 t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         stacked = len(calls)
         calls.clear()
         for z in range(3):
@@ -278,7 +256,7 @@ class TestStartFromBelow:
     def test_shear_keeps_each_level_its_own_start(self):
         vol, _ = generate(preset("shear2", frames=4))
         inputs = [volume_to_rain(vol, t) for t in range(4)]
-        res = estimate_variational(inputs, cfg=FAST_CFG, opt=FAST_OPT)
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         assert res.from_below == [False, False]
         for z in range(2):
             alone = level_alone(inputs, z)
@@ -288,16 +266,16 @@ class TestStartFromBelow:
 
     def test_stuck_levels_start_from_zero(self, monkeypatch):
         monkeypatch.setattr(variational, "STEP_SIZE", 1e30)
+        monkeypatch.setattr(variational, "MAX_ITERS", 3)
         vol, _ = blob_scene(nz=3, velocities=[[[1.0, 0.0]]] * 3, t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
-        res = estimate_variational(inputs, cfg=FAST_CFG,
-                                   opt=OptimizerConfig(max_iters=3))
+        res = estimate_variational(inputs, cfg=FAST_CFG)
         assert res.statuses == [LevelStatus.NO_ACCEPTED_STEP] * 3
         assert res.from_below == [False] * 3
         np.testing.assert_array_equal(res.motion.u, 0.0)
 
 
-def _ref_descend(obj, u, opt, trace, global_only=False):
+def _ref_descend(obj, u, trace, global_only=False):
     """_descend as it was when a reset evaluated the best iterate again;
     returns its result and the number of resets."""
     best_total, data, div, grad = obj.evaluate(u, want_grad=True)
@@ -306,7 +284,7 @@ def _ref_descend(obj, u, opt, trace, global_only=False):
     vel = np.zeros_like(u)
     step = variational.STEP_SIZE
     misses, accepted, rejected, resets = 0, 0, 0, 0
-    for _ in range(opt.max_iters):
+    for _ in range(variational.MAX_ITERS):
         if global_only:
             grad = np.broadcast_to(grad.mean(axis=(2, 3), keepdims=True),
                                    grad.shape)
@@ -334,7 +312,7 @@ def _ref_descend(obj, u, opt, trace, global_only=False):
         step *= STEP_DECAY
         if step < MIN_STEP:
             break
-    return (u_best, accepted, rejected), resets
+    return (u_best, best_total, accepted, rejected), resets
 
 
 class TestDescendReset:
@@ -351,18 +329,39 @@ class TestDescendReset:
             calls.append(1), evaluate(u, want_grad))[1]
         monkeypatch.setattr(variational, "STEP_SIZE", 1.0)
         monkeypatch.setattr(variational, "MOMENTUM", 0.95)
-        opt = OptimizerConfig(max_iters=80)
+        monkeypatch.setattr(variational, "MAX_ITERS", 80)
         u0 = np.zeros((1, 2, 64, 64))
         want_trace, got_trace = [], []
-        want, resets = _ref_descend(obj, u0, opt, want_trace, global_only)
+        want, resets = _ref_descend(obj, u0, want_trace, global_only)
         ref_calls = len(calls)
         calls.clear()
-        got = _descend(obj, u0, opt, got_trace, global_only)
+        got = _descend(obj, u0, got_trace, global_only)
         assert resets > 0
         assert len(calls) == ref_calls - resets
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
         assert got_trace == want_trace
+
+    def test_stage_stops_after_max_iters_trials(self, monkeypatch):
+        # every 1e30-cell trial leaves the domain and is rejected, so only
+        # the cap ends the stage: the start and three trials
+        vol, _ = blob_scene(velocities=[[[1.5, -1.0]]], t_count=3)
+        frames = [rain_to_dbr(volume_to_rain(vol, t)) for t in range(3)]
+        obj = SequenceObjective([f.data for f in frames],
+                                [f.mask for f in frames], FAST_CFG)
+        calls = []
+        evaluate = obj.evaluate
+        obj.evaluate = lambda u, want_grad=True: (
+            calls.append(1), evaluate(u, want_grad))[1]
+        monkeypatch.setattr(variational, "STEP_SIZE", 1e30)
+        monkeypatch.setattr(variational, "MAX_ITERS", 3)
+        u0 = np.zeros((1, 2, 64, 64))
+        trace = []
+        u, best, accepted, rejected = _descend(obj, u0, trace)
+        assert len(calls) == 4
+        assert (accepted, rejected) == (0, 3)
+        assert len(trace) == 1 and trace[0][0] == best
+        np.testing.assert_array_equal(u, 0.0)
 
 
 def _counted_depth(levels, ny, nx):
@@ -377,14 +376,17 @@ class TestPyramidDepth:
     SIDES = (1, 2, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65, 127, 128, 129,
              255, 256, 257, 511, 512, 513, 1000, 4096, 65535, 65536, 100_000)
 
-    def test_closed_form_equals_the_counted_depth(self):
+    def test_closed_form_equals_the_counted_depth(self, monkeypatch):
         for levels in range(1, 20):
+            monkeypatch.setattr(variational, "PYRAMID_STAGES", levels)
             for ny in self.SIDES:
                 for nx in self.SIDES:
-                    assert _pyramid_depth(levels, ny, nx) == \
+                    assert _pyramid_depth(ny, nx) == \
                         _counted_depth(levels, ny, nx), (levels, ny, nx)
 
-    def test_huge_level_count_is_capped_by_the_grid(self):
+    def test_huge_level_count_is_capped_by_the_grid(self, monkeypatch):
         # the counted-down loop took tens of seconds here
-        assert _pyramid_depth(100_000, 128, 128) == 4
-        assert _pyramid_depth(10 ** 18, 512, 300) == 5
+        monkeypatch.setattr(variational, "PYRAMID_STAGES", 100_000)
+        assert _pyramid_depth(128, 128) == 4
+        monkeypatch.setattr(variational, "PYRAMID_STAGES", 10 ** 18)
+        assert _pyramid_depth(512, 300) == 5
