@@ -21,6 +21,11 @@ from .transform import volume_to_rain  # noqa: F401  bound by benchmarks/launche
 
 # echo threshold of the reflectivity correlation; see its docstring
 ECHO_THRESHOLD_DBZ = 0.0
+# reflectivity thresholds of the rainy-pixel ratios; the monthly box plot
+# takes the second (20 dBZ)
+RAINY_THRESHOLDS_DBZ = (0.0, 20.0)
+# samples the outlier ranking selects
+TOP_K = 3
 
 
 def rainy_ratio(vol: RadarVolume, thresholds_dbz: Sequence[float]) -> np.ndarray:

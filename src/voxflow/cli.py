@@ -41,11 +41,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _comma_list(convert, form: str, count: int | None = None,
-                distinct: bool = False):
-    """argparse type for a comma-separated list; a malformed list, or a
-    repeated value where values must be distinct, is a usage error that
-    names the expected form."""
+def _comma_list(convert, form: str, count: int | None = None):
+    """argparse type for a comma-separated list; a malformed list is a usage
+    error that names the expected form."""
     def parse(text: str) -> tuple:
         try:
             items = tuple(convert(s) for s in text.split(",") if s.strip())
@@ -53,9 +51,6 @@ def _comma_list(convert, form: str, count: int | None = None,
             items = ()
         if not items or (count is not None and len(items) != count):
             raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
-        if distinct and len(set(items)) != len(items):
-            raise argparse.ArgumentTypeError(
-                f"expected {form} without repeats, got {text!r}")
         return items
     return parse
 
@@ -75,22 +70,7 @@ def _int_in(lo: int, hi: float = float("inf")):
     return parse
 
 
-def _finite(text: str) -> float:
-    """argparse type for one finite number; anything else, NaN and +-inf
-    included, is a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {text!r}")
-    return value
-
-
-_scales = _comma_list(int, "comma-separated integers such as 1,2,4")
-_floats = _comma_list(_finite, "comma-separated numbers such as 1,5,10",
-                      distinct=True)
+_scales = _comma_list(_int_in(1), "comma-separated integers such as 1,2,4")
 _level_pair = _comma_list(int, "two comma-separated indices such as 0,2", 2)
 
 
@@ -201,7 +181,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="number of observed frames fed to the estimator")
     p.add_argument("--use-future", action="store_true",
                    help="fit mode: include the remaining frames in the loss")
-    p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--scales", type=_scales, default="1,2,4,8")
     p.add_argument("--denoise", action="store_true",
                    help="apply quality control before estimation")
@@ -227,8 +206,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("forecast", help="forecast .rvol path")
     p.add_argument("truth", help="observed .rvol path")
     p.add_argument("-o", "--out", default=None, help="metrics CSV path")
-    p.add_argument("--thresholds", type=_floats, default="1,5,10",
-                   help="rain-rate thresholds in mm/h")
     p.add_argument("--offset", type=int, default=None,
                    help="truth frame index of lead 1 (default: aligned ends)")
     _add_common(p)
@@ -239,16 +216,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--which", required=True, choices=tuple(_ANALYSES))
     p.add_argument("-o", "--outdir", default=None,
                    help="report directory (default: the dataset directory)")
-    p.add_argument("--thresholds-dbz", type=_floats, default="0,20")
-    p.add_argument("--threshold", type=_finite, default=1.0,
-                   help="mm/h threshold of the split diagnostic")
-    p.add_argument("--coverage-dbz", type=_finite, default=20.0)
     p.add_argument("--level-pair", type=_level_pair, default="0,2",
                    help="low,mid level indices for pair analyses")
-    p.add_argument("--gap-minutes", type=_finite, default=60.0)
-    p.add_argument("--top-k", type=int, default=3, help="samples to rank, >= 0")
-    p.add_argument("--bins", type=_int_in(1, 1000), default=20,
-                   help="histogram bins per axis, 1 to 1000")
     _add_common(p)
     table["analyze"] = p
 
@@ -305,7 +274,7 @@ def _cmd_estimate(args) -> int:
     future = None
     if args.use_future and t_total > n:
         future = [volume_to_rain(vol, t) for t in range(n, t_total)]
-    cfg = LossConfig(beta=args.beta, scales=args.scales)
+    cfg = LossConfig(scales=args.scales)
     result = estimate_variational(inputs, future=future, cfg=cfg)
     rvol.write_motion(out, result.motion)
     rows = []
@@ -355,8 +324,7 @@ def _cmd_verify(args) -> int:
         report = verify_nowcast(
             (volume_to_rain(fc.read_cmax(t), 0) for t in range(k)),
             (volume_to_rain(truth.read_cmax(t), 0)
-             for t in range(offset, offset + k)),
-            args.thresholds)
+             for t in range(offset, offset + k)))
     sample_id = Path(args.forecast).stem
     rows = []
     for lead in report.leads:
@@ -364,7 +332,7 @@ def _cmd_verify(args) -> int:
         rows.append([sample_id, lead, "me", "", float(me)])
         rows.append([sample_id, lead, "mae", "", float(mae)])
         rows.append([sample_id, lead, "mse", "", float(mse)])
-        for thr in args.thresholds:
+        for thr in report.thresholds:
             p, r, e = report.categorical(lead, thr)
             rows.append([sample_id, lead, "precision", _fmt(thr), float(p)])
             rows.append([sample_id, lead, "recall", _fmt(thr), float(r)])
@@ -418,11 +386,11 @@ def _motion_samples(files):
               file=sys.stderr)
 
 
-def _pair_samples(files, low: int, mid: int, coverage_dbz: float):
+def _pair_samples(files, low: int, mid: int):
     """Per-sample (id, timestamp, coverage, low/mid motion correlation)."""
     return [analysis.OutlierSample(
                 sample_id=stem, timestamp=ts,
-                coverage=analysis.coverage_ratio(vol, threshold_dbz=coverage_dbz),
+                coverage=analysis.coverage_ratio(vol),
                 correlation=analysis.motion_pair_corr(mf, vol, low, mid))
             for stem, ts, vol, mf in _motion_samples(files)]
 
@@ -461,7 +429,7 @@ def _volumes(files):
 
 
 def _analyze_ratios(args, files, outdir: Path) -> str:
-    thresholds = args.thresholds_dbz
+    thresholds = analysis.RAINY_THRESHOLDS_DBZ
     ratios = [analysis.rainy_ratio(vol, thresholds) for vol in _volumes(files)]
     mean = np.mean(ratios, axis=0)
     rows = [[z, _fmt(thr), float(mean[z, j])]
@@ -475,9 +443,8 @@ def _analyze_ratios(args, files, outdir: Path) -> str:
     svgplot.line_chart(series, outdir / "rainy_ratios.svg",
                        title="rainy-pixel ratio by altitude level",
                        x_label="level index", y_label="fraction")
-    col = 1 if len(thresholds) > 1 else 0
     _write_boxstats(outdir, "rainy_ratio_monthwise",
-                    [float(r[0, col]) for r in ratios],
+                    [float(r[0, 1]) for r in ratios],
                     [ts for _, _, ts in files],
                     title="monthly rainy-pixel ratio, lowest level",
                     y_label="fraction")
@@ -522,12 +489,9 @@ def _analyze_motion_corr(args, files, outdir: Path) -> str:
 
 def _analyze_histogram(args, files, outdir: Path) -> str:
     low, mid = args.level_pair
-    samples = _pair_samples(files, low, mid, args.coverage_dbz)
-    pairs = [(s.coverage, s.correlation) for s in samples]
-    cov_edges = np.linspace(0.0, 1.0, args.bins + 1)
-    corr_edges = np.linspace(-1.0, 1.0, args.bins + 1)
-    counts, xe, ye = analysis.coverage_vs_corr_histogram(pairs, cov_edges,
-                                                         corr_edges)
+    samples = _pair_samples(files, low, mid)
+    counts, xe, ye = analysis.coverage_vs_corr_histogram(
+        [(s.coverage, s.correlation) for s in samples])
     rows = [[_fmt(float(xe[i])), _fmt(float(xe[i + 1])),
              _fmt(float(ye[j])), _fmt(float(ye[j + 1])), int(counts[i, j])]
             for i in range(counts.shape[0]) for j in range(counts.shape[1])]
@@ -545,10 +509,9 @@ def _analyze_histogram(args, files, outdir: Path) -> str:
 
 def _analyze_outliers(args, files, outdir: Path) -> str:
     low, mid = args.level_pair
-    samples = _pair_samples(files, low, mid, args.coverage_dbz)
+    samples = _pair_samples(files, low, mid)
     usable = [s for s in samples if np.isfinite(s.correlation)]
-    ranked = analysis.rank_outliers(usable, args.top_k,
-                                    gap_minutes=args.gap_minutes)
+    ranked = analysis.rank_outliers(usable, analysis.TOP_K)
     by_id = {s.sample_id: s for s in usable}
     rows = [[rank + 1, sid, by_id[sid].timestamp.isoformat(),
              by_id[sid].coverage, by_id[sid].correlation]
@@ -557,7 +520,7 @@ def _analyze_outliers(args, files, outdir: Path) -> str:
                ["rank", "sample_id", "timestamp", "coverage", "correlation"],
                rows)
     if ranked.exhausted:
-        print(f"note: only {len(ranked.ids)} of {args.top_k} requested "
+        print(f"note: only {len(ranked.ids)} of {analysis.TOP_K} requested "
               "samples available", file=sys.stderr)
     return "outlier ranking"
 
@@ -567,8 +530,7 @@ def _analyze_split(args, files, outdir: Path) -> str:
     for path, stem, _ in files:
         vol = rvol.read_rvol(path)
         diag = analysis.cell_split_diagnostic(
-            (volume_to_rain(vol, t) for t in range(vol.shape[0])),
-            threshold=args.threshold)
+            (volume_to_rain(vol, t) for t in range(vol.shape[0])))
         del vol  # freed before the next volume is read
         rows = [[li, n, ";".join(str(c) for c in counts), cells]
                 for li, (n, counts, cells) in enumerate(zip(

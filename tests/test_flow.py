@@ -254,6 +254,17 @@ class TestLossTotal:
         with pytest.raises(ValueError, match="scales must be"):
             LossConfig(scales=scales)
 
+    def test_scale_out_of_range_rejected(self):
+        # the command line rejects these while parsing; library callers
+        # reach this check
+        with pytest.raises(ValueError) as err:
+            LossConfig(scales=(1, 0))
+        assert str(err.value) == \
+            "scales must be non-empty, each >= 1, got (1, 0)"
+        for scales in [(), (0,), (-2,), (4, -1)]:
+            with pytest.raises(ValueError, match="each >= 1"):
+                LossConfig(scales=scales)
+
     def test_numpy_integer_scales_kept(self):
         cfg = LossConfig(scales=np.array([1, 2, 4]))
         assert cfg.scales == (1, 2, 4)
