@@ -678,15 +678,15 @@ class TestErrors:
          "comma-separated integers such as 1,2,4"),
         (("estimate", "v.rvol", "--scales", "1,0"),
          "comma-separated integers such as 1,2,4"),
+        (("estimate", "v.rvol", "--inputs", "1"), "an integer in [2, 100000]"),
+        (("estimate", "v.rvol", "--inputs", "-5"),
+         "an integer in [2, 100000]"),
         (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "0"),
          "an integer in [1, 100000]"),
         (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "-2"),
          "an integer in [1, 100000]"),
         (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames",
           "100001"), "an integer in [1, 100000]"),
-        (("estimate", "v.rvol", "--inputs", "1"), "an integer in [2, 100000]"),
-        (("estimate", "v.rvol", "--inputs", "-5"),
-         "an integer in [2, 100000]"),
         # options that no longer exist; form is the whole last line
         (("estimate", "v.rvol", "--mode", "lk"),
          re.compile(r"voxflow estimate: error: argument --mode: invalid "
