@@ -20,7 +20,7 @@ from .advect import extrapolate
 from .denoise import denoise_volume
 from .errors import DivergedError, FormatError, NoOverlapError
 from .flow import LossConfig
-from .grid import MotionField, RadarVolume, cmax
+from .grid import MotionField, RadarVolume, RainField, cmax
 from .synth import PRESET_NAMES, generate, preset
 from .transform import rain_to_dbz, volume_to_rain
 from .variational import estimate_variational
@@ -251,29 +251,35 @@ _TRACE_HEADER = ["level", "iteration", "loss_total", "loss_multiscale",
                  "loss_divergence"]
 
 
-def _cmd_estimate(args) -> int:
-    t_total = rvol.read_header(args.volume).t
-    n = min(args.inputs, t_total)
-    if n < 2:
-        raise ValueError(f"need at least 2 input frames, volume has {t_total}")
-    # every step before the estimator works frame by frame, so only the
-    # frames the estimator uses are read
-    vol = rvol.read_rvol(args.volume,
-                         frames=None if args.use_future else (0, n))
+def _rain_frame(reader: rvol.RvolReader, t: int, args) -> RainField:
+    """Frame t of the estimate's input in mm/h: decoded, denoised and
+    pooled on its own, so no decoded copy of other frames is held. Each
+    step acts frame by frame, so the field is the one a whole-volume read
+    gives."""
+    vol = reader.read(t, t + 1)
     if args.denoise:
         vol = denoise_volume(vol)
     if args.mode == "2d-cmax":
         vol = cmax(vol)
+    return volume_to_rain(vol, 0)
 
+
+def _cmd_estimate(args) -> int:
     stem = Path(args.volume)
     out = Path(args.out) if args.out else stem.with_suffix(".rmf")
     trace_path = Path(args.trace) if args.trace else \
         out.with_name(out.stem + "_trace.csv")
 
-    inputs = [volume_to_rain(vol, t) for t in range(n)]
-    future = None
-    if args.use_future and t_total > n:
-        future = [volume_to_rain(vol, t) for t in range(n, t_total)]
+    with rvol.RvolReader(args.volume) as reader:
+        t_total = reader.header.t
+        n = min(args.inputs, t_total)
+        if n < 2:
+            raise ValueError(f"need at least 2 input frames, volume has "
+                             f"{t_total}")
+        # only the frames the estimator uses are decoded
+        fields = [_rain_frame(reader, t, args)
+                  for t in range(t_total if args.use_future else n)]
+    inputs, future = fields[:n], fields[n:] or None
     cfg = LossConfig(scales=args.scales)
     result = estimate_variational(inputs, future=future, cfg=cfg)
     rvol.write_motion(out, result.motion)

@@ -252,16 +252,17 @@ def estimate_variational(
     steps at most. A level with no precipitation signal comes back as a
     zero field with status NO_SIGNAL. A grid that no configured scale pools
     to at least 4 x 4 cells is a ValueError.
+
+    Fields in mm/h are converted to dBR one level at a time, just before
+    that level runs, so no dBR copy of the whole sequence is held.
     """
     cfg = cfg or LossConfig()
     if len(inputs) < 2:
         raise ValueError("need at least 2 input frames")
 
     phi = list(inputs) + (list(future) if future else [])
-    fields = [_as_dbr(f) for f in phi]
-    nz = fields[0].nz
-    shape = fields[0].data.shape
-    for f in fields:
+    shape = phi[0].data.shape
+    for f in phi:
         if f.data.shape != shape:
             raise ValueError("all frames must share one shape")
     ny, nx = shape[1:]
@@ -272,10 +273,16 @@ def estimate_variational(
             f"frames: the smallest, {k}, leaves {ny // k} x {nx // k}")
 
     results = []
-    for z in range(nz):
+    for z in range(shape[0]):
         below = results[-1][0] if results else None
-        results.append(_optimize_level([f.data[z] for f in fields],
-                                       [f.mask[z] for f in fields], cfg, below))
+        # dBR is elementwise, so converting one level's view of each frame
+        # gives that level's planes of a whole-field conversion; they are
+        # freed before the next level is converted
+        level = [_as_dbr(RainField(f.data[z:z + 1], f.space, f.mask[z:z + 1]))
+                 for f in phi]
+        results.append(_optimize_level([f.data[0] for f in level],
+                                       [f.mask[0] for f in level], cfg, below))
+        del level
     motion, statuses, traces, from_below = (list(r) for r in zip(*results))
     return VariationalResult(motion=MotionField(np.stack(motion)),
                              statuses=statuses, traces=traces,

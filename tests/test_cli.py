@@ -15,13 +15,24 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxflow.advect import extrapolate
 from voxflow.cli import build_parser, main, parse_stem_timestamp
-from voxflow.rvol import read_motion, read_rvol, write_motion, write_rvol
+from voxflow.rvol import (RvolReader, read_motion, read_rvol, write_motion,
+                          write_rvol)
 from voxflow.grid import MotionField, RadarVolume
 from voxflow.transform import rain_to_dbz, volume_to_rain
 
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def _case(key: str, *values):
+    """pytest.param of values whose id is key and each string value (a
+    pattern's text) joined by "-": the id pytest generated while these
+    cases took positional ids. A case removed later renames no other, and
+    a new one takes a key of its own."""
+    texts = [v.pattern if isinstance(v, re.Pattern) else v
+             for v in values if isinstance(v, (str, re.Pattern))]
+    return pytest.param(*values, id="-".join([key, *texts]))
 
 
 def _limit_child():
@@ -324,6 +335,32 @@ class TestStreamingMemory:
         for command in ("nowcast", "verify"):
             assert peaks[command, 16] <= 1.1 * peaks[command, 4], peaks
 
+    def test_estimate_holds_one_float64_copy_of_its_inputs(self, tmp_path,
+                                                           monkeypatch):
+        # the rain fields are the one whole copy: the decoded volume is
+        # read a frame at a time and the dBR planes a level at a time. One
+        # level's descent works in about ten levels' worth of inputs, so
+        # the volume has enough levels for a second copy to show
+        shape = (8, 32, 64, 64)
+        yy, xx = np.mgrid[0:64, 0:64]
+        data = np.broadcast_to(
+            [[45.0 * np.exp(-((xx - 20 - 1.5 * t) ** 2
+                              + (yy - 24 - t) ** 2) / 80.0) - 10.0]
+             for t in range(shape[0])], shape)
+        path = tmp_path / "v.rvol"
+        write_rvol(path, RadarVolume(data=data,
+                                     z_levels=np.arange(1.0, 33.0)))
+        monkeypatch.setattr("voxflow.variational.PYRAMID_STAGES", 1)
+        monkeypatch.setattr("voxflow.variational.MAX_ITERS", 5)
+        tracemalloc.start()
+        try:
+            assert run("estimate", path, "--inputs", "8", "--scales", "1,2",
+                       "-o", tmp_path / "m.rmf") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * np.prod(shape), peak
+
 
 class TestFrameRangeReads:
     @pytest.mark.parametrize("quantize", [False, True])
@@ -368,7 +405,8 @@ class TestFrameRangeReads:
 
     @pytest.mark.parametrize("extra", [
         ["--mode", "3d"], ["--mode", "2d-cmax"],
-        ["--mode", "3d", "--denoise"], ["--mode", "3d", "--use-future"]])
+        ["--mode", "3d", "--denoise"], ["--mode", "3d", "--use-future"],
+        ["--mode", "2d-cmax", "--denoise"]])
     def test_estimate_reads_only_its_inputs_as_a_whole_read_would(
             self, tmp_path, monkeypatch, extra):
         # a moving blob on two levels with rho_hv; the only invalid cell
@@ -395,13 +433,21 @@ class TestFrameRangeReads:
 
         monkeypatch.setattr("voxflow.variational.PYRAMID_STAGES", 1)
         monkeypatch.setattr("voxflow.variational.MAX_ITERS", 5)
-        reads = []
-        monkeypatch.setattr("voxflow.cli.rvol.read_rvol", lambda p, frames=None: (
-            reads.append(frames), read_rvol(p, frames))[1])
+        # each input frame is decoded on its own, in order
+        reads, read = [], RvolReader.read
+        monkeypatch.setattr("voxflow.rvol.RvolReader.read", lambda r, *span: (
+            reads.append(span), read(r, *span))[1])
         ranged = outputs("ranged")
-        assert reads == [None if "--use-future" in extra else (0, 4)]
-        monkeypatch.setattr("voxflow.cli.rvol.read_rvol",
-                            lambda p, frames=None: read_rvol(p))
+        used = t_count if "--use-future" in extra else 4
+        assert reads == [(t, t + 1) for t in range(used)]
+        # the same frames sliced from a whole-volume read
+        whole = read_rvol(path)
+        monkeypatch.setattr("voxflow.rvol.RvolReader.read",
+                            lambda r, start, stop: RadarVolume(
+                                data=whole.data[start:stop],
+                                z_levels=whole.z_levels, dt=whole.dt,
+                                mask=whole.mask,
+                                rho_hv=whole.rho_hv[start:stop]))
         assert ranged == outputs("whole")
 
 
@@ -553,38 +599,44 @@ class TestConfigFile:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("command, line, message", [
-        (("synth", "--preset", "uniform"), "seed = abc",
-         "config key seed: invalid literal for int() with base 10: 'abc'"),
-        (("estimate", "v.rvol"), "scales = 1,x",
-         "config key scales: expected comma-separated integers such as "
-         "1,2,4, got '1,x'"),
+        _case("command0", ("synth", "--preset", "uniform"), "seed = abc",
+              "config key seed: invalid literal for int() with base 10: 'abc'"),
+        _case("command1", ("estimate", "v.rvol"), "scales = 1,x",
+              "config key scales: expected comma-separated integers such as "
+              "1,2,4, got '1,x'"),
         # the removed lk baseline's window, and the descent's momentum
-        (("estimate", "v.rvol"), "window = 15", "unknown config key: window"),
-        (("estimate", "v.rvol"), "momentum = 0.9",
-         "unknown config key: momentum"),
-        (("estimate", "v.rvol"), "mode = lk",
-         "config key mode: expected one of 3d, 2d-cmax, got 'lk'"),
-        (("synth",), "preset = bogus",
-         "config key preset: expected one of uniform, rotation, shear2, "
-         "shear8, noisy, split, got 'bogus'"),
+        _case("command2", ("estimate", "v.rvol"), "window = 15",
+              "unknown config key: window"),
+        _case("command3", ("estimate", "v.rvol"), "momentum = 0.9",
+              "unknown config key: momentum"),
+        _case("command4", ("estimate", "v.rvol"), "mode = lk",
+              "config key mode: expected one of 3d, 2d-cmax, got 'lk'"),
+        _case("command5", ("synth",), "preset = bogus",
+              "config key preset: expected one of uniform, rotation, shear2, "
+              "shear8, noisy, split, got 'bogus'"),
         # the removed iteration cap
-        (("estimate", "v.rvol"), "iters = 5", "unknown config key: iters"),
-        (("estimate", "v.rvol"), "scales = 0",
-         "config key scales: expected comma-separated integers such as "
-         "1,2,4, got '0'"),
+        _case("command6", ("estimate", "v.rvol"), "iters = 5",
+              "unknown config key: iters"),
+        _case("command7", ("estimate", "v.rvol"), "scales = 0",
+              "config key scales: expected comma-separated integers such as "
+              "1,2,4, got '0'"),
         # the removed options that restated the library's values
-        (("estimate", "v.rvol"), "beta = 0.2", "unknown config key: beta"),
-        (("verify", "f.rvol", "t.rvol"), "thresholds = 1,5,10",
-         "unknown config key: thresholds"),
-        (("analyze", "d"), "thresholds-dbz = 0,20",
-         "unknown config key: thresholds_dbz"),
-        (("analyze", "d"), "threshold = 1", "unknown config key: threshold"),
-        (("analyze", "d"), "coverage-dbz = 20",
-         "unknown config key: coverage_dbz"),
-        (("analyze", "d"), "gap-minutes = 60",
-         "unknown config key: gap_minutes"),
-        (("analyze", "d"), "top-k = 3", "unknown config key: top_k"),
-        (("analyze", "d"), "bins = 20", "unknown config key: bins"),
+        _case("command8", ("estimate", "v.rvol"), "beta = 0.2",
+              "unknown config key: beta"),
+        _case("command9", ("verify", "f.rvol", "t.rvol"),
+              "thresholds = 1,5,10", "unknown config key: thresholds"),
+        _case("command10", ("analyze", "d"), "thresholds-dbz = 0,20",
+              "unknown config key: thresholds_dbz"),
+        _case("command11", ("analyze", "d"), "threshold = 1",
+              "unknown config key: threshold"),
+        _case("command12", ("analyze", "d"), "coverage-dbz = 20",
+              "unknown config key: coverage_dbz"),
+        _case("command13", ("analyze", "d"), "gap-minutes = 60",
+              "unknown config key: gap_minutes"),
+        _case("command14", ("analyze", "d"), "top-k = 3",
+              "unknown config key: top_k"),
+        _case("command15", ("analyze", "d"), "bins = 20",
+              "unknown config key: bins"),
     ])
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys,
                                                        command, line, message):
@@ -666,65 +718,86 @@ class TestCommandSurface:
 
 class TestErrors:
     @pytest.mark.parametrize("argv, form", [
-        (("analyze", "d", "--which", "motion-corr", "--level-pair", "1"),
-         "two comma-separated indices such as 0,2"),
-        (("analyze", "d", "--which", "histogram", "--level-pair", "a,b"),
-         "two comma-separated indices such as 0,2"),
-        (("estimate", "v.rvol", "--scales", "0"),
-         "comma-separated integers such as 1,2,4"),
-        (("estimate", "v.rvol", "--scales", "x"),
-         "comma-separated integers such as 1,2,4"),
-        (("estimate", "v.rvol", "--scales", "-2"),
-         "comma-separated integers such as 1,2,4"),
-        (("estimate", "v.rvol", "--scales", "1,0"),
-         "comma-separated integers such as 1,2,4"),
-        (("estimate", "v.rvol", "--inputs", "1"), "an integer in [2, 100000]"),
-        (("estimate", "v.rvol", "--inputs", "-5"),
-         "an integer in [2, 100000]"),
-        (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "0"),
-         "an integer in [1, 100000]"),
-        (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "-2"),
-         "an integer in [1, 100000]"),
-        (("synth", "--preset", "uniform", "-o", "x.rvol", "--frames",
-          "100001"), "an integer in [1, 100000]"),
+        _case("argv0",
+              ("analyze", "d", "--which", "motion-corr", "--level-pair", "1"),
+              "two comma-separated indices such as 0,2"),
+        _case("argv1",
+              ("analyze", "d", "--which", "histogram", "--level-pair", "a,b"),
+              "two comma-separated indices such as 0,2"),
+        _case("argv2", ("estimate", "v.rvol", "--scales", "0"),
+              "comma-separated integers such as 1,2,4"),
+        _case("argv3", ("estimate", "v.rvol", "--scales", "x"),
+              "comma-separated integers such as 1,2,4"),
+        _case("argv4", ("estimate", "v.rvol", "--scales", "-2"),
+              "comma-separated integers such as 1,2,4"),
+        _case("argv5", ("estimate", "v.rvol", "--scales", "1,0"),
+              "comma-separated integers such as 1,2,4"),
+        _case("argv6", ("estimate", "v.rvol", "--inputs", "1"),
+              "an integer in [2, 100000]"),
+        _case("argv7", ("estimate", "v.rvol", "--inputs", "-5"),
+              "an integer in [2, 100000]"),
+        _case("argv8",
+              ("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "0"),
+              "an integer in [1, 100000]"),
+        _case("argv9",
+              ("synth", "--preset", "uniform", "-o", "x.rvol", "--frames", "-2"),
+              "an integer in [1, 100000]"),
+        _case("argv10",
+              ("synth", "--preset", "uniform", "-o", "x.rvol", "--frames",
+               "100001"), "an integer in [1, 100000]"),
         # options that no longer exist; form is the whole last line
-        (("estimate", "v.rvol", "--mode", "lk"),
-         re.compile(r"voxflow estimate: error: argument --mode: invalid "
-                    r"choice: 'lk' \(choose from .*3d.*2d-cmax.*\)")),
-        (("estimate", "v.rvol", "--window", "5"),
-         re.compile(r"voxflow: error: unrecognized arguments: --window 5")),
-        (("estimate", "v.rvol", "--step", "0.5"),
-         re.compile(r"voxflow: error: unrecognized arguments: --step 0.5")),
-        (("estimate", "v.rvol", "--momentum", "0.9"),
-         re.compile(r"voxflow: error: unrecognized arguments: "
-                    r"--momentum 0.9")),
-        (("estimate", "v.rvol", "--levels", "2"),
-         re.compile(r"voxflow: error: unrecognized arguments: --levels 2")),
-        (("estimate", "v.rvol", "--criterion", "mae"),
-         re.compile(r"voxflow: error: unrecognized arguments: "
-                    r"--criterion mae")),
-        (("estimate", "v.rvol", "--iters", "5"),
-         re.compile(r"voxflow: error: unrecognized arguments: --iters 5")),
-        (("estimate", "v.rvol", "--beta", "0.2"),
-         re.compile(r"voxflow: error: unrecognized arguments: --beta 0.2")),
-        (("verify", "f.rvol", "t.rvol", "--thresholds", "1,5,10"),
-         re.compile(r"voxflow: error: unrecognized arguments: "
-                    r"--thresholds 1,5,10")),
-        (("analyze", "d", "--which", "ratios", "--thresholds-dbz", "0,20"),
-         re.compile(r"voxflow: error: unrecognized arguments: "
-                    r"--thresholds-dbz 0,20")),
-        (("analyze", "d", "--which", "split", "--threshold", "1"),
-         re.compile(r"voxflow: error: unrecognized arguments: --threshold 1")),
-        (("analyze", "d", "--which", "histogram", "--coverage-dbz", "20"),
-         re.compile(r"voxflow: error: unrecognized arguments: "
-                    r"--coverage-dbz 20")),
-        (("analyze", "d", "--which", "outliers", "--gap-minutes", "60"),
-         re.compile(r"voxflow: error: unrecognized arguments: "
-                    r"--gap-minutes 60")),
-        (("analyze", "d", "--which", "outliers", "--top-k", "3"),
-         re.compile(r"voxflow: error: unrecognized arguments: --top-k 3")),
-        (("analyze", "d", "--which", "histogram", "--bins", "20"),
-         re.compile(r"voxflow: error: unrecognized arguments: --bins 20")),
+        _case("argv11", ("estimate", "v.rvol", "--mode", "lk"),
+              re.compile(r"voxflow estimate: error: argument --mode: invalid "
+                         r"choice: 'lk' \(choose from .*3d.*2d-cmax.*\)")),
+        _case("argv12", ("estimate", "v.rvol", "--window", "5"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--window 5")),
+        _case("argv13", ("estimate", "v.rvol", "--step", "0.5"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--step 0.5")),
+        _case("argv14", ("estimate", "v.rvol", "--momentum", "0.9"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--momentum 0.9")),
+        _case("argv15", ("estimate", "v.rvol", "--levels", "2"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--levels 2")),
+        _case("argv16", ("estimate", "v.rvol", "--criterion", "mae"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--criterion mae")),
+        _case("argv17", ("estimate", "v.rvol", "--iters", "5"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--iters 5")),
+        _case("argv18", ("estimate", "v.rvol", "--beta", "0.2"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--beta 0.2")),
+        _case("argv19",
+              ("verify", "f.rvol", "t.rvol", "--thresholds", "1,5,10"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--thresholds 1,5,10")),
+        _case("argv20",
+              ("analyze", "d", "--which", "ratios", "--thresholds-dbz", "0,20"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--thresholds-dbz 0,20")),
+        _case("argv21",
+              ("analyze", "d", "--which", "split", "--threshold", "1"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--threshold 1")),
+        _case("argv22",
+              ("analyze", "d", "--which", "histogram", "--coverage-dbz", "20"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--coverage-dbz 20")),
+        _case("argv23",
+              ("analyze", "d", "--which", "outliers", "--gap-minutes", "60"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--gap-minutes 60")),
+        _case("argv24",
+              ("analyze", "d", "--which", "outliers", "--top-k", "3"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--top-k 3")),
+        _case("argv25",
+              ("analyze", "d", "--which", "histogram", "--bins", "20"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--bins 20")),
     ])
     def test_malformed_list_is_usage_error(self, capsys, argv, form):
         with pytest.raises(SystemExit) as err:
