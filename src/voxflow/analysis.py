@@ -28,20 +28,37 @@ RAINY_THRESHOLDS_DBZ = (0.0, 20.0)
 TOP_K = 3
 
 
-def rainy_ratio(vol: RadarVolume, thresholds_dbz: Sequence[float]) -> np.ndarray:
+def _parts(vol: RadarVolume | Iterable[RadarVolume]) -> Iterable[RadarVolume]:
+    """A volume as the one part of itself; any other argument is taken to
+    be a volume's parts already: RadarVolumes of consecutive frames in
+    order, each with the volume's static mask, such as RvolReader.read(t,
+    t + 1) gives one frame at a time."""
+    return (vol,) if isinstance(vol, RadarVolume) else vol
+
+
+def rainy_ratio(vol: RadarVolume | Iterable[RadarVolume],
+                thresholds_dbz: Sequence[float]) -> np.ndarray:
     """Fraction of valid cells exceeding each reflectivity threshold, per
-    altitude level; shape (Z, n_thresholds), averaged over the time axis."""
-    t, z, _, _ = vol.shape
-    out = np.zeros((z, len(thresholds_dbz)))
-    for zi in range(z):
-        m = vol.mask[zi]
-        denom = t * int(m.sum())
-        if denom == 0:
-            continue
-        vals = vol.data[:, zi][:, m]
+    altitude level; shape (Z, n_thresholds), averaged over the time axis.
+
+    vol may be given as its frames (see _parts), which are read one at a
+    time: each frame's counts are summed as integers and divided once, so
+    the fractions are those of the whole volume, bit for bit. No frames at
+    all is a ValueError.
+    """
+    counts, t = None, 0
+    for part in _parts(vol):
+        if counts is None:
+            counts = np.zeros((part.shape[1], len(thresholds_dbz)), np.int64)
         for j, thr in enumerate(thresholds_dbz):
-            out[zi, j] = np.count_nonzero(vals > thr) / denom
-    return out
+            counts[:, j] += np.count_nonzero((part.data > thr) & part.mask,
+                                             axis=(0, 2, 3))
+        t += part.shape[0]
+    if counts is None:
+        raise ValueError("no frames given")
+    denom = (t * part.mask.sum(axis=(1, 2)))[:, None]
+    return np.divide(counts, denom, out=np.zeros(counts.shape),
+                     where=denom > 0)
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -55,7 +72,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float((da * db).sum() / denom)
 
 
-def _pair_mean(z: int, rows: Iterable[tuple[int, int, float]]) -> np.ndarray:
+def pair_mean(z: int, rows: Iterable[tuple[int, int, float]]) -> np.ndarray:
     """Mirrored z x z matrix of the mean r of (i, j, r) rows with i < j,
     summed in row order; NaN r are skipped, entries without a finite r are
     NaN and the diagonal is exactly 1."""
@@ -72,32 +89,36 @@ def _pair_mean(z: int, rows: Iterable[tuple[int, int, float]]) -> np.ndarray:
     return out
 
 
-def reflectivity_corr_matrix(vols: Iterable[RadarVolume]) -> np.ndarray:
+def reflectivity_corr_matrix(
+        vols: Iterable[RadarVolume | Iterable[RadarVolume]]) -> np.ndarray:
     """Mean pixel-wise Pearson correlation between altitude-level pairs.
 
     Every frame of every volume is one sample; a sample qualifies only when
     echo above ECHO_THRESHOLD_DBZ is present at all altitude levels. Entries
     with no usable samples are NaN; the diagonal is exactly 1. vols may be
-    any iterable, such as a generator that reads one volume at a time; an
-    empty one, or one whose volumes differ in level count, raises
-    ValueError.
+    any iterable, such as a generator that reads one volume at a time, and
+    each volume may be given as its frames (see _parts); an empty one, or
+    one whose volumes differ in level count, raises ValueError.
     """
     z = None
     rows = []
     for n, vol in enumerate(vols):
-        z = vol.shape[1] if z is None else z
-        if vol.shape[1] != z:
-            raise ValueError(f"volume {n} has Z={vol.shape[1]}, expected Z={z}")
-        for frame in vol.data:
-            if not all((frame[zi][vol.mask[zi]] > ECHO_THRESHOLD_DBZ).any()
-                       for zi in range(z)):
-                continue
-            for i, j in combinations(range(z), 2):
-                joint = vol.mask[i] & vol.mask[j]
-                rows.append((i, j, _pearson(frame[i][joint], frame[j][joint])))
+        for part in _parts(vol):
+            z = part.shape[1] if z is None else z
+            if part.shape[1] != z:
+                raise ValueError(f"volume {n} has Z={part.shape[1]}, "
+                                 f"expected Z={z}")
+            for frame in part.data:
+                if not all((frame[zi][part.mask[zi]] > ECHO_THRESHOLD_DBZ).any()
+                           for zi in range(z)):
+                    continue
+                for i, j in combinations(range(z), 2):
+                    joint = part.mask[i] & part.mask[j]
+                    rows.append((i, j, _pearson(frame[i][joint],
+                                                frame[j][joint])))
     if z is None:
         raise ValueError("no volumes given")
-    return _pair_mean(z, rows)
+    return pair_mean(z, rows)
 
 
 def _echo(vol: RadarVolume) -> np.ndarray:
@@ -115,9 +136,19 @@ class MotionSample(NamedTuple):
     mask: np.ndarray
 
 
-def motion_sample(mf: MotionField, vol: RadarVolume) -> MotionSample:
-    """The MotionSample of a motion field and its input volume."""
-    return MotionSample(mf, _echo(vol), vol.mask)
+def motion_sample(mf: MotionField,
+                  vol: RadarVolume | Iterable[RadarVolume]) -> MotionSample:
+    """The MotionSample of a motion field and its input volume, which may be
+    given as its frames (see _parts): their echo planes are OR-ed one frame
+    at a time. No frames at all is a ValueError."""
+    echo = None
+    for part in _parts(vol):
+        planes = _echo(part)
+        echo = planes if echo is None else np.logical_or(echo, planes,
+                                                         out=echo)
+    if echo is None:
+        raise ValueError("no frames given")
+    return MotionSample(mf, echo, part.mask)
 
 
 def _levels(s: MotionSample) -> int:
@@ -147,7 +178,8 @@ def _pair_corr(s: MotionSample, i: int, j: int, component: str) -> float:
     return _pearson(a, b)
 
 
-def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
+def motion_pair_corr(mf: MotionField,
+                     vol: RadarVolume | Iterable[RadarVolume], i: int, j: int,
                      component: str = "both") -> float:
     """Pearson correlation between the motion fields of levels i and j over
     the precipitating region of the corresponding input slices.
@@ -156,7 +188,8 @@ def motion_pair_corr(mf: MotionField, vol: RadarVolume, i: int, j: int,
     finite dBZ above NO_ECHO_DBZ in some frame: exactly the cells whose
     summed time-mean rain rate of the two slices is above 0 mm/h. component
     selects 'u', 'v', or 'both' (u and v concatenated into one vector).
-    Level indices outside [0, Z) raise ValueError.
+    Level indices outside [0, Z) raise ValueError. vol may be given as its
+    frames, as for motion_sample.
     """
     return sample_pair_corr(motion_sample(mf, vol), i, j, component)
 
@@ -172,17 +205,27 @@ def sample_pair_corr(s: MotionSample, i: int, j: int,
     return _pair_corr(s, i, j, component)
 
 
-def motion_corr_matrix(mfs: Sequence[MotionField], inputs: Sequence[RadarVolume],
+def motion_corr_matrix(mfs: Sequence[MotionField],
+                       inputs: Sequence[RadarVolume | Iterable[RadarVolume]],
                        component: str = "both") -> np.ndarray:
     """Mean pairwise motion correlation matrix over a dataset of samples.
 
-    Each pair correlation is motion_pair_corr's, over the same region.
-    Every sample must have the first sample's level count; one that differs
-    raises ValueError.
+    Each pair correlation is motion_pair_corr's, over the same region, and
+    each input volume may be given as its frames. Every sample must have
+    the first sample's level count; one that differs raises ValueError.
     """
     if len(mfs) != len(inputs):
         raise ValueError("need one input volume per motion field")
     return sample_corr_matrix(map(motion_sample, mfs, inputs), component)
+
+
+def sample_rows(s: MotionSample,
+                component: str = "both") -> list[tuple[int, int, float]]:
+    """(i, j, r) of every level pair i < j of a sample, in the order
+    sample_corr_matrix averages them, so that a caller may keep the rows of
+    many samples, not the samples, and average them with pair_mean."""
+    return [(i, j, _pair_corr(s, i, j, component))
+            for i, j in combinations(range(_levels(s)), 2)]
 
 
 def sample_corr_matrix(samples: Iterable[MotionSample],
@@ -195,12 +238,10 @@ def sample_corr_matrix(samples: Iterable[MotionSample],
         z = s.motion.nz if z is None else z
         if s.motion.nz != z:
             raise ValueError(f"sample {n} has Z={s.motion.nz}, expected Z={z}")
-        _levels(s)
-        rows += [(i, j, _pair_corr(s, i, j, component))
-                 for i, j in combinations(range(z), 2)]
+        rows += sample_rows(s, component)
     if z is None:
         raise ValueError("no samples given")
-    return _pair_mean(z, rows)
+    return pair_mean(z, rows)
 
 
 @dataclass
@@ -244,10 +285,12 @@ def monthwise_boxstats(values: Sequence[float],
     return out
 
 
-def coverage_ratio(vol: RadarVolume, threshold_dbz: float = 20.0) -> float:
+def coverage_ratio(vol: RadarVolume | Iterable[RadarVolume],
+                   threshold_dbz: float = 20.0) -> float:
     """Mean fraction of valid CMAX pixels exceeding the threshold across
-    the volume's frames."""
-    return float(rainy_ratio(cmax(vol), (threshold_dbz,))[0, 0])
+    the volume's frames, which may be given one at a time as for
+    rainy_ratio; each is pooled on its own."""
+    return float(rainy_ratio(map(cmax, _parts(vol)), (threshold_dbz,))[0, 0])
 
 
 def coverage_vs_corr_histogram(

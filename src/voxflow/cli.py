@@ -20,7 +20,7 @@ from .advect import extrapolate
 from .denoise import denoise_volume
 from .errors import DivergedError, FormatError, NoOverlapError
 from .flow import LossConfig
-from .grid import MotionField, RadarVolume, RainField, cmax
+from .grid import MotionField, RainField, cmax
 from .synth import PRESET_NAMES, generate, preset
 from .transform import rain_to_dbz, volume_to_rain
 from .variational import estimate_variational
@@ -371,12 +371,21 @@ def _motion_for(path: Path) -> MotionField | None:
     return None
 
 
-def _motion_samples(files):
-    """(stem, timestamp, volume, motion) of every volume with a motion file.
+def _frames(reader: rvol.RvolReader):
+    """The volume's frames in order, each decoded on its own when it is
+    asked for."""
+    return (reader.read(t, t + 1) for t in range(reader.header.t))
 
-    The motion file is looked up before the volume is read; the count of
-    volumes without one is noted on stderr once the files are exhausted. A
-    volume whose level count differs from the first one's is a data error.
+
+def _motion_samples(files):
+    """(stem, timestamp, open reader, motion) of every volume with a motion
+    file.
+
+    The motion file is looked up before the volume is opened, and the level
+    count is checked by _same_levels before any frame is read; the reader
+    is closed when the next sample is asked for. Once the files are
+    exhausted, the count of volumes without a motion file is noted on
+    stderr, and a corpus where no volume has one is a data error.
     """
     skipped, nz = 0, None
     for path, stem, ts in files:
@@ -384,21 +393,28 @@ def _motion_samples(files):
         if mf is None:
             skipped += 1
             continue
-        vol = rvol.read_rvol(path)
-        nz = _same_levels(path, vol, nz)
-        yield stem, ts, vol, mf
+        with rvol.RvolReader(path) as reader:
+            nz = _same_levels(path, reader.header.z, nz)
+            yield stem, ts, reader, mf
     if skipped:
         print(f"note: {skipped} volume(s) had no motion file and were skipped",
               file=sys.stderr)
+    if skipped == len(files):
+        raise ValueError("no motion files found next to the volumes")
 
 
 def _pair_samples(files, low: int, mid: int):
-    """Per-sample (id, timestamp, coverage, low/mid motion correlation)."""
+    """Per-sample (id, timestamp, coverage, low/mid motion correlation).
+    The coverage pools each frame on its stored values (read_cmax gives
+    grid.cmax of the frame without decoding its levels); the correlation's
+    region is OR-ed from the decoded frames one at a time."""
     return [analysis.OutlierSample(
                 sample_id=stem, timestamp=ts,
-                coverage=analysis.coverage_ratio(vol),
-                correlation=analysis.motion_pair_corr(mf, vol, low, mid))
-            for stem, ts, vol, mf in _motion_samples(files)]
+                coverage=analysis.coverage_ratio(
+                    map(reader.read_cmax, range(reader.header.t))),
+                correlation=analysis.motion_pair_corr(mf, _frames(reader),
+                                                      low, mid))
+            for stem, ts, reader, mf in _motion_samples(files)]
 
 
 def _write_boxstats(outdir: Path, name: str, values: list[float],
@@ -415,28 +431,30 @@ def _write_boxstats(outdir: Path, name: str, values: list[float],
                      outdir / f"{name}.svg", title=title, y_label=y_label)
 
 
-def _same_levels(path: Path, vol: RadarVolume, nz: int | None) -> int:
+def _same_levels(path: Path, z: int, nz: int | None) -> int:
     """The corpus level count: the first volume's. A volume whose level
-    count differs from it is a data error that names the volume."""
-    if nz is not None and vol.shape[1] != nz:
-        raise ValueError(f"{path} has Z={vol.shape[1]}, expected Z={nz} "
+    count z differs from it is a data error that names the volume."""
+    if nz is not None and z != nz:
+        raise ValueError(f"{path} has Z={z}, expected Z={nz} "
                          "as in the first volume")
-    return vol.shape[1]
+    return z
 
 
 def _volumes(files):
-    """Each corpus volume in turn, read when asked for, with the level
-    count checked by _same_levels."""
+    """Each corpus volume in turn as an open reader, its level count
+    checked by _same_levels before any frame is read; the reader is closed
+    when the next volume is asked for."""
     nz = None
     for path, _, _ in files:
-        vol = rvol.read_rvol(path)
-        nz = _same_levels(path, vol, nz)
-        yield vol
+        with rvol.RvolReader(path) as reader:
+            nz = _same_levels(path, reader.header.z, nz)
+            yield reader
 
 
 def _analyze_ratios(args, files, outdir: Path) -> str:
     thresholds = analysis.RAINY_THRESHOLDS_DBZ
-    ratios = [analysis.rainy_ratio(vol, thresholds) for vol in _volumes(files)]
+    ratios = [analysis.rainy_ratio(_frames(reader), thresholds)
+              for reader in _volumes(files)]
     mean = np.mean(ratios, axis=0)
     rows = [[z, _fmt(thr), float(mean[z, j])]
             for z in range(mean.shape[0])
@@ -458,7 +476,7 @@ def _analyze_ratios(args, files, outdir: Path) -> str:
 
 
 def _analyze_refl_corr(args, files, outdir: Path) -> str:
-    mat = analysis.reflectivity_corr_matrix(_volumes(files))
+    mat = analysis.reflectivity_corr_matrix(map(_frames, _volumes(files)))
     _write_matrix(outdir / "reflectivity_corr.csv", mat)
     svgplot.heatmap(mat, outdir / "reflectivity_corr.svg",
                     title="reflectivity correlation by level pair",
@@ -468,17 +486,19 @@ def _analyze_refl_corr(args, files, outdir: Path) -> str:
 
 def _analyze_motion_corr(args, files, outdir: Path) -> str:
     low, mid = args.level_pair
-    # one pass over the corpus; a sample keeps its echo and mask planes,
-    # not its volume
-    samples, stamps, corrs = [], [], []
-    for _, ts, vol, mf in _motion_samples(files):
-        samples.append(analysis.motion_sample(mf, vol))
+    # one pass over the corpus: a sample's motion is dropped once its rows
+    # and its low/mid correlation are taken
+    rows = {component: [] for component in ("both", "u", "v")}
+    stamps, corrs = [], []
+    for _, ts, reader, mf in _motion_samples(files):
+        sample = analysis.motion_sample(mf, _frames(reader))
+        corrs.append(analysis.sample_pair_corr(sample, low, mid))
         stamps.append(ts)
-        corrs.append(analysis.sample_pair_corr(samples[-1], low, mid))
-    if not samples:
-        raise ValueError("no motion files found next to the volumes")
-    for component in ("both", "u", "v"):
-        mat = analysis.sample_corr_matrix(samples, component=component)
+        for component, kept in rows.items():
+            kept += analysis.sample_rows(sample, component)
+        nz = mf.nz
+    for component, kept in rows.items():
+        mat = analysis.pair_mean(nz, kept)
         _write_matrix(outdir / f"motion_corr_{component}.csv", mat)
         if component == "both":
             svgplot.heatmap(mat, outdir / "motion_corr.svg",
@@ -534,10 +554,9 @@ def _analyze_outliers(args, files, outdir: Path) -> str:
 def _analyze_split(args, files, outdir: Path) -> str:
     """Split diagnostic: each volume's frames are treated as nowcast leads."""
     for path, stem, _ in files:
-        vol = rvol.read_rvol(path)
-        diag = analysis.cell_split_diagnostic(
-            (volume_to_rain(vol, t) for t in range(vol.shape[0])))
-        del vol  # freed before the next volume is read
+        with rvol.RvolReader(path) as reader:
+            diag = analysis.cell_split_diagnostic(
+                volume_to_rain(frame, 0) for frame in _frames(reader))
         rows = [[li, n, ";".join(str(c) for c in counts), cells]
                 for li, (n, counts, cells) in enumerate(zip(
                     diag.cmax_counts, diag.level_counts,

@@ -313,6 +313,61 @@ class TestMotionSamples:
             analysis.sample_corr_matrix([])
 
 
+def _frames(vol):
+    """The volume's frames as one-frame volumes sharing its mask."""
+    return (RadarVolume(data=vol.data[t:t + 1], z_levels=vol.z_levels,
+                        dt=vol.dt, mask=vol.mask) for t in range(vol.shape[0]))
+
+
+class TestFramesGiveTheWholeVolumeResults:
+    """Each volume statistic takes the volume's frames one at a time and
+    gives the whole volume's result bit for bit, on frames holding NaN,
+    +-inf and masked cells."""
+
+    SEEDS = range(6)
+
+    def test_ratios(self):
+        for seed in self.SEEDS:
+            _, vol = _hostile_sample(seed)
+            for thresholds in ((0.0, 20.0), (-31.5, np.inf), ()):
+                assert rainy_ratio(_frames(vol), thresholds).tobytes() == \
+                    rainy_ratio(vol, thresholds).tobytes()
+            for thr in (20.0, -32.0):
+                assert coverage_ratio(_frames(vol), thr) == \
+                    coverage_ratio(vol, thr)
+
+    def test_reflectivity_corr(self):
+        vols = [generate(preset(name, frames=4))[0] for name in ("shear8", "uniform")]
+        got = reflectivity_corr_matrix(_frames(v) for v in vols)
+        assert got.tobytes() == reflectivity_corr_matrix(vols).tobytes()
+
+    @pytest.mark.parametrize("component", ["both", "u", "v"])
+    def test_motion_corr(self, component):
+        mfs, vols = zip(*(_hostile_sample(seed) for seed in self.SEEDS))
+        got = motion_corr_matrix(mfs, [_frames(v) for v in vols], component)
+        want = motion_corr_matrix(mfs, vols, component)
+        assert got.tobytes() == want.tobytes()
+        for mf, vol in zip(mfs, vols):
+            assert np.array_equal(
+                motion_pair_corr(mf, _frames(vol), 0, 1, component),
+                motion_pair_corr(mf, vol, 0, 1, component), equal_nan=True)
+
+    def test_sample_rows_average_to_the_matrix(self):
+        mfs, vols = zip(*(_hostile_sample(seed) for seed in self.SEEDS))
+        rows = [r for mf, vol in zip(mfs, vols)
+                for r in analysis.sample_rows(analysis.motion_sample(mf, vol))]
+        assert analysis.pair_mean(4, rows).tobytes() == \
+            motion_corr_matrix(mfs, vols).tobytes()
+
+    def test_no_frames_rejected(self):
+        mf, _ = _hostile_sample(0)
+        for call in (lambda: rainy_ratio(iter([]), (0.0,)),
+                     lambda: coverage_ratio([]),
+                     lambda: analysis.motion_sample(mf, [])):
+            with pytest.raises(ValueError, match="no frames given"):
+                call()
+
+
 class TestMonthwiseBoxstats:
     def test_single_month_constant(self):
         ts = [datetime(2021, 6, 1) + timedelta(hours=i) for i in range(5)]

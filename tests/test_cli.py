@@ -17,7 +17,7 @@ from voxflow.advect import extrapolate
 from voxflow.cli import build_parser, main, parse_stem_timestamp
 from voxflow.rvol import (RvolReader, read_motion, read_rvol, write_motion,
                           write_rvol)
-from voxflow.grid import MotionField, RadarVolume
+from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume
 from voxflow.transform import rain_to_dbz, volume_to_rain
 
 
@@ -314,6 +314,29 @@ class TestVerify:
         assert "mismatch" in capsys.readouterr().err
 
 
+def _corpus(d: Path, count: int, quantize: bool = False, n: int = 40) -> None:
+    """count volumes of 4 frames x 4 levels x n^2 in d, stamped in
+    successive months, each with a random motion field as its .rmf: moving
+    echoes of a different strength per level over no echo, and in the
+    first volume invalid cells that only its last frame holds."""
+    yy, xx = np.mgrid[0:n, 0:n]
+    for i in range(count):
+        rng = np.random.default_rng(i)
+        y0, x0 = rng.uniform(0.3 * n, 0.5 * n, 2)
+        data = np.array([[(50.0 - 8.0 * z) * np.exp(
+            -((yy - y0 - t) ** 2 + (xx - x0 - (1 + z) * t) ** 2)
+            / (0.02 * n * n)) - 10.0 + rng.normal(0.0, 2.0, (n, n))
+            for z in range(4)] for t in range(4)])
+        data[data < -8.0] = NO_ECHO_DBZ
+        if i == 0:
+            data[3, 1, :5, :7] = np.nan
+        path = d / f"2021{1 + i % 12:02d}{10 + i // 12:02d}_1200.rvol"
+        write_rvol(path, RadarVolume(data=data, z_levels=500.0 * np.arange(
+            1, 5)), quantize=quantize)
+        write_motion(path.with_suffix(".rmf"),
+                     MotionField(rng.normal(0.0, 1.0, (4, 2, n, n))))
+
+
 class TestStreamingMemory:
     def test_peak_allocation_does_not_grow_with_the_lead_count(
             self, uniform_files, tmp_path):
@@ -360,6 +383,28 @@ class TestStreamingMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * np.prod(shape), peak
+
+
+    @pytest.mark.parametrize("which", ["ratios", "refl-corr", "motion-corr",
+                                       "histogram", "outliers", "split"])
+    def test_analysis_peak_does_not_grow_with_the_corpus(self, tmp_path,
+                                                         which):
+        # each volume is read one frame at a time and each motion sample is
+        # dropped once its correlations are taken, so only per-sample rows
+        # and numbers outlive a volume
+        peaks = {}
+        for count in (2, 6):
+            d = tmp_path / f"c{count}"
+            d.mkdir()
+            _corpus(d, count, n=64)
+            tracemalloc.start()
+            try:
+                assert run("analyze", d, "--which", which,
+                           "-o", d / "out") == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] <= 1.1 * peaks[2], peaks
 
 
 class TestFrameRangeReads:
@@ -552,6 +597,18 @@ class TestAnalyze:
         err = capsys.readouterr().err.splitlines()
         assert "note: 1 volume(s) had no motion file and were skipped" in err
 
+    @pytest.mark.parametrize("which", ["motion-corr", "histogram", "outliers"])
+    def test_corpus_without_motion_files_exit_1(self, dataset_dir, tmp_path,
+                                                capsys, which):
+        for vol in sorted(dataset_dir.glob("*.rvol")):
+            shutil.copy(vol, tmp_path / vol.name)
+        assert run("analyze", tmp_path, "--which", which,
+                   "-o", tmp_path / "out") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "note: 2 volume(s) had no motion file and were skipped",
+            "error: no motion files found next to the volumes"]
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     @pytest.mark.parametrize("which", ["ratios", "refl-corr", "motion-corr",
                                        "histogram", "outliers"])
     @pytest.mark.parametrize("presets", [("shear8", "shear2"),
@@ -575,6 +632,120 @@ class TestAnalyze:
     def test_empty_directory_exit_1(self, tmp_path, capsys):
         assert run("analyze", tmp_path, "--which", "ratios") == 1
         assert "no volumes found" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["f32", "u8"])
+def corpus_dir(request, tmp_path_factory):
+    d = tmp_path_factory.mktemp("corpus")
+    _corpus(d, 3, quantize=request.param)
+    return d
+
+
+class TestAnalyzeEqualsWholeVolumeReferences:
+    """Every analyze report, read one frame at a time, equals the one its
+    library function gives on whole-volume reads. The first volume's
+    invalid cells lie only in its last frame."""
+
+    @pytest.fixture
+    def refs(self, corpus_dir, tmp_path):
+        from voxflow import cli
+        files = cli._dataset(corpus_dir)
+        vols = [read_rvol(p) for p, _, _ in files]
+        assert vols[0].mask.sum() < vols[1].mask.sum()
+        return files, vols, [cli._motion_for(p) for p, _, _ in files]
+
+    def _same(self, corpus_dir, tmp_path, which, expected):
+        assert run("analyze", corpus_dir, "--which", which,
+                   "-o", tmp_path / "got") == 0
+        for name in expected:
+            assert (tmp_path / "got" / name).read_bytes() == \
+                (tmp_path / name).read_bytes(), name
+
+    def test_ratios(self, corpus_dir, tmp_path, refs):
+        from voxflow import analysis, cli
+        files, vols, _ = refs
+        thresholds = analysis.RAINY_THRESHOLDS_DBZ
+        ratios = [analysis.rainy_ratio(v, thresholds) for v in vols]
+        mean = np.mean(ratios, axis=0)
+        cli._write_csv(tmp_path / "rainy_ratios.csv",
+                       ["level", "threshold_dbz", "fraction"],
+                       [[z, cli._fmt(thr), float(mean[z, j])]
+                        for z in range(4) for j, thr in enumerate(thresholds)])
+        cli._write_boxstats(tmp_path, "rainy_ratio_monthwise",
+                            [float(r[0, 1]) for r in ratios],
+                            [ts for _, _, ts in files], "", "")
+        self._same(corpus_dir, tmp_path, "ratios",
+                   ["rainy_ratios.csv", "rainy_ratio_monthwise.csv"])
+
+    def test_refl_corr(self, corpus_dir, tmp_path, refs):
+        from voxflow import analysis, cli
+        _, vols, _ = refs
+        mat = analysis.reflectivity_corr_matrix(vols)
+        assert np.isfinite(mat).all()
+        cli._write_matrix(tmp_path / "reflectivity_corr.csv", mat)
+        self._same(corpus_dir, tmp_path, "refl-corr", ["reflectivity_corr.csv"])
+
+    def test_motion_corr(self, corpus_dir, tmp_path, refs):
+        from voxflow import analysis, cli
+        files, vols, mfs = refs
+        for component in ("both", "u", "v"):
+            cli._write_matrix(tmp_path / f"motion_corr_{component}.csv",
+                              analysis.motion_corr_matrix(mfs, vols, component))
+        cli._write_boxstats(tmp_path, "motion_corr_monthwise",
+                            [analysis.motion_pair_corr(mf, v, 0, 2)
+                             for mf, v in zip(mfs, vols)],
+                            [ts for _, _, ts in files], "", "")
+        self._same(corpus_dir, tmp_path, "motion-corr",
+                   [f"motion_corr_{c}.csv" for c in ("both", "u", "v")]
+                   + ["motion_corr_monthwise.csv"])
+
+    def _pair_samples(self, refs):
+        from voxflow import analysis
+        files, vols, mfs = refs
+        return [analysis.OutlierSample(
+                    stem, ts, analysis.coverage_ratio(v),
+                    analysis.motion_pair_corr(mf, v, 0, 2))
+                for (_, stem, ts), v, mf in zip(files, vols, mfs)]
+
+    def test_histogram(self, corpus_dir, tmp_path, refs):
+        from voxflow import cli
+        samples = self._pair_samples(refs)
+        assert all(0.0 < s.coverage < 1.0 for s in samples)
+        cli._write_csv(tmp_path / "coverage_vs_corr_samples.csv",
+                       ["sample_id", "timestamp", "coverage", "correlation"],
+                       [[s.sample_id, s.timestamp.isoformat(), s.coverage,
+                         s.correlation] for s in samples])
+        self._same(corpus_dir, tmp_path, "histogram",
+                   ["coverage_vs_corr_samples.csv"])
+
+    def test_outliers(self, corpus_dir, tmp_path, refs):
+        from voxflow import analysis, cli
+        samples = self._pair_samples(refs)
+        ranked = analysis.rank_outliers(samples, analysis.TOP_K)
+        by_id = {s.sample_id: s for s in samples}
+        cli._write_csv(tmp_path / "outliers.csv",
+                       ["rank", "sample_id", "timestamp", "coverage",
+                        "correlation"],
+                       [[rank + 1, sid, by_id[sid].timestamp.isoformat(),
+                         by_id[sid].coverage, by_id[sid].correlation]
+                        for rank, sid in enumerate(ranked.ids)])
+        self._same(corpus_dir, tmp_path, "outliers", ["outliers.csv"])
+
+    def test_split(self, corpus_dir, tmp_path, refs):
+        from voxflow import analysis, cli
+        files, vols, _ = refs
+        for (_, stem, _), vol in zip(files, vols):
+            diag = analysis.cell_split_diagnostic(
+                [volume_to_rain(vol, t) for t in range(vol.shape[0])])
+            cli._write_csv(tmp_path / f"{stem}_split.csv",
+                           ["lead", "cmax_components", "level_components",
+                            "cmax_rainy_cells"],
+                           [[li, n, ";".join(str(c) for c in counts), cells]
+                            for li, (n, counts, cells) in enumerate(zip(
+                                diag.cmax_counts, diag.level_counts,
+                                diag.cmax_rainy_cells))])
+        self._same(corpus_dir, tmp_path, "split",
+                   [f"{stem}_split.csv" for _, stem, _ in files])
 
 
 class TestConfigFile:
