@@ -212,29 +212,14 @@ def motion_corr_matrix(mfs: Sequence[MotionField],
 
     Each pair correlation is motion_pair_corr's, over the same region, and
     each input volume may be given as its frames. Every sample must have
-    the first sample's level count; one that differs raises ValueError.
+    the first sample's level count; one that differs, or an empty dataset,
+    raises ValueError.
     """
     if len(mfs) != len(inputs):
         raise ValueError("need one input volume per motion field")
-    return sample_corr_matrix(map(motion_sample, mfs, inputs), component)
-
-
-def sample_rows(s: MotionSample,
-                component: str = "both") -> list[tuple[int, int, float]]:
-    """(i, j, r) of every level pair i < j of a sample, in the order
-    sample_corr_matrix averages them, so that a caller may keep the rows of
-    many samples, not the samples, and average them with pair_mean."""
-    return [(i, j, _pair_corr(s, i, j, component))
-            for i, j in combinations(range(_levels(s)), 2)]
-
-
-def sample_corr_matrix(samples: Iterable[MotionSample],
-                       component: str = "both") -> np.ndarray:
-    """motion_corr_matrix of MotionSamples, which may be any iterable; an
-    empty one raises ValueError."""
     z = None
     rows = []
-    for n, s in enumerate(samples):
+    for n, s in enumerate(map(motion_sample, mfs, inputs)):
         z = s.motion.nz if z is None else z
         if s.motion.nz != z:
             raise ValueError(f"sample {n} has Z={s.motion.nz}, expected Z={z}")
@@ -242,6 +227,15 @@ def sample_corr_matrix(samples: Iterable[MotionSample],
     if z is None:
         raise ValueError("no samples given")
     return pair_mean(z, rows)
+
+
+def sample_rows(s: MotionSample,
+                component: str = "both") -> list[tuple[int, int, float]]:
+    """(i, j, r) of every level pair i < j of a sample, in the order
+    motion_corr_matrix averages them, so that a caller may keep the rows of
+    many samples, not the samples, and average them with pair_mean."""
+    return [(i, j, _pair_corr(s, i, j, component))
+            for i, j in combinations(range(_levels(s)), 2)]
 
 
 @dataclass

@@ -294,12 +294,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_nowcast(args) -> int:
-    t_count = rvol.read_header(args.volume).t
-    if not -t_count <= args.start_frame < t_count:
-        raise ValueError(f"start frame {args.start_frame} outside volume "
-                         f"(T={t_count})")
-    start = args.start_frame % t_count
-    vol = rvol.read_rvol(args.volume, frames=(start, start + 1))
+    with rvol.RvolReader(args.volume) as reader:
+        t_count = reader.header.t
+        if not -t_count <= args.start_frame < t_count:
+            raise ValueError(f"start frame {args.start_frame} outside volume "
+                             f"(T={t_count})")
+        start = args.start_frame % t_count
+        vol = reader.read(start, start + 1)
     mf = rvol.read_motion(args.motion)
     last = volume_to_rain(vol, 0)
     out = Path(args.out) if args.out else \

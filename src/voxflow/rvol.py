@@ -53,13 +53,12 @@ _U8_DBZ = np.arange(256, dtype=np.uint8).astype(np.float64) / 2.0 - 32.0
 _U8_DBZ[255] = NO_ECHO_DBZ
 
 
-def _decode(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decode(raw: np.ndarray) -> np.ndarray:
     """float64 dBZ of stored f32 or u8 values, NO_ECHO_DBZ where they are
-    invalid, and where they are valid: one pass from the stored dtype."""
+    invalid: one pass from the stored dtype."""
     if raw.dtype == np.uint8:
-        return _U8_DBZ[raw], raw != 255
-    valid = np.isfinite(raw)
-    return np.where(valid, raw, np.float64(NO_ECHO_DBZ)), valid
+        return _U8_DBZ[raw]
+    return np.where(np.isfinite(raw), raw, np.float64(NO_ECHO_DBZ))
 
 
 class RvolWriter:
@@ -67,7 +66,8 @@ class RvolWriter:
 
     Opening writes the header and the altitudes. write() stores a plane at
     its offset in the payload, in any order, as f32 or, with quantize, as
-    u8. A dimension that read_rvol would reject is a ValueError, raised
+    u8; a (t, z) outside the volume is a ValueError, raised before the
+    seek. A dimension that read_rvol would reject is a ValueError, raised
     before the file is opened. Used as a context manager, the writer
     removes its file when the block raises or leaves a plane unwritten, so
     no partial volume is left behind.
@@ -96,6 +96,9 @@ class RvolWriter:
               valid: np.ndarray) -> None:
         """Store plane (t, z) of the reflectivity, invalid where valid is
         False."""
+        if not (0 <= t < self.shape[0] and 0 <= z < self.shape[1]):
+            raise ValueError(f"plane ({t}, {z}) is outside the "
+                             f"{self.shape[0]} x {self.shape[1]} planes")
         if dbz.shape != self.shape[2:]:
             raise ValueError(f"plane shape {dbz.shape} != {self.shape[2:]}")
         if self._dtype == DTYPE_F32:
@@ -145,11 +148,17 @@ def write_rvol(path: str | Path, vol: RadarVolume, quantize: bool = False) -> No
             out.write_rho_hv(vol.rho_hv)
 
 
-def _read_exactly(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+def _read_into(fh, buf, what: str = "payload"):
+    """buf filled from fh; a short read is a truncated-file FormatError."""
+    n = memoryview(buf).nbytes
+    if fh.readinto(buf) != n:
         raise FormatError(what, f"truncated file: expected {n} bytes")
     return buf
+
+
+def _unpack(fh, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, _read_into(fh, bytearray(struct.calcsize(fmt)),
+                                         what))
 
 
 def _check_size(fh, declared: int, what: str = "payload") -> None:
@@ -159,6 +168,21 @@ def _check_size(fh, declared: int, what: str = "payload") -> None:
     if declared > left:
         raise FormatError(what, f"header declares {declared} more bytes, "
                                 f"file holds {left}")
+
+
+def _read_dims(fh, names: str) -> tuple[int, ...]:
+    """The u32 dimensions named by names, each in [1, _MAX_DIM]."""
+    dims = _unpack(fh, f"<{len(names)}I", "dims")
+    for name, dim in zip(names, dims):
+        if dim == 0 or dim > _MAX_DIM:
+            raise FormatError(name, f"implausible dimension {dim}")
+    return dims
+
+
+def _check_magic(fh, magic: bytes) -> None:
+    got = fh.read(4)
+    if got != magic:
+        raise FormatError("magic", f"expected {magic!r}, got {got!r}")
 
 
 class RvolHeader(NamedTuple):
@@ -174,48 +198,16 @@ class RvolHeader(NamedTuple):
 
 
 def _parse_header(fh) -> RvolHeader:
-    magic = fh.read(4)
-    if magic != RVOL_MAGIC:
-        raise FormatError("magic", f"expected {RVOL_MAGIC!r}, got {magic!r}")
-    (version,) = struct.unpack("<B", _read_exactly(fh, 1, "version"))
+    _check_magic(fh, RVOL_MAGIC)
+    (version,) = _unpack(fh, "<B", "version")
     if version != RVOL_VERSION:
         raise FormatError("version", f"unsupported version {version}")
-    t, z, y, x = struct.unpack("<IIII", _read_exactly(fh, 16, "dims"))
-    for name, dim in (("T", t), ("Z", z), ("Y", y), ("X", x)):
-        if dim == 0 or dim > _MAX_DIM:
-            raise FormatError(name, f"implausible dimension {dim}")
-    (dtype,) = struct.unpack("<B", _read_exactly(fh, 1, "dtype"))
+    t, z, y, x = _read_dims(fh, "TZYX")
+    (dtype,) = _unpack(fh, "<B", "dtype")
     if dtype not in (DTYPE_F32, DTYPE_U8):
         raise FormatError("dtype", f"unknown dtype code {dtype}")
-    (dt_seconds,) = struct.unpack("<I", _read_exactly(fh, 4, "dt_seconds"))
+    (dt_seconds,) = _unpack(fh, "<I", "dt_seconds")
     return RvolHeader(t, z, y, x, dtype, dt_seconds)
-
-
-def read_header(path: str | Path) -> RvolHeader:
-    """The validated header of an RVOL file, without its payload."""
-    with open(path, "rb") as fh:
-        return _parse_header(fh)
-
-
-def _frames_valid(fh, count: int, shape: tuple, dtype) -> np.ndarray | bool:
-    """AND of the validity of the next count payload frames, read one frame
-    at a time and checked on the stored values (finite for f32, not 255 for
-    u8) without decoding them; True when count is 0."""
-    if not count:
-        return True
-    frame = np.empty(shape, dtype=dtype)
-    valid = np.ones(shape, dtype=bool)
-    ok = np.empty(shape, dtype=bool)
-    for _ in range(count):
-        if fh.readinto(frame) != frame.nbytes:
-            raise FormatError("payload", f"truncated file: expected "
-                                         f"{frame.nbytes} more bytes")
-        if frame.dtype == np.uint8:
-            np.not_equal(frame, 255, out=ok)
-        else:
-            np.isfinite(frame, out=ok)
-        valid &= ok
-    return valid
 
 
 class RvolReader:
@@ -224,10 +216,9 @@ class RvolReader:
     Opening reads and checks the header, the altitudes and where the
     payload and the optional RHOH chunk lie, and that nothing follows them;
     it does not read the payload. The static mask covers every frame: the
-    first read() checks each frame outside its range for invalid cells
-    without decoding it, the first read_cmax() checks every frame, and
-    later reads reuse that mask, so reading a file one frame at a time
-    reads each frame at most twice.
+    first read() or read_cmax() checks the stored values of every frame for
+    invalid cells (non-finite f32, u8 255), one frame at a time and without
+    decoding it, and later reads reuse that mask.
 
     read_cmax() pools a frame to its column maximum on the stored f32 or
     u8 values, in a frame buffer the reader keeps, and decodes only the
@@ -242,13 +233,12 @@ class RvolReader:
             self.header = head = _parse_header(fh)
             t, z, y, x, dtype = head[:5]
             self._stored = "<f4" if dtype == DTYPE_F32 else np.uint8
-            self._frame = z * y * x
-            self._frame_bytes = np.dtype(self._stored).itemsize * self._frame
-            n = t * self._frame
+            self._frame = (z, y, x)
+            self._frame_bytes = np.dtype(self._stored).itemsize * z * y * x
+            n = t * z * y * x
             _check_size(fh, 4 * z + t * self._frame_bytes)
-            self.z_levels = np.frombuffer(
-                _read_exactly(fh, 4 * z, "altitudes"), dtype="<f4"
-            ).astype(np.float64)
+            self.z_levels = _read_into(fh, np.empty(z, "<f4"),
+                                       "altitudes").astype(np.float64)
             if z > 1 and not np.all(np.diff(self.z_levels) > 0):
                 raise FormatError("altitudes",
                                   "z_levels must be strictly increasing")
@@ -270,67 +260,64 @@ class RvolReader:
             raise
         self._mask = self._buffer = None
 
-    def _valid(self, start: int, stop: int) -> np.ndarray | bool:
-        """AND of the validity of frames [start, stop), not decoded."""
-        head = self.header
-        self._fh.seek(self._payload + start * self._frame_bytes)
-        return _frames_valid(self._fh, stop - start,
-                             (head.z, head.y, head.x), self._stored)
-
-    def _check_range(self, start: int, stop: int) -> None:
-        if not 0 <= start < stop <= self.header.t:
+    def _seek(self, start: int, stop: int) -> np.ndarray:
+        """The static mask, with the file at frame start. A range that is
+        empty or outside [0, T) is a FormatError. The first call scans
+        every frame for the mask, in buffers freed before it returns."""
+        t = self.header.t
+        if not 0 <= start < stop <= t:
             raise FormatError("frames", f"range [{start}, {stop}) is empty or "
-                                        f"outside the volume "
-                                        f"(T={self.header.t})")
+                                        f"outside the volume (T={t})")
+        if self._mask is None:
+            self._fh.seek(self._payload)
+            frame = np.empty(self._frame, self._stored)
+            mask, ok = np.ones(self._frame, bool), np.empty(self._frame, bool)
+            for _ in range(t):
+                _read_into(self._fh, frame)
+                if frame.dtype == np.uint8:
+                    np.not_equal(frame, 255, out=ok)
+                else:
+                    np.isfinite(frame, out=ok)
+                mask &= ok
+            self._mask = mask
+        self._fh.seek(self._payload + start * self._frame_bytes)
+        return self._mask
 
     def read(self, start: int, stop: int) -> RadarVolume:
         """Frames [start, stop) with the file's static mask, decoded as a
         whole-file read decodes them. A range that is empty or outside
         [0, T) is a FormatError."""
-        self._check_range(start, stop)
-        t, z, y, x, _, dt_seconds = self.header
-        count, fh = stop - start, self._fh
-        fh.seek(self._payload + start * self._frame_bytes)
-        raw = np.frombuffer(_read_exactly(fh, count * self._frame_bytes,
-                                          "payload"), dtype=self._stored)
-        data, valid = _decode(raw.reshape(count, z, y, x))
-        if self._mask is None:
-            self._mask = valid.all(axis=0)
-            self._mask &= self._valid(0, start)
-            self._mask &= self._valid(stop, t)
-
+        mask = self._seek(start, stop)
+        count = stop - start
+        data = _decode(_read_into(self._fh, np.empty((count,) + self._frame,
+                                                     self._stored)))
         rho = None
         if self._rho is not None:
-            fh.seek(self._rho + start * self._frame)
-            raw = np.frombuffer(_read_exactly(fh, count * self._frame,
-                                              "rho_hv"), dtype=np.uint8)
-            rho = raw.reshape(count, z, y, x).astype(np.float64) / 200.0
+            self._fh.seek(self._rho + start * mask.size)
+            rho = _read_into(self._fh, np.empty(data.shape, np.uint8),
+                             "rho_hv").astype(np.float64) / 200.0
         return RadarVolume(data=data, z_levels=self.z_levels,
-                           dt=float(dt_seconds), mask=self._mask.copy(),
+                           dt=float(self.header.dt_seconds), mask=mask.copy(),
                            rho_hv=rho)
 
     def read_cmax(self, t: int) -> RadarVolume:
         """grid.cmax(read(t, t + 1)), byte for byte, pooled on the stored
         values before the one pooled level is decoded. A frame outside
         [0, T) is a FormatError."""
-        self._check_range(t, t + 1)
-        if self._mask is None:
-            self._mask = self._valid(0, self.header.t)
+        mask = self._seek(t, t + 1)
         if self._buffer is None:
-            self._buffer = np.empty(self._mask.shape, self._stored)
-        self._fh.seek(self._payload + t * self._frame_bytes)
-        if self._fh.readinto(self._buffer) != self._frame_bytes:
-            raise FormatError("payload", "truncated file: expected "
-                                         f"{self._frame_bytes} bytes")
+            self._buffer = np.empty(self._frame, self._stored)
         # a column without a valid cell takes the stored invalid value
-        top, mask = pool_max(self._buffer, self._mask,
-                             255 if self.header.dtype == DTYPE_U8 else np.nan)
-        return RadarVolume(data=_decode(top[None])[0],
+        top, pooled = pool_max(_read_into(self._fh, self._buffer), mask,
+                               255 if self.header.dtype == DTYPE_U8 else np.nan)
+        return RadarVolume(data=_decode(top[None]),
                            z_levels=self.z_levels.max(keepdims=True),
-                           dt=float(self.header.dt_seconds), mask=mask)
+                           dt=float(self.header.dt_seconds), mask=pooled)
 
     def close(self) -> None:
+        """Close the file and drop the mask and the frame buffer."""
         self._fh.close()
+        self._mask = self._buffer = None
 
     def __enter__(self) -> RvolReader:
         return self
@@ -339,19 +326,11 @@ class RvolReader:
         self.close()
 
 
-def read_rvol(path: str | Path,
-              frames: tuple[int, int] | None = None) -> RadarVolume:
-    """Read an RVOL file, or only its frames [start, stop) when frames is
-    given: RvolReader's read on a file opened for that one read.
-
-    The frames read are decoded as a whole-volume read decodes them. The
-    static mask still covers every frame of the file: each frame outside
-    the range is checked for invalid cells one at a time, without decoding
-    it. A range that is empty or outside [0, T) is a FormatError.
-    """
+def read_rvol(path: str | Path) -> RadarVolume:
+    """Read a whole RVOL file: RvolReader's read of every frame, on a file
+    opened for that one read."""
     with RvolReader(path) as reader:
-        return reader.read(*((0, reader.header.t) if frames is None
-                             else frames))
+        return reader.read(0, reader.header.t)
 
 
 def write_motion(path: str | Path, mf: MotionField) -> None:
@@ -365,19 +344,14 @@ def write_motion(path: str | Path, mf: MotionField) -> None:
 
 def read_motion(path: str | Path) -> MotionField:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != RMF_MAGIC:
-            raise FormatError("magic", f"expected {RMF_MAGIC!r}, got {magic!r}")
-        z, y, x = struct.unpack("<III", _read_exactly(fh, 12, "dims"))
-        for name, dim in (("Z", z), ("Y", y), ("X", x)):
-            if dim == 0 or dim > _MAX_DIM:
-                raise FormatError(name, f"implausible dimension {dim}")
+        _check_magic(fh, RMF_MAGIC)
+        z, y, x = _read_dims(fh, "ZYX")
         n = z * 2 * y * x
         _check_size(fh, 4 * n)
-        raw = np.frombuffer(_read_exactly(fh, 4 * n, "payload"), dtype="<f4")
+        raw = _read_into(fh, np.empty((z, 2, y, x), "<f4"))
         if fh.read(1):
             raise FormatError("chunk", "unexpected trailing bytes after the payload")
     try:
-        return MotionField(raw.reshape(z, 2, y, x).astype(np.float64))
+        return MotionField(raw.astype(np.float64))
     except ValueError as exc:
         raise FormatError("payload", str(exc)) from None

@@ -291,7 +291,9 @@ class TestMotionSamples:
         for s, vol in zip(samples, vols):
             assert s.echo.shape == s.mask.shape == vol.shape[1:]
             assert not np.shares_memory(s.echo, vol.data)
-        got = analysis.sample_corr_matrix(iter(samples), component=component)
+        # the CLI's composition: each sample's rows, averaged at the end
+        got = analysis.pair_mean(4, [r for s in samples
+                                     for r in analysis.sample_rows(s, component)])
         want = motion_corr_matrix(mfs, vols, component=component)
         assert got.tobytes() == want.tobytes()
         for s, mf, vol in zip(samples, mfs, vols):
@@ -304,13 +306,14 @@ class TestMotionSamples:
         s = analysis.motion_sample(mf, vol)
         with pytest.raises(ValueError, match="level index 4 outside"):
             analysis.sample_pair_corr(s, 0, 4)
-        short = analysis.motion_sample(MotionField(mf.u[:3]), vol)
-        for call in (lambda: analysis.sample_pair_corr(short, 0, 1),
-                     lambda: analysis.sample_corr_matrix([short])):
+        short = MotionField(mf.u[:3])
+        for call in (lambda: analysis.sample_pair_corr(
+                        analysis.motion_sample(short, vol), 0, 1),
+                     lambda: motion_corr_matrix([short], [vol])):
             with pytest.raises(ValueError, match="level counts differ"):
                 call()
         with pytest.raises(ValueError, match="no samples given"):
-            analysis.sample_corr_matrix([])
+            motion_corr_matrix([], [])
 
 
 def _frames(vol):

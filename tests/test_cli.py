@@ -224,7 +224,8 @@ class TestNowcast:
         write_motion(motion, mf)
         assert run("nowcast", vol, motion, "-k", "5", "--start-frame", "2",
                    "-o", out) == 0
-        src = read_rvol(vol, frames=(2, 3))
+        with RvolReader(vol) as reader:
+            src = reader.read(2, 3)
         leads = extrapolate(volume_to_rain(src, 0), read_motion(motion), 5)
         mask = np.logical_and.reduce([lead.mask for lead in leads])
         assert not any((mask == lead.mask).all() for lead in leads)
@@ -428,7 +429,8 @@ class TestFrameRangeReads:
             for i in np.flatnonzero(np.isnan(data)):
                 raw[payload + i] = 255
             path.write_bytes(bytes(raw))
-        assert not read_rvol(path, frames=(7, 11)).mask.all()
+        with RvolReader(path) as reader:
+            assert not reader.read(7, 11).mask.all()
 
         def outputs(tag):
             (tmp_path / tag).mkdir()  # one stem: the CSV holds the stem
@@ -440,12 +442,13 @@ class TestFrameRangeReads:
 
         ranged = outputs("ranged")
 
-        def whole_read(p, frames=None):
-            full = read_rvol(p)
-            lo, hi = frames or (0, full.shape[0])
-            return RadarVolume(data=full.data[lo:hi], z_levels=full.z_levels,
-                               dt=full.dt, mask=full.mask)
-        monkeypatch.setattr("voxflow.cli.rvol.read_rvol", whole_read)
+        # the nowcast's frame sliced from a whole-volume read
+        whole = read_rvol(path)
+        monkeypatch.setattr("voxflow.rvol.RvolReader.read",
+                            lambda r, start, stop: RadarVolume(
+                                data=whole.data[start:stop],
+                                z_levels=whole.z_levels, dt=whole.dt,
+                                mask=whole.mask))
         assert ranged == outputs("whole")
 
     @pytest.mark.parametrize("extra", [
@@ -467,7 +470,8 @@ class TestFrameRangeReads:
         path = tmp_path / "v.rvol"
         write_rvol(path, RadarVolume(data=data, z_levels=[500.0, 1500.0],
                                      rho_hv=rho))
-        assert not read_rvol(path, frames=(0, 4)).mask[1, 3, 4]
+        with RvolReader(path) as reader:
+            assert not reader.read(0, 4).mask[1, 3, 4]
 
         def outputs(tag):
             out = tmp_path / tag / "m.rmf"
@@ -986,7 +990,7 @@ class TestErrors:
     def test_memory_error_is_one_error_line(self, monkeypatch, capsys):
         def exhausted(path):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
-        monkeypatch.setattr("voxflow.cli.rvol.read_header", exhausted)
+        monkeypatch.setattr("voxflow.cli.rvol.RvolReader", exhausted)
         assert run("nowcast", "v.rvol", "m.rmf", "-k", "2") == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: out of memory: Unable to allocate 7.28 TiB "

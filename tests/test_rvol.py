@@ -14,7 +14,6 @@ from voxflow.rvol import (
     RVOL_MAGIC,
     RvolReader,
     RvolWriter,
-    read_header,
     read_motion,
     read_rvol,
     write_motion,
@@ -227,6 +226,13 @@ def _write_with_holes(path, vol, quantize, holes):
 _RANGES = [(lo, hi) for lo in range(3) for hi in range(lo + 1, 4)]
 
 
+def _read_frames(path, frames=None) -> RadarVolume:
+    """Frames [lo, hi) of an RVOL file, or all of them when frames is None,
+    read through one RvolReader."""
+    with RvolReader(path) as reader:
+        return reader.read(*(frames or (0, reader.header.t)))
+
+
 class TestRvolFrameRange:
     @pytest.mark.parametrize("quantize", [False, True])
     @pytest.mark.parametrize("with_rho", [False, True])
@@ -235,10 +241,11 @@ class TestRvolFrameRange:
                             with_mask=True)
         path = tmp_path / "v.rvol"
         _write_with_holes(path, vol, quantize, [(0, 1, 2, 3), (2, 0, 7, 9)])
-        assert read_header(path) == (3, 2, 8, 10, int(quantize), 300)
+        with RvolReader(path) as reader:
+            assert reader.header == (3, 2, 8, 10, int(quantize), 300)
         whole = read_rvol(path)
         for lo, hi in _RANGES:
-            part = read_rvol(path, frames=(lo, hi))
+            part = _read_frames(path, (lo, hi))
             assert part.data.tobytes() == whole.data[lo:hi].tobytes()
             assert part.mask.tobytes() == whole.mask.tobytes()
             if with_rho:
@@ -253,7 +260,7 @@ class TestRvolFrameRange:
         vol = sample_volume(np.random.default_rng(21))
         path = tmp_path / "v.rvol"
         _write_with_holes(path, vol, quantize, [(0, 1, 2, 3), (2, 0, 7, 9)])
-        mask = read_rvol(path, frames=(1, 2)).mask
+        mask = _read_frames(path, (1, 2)).mask
         assert not mask[1, 2, 3] and not mask[0, 7, 9]
         assert np.count_nonzero(~mask) == 2
 
@@ -262,7 +269,7 @@ class TestRvolFrameRange:
         path = tmp_path / "v.rvol"
         write_rvol(path, sample_volume(np.random.default_rng(22)))
         with pytest.raises(FormatError) as err:
-            read_rvol(path, frames=frames)
+            _read_frames(path, frames)
         assert err.value.field == "frames"
 
     @pytest.mark.parametrize("frames", _RANGES)
@@ -271,7 +278,7 @@ class TestRvolFrameRange:
         write_rvol(path, sample_volume(np.random.default_rng(23), with_rho=True))
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FormatError) as err:
-            read_rvol(path, frames=frames)
+            _read_frames(path, frames)
         assert err.value.field == "rho_hv"
 
     @pytest.mark.parametrize("frames", [None] + _RANGES)
@@ -281,7 +288,7 @@ class TestRvolFrameRange:
         with open(path, "ab") as fh:
             fh.write(b"junkjunk")
         with pytest.raises(FormatError) as err:
-            read_rvol(path, frames=frames)
+            _read_frames(path, frames)
         assert err.value.field == "chunk"
 
 
@@ -361,6 +368,17 @@ class TestRvolWriter:
             with RvolWriter(path, vol.shape, vol.z_levels, vol.dt):
                 raise KeyError("stop")
         assert not path.exists()
+        # a plane outside the 3 x 2 planes is refused before the seek, which
+        # would land in the altitudes or past the payload
+        for t, z in [(-1, 1), (1, -1), (3, 0), (0, 2)]:
+            with pytest.raises(ValueError, match=f"plane \\({t}, {z}\\) is "
+                                                 "outside the 3 x 2 planes"):
+                with RvolWriter(path, vol.shape, vol.z_levels, vol.dt) as out:
+                    for tz in np.ndindex(vol.shape[:2]):
+                        if tz != (2, 1):
+                            out.write(*tz, vol.data[tz], vol.mask[tz[1]])
+                    out.write(t, z, vol.data[2, 1], vol.mask[1])
+            assert not path.exists()
 
 
 #: damaged files: (label, bytes to keep from the end, bytes to append)
@@ -382,7 +400,7 @@ class TestRvolReader:
         _write_with_holes(path, vol, quantize, [(0, 1, 2, 3), (2, 0, 7, 9)])
         whole = read_rvol(path)
         with RvolReader(path) as reader:
-            assert reader.header == read_header(path)
+            assert reader.header == (3, 2, 8, 10, int(quantize), 300)
             for t in order:
                 part = reader.read(t, t + 1)
                 assert part.data.tobytes() == whole.data[t:t + 1].tobytes()
@@ -417,15 +435,45 @@ class TestRvolReader:
         path = tmp_path / "v.rvol"
         _write_with_holes(path, sample_volume(np.random.default_rng(45)),
                           False, [(2, 0, 7, 9)])
-        scanned = []
-        frames_valid = rvol_module._frames_valid
-        monkeypatch.setattr(rvol_module, "_frames_valid",
-                            lambda fh, count, *a: (scanned.append(count),
-                                                   frames_valid(fh, count, *a))[1])
+        sizes, read_into = [], rvol_module._read_into
+        monkeypatch.setattr(rvol_module, "_read_into", lambda fh, buf, *a: (
+            sizes.append(memoryview(buf).nbytes), read_into(fh, buf, *a))[1])
+        # whole frames first, pooled frames first, and a mix of both
+        for calls in ([("read", 0), ("read", 1), ("read", 2)],
+                      [("cmax", 2), ("cmax", 0), ("cmax", 1)],
+                      [("cmax", 1), ("read", 2), ("cmax", 2), ("read", 0)]):
+            with RvolReader(path) as reader:
+                sizes.clear()  # the header and the altitudes
+                for kind, t in calls:
+                    if kind == "read":
+                        assert not reader.read(t, t + 1).mask[0, 7, 9]
+                    else:
+                        reader.read_cmax(t)
+            # one scan of the 3 frames, then one frame per call
+            assert sizes == [4 * 2 * 8 * 10] * (3 + len(calls)), calls
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_first_read_frees_the_scan_before_decoding(self, tmp_path,
+                                                       quantize):
+        # the first read scans every frame for the static mask, then
+        # decodes its frame as a later read does: its peak is a later
+        # read's plus the one bool plane of the mask it keeps, not plus
+        # the scan's stored frame
+        vol = RadarVolume(data=np.random.default_rng(46).uniform(
+            -20.0, 60.0, (3, 8, 128, 128)), z_levels=np.arange(1.0, 9.0))
+        path = tmp_path / "v.rvol"
+        write_rvol(path, vol, quantize)
+        peaks = []
         with RvolReader(path) as reader:
-            for t in range(3):
-                assert not reader.read(t, t + 1).mask[0, 7, 9]
-        assert sum(scanned) == 2
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    reader.read(1, 2)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        first, later = peaks
+        assert first < later + 8 * 128 * 128 + 32 * 1024, peaks
 
 
 def _cmax_volume(seed, z, with_rho):
@@ -652,7 +700,7 @@ def _mutated(draw, valid: bytes) -> bytes:
 #: its keyword arguments: the RVOL reader also reads frame ranges, valid,
 #: empty and outside the volume alike
 READERS = {
-    "rvol": (read_rvol, RadarVolume, RVOL_MAGIC + b"\x01",
+    "rvol": (_read_frames, RadarVolume, RVOL_MAGIC + b"\x01",
              st.fixed_dictionaries({"frames": st.none() | st.tuples(
                  st.integers(-1, 4), st.integers(-1, 4))})),
     "rmf": (read_motion, MotionField, RMF_MAGIC, st.just({})),
