@@ -166,7 +166,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--frames", type=_int_in(1, rvol._MAX_DIM), default=None,
                    help="override the preset's frame count (>= 1)")
     p.add_argument("--crop-scale", action="store_true",
-                   help="512 x 512 geometry for the uniform preset")
+                   help="512 x 512 geometry; the uniform preset only")
     p.add_argument("--quantize", action="store_true",
                    help="store reflectivity as 8-bit (0.5 dBZ steps)")
     _add_common(p)

@@ -334,12 +334,24 @@ def read_rvol(path: str | Path) -> RadarVolume:
 
 
 def write_motion(path: str | Path, mf: MotionField) -> None:
-    z = mf.nz
-    y, x = mf.grid_shape
+    """Write mf as RMF1, one level at a time. A dimension that read_motion
+    would reject is a ValueError, raised before the file is opened; a
+    write that raises removes the file."""
+    dims = (mf.nz, *mf.grid_shape)
+    for name, dim in zip("ZYX", dims):
+        if not 1 <= dim <= _MAX_DIM:
+            raise ValueError(f"RMF dimension {name}={dim} is outside "
+                             f"[1, {_MAX_DIM}]")
     with open(path, "wb") as fh:
-        fh.write(RMF_MAGIC)
-        fh.write(struct.pack("<III", z, y, x))
-        fh.write(mf.u.astype("<f4").tobytes())
+        try:
+            fh.write(RMF_MAGIC)
+            fh.write(struct.pack("<III", *dims))
+            for level in mf.u:
+                fh.write(level.astype("<f4"))
+        except BaseException:
+            fh.close()
+            Path(path).unlink(missing_ok=True)
+            raise
 
 
 def read_motion(path: str | Path) -> MotionField:

@@ -140,22 +140,51 @@ def _cell_position(scn: SyntheticScenario, z: int, b: int, t: int):
 
 def _add_gaussian(plane: np.ndarray, cy: float, cx: float, amp: float,
                   sigma: float, work: np.ndarray) -> None:
-    """plane = max(plane, amp * exp(-r2 / (2 sigma^2))); work is scratch of
-    plane's shape.
+    """plane = max(plane, amp * exp(-r2 / (2 sigma^2))) wherever that value
+    can reach ECHO_FLOOR_DBZ; work is scratch of plane's shape.
 
-    Every value equals, bit for bit, that of the whole-plane formula
+    Beyond R = sigma * sqrt(2 ln(amp / ECHO_FLOOR_DBZ)) of the centre the
+    value is under the floor, which _threshold turns into no echo, so only
+    the grid-clipped square of radius R (plus margins for rounding) is
+    rendered, into a contiguous slice of work; a cell under the floor or
+    whose square misses the grid renders nothing. Every value equals, bit
+    for bit, that of the whole-plane formula
     amp * exp(-((yg - cy)**2 + (xg - cx)**2) / (2 sigma^2)): the squares
-    come from 1-D row and column terms, added negated, and (-a) + (-b)
-    rounds to -(a + b) exactly.
+    come from 1-D row and column terms of the grid indices, added negated,
+    and (-a) + (-b) rounds to -(a + b) exactly. A NaN centre, or a sigma
+    whose 2 sigma^2 overflows, can give NaN values far from the centre, so
+    such a cell renders the whole plane.
     """
     ny, nx = plane.shape
-    neg_dy2 = -((np.arange(ny, dtype=np.float64) - cy) ** 2)
-    neg_dx2 = -((np.arange(nx, dtype=np.float64) - cx) ** 2)
-    np.add(neg_dy2[:, None], neg_dx2, out=work)
-    work /= 2.0 * sigma ** 2
-    np.exp(work, out=work)
-    work *= amp
-    np.maximum(plane, work, out=plane)
+    two_s2 = 2.0 * sigma ** 2
+    if math.isnan(cy) or math.isnan(cx) or math.isinf(two_s2):
+        y0, y1, x0, x1 = 0, ny, 0, nx
+    else:
+        if amp < ECHO_FLOOR_DBZ:
+            return
+        # R with room for rounding: a relative margin, an absolute one in
+        # the exponent (amplitudes at the floor, where R is 0) and a cell
+        log_ratio = math.log(amp / ECHO_FLOOR_DBZ)
+        reach = sigma * math.sqrt(2.0 * log_ratio + 1e-9) * (1.0 + 1e-6) + 1.0
+        # an infinite centre fails these tests, so only finite bounds are
+        # rounded to indices
+        if not (cy + reach >= 0.0 and cy - reach <= ny - 1.0
+                and cx + reach >= 0.0 and cx - reach <= nx - 1.0):
+            return
+        y0 = math.ceil(max(cy - reach, 0.0))
+        y1 = math.floor(min(cy + reach, ny - 1.0)) + 1
+        x0 = math.ceil(max(cx - reach, 0.0))
+        x1 = math.floor(min(cx + reach, nx - 1.0)) + 1
+    neg_dy2 = -((np.arange(y0, y1, dtype=np.float64) - cy) ** 2)
+    neg_dx2 = -((np.arange(x0, x1, dtype=np.float64) - cx) ** 2)
+    box = work.reshape(-1)[:neg_dy2.size * neg_dx2.size].reshape(
+        neg_dy2.size, neg_dx2.size)
+    np.add(neg_dy2[:, None], neg_dx2, out=box)
+    box /= two_s2
+    np.exp(box, out=box)
+    box *= amp
+    target = plane[y0:y1, x0:x1]
+    np.maximum(target, box, out=target)
 
 
 def _threshold(plane: np.ndarray, fill: float) -> None:
@@ -272,7 +301,8 @@ def preset(name: str, frames: int | None = None, seed: int = 0,
 
     frames overrides the time dimension (e.g. to extend a scenario far
     enough for long-lead verification); crop_scale switches the uniform
-    scenario to the 24 x 8 x 512 x 512 geometry.
+    scenario to the 24 x 8 x 512 x 512 geometry and is a ValueError for
+    every other preset.
     """
     key = name.lower()
     if key == "uniform":
@@ -336,6 +366,9 @@ def preset(name: str, frames: int | None = None, seed: int = 0,
                                 switch_t=7, switch_velocities=after, seed=seed)
     else:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if crop_scale and key != "uniform":
+        raise ValueError(f"crop_scale applies to the uniform preset only, "
+                         f"not {name!r}")
     if frames is not None:
         scn.shape = (frames,) + scn.shape[1:]
     return scn

@@ -18,6 +18,7 @@ from voxflow.cli import build_parser, main, parse_stem_timestamp
 from voxflow.rvol import (RvolReader, read_motion, read_rvol, write_motion,
                           write_rvol)
 from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume
+from voxflow.synth import PRESET_NAMES
 from voxflow.transform import rain_to_dbz, volume_to_rain
 
 
@@ -90,6 +91,15 @@ class TestSynth:
         with pytest.raises(SystemExit) as err:
             run("synth", "--preset", "uniform")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "uniform"])
+    def test_crop_scale_of_another_preset_is_one_error_line(self, tmp_path,
+                                                            capsys, name):
+        out = tmp_path / "c.rvol"
+        assert run("synth", "--preset", name, "--crop-scale", "-o", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: crop_scale applies to the uniform preset only, not {name!r}"]
+        assert not out.exists()
 
     def test_quantized_output_readable(self, tmp_path):
         out = tmp_path / "q.rvol"

@@ -1,3 +1,4 @@
+import errno
 import struct
 import tracemalloc
 
@@ -658,6 +659,73 @@ class TestMotionFile:
         with pytest.raises(FormatError) as err:
             read_motion(path)
         assert err.value.field == "chunk"
+
+    def test_bytes_are_the_whole_field_layout(self, tmp_path):
+        mf = MotionField(np.random.default_rng(8).normal(0, 2, (3, 2, 5, 4)))
+        path = tmp_path / "m.rmf"
+        write_motion(path, mf)
+        assert path.read_bytes() == (RMF_MAGIC + struct.pack("<III", 3, 5, 4)
+                                     + mf.u.astype("<f4").tobytes())
+
+    @pytest.mark.parametrize("shape", [(0, 2, 4, 4), (1, 2, 0, 4),
+                                       (1, 2, 4, 100_001)])
+    def test_dimension_the_reader_rejects_is_refused_before_opening(
+            self, tmp_path, shape):
+        path = tmp_path / "m.rmf"
+        with pytest.raises(ValueError, match="outside \\[1, 100000\\]"):
+            write_motion(path, MotionField(np.zeros(shape, np.float32)))
+        assert not path.exists()
+
+    def test_failed_write_removes_the_file(self, tmp_path, monkeypatch):
+        class FullDisk:
+            """A file that takes the header, then fails as a full disk
+            would."""
+
+            def __init__(self, path, mode):
+                self._fh = open(path, mode)
+                self.writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self._fh.write(data)
+
+            def close(self):
+                self._fh.close()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.close()
+
+        opened = []
+
+        def full_disk_open(path, mode):
+            opened.append(FullDisk(path, mode))
+            return opened[-1]
+
+        monkeypatch.setattr(rvol_module, "open", full_disk_open, raising=False)
+        path = tmp_path / "m.rmf"
+        with pytest.raises(OSError, match="No space left"):
+            write_motion(path, MotionField(np.zeros((2, 2, 4, 4))))
+        assert opened[0].writes == 3
+        assert not path.exists()
+
+    def test_peak_memory_is_one_level(self, tmp_path):
+        """One level's f32 copy at a time, not f32 and bytes copies of the
+        whole field."""
+        mf = MotionField(np.random.default_rng(9).normal(0, 2, (4, 2, 64, 64)))
+        level_f32 = 4 * 2 * 64 * 64
+        write_motion(tmp_path / "warm.rmf", mf)
+        tracemalloc.start()
+        try:
+            write_motion(tmp_path / "m.rmf", mf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * level_f32, peak
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -118,6 +119,12 @@ class TestPresets:
     def test_crop_scale_geometry(self):
         scn = preset("uniform", crop_scale=True)
         assert scn.shape == (24, 8, 512, 512)
+
+    @pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "uniform"])
+    def test_crop_scale_of_another_preset_is_rejected(self, name):
+        with pytest.raises(ValueError, match="crop_scale applies to the "
+                                             "uniform preset only"):
+            preset(name, crop_scale=True)
 
     def test_frames_override(self):
         scn = preset("uniform", frames=24)
@@ -281,9 +288,18 @@ def _scenarios(draw):
     amp_scale = draw(st.one_of(
         st.none(), st.lists(st.floats(0.5, 1.5), min_size=z_count,
                             max_size=z_count)))
+    # sub-cell offsets as the benchmark draws them, or ones that carry a
+    # cell across a grid edge
+    shift = st.one_of(st.floats(-0.5, 0.5),
+                      st.floats(-2.0 * max(ny, nx), 2.0 * max(ny, nx)))
+    offsets = draw(st.one_of(st.none(), st.lists(
+        shift, min_size=z_count * len(cells) * 2,
+        max_size=z_count * len(cells) * 2)))
+    if offsets is not None:
+        offsets = np.array(offsets).reshape(z_count, len(cells), 2)
     return SyntheticScenario(shape=(t_count, z_count, ny, nx), cells=cells,
                              velocities=vel, amplitude_trend=trend,
-                             level_amp_scale=amp_scale)
+                             level_amp_scale=amp_scale, level_offsets=offsets)
 
 
 class TestByteIdentityWithReference:
@@ -293,6 +309,16 @@ class TestByteIdentityWithReference:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets(self, name, seed):
         _assert_same_bytes(preset(name, seed=seed))
+
+    @pytest.mark.parametrize("name", ["uniform", "shear2", "shear8"])
+    def test_presets_with_level_offsets(self, name):
+        """The benchmark's inputs: seeded sub-cell offsets per level and
+        cell."""
+        scn = preset(name)
+        z, n = scn.shape[1], len(scn.cells)
+        rng = np.random.default_rng(PRESET_NAMES.index(name))
+        _assert_same_bytes(dataclasses.replace(
+            scn, level_offsets=rng.uniform(-0.5, 0.5, (z, n, 2))))
 
     def test_crop_scale(self):
         _assert_same_bytes(preset("uniform", crop_scale=True, frames=2))
@@ -325,6 +351,28 @@ class TestByteIdentityWithReference:
         scn = SyntheticScenario(shape=(2, 1, 8, 8), cells=cells, velocities=vel)
         with np.errstate(over="ignore"):
             _assert_same_bytes(scn)
+
+    @pytest.mark.parametrize("far", ["nan centre", "2 sigma^2 overflows"])
+    def test_cell_with_nan_values_far_from_its_centre(self, far):
+        """NaN values blank every cell they reach, however far from the
+        centre: a centre that is inf - inf, or a distance that is inf / inf."""
+        cells = [GaussianCell(4.0, 4.0, 30.0, 2.0)]
+        if far == "nan centre":
+            # y = 10 + 1e308 * 2 - 1e308 * 2 is inf - inf at t = 4
+            cells.append(GaussianCell(10.0, 10.0, 30.0, 2.0))
+            kw = dict(velocities=np.array([[[0.0, 0.0], [0.0, 1e308]]]),
+                      switch_t=2,
+                      switch_velocities=np.array([[[0.0, 0.0], [0.0, -1e308]]]))
+        else:
+            cells.append(GaussianCell(1e200, 3.0, 1.0, 1e154))
+            kw = {}
+        scn = SyntheticScenario(shape=(5, 1, 16, 16), cells=cells, **kw)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            vol, _ = generate(scn)
+            _assert_same_bytes(scn)
+        assert vol.data[4, 0, 4, 4] == NO_ECHO_DBZ
 
     def test_peak_memory_is_a_few_planes(self):
         """Beyond the arrays it returns, generate holds a few planes at
