@@ -45,22 +45,14 @@ def morphological_clean(vol: RadarVolume) -> RadarVolume:
     """
     from scipy import ndimage
     data = vol.data.copy()
-    t_count, z_count = vol.shape[:2]
-    for t in range(t_count):
-        for z in range(z_count):
-            plane = data[t, z]
-            echo = plane > ECHO_THRESHOLD_DBZ
-            if echo.any():
-                opened = ndimage.binary_opening(echo, structure=DIAMOND,
-                                                iterations=OPEN_ITERS)
-            else:
-                opened = echo
-            protected = plane > PROTECT_DBZ
-            if protected.any():
-                protected = ndimage.binary_dilation(protected, structure=DIAMOND,
-                                                    iterations=DILATE_ITERS)
-            removed = echo & ~opened & ~protected
-            plane[removed] = NO_ECHO_DBZ
+    # an element one plane thick: no (t, z) plane touches another
+    element = DIAMOND[None, None]
+    echo = data > ECHO_THRESHOLD_DBZ
+    opened = ndimage.binary_opening(echo, structure=element,
+                                    iterations=OPEN_ITERS)
+    protected = ndimage.binary_dilation(data > PROTECT_DBZ, structure=element,
+                                        iterations=DILATE_ITERS)
+    data[echo & ~opened & ~protected] = NO_ECHO_DBZ
     rho = vol.rho_hv.copy() if vol.rho_hv is not None else None
     return RadarVolume(data=data, z_levels=vol.z_levels, dt=vol.dt,
                        mask=vol.mask.copy(), rho_hv=rho)

@@ -17,6 +17,7 @@ finite differences.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,37 +71,6 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
                     [-2.0, 0.0, 2.0],
                     [-1.0, 0.0, 1.0]]) / 8.0
 SOBEL_Y = SOBEL_X.T.copy()
-
-
-def correlate3x3(a: np.ndarray, kernel: np.ndarray, pad: str,
-                 out: np.ndarray | None = None,
-                 work: tuple | None = None) -> np.ndarray:
-    """3x3 correlation over the last two axes of a, the border padded by
-    edge replication (pad="edge") or zeros (pad="constant"); pass the
-    flipped kernel to convolve. The non-zero taps add to zero in raster
-    order, as in scipy.ndimage.correlate, so the result equals ndimage's
-    (mode "nearest" or "constant") bit for bit. out (a's shape) and work
-    (the padded plane, two cells larger on each axis, and one array of a's
-    shape) may be caller-owned buffers."""
-    ny, nx = a.shape[-2:]
-    padded, term = work or (np.empty(a.shape[:-2] + (ny + 2, nx + 2)),
-                            np.empty(a.shape))
-    padded[..., 1:-1, 1:-1] = a
-    if pad == "edge":
-        padded[..., 0, 1:-1] = a[..., 0, :]
-        padded[..., -1, 1:-1] = a[..., -1, :]
-        padded[..., 0] = padded[..., 1]
-        padded[..., -1] = padded[..., -2]
-    else:
-        padded[..., (0, -1), :] = 0.0
-        padded[..., (0, -1)] = 0.0
-    out = np.empty(a.shape) if out is None else out
-    out.fill(0.0)
-    for (i, j), w in np.ndenumerate(kernel):
-        if w:
-            np.multiply(padded[..., i:i + ny, j:j + nx], w, out=term)
-            out += term
-    return out
 
 
 class _Workspace:
@@ -195,11 +165,11 @@ def _warp_stack(
     np.copyto(r, 0.0, where=np.logical_not(valid, out=valid))
     sums = np.abs(r, out=work[0]).reshape(r.shape[:-2] + (-1,)).sum(
         axis=-1, dtype=np.float64)
+    if not want_grad:
+        return sums, counts, None, None
     # np.sign in place takes several times as long; the corner samples'
     # arrays are free
     dr = np.sign(r, out=work[0])
-    if not want_grad:
-        return sums, counts, None, None
     # the departure point is (x - vx, y - vy), hence the sign flip
     dvx, dvy = (gx, gy) if grad_out is None else grad_out
     np.negative(dr, out=dr)
@@ -233,82 +203,92 @@ def _add_unpooled(grad: np.ndarray, g: np.ndarray, k: int,
     grad += out
 
 
-def _sobel_divergence(ux: np.ndarray, uy: np.ndarray,
-                      ws: _Workspace | None = None) -> np.ndarray:
-    """d(u_x)/dx + d(u_y)/dy of one level, or of a stack of them on the
-    leading axes, via 3x3 Sobel stencils with replicated edge padding;
-    written into ws("div") when a workspace is given."""
-    ws = ws or _Workspace()
-    work = _stencil_work(ux.shape, ws)
-    div = correlate3x3(ux, SOBEL_X, "edge", out=ws("div", ux.shape),
-                       work=work)
-    return np.add(div, correlate3x3(uy, SOBEL_Y, "edge",
-                                    out=ws("div_y", uy.shape), work=work),
-                  out=div)
+def _sobel_interior(u: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """div u = d(u_x)/dx + d(u_y)/dy via the 3x3 Sobel stencils, on the
+    interior cells only (those whose stencil stays inside the grid) of
+    u (..., 2, Y, X): ws("div"), contiguous, shape (..., Y - 2, X - 2).
+    Each stencil adds its non-zero taps' products to zero in raster order,
+    as scipy.ndimage.correlate does, so every cell equals ndimage's bit for
+    bit."""
+    ny, nx = u.shape[-2:]
+    h, w = max(ny - 2, 0), max(nx - 2, 0)
+    shape = u.shape[:-3] + (h, w)
+    term = ws("term", shape)
+    div, div_y = ws("div", shape), ws("div_y", shape)
+    for c, (kernel, out) in enumerate(((SOBEL_X, div), (SOBEL_Y, div_y))):
+        out.fill(0.0)
+        for (i, j), tap in np.ndenumerate(kernel):
+            if tap:
+                out += np.multiply(u[..., c, i:i + h, j:j + w], tap, out=term)
+    return np.add(div, div_y, out=div)
 
 
-def _stencil_work(shape: tuple, ws: _Workspace) -> tuple:
-    """correlate3x3's work arrays for planes of the given shape."""
-    ny, nx = shape[-2:]
-    return ws("padded", shape[:-2] + (ny + 2, nx + 2)), ws("term", shape)
+def _sobel_adjoint(g: np.ndarray, ws: _Workspace) -> list:
+    """The adjoint of _sobel_interior on g (..., Y - 2, X - 2): the x and y
+    component planes (..., Y, X), ws(("du", c)). Each tap adds its product
+    into its slice of a zeroed plane. On a g of -1, 0 and 1 every partial
+    sum is a multiple of 1/8 of magnitude at most 1, exact in any order,
+    so the planes equal scipy.ndimage.convolve (mode "constant") of g with
+    a zero border bit for bit, and hold no -0.0."""
+    h, w = g.shape[-2:]
+    term = ws("term", g.shape)
+    planes = []
+    for c, kernel in enumerate((SOBEL_X, SOBEL_Y)):
+        du = ws(("du", c), g.shape[:-2] + (h + 2, w + 2))
+        du.fill(0.0)
+        for (i, j), tap in np.ndenumerate(kernel):
+            if tap:
+                du[..., i:i + h, j:j + w] += np.multiply(g, tap, out=term)
+        planes.append(du)
+    return planes
 
 
 def divergence(mf: MotionField) -> np.ndarray:
     """Per-level horizontal divergence d(u_x)/dx + d(u_y)/dy via 3x3 Sobel
-    stencils with replicated edge padding.
+    stencils, shape (Z, Y, X).
 
-    Edge rows/columns rely on the replication and should be excluded from
-    penalties; see interior_mask.
+    Only interior cells are computed; the edge rows and columns, where the
+    stencil would leave the grid, are +0.0 and should be excluded from
+    penalties, as loss_divergence does.
     """
-    return _sobel_divergence(mf.u[:, 0], mf.u[:, 1])
+    div = np.zeros((mf.nz,) + mf.grid_shape)
+    div[:, 1:-1, 1:-1] = _sobel_interior(mf.u, _Workspace())
+    return div
 
 
-def interior_mask(ny: int, nx: int) -> np.ndarray:
-    """Cells whose divergence stencil does not touch the replicated border."""
-    m = np.zeros((ny, nx), dtype=bool)
-    if ny > 2 and nx > 2:
-        m[1:-1, 1:-1] = True
-    return m
-
-
-def _divergence_term(u: np.ndarray, inner_cells: np.ndarray,
-                     ws: _Workspace | None = None):
-    """Mean |div u| over the interior cells (flat indices) of all levels of
-    u (..., Z, 2, Y, X), per motion field, and div u (..., Z, Y, X), which
-    is ws("div") when a workspace is given."""
+def _divergence_term(u: np.ndarray, ws: _Workspace | None = None):
+    """Mean |div u| over the interior cells of all levels of u
+    (..., Z, 2, Y, X), per motion field, and the interior div u, which is
+    ws("div") when a workspace is given."""
     ws = ws or _Workspace()
-    div = _sobel_divergence(u[..., 0, :, :], u[..., 1, :, :], ws)
-    n_int = inner_cells.size * u.shape[-4]
+    div = _sobel_interior(u, ws)
+    n_int = math.prod(div.shape[-3:])
     if n_int == 0:
         return np.zeros(u.shape[:-4]), div
-    # take, unlike a boolean index, sums a batch entry as a single field;
-    # levels add in order, where np.sum would pair 8 or more of them
-    cells = div.reshape(div.shape[:-2] + (-1,)).take(
-        inner_cells, axis=-1, mode="clip",
-        out=ws("cells", div.shape[:-2] + inner_cells.shape))
-    per_level = np.abs(cells, out=cells).sum(axis=-1)
+    # levels add in order, where np.sum would pair 8 or more of them; the
+    # stencil's term array is free
+    per_level = np.abs(div, out=ws("term", div.shape)).reshape(
+        div.shape[:-2] + (-1,)).sum(axis=-1)
     return sum(np.moveaxis(per_level, -1, 0)) / n_int, div
 
 
 def loss_divergence(mf: MotionField) -> float:
     """Mean magnitude of the divergence over interior cells of all levels."""
-    inner_cells = np.flatnonzero(interior_mask(*mf.grid_shape))
-    return float(_divergence_term(mf.u, inner_cells)[0])
+    return float(_divergence_term(mf.u)[0])
 
 
 class SequenceObjective:
     """Cached evaluator of the total loss and its gradient for one frame
     sequence.
 
-    Pooled frame/mask pyramids and the interior mask of the divergence
-    penalty are built once at construction; evaluate() is then cheap to call
-    repeatedly with different motion fields, which is what the optimizer
-    needs, and scores a batch of them in one call, which is what the
-    finite-difference check needs. The arrays evaluate() writes are built on
-    its first call for each scale and batch shape and reused by later calls
-    of that shape, so a call allocates little beyond the gradient it
-    returns; one objective must therefore not evaluate in two threads at
-    once.
+    Pooled frame/mask pyramids are built once at construction; evaluate()
+    is then cheap to call repeatedly with different motion fields, which is
+    what the optimizer needs, and scores a batch of them in one call, which
+    is what the finite-difference check needs. The arrays evaluate() writes
+    are built on its first call for each scale and batch shape and reused
+    by later calls of that shape, so a call allocates little beyond the
+    gradient it returns; one objective must therefore not evaluate in two
+    threads at once.
 
     The pooled frames keep the frames' floating dtype, and the warp runs in
     it: float32 frames give a float32 warp. The motion, the weights of the
@@ -343,10 +323,8 @@ class SequenceObjective:
                 per_z.append((stack[:-1], None if mstack.all() else mstack,
                               stack[1:]))
             self.pooled[k] = per_z
-        self.inner = interior_mask(self.ny, self.nx)
-        self.inner_cells = np.flatnonzero(self.inner)
-        self.n_interior = self.inner_cells.size * self.nz
-        self.border = ~self.inner
+        # the divergence penalty's cells: those its stencil keeps in the grid
+        self.n_interior = max(self.ny - 2, 0) * max(self.nx - 2, 0) * self.nz
         # one workspace per scale, named arrays of the current batch shape
         self._ws = {k: _Workspace() for k in self.active_scales}
         self._div_ws = _Workspace()
@@ -413,21 +391,13 @@ class SequenceObjective:
                         _add_unpooled(grad[..., z, c, :, :], g, k, ws)
 
         ws = self._div_ws
-        div_val, div = _divergence_term(u, self.inner_cells, ws)
+        div_val, div = _divergence_term(u, ws)
         n_int = self.n_interior
         if want_grad and n_int > 0:
             # np.sign in place takes several times as long; the array of
-            # div's y term is free once div is summed, and div's once g
-            # is taken
+            # div's y term is free once div is summed
             g = np.sign(div, out=ws("div_y", div.shape))
-            np.copyto(g, 0.0, where=self.border)
-            # adjoint of the stencil: convolve, zero outside the grid
-            work = _stencil_work(g.shape, ws)
-            dux = correlate3x3(g, SOBEL_X[::-1, ::-1], "constant",
-                               out=div, work=work)
-            duy = correlate3x3(g, SOBEL_Y[::-1, ::-1], "constant",
-                               out=ws("adjoint_y", g.shape), work=work)
-            for c, du in enumerate((dux, duy)):
+            for c, du in enumerate(_sobel_adjoint(g, ws)):
                 gc = grad[..., c, :, :]
                 np.multiply(1.0 - cfg.beta, gc, out=gc)
                 np.divide(np.multiply(cfg.beta, du, out=du), n_int, out=du)

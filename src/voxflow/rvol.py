@@ -113,10 +113,14 @@ class RvolWriter:
 
     def write_rho_hv(self, rho: np.ndarray) -> None:
         """Append the RHOH chunk of a T x Z x Y x X rho_hv after the
-        payload."""
+        payload, converted one frame at a time."""
         self._fh.seek(self._payload + self._unwritten.size * self._plane_bytes)
         self._fh.write(RHOH_MAGIC)
-        self._fh.write(np.clip(np.rint(rho * 200.0), 0, 200).astype(np.uint8))
+        code = None  # the first frame's product, reused by the others
+        for frame in rho:
+            code = np.multiply(frame, 200.0, out=code)
+            np.clip(np.rint(code, out=code), 0, 200, out=code)
+            self._fh.write(code.astype(np.uint8))
 
     def __enter__(self) -> RvolWriter:
         return self

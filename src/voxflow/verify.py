@@ -25,8 +25,6 @@ class ContingencyTable:
     misses: int = 0
     false_alarms: int = 0
     correct_negatives: int = 0
-    threshold: float = 0.0
-    lead: int = 0
 
     def __post_init__(self):
         for name in ("hits", "misses", "false_alarms", "correct_negatives"):
@@ -74,12 +72,11 @@ def continuous_metrics(pred: RainField, obs: RainField) -> tuple[float, float, f
     return err / n, ab / n, sq / n
 
 
-def contingency(pred: RainField, obs: RainField, threshold: float,
-                lead: int = 0) -> ContingencyTable:
+def contingency(pred: RainField, obs: RainField,
+                threshold: float) -> ContingencyTable:
     """Binarize both fields at value >= threshold and count the four
     categories over jointly valid cells."""
-    return ContingencyTable(*_counts(*_joint(pred, obs), threshold),
-                            threshold=threshold, lead=lead)
+    return ContingencyTable(*_counts(*_joint(pred, obs), threshold))
 
 
 def precision_recall_ets(t: ContingencyTable) -> tuple[float, float, float]:
@@ -190,8 +187,7 @@ def verify_nowcast(
         if pred is not obs or (samples > 1 and lead != end):
             raise ValueError("every sample must cover the same lead times")
         end = lead
-    tables = {(lead, thr): ContingencyTable(*c, threshold=thr, lead=lead)
-              for (lead, thr), c in counts.items()}
+    tables = {key: ContingencyTable(*c) for key, c in counts.items()}
     return VerificationReport(leads=list(range(1, end)),
                               thresholds=thresholds, samples=samples,
                               _continuous=sums, tables=tables)

@@ -11,7 +11,9 @@ from voxflow.flow import (
     LossConfig,
     SequenceObjective,
     _check_instances,
-    correlate3x3,
+    _sobel_adjoint,
+    _sobel_interior,
+    _Workspace,
     divergence,
     gradient_check,
     loss_divergence,
@@ -183,37 +185,49 @@ class TestDivergence:
         np.testing.assert_allclose(div[0, 1:-1, 1:-1], 0.0, atol=1e-10)
 
 
-class TestStencil:
+class TestSobelSlices:
+    """The interior-slice stencil and its adjoint against scipy.ndimage."""
+
     @pytest.mark.parametrize("grid", [(1, 1), (1, 5), (2, 3), (3, 3), (17, 29)])
-    @pytest.mark.parametrize("lead", [(), (2, 3)])
-    @pytest.mark.parametrize("kernel", [SOBEL_X, SOBEL_Y], ids=["x", "y"])
-    def test_bitwise_equal_to_ndimage(self, grid, lead, kernel):
+    def test_divergence_interior_is_ndimage_and_border_is_zero(self, grid):
         from scipy import ndimage
-        a = np.random.default_rng(0).normal(size=lead + grid)
-        a[..., ::2, ::3] *= 0.0  # signed zeros, whose sign must carry over
-        cases = [
-            (correlate3x3(a, kernel, "edge"),
-             ndimage.correlate(a, kernel, mode="nearest", axes=(-2, -1))),
-            (correlate3x3(a, kernel[::-1, ::-1], "constant"),
-             ndimage.convolve(a, kernel, mode="constant", axes=(-2, -1))),
-        ]
-        for got, want in cases:
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert np.array_equal(got, want)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        u = np.random.default_rng(0).normal(size=(2, 2) + grid)
+        u[..., ::2, ::3] *= 0.0  # signed zeros, whose sign must carry over
+        got = divergence(MotionField(u))
+        axes = (-2, -1)
+        want = (ndimage.correlate(u[:, 0], SOBEL_X, mode="nearest", axes=axes)
+                + ndimage.correlate(u[:, 1], SOBEL_Y, mode="nearest", axes=axes))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        inner = np.zeros(grid, bool)
+        inner[1:-1, 1:-1] = True
+        assert np.array_equal(got[:, inner].view(np.uint64),
+                              want[:, inner].view(np.uint64))
+        assert not got[:, ~inner].view(np.uint64).any()  # +0.0 only
 
     @pytest.mark.parametrize("lead", [(), (2, 3)])
-    def test_reused_buffers_give_the_same_bytes(self, lead):
-        a = np.random.default_rng(1).normal(size=lead + (6, 7))
-        out = np.full(a.shape, np.nan)
-        work = (np.full(lead + (8, 9), np.nan), np.full(a.shape, np.nan))
-        # each call follows one in the other pad mode, whose border and
-        # sums the buffers still hold
-        for kernel, pad in [(SOBEL_X, "edge"), (SOBEL_Y[::-1, ::-1], "constant"),
-                            (SOBEL_Y, "edge"), (SOBEL_X[::-1, ::-1], "constant")]:
-            got = correlate3x3(a, kernel, pad, out=out, work=work)
-            assert got is out
-            assert got.tobytes() == correlate3x3(a, kernel, pad).tobytes()
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 3), (4, 2), (3, 3), (15, 22)])
+    def test_adjoint_is_ndimage_convolve_of_zero_bordered_signs(self, grid, lead):
+        from scipy import ndimage
+        g = np.random.default_rng(1).choice([-1.0, -0.0, 0.0, 1.0],
+                                            size=lead + grid)
+        full = np.zeros(lead + (grid[0] + 2, grid[1] + 2))
+        full[..., 1:-1, 1:-1] = g
+        for got, kernel in zip(_sobel_adjoint(g, _Workspace()), (SOBEL_X, SOBEL_Y)):
+            want = ndimage.convolve(full, kernel, mode="constant", axes=(-2, -1))
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adjoint_is_the_transpose_of_the_stencil(self, seed):
+        # <forward(a), h> = <a, adjoint(h)>, both components at once
+        rng = np.random.default_rng(seed)
+        grid = (3 + 5 * seed, 4 + 3 * seed)
+        a = rng.normal(size=(2, 2) + grid)
+        h = rng.normal(size=(2, grid[0] - 2, grid[1] - 2))
+        lhs = np.vdot(_sobel_interior(a, _Workspace()), h)
+        dux, duy = _sobel_adjoint(h, _Workspace())
+        rhs = np.vdot(a[:, 0], dux) + np.vdot(a[:, 1], duy)
+        assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestLossDivergence:
@@ -357,9 +371,9 @@ class TestGradients:
 
 
 # The objective as it was before evaluate() reused a workspace: every
-# array allocated afresh, the stencils from scipy.ndimage (bitwise equal to
-# correlate3x3, see TestStencil). Kept as the reference that the workspace
-# evaluate must match bit for bit.
+# array allocated afresh, the divergence over the whole plane from
+# scipy.ndimage and read on an interior mask (see TestSobelSlices). Kept as
+# the reference that the workspace evaluate must match bit for bit.
 
 def _ref_bilinear(planes, xs, ys, want_grad):
     h, w = planes.shape[-2:]
@@ -451,14 +465,17 @@ def _ref_evaluate(obj, u, want_grad=True):
     axes = (-2, -1)
     div = (ndimage.correlate(u[..., 0, :, :], SOBEL_X, mode="nearest", axes=axes)
            + ndimage.correlate(u[..., 1, :, :], SOBEL_Y, mode="nearest", axes=axes))
-    n_int = obj.n_interior
+    inner = np.zeros((obj.ny, obj.nx), bool)
+    inner[1:-1, 1:-1] = True
+    inner_cells = np.flatnonzero(inner)
+    n_int = inner_cells.size * obj.nz
     div_val = np.zeros(batch)
     if n_int:
-        cells = div.reshape(div.shape[:-2] + (-1,)).take(obj.inner_cells, axis=-1)
+        cells = div.reshape(div.shape[:-2] + (-1,)).take(inner_cells, axis=-1)
         per_level = np.abs(cells).sum(axis=-1)
         div_val = sum(np.moveaxis(per_level, -1, 0)) / n_int
     if want_grad and n_int > 0:
-        g = np.where(obj.inner, np.sign(div), 0.0)
+        g = np.where(inner, np.sign(div), 0.0)
         dux = ndimage.convolve(g, SOBEL_X, mode="constant", axes=axes)
         duy = ndimage.convolve(g, SOBEL_Y, mode="constant", axes=axes)
         grad[..., 0, :, :] = (1.0 - cfg.beta) * grad[..., 0, :, :] \

@@ -344,6 +344,25 @@ class TestRvolWriter:
         assert (tmp_path / "p.rvol").read_bytes() == \
             _whole_volume_bytes(vol, quantize)
 
+    def test_rho_hv_is_converted_one_frame_at_a_time(self, tmp_path):
+        # a whole-volume conversion holds two float64 copies of rho_hv
+        rng = np.random.default_rng(47)
+        rho = rng.uniform(0.0, 1.0, (8, 2, 64, 64))
+        with RvolWriter(tmp_path / "v.rvol", rho.shape, np.arange(1.0, 3.0),
+                        300.0) as out:
+            for t, z in np.ndindex(rho.shape[:2]):
+                out.write(t, z, rho[t, z], np.ones(rho.shape[2:], bool))
+            tracemalloc.start()
+            try:
+                out.write_rho_hv(rho)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * rho[0].nbytes, peak
+        assert read_rvol(tmp_path / "v.rvol").rho_hv.tobytes() == \
+            (np.clip(np.rint(rho * 200.0), 0, 200).astype(np.uint8)
+             / 200.0).tobytes()
+
     @pytest.mark.parametrize("axis", range(4))
     def test_dimension_the_reader_rejects_is_refused_before_opening(
             self, tmp_path, axis):

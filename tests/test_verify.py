@@ -241,7 +241,7 @@ class TestVerifyNowcast:
             p, o = cmax_field(pred), cmax_field(obs)
             assert report.continuous(lead) == continuous_metrics(p, o)
             for thr in thresholds:
-                assert report.tables[(lead, thr)] == contingency(p, o, thr, lead=lead)
+                assert report.tables[(lead, thr)] == contingency(p, o, thr)
 
     def _samples(self):
         """Forecasts of two samples, then their observations: 3 leads each."""
