@@ -74,18 +74,19 @@ SOBEL_Y = SOBEL_X.T.copy()
 
 
 class _Workspace:
-    """Named arrays reused across calls. ws(name, shape) returns the array
-    last returned for that name when shape and dtype match, else a new one
-    that replaces it, so one name holds one array at a time."""
+    """Named buffers reused across calls: ws(name, shape) is a C-contiguous
+    view of the first prod(shape) elements of the name's one flat buffer,
+    which only a larger or other-dtype request replaces."""
 
     def __init__(self):
-        self._arrays: dict = {}
+        self._buffers: dict = {}
 
     def __call__(self, name, shape: tuple, dtype=np.float64) -> np.ndarray:
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(shape, dtype)
-        return a
+        n = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
 
 
 #: The warp clips motion components to +-MAX_MOTION cells: a departure
@@ -284,11 +285,12 @@ class SequenceObjective:
     Pooled frame/mask pyramids are built once at construction; evaluate()
     is then cheap to call repeatedly with different motion fields, which is
     what the optimizer needs, and scores a batch of them in one call, which
-    is what the finite-difference check needs. The arrays evaluate() writes
-    are built on its first call for each scale and batch shape and reused
-    by later calls of that shape, so a call allocates little beyond the
-    gradient it returns; one objective must therefore not evaluate in two
-    threads at once.
+    is what the finite-difference check needs. evaluate() writes into one
+    workspace, one buffer per array name sized for its largest scale and
+    batch shape and shared by all scales (each done with its arrays before
+    the next asks) and the divergence term. So a call allocates little
+    beyond the gradient it returns; one objective must therefore not
+    evaluate in two threads at once.
 
     The pooled frames keep the frames' floating dtype, and the warp runs in
     it: float32 frames give a float32 warp. The motion, the weights of the
@@ -325,9 +327,7 @@ class SequenceObjective:
             self.pooled[k] = per_z
         # the divergence penalty's cells: those its stencil keeps in the grid
         self.n_interior = max(self.ny - 2, 0) * max(self.nx - 2, 0) * self.nz
-        # one workspace per scale, named arrays of the current batch shape
-        self._ws = {k: _Workspace() for k in self.active_scales}
-        self._div_ws = _Workspace()
+        self._ws = _Workspace()
 
     def evaluate(self, u: np.ndarray, want_grad: bool = True):
         """Returns (total, data_term, div_term, grad-or-None) for motion u
@@ -350,8 +350,8 @@ class SequenceObjective:
         warp_u = u
         if u.max() > MAX_MOTION or u.min() < -MAX_MOTION:
             warp_u = np.clip(u, -MAX_MOTION, MAX_MOTION)
+        ws = self._ws
         for k in self.active_scales:
-            ws = self._ws[k]
             n_tot = np.zeros((self.n_pairs,) + batch)
             per_z = []
             for z in range(self.nz):
@@ -390,7 +390,6 @@ class SequenceObjective:
                                       out=ws("g", dv.shape[1:]))
                         _add_unpooled(grad[..., z, c, :, :], g, k, ws)
 
-        ws = self._div_ws
         div_val, div = _divergence_term(u, ws)
         n_int = self.n_interior
         if want_grad and n_int > 0:

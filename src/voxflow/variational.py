@@ -203,15 +203,14 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
         factor = 2 ** lev
         if from_below and factor > 1:
             continue
-        fr = [avg_pool2d(f, factor)[None].astype(np.float32) for f in frames]
-        mk = [pool_mask_all(m, factor)[None] for m in masks]
-        h, w = fr[0].shape[1:]
-        stage_cfg = cfg if factor == 1 else replace(cfg,
-                                                    scales=_stage_scales(cfg, factor))
-        obj = SequenceObjective(fr, mk, stage_cfg)
+        # the stage's frames are freed once the objective has pooled them
+        obj = SequenceObjective(
+            [avg_pool2d(f, factor)[None].astype(np.float32) for f in frames],
+            [pool_mask_all(m, factor)[None] for m in masks],
+            replace(cfg, scales=_stage_scales(cfg, factor)))
         stage_trace = trace if factor == 1 else None
         if lev == n_pyr - 1:
-            u, fit, acc, rej = _descend(obj, np.zeros((1, 2, h, w)),
+            u, fit, acc, rej = _descend(obj, np.zeros((1, 2, obj.ny, obj.nx)),
                                         stage_trace, global_only=True)
             accepted += acc
             rejected += rej
@@ -224,7 +223,7 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
                 if factor > 1:
                     continue
         elif not from_below:
-            u = (upsample2d(u, 2) * 2.0)[:, :, :h, :w]
+            u = (upsample2d(u, 2) * 2.0)[:, :, :obj.ny, :obj.nx]
         u, _, acc, rej = _descend(obj, u, stage_trace)
         accepted += acc
         rejected += rej
@@ -272,21 +271,22 @@ def estimate_variational(
             f"no pooling scale leaves a 4 x 4 grid of the {ny} x {nx} "
             f"frames: the smallest, {k}, leaves {ny // k} x {nx // k}")
 
-    results = []
+    motion = np.empty((shape[0], 2, ny, nx))
+    statuses, traces, from_below = [], [], []
     for z in range(shape[0]):
-        below = results[-1][0] if results else None
         # dBR is elementwise, so converting one level's view of each frame
         # gives that level's planes of a whole-field conversion; they are
         # freed before the next level is converted
         level = [_as_dbr(RainField(f.data[z:z + 1], f.space, f.mask[z:z + 1]))
                  for f in phi]
-        results.append(_optimize_level([f.data[0] for f in level],
-                                       [f.mask[0] for f in level], cfg, below))
+        motion[z], status, trace, started_below = _optimize_level(
+            [f.data[0] for f in level], [f.mask[0] for f in level], cfg,
+            motion[z - 1] if z else None)
         del level
-    motion, statuses, traces, from_below = (list(r) for r in zip(*results))
-    return VariationalResult(motion=MotionField(np.stack(motion)),
-                             statuses=statuses, traces=traces,
-                             from_below=from_below)
+        statuses.append(status)
+        traces.append(trace)
+        from_below.append(started_below)
+    return VariationalResult(MotionField(motion), statuses, traces, from_below)
 
 
 def mean_endpoint_error(est: MotionField, truth: MotionField,
@@ -298,9 +298,10 @@ def mean_endpoint_error(est: MotionField, truth: MotionField,
     d = np.sqrt(((est.u - truth.u) ** 2).sum(axis=1))
     if mask is None:
         return float(d.mean())
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim == 2:
-        mask = np.broadcast_to(mask[None], d.shape)
+    if np.shape(mask) not in (d.shape, d.shape[1:]):
+        raise ValueError(f"mask shape {np.shape(mask)} is neither the fields' "
+                         f"Z x Y x X {d.shape} nor Y x X {d.shape[1:]}")
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), d.shape)
     if not mask.any():
         raise ValueError("empty evaluation mask")
     return float(d[mask].mean())

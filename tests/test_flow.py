@@ -563,22 +563,33 @@ class TestWorkspaceEvaluate:
         peak_130, grad = _evaluate_peak(*_desk_objective(130, dtype))
         assert peak_130 <= peak_128 + grad.nbytes
 
+    def test_scales_share_one_set_of_buffers(self):
+        # the coarser scales' arrays are views of the full-resolution
+        # scale's, so they add almost nothing to the call that builds them
+        peaks = {scales: _evaluate_peak(*_desk_objective(128, np.float32,
+                                                         scales),
+                                        warm_up=False)[0]
+                 for scales in ((1,), (1, 2, 4))}
+        assert peaks[1, 2, 4] <= 1.1 * peaks[1,], peaks
 
-def _desk_objective(n, dtype=np.float64):
-    """One n x n level, 8 frames, scales 1,2,4, and a motion to score."""
+
+def _desk_objective(n, dtype=np.float64, scales=(1, 2, 4)):
+    """One n x n level, 8 frames, scales 1,2,4 unless given, and a motion
+    to score."""
     y, x = np.mgrid[0:n, 0:n]
     frames = [np.maximum(10.0 * np.sin((x - 1.3 * t) / 9.0)
                          * np.cos((y - 0.7 * t) / 11.0), -15.0)[None]
               .astype(dtype) for t in range(8)]
     masks = [np.ones((1, n, n), bool)] * 8
-    obj = SequenceObjective(frames, masks, LossConfig(scales=(1, 2, 4)))
+    obj = SequenceObjective(frames, masks, LossConfig(scales=scales))
     return obj, np.random.default_rng(9).uniform(-1.0, 1.0, (1, 2, n, n))
 
 
-def _evaluate_peak(obj, u):
-    """(peak bytes traced during one evaluate after a warm-up call, the
-    gradient it returned)."""
-    obj.evaluate(u)
+def _evaluate_peak(obj, u, warm_up=True):
+    """(peak bytes traced during one evaluate, after a warm-up call unless
+    warm_up is False, the gradient it returned)."""
+    if warm_up:
+        obj.evaluate(u)
     # NumPy's ufunc loops may stage operands in buffers of up to bufsize
     # elements whatever the array sizes; the smallest bufsize keeps them
     # out of the count, which is then of arrays alone
@@ -683,13 +694,12 @@ class TestFloat32Objective:
         for k in obj.active_scales:
             sources, _, targets = obj.pooled[k][0]
             assert sources.dtype == targets.dtype == np.float32
-            arrays = obj._ws[k]._arrays
-            for name in ("xs", "ys", "warped", "level_grads",
-                         *(("work", i) for i in range(6)),
-                         *(("weight", i) for i in range(4))):
-                assert arrays[name].dtype == np.float32, (k, name)
-            # the motion and its data-term gradient stay float64
-            assert arrays["g"].dtype == np.float64
-            if k > 1:
-                assert arrays["v"].dtype == arrays["v_padded"].dtype \
-                    == np.float64
+        # every scale shares the one workspace
+        arrays = obj._ws._buffers
+        for name in ("xs", "ys", "warped", "level_grads",
+                     *(("work", i) for i in range(6)),
+                     *(("weight", i) for i in range(4))):
+            assert arrays[name].dtype == np.float32, name
+        # the motion and its data-term gradient stay float64
+        for name in ("g", "v", "v_padded"):
+            assert arrays[name].dtype == np.float64, name

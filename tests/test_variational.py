@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -390,3 +392,53 @@ class TestPyramidDepth:
         assert _pyramid_depth(128, 128) == 4
         monkeypatch.setattr(variational, "PYRAMID_STAGES", 10 ** 18)
         assert _pyramid_depth(512, 300) == 5
+
+
+class TestMeanEndpointError:
+    @staticmethod
+    def fields():
+        rng = np.random.default_rng(5)
+        return (MotionField(rng.normal(size=(2, 2, 8, 8))),
+                MotionField(rng.normal(size=(2, 2, 8, 8))))
+
+    def test_a_level_mask_applies_to_every_level(self):
+        est, truth = self.fields()
+        mask = np.random.default_rng(6).random((8, 8)) > 0.5
+        assert mean_endpoint_error(est, truth, mask) == \
+            mean_endpoint_error(est, truth, np.stack([mask, mask]))
+
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (8,), (8, 9), (1, 8, 8),
+                                       (2, 2, 8, 8)])
+    def test_a_mask_of_another_shape_is_an_error(self, shape):
+        est, truth = self.fields()
+        with pytest.raises(ValueError) as err:
+            mean_endpoint_error(est, truth, np.ones(shape, bool))
+        assert str(err.value) == (
+            f"mask shape {shape} is neither the fields' Z x Y x X (2, 8, 8) "
+            f"nor Y x X (8, 8)")
+
+    def test_an_empty_mask_is_an_error(self):
+        est, truth = self.fields()
+        with pytest.raises(ValueError, match="empty evaluation mask"):
+            mean_endpoint_error(est, truth, np.zeros((8, 8), bool))
+
+
+class TestLevelMemory:
+    def test_one_desk_level_descent_peak(self):
+        # level 0 of the uniform preset as the estimator sees it: 8 dBR
+        # frames, scales 1,2,4. The descent holds one workspace shared by
+        # the loss scales and no stage frames beside the objective's pooled
+        # stacks; per-scale workspaces took 9.7 MiB, and keeping the
+        # float32 stage frames adds 0.6 MiB
+        vol, _ = generate(preset("uniform"))
+        fields = [rain_to_dbr(volume_to_rain(vol, t)) for t in range(8)]
+        frames = [f.data[0] for f in fields]
+        masks = [f.mask[0] for f in fields]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            variational._optimize_level(frames, masks, FAST_CFG)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.0 * 2 ** 20, peak / 2 ** 20
