@@ -24,8 +24,17 @@ ECHO_THRESHOLD_DBZ = 0.0
 # reflectivity thresholds of the rainy-pixel ratios; the monthly box plot
 # takes the second (20 dBZ)
 RAINY_THRESHOLDS_DBZ = (0.0, 20.0)
-# samples the outlier ranking selects
+# samples the outlier ranking selects, and the least time between two of
+# them in minutes
 TOP_K = 3
+GAP_MINUTES = 60.0
+# reflectivity threshold of the CMAX coverage ratio
+COVERAGE_DBZ = 20.0
+# bin edges of the coverage-versus-correlation histogram, 20 per axis;
+# read-only, since the histogram returns these arrays themselves
+COVERAGE_EDGES = np.linspace(0.0, 1.0, 21)
+CORR_EDGES = np.linspace(-1.0, 1.0, 21)
+COVERAGE_EDGES.flags.writeable = CORR_EDGES.flags.writeable = False
 
 
 def _parts(vol: RadarVolume | Iterable[RadarVolume]) -> Iterable[RadarVolume]:
@@ -279,33 +288,27 @@ def monthwise_boxstats(values: Sequence[float],
     return out
 
 
-def coverage_ratio(vol: RadarVolume | Iterable[RadarVolume],
-                   threshold_dbz: float = 20.0) -> float:
-    """Mean fraction of valid CMAX pixels exceeding the threshold across
-    the volume's frames, which may be given one at a time as for
-    rainy_ratio; each is pooled on its own."""
-    return float(rainy_ratio(map(cmax, _parts(vol)), (threshold_dbz,))[0, 0])
+def coverage_ratio(vol: RadarVolume | Iterable[RadarVolume]) -> float:
+    """Mean fraction of valid CMAX pixels exceeding COVERAGE_DBZ across the
+    volume's frames, which may be given one at a time as for rainy_ratio;
+    each is pooled on its own."""
+    return float(rainy_ratio(map(cmax, _parts(vol)), (COVERAGE_DBZ,))[0, 0])
 
 
 def coverage_vs_corr_histogram(
     samples: Sequence[tuple[float, float]],
-    coverage_edges: np.ndarray | None = None,
-    corr_edges: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """2-D density over (coverage ratio, motion correlation) sample pairs.
+    """2-D density over (coverage ratio, motion correlation) sample pairs,
+    binned at COVERAGE_EDGES and CORR_EDGES.
 
     Returns (counts, coverage_edges, corr_edges); counts sum to the number
     of finite samples.
     """
-    if coverage_edges is None:
-        coverage_edges = np.linspace(0.0, 1.0, 21)
-    if corr_edges is None:
-        corr_edges = np.linspace(-1.0, 1.0, 21)
     cov = np.asarray([s[0] for s in samples], dtype=np.float64)
     cor = np.asarray([s[1] for s in samples], dtype=np.float64)
     keep = np.isfinite(cov) & np.isfinite(cor)
     counts, xe, ye = np.histogram2d(cov[keep], cor[keep],
-                                    bins=[coverage_edges, corr_edges])
+                                    bins=[COVERAGE_EDGES, CORR_EDGES])
     return counts, xe, ye
 
 
@@ -339,27 +342,21 @@ def _avg_ranks(values: list[float]) -> np.ndarray:
     return ranks
 
 
-def rank_outliers(samples: Sequence[OutlierSample], k: int,
-                  gap_minutes: float = 60.0) -> RankedOutliers:
-    """Top-k samples by combined rank: descending coverage plus ascending
-    correlation.
+def rank_outliers(samples: Sequence[OutlierSample]) -> RankedOutliers:
+    """The TOP_K samples by combined rank: descending coverage plus
+    ascending correlation.
 
     Ties in the combined score break toward the earlier timestamp. Samples
-    closer than gap_minutes to an already selected one are skipped so one
-    long event does not fill the list. When fewer than k samples survive,
-    all of them are returned with the exhausted flag set; k = 0 returns no
-    samples and a negative k raises ValueError, as does a sample whose
-    coverage or correlation is not finite.
+    closer than GAP_MINUTES to an already selected one are skipped so one
+    long event does not fill the list. When fewer than TOP_K samples
+    survive, all of them are returned with the exhausted flag set. A sample
+    whose coverage or correlation is not finite raises ValueError.
     """
-    if k < 0:
-        raise ValueError(f"top-k must be >= 0, got {k}")
     for s in samples:
         if not (math.isfinite(s.coverage) and math.isfinite(s.correlation)):
             raise ValueError(f"sample {s.sample_id!r} has coverage "
                              f"{s.coverage} and correlation {s.correlation}; "
                              "both must be finite to be ranked")
-    if not samples:
-        return RankedOutliers(ids=[], exhausted=k > 0)
     cov_rank = _avg_ranks([-s.coverage for s in samples])
     cor_rank = _avg_ranks([s.correlation for s in samples])
     combined = cov_rank + cor_rank
@@ -368,15 +365,15 @@ def rank_outliers(samples: Sequence[OutlierSample], k: int,
                                   samples[i].sample_id))
     chosen: list[OutlierSample] = []
     for idx in order:
-        if len(chosen) == k:
+        if len(chosen) == TOP_K:
             break
         s = samples[idx]
-        if any(abs((s.timestamp - c.timestamp).total_seconds()) < gap_minutes * 60.0
+        if any(abs((s.timestamp - c.timestamp).total_seconds()) < GAP_MINUTES * 60.0
                for c in chosen):
             continue
         chosen.append(s)
     return RankedOutliers(ids=[s.sample_id for s in chosen],
-                          exhausted=len(chosen) < k)
+                          exhausted=len(chosen) < TOP_K)
 
 
 def _count_stack(stack: np.ndarray) -> np.ndarray:

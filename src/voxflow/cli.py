@@ -178,9 +178,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("-o", "--out", default=None, help="output .rmf path")
     p.add_argument("--trace", default=None, help="loss trace CSV path")
     p.add_argument("--inputs", type=_int_in(2, rvol._MAX_DIM), default=8,
-                   help="number of observed frames fed to the estimator")
-    p.add_argument("--use-future", action="store_true",
-                   help="fit mode: include the remaining frames in the loss")
+                   help="number of leading frames fed to the estimator; the "
+                        "frame count fits the whole volume")
     p.add_argument("--scales", type=_scales, default="1,2,4,8")
     p.add_argument("--denoise", action="store_true",
                    help="apply quality control before estimation")
@@ -277,11 +276,8 @@ def _cmd_estimate(args) -> int:
             raise ValueError(f"need at least 2 input frames, volume has "
                              f"{t_total}")
         # only the frames the estimator uses are decoded
-        fields = [_rain_frame(reader, t, args)
-                  for t in range(t_total if args.use_future else n)]
-    inputs, future = fields[:n], fields[n:] or None
-    cfg = LossConfig(scales=args.scales)
-    result = estimate_variational(inputs, future=future, cfg=cfg)
+        inputs = [_rain_frame(reader, t, args) for t in range(n)]
+    result = estimate_variational(inputs, cfg=LossConfig(scales=args.scales))
     rvol.write_motion(out, result.motion)
     rows = []
     for z, trace in enumerate(result.traces):
@@ -538,7 +534,7 @@ def _analyze_outliers(args, files, outdir: Path) -> str:
     low, mid = args.level_pair
     samples = _pair_samples(files, low, mid)
     usable = [s for s in samples if np.isfinite(s.correlation)]
-    ranked = analysis.rank_outliers(usable, analysis.TOP_K)
+    ranked = analysis.rank_outliers(usable)
     by_id = {s.sample_id: s for s in usable}
     rows = [[rank + 1, sid, by_id[sid].timestamp.isoformat(),
              by_id[sid].coverage, by_id[sid].correlation]

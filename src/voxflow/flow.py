@@ -72,6 +72,9 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
                     [-1.0, 0.0, 1.0]]) / 8.0
 SOBEL_Y = SOBEL_X.T.copy()
 
+#: central-difference step of gradient_check, in cells
+FD_STEP = 1e-6
+
 
 class _Workspace:
     """Named buffers reused across calls: ws(name, shape) is a C-contiguous
@@ -462,13 +465,13 @@ def _check_instances(n_instances: int, size: int, seed: int):
 
 
 def gradient_check(cfg: LossConfig | None = None, n_instances: int = 5,
-                   size: int = 16, seed: int = 0, step: float = 1e-6) -> float:
+                   size: int = 16, seed: int = 0) -> float:
     """Validate analytic gradients of loss_total against central finite
     differences on random two-frame instances; returns the max relative
-    error across all motion components. The perturbed fields of an instance
-    are scored as batches, each bitwise equal to a call per field. The
-    frames are float64: central differences of this step mean nothing in
-    float32."""
+    error across all motion components, with steps of FD_STEP cells. The
+    perturbed fields of an instance are scored as batches, each bitwise
+    equal to a call per field. The frames are float64: central differences
+    of this step mean nothing in float32."""
     cfg = cfg or LossConfig()
     worst = 0.0
     for frames, masks, u in _check_instances(n_instances, size, seed):
@@ -480,11 +483,11 @@ def gradient_check(cfg: LossConfig | None = None, n_instances: int = 5,
         for lo in range(0, u.size, chunk):
             idx = np.arange(lo, min(lo + chunk, u.size))
             du = np.zeros((idx.size, u.size))
-            du[np.arange(idx.size), idx] = step
+            du[np.arange(idx.size), idx] = FD_STEP
             du = du.reshape((idx.size,) + u.shape)
             lp = obj.evaluate(u + du, want_grad=False)[0]
             lm = obj.evaluate(u - du, want_grad=False)[0]
-            fd[idx] = (lp - lm) / (2.0 * step)
+            fd[idx] = (lp - lm) / (2.0 * FD_STEP)
         fd = fd.reshape(u.shape)
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-4)
         worst = max(worst, float((np.abs(grad - fd) / denom).max()))

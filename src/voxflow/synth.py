@@ -79,7 +79,6 @@ class SyntheticScenario:
     level_amp_scale: np.ndarray | None = None
     speckle_prob: float = 0.0
     clutter_cells: list[GaussianCell] = field(default_factory=list)
-    amplitude_trend: float = 0.0
     seed: int = 0
     z_levels: np.ndarray | None = None
 
@@ -104,8 +103,6 @@ class SyntheticScenario:
                                                  "level_amp_scale")
         if self.rotation_omega is not None and not math.isfinite(self.rotation_omega):
             raise ValueError(f"rotation_omega must be finite, got {self.rotation_omega}")
-        if not math.isfinite(self.amplitude_trend):
-            raise ValueError(f"amplitude_trend must be finite, got {self.amplitude_trend}")
         if not (0.0 <= self.speckle_prob <= 1.0):
             raise ValueError(f"speckle_prob must lie in [0, 1], got {self.speckle_prob}")
         if self.z_levels is None:
@@ -201,8 +198,7 @@ def _render_frame(scn: SyntheticScenario, z: int, t: int, plane: np.ndarray,
     amp_scale = 1.0 if scn.level_amp_scale is None else scn.level_amp_scale[z]
     for b, cell in enumerate(scn.cells):
         cy, cx = _cell_position(scn, z, b, t)
-        amp = cell.amplitude_dbz * amp_scale + scn.amplitude_trend * t
-        amp = min(max(amp, 0.0), 70.0)
+        amp = min(max(cell.amplitude_dbz * amp_scale, 0.0), 70.0)
         _add_gaussian(plane, cy, cx, amp, cell.sigma, work)
     _threshold(plane, NO_ECHO_DBZ)
 

@@ -8,8 +8,12 @@ above the first may start from the level below's final motion instead: it
 does so only when that motion scores a lower loss on the coarsest stage
 than the level's own global fit, and then refines it at full resolution
 against its own frames. Step sizes are expressed in grid cells of maximum
-per-iteration displacement change, and a backtracking line search
-guarantees the accepted-iterate loss sequence is non-increasing.
+per-iteration displacement change. Only a trial that lowers the best loss
+is accepted, so the accepted-iterate loss sequence is non-increasing. After
+a miss the step shrinks by MISS_DECAY and the momentum halves, and the next
+trial steps on from the rejected point, not from the best iterate; after
+RESET_AFTER misses in a row the descent restarts from the best iterate
+with the momentum cleared.
 """
 
 from __future__ import annotations
@@ -99,11 +103,11 @@ def _descend(obj: SequenceObjective, u: np.ndarray,
 
     With global_only the gradient is projected onto spatially constant
     fields (descent over one translation vector per level), the 2-dof
-    extreme of the coarse-to-fine schedule. Trial steps that fail to improve
-    on the best loss backtrack the working step size; the recorded trace
-    holds accepted (improving) iterates only, so it is non-increasing by
-    construction. NaN losses raise DivergedError; +inf (a pair lost all
-    overlap) just rejects the trial.
+    extreme of the coarse-to-fine schedule. Misses and resets follow the
+    module docstring; the recorded trace holds accepted (improving)
+    iterates only, so it is non-increasing by construction. NaN losses
+    raise DivergedError; +inf (a pair lost all overlap) just rejects the
+    trial.
     """
     best_total, data, div, grad = obj.evaluate(u, want_grad=True)
     if np.isnan(best_total):

@@ -10,13 +10,16 @@ sentinels that aggregation simply skips.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoOverlapError
 from .grid import RainField, Space, cmax_field
+
+#: rain-rate thresholds (mm/h) of the categorical scores, lowest first
+THRESHOLDS_MMH = (1.0, 5.0, 10.0)
 
 
 @dataclass
@@ -138,19 +141,17 @@ def _chained(first, rest: Iterable):
     yield from rest
 
 
-def verify_nowcast(
-    model_outputs: Iterable,
-    observations: Iterable,
-    thresholds: Sequence[float] = (1.0, 5.0, 10.0),
-) -> VerificationReport:
-    """Score forecasts against observations, independently per lead time.
+def verify_nowcast(model_outputs: Iterable,
+                   observations: Iterable) -> VerificationReport:
+    """Score forecasts against observations, independently per lead time,
+    with the categorical scores at each of THRESHOLDS_MMH.
 
     Accepts one sample (an iterable of per-lead RainFields for forecast and
     observation alike) or many (an iterable of such iterables). Fields are
     taken one lead at a time, so a lazy iterable holds one lead at a time,
     and the sample and lead counts are checked as they are consumed.
     Volumetric fields are collapsed to their column maximum prior to
-    evaluation. Repeated thresholds raise ValueError.
+    evaluation.
     """
     model_outputs = iter(model_outputs)
     first = next(model_outputs, _MISSING)
@@ -161,9 +162,6 @@ def verify_nowcast(
     del first
     if single:
         model_outputs, observations = [model_outputs], [observations]
-    thresholds = [float(t) for t in thresholds]
-    if len(set(thresholds)) != len(thresholds):
-        raise ValueError(f"repeated threshold in {thresholds}")
     sums, counts = {}, {}
     samples = end = 0
     for preds, obss in itertools.zip_longest(model_outputs, observations,
@@ -178,7 +176,7 @@ def verify_nowcast(
                 break
             p, o = _joint(_as_cmax_mmh(pred), _as_cmax_mmh(obs))
             sums[lead] = _added(sums.get(lead, (0.0, 0.0, 0.0, 0)), _sums(p, o))
-            for thr in thresholds:
+            for thr in THRESHOLDS_MMH:
                 counts[lead, thr] = _added(counts.get((lead, thr), (0, 0, 0, 0)),
                                            _counts(p, o, thr))
             # a lazy iterable makes the next lead without this one
@@ -189,5 +187,5 @@ def verify_nowcast(
         end = lead
     tables = {key: ContingencyTable(*c) for key, c in counts.items()}
     return VerificationReport(leads=list(range(1, end)),
-                              thresholds=thresholds, samples=samples,
+                              thresholds=list(THRESHOLDS_MMH), samples=samples,
                               _continuous=sums, tables=tables)

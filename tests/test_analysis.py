@@ -329,15 +329,15 @@ class TestFramesGiveTheWholeVolumeResults:
 
     SEEDS = range(6)
 
-    def test_ratios(self):
+    def test_ratios(self, monkeypatch):
         for seed in self.SEEDS:
             _, vol = _hostile_sample(seed)
             for thresholds in ((0.0, 20.0), (-31.5, np.inf), ()):
                 assert rainy_ratio(_frames(vol), thresholds).tobytes() == \
                     rainy_ratio(vol, thresholds).tobytes()
             for thr in (20.0, -32.0):
-                assert coverage_ratio(_frames(vol), thr) == \
-                    coverage_ratio(vol, thr)
+                monkeypatch.setattr(analysis, "COVERAGE_DBZ", thr)
+                assert coverage_ratio(_frames(vol)) == coverage_ratio(vol)
 
     def test_reflectivity_corr(self):
         vols = [generate(preset(name, frames=4))[0] for name in ("shear8", "uniform")]
@@ -401,6 +401,14 @@ class TestCoverageHistogram:
         assert counts.sum() == 7
         assert (counts > 0).sum() == 1
 
+    def test_twenty_fixed_bins_per_axis(self):
+        counts, xe, ye = coverage_vs_corr_histogram([(0.3, 0.8)])
+        assert counts.shape == (20, 20)
+        assert (xe[0], xe[-1], ye[0], ye[-1]) == (0.0, 1.0, -1.0, 1.0)
+        # the returned edges are the module's own, which cannot be changed
+        with pytest.raises(ValueError, match="read-only"):
+            xe[0] = 0.5
+
     def test_mass_conservation(self):
         rng = np.random.default_rng(6)
         samples = [(rng.uniform(0, 1), rng.uniform(-1, 1)) for _ in range(200)]
@@ -420,7 +428,7 @@ class TestCoverageHistogram:
 
     def test_coverage_ratio_on_synthetic(self):
         vol, _ = generate(preset("uniform"))
-        cov = coverage_ratio(vol, threshold_dbz=20.0)
+        cov = coverage_ratio(vol)
         assert 0.0 < cov < 0.5
 
 
@@ -430,48 +438,65 @@ class TestRankOutliers:
                              timestamp=datetime(2021, 5, 1, 12, minute),
                              coverage=cov, correlation=corr)
 
-    def test_dominant_sample_selected_first(self):
+    def test_dominant_sample_selected_first(self, monkeypatch):
+        monkeypatch.setattr(analysis, "TOP_K", 2)
+        monkeypatch.setattr(analysis, "GAP_MINUTES", 10.0)
         samples = [self._s("a", 0, 0.9, -0.5), self._s("b", 30, 0.5, 0.2),
                    self._s("c", 59, 0.2, 0.9)]
-        out = rank_outliers(samples, 2, gap_minutes=10)
+        out = rank_outliers(samples)
         assert out.ids[0] == "a"
         assert not out.exhausted
 
-    def test_tie_broken_by_earlier_timestamp(self):
+    def test_tie_broken_by_earlier_timestamp(self, monkeypatch):
+        monkeypatch.setattr(analysis, "TOP_K", 1)
         samples = [self._s("late", 40, 0.5, 0.0), self._s("early", 10, 0.5, 0.0)]
-        out = rank_outliers(samples, 1, gap_minutes=5)
+        out = rank_outliers(samples)
         assert out.ids == ["early"]
 
-    def test_temporal_dedup_keeps_better_ranked(self):
+    def test_temporal_dedup_keeps_better_ranked(self, monkeypatch):
+        monkeypatch.setattr(analysis, "TOP_K", 2)
         samples = [self._s("a", 0, 0.9, -0.9), self._s("b", 5, 0.8, -0.8),
                    self._s("c", 0, 0.1, 0.9)]
-        out = rank_outliers(samples, 2, gap_minutes=60)
+        out = rank_outliers(samples)
         assert "a" in out.ids and "b" not in out.ids
 
+    def test_samples_sixty_minutes_apart_are_both_kept(self):
+        # "a" ranks first; "b" is 59 minutes from it and "c" exactly 60
+        samples = [self._s("a", 0, 0.9, -0.9), self._s("b", 59, 0.8, -0.8),
+                   self._s("c", 0, 0.1, 0.9)]
+        samples[2].timestamp += timedelta(minutes=60)
+        out = rank_outliers(samples)
+        assert out.ids == ["a", "c"]
+        assert out.exhausted
+
     def test_k_larger_than_dataset_flags(self):
-        out = rank_outliers([self._s("a", 0, 0.5, 0.5)], 5)
+        out = rank_outliers([self._s("a", 0, 0.5, 0.5)])
         assert out.ids == ["a"]
         assert out.exhausted
 
-    def test_k_zero_selects_nothing(self):
-        out = rank_outliers([self._s("a", 0, 0.5, 0.5), self._s("b", 30, 0.2, 0.1)], 0)
+    def test_no_samples_flags(self):
+        out = rank_outliers([])
+        assert out.ids == []
+        assert out.exhausted
+
+    def test_k_zero_selects_nothing(self, monkeypatch):
+        monkeypatch.setattr(analysis, "TOP_K", 0)
+        out = rank_outliers([self._s("a", 0, 0.5, 0.5), self._s("b", 30, 0.2, 0.1)])
         assert out.ids == []
         assert not out.exhausted
 
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError, match="top-k must be >= 0"):
-            rank_outliers([self._s("a", 0, 0.5, 0.5)], -1)
-
-    def test_invariant_under_monotone_rescaling(self):
+    def test_invariant_under_monotone_rescaling(self, monkeypatch):
+        monkeypatch.setattr(analysis, "TOP_K", 5)
+        monkeypatch.setattr(analysis, "GAP_MINUTES", 0.0)
         rng = np.random.default_rng(8)
         samples = [self._s(f"s{i}", i % 60, rng.uniform(0, 1),
                            rng.uniform(-1, 1)) for i in range(20)]
-        base = rank_outliers(samples, 5, gap_minutes=0).ids
+        base = rank_outliers(samples).ids
         rescaled = [OutlierSample(s.sample_id, s.timestamp,
                                   np.exp(3 * s.coverage),
                                   np.tanh(s.correlation) * 7)
                     for s in samples]
-        assert rank_outliers(rescaled, 5, gap_minutes=0).ids == base
+        assert rank_outliers(rescaled).ids == base
 
     @pytest.mark.parametrize("bad", ["coverage", "correlation"])
     def test_non_finite_sample_rejected_in_any_order(self, bad):
@@ -480,7 +505,7 @@ class TestRankOutliers:
         setattr(samples[1], bad, float("nan"))
         for order in (samples, samples[::-1]):
             with pytest.raises(ValueError, match="sample 'b' .* finite"):
-                rank_outliers(order, 2, gap_minutes=0)
+                rank_outliers(order)
 
 
 class TestCellSplitDiagnostic:

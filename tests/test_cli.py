@@ -463,13 +463,13 @@ class TestFrameRangeReads:
 
     @pytest.mark.parametrize("extra", [
         ["--mode", "3d"], ["--mode", "2d-cmax"],
-        ["--mode", "3d", "--denoise"], ["--mode", "3d", "--use-future"],
+        ["--mode", "3d", "--denoise"], ["--mode", "3d", "--inputs", "6"],
         ["--mode", "2d-cmax", "--denoise"]])
     def test_estimate_reads_only_its_inputs_as_a_whole_read_would(
             self, tmp_path, monkeypatch, extra):
         # a moving blob on two levels with rho_hv; the only invalid cell
-        # lies in frame 5, after the 4 input frames, and must still clear
-        # the static mask
+        # lies in frame 5, after the 4 input frames (an input only when all
+        # 6 frames are), and must still clear the static mask
         t_count, n = 6, 32
         yy, xx = np.mgrid[0:n, 0:n]
         data = np.stack([[40.0 * np.exp(-((xx - 10 - 1.5 * t) ** 2
@@ -486,7 +486,7 @@ class TestFrameRangeReads:
         def outputs(tag):
             out = tmp_path / tag / "m.rmf"
             out.parent.mkdir()
-            assert run("estimate", path, *extra, "--inputs", "4",
+            assert run("estimate", path, "--inputs", "4", *extra,
                        "--scales", "1,2", "-o", out) == 0
             return out.read_bytes(), (tmp_path / tag / "m_trace.csv").read_bytes()
 
@@ -497,7 +497,7 @@ class TestFrameRangeReads:
         monkeypatch.setattr("voxflow.rvol.RvolReader.read", lambda r, *span: (
             reads.append(span), read(r, *span))[1])
         ranged = outputs("ranged")
-        used = t_count if "--use-future" in extra else 4
+        used = t_count if "--inputs" in extra else 4
         assert reads == [(t, t + 1) for t in range(used)]
         # the same frames sliced from a whole-volume read
         whole = read_rvol(path)
@@ -735,7 +735,7 @@ class TestAnalyzeEqualsWholeVolumeReferences:
     def test_outliers(self, corpus_dir, tmp_path, refs):
         from voxflow import analysis, cli
         samples = self._pair_samples(refs)
-        ranked = analysis.rank_outliers(samples, analysis.TOP_K)
+        ranked = analysis.rank_outliers(samples)
         by_id = {s.sample_id: s for s in samples}
         cli._write_csv(tmp_path / "outliers.csv",
                        ["rank", "sample_id", "timestamp", "coverage",
@@ -822,6 +822,8 @@ class TestConfigFile:
               "unknown config key: top_k"),
         _case("command15", ("analyze", "d"), "bins = 20",
               "unknown config key: bins"),
+        _case("command16", ("estimate", "v.rvol"), "use-future = true",
+              "unknown config key: use_future"),
     ])
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys,
                                                        command, line, message):
@@ -879,8 +881,8 @@ class TestConfigFile:
 _SURFACE = {
     "synth": ["preset", "out", "seed", "frames", "crop_scale", "quantize",
               "config"],
-    "estimate": ["volume", "mode", "out", "trace", "inputs", "use_future",
-                 "scales", "denoise", "config"],
+    "estimate": ["volume", "mode", "out", "trace", "inputs", "scales",
+                 "denoise", "config"],
     "nowcast": ["volume", "motion", "leads", "out", "start_frame", "config"],
     "verify": ["forecast", "truth", "out", "offset", "config"],
     "analyze": ["directory", "which", "outdir", "level_pair", "config"],
@@ -983,6 +985,9 @@ class TestErrors:
               ("analyze", "d", "--which", "histogram", "--bins", "20"),
               re.compile(r"voxflow: error: unrecognized arguments: "
                          r"--bins 20")),
+        _case("argv26", ("estimate", "v.rvol", "--use-future"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--use-future")),
     ])
     def test_malformed_list_is_usage_error(self, capsys, argv, form):
         with pytest.raises(SystemExit) as err:

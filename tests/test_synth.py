@@ -161,14 +161,6 @@ class TestScenarioValidation:
         assert (vol.data == NO_ECHO_DBZ).any()
         assert vol.data.min() == NO_ECHO_DBZ
 
-    def test_amplitude_trend_breaks_persistence(self):
-        cells = [GaussianCell(24.0, 24.0, 30.0, 4.0)]
-        scn = SyntheticScenario(shape=(3, 1, 48, 48), cells=cells,
-                                velocities=np.zeros((1, 1, 2)),
-                                amplitude_trend=5.0, z_levels=[500.0])
-        vol, _ = generate(scn)
-        assert vol.data[2].max() > vol.data[0].max() + 5.0
-
 
 # --- reference renderer: whole-plane formulas, one new array per step ------
 
@@ -177,8 +169,7 @@ def _ref_render_frame(scn, z, t, yg, xg):
     amp_scale = 1.0 if scn.level_amp_scale is None else scn.level_amp_scale[z]
     for b, cell in enumerate(scn.cells):
         cy, cx = _cell_position(scn, z, b, t)
-        amp = cell.amplitude_dbz * amp_scale + scn.amplitude_trend * t
-        amp = min(max(amp, 0.0), 70.0)
+        amp = min(max(cell.amplitude_dbz * amp_scale, 0.0), 70.0)
         r2 = (yg - cy) ** 2 + (xg - cx) ** 2
         plane = np.maximum(plane, amp * np.exp(-r2 / (2.0 * cell.sigma ** 2)))
     return plane
@@ -281,10 +272,6 @@ def _scenarios(draw):
     speed = st.floats(-3.0, 3.0)
     vel = np.array(draw(st.lists(speed, min_size=z_count * n * 2,
                                  max_size=z_count * n * 2))).reshape(z_count, n, 2)
-    # small trends carry amplitudes near the floor through it from frame to
-    # frame; large ones clamp at 0 and 70 dBZ
-    trend = draw(st.one_of(st.just(0.0), st.floats(-2e-12, 2e-12),
-                           st.floats(-40.0, 40.0)))
     amp_scale = draw(st.one_of(
         st.none(), st.lists(st.floats(0.5, 1.5), min_size=z_count,
                             max_size=z_count)))
@@ -298,8 +285,8 @@ def _scenarios(draw):
     if offsets is not None:
         offsets = np.array(offsets).reshape(z_count, len(cells), 2)
     return SyntheticScenario(shape=(t_count, z_count, ny, nx), cells=cells,
-                             velocities=vel, amplitude_trend=trend,
-                             level_amp_scale=amp_scale, level_offsets=offsets)
+                             velocities=vel, level_amp_scale=amp_scale,
+                             level_offsets=offsets)
 
 
 class TestByteIdentityWithReference:
@@ -407,17 +394,20 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="centre"):
             GaussianCell(y, x, 30.0, 2.0)
 
+    # array cases keep the positional ids pytest once gave them, so that
+    # removing a case renames no other
     @pytest.mark.parametrize("field, value", [
         ("level_offsets", np.full((1, 1, 2), np.nan)),
-        ("amplitude_trend", math.nan),
-        ("amplitude_trend", math.inf),
-        ("level_amp_scale", np.array([np.nan])),
+        pytest.param("level_amp_scale", np.array([np.nan]),
+                     id="level_amp_scale-value3"),
         ("speckle_prob", 2.0),
         ("speckle_prob", -0.1),
         ("speckle_prob", math.nan),
         ("rotation_omega", math.nan),
-        ("switch_velocities", np.zeros(3)),
-        ("switch_velocities", np.full((1, 1, 2), np.inf)),
+        pytest.param("switch_velocities", np.zeros(3),
+                     id="switch_velocities-value8"),
+        pytest.param("switch_velocities", np.full((1, 1, 2), np.inf),
+                     id="switch_velocities-value9"),
     ])
     def test_scenario_field(self, field, value):
         kw = {"switch_t": 1} if field == "switch_velocities" else {}

@@ -174,7 +174,7 @@ class TestVerifyNowcast:
     def test_persistence_on_stationary_scene(self):
         rng = np.random.default_rng(9)
         obs = mmh(rng.uniform(0, 10, (1, 12, 12)))
-        report = verify_nowcast([obs] * 4, [obs] * 4, thresholds=(1.0,))
+        report = verify_nowcast([obs] * 4, [obs] * 4)
         for lead in report.leads:
             assert report.continuous(lead) == pytest.approx((0.0, 0.0, 0.0))
             p, r, e = report.categorical(lead, 1.0)
@@ -186,7 +186,7 @@ class TestVerifyNowcast:
         low[1, 2, 2] = 9.0
         pred = mmh(low)
         flat = mmh(np.maximum(low[0], low[1])[None])
-        report = verify_nowcast([pred], [flat], thresholds=(1.0,))
+        report = verify_nowcast([pred], [flat])
         assert report.continuous(1) == pytest.approx((0.0, 0.0, 0.0))
 
     def test_micro_aggregation_pools_counts(self):
@@ -194,8 +194,7 @@ class TestVerifyNowcast:
         a_obs = mmh(np.full((1, 4, 4), 5.0))
         b_pred = mmh(np.zeros((1, 4, 4)))
         b_obs = mmh(np.full((1, 4, 4), 5.0))
-        report = verify_nowcast([[a_pred], [b_pred]], [[a_obs], [b_obs]],
-                                thresholds=(1.0,))
+        report = verify_nowcast([[a_pred], [b_pred]], [[a_obs], [b_obs]])
         tbl = report.tables[(1, 1.0)]
         assert tbl.hits == 16 and tbl.misses == 16
         assert report.samples == 2
@@ -208,7 +207,7 @@ class TestVerifyNowcast:
         vol, truth = generate(preset("uniform", frames=24))
         leads = extrapolate(volume_to_rain(vol, 7), truth, 16)
         obs = [volume_to_rain(vol, 8 + t) for t in range(16)]
-        report = verify_nowcast(leads, obs, thresholds=(1.0,))
+        report = verify_nowcast(leads, obs)
         me, mae, mse = report.continuous(16)
         field_mean = obs[-1].data[obs[-1].mask].mean()
         assert mae < 0.05 * field_mean
@@ -220,27 +219,21 @@ class TestVerifyNowcast:
             blob = 8.0 * np.exp(-((yg - 16) ** 2 + (xg - 8 - 3 * t) ** 2) / 12.0)
             frames.append(mmh(blob[None]))
         persistence = [frames[0]] * 5
-        report = verify_nowcast(persistence, frames[1:], thresholds=(1.0,))
+        report = verify_nowcast(persistence, frames[1:])
         maes = [report.continuous(lead)[1] for lead in report.leads]
         assert all(b > a for a, b in zip(maes, maes[1:]))
-
-    @pytest.mark.parametrize("thresholds", [(1.0, 1.0), (1, 5.0, 1.0)])
-    def test_repeated_thresholds_rejected(self, thresholds):
-        obs = mmh(np.full((1, 4, 4), 5.0))
-        with pytest.raises(ValueError, match="repeated threshold"):
-            verify_nowcast([obs], [obs], thresholds=thresholds)
 
     def test_one_sample_equals_single_field_scores(self):
         rng = np.random.default_rng(12)
         mask = rng.random((3, 16, 16)) > 0.2
         preds = [mmh(rng.gamma(0.6, 6.0, (3, 16, 16)), mask) for _ in range(3)]
         obss = [mmh(rng.gamma(0.6, 6.0, (3, 16, 16)), mask) for _ in range(3)]
-        thresholds = (1.0, 5.0, 10.0)
-        report = verify_nowcast(preds, obss, thresholds)
+        report = verify_nowcast(preds, obss)
+        assert report.thresholds == [1.0, 5.0, 10.0]
         for lead, (pred, obs) in enumerate(zip(preds, obss), start=1):
             p, o = cmax_field(pred), cmax_field(obs)
             assert report.continuous(lead) == continuous_metrics(p, o)
-            for thr in thresholds:
+            for thr in report.thresholds:
                 assert report.tables[(lead, thr)] == contingency(p, o, thr)
 
     def _samples(self):
