@@ -4,6 +4,11 @@ Covers rainy-pixel ratios per altitude, inter-level correlation matrices for
 reflectivity and motion, month-wise box statistics, the coverage-versus-
 correlation histogram with its rank-sum outlier selection, and the
 cell-splitting diagnostic for vertically pooled nowcasts.
+
+A volume argument is iterated for its frames in order, one-frame
+RadarVolumes with the volume's static mask: a RadarVolume, an open
+RvolReader, which decodes one frame at a time, or a list of its frames
+give the same result, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,26 +42,17 @@ CORR_EDGES = np.linspace(-1.0, 1.0, 21)
 COVERAGE_EDGES.flags.writeable = CORR_EDGES.flags.writeable = False
 
 
-def _parts(vol: RadarVolume | Iterable[RadarVolume]) -> Iterable[RadarVolume]:
-    """A volume as the one part of itself; any other argument is taken to
-    be a volume's parts already: RadarVolumes of consecutive frames in
-    order, each with the volume's static mask, such as RvolReader.read(t,
-    t + 1) gives one frame at a time."""
-    return (vol,) if isinstance(vol, RadarVolume) else vol
-
-
-def rainy_ratio(vol: RadarVolume | Iterable[RadarVolume],
+def rainy_ratio(vol: Iterable[RadarVolume],
                 thresholds_dbz: Sequence[float]) -> np.ndarray:
     """Fraction of valid cells exceeding each reflectivity threshold, per
     altitude level; shape (Z, n_thresholds), averaged over the time axis.
 
-    vol may be given as its frames (see _parts), which are read one at a
-    time: each frame's counts are summed as integers and divided once, so
-    the fractions are those of the whole volume, bit for bit. No frames at
-    all is a ValueError.
+    The frames are read one at a time: each frame's counts are summed as
+    integers and divided once, so the fractions are those of the whole
+    volume, bit for bit. No frames at all is a ValueError.
     """
     counts, t = None, 0
-    for part in _parts(vol):
+    for part in vol:
         if counts is None:
             counts = np.zeros((part.shape[1], len(thresholds_dbz)), np.int64)
         for j, thr in enumerate(thresholds_dbz):
@@ -99,20 +95,20 @@ def pair_mean(z: int, rows: Iterable[tuple[int, int, float]]) -> np.ndarray:
 
 
 def reflectivity_corr_matrix(
-        vols: Iterable[RadarVolume | Iterable[RadarVolume]]) -> np.ndarray:
+        vols: Iterable[Iterable[RadarVolume]]) -> np.ndarray:
     """Mean pixel-wise Pearson correlation between altitude-level pairs.
 
     Every frame of every volume is one sample; a sample qualifies only when
     echo above ECHO_THRESHOLD_DBZ is present at all altitude levels. Entries
     with no usable samples are NaN; the diagonal is exactly 1. vols may be
-    any iterable, such as a generator that reads one volume at a time, and
-    each volume may be given as its frames (see _parts); an empty one, or
-    one whose volumes differ in level count, raises ValueError.
+    any iterable, such as a generator that opens one volume at a time, and
+    each volume is iterated for its frames; an empty one, or one whose
+    volumes differ in level count, raises ValueError.
     """
     z = None
     rows = []
     for n, vol in enumerate(vols):
-        for part in _parts(vol):
+        for part in vol:
             z = part.shape[1] if z is None else z
             if part.shape[1] != z:
                 raise ValueError(f"volume {n} has Z={part.shape[1]}, "
@@ -130,11 +126,6 @@ def reflectivity_corr_matrix(
     return pair_mean(z, rows)
 
 
-def _echo(vol: RadarVolume) -> np.ndarray:
-    """Z x Y x X: the cell holds finite dBZ above NO_ECHO_DBZ in some frame."""
-    return ((vol.data > NO_ECHO_DBZ) & np.isfinite(vol.data)).any(axis=0)
-
-
 class MotionSample(NamedTuple):
     """A motion field with the two Z x Y x X planes of its volume that the
     motion correlations read: the echo cells (see motion_pair_corr) and the
@@ -146,13 +137,14 @@ class MotionSample(NamedTuple):
 
 
 def motion_sample(mf: MotionField,
-                  vol: RadarVolume | Iterable[RadarVolume]) -> MotionSample:
-    """The MotionSample of a motion field and its input volume, which may be
-    given as its frames (see _parts): their echo planes are OR-ed one frame
-    at a time. No frames at all is a ValueError."""
+                  vol: Iterable[RadarVolume]) -> MotionSample:
+    """The MotionSample of a motion field and its input volume. A cell is
+    echo where it holds finite dBZ above NO_ECHO_DBZ in some frame; the
+    frames' echo planes are OR-ed one at a time. No frames at all is a
+    ValueError."""
     echo = None
-    for part in _parts(vol):
-        planes = _echo(part)
+    for part in vol:
+        planes = ((part.data > NO_ECHO_DBZ) & np.isfinite(part.data)).any(0)
         echo = planes if echo is None else np.logical_or(echo, planes,
                                                          out=echo)
     if echo is None:
@@ -187,9 +179,8 @@ def _pair_corr(s: MotionSample, i: int, j: int, component: str) -> float:
     return _pearson(a, b)
 
 
-def motion_pair_corr(mf: MotionField,
-                     vol: RadarVolume | Iterable[RadarVolume], i: int, j: int,
-                     component: str = "both") -> float:
+def motion_pair_corr(mf: MotionField, vol: Iterable[RadarVolume], i: int,
+                     j: int, component: str = "both") -> float:
     """Pearson correlation between the motion fields of levels i and j over
     the precipitating region of the corresponding input slices.
 
@@ -197,8 +188,8 @@ def motion_pair_corr(mf: MotionField,
     finite dBZ above NO_ECHO_DBZ in some frame: exactly the cells whose
     summed time-mean rain rate of the two slices is above 0 mm/h. component
     selects 'u', 'v', or 'both' (u and v concatenated into one vector).
-    Level indices outside [0, Z) raise ValueError. vol may be given as its
-    frames, as for motion_sample.
+    Level indices outside [0, Z) raise ValueError. vol is read one frame
+    at a time, as for motion_sample.
     """
     return sample_pair_corr(motion_sample(mf, vol), i, j, component)
 
@@ -215,12 +206,12 @@ def sample_pair_corr(s: MotionSample, i: int, j: int,
 
 
 def motion_corr_matrix(mfs: Sequence[MotionField],
-                       inputs: Sequence[RadarVolume | Iterable[RadarVolume]],
+                       inputs: Sequence[Iterable[RadarVolume]],
                        component: str = "both") -> np.ndarray:
     """Mean pairwise motion correlation matrix over a dataset of samples.
 
     Each pair correlation is motion_pair_corr's, over the same region, and
-    each input volume may be given as its frames. Every sample must have
+    each input volume is read one frame at a time. Every sample must have
     the first sample's level count; one that differs, or an empty dataset,
     raises ValueError.
     """
@@ -288,11 +279,10 @@ def monthwise_boxstats(values: Sequence[float],
     return out
 
 
-def coverage_ratio(vol: RadarVolume | Iterable[RadarVolume]) -> float:
+def coverage_ratio(vol: Iterable[RadarVolume]) -> float:
     """Mean fraction of valid CMAX pixels exceeding COVERAGE_DBZ across the
-    volume's frames, which may be given one at a time as for rainy_ratio;
-    each is pooled on its own."""
-    return float(rainy_ratio(map(cmax, _parts(vol)), (COVERAGE_DBZ,))[0, 0])
+    volume's frames, each pooled on its own as it is read."""
+    return float(rainy_ratio(map(cmax, vol), (COVERAGE_DBZ,))[0, 0])
 
 
 def coverage_vs_corr_histogram(

@@ -322,12 +322,12 @@ def _cmd_verify(args) -> int:
         if offset < 0 or offset + k > t_truth:
             raise ValueError(f"truth volume (T={t_truth}) cannot cover "
                              f"{k} leads at offset {offset}")
-        # one lead of each volume is read, pooled to its column maximum on
-        # the stored values, decoded and converted at a time
+        # one sample: one lead of each volume is read, pooled to its column
+        # maximum on the stored values, decoded and converted at a time
         report = verify_nowcast(
-            (volume_to_rain(fc.read_cmax(t), 0) for t in range(k)),
-            (volume_to_rain(truth.read_cmax(t), 0)
-             for t in range(offset, offset + k)))
+            [(volume_to_rain(fc.read_cmax(t), 0) for t in range(k))],
+            [(volume_to_rain(truth.read_cmax(t), 0)
+              for t in range(offset, offset + k))])
     sample_id = Path(args.forecast).stem
     rows = []
     for lead in report.leads:
@@ -368,12 +368,6 @@ def _motion_for(path: Path) -> MotionField | None:
     return None
 
 
-def _frames(reader: rvol.RvolReader):
-    """The volume's frames in order, each decoded on its own when it is
-    asked for."""
-    return (reader.read(t, t + 1) for t in range(reader.header.t))
-
-
 def _motion_samples(files):
     """(stem, timestamp, open reader, motion) of every volume with a motion
     file.
@@ -409,8 +403,7 @@ def _pair_samples(files, low: int, mid: int):
                 sample_id=stem, timestamp=ts,
                 coverage=analysis.coverage_ratio(
                     map(reader.read_cmax, range(reader.header.t))),
-                correlation=analysis.motion_pair_corr(mf, _frames(reader),
-                                                      low, mid))
+                correlation=analysis.motion_pair_corr(mf, reader, low, mid))
             for stem, ts, reader, mf in _motion_samples(files)]
 
 
@@ -450,7 +443,7 @@ def _volumes(files):
 
 def _analyze_ratios(args, files, outdir: Path) -> str:
     thresholds = analysis.RAINY_THRESHOLDS_DBZ
-    ratios = [analysis.rainy_ratio(_frames(reader), thresholds)
+    ratios = [analysis.rainy_ratio(reader, thresholds)
               for reader in _volumes(files)]
     mean = np.mean(ratios, axis=0)
     rows = [[z, _fmt(thr), float(mean[z, j])]
@@ -473,7 +466,7 @@ def _analyze_ratios(args, files, outdir: Path) -> str:
 
 
 def _analyze_refl_corr(args, files, outdir: Path) -> str:
-    mat = analysis.reflectivity_corr_matrix(map(_frames, _volumes(files)))
+    mat = analysis.reflectivity_corr_matrix(_volumes(files))
     _write_matrix(outdir / "reflectivity_corr.csv", mat)
     svgplot.heatmap(mat, outdir / "reflectivity_corr.svg",
                     title="reflectivity correlation by level pair",
@@ -488,7 +481,7 @@ def _analyze_motion_corr(args, files, outdir: Path) -> str:
     rows = {component: [] for component in ("both", "u", "v")}
     stamps, corrs = [], []
     for _, ts, reader, mf in _motion_samples(files):
-        sample = analysis.motion_sample(mf, _frames(reader))
+        sample = analysis.motion_sample(mf, reader)
         corrs.append(analysis.sample_pair_corr(sample, low, mid))
         stamps.append(ts)
         for component, kept in rows.items():
@@ -553,7 +546,7 @@ def _analyze_split(args, files, outdir: Path) -> str:
     for path, stem, _ in files:
         with rvol.RvolReader(path) as reader:
             diag = analysis.cell_split_diagnostic(
-                volume_to_rain(frame, 0) for frame in _frames(reader))
+                volume_to_rain(frame, 0) for frame in reader)
         rows = [[li, n, ";".join(str(c) for c in counts), cells]
                 for li, (n, counts, cells) in enumerate(zip(
                     diag.cmax_counts, diag.level_counts,

@@ -74,6 +74,14 @@ class RadarVolume:
         """Z x Y x X reflectivity slice at time index t."""
         return self.data[t]
 
+    def __iter__(self):
+        """The frames in order, each a one-frame RadarVolume with this
+        volume's static mask and its rho_hv slice."""
+        rho = self.rho_hv
+        for t in range(self.data.shape[0]):
+            yield RadarVolume(self.data[t:t + 1], self.z_levels, self.dt,
+                              self.mask, None if rho is None else rho[t:t + 1])
+
 
 @dataclass
 class RainField:

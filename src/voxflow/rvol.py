@@ -18,6 +18,7 @@ RMF1 layout, little-endian:
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -64,13 +65,15 @@ def _decode(raw: np.ndarray) -> np.ndarray:
 class RvolWriter:
     """An RVOL file written one (t, z) reflectivity plane at a time.
 
-    Opening writes the header and the altitudes. write() stores a plane at
-    its offset in the payload, in any order, as f32 or, with quantize, as
-    u8; a (t, z) outside the volume is a ValueError, raised before the
-    seek. A dimension that read_rvol would reject is a ValueError, raised
-    before the file is opened. Used as a context manager, the writer
-    removes its file when the block raises or leaves a plane unwritten, so
-    no partial volume is left behind.
+    Opening writes the header and the altitudes. A dimension or altitude
+    that RvolReader would reject, a non-finite altitude, or a dt that does
+    not round into the header's u32 is a ValueError, raised before the file
+    is opened; a header write that raises removes the file. write() stores
+    a plane at its offset in the payload, in any order, as f32 or, with
+    quantize, as u8; a (t, z) outside the volume, or a plane or validity of
+    another shape, is a ValueError, raised before the seek. Used as a
+    context manager, the writer removes its file when the block raises or
+    leaves a plane unwritten, so no partial volume is left behind.
     """
 
     def __init__(self, path: str | Path, shape: tuple[int, int, int, int],
@@ -79,28 +82,41 @@ class RvolWriter:
             if not 1 <= dim <= _MAX_DIM:
                 raise ValueError(f"RVOL dimension {name}={dim} is outside "
                                  f"[1, {_MAX_DIM}]")
+        if not (math.isfinite(dt) and 0 <= round(dt) < 2**32):
+            raise ValueError(f"RVOL time step dt={dt} does not round into "
+                             f"[0, {2**32 - 1}] seconds")
+        with np.errstate(over="ignore"):  # a huge altitude casts to inf
+            levels = np.asarray(z_levels, dtype="<f4")
+        if levels.shape != (shape[1],) or not np.isfinite(levels).all() \
+                or not np.all(np.diff(levels) > 0):
+            raise ValueError(f"RVOL altitudes {levels.tolist()} are not "
+                             f"{shape[1]} finite increasing float32 values")
         self.path, self.shape = Path(path), tuple(shape)
         self._dtype = DTYPE_U8 if quantize else DTYPE_F32
         self._plane_bytes = (1 if quantize else 4) * shape[2] * shape[3]
         self._unwritten = np.ones(shape[:2], dtype=bool)
         self._fh = fh = open(path, "wb")
-        fh.write(RVOL_MAGIC)
-        fh.write(struct.pack("<B", RVOL_VERSION))
-        fh.write(struct.pack("<IIII", *shape))
-        fh.write(struct.pack("<B", self._dtype))
-        fh.write(struct.pack("<I", int(round(dt))))
-        fh.write(np.asarray(z_levels, dtype="<f4").tobytes())
+        try:
+            fh.write(RVOL_MAGIC + struct.pack("<BIIIIBI", RVOL_VERSION, *shape,
+                                              self._dtype, int(round(dt))))
+            fh.write(levels.tobytes())
+        except BaseException:
+            fh.close()
+            self.path.unlink(missing_ok=True)
+            raise
         self._payload = fh.tell()
 
     def write(self, t: int, z: int, dbz: np.ndarray,
               valid: np.ndarray) -> None:
-        """Store plane (t, z) of the reflectivity, invalid where valid is
-        False."""
+        """Store plane (t, z) of the reflectivity, invalid where valid,
+        taken as bool, is False."""
         if not (0 <= t < self.shape[0] and 0 <= z < self.shape[1]):
             raise ValueError(f"plane ({t}, {z}) is outside the "
                              f"{self.shape[0]} x {self.shape[1]} planes")
-        if dbz.shape != self.shape[2:]:
-            raise ValueError(f"plane shape {dbz.shape} != {self.shape[2:]}")
+        valid = np.asarray(valid, dtype=bool)
+        if dbz.shape != self.shape[2:] or valid.shape != self.shape[2:]:
+            raise ValueError(f"plane shape {dbz.shape} and valid shape "
+                             f"{valid.shape} must be {self.shape[2:]}")
         if self._dtype == DTYPE_F32:
             plane = dbz.astype("<f4")
             plane[~valid] = np.nan
@@ -143,11 +159,9 @@ def write_rvol(path: str | Path, vol: RadarVolume, quantize: bool = False) -> No
     if vol.rho_hv is not None and not np.isfinite(vol.rho_hv).all():
         raise ValueError("rho_hv holds non-finite values, which RVOL "
                          "cannot store")
-    t, z = vol.shape[:2]
     with RvolWriter(path, vol.shape, vol.z_levels, vol.dt, quantize) as out:
-        for ti in range(t):
-            for zi in range(z):
-                out.write(ti, zi, vol.data[ti, zi], vol.mask[zi])
+        for t, z in np.ndindex(vol.shape[:2]):
+            out.write(t, z, vol.data[t, z], vol.mask[z])
         if vol.rho_hv is not None:
             out.write_rho_hv(vol.rho_hv)
 
@@ -317,6 +331,11 @@ class RvolReader:
         return RadarVolume(data=_decode(top[None]),
                            z_levels=self.z_levels.max(keepdims=True),
                            dt=float(self.header.dt_seconds), mask=pooled)
+
+    def __iter__(self):
+        """read(t, t + 1) for every frame in order, one decoded at a time."""
+        for t in range(self.header.t):
+            yield self.read(t, t + 1)
 
     def close(self) -> None:
         """Close the file and drop the mask and the frame buffer."""

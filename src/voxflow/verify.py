@@ -134,34 +134,19 @@ def _as_cmax_mmh(f: RainField) -> RainField:
     return cmax_field(f) if f.nz > 1 else f
 
 
-def _chained(first, rest: Iterable):
-    """first, then the items of rest, without holding first once taken."""
-    yield first
-    del first
-    yield from rest
+def verify_nowcast(
+        model_outputs: Iterable[Iterable[RainField]],
+        observations: Iterable[Iterable[RainField]]) -> VerificationReport:
+    """Score forecast samples against observed ones, independently per lead
+    time, with the categorical scores at each of THRESHOLDS_MMH.
 
-
-def verify_nowcast(model_outputs: Iterable,
-                   observations: Iterable) -> VerificationReport:
-    """Score forecasts against observations, independently per lead time,
-    with the categorical scores at each of THRESHOLDS_MMH.
-
-    Accepts one sample (an iterable of per-lead RainFields for forecast and
-    observation alike) or many (an iterable of such iterables). Fields are
-    taken one lead at a time, so a lazy iterable holds one lead at a time,
-    and the sample and lead counts are checked as they are consumed.
-    Volumetric fields are collapsed to their column maximum prior to
-    evaluation.
+    Each argument is an iterable of samples, and each sample an iterable of
+    per-lead RainFields, taken at their column maximum; counts and error
+    sums are pooled over the samples. Fields are taken one lead at a time,
+    so a lazy sample holds one lead at a time, and the sample and lead
+    counts are checked as they are consumed. No samples at all is a
+    ValueError.
     """
-    model_outputs = iter(model_outputs)
-    first = next(model_outputs, _MISSING)
-    if first is _MISSING:
-        raise ValueError("no forecasts given")
-    single = isinstance(first, RainField)
-    model_outputs = _chained(first, model_outputs)
-    del first
-    if single:
-        model_outputs, observations = [model_outputs], [observations]
     sums, counts = {}, {}
     samples = end = 0
     for preds, obss in itertools.zip_longest(model_outputs, observations,
@@ -185,6 +170,8 @@ def verify_nowcast(model_outputs: Iterable,
         if pred is not obs or (samples > 1 and lead != end):
             raise ValueError("every sample must cover the same lead times")
         end = lead
+    if not samples:
+        raise ValueError("no forecasts given")
     tables = {key: ContingencyTable(*c) for key, c in counts.items()}
     return VerificationReport(leads=list(range(1, end)),
                               thresholds=list(THRESHOLDS_MMH), samples=samples,

@@ -1,3 +1,4 @@
+from contextlib import ExitStack
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -18,7 +19,9 @@ from voxflow.analysis import (
     rank_outliers,
     reflectivity_corr_matrix,
 )
-from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, Space
+from voxflow.grid import (NO_ECHO_DBZ, MotionField, RadarVolume, RainField,
+                          Space, cmax)
+from voxflow.rvol import RvolReader, read_rvol, write_rvol
 from voxflow.synth import generate, preset
 from voxflow.transform import volume_to_rain
 
@@ -316,44 +319,79 @@ class TestMotionSamples:
             motion_corr_matrix([], [])
 
 
-def _frames(vol):
-    """The volume's frames as one-frame volumes sharing its mask."""
-    return (RadarVolume(data=vol.data[t:t + 1], z_levels=vol.z_levels,
-                        dt=vol.dt, mask=vol.mask) for t in range(vol.shape[0]))
+def _whole_ratio(vol, thresholds):
+    """rainy_ratio counted on the whole T x Z x Y x X array at once."""
+    z = vol.shape[1]
+    counts = np.array([np.count_nonzero((vol.data > thr) & vol.mask,
+                                        axis=(0, 2, 3)) for thr in thresholds],
+                      np.int64).reshape(len(thresholds), z).T
+    denom = (vol.shape[0] * vol.mask.sum(axis=(1, 2)))[:, None]
+    return np.divide(counts, denom, out=np.zeros(counts.shape),
+                     where=denom > 0)
+
+
+def _forms(vols, tmp_path, stack):
+    """(volumes, forms) twice: the volumes, then the same volumes written as
+    RVOL and read back whole. Each form holds one entry per volume: the
+    volume itself, a list of its frames and, for the files, an open
+    RvolReader, which stack closes."""
+    paths = [tmp_path / f"{n}.rvol" for n in range(len(vols))]
+    for vol, path in zip(vols, paths):
+        write_rvol(path, vol)
+    read = [read_rvol(path) for path in paths]
+    readers = [stack.enter_context(RvolReader(path)) for path in paths]
+    return [(vols, [vols, [list(v) for v in vols]]),
+            (read, [read, [list(v) for v in read], readers])]
 
 
 class TestFramesGiveTheWholeVolumeResults:
-    """Each volume statistic takes the volume's frames one at a time and
-    gives the whole volume's result bit for bit, on frames holding NaN,
-    +-inf and masked cells."""
+    """Each volume statistic iterates its volume one frame at a time and
+    gives the same bytes on a RadarVolume, a list of its frames and an open
+    RvolReader of its file; the ratios are those of the whole volume
+    counted at once. The in-memory volumes hold NaN, +-inf and masked
+    cells."""
 
     SEEDS = range(6)
 
-    def test_ratios(self, monkeypatch):
+    def test_ratios(self, tmp_path, monkeypatch):
         for seed in self.SEEDS:
-            _, vol = _hostile_sample(seed)
-            for thresholds in ((0.0, 20.0), (-31.5, np.inf), ()):
-                assert rainy_ratio(_frames(vol), thresholds).tobytes() == \
-                    rainy_ratio(vol, thresholds).tobytes()
-            for thr in (20.0, -32.0):
-                monkeypatch.setattr(analysis, "COVERAGE_DBZ", thr)
-                assert coverage_ratio(_frames(vol)) == coverage_ratio(vol)
+            with ExitStack() as stack:
+                for (whole,), forms in _forms([_hostile_sample(seed)[1]],
+                                              tmp_path, stack):
+                    for thresholds in ((0.0, 20.0), (-31.5, np.inf), ()):
+                        want = _whole_ratio(whole, thresholds).tobytes()
+                        for (form,) in forms:
+                            assert rainy_ratio(form, thresholds).tobytes() \
+                                == want
+                    for thr in (20.0, -32.0):
+                        monkeypatch.setattr(analysis, "COVERAGE_DBZ", thr)
+                        want = float(_whole_ratio(cmax(whole), (thr,))[0, 0])
+                        for (form,) in forms:
+                            assert coverage_ratio(form) == want
 
-    def test_reflectivity_corr(self):
-        vols = [generate(preset(name, frames=4))[0] for name in ("shear8", "uniform")]
-        got = reflectivity_corr_matrix(_frames(v) for v in vols)
-        assert got.tobytes() == reflectivity_corr_matrix(vols).tobytes()
+    def test_reflectivity_corr(self, tmp_path):
+        vols = [generate(preset(name, frames=4))[0]
+                for name in ("shear8", "uniform")]
+        with ExitStack() as stack:
+            for wholes, forms in _forms(vols, tmp_path, stack):
+                want = reflectivity_corr_matrix(wholes).tobytes()
+                for form in forms:
+                    assert reflectivity_corr_matrix(form).tobytes() == want
 
     @pytest.mark.parametrize("component", ["both", "u", "v"])
-    def test_motion_corr(self, component):
+    def test_motion_corr(self, tmp_path, component):
         mfs, vols = zip(*(_hostile_sample(seed) for seed in self.SEEDS))
-        got = motion_corr_matrix(mfs, [_frames(v) for v in vols], component)
-        want = motion_corr_matrix(mfs, vols, component)
-        assert got.tobytes() == want.tobytes()
-        for mf, vol in zip(mfs, vols):
-            assert np.array_equal(
-                motion_pair_corr(mf, _frames(vol), 0, 1, component),
-                motion_pair_corr(mf, vol, 0, 1, component), equal_nan=True)
+        with ExitStack() as stack:
+            for wholes, forms in _forms(vols, tmp_path, stack):
+                want = motion_corr_matrix(mfs, wholes, component).tobytes()
+                for form in forms:
+                    got = motion_corr_matrix(mfs, form, component)
+                    assert got.tobytes() == want
+                    for mf, whole, one in zip(mfs, wholes, form):
+                        assert np.array_equal(
+                            motion_pair_corr(mf, one, 0, 1, component),
+                            motion_pair_corr(mf, whole, 0, 1, component),
+                            equal_nan=True)
 
     def test_sample_rows_average_to_the_matrix(self):
         mfs, vols = zip(*(_hostile_sample(seed) for seed in self.SEEDS))

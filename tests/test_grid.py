@@ -337,6 +337,25 @@ class TestTypes:
             RadarVolume(data=np.zeros((1, 2, 3, 3)), z_levels=[500.0, 1000.0],
                         mask=np.ones((2, 3, 4), bool))
 
+    @pytest.mark.parametrize("with_rho", [False, True])
+    def test_radar_volume_iterates_its_frames(self, with_rho):
+        rng = np.random.default_rng(3)
+        data = rng.uniform(-30.0, 60.0, (3, 2, 4, 5))
+        rho = rng.uniform(0.0, 1.0, data.shape) if with_rho else None
+        vol = RadarVolume(data=data, z_levels=[500.0, 1500.0], dt=150.0,
+                          mask=rng.random((2, 4, 5)) < 0.8, rho_hv=rho)
+        frames = list(vol)
+        assert len(frames) == 3
+        for t, f in enumerate(frames):
+            assert f.shape == (1, 2, 4, 5) and f.dt == 150.0
+            assert np.shares_memory(f.data, vol.data)
+            assert f.data.tobytes() == data[t:t + 1].tobytes()
+            assert f.mask is vol.mask and f.z_levels is vol.z_levels
+            if with_rho:
+                assert f.rho_hv.tobytes() == rho[t:t + 1].tobytes()
+            else:
+                assert f.rho_hv is None
+
     def test_rain_field_space_floor(self):
         with pytest.raises(ValueError):
             RainField(data=np.array([[-1.0]]), space=Space.MMH)

@@ -1,4 +1,6 @@
 import errno
+import io
+import re
 import struct
 import tracemalloc
 
@@ -400,6 +402,78 @@ class TestRvolWriter:
                     out.write(t, z, vol.data[2, 1], vol.mask[1])
             assert not path.exists()
 
+    @pytest.mark.parametrize("dt", [-5, -0.6, 2**32 - 0.5, 2**33, np.inf,
+                                    -np.inf, np.nan])
+    def test_time_step_the_header_cannot_hold_is_refused(self, tmp_path, dt):
+        vol = sample_volume(np.random.default_rng(48))
+        vol.dt = dt
+        with pytest.raises(ValueError, match=f"dt={dt} does not round into"):
+            write_rvol(tmp_path / "v.rvol", vol)
+        assert not (tmp_path / "v.rvol").exists()
+
+    @pytest.mark.parametrize("z_levels", [
+        [500.0], [500.0, 1500.0, 2500.0], [[500.0, 1500.0]],
+        # distinct in float64, equal once cast to the stored float32
+        [1000.0, 1000.00001], [1500.0, 500.0], [500.0, np.inf],
+        [np.nan, 500.0], [500.0, 1e39]])
+    def test_altitudes_the_reader_rejects_are_refused(self, tmp_path,
+                                                      z_levels):
+        with pytest.raises(ValueError, match="RVOL altitudes .* are not 2 "
+                                             "finite increasing float32"):
+            RvolWriter(tmp_path / "v.rvol", (3, 2, 8, 10), z_levels, 300.0)
+        assert not (tmp_path / "v.rvol").exists()
+
+    def test_extreme_time_steps_round_trip(self, tmp_path):
+        for dt, stored in ((-0.4, 0), (2**32 - 1, 2**32 - 1)):
+            vol = sample_volume(np.random.default_rng(49))
+            vol.dt = dt
+            write_rvol(tmp_path / "v.rvol", vol)
+            assert read_rvol(tmp_path / "v.rvol").dt == stored
+
+    def test_failed_header_write_closes_and_removes_the_file(
+            self, tmp_path, monkeypatch):
+        class FullDisk(io.FileIO):
+            """A file that takes the fixed header, then fails as a full
+            disk would."""
+
+            def write(self, data):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        opened = []
+        monkeypatch.setattr(rvol_module, "open", lambda path, mode: (
+            opened.append(FullDisk(path, mode)), opened[-1])[1], raising=False)
+        path = tmp_path / "v.rvol"
+        with pytest.raises(OSError, match="No space left"):
+            RvolWriter(path, (3, 2, 8, 10), [500.0, 1500.0], 300.0)
+        assert opened[0].closed and not path.exists()
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_integer_validity_writes_the_bytes_of_bool(self, tmp_path,
+                                                       quantize):
+        vol = _holey_volume(50, with_rho=False)
+        for name, as_valid in (("bool", lambda m: m),
+                               ("int", lambda m: m.astype(np.int64)),
+                               ("uint8", lambda m: m.astype(np.uint8))):
+            with RvolWriter(tmp_path / f"{name}.rvol", vol.shape,
+                            vol.z_levels, vol.dt, quantize) as out:
+                for t, z in np.ndindex(vol.shape[:2]):
+                    out.write(t, z, vol.data[t, z], as_valid(vol.mask[z]))
+        want = _whole_volume_bytes(vol, quantize)
+        for name in ("bool", "int", "uint8"):
+            assert (tmp_path / f"{name}.rvol").read_bytes() == want, name
+
+    @pytest.mark.parametrize("shape", [(8,), (10, 8), (8, 10, 1), ()])
+    def test_validity_of_another_shape_is_refused(self, tmp_path, shape):
+        vol = sample_volume(np.random.default_rng(51))
+        path = tmp_path / "v.rvol"
+        with pytest.raises(ValueError, match=re.escape(
+                f"valid shape {shape} must be (8, 10)")):
+            with RvolWriter(path, vol.shape, vol.z_levels, vol.dt) as out:
+                out.write(0, 0, vol.data[0, 0], np.ones(shape, bool))
+        assert not path.exists()
+
 
 #: damaged files: (label, bytes to keep from the end, bytes to append)
 _DAMAGE = [("truncated payload", -3, b""), ("trailing bytes", 0, b"ab"),
@@ -433,6 +507,28 @@ class TestRvolReader:
                 assert part.z_levels.tobytes() == whole.z_levels.tobytes()
                 assert part.dt == whole.dt
         assert not whole.mask[1, 2, 3] and not whole.mask[0, 7, 9]
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_iterating_equals_iterating_the_whole_read(self, tmp_path,
+                                                       quantize):
+        vol = sample_volume(np.random.default_rng(52), with_rho=True,
+                            with_mask=True)
+        path = tmp_path / "v.rvol"
+        _write_with_holes(path, vol, quantize, [(0, 1, 2, 3), (2, 0, 7, 9)])
+        whole = read_rvol(path)
+        with RvolReader(path) as reader:
+            for _ in range(2):  # each iteration starts at the first frame
+                got = list(reader)
+                assert len(got) == len(list(whole)) == 3
+                for t, (part, want) in enumerate(zip(got, whole)):
+                    for name in ("data", "mask", "rho_hv", "z_levels"):
+                        assert getattr(part, name).tobytes() == \
+                            getattr(want, name).tobytes(), (t, name)
+                    assert part.data.tobytes() == whole.data[t:t + 1].tobytes()
+                    assert part.rho_hv.tobytes() == \
+                        whole.rho_hv[t:t + 1].tobytes()
+                    assert part.dt == want.dt == whole.dt
+                    assert want.mask is whole.mask
 
     @pytest.mark.parametrize("quantize", [False, True])
     @pytest.mark.parametrize("label, keep, extra", _DAMAGE)

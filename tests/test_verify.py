@@ -174,7 +174,7 @@ class TestVerifyNowcast:
     def test_persistence_on_stationary_scene(self):
         rng = np.random.default_rng(9)
         obs = mmh(rng.uniform(0, 10, (1, 12, 12)))
-        report = verify_nowcast([obs] * 4, [obs] * 4)
+        report = verify_nowcast([[obs] * 4], [[obs] * 4])
         for lead in report.leads:
             assert report.continuous(lead) == pytest.approx((0.0, 0.0, 0.0))
             p, r, e = report.categorical(lead, 1.0)
@@ -186,7 +186,7 @@ class TestVerifyNowcast:
         low[1, 2, 2] = 9.0
         pred = mmh(low)
         flat = mmh(np.maximum(low[0], low[1])[None])
-        report = verify_nowcast([pred], [flat])
+        report = verify_nowcast([[pred]], [[flat]])
         assert report.continuous(1) == pytest.approx((0.0, 0.0, 0.0))
 
     def test_micro_aggregation_pools_counts(self):
@@ -207,7 +207,7 @@ class TestVerifyNowcast:
         vol, truth = generate(preset("uniform", frames=24))
         leads = extrapolate(volume_to_rain(vol, 7), truth, 16)
         obs = [volume_to_rain(vol, 8 + t) for t in range(16)]
-        report = verify_nowcast(leads, obs)
+        report = verify_nowcast([leads], [obs])
         me, mae, mse = report.continuous(16)
         field_mean = obs[-1].data[obs[-1].mask].mean()
         assert mae < 0.05 * field_mean
@@ -219,7 +219,7 @@ class TestVerifyNowcast:
             blob = 8.0 * np.exp(-((yg - 16) ** 2 + (xg - 8 - 3 * t) ** 2) / 12.0)
             frames.append(mmh(blob[None]))
         persistence = [frames[0]] * 5
-        report = verify_nowcast(persistence, frames[1:])
+        report = verify_nowcast([persistence], [frames[1:]])
         maes = [report.continuous(lead)[1] for lead in report.leads]
         assert all(b > a for a, b in zip(maes, maes[1:]))
 
@@ -228,7 +228,7 @@ class TestVerifyNowcast:
         mask = rng.random((3, 16, 16)) > 0.2
         preds = [mmh(rng.gamma(0.6, 6.0, (3, 16, 16)), mask) for _ in range(3)]
         obss = [mmh(rng.gamma(0.6, 6.0, (3, 16, 16)), mask) for _ in range(3)]
-        report = verify_nowcast(preds, obss)
+        report = verify_nowcast([preds], [obss])
         assert report.thresholds == [1.0, 5.0, 10.0]
         for lead, (pred, obs) in enumerate(zip(preds, obss), start=1):
             p, o = cmax_field(pred), cmax_field(obs)
@@ -249,8 +249,9 @@ class TestVerifyNowcast:
         got = verify_nowcast((iter(p) for p in preds), iter(map(iter, obss)))
         assert (got.leads, got.samples) == (want.leads, want.samples)
         assert got._continuous == want._continuous and got.tables == want.tables
-        one = verify_nowcast(preds[0], obss[0])
-        assert verify_nowcast(iter(preds[0]), iter(obss[0])).tables == one.tables
+        one = verify_nowcast(preds[:1], obss[:1])
+        assert verify_nowcast([iter(preds[0])],
+                              [iter(obss[0])]).tables == one.tables
 
     def test_a_generator_is_held_one_lead_at_a_time(self):
         import weakref
@@ -265,11 +266,12 @@ class TestVerifyNowcast:
                 yield f
                 del f
 
-        for one, many in ((leads(5), [mmh(np.full((1, 4, 4), 3.0))] * 5),
-                          ([leads(5)], [[mmh(np.full((1, 4, 4), 3.0))] * 5])):
+        for samples in (1, 2):
             made.clear()
-            assert verify_nowcast(one, many).leads == [1, 2, 3, 4, 5]
-            assert len(made) == 5
+            preds = (leads(5) for _ in range(samples))
+            obss = [[mmh(np.full((1, 4, 4), 3.0))] * 5] * samples
+            assert verify_nowcast(preds, obss).leads == [1, 2, 3, 4, 5]
+            assert len(made) == 5 * samples
 
     @pytest.mark.parametrize("what, sample", [
         ("forecast lead", 0), ("observed lead", 0), ("forecast lead", 1),
@@ -292,5 +294,6 @@ class TestVerifyNowcast:
             verify_nowcast((iter(s) for s in preds), (iter(s) for s in obss))
 
     def test_no_forecast_is_an_error(self):
-        with pytest.raises(ValueError, match="no forecasts given"):
-            verify_nowcast(iter([]), iter([]))
+        for empty in ([], iter([])):
+            with pytest.raises(ValueError, match="no forecasts given"):
+                verify_nowcast(empty, empty)
