@@ -8,6 +8,7 @@ runtime/data errors, and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import re
 import sys
 from datetime import datetime, timedelta
@@ -34,11 +35,11 @@ def _fmt(v: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) if isinstance(c, float) else str(c)
-                              for c in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Floats through _fmt; a field holding a comma or a quote is quoted."""
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header] + [
+            [_fmt(c) if isinstance(c, float) else str(c) for c in row]
+            for row in rows])
 
 
 def _comma_list(convert, form: str, count: int | None = None):
@@ -495,11 +496,10 @@ def _analyze_motion_corr(args, files, outdir: Path) -> str:
                             title="motion correlation by level pair",
                             vmin=-1.0, vmax=1.0)
     finite = [(c, ts) for c, ts in zip(corrs, stamps) if np.isfinite(c)]
-    if finite:
-        _write_boxstats(outdir, "motion_corr_monthwise",
-                        [c for c, _ in finite], [ts for _, ts in finite],
-                        title=f"monthly motion correlation, levels {low}/{mid}",
-                        y_label="Pearson correlation")
+    _write_boxstats(outdir, "motion_corr_monthwise",
+                    [c for c, _ in finite], [ts for _, ts in finite],
+                    title=f"monthly motion correlation, levels {low}/{mid}",
+                    y_label="Pearson correlation")
     return "motion correlation reports"
 
 

@@ -407,21 +407,17 @@ def mask_apply(masks: np.ndarray, geometry: tuple[np.ndarray, np.ndarray],
     return np.logical_and(valid, out, out=out)
 
 
-def pool_max(data: np.ndarray, mask: np.ndarray,
-             fill) -> tuple[np.ndarray, np.ndarray]:
-    """cmax on a bare (..., Z, Y, X) array and its Z x Y x X validity: the
-    maximum over the levels of the cells that are valid and finite, in
-    data's dtype, with the level axis kept, and the pooled validity. A
-    column without a valid cell holds fill; a valid one without a finite
-    valid cell holds the dtype's lowest value (-inf for floats). data is
-    overwritten: its cells that are invalid or not finite take the lowest
-    value.
+def column_max(data: np.ndarray, where: np.ndarray, mask: np.ndarray,
+               fill) -> tuple[np.ndarray, np.ndarray]:
+    """The column-maximum rule on a bare (..., Z, Y, X) array: the maximum
+    over the levels of the cells where `where` (broadcast to data) holds, in
+    data's dtype with the level axis kept, and the pooled Z x Y x X
+    validity mask (a column with any valid cell). A column without a valid
+    cell holds fill; a valid one where nothing is taken holds the dtype's
+    lowest value (-inf for floats). data is not written.
     """
     lowest = -np.inf if data.dtype.kind == "f" else np.iinfo(data.dtype).min
-    skip = np.isfinite(data)  # and-ed and negated in place: one temporary
-    np.logical_not(np.logical_and(skip, mask, out=skip), out=skip)
-    np.copyto(data, lowest, where=skip)
-    data = data.max(axis=-3, keepdims=True)
+    data = data.max(axis=-3, keepdims=True, where=where, initial=lowest)
     mask = mask.any(axis=0, keepdims=True)
     np.copyto(data, fill, where=~mask)
     return data, mask
@@ -438,15 +434,13 @@ def cmax(vol: RadarVolume) -> RadarVolume:
     the Z-R map being monotone. z_levels become the top level. rho_hv is
     dropped: the quality field has no defined pooling semantics.
     """
-    data, mask = pool_max(vol.data.copy(), vol.mask, NO_ECHO_DBZ)
+    data, mask = column_max(vol.data, vol.mask & np.isfinite(vol.data),
+                            vol.mask, NO_ECHO_DBZ)
     return RadarVolume(data=data, z_levels=vol.z_levels.max(keepdims=True),
                        dt=vol.dt, mask=mask)
 
 
 def cmax_field(f: RainField) -> RainField:
-    """Column maximum of a RainField over its valid cells (Z -> 1)."""
-    fill = f.fill_value
-    data = np.where(f.mask, f.data, -np.inf).max(axis=0, keepdims=True)
-    mask = f.mask.any(axis=0, keepdims=True)
-    data = np.where(mask, data, fill)
+    """Column maximum of a RainField over its valid cells, finite or not."""
+    data, mask = column_max(f.data, f.mask, f.mask, f.fill_value)
     return RainField(data=data, space=f.space, mask=mask)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError
-from .grid import NO_ECHO_DBZ, MotionField, RadarVolume, pool_max
+from .grid import NO_ECHO_DBZ, MotionField, RadarVolume, column_max
 
 RVOL_MAGIC = b"RVOL"
 RVOL_VERSION = 1
@@ -238,11 +238,12 @@ class RvolReader:
     invalid cells (non-finite f32, u8 255), one frame at a time and without
     decoding it, and later reads reuse that mask.
 
-    read_cmax() pools a frame to its column maximum on the stored f32 or
-    u8 values, in a frame buffer the reader keeps, and decodes only the
-    pooled level: the maximum commutes with the exact f32 -> float64 cast
-    and with the monotone u8 decoding, so it returns the bytes of
-    grid.cmax(read(t, t + 1)) without a float64 copy of the frame.
+    read_cmax() pools a frame to its column maximum (grid.column_max, over
+    the valid, finite cells) on the stored f32 or u8 values, in a frame
+    buffer the reader keeps, and decodes only the pooled level: the maximum
+    commutes with the exact f32 -> float64 cast and with the monotone u8
+    decoding, so it returns the bytes of grid.cmax(read(t, t + 1)) without
+    a float64 copy of the frame.
     """
 
     def __init__(self, path: str | Path):
@@ -325,9 +326,10 @@ class RvolReader:
         mask = self._seek(t, t + 1)
         if self._buffer is None:
             self._buffer = np.empty(self._frame, self._stored)
-        # a column without a valid cell takes the stored invalid value
-        top, pooled = pool_max(_read_into(self._fh, self._buffer), mask,
-                               255 if self.header.dtype == DTYPE_U8 else np.nan)
+        frame = _read_into(self._fh, self._buffer)
+        # as grid.cmax; a column without a valid cell holds the invalid code
+        top, pooled = column_max(frame, mask & np.isfinite(frame), mask,
+                                 255 if self.header.dtype == DTYPE_U8 else np.nan)
         return RadarVolume(data=_decode(top[None]),
                            z_levels=self.z_levels.max(keepdims=True),
                            dt=float(self.header.dt_seconds), mask=pooled)

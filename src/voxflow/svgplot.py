@@ -27,6 +27,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _text(s: str) -> str:
+    """s as SVG character data: &, < and the > that ends "]]>" escaped."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace("]]>", "]]&gt;")
+
+
 def _scale(values: Sequence[float], start: float, length: float):
     """Linear map of the values' range (widened by 1 when flat) onto
     start .. start + length pixels, and the range's ends and midpoint."""
@@ -54,14 +59,15 @@ def _chart(path: str | Path, size: tuple[int, int], ys: Sequence[float],
             'fill="none" stroke="#888"/>']
     if title:
         body.append(f'<text x="{width / 2}" y="24" text-anchor="middle" '
-                    f'font-size="15">{title}</text>')
+                    f'font-size="15">{_text(title)}</text>')
     sx, x_ticks = None, ()
     if xs is not None:
         sx, x_ticks = _scale(xs, MARGIN, pw)
         body.append(f'<text x="{width / 2}" y="{height - 12}" '
-                    f'text-anchor="middle" font-size="12">{x_label}</text>')
+                    f'text-anchor="middle" font-size="12">{_text(x_label)}</text>')
     body.append(f'<text x="16" y="{height / 2}" text-anchor="middle" '
-                f'font-size="12" transform="rotate(-90 16 {height / 2})">{y_label}</text>')
+                f'font-size="12" transform="rotate(-90 16 {height / 2})">'
+                f'{_text(y_label)}</text>')
     for tick in x_ticks:
         body.append(f'<text x="{sx(tick):.1f}" y="{height - MARGIN + 16}" '
                     f'text-anchor="middle" font-size="10">{_fmt(tick)}</text>')
@@ -85,7 +91,7 @@ def line_chart(series: dict[str, Sequence[tuple[float, float]]], path: str | Pat
         body.append(f'<polyline points="{coords}" fill="none" '
                     f'stroke="{color}" stroke-width="1.5"/>')
         body.append(f'<text x="{MARGIN + 8}" y="{MARGIN + 16 + 14 * idx}" '
-                    f'font-size="11" fill="{color}">{name}</text>')
+                    f'font-size="11" fill="{color}">{_text(name)}</text>')
     Path(path).write_text(_svg(*LINE_SIZE, body))
 
 
@@ -119,7 +125,7 @@ def heatmap(matrix, path: str | Path, title: str = "",
     body = []
     if title:
         body.append(f'<text x="{width / 2}" y="22" text-anchor="middle" '
-                    f'font-size="14">{title}</text>')
+                    f'font-size="14">{_text(title)}</text>')
     for i in range(rows):
         for j in range(cols):
             v = m[i, j]
@@ -171,5 +177,5 @@ def box_plot(stats: dict, path: str | Path, title: str = "",
             body.append(f'<circle cx="{cx:.1f}" cy="{sy(o):.1f}" r="2" '
                         'fill="none" stroke="#333"/>')
         body.append(f'<text x="{cx:.1f}" y="{height - MARGIN + 16}" '
-                    f'text-anchor="middle" font-size="10">{label}</text>')
+                    f'text-anchor="middle" font-size="10">{_text(label)}</text>')
     Path(path).write_text(_svg(width, height, body))

@@ -2,9 +2,9 @@
 
 Scores are micro-averaged: contingency counts and error sums are pooled
 across samples first, then turned into metrics, which keeps empty-event
-samples from destabilizing the averages. Volumetric fields are collapsed to
-their column maximum before scoring. Degenerate denominators yield NaN
-sentinels that aggregation simply skips.
+samples from destabilizing the averages. Every field is collapsed to its
+column maximum (grid.cmax_field) before scoring. Degenerate denominators
+yield NaN sentinels that aggregation simply skips.
 """
 
 from __future__ import annotations
@@ -130,10 +130,6 @@ def _added(acc: tuple, new: tuple) -> tuple:
 _MISSING = object()
 
 
-def _as_cmax_mmh(f: RainField) -> RainField:
-    return cmax_field(f) if f.nz > 1 else f
-
-
 def verify_nowcast(
         model_outputs: Iterable[Iterable[RainField]],
         observations: Iterable[Iterable[RainField]]) -> VerificationReport:
@@ -159,7 +155,7 @@ def verify_nowcast(
             pred, obs = next(preds, _MISSING), next(obss, _MISSING)
             if pred is _MISSING or obs is _MISSING:
                 break
-            p, o = _joint(_as_cmax_mmh(pred), _as_cmax_mmh(obs))
+            p, o = _joint(cmax_field(pred), cmax_field(obs))
             sums[lead] = _added(sums.get(lead, (0.0, 0.0, 0.0, 0)), _sums(p, o))
             for thr in THRESHOLDS_MMH:
                 counts[lead, thr] = _added(counts.get((lead, thr), (0, 0, 0, 0)),

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import os
 import re
 import shutil
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -316,6 +318,19 @@ class TestVerify:
         monkeypatch.setattr("voxflow.rvol.RvolReader.read_cmax", whole_lead)
         assert pooled == metrics("converted")
         assert len(leads) == 2 * 8
+
+    def test_sample_id_with_comma_and_quote_round_trips(self, uniform_files,
+                                                        tmp_path):
+        d, vol = uniform_files
+        fc = tmp_path / 'a,"b.rvol'
+        assert run("nowcast", vol, d / "u.truth.rmf", "-k", "2",
+                   "--start-frame", "7", "-o", fc) == 0
+        assert run("verify", fc, vol, "--offset", "8") == 0
+        with (tmp_path / 'a,"b.metrics.csv').open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * (3 + 9)
+        assert {r["sample_id"] for r in rows} == {'a,"b'}
+        assert {r["lead_steps"] for r in rows} == {"1", "2"}
 
     def test_mismatched_grids_exit_1(self, uniform_files, tmp_path, capsys):
         d, vol = uniform_files
@@ -646,6 +661,51 @@ class TestAnalyze:
     def test_empty_directory_exit_1(self, tmp_path, capsys):
         assert run("analyze", tmp_path, "--which", "ratios") == 1
         assert "no volumes found" in capsys.readouterr().err
+
+    def test_reports_of_any_stem_are_well_formed(self, tmp_path):
+        # stems holding markup and CSV delimiters reach the split titles
+        # and file names and the sample ids
+        stems = ['a&b<c,"1', 'a&b<c]]>,"2']
+        for seed, stem in enumerate(stems):
+            _small_volume(tmp_path / f"{stem}.rvol", seed)
+        out = tmp_path / "report"
+        for which in ("ratios", "refl-corr", "motion-corr", "histogram",
+                      "outliers", "split"):
+            assert run("analyze", tmp_path, "--which", which, "--level-pair",
+                       "0,1", "-o", out) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert len(svgs) == 8
+        for svg in svgs:
+            ElementTree.parse(svg)
+        for path in out.glob("*.csv"):
+            with path.open(newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert all(len(row) == len(header) for row in rows), path.name
+        ids = {}
+        for name in ("outliers.csv", "coverage_vs_corr_samples.csv"):
+            with (out / name).open(newline="") as fh:
+                ids[name] = [r["sample_id"] for r in csv.DictReader(fh)]
+        assert ids["coverage_vs_corr_samples.csv"] == stems
+        assert ids["outliers.csv"] and set(ids["outliers.csv"]) <= set(stems)
+
+    def test_motion_corr_without_finite_correlation_writes_monthly_report(
+            self, tmp_path):
+        # echo-free volumes leave every correlation NaN
+        for i in range(2):
+            path = tmp_path / f"202106{10 + i:02d}_1200.rvol"
+            write_rvol(path, RadarVolume(
+                data=np.full((3, 2, 12, 12), NO_ECHO_DBZ),
+                z_levels=np.array([1000.0, 2000.0])))
+            write_motion(path.with_suffix(".truth.rmf"),
+                         MotionField(np.zeros((2, 2, 12, 12))))
+        out = tmp_path / "report"
+        assert run("analyze", tmp_path, "--which", "motion-corr",
+                   "--level-pair", "0,1", "-o", out) == 0
+        assert (out / "motion_corr_monthwise.csv").read_text() == \
+            "month,q1,median,q3,lo_whisker,hi_whisker,count,outliers\n"
+        svg = ElementTree.parse(out / "motion_corr_monthwise.svg")
+        assert [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")] \
+            == ["no data"]
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["f32", "u8"])

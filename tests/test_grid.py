@@ -6,6 +6,7 @@ import pytest
 from voxflow import grid
 from voxflow.advect import _advect_masks, _advect_planes, _departures
 from voxflow.grid import (
+    NO_ECHO_DBZ,
     MotionField,
     RadarVolume,
     RainField,
@@ -161,6 +162,80 @@ class TestMaxPoolVertical:
         out = cmax(vol)
         assert out.data[0, 0, 0].tolist() == [20.0, 40.0, -np.inf, -np.inf]
         assert out.mask[0, 0].tolist() == [True] * 4
+
+
+def pool_max_reference(data, mask, fill):
+    """The column maximum by copy and overwrite: cells that are invalid or
+    not finite take the dtype's lowest value, the levels are reduced, and a
+    column without a valid cell takes fill."""
+    lowest = -np.inf if data.dtype.kind == "f" else np.iinfo(data.dtype).min
+    data = data.copy()
+    data[~(mask & np.isfinite(data))] = lowest
+    data = data.max(axis=-3, keepdims=True)
+    pooled = mask.any(axis=0, keepdims=True)
+    data[..., ~pooled[0]] = fill
+    return data, pooled
+
+
+class TestColumnMax:
+    def _case(self, rng, dtype, values):
+        """A 3 x 4 x 5 x 6 array drawn from values and a 4 x 5 x 6 mask
+        with two all-invalid columns."""
+        data = rng.choice(np.asarray(values, dtype), (3, 4, 5, 6))
+        mask = rng.random((4, 5, 6)) > 0.3
+        mask[:, 0, :2] = False
+        return data, mask
+
+    def _check(self, data, mask, fill):
+        before = data.copy()
+        got = grid.column_max(data, mask & np.isfinite(data), mask, fill)
+        want = pool_max_reference(data, mask, fill)
+        assert got[0].dtype == data.dtype and got[0].shape == want[0].shape
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(got[1], want[1])
+        assert data.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float64_equals_the_overwriting_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        data, mask = self._case(rng, np.float64, [
+            np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -3.25, 47.0])
+        # both orders of the signed zeros in one valid column
+        data[:, :2, 1, 1] = [-0.0, 0.0]
+        data[:, :2, 1, 2] = [0.0, -0.0]
+        mask[:2, 1, 1:3] = True
+        self._check(data, mask, NO_ECHO_DBZ)
+        self._check(data[0], mask, np.nan)  # no leading time axis
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uint8_codes_equal_the_overwriting_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        data, mask = self._case(rng, np.uint8, [0, 1, 64, 200, 254, 255])
+        mask &= (data != 255).all(axis=0)  # the reader's static mask
+        self._check(data, mask, 255)
+
+    def test_cmax_field_takes_valid_non_finite_rates(self):
+        data = np.array([[[np.inf, 2.0, 5.0]], [[1.0, np.nan, 3.0]]])
+        mask = np.array([[[True, True, False]], [[True, True, False]]])
+        out = grid.cmax_field(RainField(data=data, space=Space.MMH, mask=mask))
+        assert np.array_equal(out.data, [[[np.inf, np.nan, 0.0]]],
+                              equal_nan=True)
+        assert out.mask.tolist() == [[[True, True, False]]]
+
+    def test_cmax_holds_no_float64_copy_of_the_volume(self):
+        rng = np.random.default_rng(3)
+        vol = RadarVolume(data=rng.normal(20.0, 10.0, (12, 8, 64, 64)),
+                          z_levels=500.0 * np.arange(1, 9),
+                          mask=rng.random((8, 64, 64)) > 0.1)
+        want = pool_max_reference(vol.data, vol.mask, NO_ECHO_DBZ)
+        tracemalloc.start()
+        try:
+            out = cmax(vol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < vol.data.nbytes / 2
+        assert out.data.tobytes() == want[0].tobytes()
 
 
 def hand_bilinear(field, x, y):

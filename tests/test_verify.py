@@ -236,6 +236,30 @@ class TestVerifyNowcast:
             for thr in report.thresholds:
                 assert report.tables[(lead, thr)] == contingency(p, o, thr)
 
+    def test_one_level_fields_score_their_valid_cells_as_given(self):
+        # pooling a one-level field only fills its invalid cells, which the
+        # scores never read: the report is that of the unpooled fields
+        rng = np.random.default_rng(13)
+        fields = []
+        for i in range(6):
+            data = rng.gamma(0.6, 6.0, (1, 16, 16))
+            mask = rng.random((1, 16, 16)) > 0.3
+            data[~mask] = rng.choice([np.nan, np.inf, 1e9], (~mask).sum())
+            # a valid infinite forecast rate is scored like any other
+            data[0, 0, :2] = [np.inf if i < 3 else 2.0, 0.0]
+            mask[0, 0, :2] = True
+            fields.append(mmh(data, mask))
+        preds, obss = fields[:3], fields[3:]
+        report = verify_nowcast([preds], [obss])
+        for lead, (pred, obs) in enumerate(zip(preds, obss), start=1):
+            valid = pred.mask & obs.mask
+            d = pred.data[valid] - obs.data[valid]
+            assert report._continuous[lead] == (
+                float(d.sum()), float(np.abs(d).sum()), float((d * d).sum()),
+                int(valid.sum()))
+            for thr in report.thresholds:
+                assert report.tables[(lead, thr)] == contingency(pred, obs, thr)
+
     def _samples(self):
         """Forecasts of two samples, then their observations: 3 leads each."""
         rng = np.random.default_rng(21)
