@@ -83,8 +83,8 @@ def extrapolate(f: RainField, mf: MotionField, k: int,
     no lead is kept and None is returned: each level first advects its
     mask k times and ANDs the k lead masks, then calls sink(t, z, plane)
     for t = 0, ..., k - 1 with the level's lead t as a one-level RainField
-    whose mask is that AND. The plane's data is overwritten once sink
-    returns.
+    whose data and mask are views of the plane and of that AND. The plane's
+    data is overwritten once sink returns.
     """
     if k < 1:
         raise ValueError(f"lead count must be >= 1, got {k}")
@@ -109,7 +109,8 @@ def extrapolate(f: RainField, mf: MotionField, k: int,
             for m in masks:
                 valid &= m
             for t, d in enumerate(planes):
-                sink(t, z, RainField(data=d, space=f.space, mask=valid))
+                sink(t, z, RainField(data=d[None], space=f.space,
+                                     mask=valid[None]))
     if sink is None:
         return [RainField(data=d, space=f.space, mask=m)
                 for d, m in zip(data, mask)]

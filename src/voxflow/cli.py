@@ -216,8 +216,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--which", required=True, choices=tuple(_ANALYSES))
     p.add_argument("-o", "--outdir", default=None,
                    help="report directory (default: the dataset directory)")
-    p.add_argument("--level-pair", type=_level_pair, default="0,2",
-                   help="low,mid level indices for pair analyses")
+    p.add_argument("--level-pair", type=_level_pair, default=None,
+                   help="low,mid level indices for pair analyses "
+                        "(default: 0 and min(2, Z - 1))")
     _add_common(p)
     table["analyze"] = p
 
@@ -297,8 +298,13 @@ def _cmd_nowcast(args) -> int:
             raise ValueError(f"start frame {args.start_frame} outside volume "
                              f"(T={t_count})")
         start = args.start_frame % t_count
-        vol = reader.read(start, start + 1)
-    mf = rvol.read_motion(args.motion)
+        # the motion is read before any frame: a one-level motion of a
+        # volume with more levels is the CMAX arm's (estimate --mode
+        # 2d-cmax), which advects the start frame's column maximum
+        mf = rvol.read_motion(args.motion)
+        cmax_arm = mf.nz == 1 and reader.header.z > 1
+        vol = reader.read_cmax(start) if cmax_arm else \
+            reader.read(start, start + 1)
     last = volume_to_rain(vol, 0)
     out = Path(args.out) if args.out else \
         Path(args.volume).with_suffix(".nowcast.rvol")
@@ -316,9 +322,10 @@ def _cmd_verify(args) -> int:
     with rvol.RvolReader(args.forecast) as fc, \
             rvol.RvolReader(args.truth) as truth:
         k, t_truth = fc.header.t, truth.header.t
-        if fc.header[1:4] != truth.header[1:4]:
-            raise ValueError(f"grid mismatch: forecast {fc.header[1:4]} vs "
-                             f"truth {truth.header[1:4]}")
+        # both are pooled to their column maximum: only Y x X must agree
+        if fc.header[2:4] != truth.header[2:4]:
+            raise ValueError(f"grid mismatch: forecast {fc.header[2:4]} vs "
+                             f"truth {truth.header[2:4]}")
         offset = args.offset if args.offset is not None else t_truth - k
         if offset < 0 or offset + k > t_truth:
             raise ValueError(f"truth volume (T={t_truth}) cannot cover "
@@ -369,15 +376,16 @@ def _motion_for(path: Path) -> MotionField | None:
     return None
 
 
-def _motion_samples(files):
-    """(stem, timestamp, open reader, motion) of every volume with a motion
-    file.
+def _motion_samples(files, args):
+    """(stem, timestamp, open reader, motion, low/mid level pair) of every
+    volume with a motion file.
 
     The motion file is looked up before the volume is opened, and the level
-    count is checked by _same_levels before any frame is read; the reader
-    is closed when the next sample is asked for. Once the files are
-    exhausted, the count of volumes without a motion file is noted on
-    stderr, and a corpus where no volume has one is a data error.
+    count is checked by _same_levels and the pair taken by _pair before any
+    frame is read; the reader is closed when the next sample is asked for.
+    Once the files are exhausted, the count of volumes without a motion
+    file is noted on stderr, and a corpus where no volume has one is a
+    data error.
     """
     skipped, nz = 0, None
     for path, stem, ts in files:
@@ -387,7 +395,7 @@ def _motion_samples(files):
             continue
         with rvol.RvolReader(path) as reader:
             nz = _same_levels(path, reader.header.z, nz)
-            yield stem, ts, reader, mf
+            yield stem, ts, reader, mf, _pair(args, nz)
     if skipped:
         print(f"note: {skipped} volume(s) had no motion file and were skipped",
               file=sys.stderr)
@@ -395,7 +403,7 @@ def _motion_samples(files):
         raise ValueError("no motion files found next to the volumes")
 
 
-def _pair_samples(files, low: int, mid: int):
+def _pair_samples(files, args):
     """Per-sample (id, timestamp, coverage, low/mid motion correlation).
     The coverage pools each frame on its stored values (read_cmax gives
     grid.cmax of the frame without decoding its levels); the correlation's
@@ -404,8 +412,8 @@ def _pair_samples(files, low: int, mid: int):
                 sample_id=stem, timestamp=ts,
                 coverage=analysis.coverage_ratio(
                     map(reader.read_cmax, range(reader.header.t))),
-                correlation=analysis.motion_pair_corr(mf, reader, low, mid))
-            for stem, ts, reader, mf in _motion_samples(files)]
+                correlation=analysis.motion_pair_corr(mf, reader, *pair))
+            for stem, ts, reader, mf, pair in _motion_samples(files, args)]
 
 
 def _write_boxstats(outdir: Path, name: str, values: list[float],
@@ -420,6 +428,17 @@ def _write_boxstats(outdir: Path, name: str, values: list[float],
                 "count", "outliers"], rows)
     svgplot.box_plot({str(m): s for m, s in stats.items()},
                      outdir / f"{name}.svg", title=title, y_label=y_label)
+
+
+def _pair(args, nz: int) -> tuple[int, int]:
+    """--level-pair, or by default level 0 and level min(2, nz - 1) of a
+    corpus of nz levels, which needs two levels."""
+    if args.level_pair is not None:
+        return args.level_pair
+    if nz < 2:
+        raise ValueError(f"the default level pair needs two levels, the "
+                         f"volumes have Z={nz}; give --level-pair")
+    return 0, min(2, nz - 1)
 
 
 def _same_levels(path: Path, z: int, nz: int | None) -> int:
@@ -476,12 +495,11 @@ def _analyze_refl_corr(args, files, outdir: Path) -> str:
 
 
 def _analyze_motion_corr(args, files, outdir: Path) -> str:
-    low, mid = args.level_pair
     # one pass over the corpus: a sample's motion is dropped once its rows
     # and its low/mid correlation are taken
     rows = {component: [] for component in ("both", "u", "v")}
     stamps, corrs = [], []
-    for _, ts, reader, mf in _motion_samples(files):
+    for _, ts, reader, mf, (low, mid) in _motion_samples(files, args):
         sample = analysis.motion_sample(mf, reader)
         corrs.append(analysis.sample_pair_corr(sample, low, mid))
         stamps.append(ts)
@@ -504,8 +522,7 @@ def _analyze_motion_corr(args, files, outdir: Path) -> str:
 
 
 def _analyze_histogram(args, files, outdir: Path) -> str:
-    low, mid = args.level_pair
-    samples = _pair_samples(files, low, mid)
+    samples = _pair_samples(files, args)
     counts, xe, ye = analysis.coverage_vs_corr_histogram(
         [(s.coverage, s.correlation) for s in samples])
     rows = [[_fmt(float(xe[i])), _fmt(float(xe[i + 1])),
@@ -524,8 +541,7 @@ def _analyze_histogram(args, files, outdir: Path) -> str:
 
 
 def _analyze_outliers(args, files, outdir: Path) -> str:
-    low, mid = args.level_pair
-    samples = _pair_samples(files, low, mid)
+    samples = _pair_samples(files, args)
     usable = [s for s in samples if np.isfinite(s.correlation)]
     ranked = analysis.rank_outliers(usable)
     by_id = {s.sample_id: s for s in usable}

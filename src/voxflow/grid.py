@@ -70,10 +70,6 @@ class RadarVolume:
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
 
-    def frame(self, t: int) -> np.ndarray:
-        """Z x Y x X reflectivity slice at time index t."""
-        return self.data[t]
-
     def __iter__(self):
         """The frames in order, each a one-frame RadarVolume with this
         volume's static mask and its rho_hv slice."""
@@ -85,11 +81,8 @@ class RadarVolume:
 
 @dataclass
 class RainField:
-    """A Z x Y x X field in mm/h or dBR space, tagged with its unit space.
-
-    2-D input is promoted to Z=1. The mask may be given as 2-D (shared across
-    levels) or 3-D.
-    """
+    """A Z x Y x X field in mm/h or dBR space, tagged with its unit space;
+    the mask, when given, has the same shape."""
 
     data: np.ndarray
     space: Space
@@ -97,18 +90,15 @@ class RainField:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim == 2:
-            self.data = self.data[None, :, :]
         if self.data.ndim != 3:
-            raise ValueError(f"data must be 2-D or 3-D, got shape {self.data.shape}")
+            raise ValueError(f"data must be Z x Y x X, got shape {self.data.shape}")
         if self.mask is None:
             self.mask = np.ones(self.data.shape, dtype=bool)
         else:
             self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.ndim == 2:
-                self.mask = np.broadcast_to(self.mask[None], self.data.shape).copy()
             if self.mask.shape != self.data.shape:
-                raise ValueError(f"mask shape {self.mask.shape} != {self.data.shape}")
+                raise ValueError(f"mask shape {self.mask.shape} != "
+                                 f"Z x Y x X {self.data.shape}")
         # lowest finite valid value, +inf when there is none
         lowest = np.min(self.data, where=self.mask & np.isfinite(self.data),
                         initial=np.inf)
@@ -141,8 +131,6 @@ class MotionField:
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=np.float64)
-        if self.u.ndim == 3 and self.u.shape[0] == 2:
-            self.u = self.u[None]
         if self.u.ndim != 4 or self.u.shape[1] != 2:
             raise ValueError(f"u must have shape Z x 2 x Y x X, got {self.u.shape}")
         # reductions allocate no copy of the field: NaN makes the maximum

@@ -129,7 +129,17 @@ class RvolWriter:
 
     def write_rho_hv(self, rho: np.ndarray) -> None:
         """Append the RHOH chunk of a T x Z x Y x X rho_hv after the
-        payload, converted one frame at a time."""
+        payload, converted one frame at a time. A rho_hv of another shape,
+        or with a non-finite value, which RHOH cannot store, is a
+        ValueError, raised before anything is written."""
+        rho = np.asarray(rho)
+        if rho.shape != self.shape:
+            raise ValueError(f"rho_hv shape {rho.shape} must be {self.shape}")
+        # reductions allocate no copy: NaN makes the maximum NaN, and an
+        # infinity shows in the maximum or the minimum
+        if not (np.isfinite(rho.max()) and np.isfinite(rho.min())):
+            raise ValueError("rho_hv holds non-finite values, which RVOL "
+                             "cannot store")
         self._fh.seek(self._payload + self._unwritten.size * self._plane_bytes)
         self._fh.write(RHOH_MAGIC)
         code = None  # the first frame's product, reused by the others

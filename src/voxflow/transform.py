@@ -23,7 +23,7 @@ def dbz_to_rain(dbz: np.ndarray | RadarVolume,
                 mask: np.ndarray | None = None) -> RainField:
     """Convert reflectivity (dBZ) to rain rate via R = (10^(dBZ/10) / a)^(1/b).
 
-    Takes a 2-D/3-D dBZ array (one frame, not a whole RadarVolume). Values at
+    Takes a Z x Y x X dBZ array (one frame, not a whole RadarVolume). Values at
     or below the no-echo sentinel convert to exactly 0 mm/h; invalid cells
     come out as 0 with the mask cleared.
     """
@@ -43,7 +43,7 @@ def dbz_to_rain(dbz: np.ndarray | RadarVolume,
 
 def volume_to_rain(vol: RadarVolume, t: int) -> RainField:
     """Rain-rate field for frame t of a volume, honoring the volume mask."""
-    return dbz_to_rain(vol.frame(t), mask=vol.mask)
+    return dbz_to_rain(vol.data[t], mask=vol.mask)
 
 
 def rain_to_dbz(r: RainField) -> np.ndarray:

@@ -255,3 +255,31 @@ class TestExtrapolateMatchesPerLeadWarps:
         f = random_field(np.random.default_rng(17))
         with pytest.raises(ValueError, match="lead count"):
             extrapolate(f, uniform_motion(0.5, 0.5), k)
+
+
+class TestExtrapolateSink:
+    def test_sink_receives_views_of_the_level_planes(self):
+        # each level's leads arrive in one plane buffer with one mask, the
+        # AND of the level's lead masks; neither is copied per lead
+        rng = np.random.default_rng(16)
+        mask = rng.uniform(size=(2, 16, 16)) > 0.2
+        f = RainField(data=rng.uniform(0.0, 20.0, (2, 16, 16)),
+                      space=Space.MMH, mask=mask)
+        mf = rotation_motion(2, 16, 16, rng)
+        leads = extrapolate(f, mf, 3)
+        seen = []
+
+        def sink(t, z, lead):
+            assert lead.data.shape == lead.mask.shape == (1, 16, 16)
+            assert lead.data.tobytes() == leads[t].data[z:z + 1].tobytes()
+            seen.append((z, lead.data, lead.mask))
+
+        assert extrapolate(f, mf, 3, sink=sink) is None
+        assert [z for z, _, _ in seen] == [0, 0, 0, 1, 1, 1]
+        for z in range(2):
+            level = [(d, m) for zz, d, m in seen if zz == z]
+            want = np.logical_and.reduce([lead.mask[z] for lead in leads])
+            assert level[0][1][0].tobytes() == want.tobytes()
+            for d, m in level[1:]:
+                assert np.shares_memory(d, level[0][0])
+                assert np.shares_memory(m, level[0][1])

@@ -19,7 +19,7 @@ from voxflow.advect import extrapolate
 from voxflow.cli import build_parser, main, parse_stem_timestamp
 from voxflow.rvol import (RvolReader, read_motion, read_rvol, write_motion,
                           write_rvol)
-from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume
+from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, cmax
 from voxflow.synth import PRESET_NAMES
 from voxflow.transform import rain_to_dbz, volume_to_rain
 
@@ -217,6 +217,20 @@ class TestNowcast:
         write_motion(bad, MotionField(np.zeros((3, 2, 128, 128))))
         assert run("nowcast", vol, bad, "-k", "2") == 1
 
+    def test_two_level_motion_on_three_level_volume_is_data_error(
+            self, tmp_path, capsys):
+        # only a one-level motion takes the column maximum of a volume
+        vol = tmp_path / "v.rvol"
+        write_rvol(vol, RadarVolume(data=np.full((2, 3, 8, 8), 20.0),
+                                    z_levels=[500.0, 1000.0, 1500.0]))
+        motion = tmp_path / "m.rmf"
+        write_motion(motion, MotionField(np.zeros((2, 2, 8, 8))))
+        assert run("nowcast", vol, motion, "-k", "2",
+                   "-o", tmp_path / "fc.rvol") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: field has Z=3 but motion has Z=2"]
+        assert not (tmp_path / "fc.rvol").exists()
+
     def test_streamed_forecast_equals_the_whole_volume_forecast(
             self, uniform_files, tmp_path):
         # per-level sub-cell motion carries an invalid block of the start
@@ -333,11 +347,58 @@ class TestVerify:
         assert {r["lead_steps"] for r in rows} == {"1", "2"}
 
     def test_mismatched_grids_exit_1(self, uniform_files, tmp_path, capsys):
+        # both volumes are pooled to their column maximum, so the grids
+        # are Y x X: a different level count alone is no mismatch
         d, vol = uniform_files
         other = tmp_path / "o.rvol"
-        run("synth", "--preset", "shear2", "-o", other)
+        write_rvol(other, RadarVolume(data=np.zeros((24, 8, 64, 128)),
+                                      z_levels=500.0 * np.arange(1, 9)))
         assert run("verify", vol, other) == 1
-        assert "mismatch" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid mismatch: forecast (128, 128) vs truth (64, 128)"]
+
+    def test_offset_that_leaves_too_few_truth_frames_is_rejected(
+            self, uniform_files, tmp_path):
+        from voxflow import cli
+        d, vol = uniform_files
+        fc = tmp_path / "fc.rvol"
+        assert run("nowcast", vol, d / "u.truth.rmf", "-k", "8",
+                   "--start-frame", "7", "-o", fc) == 0
+        parser, _ = build_parser()
+        args = parser.parse_args(["verify", str(fc), str(vol),
+                                  "--offset", "17"])
+        with pytest.raises(ValueError, match=r"truth volume \(T=24\) cannot "
+                                             r"cover 8 leads at offset 17"):
+            cli._cmd_verify(args)
+        assert run("verify", fc, vol, "--offset", "16",
+                   "-o", tmp_path / "m.csv") == 0
+
+
+class TestCmaxArm:
+    """The CMAX arm runs on the volume itself: estimate --mode 2d-cmax,
+    then nowcast and verify of the volume with the one-level motion, write
+    the bytes that the same commands write from the volume's grid.cmax
+    copy."""
+
+    def test_volume_and_its_cmax_copy_give_the_same_files(self, tmp_path):
+        volume, copy = tmp_path / "volume", tmp_path / "copy"
+        volume.mkdir()
+        copy.mkdir()
+        assert run("synth", "--preset", "shear2", "-o",
+                   volume / "s.rvol") == 0
+        write_rvol(copy / "s.rvol", cmax(read_rvol(volume / "s.rvol")))
+        names = ("s.rmf", "s_trace.csv", "s.nowcast.rvol",
+                 "s.nowcast.metrics.csv")
+        for d in (volume, copy):
+            assert run("estimate", d / "s.rvol", "--mode", "2d-cmax",
+                       "--scales", "1,2,4") == 0
+            assert run("nowcast", d / "s.rvol", d / "s.rmf", "-k", "16",
+                       "--start-frame", "7") == 0
+            assert run("verify", d / "s.nowcast.rvol", d / "s.rvol") == 0
+        assert read_rvol(volume / "s.nowcast.rvol").shape == (16, 1, 128, 128)
+        for name in names:
+            assert (volume / name).read_bytes() == (copy / name).read_bytes(), \
+                name
 
 
 def _corpus(d: Path, count: int, quantize: bool = False, n: int = 40) -> None:
@@ -658,6 +719,32 @@ class TestAnalyze:
             f"error: {paths[1]} has Z={got}, expected Z={expected} "
             "as in the first volume"]
 
+    @pytest.mark.parametrize("which", ["motion-corr", "histogram", "outliers"])
+    def test_default_pair_on_a_two_level_corpus(self, tmp_path, which):
+        # the default pair is levels 0 and min(2, Z - 1)
+        assert run("synth", "--preset", "shear2", "--frames", "4",
+                   "-o", tmp_path / "s.rvol") == 0
+        reports = {}
+        for tag, pair in (("default", ()),
+                          ("explicit", ("--level-pair", "0,1"))):
+            out = tmp_path / tag
+            assert run("analyze", tmp_path, "--which", which, *pair,
+                       "-o", out) == 0
+            reports[tag] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert reports["default"] and reports["default"] == reports["explicit"]
+
+    @pytest.mark.parametrize("which", ["motion-corr", "histogram", "outliers"])
+    def test_default_pair_on_a_one_level_corpus_exit_1(self, tmp_path, capsys,
+                                                       which):
+        assert run("synth", "--preset", "rotation", "--frames", "2",
+                   "-o", tmp_path / "r.rvol") == 0
+        capsys.readouterr()
+        assert run("analyze", tmp_path, "--which", which,
+                   "-o", tmp_path / "out") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the default level pair needs two levels, the volumes "
+            "have Z=1; give --level-pair"]
+
     def test_empty_directory_exit_1(self, tmp_path, capsys):
         assert run("analyze", tmp_path, "--which", "ratios") == 1
         assert "no volumes found" in capsys.readouterr().err
@@ -823,6 +910,17 @@ class TestAnalyzeEqualsWholeVolumeReferences:
 
 
 class TestConfigFile:
+    def test_line_without_equals_is_rejected(self, tmp_path, capsys):
+        from voxflow import cli
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# a comment\nmode 3d\n")
+        with pytest.raises(ValueError, match="config line is not key = "
+                                             "value: 'mode 3d'"):
+            cli._load_config(cfg)
+        assert run("estimate", "v.rvol", "--config", cfg) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config line is not key = value: 'mode 3d'"]
+
     def test_config_sets_defaults_cli_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "flow.cfg"
         cfg.write_text("preset = noisy\nseed = 9\n# a comment\n")

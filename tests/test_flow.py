@@ -301,6 +301,16 @@ class TestLossTotal:
         expect = 0.5 * loss_multiscale(frames, mf, cfg) + 0.5 * loss_divergence(mf)
         assert loss_total(frames, mf, cfg) == pytest.approx(expect, rel=1e-12)
 
+    def test_motion_of_another_grid_or_level_count_is_rejected(self):
+        rng = np.random.default_rng(12)
+        frames = [dbr_field(smooth_random(rng)[None]) for _ in range(2)]
+        with pytest.raises(ValueError, match=r"motion grid \(16, 12\) != "
+                                             r"field grid \(16, 16\)"):
+            loss_total(frames, uniform_motion(0.5, 0.0, nx=12))
+        with pytest.raises(ValueError,
+                           match="motion has Z=2, fields have Z=1"):
+            loss_total(frames, uniform_motion(0.5, 0.0, nz=2))
+
     def test_nonnegative(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

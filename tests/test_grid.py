@@ -411,6 +411,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             RadarVolume(data=np.zeros((1, 2, 3, 3)), z_levels=[500.0, 1000.0],
                         mask=np.ones((2, 3, 4), bool))
+        with pytest.raises(ValueError, match=r"data must be 4-D T x Z x Y x "
+                                             r"X, got shape \(2, 3, 3\)"):
+            RadarVolume(data=np.zeros((2, 3, 3)), z_levels=[500.0, 1000.0])
+        with pytest.raises(ValueError, match="rho_hv shape must match data "
+                                             "shape"):
+            RadarVolume(data=np.zeros((2, 1, 3, 3)), z_levels=[500.0],
+                        rho_hv=np.ones((1, 1, 3, 3)))
 
     @pytest.mark.parametrize("with_rho", [False, True])
     def test_radar_volume_iterates_its_frames(self, with_rho):
@@ -432,25 +439,48 @@ class TestTypes:
                 assert f.rho_hv is None
 
     def test_rain_field_space_floor(self):
-        with pytest.raises(ValueError):
-            RainField(data=np.array([[-1.0]]), space=Space.MMH)
-        with pytest.raises(ValueError):
-            RainField(data=np.array([[-20.0]]), space=Space.DBR)
-        RainField(data=np.array([[-15.0]]), space=Space.DBR)
+        with pytest.raises(ValueError, match="negative"):
+            RainField(data=np.array([[[-1.0]]]), space=Space.MMH)
+        with pytest.raises(ValueError, match="below"):
+            RainField(data=np.array([[[-20.0]]]), space=Space.DBR)
+        RainField(data=np.array([[[-15.0]]]), space=Space.DBR)
 
     @pytest.mark.parametrize("space, below", [(Space.MMH, -1.0),
                                               (Space.DBR, -20.0)])
     def test_floor_ignores_masked_and_non_finite_values(self, space, below):
         # one masked-out value below the floor and non-finite values,
         # -inf among them, are not checked
-        data = np.array([[below, np.nan, -np.inf, 1.0]])
-        mask = np.array([[False, True, True, True]])
+        data = np.array([[[below, np.nan, -np.inf, 1.0]]])
+        mask = np.array([[[False, True, True, True]]])
         RainField(data=data, space=space, mask=mask)
-        RainField(data=np.full((2, 2), np.nan), space=space)
+        RainField(data=np.full((1, 2, 2), np.nan), space=space)
         # an empty valid set passes, a valid value below the floor does not
         RainField(data=data, space=space, mask=np.zeros_like(mask))
         with pytest.raises(ValueError, match="below|negative"):
             RainField(data=data, space=space, mask=~mask)
+
+    @pytest.mark.parametrize("data, mask", [
+        (np.zeros((4, 4)), None),
+        (np.zeros((4,)), None),
+        (np.zeros((1, 1, 4, 4)), None),
+        (np.zeros((1, 4, 4)), np.ones((4, 4), bool)),
+        (np.zeros((2, 4, 4)), np.ones((1, 4, 4), bool)),
+        (np.zeros((1, 4, 4)), np.ones((1, 4, 5), bool)),
+    ])
+    def test_rain_field_takes_only_z_y_x(self, data, mask):
+        # no promotion of a 2-D field and no broadcast of a 2-D mask
+        with pytest.raises(ValueError, match="Z x Y x X"):
+            RainField(data, Space.MMH, mask=mask)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 3, 4, 4), (4, 4),
+                                       (1, 1, 2, 4, 4)])
+    def test_motion_field_takes_only_z_2_y_x(self, shape):
+        with pytest.raises(ValueError, match="Z x 2 x Y x X"):
+            MotionField(np.zeros(shape))
+
+    def test_radar_volume_has_no_frame_method(self):
+        vol = RadarVolume(data=np.zeros((2, 1, 3, 3)), z_levels=[500.0])
+        assert not hasattr(vol, "frame")
 
     def test_motion_field_must_be_finite(self):
         u = np.zeros((1, 2, 4, 4))

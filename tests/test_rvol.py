@@ -346,6 +346,28 @@ class TestRvolWriter:
         assert (tmp_path / "p.rvol").read_bytes() == \
             _whole_volume_bytes(vol, quantize)
 
+    @pytest.mark.parametrize("shape, bad, match", [
+        ((1, 1, 2, 2), None, r"rho_hv shape \(1, 1, 2, 2\) must be "
+                             r"\(2, 1, 4, 4\)"),
+        ((2, 1, 4, 4), np.nan, "rho_hv holds non-finite"),
+        ((2, 1, 4, 4), np.inf, "rho_hv holds non-finite"),
+        ((2, 1, 4, 4), -np.inf, "rho_hv holds non-finite"),
+    ])
+    def test_write_rho_hv_checks_before_writing(self, tmp_path, shape, bad,
+                                                match):
+        # a misshaped chunk used to make a file the reader rejects, and a
+        # NaN was cast to an undefined code
+        rho = np.full(shape, 0.9)
+        if bad is not None:
+            rho[1, 0, 3, 2] = bad
+        path = tmp_path / "v.rvol"
+        with pytest.raises(ValueError, match=match):
+            with RvolWriter(path, (2, 1, 4, 4), [500.0], 300.0) as out:
+                for t in range(2):
+                    out.write(t, 0, np.zeros((4, 4)), np.ones((4, 4), bool))
+                out.write_rho_hv(rho)
+        assert not path.exists()
+
     def test_rho_hv_is_converted_one_frame_at_a_time(self, tmp_path):
         # a whole-volume conversion holds two float64 copies of rho_hv
         rng = np.random.default_rng(47)

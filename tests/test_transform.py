@@ -27,27 +27,27 @@ DBZ_R1 = 10.0 * np.log10(200.0)
 
 class TestDbzToRain:
     def test_one_mm_per_hour(self):
-        out = dbz_to_rain(np.array([[DBZ_R1]]))
+        out = dbz_to_rain(np.array([[[DBZ_R1]]]))
         assert out.data[0, 0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_ten_mm_per_hour(self):
         # Z grows by 10^1.6 per decade of R: dBZ = 23.0103 + 16
-        out = dbz_to_rain(np.array([[DBZ_R1 + 16.0]]))
+        out = dbz_to_rain(np.array([[[DBZ_R1 + 16.0]]]))
         assert out.data[0, 0, 0] == pytest.approx(10.0, rel=1e-12)
 
     def test_no_echo_is_zero(self):
-        out = dbz_to_rain(np.array([[-np.inf]]))
+        out = dbz_to_rain(np.array([[[-np.inf]]]))
         assert out.data[0, 0, 0] == 0.0
         assert not out.mask[0, 0, 0]
 
     def test_masked_cells_cleared(self):
-        out = dbz_to_rain(np.array([[30.0, 30.0]]),
-                          mask=np.array([[True, False]]))
+        out = dbz_to_rain(np.array([[[30.0, 30.0]]]),
+                          mask=np.array([[[True, False]]]))
         assert out.data[0, 0, 1] == 0.0
         assert not out.mask[0, 0, 1]
 
     def test_monotone_in_dbz(self):
-        dbz = np.linspace(-20, 60, 81).reshape(1, -1)
+        dbz = np.linspace(-20, 60, 81).reshape(1, 1, -1)
         rain = dbz_to_rain(dbz).data[0, 0]
         assert (np.diff(rain) > 0).all()
 
@@ -134,36 +134,36 @@ class TestClampsMatchNanToNum:
 
 class TestRainToDbr:
     def test_unity_is_zero(self):
-        out = rain_to_dbr(RainField(data=np.array([[1.0]]), space=Space.MMH))
+        out = rain_to_dbr(RainField(data=np.array([[[1.0]]]), space=Space.MMH))
         assert out.data[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_decade_is_ten(self):
-        out = rain_to_dbr(RainField(data=np.array([[10.0]]), space=Space.MMH))
+        out = rain_to_dbr(RainField(data=np.array([[[10.0]]]), space=Space.MMH))
         assert out.data[0, 0, 0] == pytest.approx(10.0)
 
     def test_zero_maps_to_floor(self):
-        out = rain_to_dbr(RainField(data=np.array([[0.0]]), space=Space.MMH))
+        out = rain_to_dbr(RainField(data=np.array([[[0.0]]]), space=Space.MMH))
         assert out.data[0, 0, 0] == DBR_FLOOR
 
     def test_continuous_at_threshold(self):
         eps = 1e-9
         just_above = rain_to_dbr(RainField(
-            data=np.array([[DBR_THRESHOLD_MMH * (1 + eps)]]), space=Space.MMH))
+            data=np.array([[[DBR_THRESHOLD_MMH * (1 + eps)]]]), space=Space.MMH))
         assert just_above.data[0, 0, 0] == pytest.approx(DBR_FLOOR, abs=1e-6)
 
     def test_monotone_above_floor(self):
-        rain = np.linspace(0.05, 30.0, 100).reshape(1, -1)
+        rain = np.linspace(0.05, 30.0, 100).reshape(1, 1, -1)
         dbr = rain_to_dbr(RainField(data=rain, space=Space.MMH)).data[0, 0]
         assert (np.diff(dbr) > 0).all()
 
 
 class TestDbrToRain:
     def test_zero_dbr_is_one(self):
-        out = dbr_to_rain(RainField(data=np.array([[0.0]]), space=Space.DBR))
+        out = dbr_to_rain(RainField(data=np.array([[[0.0]]]), space=Space.DBR))
         assert out.data[0, 0, 0] == pytest.approx(1.0)
 
     def test_floor_is_zero(self):
-        out = dbr_to_rain(RainField(data=np.array([[DBR_FLOOR]]), space=Space.DBR))
+        out = dbr_to_rain(RainField(data=np.array([[[DBR_FLOOR]]]), space=Space.DBR))
         assert out.data[0, 0, 0] == 0.0
 
     def test_round_trip_above_threshold(self):
@@ -175,12 +175,23 @@ class TestDbrToRain:
             np.testing.assert_allclose(back.data, rain, rtol=1e-6)
 
     def test_space_checks(self):
-        mmh = RainField(data=np.ones((2, 2)), space=Space.MMH)
+        mmh = RainField(data=np.ones((1, 2, 2)), space=Space.MMH)
         with pytest.raises(ValueError):
             dbr_to_rain(mmh)
         dbr = rain_to_dbr(mmh)
         with pytest.raises(ValueError):
             rain_to_dbr(dbr)
+        with pytest.raises(ValueError, match="rain_to_dbz expects a field "
+                                             "in mm/h space"):
+            rain_to_dbz(dbr)
+
+    def test_valid_value_below_the_floor_is_rejected(self):
+        # RainField checks the floor on finite values only; a valid -inf
+        # reaches dbr_to_rain, whose check takes every valid value
+        dbr = RainField(data=np.array([[[-np.inf, 0.0]]]), space=Space.DBR)
+        with pytest.raises(ValueError, match="dBR values below the -15.0 "
+                                             "floor"):
+            dbr_to_rain(dbr)
 
 
 #: dBZ values a column maximum meets: the no-echo sentinel and its two
@@ -236,7 +247,7 @@ class TestCmaxRain:
     def test_z_r_map_is_monotone_on_every_u8_code(self):
         # each code decoded as the RVOL reader decodes it
         dbz = np.arange(255, dtype=np.uint8).astype(np.float64) / 2.0 - 32.0
-        rain = dbz_to_rain(dbz[None]).data.ravel()
+        rain = dbz_to_rain(dbz[None, None]).data.ravel()
         assert (np.diff(rain) >= 0).all()
 
     def test_z_r_map_is_monotone_on_a_dense_f32_sample(self):
@@ -247,5 +258,5 @@ class TestCmaxRain:
         runs = [(np.array([c], np.float32).view(np.int32) + steps)
                 .view(np.float32) for c in (-32.0, -31.5, 0.5, 23.0, 47.25)]
         dbz = np.sort(np.concatenate([spread, *runs])).astype(np.float64)
-        rain = dbz_to_rain(dbz[None]).data.ravel()
+        rain = dbz_to_rain(dbz[None, None]).data.ravel()
         assert (np.diff(rain) >= 0).all()

@@ -113,6 +113,18 @@ class TestEstimateVariational:
             estimate_variational(frames, cfg=FAST_CFG)
         assert err.value.iteration == 0
 
+    def test_one_frame_is_rejected(self):
+        frame = RainField(data=np.zeros((1, 16, 16)), space=Space.DBR)
+        with pytest.raises(ValueError, match="need at least 2 input frames"):
+            estimate_variational([frame], cfg=FAST_CFG)
+
+    def test_frames_of_mixed_shapes_are_rejected(self):
+        frames = [RainField(data=np.zeros(shape), space=Space.MMH)
+                  for shape in ((1, 16, 16), (1, 16, 16), (2, 16, 16))]
+        with pytest.raises(ValueError, match="all frames must share one "
+                                             "shape"):
+            estimate_variational(frames, cfg=FAST_CFG)
+
     def test_trace_is_non_increasing(self):
         vol, _ = blob_scene(velocities=[[[1.5, -1.0]]], t_count=4)
         inputs = [volume_to_rain(vol, t) for t in range(4)]
@@ -168,7 +180,8 @@ class TestEstimateVariational:
         assert not np.array_equal(res.motion.u[0], res.motion.u[1])
         for z in range(3):
             alone = estimate_variational(
-                [RainField(f.data[z], f.space, f.mask[z]) for f in inputs],
+                [RainField(f.data[z:z + 1], f.space, f.mask[z:z + 1])
+                 for f in inputs],
                 cfg=FAST_CFG)
             np.testing.assert_array_equal(res.motion.u[z], alone.motion.u[0])
             assert [res.statuses[z]] == alone.statuses
@@ -250,7 +263,8 @@ class TestStopPrecision:
 def level_alone(inputs, z):
     """Level z of the frames, estimated alone as a one-level field."""
     return estimate_variational(
-        [RainField(f.data[z], f.space, f.mask[z]) for f in inputs],
+        [RainField(f.data[z:z + 1], f.space, f.mask[z:z + 1])
+         for f in inputs],
         cfg=FAST_CFG)
 
 
