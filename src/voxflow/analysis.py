@@ -49,13 +49,14 @@ def rainy_ratio(vol: Iterable[RadarVolume],
 
     The frames are read one at a time: each frame's counts are summed as
     integers and divided once, so the fractions are those of the whole
-    volume, bit for bit. No frames at all is a ValueError.
+    volume, bit for bit. The thresholds are compared as float64, whatever
+    the volume's dtype. No frames at all is a ValueError.
     """
     counts, t = None, 0
     for part in vol:
         if counts is None:
             counts = np.zeros((part.shape[1], len(thresholds_dbz)), np.int64)
-        for j, thr in enumerate(thresholds_dbz):
+        for j, thr in enumerate(map(np.float64, thresholds_dbz)):
             counts[:, j] += np.count_nonzero((part.data > thr) & part.mask,
                                              axis=(0, 2, 3))
         t += part.shape[0]
@@ -67,8 +68,10 @@ def rainy_ratio(vol: Iterable[RadarVolume],
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson's r, summed in float64 whatever the samples' dtype."""
     if a.size < 2:
         return float("nan")
+    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
     da = a - a.mean()
     db = b - b.mean()
     denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))

@@ -35,8 +35,11 @@ DBR_FLOOR = -15.0
 class RadarVolume:
     """A T x Z x Y x X reflectivity tensor (dBZ) with altitude metadata.
 
-    mask is Z x Y x X, static over time; rho_hv (copolar correlation
-    coefficient in [0, 1]) is optional and matches data's full shape.
+    data keeps a float32 or float64 dtype and takes float64 otherwise; the
+    library creates float32 volumes, RVOL's own precision, and consumers
+    that do arithmetic on the reflectivity read it in float64. mask is
+    Z x Y x X, static over time; rho_hv (copolar correlation coefficient in
+    [0, 1]) is optional and matches data's full shape.
     """
 
     data: np.ndarray
@@ -46,7 +49,9 @@ class RadarVolume:
     rho_hv: np.ndarray | None = None
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        self.data = np.asarray(data, dtype=np.float32 if data.dtype == np.float32
+                               else np.float64)
         if self.data.ndim != 4:
             raise ValueError(f"data must be 4-D T x Z x Y x X, got shape {self.data.shape}")
         t, z, y, x = self.data.shape
@@ -99,13 +104,18 @@ class RainField:
             if self.mask.shape != self.data.shape:
                 raise ValueError(f"mask shape {self.mask.shape} != "
                                  f"Z x Y x X {self.data.shape}")
-        # lowest finite valid value, +inf when there is none
-        lowest = np.min(self.data, where=self.mask & np.isfinite(self.data),
-                        initial=np.inf)
+        lowest = self.lowest
         if self.space is Space.MMH and lowest < 0:
             raise ValueError("MMH field has negative valid values")
         if self.space is Space.DBR and lowest < DBR_FLOOR - 1e-9:
             raise ValueError(f"DBR field has valid values below {DBR_FLOOR}")
+
+    @property
+    def lowest(self) -> float:
+        """The lowest finite valid value, +inf when there is none; the
+        field's space bounds it below (0 mm/h, or the dBR floor)."""
+        return np.min(self.data, where=self.mask & np.isfinite(self.data),
+                      initial=np.inf)
 
     @property
     def nz(self) -> int:

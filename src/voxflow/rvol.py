@@ -41,25 +41,42 @@ _MAX_DIM = 100_000
 
 
 def _quantize_dbz(data: np.ndarray, invalid: np.ndarray) -> np.ndarray:
-    """u8 codes; invalid and non-finite cells get 255, as an f32 read has it."""
+    """u8 codes; invalid and non-finite cells get 255, as an f32 read has it.
+    A value is coded as the float32 that an f32 payload stores, so a float64
+    volume and its float32 copy get the same codes; (x + 32) * 2 of a
+    float32 x is exact in float64."""
     invalid = invalid | ~np.isfinite(data)
-    v = np.rint((np.where(invalid, NO_ECHO_DBZ, data) + 32.0) * 2.0)
+    with np.errstate(over="ignore"):  # beyond float32's range is inf: 254
+        x = np.where(invalid, NO_ECHO_DBZ, data).astype(np.float32, copy=False)
+    v = np.rint(np.add(x, 32.0, dtype=np.float64) * 2.0)
     v = np.clip(v, 0, 254).astype(np.uint8)
     v[invalid] = 255
     return v
 
 
-#: the dBZ of each u8 code; the invalid code 255 decodes as NO_ECHO_DBZ
-_U8_DBZ = np.arange(256, dtype=np.uint8).astype(np.float64) / 2.0 - 32.0
+#: the float32 dBZ of each u8 code, v/2 - 32 being exact in float32; the
+#: invalid code 255 decodes as NO_ECHO_DBZ
+_U8_DBZ = np.arange(256, dtype=np.float32) / 2 - 32
 _U8_DBZ[255] = NO_ECHO_DBZ
 
 
 def _decode(raw: np.ndarray) -> np.ndarray:
-    """float64 dBZ of stored f32 or u8 values, NO_ECHO_DBZ where they are
-    invalid: one pass from the stored dtype."""
+    """float32 dBZ of stored f32 or u8 values, NO_ECHO_DBZ where they are
+    invalid. An f32 buffer is decoded in place and returned; u8 codes are
+    looked up in one pass."""
     if raw.dtype == np.uint8:
         return _U8_DBZ[raw]
-    return np.where(np.isfinite(raw), raw, np.float64(NO_ECHO_DBZ))
+    np.copyto(raw, NO_ECHO_DBZ, where=~np.isfinite(raw))
+    return raw
+
+
+def _check_rho_finite(rho: np.ndarray) -> None:
+    """A ValueError when rho holds a non-finite value, which RHOH cannot
+    store. The reductions allocate no copy: NaN makes the maximum NaN, and
+    an infinity shows in the maximum or the minimum."""
+    if rho.size and not (np.isfinite(rho.max()) and np.isfinite(rho.min())):
+        raise ValueError("rho_hv holds non-finite values, which RVOL "
+                         "cannot store")
 
 
 class RvolWriter:
@@ -135,11 +152,7 @@ class RvolWriter:
         rho = np.asarray(rho)
         if rho.shape != self.shape:
             raise ValueError(f"rho_hv shape {rho.shape} must be {self.shape}")
-        # reductions allocate no copy: NaN makes the maximum NaN, and an
-        # infinity shows in the maximum or the minimum
-        if not (np.isfinite(rho.max()) and np.isfinite(rho.min())):
-            raise ValueError("rho_hv holds non-finite values, which RVOL "
-                             "cannot store")
+        _check_rho_finite(rho)
         self._fh.seek(self._payload + self._unwritten.size * self._plane_bytes)
         self._fh.write(RHOH_MAGIC)
         code = None  # the first frame's product, reused by the others
@@ -166,9 +179,8 @@ def write_rvol(path: str | Path, vol: RadarVolume, quantize: bool = False) -> No
     RvolWriter's whole-volume case. rho_hv has no invalid code, so a
     non-finite rho_hv value is a ValueError, raised before the file is
     opened."""
-    if vol.rho_hv is not None and not np.isfinite(vol.rho_hv).all():
-        raise ValueError("rho_hv holds non-finite values, which RVOL "
-                         "cannot store")
+    if vol.rho_hv is not None:
+        _check_rho_finite(vol.rho_hv)
     with RvolWriter(path, vol.shape, vol.z_levels, vol.dt, quantize) as out:
         for t, z in np.ndindex(vol.shape[:2]):
             out.write(t, z, vol.data[t, z], vol.mask[z])
@@ -248,12 +260,16 @@ class RvolReader:
     invalid cells (non-finite f32, u8 255), one frame at a time and without
     decoding it, and later reads reuse that mask.
 
+    Frames are decoded to float32 dBZ, RVOL's own precision: an f32 payload
+    in the buffer it is read into, u8 codes by one table lookup. A frame of
+    8 levels at 512 x 512 thus takes 8 MB once read, half its float64
+    size, and its decoding makes no other array of that size.
+
     read_cmax() pools a frame to its column maximum (grid.column_max, over
     the valid, finite cells) on the stored f32 or u8 values, in a frame
     buffer the reader keeps, and decodes only the pooled level: the maximum
-    commutes with the exact f32 -> float64 cast and with the monotone u8
-    decoding, so it returns the bytes of grid.cmax(read(t, t + 1)) without
-    a float64 copy of the frame.
+    commutes with the monotone u8 decoding, so it returns the bytes of
+    grid.cmax(read(t, t + 1)) without a decoded copy of the frame.
     """
 
     def __init__(self, path: str | Path):

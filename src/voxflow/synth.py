@@ -239,15 +239,22 @@ def _truth_field(scn: SyntheticScenario) -> MotionField:
 
 
 def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
-    """Render the scenario into a RadarVolume plus its ground-truth motion."""
+    """Render the scenario into a RadarVolume plus its ground-truth motion.
+
+    The volume is float32, RVOL's own precision: each plane is rendered in
+    float64 into one scratch plane, speckle and clutter included, and
+    rounded once when it is stored, so write_rvol writes the bytes of the
+    float64 render. A 16 x 8 x 512 x 512 crop-scale volume takes 134 MB
+    (268 MB in float64); its float64 truth motion takes 34 MB more.
+    """
     t_count, z_count, ny, nx = scn.shape
     for cell in scn.cells:
         if not (0 <= cell.y < ny and 0 <= cell.x < nx):
             warnings.warn(f"cell at ({cell.y}, {cell.x}) starts outside the "
                           f"{ny} x {nx} grid; it will be clipped", stacklevel=2)
     rng = np.random.default_rng(scn.seed)
-    data = np.empty((t_count, z_count, ny, nx))
-    work = np.empty((ny, nx))
+    data = np.empty((t_count, z_count, ny, nx), np.float32)
+    plane, work = np.empty((ny, nx)), np.empty((ny, nx))
     rho = None
     if scn.clutter_cells:
         rho = np.full((t_count, z_count, ny, nx), 0.97)
@@ -261,7 +268,6 @@ def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
 
     for t in range(t_count):
         for z in range(z_count):
-            plane = data[t, z]
             _render_frame(scn, z, t, plane, work)
             if scn.speckle_prob > 0:
                 from scipy import ndimage
@@ -278,6 +284,7 @@ def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
                 np.copyto(plane, cp, where=in_clutter)
                 if rho is not None:
                     rho[t, z][in_clutter] = CLUTTER_RHO
+            data[t, z] = plane
 
     vol = RadarVolume(data=data, z_levels=scn.z_levels, rho_hv=rho)
     return vol, _truth_field(scn)

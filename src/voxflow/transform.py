@@ -25,13 +25,15 @@ def dbz_to_rain(dbz: np.ndarray | RadarVolume,
 
     Takes a Z x Y x X dBZ array (one frame, not a whole RadarVolume). Values at
     or below the no-echo sentinel convert to exactly 0 mm/h; invalid cells
-    come out as 0 with the mask cleared.
+    come out as 0 with the mask cleared. The rates are computed in float64
+    whatever the array's dtype, in one array of the result's size.
     """
     if isinstance(dbz, RadarVolume):
         raise TypeError("pass a single Z x Y x X frame, not a RadarVolume")
-    arr = np.asarray(dbz, dtype=np.float64)
+    arr = np.asarray(dbz)
     with np.errstate(over="ignore"):
-        rain = np.power(10.0, arr / 10.0)
+        rain = np.divide(arr, 10.0, dtype=np.float64)
+        np.power(10.0, rain, out=rain)
         rain /= MARSHALL_PALMER_A
         np.power(rain, 1.0 / MARSHALL_PALMER_B, out=rain)
     mask = np.isfinite(arr) if mask is None else \
@@ -71,11 +73,12 @@ def rain_to_dbr(r: RainField) -> RainField:
 
 
 def dbr_to_rain(d: RainField) -> RainField:
-    """Exact inverse of rain_to_dbr above the floor; the floor maps to 0."""
+    """Exact inverse of rain_to_dbr above the floor; the floor, and -inf,
+    map to 0. The floor is checked on the finite valid values, as RainField
+    checks it, so a valid NaN stays NaN."""
     if d.space is not Space.DBR:
         raise ValueError("dbr_to_rain expects a field in dBR space")
-    valid_vals = d.data[d.mask]
-    if valid_vals.size and valid_vals.min() < DBR_FLOOR - 1e-9:
+    if d.lowest < DBR_FLOOR - 1e-9:
         raise ValueError(f"dBR values below the {DBR_FLOOR} floor")
     rain = np.power(10.0, d.data / 10.0)
     rain = np.where(d.data <= DBR_FLOOR + 1e-12, 0.0, rain)

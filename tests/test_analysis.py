@@ -409,6 +409,49 @@ class TestFramesGiveTheWholeVolumeResults:
                 call()
 
 
+class TestFloat32Volumes:
+    """A float32 volume gives the bytes of its float64 copy: thresholds
+    are compared and correlations summed in float64."""
+
+    @staticmethod
+    def _pair(seed):
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(-40.0, 60.0, (3, 2, 40, 50)).astype(np.float32)
+        # 20.1 and 0.1 round up in float32: above their float64 thresholds
+        data[0, 0, :3, 0] = [20.1, 0.1, -31.9]
+        data[1, 1, 5:8, 5] = [np.nan, np.inf, -np.inf]
+        mask = rng.random((2, 40, 50)) < 0.9
+        mask[1, 5:8, 5] = False
+        return [RadarVolume(data=data.astype(dtype), z_levels=[500.0, 1000.0],
+                            mask=mask) for dtype in (np.float32, np.float64)]
+
+    def test_rainy_ratio(self):
+        for seed in range(3):
+            f32, f64 = self._pair(seed)
+            thresholds = (20.1, 0.1, -31.9, 35.0)
+            assert rainy_ratio(f32, thresholds).tobytes() == \
+                rainy_ratio(f64, thresholds).tobytes()
+            one = RadarVolume(data=np.float32([[[[20.1]]]]), z_levels=[500.0])
+            assert rainy_ratio(one, (20.1,))[0, 0] == 1.0
+
+    def test_pearson_and_reflectivity_corr(self):
+        rng = np.random.default_rng(7)
+        # large, nearly equal samples, where float32 sums lose digits
+        a = (45.0 + rng.normal(0.0, 0.01, 20_000)).astype(np.float32)
+        b = (a + rng.normal(0.0, 0.01, a.size)).astype(np.float32)
+        assert analysis._pearson(a, b) == \
+            analysis._pearson(a.astype(np.float64), b.astype(np.float64))
+        for seed in range(3):
+            f32, f64 = self._pair(seed)
+            assert reflectivity_corr_matrix([f32]).tobytes() == \
+                reflectivity_corr_matrix([f64]).tobytes()
+
+    def test_coverage_ratio(self, monkeypatch):
+        monkeypatch.setattr(analysis, "COVERAGE_DBZ", 20.1)
+        f32, f64 = self._pair(0)
+        assert coverage_ratio(f32) == coverage_ratio(f64)
+
+
 class TestMonthwiseBoxstats:
     def test_single_month_constant(self):
         ts = [datetime(2021, 6, 1) + timedelta(hours=i) for i in range(5)]

@@ -419,6 +419,19 @@ class TestTypes:
             RadarVolume(data=np.zeros((2, 1, 3, 3)), z_levels=[500.0],
                         rho_hv=np.ones((1, 1, 3, 3)))
 
+    def test_radar_volume_keeps_float32_and_float64(self):
+        for dtype in (np.float32, np.float64):
+            data = np.arange(6.0, dtype=dtype).reshape(1, 1, 2, 3)
+            vol = RadarVolume(data=data, z_levels=[500.0])
+            assert vol.data is data
+            assert [part.data.dtype for part in vol] == [dtype]
+        for data in (np.arange(6).reshape(1, 1, 2, 3),
+                     np.arange(6, dtype=np.float16).reshape(1, 1, 2, 3),
+                     [[[[0, 1], [2, 3]]]]):
+            vol = RadarVolume(data=data, z_levels=[500.0])
+            assert vol.data.dtype == np.float64
+            np.testing.assert_array_equal(vol.data, np.asarray(data))
+
     @pytest.mark.parametrize("with_rho", [False, True])
     def test_radar_volume_iterates_its_frames(self, with_rho):
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@ import io
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,115 @@ class TestRvolRoundTrip:
         back = read_rvol(path)
         np.testing.assert_allclose(back.data, vol.data, atol=1e-3)
         assert back.rho_hv is not None
+
+
+class TestFloat32Volumes:
+    """Volumes are read as float32, RVOL's own precision, and u8 codes are
+    those of the float32 value an f32 payload stores."""
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_reads_return_float32(self, tmp_path, quantize):
+        vol = sample_volume(np.random.default_rng(11), with_mask=True)
+        vol.data[0, 1, 2, 3], vol.data[2, 0, 4, 5] = np.nan, -np.inf
+        path = tmp_path / "v.rvol"
+        write_rvol(path, vol, quantize)
+        # the payload follows the 26-byte header and the two altitudes
+        stored = np.fromfile(path, np.uint8 if quantize else "<f4",
+                             offset=26 + 4 * 2).reshape(vol.shape)
+        want = stored / np.float32(2) - 32 if quantize else stored.copy()
+        invalid = ~np.isfinite(stored) | (stored == 255 if quantize else False)
+        want[invalid] = NO_ECHO_DBZ
+        with RvolReader(path) as reader:
+            reads = [reader.read(0, 3), reader.read(1, 2), *reader,
+                     reader.read_cmax(2), read_rvol(path)]
+        for got in reads:
+            assert got.data.dtype == np.float32
+        assert reads[0].data.tobytes() == want.astype(np.float32).tobytes()
+        assert reads[-1].data.tobytes() == reads[0].data.tobytes()
+        assert reads[1].data.tobytes() == reads[0].data[1:2].tobytes()
+
+    def test_quantize_of_float32_equals_its_float64_copy(self):
+        # 0.25 + 2**-20 is a float32 just above a half code: (x + 32) * 2 in
+        # float32 rounds it onto the half and codes 64, not 65
+        tie = 0.25 + 2.0 ** -20
+        data = np.random.default_rng(12).uniform(-40.0, 100.0, (64, 64))
+        data[0, :6] = [tie, -tie, 0.25, 0.75, 95.0, 1e30]
+        data = data.astype(np.float32)
+        invalid = np.zeros(data.shape, bool)
+        invalid[1, 1] = True
+        got = rvol_module._quantize_dbz(data, invalid)
+        assert got.tobytes() == \
+            rvol_module._quantize_dbz(data.astype(np.float64), invalid).tobytes()
+        assert got[0, :6].tolist() == [65, 63, 64, 66, 254, 254]
+        assert got[1, 1] == 255
+
+    def test_float64_value_is_coded_as_its_float32(self, tmp_path):
+        # 0.25 + 2**-30 and 0.75 - 2**-30 code 65 in float64, but round to
+        # the half codes 0.25 and 0.75 in float32, which code 64 and 66
+        # (ties to even)
+        data = np.array([[[[0.25 + 2.0 ** -30, 0.25, 0.75 - 2.0 ** -30]]]])
+        files = []
+        for dtype in (np.float64, np.float32):
+            vol = RadarVolume(data=data.astype(dtype), z_levels=[500.0])
+            files.append(tmp_path / f"{np.dtype(dtype).name}.rvol")
+            write_rvol(files[-1], vol, quantize=True)
+        assert files[0].read_bytes() == files[1].read_bytes()
+        assert files[0].read_bytes()[-3:] == bytes([64, 64, 66])
+
+    def test_float64_beyond_float32_codes_254_without_warning(self):
+        data = np.array([[1e300, -1e300, 1e39]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rvol_module._quantize_dbz(data, np.zeros(data.shape, bool))
+        assert got.tolist() == [[254, 0, 254]]
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_read_allocates_one_float32_frame(self, tmp_path, quantize):
+        # an f32 payload is decoded in its read buffer, u8 codes by one
+        # lookup: 5 and 7 bytes a cell, where a float64 decoding took 15 and 11
+        shape = (3, 8, 64, 64)
+        vol = RadarVolume(data=np.random.default_rng(13).uniform(
+            -20.0, 60.0, shape), z_levels=np.arange(1.0, 9.0))
+        path = tmp_path / "v.rvol"
+        write_rvol(path, vol, quantize)
+        with RvolReader(path) as reader:
+            reader.read(0, 1)
+            tracemalloc.start()
+            try:
+                reader.read(1, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * np.prod(shape[1:]), peak
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rho_leaves_no_file(self, tmp_path, bad):
+        vol = sample_volume(np.random.default_rng(14), with_rho=True)
+        vol.rho_hv[2, 1, 7, 9] = bad
+        path = tmp_path / "v.rvol"
+        for quantize in (False, True):
+            with pytest.raises(ValueError, match="rho_hv holds non-finite"):
+                write_rvol(path, vol, quantize=quantize)
+            assert not path.exists()
+
+    def test_rho_hv_check_copies_nothing(self, tmp_path):
+        # the finiteness check reads rho_hv's minimum and maximum: the
+        # write's peak stays under one byte per rho_hv cell, the size of
+        # an isfinite copy
+        rng = np.random.default_rng(15)
+        shape = (16, 2, 64, 64)
+        vol = RadarVolume(data=rng.uniform(-10.0, 50.0, shape).astype(np.float32),
+                          z_levels=[500.0, 1000.0],
+                          rho_hv=rng.uniform(0.0, 1.0, shape))
+        path = tmp_path / "v.rvol"
+        write_rvol(path, vol)
+        tracemalloc.start()
+        try:
+            write_rvol(path, vol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vol.rho_hv.size, peak
 
 
 class TestRvolValidation:

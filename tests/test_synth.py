@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxflow.advect import advect_once
 from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume
+from voxflow.rvol import write_rvol
 from voxflow.synth import (
     CLUTTER_RHO,
     ECHO_FLOOR_DBZ,
@@ -238,11 +241,15 @@ def _ref_generate(scn):
 
 
 def _assert_same_bytes(scn):
+    """generate's volume is the float64 reference rounded once to float32,
+    and write_rvol writes the same file from either volume, as f32 and as
+    u8 codes."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # cells starting outside
         got, got_truth = generate(scn)
         want, want_truth = _ref_generate(scn)
-    for name, a, b in (("data", got.data, want.data), ("mask", got.mask, want.mask),
+    for name, a, b in (("data", got.data, want.data.astype(np.float32)),
+                       ("mask", got.mask, want.mask),
                        ("rho_hv", got.rho_hv, want.rho_hv),
                        ("truth", got_truth.u, want_truth.u)):
         if b is None:
@@ -250,6 +257,13 @@ def _assert_same_bytes(scn):
             continue
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+    with tempfile.TemporaryDirectory() as d:
+        for quantize in (False, True):
+            files = [Path(d) / f"{side}.rvol" for side in ("got", "want")]
+            for path, vol in zip(files, (got, want)):
+                write_rvol(path, vol, quantize=quantize)
+            assert files[0].read_bytes() == files[1].read_bytes(), \
+                f"write_rvol, quantize={quantize}"
 
 
 @st.composite
@@ -290,7 +304,8 @@ def _scenarios(draw):
 
 
 class TestByteIdentityWithReference:
-    """generate keeps every output byte of the whole-plane formulas."""
+    """generate keeps every output byte of the whole-plane formulas: its
+    float32 volume holds them rounded once, and the RVOL files match."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("name", PRESET_NAMES)

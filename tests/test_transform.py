@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +121,34 @@ class TestClampsMatchNanToNum:
         assert np.array_equal(got.mask, want_mask)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_edge_arrays(), masked=st.booleans())
+    def test_dbz_to_rain_of_float32(self, case, masked):
+        # a float32 frame converts as its exact float64 copy does
+        dbz, mask = case
+        with np.errstate(over="ignore"):
+            dbz = dbz.astype(np.float32)
+        mask = mask if masked else None
+        got = dbz_to_rain(dbz, mask=mask)
+        want, want_mask = _dbz_to_rain_reference(dbz.astype(np.float64), mask)
+        assert np.array_equal(_bits(got.data), _bits(want))
+        assert np.array_equal(got.mask, want_mask)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dbz_to_rain_holds_one_float64_frame(self, dtype):
+        # the rates are computed in the result's array, beside a few
+        # boolean planes: no float64 copy of the input and no temporary of
+        # the result's size (about 1.5, 2.5 and 3.5 times the result)
+        dbz = np.random.default_rng(3).uniform(-40.0, 70.0, (8, 64, 64))
+        dbz = dbz.astype(dtype)
+        tracemalloc.start()
+        try:
+            out = dbz_to_rain(dbz)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.data.nbytes, peak
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=_edge_arrays())
     def test_rain_to_dbz(self, case):
         rain, mask = case
@@ -186,12 +216,31 @@ class TestDbrToRain:
             rain_to_dbz(dbr)
 
     def test_valid_value_below_the_floor_is_rejected(self):
-        # RainField checks the floor on finite values only; a valid -inf
-        # reaches dbr_to_rain, whose check takes every valid value
-        dbr = RainField(data=np.array([[[-np.inf, 0.0]]]), space=Space.DBR)
+        # RainField checks the floor when it is built; a finite valid value
+        # written below it afterwards is caught by dbr_to_rain's own check,
+        # while the same value in a masked cell is not
+        dbr = RainField(data=np.array([[[DBR_FLOOR, 0.0]]]), space=Space.DBR,
+                        mask=np.array([[[False, True]]]))
+        dbr.data[0, 0, 0] = DBR_FLOOR - 1.0
+        assert dbr_to_rain(dbr).data[0, 0, 1] == 1.0
+        dbr.data[0, 0, 1] = DBR_FLOOR - 1.0
         with pytest.raises(ValueError, match="dBR values below the -15.0 "
                                              "floor"):
             dbr_to_rain(dbr)
+
+    def test_valid_minus_inf_converts_to_zero(self):
+        # the floor is checked on finite valid values, as RainField checks
+        # it: -inf lies at or below the floor and maps to 0 mm/h
+        out = dbr_to_rain(RainField(data=np.array([[[-np.inf, 0.0]]]),
+                                    space=Space.DBR))
+        assert out.data.tolist() == [[[0.0, 1.0]]]
+        assert out.mask.all()
+
+    def test_valid_nan_stays_nan(self):
+        out = dbr_to_rain(RainField(data=np.array([[[np.nan, DBR_FLOOR]]]),
+                                    space=Space.DBR))
+        assert np.isnan(out.data[0, 0, 0]) and out.data[0, 0, 1] == 0.0
+        assert out.mask.all()
 
 
 #: dBZ values a column maximum meets: the no-echo sentinel and its two
