@@ -102,11 +102,13 @@ def reflectivity_corr_matrix(
     """Mean pixel-wise Pearson correlation between altitude-level pairs.
 
     Every frame of every volume is one sample; a sample qualifies only when
-    echo above ECHO_THRESHOLD_DBZ is present at all altitude levels. Entries
-    with no usable samples are NaN; the diagonal is exactly 1. vols may be
-    any iterable, such as a generator that opens one volume at a time, and
-    each volume is iterated for its frames; an empty one, or one whose
-    volumes differ in level count, raises ValueError.
+    echo above ECHO_THRESHOLD_DBZ is present at all altitude levels. A cell
+    holding a non-finite dBZ is skipped in that frame, as an RVOL file
+    stores it as invalid. Entries with no usable samples are NaN; the
+    diagonal is exactly 1. vols may be any iterable, such as a generator
+    that opens one volume at a time, and each volume is iterated for its
+    frames; an empty one, or one whose volumes differ in level count,
+    raises ValueError.
     """
     z = None
     rows = []
@@ -117,11 +119,12 @@ def reflectivity_corr_matrix(
                 raise ValueError(f"volume {n} has Z={part.shape[1]}, "
                                  f"expected Z={z}")
             for frame in part.data:
-                if not all((frame[zi][part.mask[zi]] > ECHO_THRESHOLD_DBZ).any()
+                valid = part.mask & np.isfinite(frame)
+                if not all((frame[zi][valid[zi]] > ECHO_THRESHOLD_DBZ).any()
                            for zi in range(z)):
                     continue
                 for i, j in combinations(range(z), 2):
-                    joint = part.mask[i] & part.mask[j]
+                    joint = valid[i] & valid[j]
                     rows.append((i, j, _pearson(frame[i][joint],
                                                 frame[j][joint])))
     if z is None:

@@ -54,18 +54,21 @@ def _quantize_dbz(data: np.ndarray, invalid: np.ndarray) -> np.ndarray:
     return v
 
 
-#: the float32 dBZ of each u8 code, v/2 - 32 being exact in float32; the
-#: invalid code 255 decodes as NO_ECHO_DBZ
-_U8_DBZ = np.arange(256, dtype=np.float32) / 2 - 32
-_U8_DBZ[255] = NO_ECHO_DBZ
-
-
 def _decode(raw: np.ndarray) -> np.ndarray:
     """float32 dBZ of stored f32 or u8 values, NO_ECHO_DBZ where they are
-    invalid. An f32 buffer is decoded in place and returned; u8 codes are
-    looked up in one pass."""
+    invalid. An f32 buffer is decoded in place and returned; a u8 buffer is
+    consumed, and its codes decoded into one new float32 array."""
     if raw.dtype == np.uint8:
-        return _U8_DBZ[raw]
+        # (v + 1) / 2 - 32.5 is v/2 - 32, exact in float32. The invalid code
+        # 255 wraps to 0 in the u8 add, and the floor at NO_ECHO_DBZ, code
+        # 0's value, decodes it as NO_ECHO_DBZ. Every step is elementwise
+        # in place: a table lookup, or a ufunc taking the u8 codes, would
+        # cast them through a temporary on the way.
+        raw += 1
+        out = raw.astype(np.float32)
+        out *= 0.5
+        out -= 32.5
+        return np.maximum(out, NO_ECHO_DBZ, out=out)
     np.copyto(raw, NO_ECHO_DBZ, where=~np.isfinite(raw))
     return raw
 
@@ -261,9 +264,10 @@ class RvolReader:
     decoding it, and later reads reuse that mask.
 
     Frames are decoded to float32 dBZ, RVOL's own precision: an f32 payload
-    in the buffer it is read into, u8 codes by one table lookup. A frame of
-    8 levels at 512 x 512 thus takes 8 MB once read, half its float64
-    size, and its decoding makes no other array of that size.
+    in the buffer it is read into, u8 codes by elementwise arithmetic in
+    one new float32 array. A frame of 8 levels at 512 x 512 thus takes 8 MB
+    once read, half its float64 size, and its decoding makes no other array
+    of that size.
 
     read_cmax() pools a frame to its column maximum (grid.column_max, over
     the valid, finite cells) on the stored f32 or u8 values, in a frame

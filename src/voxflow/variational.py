@@ -1,19 +1,19 @@
 """Per-sample variational motion estimation.
 
-Each altitude level minimizes its own sequence-consistent total loss by
-gradient descent with momentum, coarse-to-fine over an average-pooling
-pyramid (estimate at the coarsest grid, upsample the field by 2 with vector
-rescaling, refine). Motion is highly correlated across levels, so a level
-above the first may start from the level below's final motion instead: it
-does so only when that motion scores a lower loss on the coarsest stage
-than the level's own global fit, and then refines it at full resolution
-against its own frames. Step sizes are expressed in grid cells of maximum
-per-iteration displacement change. Only a trial that lowers the best loss
-is accepted, so the accepted-iterate loss sequence is non-increasing. After
-a miss the step shrinks by MISS_DECAY and the momentum halves, and the next
-trial steps on from the rejected point, not from the best iterate; after
-RESET_AFTER misses in a row the descent restarts from the best iterate
-with the momentum cleared.
+Each altitude level minimizes its own sequence-consistent total loss by a
+limited-memory quasi-Newton descent (L-BFGS, in NumPy), coarse-to-fine over
+an average-pooling pyramid (estimate at the coarsest grid, upsample the
+field by 2 with vector rescaling, refine). Motion is highly correlated
+across levels, so a level above the first may start from the level below's
+final motion instead: it does so only when that motion scores a lower loss
+on the coarsest stage than the level's own global fit, and then refines it
+at full resolution against its own frames. Step sizes are expressed in
+grid cells of maximum per-iteration displacement change. Only a trial that
+lowers the best loss is accepted, so the accepted-iterate loss sequence is
+non-increasing. The loss is not smooth (a mean absolute error and an L1
+divergence term), so the descent's curvature pairs come from
+subgradients: a pair without positive curvature is skipped, and the
+memory is cleared whenever the direction it gives does not descend.
 """
 
 from __future__ import annotations
@@ -41,26 +41,24 @@ class LevelStatus(enum.Enum):
     NO_ACCEPTED_STEP = "no_accepted_step"
 
 
-# Step schedule of the descent: the first step moves the motion by at most
-# STEP_SIZE cells and the velocity keeps MOMENTUM of itself per iteration;
-# the step decays by STEP_DECAY every iteration and by MISS_DECAY after each
-# trial that fails to improve on the best iterate; RESET_AFTER such misses
-# in a row restart from the best iterate with momentum cleared. A stage
-# makes at most MAX_ITERS trial steps, and the pyramid has at most
-# PYRAMID_STAGES stages.
+# The descent: a step moves the motion by at most STEP_SIZE cells along
+# the steepest descent and by at most 4 * STEP_SIZE cells along a
+# quasi-Newton direction, which is built from the last HISTORY (s, y)
+# pairs; a trial that fails to lower the best loss is shortened by
+# BACKTRACK. A stage makes at most MAX_ITERS trial steps and stops early
+# once an accepted step lowers the loss by less than MIN_GAIN of itself.
+# The pyramid has at most PYRAMID_STAGES stages.
 #
 # MIN_STEP is the precision the pipeline resolves, in cells: a stage stops
-# once its largest per-iteration displacement change falls below it. The
-# end-point error floor is about 0.04 cells at desk scale, and a 16-lead
-# nowcast multiplies a motion error by 16, so moves of a few thousandths of
-# a cell change neither; below about 1e-2 cells further iterations leave
-# the end-point error where it is and only cost full-resolution
+# once its accepted move, or the next backtracked trial, falls below it.
+# The end-point error floor is about 0.03 cells at desk scale, and a
+# 16-lead nowcast multiplies a motion error by 16, so moves of a few
+# thousandths of a cell change neither; they only cost full-resolution
 # evaluations.
 STEP_SIZE = 0.5
-MOMENTUM = 0.85
-STEP_DECAY = 0.995
-MISS_DECAY = 0.7
-RESET_AFTER = 6
+HISTORY = 3
+BACKTRACK = 0.25
+MIN_GAIN = 1e-5
 MIN_STEP = 5e-3
 MAX_ITERS = 120
 PYRAMID_STAGES = 3
@@ -89,26 +87,98 @@ def default_threads() -> int:
     return 1
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two motion-shaped arrays, taken in float64. einsum
+    sums in NumPy's own loop: np.dot's multithreaded BLAS costs several
+    times the CPU on these sizes."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel(), dtype=np.float64))
+
+
+class _Curvature:
+    """The L-BFGS memory of one descent stage: the last HISTORY (s, y)
+    pairs, s an accepted move and y the change of the gradient over it,
+    held in a preallocated float32 ring."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.s = np.empty((HISTORY,) + shape, np.float32)
+        self.y = np.empty_like(self.s)
+        self.rho = np.empty(HISTORY)
+        self.count = 0
+        self.head = 0
+
+    def push(self, u_new: np.ndarray, u_old: np.ndarray,
+             g_new: np.ndarray, g_old: np.ndarray) -> bool:
+        """Keep the pair of one accepted move, unless its curvature s.y is
+        not positive; returns whether it was kept."""
+        slot = self.head
+        np.subtract(u_new, u_old, out=self.s[slot])
+        np.subtract(g_new, g_old, out=self.y[slot])
+        sy = _dot(self.s[slot], self.y[slot])
+        if not sy > 0.0:
+            return False
+        self.rho[slot] = 1.0 / sy
+        self.head = (slot + 1) % HISTORY
+        self.count = min(self.count + 1, HISTORY)
+        return True
+
+    def direction(self, grad: np.ndarray, out: np.ndarray) -> float:
+        """The step -H grad into out, returning its largest component: H
+        from the two-loop recursion (Nocedal 1980) over the pairs held,
+        scaled by s.y / y.y of the newest. With no pairs, or when that is
+        not a descent direction, the memory is cleared and the step is
+        -grad scaled to a largest component of STEP_SIZE cells. Either step
+        is capped at 4 * STEP_SIZE cells."""
+        if self.count:
+            slots = [(self.head - 1 - i) % HISTORY for i in range(self.count)]
+            np.negative(grad, out=out)
+            alpha = []
+            for i in slots:
+                alpha.append(self.rho[i] * _dot(out, self.s[i]))
+                out -= alpha[-1] * self.y[i]
+            newest = slots[0]
+            out *= 1.0 / (self.rho[newest] * _dot(self.y[newest], self.y[newest]))
+            for i, a in zip(reversed(slots), reversed(alpha)):
+                out += (a - self.rho[i] * _dot(out, self.y[i])) * self.s[i]
+            if not _dot(out, grad) < 0.0:
+                self.count = 0
+        if not self.count:
+            np.multiply(grad, -STEP_SIZE / float(np.abs(grad).max()), out=out)
+        longest = float(np.abs(out).max())
+        if longest > 4.0 * STEP_SIZE:
+            out *= 4.0 * STEP_SIZE / longest
+            longest = 4.0 * STEP_SIZE
+        return longest
+
+
 def _descend(obj: SequenceObjective, u: np.ndarray,
              trace: list[TraceRow] | None, global_only: bool = False
              ) -> tuple[np.ndarray, float, int, int]:
-    """Momentum subgradient descent tracking the best iterate; returns
-    (best iterate, its loss, accepted steps, rejected steps).
+    """Limited-memory quasi-Newton descent with backtracking; returns (best
+    iterate, its loss, accepted steps, rejected steps).
 
-    The descent stops after MAX_ITERS trial steps, at a zero gradient, or
-    once the working step falls below MIN_STEP cells. The MIN_STEP stop is
-    a precision stop, not a convergence test: it says the remaining moves
-    are smaller than the pipeline resolves, not that the loss has stopped
-    falling.
+    Each iteration steps along _Curvature.direction. The full step is scored
+    with its gradient; a trial that does not lower the best loss is
+    shortened by BACKTRACK and scored without one, and the gradient of an
+    accepted shortened trial is then taken once. The descent stops after
+    MAX_ITERS trial steps, at a zero gradient, once an accepted move or the
+    next shortened trial is below MIN_STEP cells, or once an accepted step
+    gains less than MIN_GAIN of the loss. The MIN_STEP stop is a precision
+    stop: it says the remaining moves are smaller than the pipeline
+    resolves, not that the loss has stopped falling.
 
     With global_only the gradient is projected onto spatially constant
     fields (descent over one translation vector per level), the 2-dof
-    extreme of the coarse-to-fine schedule. Misses and resets follow the
-    module docstring; the recorded trace holds accepted (improving)
-    iterates only, so it is non-increasing by construction. NaN losses
-    raise DivergedError; +inf (a pair lost all overlap) just rejects the
-    trial.
+    extreme of the coarse-to-fine schedule. The recorded trace holds
+    accepted (improving) iterates only, so it is non-increasing by
+    construction. NaN losses raise DivergedError; +inf (a pair lost all
+    overlap) just rejects the trial.
     """
+
+    def gradient(g):
+        if global_only:
+            return np.broadcast_to(g.mean(axis=(2, 3), keepdims=True), g.shape)
+        return g
+
     best_total, data, div, grad = obj.evaluate(u, want_grad=True)
     if np.isnan(best_total):
         raise DivergedError(0)
@@ -116,46 +186,44 @@ def _descend(obj: SequenceObjective, u: np.ndarray,
         raise NoOverlapError("frames share no valid cells at the initial iterate")
     if trace is not None:
         trace.append((best_total, data, div))
-    # evaluate returns a new gradient array each call, so the best
-    # iterate's raw gradient can be kept for a reset
-    u_best, grad_best = u.copy(), grad
-    u_cur = u
-    vel = np.zeros_like(u)
-    step = STEP_SIZE
-    misses = 0
-    accepted = rejected = 0
-    for it in range(1, MAX_ITERS + 1):
-        if global_only:
-            grad = np.broadcast_to(grad.mean(axis=(2, 3), keepdims=True),
-                                   grad.shape)
-        gmax = float(np.abs(grad).max())
-        if gmax < 1e-14:
-            break
-        vel = MOMENTUM * vel - (step / gmax) * grad
-        u_cur = u_cur + vel
-        total, data, div, grad = obj.evaluate(u_cur, want_grad=True)
-        if np.isnan(total):
-            raise DivergedError(it)
-        if total < best_total:
-            best_total = total
-            u_best, grad_best = u_cur.copy(), grad
-            misses = 0
-            accepted += 1
-            if trace is not None:
-                trace.append((total, data, div))
-        else:
-            misses += 1
+    grad = gradient(grad)
+    u = u.copy()
+    trial = np.empty_like(u)
+    memory = _Curvature(u.shape)
+    accepted = rejected = trials = 0
+    while trials < MAX_ITERS and float(np.abs(grad).max()) >= 1e-14:
+        # the direction is built in the trial buffer, then becomes the trial
+        longest = memory.direction(grad, trial)
+        trial += u
+        total, data, div, new_grad = obj.evaluate(trial, want_grad=True)
+        while True:
+            trials += 1
+            if np.isnan(total):
+                raise DivergedError(trials)
+            if total < best_total:
+                break
             rejected += 1
-            step *= MISS_DECAY
-            vel *= 0.5
-            if misses >= RESET_AFTER:
-                u_cur, grad = u_best.copy(), grad_best
-                vel[:] = 0.0
-                misses = 0
-        step *= STEP_DECAY
-        if step < MIN_STEP:
+            longest *= BACKTRACK
+            if trials == MAX_ITERS or longest < MIN_STEP:
+                return u, best_total, accepted, rejected
+            trial -= u
+            trial *= BACKTRACK
+            trial += u
+            total, data, div, new_grad = obj.evaluate(trial, want_grad=False)
+        if new_grad is None:
+            new_grad = obj.evaluate(trial, want_grad=True)[3]
+        new_grad = gradient(new_grad)
+        accepted += 1
+        if trace is not None:
+            trace.append((total, data, div))
+        memory.push(trial, u, new_grad, grad)
+        converged = (longest < MIN_STEP
+                     or best_total - total < MIN_GAIN * abs(best_total))
+        best_total, grad = total, new_grad
+        u, trial = trial, u
+        if converged:
             break
-    return u_best, best_total, accepted, rejected
+    return u, best_total, accepted, rejected
 
 
 def _stage_scales(cfg: LossConfig, factor: int) -> tuple[int, ...]:
@@ -250,9 +318,8 @@ def estimate_variational(
     another from the lowest, each minimizing its own loss; a level above
     the first starts from the level below's final motion only when that
     motion scores lower on the level's coarsest stage than its own global
-    fit (recorded in ``from_below``). Each descent stage follows the fixed
-    schedule of this module's constants and ends after MAX_ITERS trial
-    steps at most. A level with no precipitation signal comes back as a
+    fit (recorded in ``from_below``). Each descent stage follows this
+    module's constants and ends after MAX_ITERS trial steps at most. A level with no precipitation signal comes back as a
     zero field with status NO_SIGNAL. A grid that no configured scale pools
     to at least 4 x 4 cells is a ValueError.
 

@@ -101,6 +101,22 @@ class TestReflectivityCorr:
         with pytest.raises(ValueError, match="no volumes"):
             reflectivity_corr_matrix(iter([]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_cells_are_skipped_as_on_file(self, tmp_path):
+        # valid cells holding +-inf or NaN in every frame: the RVOL file
+        # stores them as invalid, and the volume in memory skips them
+        vol = generate(preset("shear8", frames=3))[0]
+        vol.data[:, 0, 40, 50:53] = [np.inf, -np.inf, np.nan]
+        vol.data[:, 5, 60:62, 70] = np.inf
+        assert vol.mask[:, 40, 50:53].all() and vol.mask[5, 60:62, 70].all()
+        path = tmp_path / "v.rvol"
+        write_rvol(path, vol)
+        in_memory = reflectivity_corr_matrix([vol])
+        with RvolReader(path) as reader:
+            from_file = reflectivity_corr_matrix([reader])
+        assert np.isfinite(in_memory).all()
+        assert in_memory.tobytes() == from_file.tobytes()
+
     @pytest.mark.parametrize("levels", [(3, 2), (2, 3)])
     def test_mixed_level_counts_rejected(self, levels):
         rng = np.random.default_rng(5)

@@ -194,10 +194,45 @@ class TestFloat32Volumes:
             got = rvol_module._quantize_dbz(data, np.zeros(data.shape, bool))
         assert got.tolist() == [[254, 0, 254]]
 
+    def test_every_u8_code_decodes_as_v_over_2_minus_32(self, tmp_path):
+        codes = np.arange(256, dtype=np.uint8).reshape(1, 1, 16, 16)
+        path = tmp_path / "q.rvol"
+        # the payload follows the 26-byte header and the one altitude
+        with RvolWriter(path, codes.shape, [500.0], 300.0, quantize=True) as out:
+            out.write(0, 0, np.zeros((16, 16)), np.ones((16, 16), bool))
+        with open(path, "r+b") as fh:
+            fh.seek(26 + 4)
+            fh.write(codes.tobytes())
+        want = np.arange(256, dtype=np.float32) / 2 - 32
+        want[255] = NO_ECHO_DBZ
+        got = read_rvol(path)
+        assert got.data.dtype == np.float32
+        assert got.data.tobytes() == want.tobytes()
+        assert got.mask.ravel().tolist() == [True] * 255 + [False]
+
+    def test_u8_read_holds_the_codes_and_one_float32_frame(self, tmp_path):
+        # the codes are decoded without an index array: 1 + 4 bytes a cell
+        # and a few hundred bytes, where a table lookup took about 7
+        shape = (3, 8, 64, 64)
+        vol = RadarVolume(data=np.random.default_rng(13).uniform(
+            -20.0, 60.0, shape), z_levels=np.arange(1.0, 9.0))
+        path = tmp_path / "v.rvol"
+        write_rvol(path, vol, quantize=True)
+        with RvolReader(path) as reader:
+            reader.read(0, 1)
+            tracemalloc.start()
+            try:
+                reader.read(1, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 5.5 * np.prod(shape[1:]), peak / np.prod(shape[1:])
+
     @pytest.mark.parametrize("quantize", [False, True])
     def test_read_allocates_one_float32_frame(self, tmp_path, quantize):
-        # an f32 payload is decoded in its read buffer, u8 codes by one
-        # lookup: 5 and 7 bytes a cell, where a float64 decoding took 15 and 11
+        # an f32 payload is decoded in its read buffer, u8 codes in one
+        # float32 array: 5 bytes a cell, where a float64 decoding took 15
+        # and 11
         shape = (3, 8, 64, 64)
         vol = RadarVolume(data=np.random.default_rng(13).uniform(
             -20.0, 60.0, shape), z_levels=np.arange(1.0, 9.0))
