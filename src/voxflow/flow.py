@@ -256,7 +256,8 @@ def divergence(mf: MotionField) -> np.ndarray:
     penalties, as loss_divergence does.
     """
     div = np.zeros((mf.nz,) + mf.grid_shape)
-    div[:, 1:-1, 1:-1] = _sobel_interior(mf.u, _Workspace())
+    div[:, 1:-1, 1:-1] = _sobel_interior(np.asarray(mf.u, np.float64),
+                                         _Workspace())
     return div
 
 
@@ -278,7 +279,7 @@ def _divergence_term(u: np.ndarray, ws: _Workspace | None = None):
 
 def loss_divergence(mf: MotionField) -> float:
     """Mean magnitude of the divergence over interior cells of all levels."""
-    return float(_divergence_term(mf.u)[0])
+    return float(_divergence_term(np.asarray(mf.u, np.float64))[0])
 
 
 class SequenceObjective:
@@ -296,9 +297,9 @@ class SequenceObjective:
     evaluate in two threads at once.
 
     The pooled frames keep the frames' floating dtype, and the warp runs in
-    it: float32 frames give a float32 warp. The motion, the weights of the
-    data term, the divergence term and the returned gradient are float64
-    whatever the frames.
+    it: float32 frames give a float32 warp. The motion is read in float64
+    whatever its dtype, and the weights of the data term, the divergence
+    term and the returned gradient are float64 whatever the frames.
     """
 
     def __init__(self, frames: Sequence[np.ndarray], masks: Sequence[np.ndarray],
@@ -338,14 +339,15 @@ class SequenceObjective:
 
         Leading axes of u, (..., Z, 2, Y, X), hold independent motion
         fields scored in one batch; the three terms are then arrays over
-        those axes and grad has u's shape. grad is a new array on every
-        call.
+        those axes and grad has u's shape. grad is a new float64 array on
+        every call, whatever u's dtype.
 
         A frame pair with no jointly valid cells makes the data term +inf
         (the motion pushed everything out of view; in a batch, for every
         field of it); callers treat such iterates as rejected.
         """
         cfg = self.cfg
+        u = np.asarray(u, np.float64)
         batch = u.shape[:-4]
         n_scales = len(self.active_scales)
         grad = np.zeros_like(u) if want_grad else None

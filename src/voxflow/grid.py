@@ -135,12 +135,19 @@ class MotionField:
     channel 1 is y-displacement (+rows internally, which renders as south in
     the usual display orientation). Units are grid cells per time step. One
     field per sequence: there is no time axis.
+
+    u keeps a float32 or float64 dtype and takes float64 otherwise, as
+    RadarVolume's data does. Synthetic truths and RMF1 reads are float32,
+    RMF1's own precision; the estimator's result and zero() are float64;
+    consumers that do arithmetic on the motion read it in float64.
     """
 
     u: np.ndarray
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.float64)
+        u = np.asarray(self.u)
+        self.u = np.asarray(u, dtype=np.float32 if u.dtype == np.float32
+                            else np.float64)
         if self.u.ndim != 4 or self.u.shape[1] != 2:
             raise ValueError(f"u must have shape Z x 2 x Y x X, got {self.u.shape}")
         # reductions allocate no copy of the field: NaN makes the maximum

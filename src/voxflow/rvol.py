@@ -14,6 +14,8 @@ RVOL layout, little-endian:
 RMF1 layout, little-endian:
     magic "RMF1" | u32 Z, Y, X | f32 payload [z][component][y][x]
     (component 0 = x-displacement, 1 = y-displacement, grid cells per step)
+    read_motion returns the payload as a float32 MotionField, in the buffer
+    it is read into.
 """
 
 from __future__ import annotations
@@ -270,10 +272,11 @@ class RvolReader:
     of that size.
 
     read_cmax() pools a frame to its column maximum (grid.column_max, over
-    the valid, finite cells) on the stored f32 or u8 values, in a frame
-    buffer the reader keeps, and decodes only the pooled level: the maximum
-    commutes with the monotone u8 decoding, so it returns the bytes of
-    grid.cmax(read(t, t + 1)) without a decoded copy of the frame.
+    the static mask's cells, which hold finite values in every frame) on
+    the stored f32 or u8 values, in a frame buffer the reader keeps, and
+    decodes only the pooled level: the maximum commutes with the monotone
+    u8 decoding, so it returns the bytes of grid.cmax(read(t, t + 1))
+    without a decoded copy of the frame.
     """
 
     def __init__(self, path: str | Path):
@@ -357,8 +360,10 @@ class RvolReader:
         if self._buffer is None:
             self._buffer = np.empty(self._frame, self._stored)
         frame = _read_into(self._fh, self._buffer)
-        # as grid.cmax; a column without a valid cell holds the invalid code
-        top, pooled = column_max(frame, mask & np.isfinite(frame), mask,
+        # as grid.cmax; the static mask is False wherever any frame stores
+        # an invalid value, so its cells are finite; a column without a
+        # valid cell holds the invalid code
+        top, pooled = column_max(frame, mask, mask,
                                  255 if self.header.dtype == DTYPE_U8 else np.nan)
         return RadarVolume(data=_decode(top[None]),
                            z_levels=self.z_levels.max(keepdims=True),
@@ -389,14 +394,22 @@ def read_rvol(path: str | Path) -> RadarVolume:
 
 
 def write_motion(path: str | Path, mf: MotionField) -> None:
-    """Write mf as RMF1, one level at a time. A dimension that read_motion
-    would reject is a ValueError, raised before the file is opened; a
-    write that raises removes the file."""
+    """Write mf as RMF1, one level at a time, each value rounded once to
+    float32. A dimension that read_motion would reject, or a value that
+    rounds past float32's range, is a ValueError, raised before the file is
+    opened; a write that raises removes the file."""
     dims = (mf.nz, *mf.grid_shape)
     for name, dim in zip("ZYX", dims):
         if not 1 <= dim <= _MAX_DIM:
             raise ValueError(f"RMF dimension {name}={dim} is outside "
                              f"[1, {_MAX_DIM}]")
+    # rounding is monotone: the extremes round to finite values only if
+    # every value does
+    with np.errstate(over="ignore"):
+        ends = np.array([mf.u.min(), mf.u.max()]).astype("<f4")
+    if not np.isfinite(ends).all():
+        raise ValueError("motion field holds values beyond float32's range, "
+                         "which RMF1 cannot store")
     with open(path, "wb") as fh:
         try:
             fh.write(RMF_MAGIC)
@@ -419,6 +432,6 @@ def read_motion(path: str | Path) -> MotionField:
         if fh.read(1):
             raise FormatError("chunk", "unexpected trailing bytes after the payload")
     try:
-        return MotionField(raw.astype(np.float64))
+        return MotionField(raw)
     except ValueError as exc:
         raise FormatError("payload", str(exc)) from None

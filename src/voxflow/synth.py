@@ -204,10 +204,17 @@ def _render_frame(scn: SyntheticScenario, z: int, t: int, plane: np.ndarray,
 
 
 def _truth_field(scn: SyntheticScenario) -> MotionField:
+    """The exact backward displacement, computed in float64 and rounded once
+    into a float32 field, RMF1's own precision, as write_motion rounds it. A
+    velocity beyond float32's range keeps the field float64, which
+    write_motion refuses to store."""
     t, z, ny, nx = scn.shape
     ys = np.arange(ny, dtype=np.float64)[:, None]
     xs = np.arange(nx, dtype=np.float64)
-    u = np.zeros((z, 2, ny, nx))
+    with np.errstate(over="ignore"):
+        fits = scn.velocities is None or \
+            np.isfinite(scn.velocities.astype(np.float32)).all()
+    u = np.zeros((z, 2, ny, nx), np.float32 if fits else np.float64)
     if scn.rotation_omega is not None:
         # exact backward displacement of the rigid rotation
         cy, cx = (ny - 1) / 2.0, (nx - 1) / 2.0
@@ -244,8 +251,11 @@ def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
     The volume is float32, RVOL's own precision: each plane is rendered in
     float64 into one scratch plane, speckle and clutter included, and
     rounded once when it is stored, so write_rvol writes the bytes of the
-    float64 render. A 16 x 8 x 512 x 512 crop-scale volume takes 134 MB
-    (268 MB in float64); its float64 truth motion takes 34 MB more.
+    float64 render. The truth motion is rounded once into float32 too, so
+    write_motion writes the bytes of its float64 values. A 16 x 8 x 512 x 512
+    crop-scale volume takes 134 MB (268 MB in float64); its truth motion
+    takes about 17 MB more. The render planes are freed before the truth
+    is built.
     """
     t_count, z_count, ny, nx = scn.shape
     for cell in scn.cells:
@@ -286,6 +296,7 @@ def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
                     rho[t, z][in_clutter] = CLUTTER_RHO
             data[t, z] = plane
 
+    del plane, work
     vol = RadarVolume(data=data, z_levels=scn.z_levels, rho_hv=rho)
     return vol, _truth_field(scn)
 

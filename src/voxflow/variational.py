@@ -366,7 +366,8 @@ def mean_endpoint_error(est: MotionField, truth: MotionField,
     vectors, optionally restricted to a Z x Y x X (or Y x X) cell mask."""
     if est.u.shape != truth.u.shape:
         raise ValueError("motion fields must share one shape")
-    d = np.sqrt(((est.u - truth.u) ** 2).sum(axis=1))
+    d = np.sqrt((np.subtract(est.u, truth.u, dtype=np.float64) ** 2)
+                .sum(axis=1))
     if mask is None:
         return float(d.mean())
     if np.shape(mask) not in (d.shape, d.shape[1:]):

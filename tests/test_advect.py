@@ -195,6 +195,27 @@ def assert_leads_equal_bytes(leads, reference):
         assert lead.mask.tobytes() == mask.tobytes()
 
 
+class TestFloat32Motion:
+    def test_leads_are_those_of_the_float64_copy(self):
+        """A float32 motion field, as read_motion gives, advects as its
+        float64 copy does, with a sink and without."""
+        rng = np.random.default_rng(12)
+        f = random_field(rng, nz=2, ny=20, nx=24)
+        mf = MotionField(rotation_motion(2, 20, 24, rng).u.astype(np.float32))
+        wide = MotionField(mf.u.astype(np.float64))
+        assert mf.u.dtype == np.float32
+        want = extrapolate(f, wide, 3)
+        assert_leads_equal_bytes(extrapolate(f, mf, 3),
+                                 [(w.data, w.mask) for w in want])
+
+        def sunk(motion):
+            planes = []
+            extrapolate(f, motion, 3, sink=lambda t, z, lead: planes.append(
+                (t, z, lead.data.tobytes(), lead.mask.tobytes())))
+            return planes
+        assert sunk(mf) == sunk(wide)
+
+
 class TestExtrapolateMatchesPerLeadWarps:
     def test_fractional_and_rotational_motion(self):
         rng = np.random.default_rng(11)

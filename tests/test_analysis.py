@@ -188,6 +188,17 @@ class TestMotionCorr:
                           for mf, vol in zip(mfs, vols)]
                     assert m[i, j] == m[j, i] == sum(rs) / len(rs)
 
+    def test_float32_motion_correlates_as_its_float64_copy(self):
+        rng = np.random.default_rng(13)
+        vol = RadarVolume(data=rng.uniform(-10.0, 50.0, (4, 3, 12, 12)),
+                          z_levels=[500.0, 1000.0, 1500.0])
+        mf = MotionField(rng.normal(0.0, 1.0, (3, 2, 12, 12))
+                         .astype(np.float32))
+        wide = MotionField(mf.u.astype(np.float64))
+        for component in ("both", "u", "v"):
+            assert motion_corr_matrix([mf], [vol], component).tobytes() == \
+                motion_corr_matrix([wide], [vol], component).tobytes()
+
     def test_precip_mask_restricts_region(self):
         # levels agree inside the precipitating half, disagree outside
         planes = [np.full((16, 16), NO_ECHO_DBZ) for _ in range(2)]

@@ -713,3 +713,42 @@ class TestFloat32Objective:
         # the motion and its data-term gradient stay float64
         for name in ("g", "v", "v_padded"):
             assert arrays[name].dtype == np.float64, name
+
+
+class TestFloat32Motion:
+    """A float32 motion field, as synth's truth and read_motion give, is
+    read in float64: every result is the bytes of its float64 copy's."""
+
+    @staticmethod
+    def _motion(rng, nz=2, ny=13, nx=19):
+        return rng.uniform(-2.0, 2.0, (nz, 2, ny, nx)).astype(np.float32)
+
+    @pytest.mark.parametrize("frame_dtype", [np.float64, np.float32])
+    def test_evaluate(self, frame_dtype):
+        rng = np.random.default_rng(21)
+        frames = [np.maximum(rng.normal(-3.0, 8.0, (2, 13, 19)), -15.0)
+                  .astype(frame_dtype) for _ in range(3)]
+        masks = [rng.random((2, 13, 19)) > 0.1 for _ in range(3)]
+        obj = SequenceObjective(frames, masks, LossConfig(scales=(1, 2, 4)))
+        u32 = self._motion(rng)
+        for u in (u32, np.stack([u32, -u32])):
+            for want_grad in (True, False):
+                got = obj.evaluate(u, want_grad)
+                want = obj.evaluate(u.astype(np.float64), want_grad)
+                if want_grad:
+                    assert got[3].dtype == np.float64
+                for a, b in zip(got, want):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_losses_and_divergence(self):
+        rng = np.random.default_rng(22)
+        u32 = self._motion(rng)
+        mf32, mf64 = MotionField(u32), MotionField(u32.astype(np.float64))
+        assert mf32.u.dtype == np.float32
+        phi = [dbr_field(np.maximum(rng.normal(-3.0, 8.0, (2, 13, 19)), -15.0))
+               for _ in range(3)]
+        got, want = divergence(mf32), divergence(mf64)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        for fn in (loss_divergence, lambda mf: loss_total(phi, mf),
+                   lambda mf: loss_multiscale(phi, mf)):
+            assert fn(mf32) == fn(mf64)

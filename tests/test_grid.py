@@ -432,6 +432,17 @@ class TestTypes:
             assert vol.data.dtype == np.float64
             np.testing.assert_array_equal(vol.data, np.asarray(data))
 
+    def test_motion_field_keeps_float32_and_float64(self):
+        for dtype in (np.float32, np.float64):
+            u = np.arange(32.0, dtype=dtype).reshape(1, 2, 4, 4)
+            assert MotionField(u).u is u
+        for u in (np.arange(32).reshape(1, 2, 4, 4),
+                  np.arange(32, dtype=np.float16).reshape(1, 2, 4, 4)):
+            mf = MotionField(u)
+            assert mf.u.dtype == np.float64
+            np.testing.assert_array_equal(mf.u, u)
+        assert MotionField.zero(2, 3, 4).u.dtype == np.float64
+
     @pytest.mark.parametrize("with_rho", [False, True])
     def test_radar_volume_iterates_its_frames(self, with_rho):
         rng = np.random.default_rng(3)
@@ -506,6 +517,13 @@ class TestTypes:
     def test_motion_field_rejects_non_finite_in_any_level(self, z, bad):
         u = np.zeros((8, 2, 4, 4))
         u[z, 1, 3, 2] = bad
+        with pytest.raises(ValueError, match="finite everywhere"):
+            MotionField(u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float32_motion_field_rejects_non_finite(self, bad):
+        u = np.zeros((2, 2, 4, 4), np.float32)
+        u[1, 0, 2, 1] = bad
         with pytest.raises(ValueError, match="finite everywhere"):
             MotionField(u)
 

@@ -814,6 +814,29 @@ class TestRvolReadCmax:
                 assert want.data[0, 0, 0, 0] == NO_ECHO_DBZ
                 assert not want.mask[0, 0, 0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_of_one_frame(self, tmp_path, bad):
+        """An f32 value stored non-finite in one frame clears its cell of
+        the static mask, so read_cmax pools every frame without it: in the
+        frames that hold it finite too, where it is the column's largest,
+        and in a column that it leaves without a valid cell."""
+        data = np.random.default_rng(64).uniform(-20.0, 40.0, (4, 2, 5, 6))
+        data[:, 0, 2, 3] = 90.0
+        data[1, 0, 2, 3] = bad
+        data[2, :, 4, 5] = bad
+        path = tmp_path / "v.rvol"
+        write_rvol(path, RadarVolume(data=data, z_levels=[500.0, 1500.0]))
+        with RvolReader(path) as reader:
+            for t in range(4):
+                with RvolReader(path) as fresh:
+                    want = cmax(fresh.read(t, t + 1))
+                got = reader.read_cmax(t)
+                _same_volume(got, want)
+                assert got.data[0, 0, 2, 3] == np.float32(data[t, 1, 2, 3])
+                assert got.data[0, 0, 4, 5] == NO_ECHO_DBZ
+            assert reader.read(0, 1).mask.sum() == 2 * 5 * 6 - 3
+        assert not got.mask[0, 4, 5] and got.mask.sum() == 5 * 6 - 1
+
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -897,6 +920,52 @@ class TestMotionFile:
         back = read_motion(path)
         np.testing.assert_allclose(back.u, mf.u, atol=1e-5)
         assert back.u.shape == mf.u.shape
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_read_is_the_float32_payload(self, tmp_path, dtype):
+        """read_motion keeps RMF1's float32 in the buffer it reads into:
+        the field's bytes are the payload's, and the read allocates little
+        beyond them."""
+        mf = MotionField(np.random.default_rng(10).normal(0, 2, (4, 2, 64, 64))
+                         .astype(dtype))
+        path = tmp_path / "m.rmf"
+        write_motion(path, mf)
+        read_motion(path)
+        tracemalloc.start()
+        try:
+            back = read_motion(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.u.dtype == np.float32
+        assert back.u.tobytes() == mf.u.astype("<f4").tobytes()
+        assert peak < 1.25 * back.u.nbytes, peak
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, 1e300])
+    def test_value_beyond_float32_is_refused_before_opening(self, tmp_path,
+                                                            value):
+        path = tmp_path / "m.rmf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            with pytest.raises(ValueError, match="beyond float32's range"):
+                write_motion(path, MotionField(np.full((1, 2, 4, 4), value)))
+            u = np.zeros((2, 2, 4, 4))
+            u[1, 0, 3, 2] = value
+            with pytest.raises(ValueError, match="beyond float32's range"):
+                write_motion(path, MotionField(u))
+        assert not path.exists()
+
+    def test_values_that_round_to_the_float32_extremes_are_written(
+            self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        u = np.zeros((1, 2, 4, 4))
+        u[0, 0, 0, :2] = top, -top
+        u[0, 1, 0, :2] = top * (1 + 2.0 ** -25), -top * (1 + 2.0 ** -25)
+        path = tmp_path / "m.rmf"
+        write_motion(path, MotionField(u))
+        back = read_motion(path).u
+        assert (back[0, :, 0, 0] == top).all()
+        assert (back[0, :, 0, 1] == -top).all()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rmf"

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxflow.advect import advect_once
 from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume
-from voxflow.rvol import write_rvol
+from voxflow.rvol import write_motion, write_rvol
 from voxflow.synth import (
     CLUTTER_RHO,
     ECHO_FLOOR_DBZ,
@@ -240,18 +240,34 @@ def _ref_generate(scn):
     return vol, _ref_truth_field(scn)
 
 
+def _motion_file(path, mf):
+    """The bytes write_motion writes for mf, or None where it refuses the
+    field, leaving no file."""
+    try:
+        write_motion(path, mf)
+    except ValueError:
+        assert not path.exists()
+        return None
+    return path.read_bytes()
+
+
 def _assert_same_bytes(scn):
-    """generate's volume is the float64 reference rounded once to float32,
-    and write_rvol writes the same file from either volume, as f32 and as
-    u8 codes."""
+    """generate's volume and truth motion are the float64 references
+    rounded once to float32 (the truth stays float64 where a velocity
+    overflows float32), and write_rvol and write_motion write the same
+    files from either; write_rvol as f32 and as u8 codes."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # cells starting outside
         got, got_truth = generate(scn)
         want, want_truth = _ref_generate(scn)
+    with np.errstate(over="ignore"):
+        truth32 = want_truth.u.astype(np.float32)
+    if not np.isfinite(truth32).all():
+        truth32 = want_truth.u
     for name, a, b in (("data", got.data, want.data.astype(np.float32)),
                        ("mask", got.mask, want.mask),
                        ("rho_hv", got.rho_hv, want.rho_hv),
-                       ("truth", got_truth.u, want_truth.u)):
+                       ("truth", got_truth.u, truth32)):
         if b is None:
             assert a is None, name
             continue
@@ -264,6 +280,9 @@ def _assert_same_bytes(scn):
                 write_rvol(path, vol, quantize=quantize)
             assert files[0].read_bytes() == files[1].read_bytes(), \
                 f"write_rvol, quantize={quantize}"
+        files = [Path(d) / f"{side}.rmf" for side in ("got", "want")]
+        assert _motion_file(files[0], got_truth) == \
+            _motion_file(files[1], want_truth), "write_motion"
 
 
 @st.composite
@@ -305,7 +324,8 @@ def _scenarios(draw):
 
 class TestByteIdentityWithReference:
     """generate keeps every output byte of the whole-plane formulas: its
-    float32 volume holds them rounded once, and the RVOL files match."""
+    float32 volume and truth hold them rounded once, and the RVOL and RMF1
+    files match."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -375,6 +395,16 @@ class TestByteIdentityWithReference:
             vol, _ = generate(scn)
             _assert_same_bytes(scn)
         assert vol.data[4, 0, 4, 4] == NO_ECHO_DBZ
+
+    def test_velocity_beyond_float32_keeps_a_float64_truth(self):
+        """RMF1 cannot store such a truth, and write_motion refuses it."""
+        cells = [GaussianCell(4.0, 4.0, 30.0, 2.0)]
+        scn = SyntheticScenario(shape=(1, 1, 8, 8), cells=cells,
+                                velocities=np.array([[[0.0, 1e39]]]))
+        _, truth = generate(scn)
+        assert truth.u.dtype == np.float64 and (truth.u[0, 1] == 1e39).all()
+        with tempfile.TemporaryDirectory() as d:
+            assert _motion_file(Path(d) / "t.rmf", truth) is None
 
     def test_peak_memory_is_a_few_planes(self):
         """Beyond the arrays it returns, generate holds a few planes at
