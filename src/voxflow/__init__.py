@@ -29,7 +29,7 @@ from .grid import (
     cmax,
 )
 from .synth import GaussianCell, SyntheticScenario, generate, preset
-from .transform import dbr_to_rain, dbz_to_rain, rain_to_dbr
+from .transform import dbz_to_rain, rain_to_dbr
 from .variational import (
     VariationalResult,
     estimate_variational,

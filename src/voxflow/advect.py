@@ -5,9 +5,9 @@ Each output cell samples the input field at its upstream departure point
 trajectories (no growth or decay). The validity mask is advected with
 nearest-neighbor sampling.
 
-Out-of-bounds rule: bilinear neighbors outside the domain take the field's
-fill value, and a cell whose departure point leaves the domain is flagged
-invalid (inflow carries no information).
+Out-of-bounds rule: bilinear neighbors outside the domain are 0 mm/h, so
+inflow is 0 mm/h, and a cell whose departure point leaves the domain is
+flagged invalid (inflow carries no information).
 """
 
 from __future__ import annotations
@@ -28,34 +28,31 @@ def _departures(ux: np.ndarray, uy: np.ndarray, ny: int, nx: int) -> tuple:
     """The departure geometry of one level under the motion (ux, uy): the
     bilinear corners in a plane padded as _advect_planes pads it, and the
     nearest-cell lookup of the mask. The motion is time-invariant, so every
-    step of the level reuses it. Non-finite departure coordinates raise
-    ValueError."""
+    step of the level reuses it. The departure coordinates need no
+    finiteness test: MotionField rejects non-finite motion, and arange - u
+    of a finite u is finite in float64."""
     xs = np.arange(nx, dtype=np.float64) - ux
     ys = np.arange(ny, dtype=np.float64)[:, None] - uy
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError("sample coordinates must be finite")
     # two zero cells before each axis keep both clamped corners of
     # floor(x) = -2 outside, one after covers floor(x) = n - 1
     return (bilinear_geometry(xs, ys, ny + 3, nx + 3, pad=2),
             mask_geometry(xs, ys, ny, nx))
 
 
-def _advect_planes(plane: np.ndarray, fill: float, corners: tuple, k: int):
+def _advect_planes(plane: np.ndarray, corners: tuple, k: int):
     """Yield the 2-D plane advected 1, ..., k times through its level's
-    departure corners. Every step is written into one buffer, which the
-    next step overwrites, along with one padded plane and the kernel's
-    buffers. Out-of-domain neighbors contribute ``fill``, which keeps the
-    convex-combination property in shifted spaces such as dBR, where fill
-    is the space floor."""
+    departure corners. Every step is the interior of one zero-padded
+    buffer, which the next step overwrites; out-of-domain neighbors are
+    the padding's 0 mm/h. The kernel writes its samples into that interior
+    only once it has gathered the four corners, so each step reads the
+    previous one in place."""
     ny, nx = plane.shape
-    # sample plane - fill with zeros outside the domain, then add fill back
     padded = np.zeros((ny + 3, nx + 3))
-    out = np.empty((ny, nx))
+    out = padded[2:-1, 2:-1]
+    out[...] = plane
     work = [np.empty((ny, nx)) for _ in range(6)]
     for _ in range(k):
-        np.subtract(plane, fill, out=padded[2:-1, 2:-1])
         bilinear_apply(padded, corners, out=out, work=work)
-        plane = np.add(out, fill, out=out)
         yield out
 
 
@@ -100,7 +97,7 @@ def extrapolate(f: RainField, mf: MotionField, k: int,
     for z in range(f.nz):
         corners, nearest = _departures(*mf.level(z), ny, nx)
         masks = _advect_masks(f.mask[z], nearest, k)
-        planes = _advect_planes(f.data[z], f.fill_value, corners, k)
+        planes = _advect_planes(f.data[z], corners, k)
         if sink is None:
             for j, (m, d) in enumerate(zip(masks, planes)):
                 mask[j, z], data[j, z] = m, d
@@ -109,9 +106,7 @@ def extrapolate(f: RainField, mf: MotionField, k: int,
             for m in masks:
                 valid &= m
             for t, d in enumerate(planes):
-                sink(t, z, RainField(data=d[None], space=f.space,
-                                     mask=valid[None]))
+                sink(t, z, RainField(data=d[None], mask=valid[None]))
     if sink is None:
-        return [RainField(data=d, space=f.space, mask=m)
-                for d, m in zip(data, mask)]
+        return [RainField(data=d, mask=m) for d, m in zip(data, mask)]
     return None

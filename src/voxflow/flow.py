@@ -9,10 +9,12 @@ the field's horizontal divergence:
 
 All data terms are absolute differences in dBR over jointly valid cells
 and are mean-reduced (over cells, pairs, and scales) so magnitudes are
-comparable across grid sizes. Gradients with respect to the motion field
-are analytic through the bilinear warp kernel, the pooling, and the Sobel
-divergence stencil; ``gradient_check`` validates them against central
-finite differences.
+comparable across grid sizes. SequenceObjective takes the frames as bare
+dBR arrays at or above DBR_FLOOR (transform.rain_to_dbr of a RainField);
+the loss functions take mm/h RainFields and convert them. Gradients with
+respect to the motion field are analytic through the bilinear warp
+kernel, the pooling, and the Sobel divergence stencil; ``gradient_check``
+validates them against central finite differences.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .grid import (
     DBR_FLOOR,
     MotionField,
     RainField,
-    Space,
     avg_pool2d,
     bilinear_apply,
     bilinear_geometry,
@@ -96,10 +97,6 @@ class _Workspace:
 #: that far is outside the grid like any larger one, and stays finite in
 #: float32.
 MAX_MOTION = 1e35
-
-
-def _as_dbr(f: RainField) -> RainField:
-    return f if f.space is Space.DBR else rain_to_dbr(f)
 
 
 def _warp_stack(
@@ -283,8 +280,8 @@ def loss_divergence(mf: MotionField) -> float:
 
 
 class SequenceObjective:
-    """Cached evaluator of the total loss and its gradient for one frame
-    sequence.
+    """Cached evaluator of the total loss and its gradient for one
+    sequence of Z x Y x X dBR frames and their validity masks.
 
     Pooled frame/mask pyramids are built once at construction; evaluate()
     is then cheap to call repeatedly with different motion fields, which is
@@ -417,11 +414,10 @@ class SequenceObjective:
 
 def _evaluate(phi: Sequence[RainField], mf: MotionField,
               cfg: LossConfig) -> tuple[float, float, float]:
-    """(total, data_term, div_term) of one motion field on a RainField
+    """(total, data_term, div_term) of one motion field on a mm/h RainField
     sequence, converted to dBR."""
-    fields = [_as_dbr(f) for f in phi]
-    obj = SequenceObjective([f.data for f in fields], [f.mask for f in fields],
-                            cfg)
+    obj = SequenceObjective([rain_to_dbr(f) for f in phi],
+                            [f.mask for f in phi], cfg)
     if mf.grid_shape != (obj.ny, obj.nx):
         raise ValueError(f"motion grid {mf.grid_shape} != field grid "
                          f"{(obj.ny, obj.nx)}")

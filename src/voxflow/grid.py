@@ -2,7 +2,9 @@
 
 Axis order is fixed as T x Z x Y x X, row-major, everywhere in the package.
 Validity is carried as explicit boolean masks (True = valid observation);
-sentinel values are never stored inside float arrays.
+sentinel values are never stored inside float arrays. A RainField always
+holds rain rate in mm/h; the dBR frames the objective compares are bare
+arrays made by transform.rain_to_dbr.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ NO_ECHO_DBZ = -32.0
 
 
 class Space(enum.Enum):
-    """Unit space of a precipitation field."""
+    """Unit space of a precipitation field: rain rate in mm/h, the one
+    space every RainField holds."""
 
     MMH = "mmh"
-    DBR = "dbr"
 
 
-#: Fixed lower bound of the dBR space; rain rates at or below the dBR
-#: threshold map to this value exactly.
+#: Fixed lower bound of the dBR space the objective compares frames in;
+#: rain rates at or below the dBR threshold map to this value exactly.
 DBR_FLOOR = -15.0
 
 
@@ -86,11 +88,11 @@ class RadarVolume:
 
 @dataclass
 class RainField:
-    """A Z x Y x X field in mm/h or dBR space, tagged with its unit space;
-    the mask, when given, has the same shape."""
+    """A Z x Y x X rain-rate field in mm/h, space always Space.MMH; the
+    mask, when given, has the same shape."""
 
     data: np.ndarray
-    space: Space
+    space: Space = Space.MMH
     mask: np.ndarray | None = None
 
     def __post_init__(self):
@@ -104,27 +106,14 @@ class RainField:
             if self.mask.shape != self.data.shape:
                 raise ValueError(f"mask shape {self.mask.shape} != "
                                  f"Z x Y x X {self.data.shape}")
-        lowest = self.lowest
-        if self.space is Space.MMH and lowest < 0:
+        # only finite valid values are checked
+        if np.min(self.data, where=self.mask & np.isfinite(self.data),
+                  initial=np.inf) < 0:
             raise ValueError("MMH field has negative valid values")
-        if self.space is Space.DBR and lowest < DBR_FLOOR - 1e-9:
-            raise ValueError(f"DBR field has valid values below {DBR_FLOOR}")
-
-    @property
-    def lowest(self) -> float:
-        """The lowest finite valid value, +inf when there is none; the
-        field's space bounds it below (0 mm/h, or the dBR floor)."""
-        return np.min(self.data, where=self.mask & np.isfinite(self.data),
-                      initial=np.inf)
 
     @property
     def nz(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def fill_value(self) -> float:
-        """The no-echo value of this field's unit space."""
-        return 0.0 if self.space is Space.MMH else DBR_FLOOR
 
 
 @dataclass
@@ -447,5 +436,5 @@ def cmax(vol: RadarVolume) -> RadarVolume:
 
 def cmax_field(f: RainField) -> RainField:
     """Column maximum of a RainField over its valid cells, finite or not."""
-    data, mask = column_max(f.data, f.mask, f.mask, f.fill_value)
-    return RainField(data=data, space=f.space, mask=mask)
+    data, mask = column_max(f.data, f.mask, f.mask, 0.0)
+    return RainField(data=data, mask=mask)

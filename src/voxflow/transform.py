@@ -1,15 +1,17 @@
-"""Unit conversions between reflectivity, rain rate, and normalized dBR space.
+"""Unit conversions: reflectivity to rain rate and back, and rain rate to
+the dBR arrays the objective compares.
 
 The Z-R relationship is Z = a * R^b with the Marshall-Palmer constants
 MARSHALL_PALMER_A = 200 and MARSHALL_PALMER_B = 1.6. The dBR floor threshold
-is 10**-1.5 mm/h so the mapping is continuous at the floor (-15 dBR).
+is 10**-1.5 mm/h so the mapping is continuous at the floor (-15 dBR). dBR is
+one-way: nothing converts it back, and no RainField holds it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import DBR_FLOOR, NO_ECHO_DBZ, RadarVolume, RainField, Space
+from .grid import DBR_FLOOR, NO_ECHO_DBZ, RadarVolume, RainField
 
 MARSHALL_PALMER_A = 200.0
 MARSHALL_PALMER_B = 1.6
@@ -40,7 +42,7 @@ def dbz_to_rain(dbz: np.ndarray | RadarVolume,
         np.logical_and(mask, np.isfinite(arr))
     # NaN rates come only from NaN cells, which the mask clears
     np.copyto(rain, 0.0, where=~mask | (arr <= NO_ECHO_DBZ))
-    return RainField(data=rain, space=Space.MMH, mask=mask)
+    return RainField(data=rain, mask=mask)
 
 
 def volume_to_rain(vol: RadarVolume, t: int) -> RainField:
@@ -51,8 +53,6 @@ def volume_to_rain(vol: RadarVolume, t: int) -> RainField:
 def rain_to_dbz(r: RainField) -> np.ndarray:
     """Invert the Z-R relationship; rates mapping below NO_ECHO_DBZ (or zero
     rates) take the no-echo value."""
-    if r.space is not Space.MMH:
-        raise ValueError("rain_to_dbz expects a field in mm/h space")
     with np.errstate(divide="ignore"):
         dbz = (10.0 * np.log10(MARSHALL_PALMER_A)
                + 10.0 * MARSHALL_PALMER_B * np.log10(r.data))
@@ -61,25 +61,10 @@ def rain_to_dbz(r: RainField) -> np.ndarray:
     return np.minimum(dbz, np.finfo(np.float64).max, out=dbz)
 
 
-def rain_to_dbr(r: RainField) -> RainField:
-    """Log-transform rain rates: values above DBR_THRESHOLD_MMH map to
-    10*log10(R), values at or below map to the fixed floor."""
-    if r.space is not Space.MMH:
-        raise ValueError("rain_to_dbr expects a field in mm/h space")
+def rain_to_dbr(r: RainField) -> np.ndarray:
+    """The field's rates in dBR, the Z x Y x X array SequenceObjective
+    takes with r.mask: values above DBR_THRESHOLD_MMH map to 10*log10(R),
+    values at or below map to the fixed floor."""
     with np.errstate(divide="ignore"):
         dbr = 10.0 * np.log10(np.maximum(r.data, 1e-300))
-    dbr = np.where(r.data > DBR_THRESHOLD_MMH, dbr, DBR_FLOOR)
-    return RainField(data=dbr, space=Space.DBR, mask=r.mask.copy())
-
-
-def dbr_to_rain(d: RainField) -> RainField:
-    """Exact inverse of rain_to_dbr above the floor; the floor, and -inf,
-    map to 0. The floor is checked on the finite valid values, as RainField
-    checks it, so a valid NaN stays NaN."""
-    if d.space is not Space.DBR:
-        raise ValueError("dbr_to_rain expects a field in dBR space")
-    if d.lowest < DBR_FLOOR - 1e-9:
-        raise ValueError(f"dBR values below the {DBR_FLOOR} floor")
-    rain = np.power(10.0, d.data / 10.0)
-    rain = np.where(d.data <= DBR_FLOOR + 1e-12, 0.0, rain)
-    return RainField(data=rain, space=Space.MMH, mask=d.mask.copy())
+    return np.where(r.data > DBR_THRESHOLD_MMH, dbr, DBR_FLOOR)

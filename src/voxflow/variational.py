@@ -25,8 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergedError, NoOverlapError
-from .flow import LossConfig, SequenceObjective, _as_dbr
+from .flow import LossConfig, SequenceObjective
 from .grid import DBR_FLOOR, MotionField, RainField, avg_pool2d, pool_mask_all, upsample2d
+from .transform import rain_to_dbr
 
 
 class LevelStatus(enum.Enum):
@@ -348,10 +349,10 @@ def estimate_variational(
         # dBR is elementwise, so converting one level's view of each frame
         # gives that level's planes of a whole-field conversion; they are
         # freed before the next level is converted
-        level = [_as_dbr(RainField(f.data[z:z + 1], f.space, f.mask[z:z + 1]))
+        level = [rain_to_dbr(RainField(f.data[z:z + 1], mask=f.mask[z:z + 1]))
                  for f in phi]
         motion[z], status, trace, started_below = _optimize_level(
-            [f.data[0] for f in level], [f.mask[0] for f in level], cfg,
+            [d[0] for d in level], [f.mask[z] for f in phi], cfg,
             motion[z - 1] if z else None)
         del level
         statuses.append(status)

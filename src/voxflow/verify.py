@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoOverlapError
-from .grid import RainField, Space, cmax_field
+from .grid import RainField, cmax_field
 
 #: rain-rate thresholds (mm/h) of the categorical scores, lowest first
 THRESHOLDS_MMH = (1.0, 5.0, 10.0)
@@ -40,8 +40,6 @@ class ContingencyTable:
 
 
 def _joint(pred: RainField, obs: RainField):
-    if pred.space is not Space.MMH or obs.space is not Space.MMH:
-        raise ValueError("verification operates on mm/h fields")
     if pred.data.shape != obs.data.shape:
         raise ValueError(
             f"shape mismatch: pred {pred.data.shape} vs obs {obs.data.shape}")

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from voxflow.advect import advect_once, extrapolate
+from voxflow.advect import (
+    _advect_planes,
+    _departures,
+    advect_once,
+    extrapolate,
+)
 from voxflow.grid import (
     MotionField,
     RainField,
@@ -104,13 +109,28 @@ class TestAdvectOnce:
         np.testing.assert_allclose(np.roll(a.data, 2, axis=2)[0, :, 4:],
                                    b.data[0, :, 4:], atol=1e-12)
 
-    def test_dbr_fill_uses_floor(self):
-        from voxflow.grid import DBR_FLOOR
-        data = np.full((1, 6, 6), DBR_FLOOR)
-        f = RainField(data=data, space=Space.DBR)
-        out = advect_once(f, uniform_motion(2.0, 0.0, ny=6, nx=6))
-        # inflow cells keep the floor, not zero (which would mean 1 mm/h)
-        np.testing.assert_array_equal(out.data[0], DBR_FLOOR)
+    def test_step_in_the_padded_buffer_is_the_kernel_into_another(self):
+        # each step's kernel writes into the padded plane it samples; that
+        # must give the bytes of the kernel writing into a separate buffer,
+        # and inflow, here from the left and the bottom, is exactly 0 mm/h
+        rng = np.random.default_rng(18)
+        ny, nx = 14, 17
+        plane = rng.uniform(0.0, 20.0, (ny, nx))
+        ux = rng.uniform(0.1, 2.9, (ny, nx))
+        uy = rng.uniform(-2.9, -0.1, (ny, nx))
+        corners, _ = _departures(ux, uy, ny, nx)
+        padded = np.zeros((ny + 3, nx + 3))
+        padded[2:-1, 2:-1] = plane
+        want = bilinear_apply(padded, corners)[0]
+        got = next(_advect_planes(plane, corners, 1))
+        assert got.tobytes() == want.tobytes()
+        # all four corners of a departure left of x = -1 or below the last
+        # row lie in the padding
+        inflow = ((np.arange(nx) - ux < -1)
+                  | (np.arange(ny)[:, None] - uy >= ny))
+        assert inflow[:, 0].any() and inflow[-1].any() and not inflow.all()
+        zeros = np.zeros(np.count_nonzero(inflow))
+        assert got[inflow].tobytes() == zeros.tobytes()
 
 
 class TestExtrapolate:
@@ -156,7 +176,6 @@ def reference_leads(f, mf, k):
     """k one-step warps, each plane on its own through grid's bilinear and
     nearest-cell geometry-then-apply pairs: the per-lead path the
     level-outer extrapolate must reproduce byte for byte."""
-    fill = f.fill_value
     _, ny, nx = f.data.shape
     data, mask = f.data, f.mask
     leads = []
@@ -167,10 +186,9 @@ def reference_leads(f, mf, k):
             ux, uy = mf.level(z)
             xs = np.arange(nx, dtype=np.float64) - ux
             ys = np.arange(ny, dtype=np.float64)[:, None] - uy
-            shifted = np.pad(data[z] - fill, ((2, 1), (2, 1)))
-            sampled, _, _ = bilinear_apply(
-                shifted, bilinear_geometry(xs, ys, *shifted.shape, pad=2))
-            out[z] = sampled + fill
+            padded = np.pad(data[z], ((2, 1), (2, 1)))
+            out[z] = bilinear_apply(
+                padded, bilinear_geometry(xs, ys, *padded.shape, pad=2))[0]
             out_mask[z] = mask_apply(mask[z], mask_geometry(xs, ys, ny, nx))
         data, mask = out, out_mask
         leads.append((data, mask))
@@ -232,14 +250,11 @@ class TestExtrapolateMatchesPerLeadWarps:
         assert_leads_equal_bytes(extrapolate(f, mf, 4),
                                  reference_leads(f, mf, 4))
 
-    @pytest.mark.parametrize("space", [Space.MMH, Space.DBR])
-    def test_partially_masked_field(self, space):
+    def test_partially_masked_field(self):
         rng = np.random.default_rng(13)
         data = rng.uniform(0.0, 20.0, (2, 16, 16))
-        if space is Space.DBR:
-            data -= 15.0  # the dBR floor is -15: keeps values valid
         mask = rng.uniform(size=data.shape) > 0.2
-        f = RainField(data=data, space=space, mask=mask)
+        f = RainField(data=data, mask=mask)
         mf = rotation_motion(2, 16, 16, rng)
         assert_leads_equal_bytes(extrapolate(f, mf, 6),
                                  reference_leads(f, mf, 6))
@@ -265,11 +280,13 @@ class TestExtrapolateMatchesPerLeadWarps:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_motion_rejected(self, bad):
+        # MotionField's check is the only one: the departures of a finite
+        # motion are finite
         f = random_field(np.random.default_rng(16), nz=2)
-        mf = uniform_motion(0.5, 0.5, nz=2)
-        mf.u[1, 1, 3, 4] = bad  # set after the constructor's check
+        u = uniform_motion(0.5, 0.5, nz=2).u
+        u[1, 1, 3, 4] = bad
         with pytest.raises(ValueError, match="finite"):
-            extrapolate(f, mf, 3)
+            extrapolate(f, MotionField(u), 3)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_lead_count_below_one_rejected(self, k):

@@ -20,11 +20,27 @@ from voxflow.flow import (
     loss_multiscale,
     loss_total,
 )
-from voxflow.grid import MotionField, RainField, Space, avg_pool2d, upsample2d
+from voxflow.grid import DBR_FLOOR, MotionField, RainField, avg_pool2d, upsample2d
+from voxflow.transform import rain_to_dbr
 
 
-def dbr_field(data, mask=None):
-    return RainField(data=np.asarray(data, float), space=Space.DBR, mask=mask)
+def rain_field(dbr, mask=None):
+    """The mm/h field whose rain_to_dbr is dbr, up to rounding."""
+    return RainField(data=np.power(10.0, np.asarray(dbr, float) / 10.0),
+                     mask=mask)
+
+
+def advect_dbr(dbr, mask, mf):
+    """One advect_once step of a dBR frame and its mask: the warp of the
+    frame's height above DBR_FLOOR, whose 0 mm/h inflow is the floor."""
+    out = advect_once(RainField(data=dbr - DBR_FLOOR, mask=mask), mf)
+    return out.data + DBR_FLOOR, out.mask
+
+
+def dbr_data_term(frames, masks, mf, cfg):
+    """The data term of loss_multiscale on dBR frames."""
+    return SequenceObjective(frames, masks, cfg).evaluate(
+        mf.u, want_grad=False)[1]
 
 
 def uniform_motion(ux, uy, nz=1, ny=16, nx=16):
@@ -48,7 +64,7 @@ def smooth_random(rng, ny=16, nx=16, lo=-10.0, hi=5.0):
 class TestLossSingle:
     def test_zero_when_next_is_exact_advection(self):
         rng = np.random.default_rng(0)
-        f0 = dbr_field(smooth_random(rng)[None])
+        f0 = rain_field(smooth_random(rng)[None])
         mf = uniform_motion(1.0, -2.0)
         f1 = advect_once(f0, mf)
         assert loss_multiscale([f0, f1], mf, ONE_STEP) == pytest.approx(
@@ -56,20 +72,20 @@ class TestLossSingle:
 
     def test_zero_for_stationary_pair(self):
         rng = np.random.default_rng(1)
-        f = dbr_field(smooth_random(rng)[None])
+        f = rain_field(smooth_random(rng)[None])
         assert loss_multiscale([f, f], uniform_motion(0.0, 0.0), ONE_STEP) == 0.0
 
     def test_constant_offset_gives_mae_one(self):
         rng = np.random.default_rng(2)
         base = smooth_random(rng)[None]
-        f0 = dbr_field(base)
-        f1 = dbr_field(base + 1.0)
+        f0 = rain_field(base)
+        f1 = rain_field(base + 1.0)
         got = loss_multiscale([f0, f1], uniform_motion(0.0, 0.0), ONE_STEP)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_no_overlap_raises(self):
-        f0 = dbr_field(np.zeros((1, 4, 4)), mask=np.zeros((1, 4, 4), bool))
-        f1 = dbr_field(np.zeros((1, 4, 4)))
+        f0 = rain_field(np.zeros((1, 4, 4)), mask=np.zeros((1, 4, 4), bool))
+        f1 = rain_field(np.zeros((1, 4, 4)))
         with pytest.raises(NoOverlapError):
             loss_multiscale([f0, f1], uniform_motion(0.0, 0.0, ny=4, nx=4),
                             ONE_STEP)
@@ -79,23 +95,26 @@ class TestLossSequence:
     def test_zero_on_self_consistent_sequence(self):
         rng = np.random.default_rng(4)
         mf = uniform_motion(0.75, -0.5)
-        frames = [dbr_field(smooth_random(rng)[None])]
+        frames = [smooth_random(rng)[None]]
+        masks = [np.ones(frames[0].shape, bool)]
         for _ in range(5):
-            frames.append(advect_once(frames[-1], mf))
-        assert loss_multiscale(frames, mf, ONE_STEP) == pytest.approx(
+            frame, mask = advect_dbr(frames[-1], masks[-1], mf)
+            frames.append(frame)
+            masks.append(mask)
+        assert dbr_data_term(frames, masks, mf, ONE_STEP) == pytest.approx(
             0.0, abs=1e-6)
 
     def test_positive_at_wrong_motion(self):
         rng = np.random.default_rng(5)
         mf = uniform_motion(1.0, 0.0)
-        frames = [dbr_field(smooth_random(rng)[None])]
+        frames = [rain_field(smooth_random(rng)[None])]
         for _ in range(4):
             frames.append(advect_once(frames[-1], mf))
         assert loss_multiscale(frames, uniform_motion(0.0, 0.0), ONE_STEP) > 0.01
 
     def test_needs_two_frames(self):
         with pytest.raises(ValueError):
-            loss_multiscale([dbr_field(np.zeros((1, 4, 4)))],
+            loss_multiscale([rain_field(np.zeros((1, 4, 4)))],
                             uniform_motion(0.0, 0.0, ny=4, nx=4), ONE_STEP)
 
 
@@ -103,20 +122,20 @@ class TestLossMultiscale:
     def test_single_scale_equals_sequence(self):
         # the pair-averaged mean error of one backward warp per frame pair
         rng = np.random.default_rng(6)
-        frames = [dbr_field(smooth_random(rng)[None]) for _ in range(3)]
+        frames = [rain_field(smooth_random(rng)[None]) for _ in range(3)]
         mf = uniform_motion(0.3, 0.2)
         per_pair = []
         for f0, f1 in zip(frames, frames[1:]):
-            warped = advect_once(f0, mf)
-            valid = warped.mask & f1.mask
-            per_pair.append(np.abs(warped.data - f1.data)[valid].mean())
+            warped, mask = advect_dbr(rain_to_dbr(f0), f0.mask, mf)
+            valid = mask & f1.mask
+            per_pair.append(np.abs(warped - rain_to_dbr(f1))[valid].mean())
         assert loss_multiscale(frames, mf, ONE_STEP) == pytest.approx(
             np.mean(per_pair), rel=1e-12)
 
     def test_pooled_and_rescaled_loss_small_at_true_uniform_motion(self):
         rng = np.random.default_rng(7)
         mf = uniform_motion(2.0, 0.0, ny=32, nx=32)
-        frames = [dbr_field(smooth_random(rng, 32, 32)[None])]
+        frames = [rain_field(smooth_random(rng, 32, 32)[None])]
         for _ in range(3):
             frames.append(advect_once(frames[-1], mf))
         at_truth = loss_multiscale(frames, mf)
@@ -131,7 +150,7 @@ class TestLossMultiscale:
     def test_pooling_suppresses_checkerboard_noise(self):
         yg, xg = np.mgrid[0:32, 0:32]
         noise = np.where((yg + xg) % 2 == 0, -5.0, -9.0)
-        frames = [dbr_field(noise[None]), dbr_field(noise[None] * 0 - 7.0)]
+        frames = [rain_field(noise[None]), rain_field(noise[None] * 0 - 7.0)]
         mf = uniform_motion(0.0, 0.0, ny=32, nx=32)
         fine = loss_multiscale(frames, mf, LossConfig(scales=(1,)))
         coarse = loss_multiscale(frames, mf, LossConfig(scales=(8,)))
@@ -287,14 +306,14 @@ class TestLossTotal:
     def test_perfect_uniform_fit_is_divergence_free_zero(self):
         rng = np.random.default_rng(9)
         mf = uniform_motion(2.0, 0.0)
-        frames = [dbr_field(smooth_random(rng)[None])]
+        frames = [rain_field(smooth_random(rng)[None])]
         frames.append(advect_once(frames[0], mf))
         cfg = LossConfig(scales=(1,))
         assert loss_total(frames, mf, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_term_arithmetic(self):
         rng = np.random.default_rng(10)
-        frames = [dbr_field(smooth_random(rng)[None]) for _ in range(3)]
+        frames = [rain_field(smooth_random(rng)[None]) for _ in range(3)]
         u = rng.normal(0.0, 0.5, (1, 2, 16, 16))
         mf = MotionField(u)
         cfg = LossConfig(beta=0.5)
@@ -303,7 +322,7 @@ class TestLossTotal:
 
     def test_motion_of_another_grid_or_level_count_is_rejected(self):
         rng = np.random.default_rng(12)
-        frames = [dbr_field(smooth_random(rng)[None]) for _ in range(2)]
+        frames = [rain_field(smooth_random(rng)[None]) for _ in range(2)]
         with pytest.raises(ValueError, match=r"motion grid \(16, 12\) != "
                                              r"field grid \(16, 16\)"):
             loss_total(frames, uniform_motion(0.5, 0.0, nx=12))
@@ -314,7 +333,7 @@ class TestLossTotal:
     def test_nonnegative(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            frames = [dbr_field(smooth_random(rng)[None]) for _ in range(2)]
+            frames = [rain_field(smooth_random(rng)[None]) for _ in range(2)]
             mf = MotionField(rng.normal(0, 1, (1, 2, 16, 16)))
             assert loss_total(frames, mf) >= 0.0
 
@@ -328,10 +347,10 @@ class TestGradients:
 
     def test_evaluate_consistent_with_loss_total(self):
         rng = np.random.default_rng(12)
-        frames = [dbr_field(smooth_random(rng)[None]) for _ in range(3)]
+        frames = [rain_field(smooth_random(rng)[None]) for _ in range(3)]
         mf = MotionField(rng.normal(0, 0.5, (1, 2, 16, 16)))
         cfg = LossConfig()
-        obj = SequenceObjective([f.data for f in frames],
+        obj = SequenceObjective([rain_to_dbr(f) for f in frames],
                                 [f.mask for f in frames], cfg)
         total, data, div, grad = obj.evaluate(mf.u)
         assert total == loss_total(frames, mf)
@@ -370,11 +389,9 @@ class TestGradients:
         rng = np.random.default_rng(13)
         mask = np.ones((1, 16, 16), bool)
         mask[0, :, 8:] = False
-        frames = [dbr_field(smooth_random(rng)[None], mask=mask.copy())
-                  for _ in range(2)]
+        frames = [smooth_random(rng)[None] for _ in range(2)]
         cfg = LossConfig(beta=1e-9, scales=(1,))
-        obj = SequenceObjective([f.data for f in frames],
-                                [f.mask for f in frames], cfg)
+        obj = SequenceObjective(frames, [mask.copy() for _ in frames], cfg)
         _, _, _, grad = obj.evaluate(uniform_motion(0.25, 0.0).u)
         # far inside the masked half nothing constrains the motion
         assert np.abs(grad[0, :, :, 12:]).max() < 1e-9
@@ -636,13 +653,14 @@ def desk_levels():
     uniform and rotation desk scenes: the 8 dBR input frames the estimator
     sees."""
     from voxflow.synth import generate, preset
-    from voxflow.transform import rain_to_dbr, volume_to_rain
+    from voxflow.transform import volume_to_rain
     levels = []
     for name in ("shear2", "uniform", "rotation"):
         vol, truth = generate(preset(name))
-        fields = [rain_to_dbr(volume_to_rain(vol, t)) for t in range(8)]
+        fields = [volume_to_rain(vol, t) for t in range(8)]
+        frames = [rain_to_dbr(f) for f in fields]
         for z in range(vol.shape[1]):
-            levels.append((f"{name}/{z}", [f.data[z][None] for f in fields],
+            levels.append((f"{name}/{z}", [f[z][None] for f in frames],
                            [f.mask[z][None] for f in fields], truth.u[z][None]))
     return levels
 
@@ -745,7 +763,7 @@ class TestFloat32Motion:
         u32 = self._motion(rng)
         mf32, mf64 = MotionField(u32), MotionField(u32.astype(np.float64))
         assert mf32.u.dtype == np.float32
-        phi = [dbr_field(np.maximum(rng.normal(-3.0, 8.0, (2, 13, 19)), -15.0))
+        phi = [rain_field(np.maximum(rng.normal(-3.0, 8.0, (2, 13, 19)), -15.0))
                for _ in range(3)]
         got, want = divergence(mf32), divergence(mf64)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

@@ -252,22 +252,24 @@ def hand_bilinear(field, x, y):
     return total
 
 
-def warp_plane(plane, mask, ux, uy, fill):
+def warp_plane(plane, mask, ux, uy):
     """One backward warp of a 2-D plane and its mask through advection's
-    own departure geometry and kernels."""
-    corners, nearest = _departures(ux, uy, *plane.shape)
-    return (next(_advect_planes(plane, fill, corners, 1)),
+    own departure geometry and kernels, the motion checked as a
+    MotionField."""
+    mf = MotionField(np.stack([ux, uy])[None])
+    corners, nearest = _departures(*mf.level(0), *plane.shape)
+    return (next(_advect_planes(plane, corners, 1)),
             next(_advect_masks(mask, nearest, 1)))
 
 
 def bilinear_sample(field, x, y):
-    """Bilinear value of field at (x, y), taken from warp_plane with fill
-    0: output cell (0, 0) departs from (x, y) when its motion is (-x, -y)."""
+    """Bilinear value of field at (x, y), taken from warp_plane: output
+    cell (0, 0) departs from (x, y) when its motion is (-x, -y)."""
     ux = np.zeros(field.shape)
     uy = np.zeros(field.shape)
     ux[0, 0] = -x
     uy[0, 0] = -y
-    out, _ = warp_plane(field, np.ones(field.shape, bool), ux, uy, fill=0.0)
+    out, _ = warp_plane(field, np.ones(field.shape, bool), ux, uy)
     return out[0, 0]
 
 
@@ -289,15 +291,14 @@ class TestBilinearSample:
         got = bilinear_sample(f, -0.5, 1.0)
         assert got == pytest.approx(hand_bilinear(f, -0.5, 1.0))
         assert got == pytest.approx(2.0)  # half the boundary value
-        # departures far beyond the int64 range take the fill value, invalid
+        # departures far beyond the int64 range are 0 mm/h and invalid
         for x, y in ((1e30, 1.0), (-1e30, 1.0), (1.0, 1e30), (1.0, -1e30)):
-            assert bilinear_sample(f, x, y) == hand_bilinear(f, x, y) == 0.0
             ux = np.zeros(f.shape)
             uy = np.zeros(f.shape)
             ux[0, 0], uy[0, 0] = -x, -y
-            out, valid = warp_plane(f, np.ones(f.shape, bool), ux, uy,
-                                    fill=-15.0)
-            assert out[0, 0] == -15.0 and not valid[0, 0]
+            out, valid = warp_plane(f, np.ones(f.shape, bool), ux, uy)
+            assert out[0, 0] == hand_bilinear(f, x, y) == 0.0
+            assert not np.signbit(out[0, 0]) and not valid[0, 0]
 
     def test_random_points_match_hand_oracle(self):
         rng = np.random.default_rng(9)
@@ -465,23 +466,19 @@ class TestTypes:
     def test_rain_field_space_floor(self):
         with pytest.raises(ValueError, match="negative"):
             RainField(data=np.array([[[-1.0]]]), space=Space.MMH)
-        with pytest.raises(ValueError, match="below"):
-            RainField(data=np.array([[[-20.0]]]), space=Space.DBR)
-        RainField(data=np.array([[[-15.0]]]), space=Space.DBR)
+        assert RainField(data=np.zeros((1, 1, 1))).space is Space.MMH
 
-    @pytest.mark.parametrize("space, below", [(Space.MMH, -1.0),
-                                              (Space.DBR, -20.0)])
-    def test_floor_ignores_masked_and_non_finite_values(self, space, below):
-        # one masked-out value below the floor and non-finite values,
-        # -inf among them, are not checked
-        data = np.array([[[below, np.nan, -np.inf, 1.0]]])
+    def test_floor_ignores_masked_and_non_finite_values(self):
+        # one masked-out negative value and non-finite values, -inf among
+        # them, are not checked
+        data = np.array([[[-1.0, np.nan, -np.inf, 1.0]]])
         mask = np.array([[[False, True, True, True]]])
-        RainField(data=data, space=space, mask=mask)
-        RainField(data=np.full((1, 2, 2), np.nan), space=space)
-        # an empty valid set passes, a valid value below the floor does not
-        RainField(data=data, space=space, mask=np.zeros_like(mask))
-        with pytest.raises(ValueError, match="below|negative"):
-            RainField(data=data, space=space, mask=~mask)
+        RainField(data=data, mask=mask)
+        RainField(data=np.full((1, 2, 2), np.nan))
+        # an empty valid set passes, a valid negative value does not
+        RainField(data=data, mask=np.zeros_like(mask))
+        with pytest.raises(ValueError, match="negative"):
+            RainField(data=data, mask=~mask)
 
     @pytest.mark.parametrize("data, mask", [
         (np.zeros((4, 4)), None),

@@ -15,7 +15,6 @@ from voxflow.grid import (
 )
 from voxflow.transform import (
     DBR_THRESHOLD_MMH,
-    dbr_to_rain,
     dbz_to_rain,
     rain_to_dbr,
     rain_to_dbz,
@@ -165,82 +164,26 @@ class TestClampsMatchNanToNum:
 class TestRainToDbr:
     def test_unity_is_zero(self):
         out = rain_to_dbr(RainField(data=np.array([[[1.0]]]), space=Space.MMH))
-        assert out.data[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert out[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_decade_is_ten(self):
         out = rain_to_dbr(RainField(data=np.array([[[10.0]]]), space=Space.MMH))
-        assert out.data[0, 0, 0] == pytest.approx(10.0)
+        assert out[0, 0, 0] == pytest.approx(10.0)
 
     def test_zero_maps_to_floor(self):
         out = rain_to_dbr(RainField(data=np.array([[[0.0]]]), space=Space.MMH))
-        assert out.data[0, 0, 0] == DBR_FLOOR
+        assert out[0, 0, 0] == DBR_FLOOR
 
     def test_continuous_at_threshold(self):
         eps = 1e-9
         just_above = rain_to_dbr(RainField(
             data=np.array([[[DBR_THRESHOLD_MMH * (1 + eps)]]]), space=Space.MMH))
-        assert just_above.data[0, 0, 0] == pytest.approx(DBR_FLOOR, abs=1e-6)
+        assert just_above[0, 0, 0] == pytest.approx(DBR_FLOOR, abs=1e-6)
 
     def test_monotone_above_floor(self):
         rain = np.linspace(0.05, 30.0, 100).reshape(1, 1, -1)
-        dbr = rain_to_dbr(RainField(data=rain, space=Space.MMH)).data[0, 0]
+        dbr = rain_to_dbr(RainField(data=rain, space=Space.MMH))[0, 0]
         assert (np.diff(dbr) > 0).all()
-
-
-class TestDbrToRain:
-    def test_zero_dbr_is_one(self):
-        out = dbr_to_rain(RainField(data=np.array([[[0.0]]]), space=Space.DBR))
-        assert out.data[0, 0, 0] == pytest.approx(1.0)
-
-    def test_floor_is_zero(self):
-        out = dbr_to_rain(RainField(data=np.array([[[DBR_FLOOR]]]), space=Space.DBR))
-        assert out.data[0, 0, 0] == 0.0
-
-    def test_round_trip_above_threshold(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            rain = rng.uniform(DBR_THRESHOLD_MMH * 1.01, 80.0, (1, 5, 5))
-            f = RainField(data=rain, space=Space.MMH)
-            back = dbr_to_rain(rain_to_dbr(f))
-            np.testing.assert_allclose(back.data, rain, rtol=1e-6)
-
-    def test_space_checks(self):
-        mmh = RainField(data=np.ones((1, 2, 2)), space=Space.MMH)
-        with pytest.raises(ValueError):
-            dbr_to_rain(mmh)
-        dbr = rain_to_dbr(mmh)
-        with pytest.raises(ValueError):
-            rain_to_dbr(dbr)
-        with pytest.raises(ValueError, match="rain_to_dbz expects a field "
-                                             "in mm/h space"):
-            rain_to_dbz(dbr)
-
-    def test_valid_value_below_the_floor_is_rejected(self):
-        # RainField checks the floor when it is built; a finite valid value
-        # written below it afterwards is caught by dbr_to_rain's own check,
-        # while the same value in a masked cell is not
-        dbr = RainField(data=np.array([[[DBR_FLOOR, 0.0]]]), space=Space.DBR,
-                        mask=np.array([[[False, True]]]))
-        dbr.data[0, 0, 0] = DBR_FLOOR - 1.0
-        assert dbr_to_rain(dbr).data[0, 0, 1] == 1.0
-        dbr.data[0, 0, 1] = DBR_FLOOR - 1.0
-        with pytest.raises(ValueError, match="dBR values below the -15.0 "
-                                             "floor"):
-            dbr_to_rain(dbr)
-
-    def test_valid_minus_inf_converts_to_zero(self):
-        # the floor is checked on finite valid values, as RainField checks
-        # it: -inf lies at or below the floor and maps to 0 mm/h
-        out = dbr_to_rain(RainField(data=np.array([[[-np.inf, 0.0]]]),
-                                    space=Space.DBR))
-        assert out.data.tolist() == [[[0.0, 1.0]]]
-        assert out.mask.all()
-
-    def test_valid_nan_stays_nan(self):
-        out = dbr_to_rain(RainField(data=np.array([[[np.nan, DBR_FLOOR]]]),
-                                    space=Space.DBR))
-        assert np.isnan(out.data[0, 0, 0]) and out.data[0, 0, 1] == 0.0
-        assert out.mask.all()
 
 
 #: dBZ values a column maximum meets: the no-echo sentinel and its two

@@ -75,12 +75,15 @@ class TestEstimateVariational:
             assert epe < 0.5
 
     def test_no_signal_level_flagged_and_zero(self):
-        data = np.full((3, 2, 32, 32), DBR_FLOOR)
+        # level 0 holds a moving cell 12 dBR above the floor, level 1 no
+        # rain
+        data = np.zeros((3, 2, 32, 32))
         yg, xg = np.mgrid[0:32, 0:32]
         for t in range(3):
-            data[t, 0] += 12.0 * np.exp(-((yg - 16.0) ** 2
-                                          + (xg - 10.0 - t) ** 2) / 20.0)
-        frames = [RainField(data=data[t], space=Space.DBR) for t in range(3)]
+            dbr = DBR_FLOOR + 12.0 * np.exp(-((yg - 16.0) ** 2
+                                              + (xg - 10.0 - t) ** 2) / 20.0)
+            data[t, 0] = np.power(10.0, dbr / 10.0)
+        frames = [RainField(data=data[t]) for t in range(3)]
         res = estimate_variational(frames, cfg=FAST_CFG)
         assert res.statuses[0] == LevelStatus.OK
         assert res.statuses[1] == LevelStatus.NO_SIGNAL
@@ -100,19 +103,20 @@ class TestEstimateVariational:
         np.testing.assert_array_equal(res.motion.u, 0.0)
 
     def test_divergence_error_carries_iteration(self):
-        # a field with real signal plus NaN contamination diverges at once
+        # dBR frames with real signal plus NaN contamination diverge at
+        # once (rain_to_dbr takes a NaN rate to the floor, so only the
+        # level's own dBR frames can carry one)
         yg, xg = np.mgrid[0:16, 0:16]
         bad = DBR_FLOOR + 10.0 * np.exp(-((yg - 8.0) ** 2 + (xg - 8.0) ** 2) / 8.0)
-        bad = bad[None].copy()
-        bad[0, :2] = np.nan
-        frames = [RainField(data=bad.copy(), space=Space.DBR,
-                            mask=np.ones((1, 16, 16), bool)) for _ in range(2)]
+        bad[:2] = np.nan
         with pytest.raises(DivergedError) as err:
-            estimate_variational(frames, cfg=FAST_CFG)
+            variational._optimize_level([bad.copy() for _ in range(2)],
+                                        [np.ones((16, 16), bool)] * 2,
+                                        FAST_CFG)
         assert err.value.iteration == 0
 
     def test_one_frame_is_rejected(self):
-        frame = RainField(data=np.zeros((1, 16, 16)), space=Space.DBR)
+        frame = RainField(data=np.zeros((1, 16, 16)))
         with pytest.raises(ValueError, match="need at least 2 input frames"):
             estimate_variational([frame], cfg=FAST_CFG)
 
@@ -456,9 +460,9 @@ class TestDescendReset:
     def test_gradients_only_at_full_steps_and_accepted_iterates(
             self, global_only):
         vol, _ = blob_scene(velocities=[[[1.5, -1.0]]], t_count=4)
-        frames = [rain_to_dbr(volume_to_rain(vol, t)) for t in range(4)]
-        obj = SequenceObjective([f.data for f in frames],
-                                [f.mask for f in frames], FAST_CFG)
+        fields = [volume_to_rain(vol, t) for t in range(4)]
+        obj = SequenceObjective([rain_to_dbr(f) for f in fields],
+                                [f.mask for f in fields], FAST_CFG)
         calls = []
         evaluate = obj.evaluate
 
@@ -495,9 +499,9 @@ class TestDescendReset:
         # every 1e30-cell trial leaves the domain and is rejected, so only
         # the cap ends the stage: the start and three trials
         vol, _ = blob_scene(velocities=[[[1.5, -1.0]]], t_count=3)
-        frames = [rain_to_dbr(volume_to_rain(vol, t)) for t in range(3)]
-        obj = SequenceObjective([f.data for f in frames],
-                                [f.mask for f in frames], FAST_CFG)
+        fields = [volume_to_rain(vol, t) for t in range(3)]
+        obj = SequenceObjective([rain_to_dbr(f) for f in fields],
+                                [f.mask for f in fields], FAST_CFG)
         calls = []
         evaluate = obj.evaluate
         obj.evaluate = lambda u, want_grad=True: (
@@ -589,8 +593,8 @@ class TestLevelMemory:
         # stacks; per-scale workspaces took 9.7 MiB, and keeping the
         # float32 stage frames adds 0.6 MiB
         vol, _ = generate(preset("uniform"))
-        fields = [rain_to_dbr(volume_to_rain(vol, t)) for t in range(8)]
-        frames = [f.data[0] for f in fields]
+        fields = [volume_to_rain(vol, t) for t in range(8)]
+        frames = [rain_to_dbr(f)[0] for f in fields]
         masks = [f.mask[0] for f in fields]
         tracemalloc.start()
         try:

@@ -46,13 +46,6 @@ class TestContinuousMetrics:
         with pytest.raises(NoOverlapError):
             continuous_metrics(a, b)
 
-    def test_dbr_field_is_rejected(self):
-        dbr = RainField(data=np.zeros((1, 4, 4)), space=Space.DBR)
-        with pytest.raises(ValueError, match="operates on mm/h fields"):
-            continuous_metrics(dbr, mmh(np.zeros((1, 4, 4))))
-        with pytest.raises(ValueError, match="operates on mm/h fields"):
-            continuous_metrics(mmh(np.zeros((1, 4, 4))), dbr)
-
     def test_mismatched_shapes_are_rejected(self):
         with pytest.raises(ValueError, match=r"shape mismatch: pred "
                                              r"\(2, 4, 4\) vs obs \(1, 4, 4\)"):
