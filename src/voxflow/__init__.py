@@ -24,7 +24,6 @@ from .grid import (
     MotionField,
     RadarVolume,
     RainField,
-    Space,
     avg_pool2d,
     cmax,
 )

@@ -1,7 +1,8 @@
 """Quality control: polarimetric filtering and per-level speckle removal.
 
 All spatial operations act in the horizontal plane only, level by level, so
-cleaning never introduces vertical coupling.
+cleaning never introduces vertical coupling. The morphology is NumPy's own:
+shifted slices of a False-padded mask, one pass per iteration.
 """
 
 from __future__ import annotations
@@ -19,6 +20,20 @@ ECHO_THRESHOLD_DBZ = 0.0
 OPEN_ITERS = 2
 PROTECT_DBZ = 40.0
 DILATE_ITERS = 2
+
+
+def diamond_morphology(mask: np.ndarray, iterations: int, op) -> np.ndarray:
+    """mask eroded (op np.logical_and) or dilated (op np.logical_or)
+    iterations times with DIAMOND in its last two axes, each (..., Y, X)
+    plane on its own and False beyond its edges: the binary_erosion or
+    binary_dilation of scipy.ndimage with structure DIAMOND[None, None]."""
+    for _ in range(iterations):
+        p = np.pad(mask, [(0, 0)] * (mask.ndim - 2) + [(1, 1), (1, 1)])
+        mask = p[..., 1:-1, 1:-1].copy()
+        for s in (p[..., :-2, 1:-1], p[..., 2:, 1:-1],
+                  p[..., 1:-1, :-2], p[..., 1:-1, 2:]):
+            op(mask, s, out=mask)
+    return mask
 
 
 def polarimetric_filter(vol: RadarVolume) -> RadarVolume:
@@ -43,15 +58,12 @@ def morphological_clean(vol: RadarVolume) -> RadarVolume:
     with the same element, are exempt from removal. Removed cells become
     no-echo.
     """
-    from scipy import ndimage
     data = vol.data.copy()
-    # an element one plane thick: no (t, z) plane touches another
-    element = DIAMOND[None, None]
     echo = data > ECHO_THRESHOLD_DBZ
-    opened = ndimage.binary_opening(echo, structure=element,
-                                    iterations=OPEN_ITERS)
-    protected = ndimage.binary_dilation(data > PROTECT_DBZ, structure=element,
-                                        iterations=DILATE_ITERS)
+    eroded = diamond_morphology(echo, OPEN_ITERS, np.logical_and)
+    opened = diamond_morphology(eroded, OPEN_ITERS, np.logical_or)
+    protected = diamond_morphology(data > PROTECT_DBZ, DILATE_ITERS,
+                                   np.logical_or)
     data[echo & ~opened & ~protected] = NO_ECHO_DBZ
     rho = vol.rho_hv.copy() if vol.rho_hv is not None else None
     return RadarVolume(data=data, z_levels=vol.z_levels, dt=vol.dt,

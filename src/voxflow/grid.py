@@ -9,7 +9,6 @@ arrays made by transform.rain_to_dbr.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +18,6 @@ DEFAULT_DT_SECONDS = 300
 #: Reflectivity value used to represent "no echo" (the lower bound of the
 #: 8-bit storage mapping).
 NO_ECHO_DBZ = -32.0
-
-
-class Space(enum.Enum):
-    """Unit space of a precipitation field: rain rate in mm/h, the one
-    space every RainField holds."""
-
-    MMH = "mmh"
 
 
 #: Fixed lower bound of the dBR space the objective compares frames in;
@@ -88,8 +80,8 @@ class RadarVolume:
 
 @dataclass
 class RainField:
-    """A Z x Y x X rain-rate field in mm/h, space always Space.MMH; the
-    mask, when given, has the same shape.
+    """A Z x Y x X rain-rate field in mm/h; the mask, when given, has the
+    same shape.
 
     data keeps a float32 or float64 dtype and takes float64 otherwise, as
     RadarVolume's data does. volume_to_rain gives float64 rates; nowcast
@@ -100,7 +92,6 @@ class RainField:
     """
 
     data: np.ndarray
-    space: Space = Space.MMH
     mask: np.ndarray | None = None
 
     def __post_init__(self):

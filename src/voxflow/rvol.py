@@ -140,8 +140,7 @@ class RvolWriter:
             raise ValueError(f"plane shape {dbz.shape} and valid shape "
                              f"{valid.shape} must be {self.shape[2:]}")
         if self._dtype == DTYPE_F32:
-            plane = dbz.astype("<f4")
-            plane[~valid] = np.nan
+            plane = np.where(valid, dbz, np.float32(np.nan)).astype("<f4", copy=False)
         else:
             plane = _quantize_dbz(dbz, ~valid)
         self._fh.seek(self._payload

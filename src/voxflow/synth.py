@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .denoise import diamond_morphology
 from .grid import NO_ECHO_DBZ, MotionField, RadarVolume
 
 #: Gaussian contributions below this dBZ level are treated as no echo, which
@@ -251,11 +252,12 @@ def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
     The volume is float32, RVOL's own precision: each plane is rendered in
     float64 into one scratch plane, speckle and clutter included, and
     rounded once when it is stored, so write_rvol writes the bytes of the
-    float64 render. The truth motion is rounded once into float32 too, so
-    write_motion writes the bytes of its float64 values. A 16 x 8 x 512 x 512
-    crop-scale volume takes 134 MB (268 MB in float64); its truth motion
-    takes about 17 MB more. The render planes are freed before the truth
-    is built.
+    float64 render. Speckles fall on background cells only, beyond three
+    diamond_morphology dilations of the plane's echo. The truth motion is
+    rounded once into float32 too, so write_motion writes the bytes of its
+    float64 values. A 16 x 8 x 512 x 512 crop-scale volume takes 134 MB
+    (268 MB in float64); its truth motion takes about 17 MB more. The
+    render planes are freed before the truth is built.
     """
     t_count, z_count, ny, nx = scn.shape
     for cell in scn.cells:
@@ -280,12 +282,11 @@ def generate(scn: SyntheticScenario) -> tuple[RadarVolume, MotionField]:
         for z in range(z_count):
             _render_frame(scn, z, t, plane, work)
             if scn.speckle_prob > 0:
-                from scipy import ndimage
                 hits = rng.random((ny, nx)) < scn.speckle_prob
                 # background only, clear of echo edges so speckles stay
                 # isolated single-cell artifacts
-                near_echo = ndimage.binary_dilation(plane > NO_ECHO_DBZ,
-                                                    iterations=3)
+                near_echo = diamond_morphology(plane > NO_ECHO_DBZ, 3,
+                                               np.logical_or)
                 hits &= ~near_echo
                 amps = rng.uniform(*SPECKLE_DBZ, size=(ny, nx))
                 np.copyto(plane, amps, where=hits)

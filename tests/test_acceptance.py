@@ -20,7 +20,6 @@ from voxflow.grid import (
     MotionField,
     RadarVolume,
     RainField,
-    Space,
     cmax,
     cmax_field,
 )
@@ -159,8 +158,7 @@ def test_metric_oracle():
         pred = rng.uniform(0, 12, (1, 64, 64))
         obs = rng.uniform(0, 12, (1, 64, 64))
         thr = float(rng.uniform(0.5, 10.0))
-        tbl = contingency(RainField(data=pred, space=Space.MMH),
-                          RainField(data=obs, space=Space.MMH), thr)
+        tbl = contingency(RainField(data=pred), RainField(data=obs), thr)
         h = m = fa = cn = 0
         for pv, ov in zip(pred.ravel(), obs.ravel()):
             py, oy = pv >= thr, ov >= thr
@@ -181,7 +179,7 @@ def test_advection_oracle():
     rng = np.random.default_rng(7)
     for _ in range(100):
         data = rng.uniform(0.0, 15.0, (1, 20, 20))
-        f = RainField(data=data, space=Space.MMH)
+        f = RainField(data=data)
         dx = int(rng.integers(-3, 4))
         dy = int(rng.integers(-3, 4))
         u = np.zeros((1, 2, 20, 20))

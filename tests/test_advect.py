@@ -10,7 +10,6 @@ from voxflow.advect import (
 from voxflow.grid import (
     MotionField,
     RainField,
-    Space,
     bilinear_apply,
     bilinear_geometry,
     mask_apply,
@@ -26,7 +25,7 @@ def uniform_motion(ux, uy, nz=1, ny=16, nx=16):
 
 
 def random_field(rng, nz=1, ny=16, nx=16):
-    return RainField(data=rng.uniform(0.0, 20.0, (nz, ny, nx)), space=Space.MMH)
+    return RainField(data=rng.uniform(0.0, 20.0, (nz, ny, nx)))
 
 
 class TestAdvectOnce:
@@ -40,7 +39,7 @@ class TestAdvectOnce:
     def test_integer_shift_moves_delta(self):
         data = np.zeros((1, 20, 20))
         data[0, 10, 10] = 5.0
-        f = RainField(data=data, space=Space.MMH)
+        f = RainField(data=data)
         out = advect_once(f, uniform_motion(1.0, 0.0, ny=20, nx=20))
         assert out.data[0, 10, 11] == 5.0
         assert out.data[0, 10, 10] == 0.0
@@ -54,7 +53,7 @@ class TestAdvectOnce:
     def test_half_cell_shift_matches_hand_bilinear_on_5x5(self):
         data = np.zeros((1, 5, 5))
         data[0, 2, 2] = 1.0
-        f = RainField(data=data, space=Space.MMH)
+        f = RainField(data=data)
         out = advect_once(f, uniform_motion(0.5, 0.0, ny=5, nx=5))
         # backward warp: out(y,x) = f(y, x-0.5) -> half weight from each donor
         expect = np.zeros((5, 5))
@@ -66,7 +65,7 @@ class TestAdvectOnce:
         data = np.ones((1, 8, 8))
         mask = np.ones((1, 8, 8), bool)
         mask[0, 4, 4] = False
-        f = RainField(data=data, space=Space.MMH, mask=mask)
+        f = RainField(data=data, mask=mask)
         out = advect_once(f, uniform_motion(1.0, 0.0, ny=8, nx=8))
         assert not out.mask[0, 4, 5]
         # inflow column has no upstream data
@@ -94,7 +93,7 @@ class TestAdvectOnce:
         yg, xg = np.mgrid[0:32, 0:32]
         blob = 10.0 * np.exp(-((yg - 16) ** 2 + (xg - 16) ** 2) / 18.0)
         blob[blob < 1e-6] = 0.0
-        f = RainField(data=blob[None], space=Space.MMH)
+        f = RainField(data=blob[None])
         out = advect_once(f, uniform_motion(0.5, 0.25, ny=32, nx=32))
         assert out.data.sum() == pytest.approx(f.data.sum(), rel=0.01)
 
@@ -104,8 +103,8 @@ class TestAdvectOnce:
         base[0, 8:14, 8:14] = rng.uniform(1, 5, (6, 6))
         shifted = np.roll(base, 2, axis=2)
         mf = uniform_motion(1.0, 0.0, ny=24, nx=24)
-        a = advect_once(RainField(data=base, space=Space.MMH), mf)
-        b = advect_once(RainField(data=shifted, space=Space.MMH), mf)
+        a = advect_once(RainField(data=base), mf)
+        b = advect_once(RainField(data=shifted), mf)
         np.testing.assert_allclose(np.roll(a.data, 2, axis=2)[0, :, 4:],
                                    b.data[0, :, 4:], atol=1e-12)
 
@@ -137,7 +136,7 @@ class TestExtrapolate:
     def test_k_steps_shift_k_columns(self):
         data = np.zeros((1, 16, 16))
         data[0, 8, 2] = 7.0
-        f = RainField(data=data, space=Space.MMH)
+        f = RainField(data=data)
         leads = extrapolate(f, uniform_motion(1.0, 0.0), 5)
         assert len(leads) == 5
         for k, lead in enumerate(leads, start=1):
@@ -145,14 +144,14 @@ class TestExtrapolate:
             assert lead.data[0].sum() == 7.0
 
     def test_constant_field_invariant_away_from_inflow(self):
-        f = RainField(data=np.full((1, 16, 16), 3.0), space=Space.MMH)
+        f = RainField(data=np.full((1, 16, 16), 3.0))
         leads = extrapolate(f, uniform_motion(0.5, -0.5), 4)
         # inflow enters from the left (u_x > 0) and bottom (u_y < 0);
         # the contaminated band grows by at most |u|+1 cells per step
         np.testing.assert_allclose(leads[-1].data[0, :8, 8:], 3.0)
 
     def test_rejects_bad_lead_count(self):
-        f = RainField(data=np.zeros((1, 4, 4)), space=Space.MMH)
+        f = RainField(data=np.zeros((1, 4, 4)))
         with pytest.raises(ValueError):
             extrapolate(f, uniform_motion(0.0, 0.0, ny=4, nx=4), 0)
 
@@ -161,7 +160,7 @@ class TestExtrapolate:
 
         yg, xg = np.mgrid[0:32, 0:32]
         blob = 8.0 * np.exp(-((yg - 16) ** 2 + (xg - 10) ** 2) / 8.0)
-        field = RainField(data=np.stack([blob, blob]), space=Space.MMH)
+        field = RainField(data=np.stack([blob, blob]))
         u = np.zeros((2, 2, 32, 32))
         u[0, 0] = 2.0  # lower level moves east twice as fast
         u[1, 0] = 1.0
@@ -266,8 +265,7 @@ class TestExtrapolateMatchesPerLeadWarps:
     def test_zero_motion_is_bit_exact_identity(self):
         rng = np.random.default_rng(14)
         mask = rng.uniform(size=(2, 16, 16)) > 0.3
-        f = RainField(data=rng.uniform(0.0, 20.0, (2, 16, 16)),
-                      space=Space.MMH, mask=mask)
+        f = RainField(data=rng.uniform(0.0, 20.0, (2, 16, 16)), mask=mask)
         for lead in extrapolate(f, uniform_motion(0.0, 0.0, nz=2), 3):
             assert lead.data.tobytes() == f.data.tobytes()
             assert lead.mask.tobytes() == f.mask.tobytes()
@@ -280,7 +278,6 @@ class TestExtrapolateMatchesPerLeadWarps:
         first = extrapolate(f, mf, 1)[0]
         assert once.data.tobytes() == first.data.tobytes()
         assert once.mask.tobytes() == first.mask.tobytes()
-        assert once.space is first.space
 
     def test_float32_field_matches_float32_per_lead_warps(self):
         # fractional, rotational and per-level motion over a partially
@@ -334,7 +331,7 @@ class TestExtrapolateSink:
             rng = np.random.default_rng(16)
             mask = rng.uniform(size=(2, 16, 16)) > 0.2
             f = RainField(data=rng.uniform(0.0, 20.0, (2, 16, 16))
-                          .astype(dtype), space=Space.MMH, mask=mask)
+                          .astype(dtype), mask=mask)
             mf = rotation_motion(2, 16, 16, rng)
             leads = extrapolate(f, mf, 3)
             seen = []

@@ -19,8 +19,7 @@ from voxflow.analysis import (
     rank_outliers,
     reflectivity_corr_matrix,
 )
-from voxflow.grid import (NO_ECHO_DBZ, MotionField, RadarVolume, RainField,
-                          Space, cmax)
+from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, cmax
 from voxflow.rvol import RvolReader, read_rvol, write_rvol
 from voxflow.synth import generate, preset
 from voxflow.transform import volume_to_rain
@@ -625,8 +624,7 @@ class TestCellSplitDiagnostic:
         seq = []
         for k in range(8):
             plane = self._gauss(24, 10 + 2 * k)
-            seq.append(RainField(data=np.stack([plane, plane]),
-                                 space=Space.MMH))
+            seq.append(RainField(data=np.stack([plane, plane])))
         diag = cell_split_diagnostic(seq, threshold=1.0)
         assert diag.cmax_counts == [1] * 8
         assert diag.split_detected is False
@@ -636,7 +634,7 @@ class TestCellSplitDiagnostic:
         for k in range(12):
             low = self._gauss(24, 8 + 2 * k, sig=2.0)
             high = self._gauss(24, 8 + 1 * k, sig=2.0)
-            seq.append(RainField(data=np.stack([low, high]), space=Space.MMH))
+            seq.append(RainField(data=np.stack([low, high])))
         diag = cell_split_diagnostic(seq, threshold=1.0)
         assert max(diag.cmax_counts) >= 2
         assert (diag.level_counts == 1).all()
@@ -644,8 +642,8 @@ class TestCellSplitDiagnostic:
 
     def test_generator_gives_the_counts_of_a_list(self):
         seq = [RainField(data=np.stack([self._gauss(24, 8 + 2 * k, sig=2.0),
-                                        self._gauss(24, 8 + k, sig=2.0)]),
-                         space=Space.MMH) for k in range(6)]
+                                        self._gauss(24, 8 + k, sig=2.0)]))
+               for k in range(6)]
         want = cell_split_diagnostic(seq, threshold=1.0)
         got = cell_split_diagnostic((f for f in seq), threshold=1.0)
         assert got.cmax_counts == want.cmax_counts
@@ -672,7 +670,7 @@ class TestCellSplitDiagnostic:
         assert np.array_equal(got.level_counts, want.level_counts)
 
     def test_empty_field_counts_zero(self):
-        seq = [RainField(data=np.zeros((2, 16, 16)), space=Space.MMH)]
+        seq = [RainField(data=np.zeros((2, 16, 16)))]
         diag = cell_split_diagnostic(seq, threshold=1.0)
         assert diag.cmax_counts == [0]
 
@@ -735,7 +733,7 @@ def _wet_stacks(draw):
 def _split_of_stack(stack):
     """cell_split_diagnostic of one lead whose levels are the stack."""
     data = np.where(stack, 2.0, 0.0)
-    return cell_split_diagnostic([RainField(data=data, space=Space.MMH)],
+    return cell_split_diagnostic([RainField(data=data)],
                                  threshold=1.0)
 
 

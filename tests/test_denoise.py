@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from voxflow.denoise import DIAMOND, denoise_volume, morphological_clean, polarimetric_filter
+from voxflow.denoise import (DIAMOND, denoise_volume, diamond_morphology,
+                             morphological_clean, polarimetric_filter)
 from voxflow.grid import NO_ECHO_DBZ, RadarVolume
 from voxflow.synth import clean_copy, generate, preset
 
@@ -146,6 +147,46 @@ class TestMorphologicalClean:
     def test_diamond_is_cross(self):
         np.testing.assert_array_equal(
             DIAMOND, [[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+
+
+class TestDiamondMorphology:
+    """diamond_morphology against scipy.ndimage, on stacks and on planes
+    thinner than the element, which the 32^2 oracle above never meets."""
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (1, 1, 1, 9), (2, 3, 9, 1),
+                                       (3, 2, 2, 2), (2, 2, 3, 5), (2, 3, 11, 11),
+                                       (1, 2, 17, 6)])
+    def test_stack_equals_ndimage(self, shape, iterations):
+        from scipy import ndimage
+        rng = np.random.default_rng(sum(shape) + iterations)
+        element = DIAMOND[None, None]
+        for density in (0.3, 0.6, 0.9):
+            mask = rng.random(shape) < density
+            for op, ref in ((np.logical_and, ndimage.binary_erosion),
+                            (np.logical_or, ndimage.binary_dilation)):
+                got = diamond_morphology(mask, iterations, op)
+                want = ref(mask, structure=element, iterations=iterations)
+                assert got.dtype == bool and np.array_equal(got, want)
+            opened = diamond_morphology(
+                diamond_morphology(mask, iterations, np.logical_and),
+                iterations, np.logical_or)
+            assert np.array_equal(opened, ndimage.binary_opening(
+                mask, structure=element, iterations=iterations))
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 8), (8, 1), (2, 2), (3, 4),
+                                       (12, 9)])
+    def test_plane_dilation_equals_ndimage_default_element(self, shape,
+                                                           iterations):
+        # the speckle guard of synth.generate dilates one plane
+        from scipy import ndimage
+        rng = np.random.default_rng(sum(shape) * iterations)
+        for density in (0.05, 0.3):
+            mask = rng.random(shape) < density
+            assert np.array_equal(
+                diamond_morphology(mask, iterations, np.logical_or),
+                ndimage.binary_dilation(mask, iterations=iterations))
 
 
 class TestDenoiseOnNoisyPreset:

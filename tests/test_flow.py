@@ -11,6 +11,7 @@ from voxflow.flow import (
     LossConfig,
     SequenceObjective,
     _check_instances,
+    _gaussian,
     _sobel_adjoint,
     _sobel_interior,
     _Workspace,
@@ -247,6 +248,23 @@ class TestSobelSlices:
         dux, duy = _sobel_adjoint(h, _Workspace())
         rhs = np.vdot(a[:, 0], dux) + np.vdot(a[:, 1], duy)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestGaussian:
+    """gradient_check's smoothing against scipy.ndimage.gaussian_filter,
+    on grids smaller than its 8-cell radius (5^2, 9^2) and larger."""
+
+    @pytest.mark.parametrize("grid", [(5, 5), (9, 9), (16, 16), (33, 33),
+                                      (5, 33)])
+    def test_equals_ndimage_gaussian_filter(self, grid):
+        from scipy import ndimage
+        rng = np.random.default_rng(grid[0] * grid[1])
+        for _ in range(4):
+            a = rng.normal(0.0, 4.0, grid)
+            got = _gaussian(a)
+            want = ndimage.gaussian_filter(a, 2.0)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLossDivergence:

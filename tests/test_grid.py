@@ -10,7 +10,6 @@ from voxflow.grid import (
     MotionField,
     RadarVolume,
     RainField,
-    Space,
     avg_pool2d,
     cmax,
     pool_mask_all,
@@ -217,7 +216,7 @@ class TestColumnMax:
     def test_cmax_field_takes_valid_non_finite_rates(self):
         data = np.array([[[np.inf, 2.0, 5.0]], [[1.0, np.nan, 3.0]]])
         mask = np.array([[[True, True, False]], [[True, True, False]]])
-        out = grid.cmax_field(RainField(data=data, space=Space.MMH, mask=mask))
+        out = grid.cmax_field(RainField(data=data, mask=mask))
         assert np.array_equal(out.data, [[[np.inf, np.nan, 0.0]]],
                               equal_nan=True)
         assert out.mask.tolist() == [[[True, True, False]]]
@@ -491,8 +490,7 @@ class TestTypes:
 
     def test_rain_field_space_floor(self):
         with pytest.raises(ValueError, match="negative"):
-            RainField(data=np.array([[[-1.0]]]), space=Space.MMH)
-        assert RainField(data=np.zeros((1, 1, 1))).space is Space.MMH
+            RainField(data=np.array([[[-1.0]]]))
 
     def test_floor_ignores_masked_and_non_finite_values(self):
         # one masked-out negative value and non-finite values, -inf among
@@ -517,7 +515,7 @@ class TestTypes:
     def test_rain_field_takes_only_z_y_x(self, data, mask):
         # no promotion of a 2-D field and no broadcast of a 2-D mask
         with pytest.raises(ValueError, match="Z x Y x X"):
-            RainField(data, Space.MMH, mask=mask)
+            RainField(data, mask=mask)
 
     @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 3, 4, 4), (4, 4),
                                        (1, 1, 2, 4, 4)])

@@ -9,7 +9,6 @@ from voxflow.grid import (
     NO_ECHO_DBZ,
     RadarVolume,
     RainField,
-    Space,
     cmax,
     cmax_field,
 )
@@ -54,7 +53,7 @@ class TestDbzToRain:
 
     def test_round_trip_with_rain_to_dbz(self):
         rng = np.random.default_rng(0)
-        rain = RainField(data=rng.uniform(0.1, 50.0, (1, 4, 4)), space=Space.MMH)
+        rain = RainField(data=rng.uniform(0.1, 50.0, (1, 4, 4)))
         back = dbz_to_rain(rain_to_dbz(rain.data))
         np.testing.assert_allclose(back.data, rain.data, rtol=1e-10)
 
@@ -156,8 +155,7 @@ class TestClampsMatchNanToNum:
         rain, mask = case
         # an MMH field holds no negative valid rate; NaN, -inf and negative
         # values reach the clamps from invalid cells
-        field = RainField(data=rain, space=Space.MMH,
-                          mask=mask & ~(rain < 0))
+        field = RainField(data=rain, mask=mask & ~(rain < 0))
         with np.errstate(invalid="ignore"):
             got = rain_to_dbz(field.data)
             want = _rain_to_dbz_reference(field.data)
@@ -185,21 +183,21 @@ class TestClampsMatchNanToNum:
 
 class TestRainToDbr:
     def test_unity_is_zero(self):
-        out = rain_to_dbr(RainField(data=np.array([[[1.0]]]), space=Space.MMH))
+        out = rain_to_dbr(RainField(data=np.array([[[1.0]]])))
         assert out[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_decade_is_ten(self):
-        out = rain_to_dbr(RainField(data=np.array([[[10.0]]]), space=Space.MMH))
+        out = rain_to_dbr(RainField(data=np.array([[[10.0]]])))
         assert out[0, 0, 0] == pytest.approx(10.0)
 
     def test_zero_maps_to_floor(self):
-        out = rain_to_dbr(RainField(data=np.array([[[0.0]]]), space=Space.MMH))
+        out = rain_to_dbr(RainField(data=np.array([[[0.0]]])))
         assert out[0, 0, 0] == DBR_FLOOR
 
     def test_continuous_at_threshold(self):
         eps = 1e-9
         just_above = rain_to_dbr(RainField(
-            data=np.array([[[DBR_THRESHOLD_MMH * (1 + eps)]]]), space=Space.MMH))
+            data=np.array([[[DBR_THRESHOLD_MMH * (1 + eps)]]])))
         assert just_above[0, 0, 0] == pytest.approx(DBR_FLOOR, abs=1e-6)
 
     def test_float32_field_gives_the_float64_copys_bytes(self):
@@ -219,7 +217,7 @@ class TestRainToDbr:
 
     def test_monotone_above_floor(self):
         rain = np.linspace(0.05, 30.0, 100).reshape(1, 1, -1)
-        dbr = rain_to_dbr(RainField(data=rain, space=Space.MMH))[0, 0]
+        dbr = rain_to_dbr(RainField(data=rain))[0, 0]
         assert (np.diff(dbr) > 0).all()
 
 

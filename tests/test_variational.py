@@ -8,7 +8,7 @@ from voxflow import variational
 from voxflow.advect import advect_once, extrapolate
 from voxflow.errors import DivergedError
 from voxflow.flow import LossConfig, SequenceObjective
-from voxflow.grid import DBR_FLOOR, MotionField, RainField, Space
+from voxflow.grid import DBR_FLOOR, MotionField, RainField
 from voxflow.synth import GaussianCell, SyntheticScenario, generate, preset
 from voxflow.transform import rain_to_dbr, volume_to_rain
 from voxflow.variational import (
@@ -121,7 +121,7 @@ class TestEstimateVariational:
             estimate_variational([frame], cfg=FAST_CFG)
 
     def test_frames_of_mixed_shapes_are_rejected(self):
-        frames = [RainField(data=np.zeros(shape), space=Space.MMH)
+        frames = [RainField(data=np.zeros(shape))
                   for shape in ((1, 16, 16), (1, 16, 16), (2, 16, 16))]
         with pytest.raises(ValueError, match="all frames must share one "
                                              "shape"):
@@ -140,7 +140,7 @@ class TestEstimateVariational:
                             t_count=3)
         inputs = [volume_to_rain(vol, t) for t in range(3)]
         res = estimate_variational(inputs, cfg=FAST_CFG)
-        flipped = [RainField(data=f.data[::-1].copy(), space=f.space,
+        flipped = [RainField(data=f.data[::-1].copy(),
                              mask=f.mask[::-1].copy()) for f in inputs]
         res_flipped = estimate_variational(flipped, cfg=FAST_CFG)
         np.testing.assert_array_equal(res.motion.u[0], res_flipped.motion.u[1])
@@ -182,7 +182,7 @@ class TestEstimateVariational:
         assert not np.array_equal(res.motion.u[0], res.motion.u[1])
         for z in range(3):
             alone = estimate_variational(
-                [RainField(f.data[z:z + 1], f.space, f.mask[z:z + 1])
+                [RainField(f.data[z:z + 1], f.mask[z:z + 1])
                  for f in inputs],
                 cfg=FAST_CFG)
             np.testing.assert_array_equal(res.motion.u[z], alone.motion.u[0])
@@ -307,7 +307,7 @@ class TestEvaluationCount:
 def level_alone(inputs, z):
     """Level z of the frames, estimated alone as a one-level field."""
     return estimate_variational(
-        [RainField(f.data[z:z + 1], f.space, f.mask[z:z + 1])
+        [RainField(f.data[z:z + 1], f.mask[z:z + 1])
          for f in inputs],
         cfg=FAST_CFG)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from voxflow.errors import NoOverlapError
-from voxflow.grid import RainField, Space, cmax_field
+from voxflow.grid import RainField, cmax_field
 from voxflow.verify import (
     ContingencyTable,
     contingency,
@@ -13,7 +13,7 @@ from voxflow.verify import (
 
 
 def mmh(data, mask=None):
-    return RainField(data=np.asarray(data, float), space=Space.MMH, mask=mask)
+    return RainField(data=np.asarray(data, float), mask=mask)
 
 
 class TestContinuousMetrics:
