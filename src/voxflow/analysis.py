@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, cmax
+from .transform import dbz_reaching
 from .transform import volume_to_rain  # noqa: F401  bound by benchmarks/launcher.py
 
 # echo threshold of the reflectivity correlation; see its docstring
@@ -67,17 +68,30 @@ def rainy_ratio(vol: Iterable[RadarVolume],
                      where=denom > 0)
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson's r, summed in float64 whatever the samples' dtype."""
+def _centred(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """A sample's float64 deviations from its mean and their sum of
+    squares: _pearson's per-sample half, which a caller may form once for
+    every pair that shares the sample."""
+    a = a.astype(np.float64, copy=False)
     if a.size < 2:
+        return a, 0.0
+    d = a - a.mean()
+    return d, float((d * d).sum())
+
+
+def _corr(da: np.ndarray, ssa: float, db: np.ndarray, ssb: float) -> float:
+    """Pearson's r of two _centred samples of one size."""
+    if da.size < 2:
         return float("nan")
-    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))
+    denom = math.sqrt(ssa * ssb)
     if denom == 0.0:
         return float("nan")
     return float((da * db).sum() / denom)
+
+
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson's r, summed in float64 whatever the samples' dtype."""
+    return _corr(*_centred(a), *_centred(b))
 
 
 def pair_mean(z: int, rows: Iterable[tuple[int, int, float]]) -> np.ndarray:
@@ -120,16 +134,40 @@ def reflectivity_corr_matrix(
                                  f"expected Z={z}")
             for frame in part.data:
                 valid = part.mask & np.isfinite(frame)
-                if not all((frame[zi][valid[zi]] > ECHO_THRESHOLD_DBZ).any()
-                           for zi in range(z)):
-                    continue
-                for i, j in combinations(range(z), 2):
-                    joint = valid[i] & valid[j]
-                    rows.append((i, j, _pearson(frame[i][joint],
-                                                frame[j][joint])))
+                if all((frame[zi][valid[zi]] > ECHO_THRESHOLD_DBZ).any()
+                       for zi in range(z)):
+                    rows += _frame_rows(frame, valid)
     if z is None:
         raise ValueError("no volumes given")
     return pair_mean(z, rows)
+
+
+def _frame_rows(frame: np.ndarray,
+                valid: np.ndarray) -> list[tuple[int, int, float]]:
+    """(i, j, r) of every level pair i < j of one Z x Y x X frame, r being
+    _pearson's over the cells valid at both levels.
+
+    The pairs are taken by joint mask: levels whose validity planes are
+    equal give every pair among them one joint mask, and each level's
+    _centred samples under a joint mask are formed once for all the pairs
+    that share it, then dropped. The rows are _pearson's, bit for bit, in
+    the order of combinations.
+    """
+    planes: dict[bytes, int] = {}
+    plane = [planes.setdefault(v.tobytes(), zi) for zi, v in enumerate(valid)]
+    pairs = list(combinations(range(len(frame)), 2))
+    by_joint: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j in pairs:
+        key = min(plane[i], plane[j]), max(plane[i], plane[j])
+        by_joint.setdefault(key, []).append((i, j))
+    r = {}
+    for (p, q), shared in by_joint.items():
+        joint = valid[p] & valid[q]
+        centred = {zi: _centred(frame[zi][joint])
+                   for zi in {zi for pair in shared for zi in pair}}
+        for i, j in shared:
+            r[i, j] = _corr(*centred[i], *centred[j])
+    return [(i, j, r[i, j]) for i, j in pairs]
 
 
 class MotionSample(NamedTuple):
@@ -167,22 +205,33 @@ def _levels(s: MotionSample) -> int:
     return s.motion.nz
 
 
-def _pair_corr(s: MotionSample, i: int, j: int, component: str) -> float:
+#: the motion correlation's components: u and v concatenated, u, and v
+COMPONENTS = ("both", "u", "v")
+
+
+def _pair_corr(s: MotionSample, i: int, j: int,
+               components: Sequence[str]) -> list[float]:
+    """r of levels i and j for each of the components, from one region and
+    one gather of each level's u and v."""
+    for component in components:
+        if component not in COMPONENTS:
+            raise ValueError(f"component must be 'u', 'v' or 'both', "
+                             f"got {component!r}")
     region = (s.echo[i] | s.echo[j]) & s.mask[i] & s.mask[j]
     if region.sum() < 2:
-        return float("nan")
-    ui, vi = s.motion.level(i)
-    uj, vj = s.motion.level(j)
-    if component == "u":
-        a, b = ui[region], uj[region]
-    elif component == "v":
-        a, b = vi[region], vj[region]
-    elif component == "both":
-        a = np.concatenate([ui[region], vi[region]])
-        b = np.concatenate([uj[region], vj[region]])
-    else:
-        raise ValueError(f"component must be 'u', 'v' or 'both', got {component!r}")
-    return _pearson(a, b)
+        return [float("nan")] * len(components)
+    (ui, vi), (uj, vj) = s.motion.level(i), s.motion.level(j)
+    ui, vi, uj, vj = ui[region], vi[region], uj[region], vj[region]
+    out = []
+    for component in components:
+        if component == "u":
+            a, b = ui, uj
+        elif component == "v":
+            a, b = vi, vj
+        else:
+            a, b = np.concatenate([ui, vi]), np.concatenate([uj, vj])
+        out.append(_pearson(a, b))
+    return out
 
 
 def motion_pair_corr(mf: MotionField, vol: Iterable[RadarVolume], i: int,
@@ -203,12 +252,16 @@ def motion_pair_corr(mf: MotionField, vol: Iterable[RadarVolume], i: int,
 def sample_pair_corr(s: MotionSample, i: int, j: int,
                      component: str = "both") -> float:
     """motion_pair_corr of a MotionSample."""
+    _check_pair(s, i, j)
+    return _pair_corr(s, i, j, (component,))[0]
+
+
+def _check_pair(s: MotionSample, i: int, j: int) -> None:
     nz = _levels(s)
     for idx in (i, j):
         if not 0 <= idx < nz:
             raise ValueError(f"level index {idx} outside [0, {nz}): "
                              f"the volume has {nz} levels")
-    return _pair_corr(s, i, j, component)
 
 
 def motion_corr_matrix(mfs: Sequence[MotionField],
@@ -240,8 +293,31 @@ def sample_rows(s: MotionSample,
     """(i, j, r) of every level pair i < j of a sample, in the order
     motion_corr_matrix averages them, so that a caller may keep the rows of
     many samples, not the samples, and average them with pair_mean."""
-    return [(i, j, _pair_corr(s, i, j, component))
-            for i, j in combinations(range(_levels(s)), 2)]
+    return component_rows(s, (component,))[component]
+
+
+def component_rows(s: MotionSample, components: Sequence[str] = COMPONENTS
+                   ) -> dict[str, list[tuple[int, int, float]]]:
+    """sample_rows of each of the components, each pair's region and
+    gathers formed once for all of them."""
+    rows: dict[str, list] = {component: [] for component in components}
+    for i, j in combinations(range(_levels(s)), 2):
+        for component, r in zip(components, _pair_corr(s, i, j, components)):
+            rows[component].append((i, j, r))
+    return rows
+
+
+def row_corr(s: MotionSample, rows: Sequence[tuple[int, int, float]],
+             i: int, j: int) -> float:
+    """sample_pair_corr(s, i, j) read from rows, the sample's "both"
+    sample_rows: r is symmetric in its two levels, bit for bit. The levels
+    are checked as sample_pair_corr checks them; a pair of one level has
+    no row, and its r is computed."""
+    _check_pair(s, i, j)
+    if i == j:
+        return _pair_corr(s, i, j, ("both",))[0]
+    pair = min(i, j), max(i, j)
+    return next(r for a, b, r in rows if (a, b) == pair)
 
 
 @dataclass
@@ -435,25 +511,47 @@ class SplitDiagnostic:
         return levels_constant and max(self.cmax_counts) > self.cmax_counts[0]
 
 
-def cell_split_diagnostic(volume_nowcast: Iterable[RainField],
+def cell_split_diagnostic(volume_nowcast: Iterable[RainField | RadarVolume],
                           threshold: float = 1.0) -> SplitDiagnostic:
     """Component counts of the thresholded CMAX composite at each lead,
-    alongside per-level counts, all 4-connected and counted in NumPy. The
-    leads are taken one at a time, so a lazy iterable holds one field at a
-    time. The threshold is compared in float64, so a float32 field counts
-    as its float64 copy does."""
+    alongside per-level counts, all 4-connected and counted in NumPy.
+
+    The nowcast is its leads as RainFields, as advect.extrapolate gives
+    them, or a dBZ volume, as the nowcast command writes it, whose frames
+    are the leads. A cell is wet where it is valid and its rain rate is at
+    or above threshold mm/h. A RainField's rates are compared in float64,
+    so a float32 field counts as its float64 copy does. A volume's finite
+    dBZ are compared at transform.dbz_reaching of the threshold for their
+    dtype, so no frame is converted to rain rate and each counts as its
+    volume_to_rain does, bit for bit. A NaN threshold is a ValueError. The
+    leads are taken one at a time, so a lazy iterable or an open
+    RvolReader holds one at a time.
+    """
+    if math.isnan(threshold):
+        raise ValueError("the split threshold is NaN")
     cmax_counts = []
     rainy = []
     level_counts = []
-    for f in volume_nowcast:
-        wet = (f.data >= np.float64(threshold)) & f.mask
-        comp = wet.any(axis=0)
-        counts = _count_stack(np.concatenate([comp[None], wet]))
-        cmax_counts.append(int(counts[0]))
-        rainy.append(int(comp.sum()))
-        level_counts.append(counts[1:])
+    for lead in volume_nowcast:
+        for wet in _wet(lead, threshold):
+            comp = wet.any(axis=0)
+            counts = _count_stack(np.concatenate([comp[None], wet]))
+            cmax_counts.append(int(counts[0]))
+            rainy.append(int(comp.sum()))
+            level_counts.append(counts[1:])
     if not cmax_counts:
         raise ValueError("empty nowcast sequence")
     return SplitDiagnostic(cmax_counts=cmax_counts,
                            level_counts=np.array(level_counts, dtype=int),
                            cmax_rainy_cells=rainy)
+
+
+def _wet(lead: RainField | RadarVolume, threshold: float) -> np.ndarray:
+    """cell_split_diagnostic's wet cells of a lead, T x Z x Y x X: one
+    RainField (T = 1) or the frames of a volume."""
+    if isinstance(lead, RainField):
+        return ((lead.data >= np.float64(threshold)) & lead.mask)[None]
+    wet = lead.data >= dbz_reaching(threshold, lead.data.dtype.type)
+    wet &= lead.mask
+    wet &= np.isfinite(lead.data)
+    return wet

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import re
 import sys
 from datetime import datetime, timedelta
@@ -23,7 +24,8 @@ from .errors import DivergedError, FormatError, NoOverlapError
 from .flow import LossConfig
 from .grid import MotionField, RadarVolume, RainField, cmax
 from .synth import PRESET_NAMES, generate, preset
-from .transform import rain_to_dbz, volume_to_rain
+from .transform import (F32_OVERFLOW_MMH, dbz_reaching, rain_to_dbz,
+                        volume_to_rain)
 from .variational import estimate_variational
 from .verify import verify_nowcast
 
@@ -75,15 +77,19 @@ _scales = _comma_list(_int_in(1), "comma-separated integers such as 1,2,4")
 _level_pair = _comma_list(int, "two comma-separated indices such as 0,2", 2)
 
 
-_TS_RE = re.compile(r"(\d{8})[T_-]?(\d{4})")
+_TS_RE = re.compile(r"(\d{4})(\d\d)(\d\d)[T_-]?(\d\d)(\d\d)", re.ASCII)
 
 
 def parse_stem_timestamp(stem: str) -> datetime | None:
+    """The datetime of the first YYYYMMDD[T_-]HHMM of ASCII digits in a
+    stem, or None. Its fields are taken as integers, which is what
+    datetime.strptime with %Y%m%d%H%M accepts of twelve digits, without
+    loading strptime's locale tables."""
     m = _TS_RE.search(stem)
     if not m:
         return None
     try:
-        return datetime.strptime(m.group(1) + m.group(2), "%Y%m%d%H%M")
+        return datetime(*map(int, m.groups()))
     except ValueError:
         return None
 
@@ -253,19 +259,25 @@ _TRACE_HEADER = ["level", "iteration", "loss_total", "loss_multiscale",
                  "loss_divergence"]
 
 
-def _rain(vol: RadarVolume, path: str | Path) -> RainField:
-    """volume_to_rain of a one-frame volume read from path. A valid rate
-    beyond float32's range (reflectivity above about 639.5 dBZ) is a
-    ValueError that names the file: nowcast advects its rates in float32,
-    and every command refuses such a frame the same way."""
-    field = volume_to_rain(vol, 0)
-    # invalid cells hold 0, and a NaN rate only comes from an invalid cell
-    with np.errstate(over="ignore"):
-        top = np.float32(field.data.max(initial=0.0))
-    if not np.isfinite(top):
+def _in_range(vol: RadarVolume, path: str | Path) -> RadarVolume:
+    """vol, unless a valid cell holds finite reflectivity whose rain rate
+    float32 cannot hold (dBZ at or above transform.dbz_reaching of
+    F32_OVERFLOW_MMH, 639.5198 in float32): that is a ValueError that
+    names the file. nowcast advects its rates in float32, and every
+    command that reads reflectivity as rain rate refuses such a frame the
+    same way, split included, which thresholds it in dBZ."""
+    hot = vol.data >= dbz_reaching(F32_OVERFLOW_MMH, vol.data.dtype.type)
+    hot &= vol.mask
+    if hot.any() and np.isfinite(vol.data[hot]).any():
         raise ValueError(f"{path}: a valid rain rate is beyond float32's "
                          "range (reflectivity above about 639.5 dBZ)")
-    return field
+    return vol
+
+
+def _rain(vol: RadarVolume, path: str | Path) -> RainField:
+    """volume_to_rain of a one-frame volume read from path, refused as
+    _in_range refuses it."""
+    return volume_to_rain(_in_range(vol, path), 0)
 
 
 def _rain_frame(reader: rvol.RvolReader, t: int, args) -> RainField:
@@ -515,15 +527,17 @@ def _analyze_refl_corr(args, files, outdir: Path) -> str:
 
 def _analyze_motion_corr(args, files, outdir: Path) -> str:
     # one pass over the corpus: a sample's motion is dropped once its rows
-    # and its low/mid correlation are taken
-    rows = {component: [] for component in ("both", "u", "v")}
+    # and its low/mid correlation are taken; each level pair's region and
+    # gathers serve all three components
+    rows = {component: [] for component in analysis.COMPONENTS}
     stamps, corrs = [], []
     for _, ts, reader, mf, (low, mid) in _motion_samples(files, args):
         sample = analysis.motion_sample(mf, reader)
-        corrs.append(analysis.sample_pair_corr(sample, low, mid))
+        got = analysis.component_rows(sample)
+        corrs.append(analysis.row_corr(sample, got["both"], low, mid))
         stamps.append(ts)
         for component, kept in rows.items():
-            kept += analysis.sample_rows(sample, component)
+            kept += got[component]
         nz = mf.nz
     for component, kept in rows.items():
         mat = analysis.pair_mean(nz, kept)
@@ -577,11 +591,12 @@ def _analyze_outliers(args, files, outdir: Path) -> str:
 
 
 def _analyze_split(args, files, outdir: Path) -> str:
-    """Split diagnostic: each volume's frames are treated as nowcast leads."""
+    """Split diagnostic: each volume's frames are treated as nowcast leads,
+    thresholded in dBZ, and refused as _rain refuses them."""
     for path, stem, _ in files:
         with rvol.RvolReader(path) as reader:
             diag = analysis.cell_split_diagnostic(
-                _rain(frame, path) for frame in reader)
+                _in_range(frame, path) for frame in reader)
         rows = [[li, n, ";".join(str(c) for c in counts), cells]
                 for li, (n, counts, cells) in enumerate(zip(
                     diag.cmax_counts, diag.level_counts,
@@ -646,5 +661,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The entry point of python -m voxflow.cli and the voxflow script.
+
+    Once the imports are done it freezes the collector's view of the
+    heap, so no later collection, nor the one at exit, walks the objects
+    that importing NumPy and voxflow made; then it exits with main()'s
+    code. main() itself leaves the collector alone.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,5 +1,7 @@
+import math
 from contextlib import ExitStack
 from datetime import datetime, timedelta
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from voxflow.analysis import (
 from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, cmax
 from voxflow.rvol import RvolReader, read_rvol, write_rvol
 from voxflow.synth import generate, preset
-from voxflow.transform import volume_to_rain
+from voxflow.transform import F32_OVERFLOW_MMH, dbz_reaching, volume_to_rain
 
 
 def vol_from_planes(planes, mask=None):
@@ -139,6 +141,89 @@ class TestReflectivityCorr:
         base = reflectivity_corr_matrix([vol_from_planes([a, b])])
         scaled = reflectivity_corr_matrix([vol_from_planes([2.5 * a + 3.0, b])])
         np.testing.assert_allclose(scaled, base, atol=1e-12)
+
+
+def _ref_pearson(a, b):
+    """Pearson's r in _pearson's one formula, each pair's samples centred on
+    their own: the reference for the shared per-level statistics."""
+    if a.size < 2:
+        return float("nan")
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    da, db = a - a.mean(), b - b.mean()
+    denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))
+    if denom == 0.0:
+        return float("nan")
+    return float((da * db).sum() / denom)
+
+
+def _ref_refl_corr(vols):
+    """reflectivity_corr_matrix formed one level pair at a time: each pair
+    gathers and centres its two levels over its own joint mask."""
+    rows, z = [], None
+    for vol in vols:
+        for frame in vol.data:
+            z = frame.shape[0]
+            valid = vol.mask & np.isfinite(frame)
+            if all((frame[zi][valid[zi]] > analysis.ECHO_THRESHOLD_DBZ).any()
+                   for zi in range(z)):
+                for i, j in combinations(range(z), 2):
+                    joint = valid[i] & valid[j]
+                    rows.append((i, j, _ref_pearson(frame[i][joint],
+                                                    frame[j][joint])))
+    return analysis.pair_mean(z, rows)
+
+
+class TestSharedLevelStatistics:
+    """reflectivity_corr_matrix centres each level once per frame and joint
+    mask; its bytes are those of centring every pair's samples anew."""
+
+    @staticmethod
+    def _volume(seed, planes, dtype, holes=False):
+        """T x Z x 20 x 24 echo whose level l takes validity plane
+        planes[l]; with holes, NaN and +-inf cells in some frames make
+        each frame's planes differ further."""
+        rng = np.random.default_rng(seed)
+        z = len(planes)
+        data = rng.uniform(-10.0, 55.0, (6, z, 20, 24))
+        data[:, 1] += 0.5 * data[:, 0]  # correlated levels
+        if holes:
+            data[1, 0, 3:5, 4] = np.nan
+            data[2, z - 1, 7, 7:10] = [np.inf, -np.inf, np.nan]
+        drawn = {p: rng.random((20, 24)) < 0.8 for p in set(planes)}
+        mask = np.stack([drawn[p] for p in planes])
+        return RadarVolume(data=data.astype(dtype), mask=mask,
+                           z_levels=500.0 * (1 + np.arange(z)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("planes,holes,centred", [
+        ((0, 0, 0, 0, 0), False, 5),      # one plane: one joint mask
+        ((0, 1, 2, 3, 4), False, 20),     # every pair its own joint mask
+        ((0, 1, 0, 0, 2), False, 13),     # three levels share a plane
+        ((0, 0, 0, 0, 0), True, None),    # non-finite cells split it
+        ((0, 1, 2, 3), True, None),
+    ], ids=["shared", "distinct", "partly-shared", "shared-holes",
+            "distinct-holes"])
+    def test_equals_the_per_pair_reference(self, monkeypatch, dtype, planes,
+                                           holes, centred):
+        vols = [self._volume(seed, planes, dtype, holes) for seed in (3, 4)]
+        calls = []
+        monkeypatch.setattr(analysis, "_centred", lambda a, f=analysis._centred:
+                            (calls.append(a.size), f(a))[1])
+        got = reflectivity_corr_matrix(vols)
+        assert got.tobytes() == _ref_refl_corr(vols).tobytes()
+        assert np.isfinite(got).all()
+        if centred is not None:
+            # every frame qualifies; each centres once per level and mask
+            assert len(calls) == 12 * centred
+
+    @pytest.mark.filterwarnings("error")
+    def test_levels_without_common_cells_give_nan(self):
+        vol = self._volume(5, (0, 1, 0), np.float32)
+        vol.mask[0] = ~vol.mask[1]
+        vol.mask[2] = ~vol.mask[1]
+        got = reflectivity_corr_matrix([vol])
+        assert got.tobytes() == _ref_refl_corr([vol]).tobytes()
+        assert np.isnan(got[0, 1]) and np.isfinite(got[0, 2])
 
 
 class TestMotionCorr:
@@ -343,6 +428,40 @@ class TestMotionSamples:
                 call()
         with pytest.raises(ValueError, match="no samples given"):
             motion_corr_matrix([], [])
+
+    def test_component_rows_are_each_components_sample_rows(self):
+        for seed in range(6):
+            s = analysis.motion_sample(*_hostile_sample(seed))
+            got = analysis.component_rows(s)
+            assert list(got) == list(analysis.COMPONENTS)
+            for component in analysis.COMPONENTS:
+                assert np.array(got[component]).tobytes() == \
+                    np.array(analysis.sample_rows(s, component)).tobytes()
+            some = analysis.component_rows(s, ("v", "u"))
+            assert list(some) == ["v", "u"]
+            for component, rows in some.items():
+                assert np.array(rows).tobytes() == \
+                    np.array(got[component]).tobytes()
+
+    def test_row_corr_is_the_pairs_own_correlation(self):
+        for seed in range(6):
+            s = analysis.motion_sample(*_hostile_sample(seed))
+            rows = analysis.sample_rows(s)
+            for i in range(4):
+                for j in range(4):
+                    got = analysis.row_corr(s, rows, i, j)
+                    want = analysis.sample_pair_corr(s, i, j)
+                    assert np.float64(got).tobytes() == \
+                        np.float64(want).tobytes(), (seed, i, j)
+        with pytest.raises(ValueError, match="level index 4 outside"):
+            analysis.row_corr(s, rows, 4, 0)
+
+    def test_unknown_component_is_rejected(self):
+        s = analysis.motion_sample(*_hostile_sample(0))
+        for call in (lambda: analysis.sample_rows(s, "w"),
+                     lambda: analysis.sample_pair_corr(s, 0, 1, "w")):
+            with pytest.raises(ValueError, match="component must be"):
+                call()
 
 
 def _whole_ratio(vol, thresholds):
@@ -681,6 +800,84 @@ class TestCellSplitDiagnostic:
         assert count_components(plane) == 2
         plane[1, 2] = True
         assert count_components(plane) == 1
+
+
+def _counts(diag):
+    return diag.cmax_counts, diag.level_counts.tolist(), diag.cmax_rainy_cells
+
+
+def _rain_split(vol: RadarVolume, threshold: float = 1.0):
+    """The rain-rate split: _counts of cell_split_diagnostic of every frame
+    converted by volume_to_rain."""
+    return _counts(cell_split_diagnostic(
+        [volume_to_rain(vol, t) for t in range(vol.shape[0])], threshold))
+
+
+#: dBZ that a split threshold meets: each dtype's boundary of 1 mm/h and
+#: of float32's range with their neighbours, the no-echo value and its
+#: neighbours, and dBZ whose rate is beyond float64's range
+_SPLIT_DBZ = sorted({float(v) for b in (
+    dbz_reaching(1.0), dbz_reaching(1.0, np.float64),
+    dbz_reaching(F32_OVERFLOW_MMH), dbz_reaching(F32_OVERFLOW_MMH, np.float64),
+    np.float64(NO_ECHO_DBZ)) for v in (np.nextafter(b, -np.inf), b,
+                                       np.nextafter(b, np.inf))} | {1e30})
+
+
+@st.composite
+def _split_volumes(draw) -> RadarVolume:
+    """T x Z x Y x X volumes, float32 or float64, of _SPLIT_DBZ values,
+    NaN, +-inf and arbitrary floats, with a partial mask."""
+    t, z, y, x = (draw(st.integers(1, n)) for n in (3, 3, 5, 5))
+    values = st.one_of(st.sampled_from(_SPLIT_DBZ),
+                       st.sampled_from([np.nan, np.inf, -np.inf]),
+                       st.floats(-60.0, 700.0))
+    data = np.array(draw(st.lists(values, min_size=t * z * y * x,
+                                  max_size=t * z * y * x)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=z * y * x,
+                                  max_size=z * y * x)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return RadarVolume(data=data.astype(dtype).reshape(t, z, y, x),
+                       z_levels=500.0 * np.arange(1, z + 1),
+                       mask=mask.reshape(z, y, x))
+
+
+class TestSplitInDbz:
+    """A dBZ volume is split in dBZ, at transform.dbz_reaching of the
+    threshold: its counts are those of its frames converted to rain rate,
+    bit for bit."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(vol=_split_volumes(), threshold=st.sampled_from([1.0, 0.7, 5.0]))
+    def test_equals_the_rain_rate_split(self, vol, threshold):
+        got = _counts(cell_split_diagnostic(vol, threshold))
+        assert got == _rain_split(vol, threshold)
+        assert got == _counts(cell_split_diagnostic(iter(list(vol)),
+                                                    threshold))
+
+    def test_float32_volume_counts_as_its_float64_copy(self):
+        # float32 dBZ next to the float32 boundary of 0.7 mm/h: the float64
+        # copy meets the float64 boundary and must count the same cells
+        rng = np.random.default_rng(22)
+        edge = dbz_reaching(0.7)
+        choices = np.array([NO_ECHO_DBZ, np.nextafter(edge, np.float32(0)),
+                            edge, np.nextafter(edge, np.float32(99)), 40.0],
+                           np.float32)
+        data = rng.choice(choices, (4, 2, 16, 16))
+        mask = rng.random(data.shape[1:]) > 0.1
+        f32, f64 = (RadarVolume(data=data.astype(dtype), mask=mask,
+                                z_levels=[500.0, 1000.0])
+                    for dtype in (np.float32, np.float64))
+        got = _counts(cell_split_diagnostic(f32, threshold=0.7))
+        assert got == _counts(cell_split_diagnostic(f64, threshold=0.7))
+        assert got == _rain_split(f32, 0.7) == _rain_split(f64, 0.7)
+        assert 0 < sum(got[2]) < data[:, 0].size
+
+    def test_nan_threshold_is_rejected_for_either_input(self):
+        vol = RadarVolume(data=np.full((1, 1, 4, 4), 30.0), z_levels=[500.0])
+        for nowcast in (vol, [volume_to_rain(vol, 0)]):
+            with pytest.raises(ValueError, match="split threshold is NaN"):
+                cell_split_diagnostic(nowcast, float("nan"))
 
 
 def _label_count(plane):

@@ -22,7 +22,12 @@ from voxflow.rvol import (RvolReader, read_motion, read_rvol, write_motion,
                           write_rvol)
 from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, cmax
 from voxflow.synth import PRESET_NAMES
-from voxflow.transform import rain_to_dbz, volume_to_rain
+from voxflow.transform import (
+    F32_OVERFLOW_MMH,
+    dbz_reaching,
+    rain_to_dbz,
+    volume_to_rain,
+)
 
 
 def run(*args):
@@ -1268,7 +1273,11 @@ def _run_quietly(*args) -> int:
     return code
 
 
-@pytest.mark.parametrize("dbz", [1e30, 640.0])
+#: the least float32 reflectivity whose rain rate float32 cannot hold
+_F32_EDGE = float(dbz_reaching(F32_OVERFLOW_MMH))
+
+
+@pytest.mark.parametrize("dbz", [1e30, 640.0, _F32_EDGE])
 class TestRatesBeyondFloat32:
     """A valid cell whose rain rate float32 cannot hold ends every command
     that converts frames to rain rate in one error line, exit 1 and no
@@ -1327,6 +1336,25 @@ def test_nowcast_takes_the_largest_rates_float32_holds(tmp_path):
                         "-o", fc) == 0
     assert read_rvol(fc).data[:, 0, 12, 12] == pytest.approx([639.0] * 2,
                                                               abs=1e-3)
+
+
+def test_every_command_takes_the_float32_below_the_edge(tmp_path):
+    # one float32 ulp below _F32_EDGE the rate still rounds to a finite
+    # float32: each command that refuses the edge runs
+    below = float(np.nextafter(np.float32(_F32_EDGE), np.float32(0)))
+    d = tmp_path / "corpus"
+    d.mkdir()
+    vol = d / "v.rvol"
+    _hot_volume(vol, below, frame=3)
+    truth = vol.with_suffix(".truth.rmf")
+    fc = tmp_path / "fc.rvol"
+    for argv in (["estimate", vol, "--inputs", "4", "--scales", "1",
+                  "-o", tmp_path / "v.rmf"],
+                 ["nowcast", vol, truth, "-k", "2", "--start-frame", "3",
+                  "-o", fc],
+                 ["verify", fc, vol, "--offset", "2", "-o", tmp_path / "m.csv"],
+                 ["analyze", d, "--which", "split", "-o", tmp_path / "r"]):
+        assert _run_quietly(*argv) == 0, argv
 
 
 def _small_volume(path: Path, seed: int = 0) -> None:
@@ -1484,6 +1512,98 @@ class TestTimestampParsing:
         assert parse_stem_timestamp("radar_20220409T0955_x") == \
             datetime(2022, 4, 9, 9, 55)
         assert parse_stem_timestamp("sample") is None
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(digits=st.text("0123456789", min_size=12, max_size=12)
+           | st.from_regex(r"\A[0-9]{4}(0[0-9]|1[0-3])([0-3][0-9])"
+                           r"(2[0-4]|[01][0-9])[0-6][0-9]\Z"),
+           sep=st.sampled_from(["", "_", "T", "-"]))
+    def test_agrees_with_strptime(self, digits, sep):
+        # the stem's fields as integers, or None where strptime refuses
+        from datetime import datetime
+        try:
+            want = datetime.strptime(digits, "%Y%m%d%H%M")
+        except ValueError:
+            want = None
+        stem = f"radar_{digits[:8]}{sep}{digits[8:]}_x"
+        assert parse_stem_timestamp(stem) == want
+        assert parse_stem_timestamp(digits) == want
+        # digits of another script, which strptime's month field refuses
+        other = digits.translate(str.maketrans("0123456789",
+                                               "\u0660\u0661\u0662\u0663\u0664"
+                                               "\u0665\u0666\u0667\u0668\u0669"))
+        with pytest.raises(ValueError):
+            datetime.strptime(other, "%Y%m%d%H%M")
+        assert parse_stem_timestamp(other) is None
+
+    def test_analyze_does_not_load_strptime(self, tmp_path):
+        # datetime.strptime would load _strptime, calendar and locale
+        d = tmp_path / "corpus"
+        d.mkdir()
+        _small_volume(d / "20210610_1200.rvol")
+        code = ("import sys, voxflow.cli\n"
+                "assert voxflow.cli.main(sys.argv[1:]) == 0\n"
+                "assert '_strptime' not in sys.modules, 'strptime loaded'\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        child = subprocess.run(
+            [sys.executable, "-c", code, "analyze", str(d), "--which",
+             "outliers", "--level-pair", "0,1", "-o", str(tmp_path / "r")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+
+
+class TestEntryPoint:
+    """run() serves python -m voxflow.cli and the voxflow script: it
+    freezes the import-time heap and exits with main()'s code; main()
+    leaves the collector alone."""
+
+    def test_run_freezes_then_exits_with_mains_code(self, monkeypatch,
+                                                    capsys):
+        import gc
+        import voxflow.cli
+        events = []
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(voxflow.cli, "main",
+                            lambda: events.append("main") or 3)
+        with pytest.raises(SystemExit) as exit_:
+            voxflow.cli.run()
+        assert exit_.value.code == 3
+        assert events == ["freeze", "main"]
+
+    def test_main_does_not_freeze(self, monkeypatch, uniform_files,
+                                  tmp_path):
+        import gc
+
+        def refuse():
+            raise AssertionError("main() froze the heap")
+        monkeypatch.setattr(gc, "freeze", refuse)
+        _, vol = uniform_files
+        assert run("verify", vol, vol, "-o", tmp_path / "m.csv") == 0
+
+    def test_module_and_script_run_it(self, tmp_path):
+        import tomllib
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"voxflow": "voxflow.cli:run"}
+        # a frozen process still ends with main()'s exit code and output
+        child = run_limited("analyze", tmp_path, "--which", "ratios")
+        assert child.returncode == 1
+        assert child.stderr.splitlines() == ["error: no volumes found"]
+        code = ("import gc, runpy, sys\n"
+                "sys.argv = ['voxflow', 'analyze', sys.argv[1], '--which',"
+                " 'ratios']\n"
+                "try:\n"
+                "    runpy.run_module('voxflow.cli', run_name='__main__')\n"
+                "finally:\n"
+                "    print(gc.get_freeze_count() > 10000)\n")
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 1
+        assert child.stdout == "True\n"
 
 
 class TestPipelineDeterminism:

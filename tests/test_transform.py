@@ -14,6 +14,8 @@ from voxflow.grid import (
 )
 from voxflow.transform import (
     DBR_THRESHOLD_MMH,
+    F32_OVERFLOW_MMH,
+    dbz_reaching,
     dbz_to_rain,
     rain_to_dbr,
     rain_to_dbz,
@@ -219,6 +221,78 @@ class TestRainToDbr:
         rain = np.linspace(0.05, 30.0, 100).reshape(1, 1, -1)
         dbr = rain_to_dbr(RainField(data=rain))[0, 0]
         assert (np.diff(dbr) > 0).all()
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf],
+                                     [np.nan, np.inf]],
+                             ids=["nan", "inf", "-inf", "nan-and-inf"])
+    @pytest.mark.parametrize("finite", [False, True],
+                             ids=["alone", "with-finite"])
+    def test_non_finite_valid_rate_is_rejected(self, bad, finite):
+        # one rule for every non-finite valid rate, counted in the message;
+        # the same values in invalid cells are left alone
+        rates = list(bad) + ([0.0, 2.5, DBR_THRESHOLD_MMH] if finite else [])
+        data = np.array(rates * 2).reshape(1, 2, -1)
+        mask = np.ones(data.shape, bool)
+        with pytest.raises(ValueError, match=f"^{2 * len(bad)} valid cell"):
+            rain_to_dbr(RainField(data=data, mask=mask))
+        mask[:, :, :len(bad)] = False
+        out = rain_to_dbr(RainField(data=data, mask=mask))
+        assert np.isfinite(out[mask]).all()
+        assert out.dtype == np.float64 and out.shape == data.shape
+
+
+class TestDbzReaching:
+    """dbz_reaching(rate) splits finite dBZ by dbz_to_rain's own rates: a
+    value's rate reaches rate exactly where the value is at or above it."""
+
+    #: float32 ulps on each side of a boundary; about 2 dBZ at 1 mm/h and
+    #: 64 dBZ at float32's range
+    WINDOW = 2 ** 20
+
+    @staticmethod
+    def _window(edge, ints, span):
+        """Every value within span steps of the positive edge, in order."""
+        steps = np.arange(-span, span + 1, dtype=ints)
+        return (np.array([edge]).view(ints) + steps).view(edge.dtype)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.7, 5.0])
+    def test_float32_window_around_a_rain_rate(self, rate):
+        edge = dbz_reaching(rate)
+        assert edge.dtype == np.float32 and edge > NO_ECHO_DBZ
+        dbz = self._window(edge, np.int32, self.WINDOW)
+        rain = dbz_to_rain(dbz[None, None]).data[0, 0]
+        assert (np.diff(rain) >= 0).all()
+        assert np.array_equal(rain >= rate, dbz >= edge)
+
+    def test_float32_window_around_float32s_range(self):
+        # the rates whose float32 rounding is infinite: the rule by which
+        # every command refuses a frame
+        edge = dbz_reaching(F32_OVERFLOW_MMH)
+        assert f"{edge:.4f}" == "639.5198"
+        dbz = self._window(edge, np.int32, self.WINDOW)
+        rain = dbz_to_rain(dbz[None, None]).data[0, 0]
+        assert (np.diff(rain) >= 0).all()
+        with np.errstate(over="ignore"):
+            beyond = np.isinf(rain.astype(np.float32))
+        assert np.array_equal(beyond, dbz >= edge)
+        assert np.array_equal(rain >= F32_OVERFLOW_MMH, dbz >= edge)
+
+    @pytest.mark.parametrize("rate", [1.0, F32_OVERFLOW_MMH])
+    def test_float64_window(self, rate):
+        edge = dbz_reaching(rate, np.float64)
+        assert edge.dtype == np.float64
+        assert abs(edge - dbz_reaching(rate)) < 1e-4
+        dbz = self._window(edge, np.int64, 2 ** 16)
+        rain = dbz_to_rain(dbz[None, None]).data[0, 0]
+        assert np.array_equal(rain >= rate, dbz >= edge)
+
+    def test_every_value_reaches_a_rate_of_zero(self):
+        lowest = np.finfo(np.float32).min
+        assert dbz_reaching(0.0) == dbz_reaching(-1.0) == lowest
+
+    def test_nan_rate_is_rejected(self):
+        with pytest.raises(ValueError, match="reaches nan mm/h"):
+            dbz_reaching(float("nan"))
 
 
 #: dBZ values a column maximum meets: the no-echo sentinel and its two

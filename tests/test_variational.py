@@ -104,8 +104,8 @@ class TestEstimateVariational:
 
     def test_divergence_error_carries_iteration(self):
         # dBR frames with real signal plus NaN contamination diverge at
-        # once (rain_to_dbr takes a NaN rate to the floor, so only the
-        # level's own dBR frames can carry one)
+        # once (rain_to_dbr refuses a NaN valid rate, so only the level's
+        # own dBR frames can carry one)
         yg, xg = np.mgrid[0:16, 0:16]
         bad = DBR_FLOOR + 10.0 * np.exp(-((yg - 8.0) ** 2 + (xg - 8.0) ** 2) / 8.0)
         bad[:2] = np.nan
