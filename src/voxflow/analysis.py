@@ -252,16 +252,12 @@ def motion_pair_corr(mf: MotionField, vol: Iterable[RadarVolume], i: int,
 def sample_pair_corr(s: MotionSample, i: int, j: int,
                      component: str = "both") -> float:
     """motion_pair_corr of a MotionSample."""
-    _check_pair(s, i, j)
-    return _pair_corr(s, i, j, (component,))[0]
-
-
-def _check_pair(s: MotionSample, i: int, j: int) -> None:
     nz = _levels(s)
     for idx in (i, j):
         if not 0 <= idx < nz:
             raise ValueError(f"level index {idx} outside [0, {nz}): "
                              f"the volume has {nz} levels")
+    return _pair_corr(s, i, j, (component,))[0]
 
 
 def motion_corr_matrix(mfs: Sequence[MotionField],
@@ -282,42 +278,24 @@ def motion_corr_matrix(mfs: Sequence[MotionField],
         z = s.motion.nz if z is None else z
         if s.motion.nz != z:
             raise ValueError(f"sample {n} has Z={s.motion.nz}, expected Z={z}")
-        rows += sample_rows(s, component)
+        rows += component_rows(s, (component,))[component]
     if z is None:
         raise ValueError("no samples given")
     return pair_mean(z, rows)
 
 
-def sample_rows(s: MotionSample,
-                component: str = "both") -> list[tuple[int, int, float]]:
-    """(i, j, r) of every level pair i < j of a sample, in the order
-    motion_corr_matrix averages them, so that a caller may keep the rows of
-    many samples, not the samples, and average them with pair_mean."""
-    return component_rows(s, (component,))[component]
-
-
 def component_rows(s: MotionSample, components: Sequence[str] = COMPONENTS
                    ) -> dict[str, list[tuple[int, int, float]]]:
-    """sample_rows of each of the components, each pair's region and
-    gathers formed once for all of them."""
+    """(i, j, r) of every level pair i < j of a sample for each of the
+    components, in the order motion_corr_matrix averages them, so that a
+    caller may keep the rows of many samples, not the samples, and average
+    them with pair_mean. Each pair's region and gathers are formed once for
+    all the components."""
     rows: dict[str, list] = {component: [] for component in components}
     for i, j in combinations(range(_levels(s)), 2):
         for component, r in zip(components, _pair_corr(s, i, j, components)):
             rows[component].append((i, j, r))
     return rows
-
-
-def row_corr(s: MotionSample, rows: Sequence[tuple[int, int, float]],
-             i: int, j: int) -> float:
-    """sample_pair_corr(s, i, j) read from rows, the sample's "both"
-    sample_rows: r is symmetric in its two levels, bit for bit. The levels
-    are checked as sample_pair_corr checks them; a pair of one level has
-    no row, and its r is computed."""
-    _check_pair(s, i, j)
-    if i == j:
-        return _pair_corr(s, i, j, ("both",))[0]
-    pair = min(i, j), max(i, j)
-    return next(r for a, b, r in rows if (a, b) == pair)
 
 
 @dataclass

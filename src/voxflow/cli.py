@@ -113,9 +113,9 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 
 def _apply_config(parser: argparse.ArgumentParser, table: dict,
                   argv: list[str]) -> argparse.Namespace:
-    """Two-pass parse so config-file values become defaults of the
-    subcommand's parser (table[command]) that explicit flags override. Only
-    the second pass requires options, and not those the file sets."""
+    """Two-pass parse so config-file values become defaults of the options
+    of table[command] but --config and -h; explicit flags override them.
+    Only the second pass requires options, and not those the file sets."""
     relaxed = [a for sub in table.values() for a in sub._actions
                if a.required and a.option_strings]
     for action in relaxed:
@@ -126,7 +126,8 @@ def _apply_config(parser: argparse.ArgumentParser, table: dict,
         action.required = action.dest not in values
     if values:
         sub = table[args.command]
-        known = {a.dest: a for a in sub._actions}
+        known = {a.dest: a for a in sub._actions if a.option_strings
+                 and a.dest not in ("config", "help")}
         defaults = {}
         for key, text in values.items():
             if key not in known:
@@ -533,8 +534,8 @@ def _analyze_motion_corr(args, files, outdir: Path) -> str:
     stamps, corrs = [], []
     for _, ts, reader, mf, (low, mid) in _motion_samples(files, args):
         sample = analysis.motion_sample(mf, reader)
+        corrs.append(analysis.sample_pair_corr(sample, low, mid))
         got = analysis.component_rows(sample)
-        corrs.append(analysis.row_corr(sample, got["both"], low, mid))
         stamps.append(ts)
         for component, kept in rows.items():
             kept += got[component]

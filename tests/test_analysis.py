@@ -406,8 +406,9 @@ class TestMotionSamples:
             assert s.echo.shape == s.mask.shape == vol.shape[1:]
             assert not np.shares_memory(s.echo, vol.data)
         # the CLI's composition: each sample's rows, averaged at the end
-        got = analysis.pair_mean(4, [r for s in samples
-                                     for r in analysis.sample_rows(s, component)])
+        got = analysis.pair_mean(4, [
+            r for s in samples
+            for r in analysis.component_rows(s, (component,))[component]])
         want = motion_corr_matrix(mfs, vols, component=component)
         assert got.tobytes() == want.tobytes()
         for s, mf, vol in zip(samples, mfs, vols):
@@ -436,29 +437,17 @@ class TestMotionSamples:
             assert list(got) == list(analysis.COMPONENTS)
             for component in analysis.COMPONENTS:
                 assert np.array(got[component]).tobytes() == \
-                    np.array(analysis.sample_rows(s, component)).tobytes()
+                    np.array(analysis.component_rows(
+                        s, (component,))[component]).tobytes()
             some = analysis.component_rows(s, ("v", "u"))
             assert list(some) == ["v", "u"]
             for component, rows in some.items():
                 assert np.array(rows).tobytes() == \
                     np.array(got[component]).tobytes()
 
-    def test_row_corr_is_the_pairs_own_correlation(self):
-        for seed in range(6):
-            s = analysis.motion_sample(*_hostile_sample(seed))
-            rows = analysis.sample_rows(s)
-            for i in range(4):
-                for j in range(4):
-                    got = analysis.row_corr(s, rows, i, j)
-                    want = analysis.sample_pair_corr(s, i, j)
-                    assert np.float64(got).tobytes() == \
-                        np.float64(want).tobytes(), (seed, i, j)
-        with pytest.raises(ValueError, match="level index 4 outside"):
-            analysis.row_corr(s, rows, 4, 0)
-
     def test_unknown_component_is_rejected(self):
         s = analysis.motion_sample(*_hostile_sample(0))
-        for call in (lambda: analysis.sample_rows(s, "w"),
+        for call in (lambda: analysis.component_rows(s, ("w",)),
                      lambda: analysis.sample_pair_corr(s, 0, 1, "w")):
             with pytest.raises(ValueError, match="component must be"):
                 call()
@@ -541,7 +530,8 @@ class TestFramesGiveTheWholeVolumeResults:
     def test_sample_rows_average_to_the_matrix(self):
         mfs, vols = zip(*(_hostile_sample(seed) for seed in self.SEEDS))
         rows = [r for mf, vol in zip(mfs, vols)
-                for r in analysis.sample_rows(analysis.motion_sample(mf, vol))]
+                for r in analysis.component_rows(
+                    analysis.motion_sample(mf, vol), ("both",))["both"]]
         assert analysis.pair_mean(4, rows).tobytes() == \
             motion_corr_matrix(mfs, vols).tobytes()
 

@@ -869,6 +869,27 @@ class TestAnalyzeEqualsWholeVolumeReferences:
                    [f"motion_corr_{c}.csv" for c in ("both", "u", "v")]
                    + ["motion_corr_monthwise.csv"])
 
+    @pytest.mark.parametrize("pair", [None, "0,0", "1,0"])
+    def test_motion_corr_monthwise_is_each_samples_pair_corr(
+            self, corpus_dir, tmp_path, refs, pair):
+        from voxflow import analysis, cli
+        files, vols, mfs = refs
+        low, mid = (0, 2) if pair is None else map(int, pair.split(","))
+        corrs = [analysis.sample_pair_corr(analysis.motion_sample(mf, v),
+                                           low, mid)
+                 for mf, v in zip(mfs, vols)]
+        finite = [(c, ts) for c, (_, _, ts) in zip(corrs, files)
+                  if np.isfinite(c)]
+        assert finite
+        cli._write_boxstats(tmp_path, "motion_corr_monthwise",
+                            [c for c, _ in finite], [ts for _, ts in finite],
+                            "", "")
+        flags = () if pair is None else ("--level-pair", pair)
+        assert run("analyze", corpus_dir, "--which", "motion-corr", *flags,
+                   "-o", tmp_path / "got") == 0
+        assert (tmp_path / "got" / "motion_corr_monthwise.csv").read_bytes() \
+            == (tmp_path / "motion_corr_monthwise.csv").read_bytes()
+
     def _pair_samples(self, refs):
         from voxflow import analysis
         files, vols, mfs = refs
@@ -994,6 +1015,24 @@ class TestConfigFile:
         # the removed trace path: the trace is always <out stem>_trace.csv
         _case("command17", ("estimate", "v.rvol"), "trace = t.csv",
               "unknown config key: trace"),
+        # a file sets options only: each command's positional arguments,
+        # --config and -h are not keys
+        _case("estimate_volume", ("estimate", "v.rvol"), "volume = w.rvol",
+              "unknown config key: volume"),
+        _case("nowcast_volume", ("nowcast", "v.rvol", "m.rmf"),
+              "volume = w.rvol", "unknown config key: volume"),
+        _case("nowcast_motion", ("nowcast", "v.rvol", "m.rmf"),
+              "motion = n.rmf", "unknown config key: motion"),
+        _case("verify_forecast", ("verify", "f.rvol", "t.rvol"),
+              "forecast = g.rvol", "unknown config key: forecast"),
+        _case("verify_truth", ("verify", "f.rvol", "t.rvol"),
+              "truth = u.rvol", "unknown config key: truth"),
+        _case("analyze_directory", ("analyze", "d"), "directory = e",
+              "unknown config key: directory"),
+        _case("config", ("estimate", "v.rvol"), "config = other.cfg",
+              "unknown config key: config"),
+        _case("help", ("estimate", "v.rvol"), "help = yes",
+              "unknown config key: help"),
     ])
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys,
                                                        command, line, message):
