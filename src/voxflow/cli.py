@@ -1,15 +1,17 @@
 """Command-line pipeline: synth, estimate, nowcast, verify, analyze.
 
-Every command validates file magic before reading payloads, honors a flat
-key=value config file (command-line flags win), and exits 0 on success, 1 on
-runtime/data errors, and 2 on usage errors.
+Every command validates file magic before reading payloads, takes its
+arguments from the command line or from @FILE (see build_parser), and exits 0
+on success, 1 on runtime/data errors, and 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
+import os
 import re
 import sys
 from datetime import datetime, timedelta
@@ -94,76 +96,27 @@ def parse_stem_timestamp(stem: str) -> datetime | None:
         return None
 
 
-def _load_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line is not key = value: {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+def _arg_line(line: str) -> list[str]:
+    """The arguments of one line of an @FILE: split as a shell splits
+    words, from a # to the end of the line skipped. shlex is imported
+    here, so start-up does not load it."""
+    import shlex
+    return shlex.split(line, comments=True)
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
-def _apply_config(parser: argparse.ArgumentParser, table: dict,
-                  argv: list[str]) -> argparse.Namespace:
-    """Two-pass parse so config-file values become defaults of the options
-    of table[command] but --config and -h; explicit flags override them.
-    Only the second pass requires options, and not those the file sets."""
-    relaxed = [a for sub in table.values() for a in sub._actions
-               if a.required and a.option_strings]
-    for action in relaxed:
-        action.required = False
-    args, _ = parser.parse_known_args(argv)
-    values = _load_config(args.config) if args.config else {}
-    for action in relaxed:
-        action.required = action.dest not in values
-    if values:
-        sub = table[args.command]
-        known = {a.dest: a for a in sub._actions if a.option_strings
-                 and a.dest not in ("config", "help")}
-        defaults = {}
-        for key, text in values.items():
-            if key not in known:
-                parser.error(f"unknown config key: {key}")
-            action = known[key]
-            if isinstance(action, argparse._StoreTrueAction):
-                defaults[key] = _BOOLEANS.get(text.lower())
-                if defaults[key] is None:
-                    parser.error(f"config key {key}: expected one of "
-                                 f"{'/'.join(_BOOLEANS)}, got {text!r}")
-            elif action.type is not None:
-                try:
-                    defaults[key] = action.type(text)
-                except (argparse.ArgumentTypeError, ValueError) as exc:
-                    parser.error(f"config key {key}: {exc}")
-            else:
-                defaults[key] = text
-            if action.choices and defaults[key] not in action.choices:
-                parser.error(f"config key {key}: expected one of "
-                             f"{', '.join(action.choices)}, got {text!r}")
-        sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file; "
-                                      "command-line flags override it")
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> argparse.ArgumentParser:
+    """The voxflow parser. An argument @FILE is replaced by the arguments
+    on FILE's lines (nested @FILEs too) before the subcommand parses."""
     parser = argparse.ArgumentParser(
         prog="voxflow",
         description="volumetric radar-echo motion estimation and "
-                    "extrapolation nowcasting")
+                    "extrapolation nowcasting. An argument @FILE stands for "
+                    "the arguments on FILE's lines, split as a shell splits "
+                    "words, # comments skipped; arguments after it override "
+                    "it.",
+        fromfile_prefix_chars="@")
+    parser.convert_arg_line_to_args = _arg_line
     subs = parser.add_subparsers(dest="command", required=True)
-    table = {}
 
     p = subs.add_parser("synth", help="generate a synthetic volume + truth motion")
     p.add_argument("--preset", choices=PRESET_NAMES, required=True)
@@ -177,8 +130,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="512 x 512 geometry; the uniform preset only")
     p.add_argument("--quantize", action="store_true",
                    help="store reflectivity as 8-bit (0.5 dBZ steps)")
-    _add_common(p)
-    table["synth"] = p
 
     p = subs.add_parser("estimate", help="estimate a motion field from a volume")
     p.add_argument("volume", help="input .rvol path")
@@ -192,8 +143,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--scales", type=_scales, default="1,2,4,8")
     p.add_argument("--denoise", action="store_true",
                    help="apply quality control before estimation")
-    _add_common(p)
-    table["estimate"] = p
 
     p = subs.add_parser("nowcast", help="extrapolate a volume with a motion field",
                         description="The forecast's one static mask is the "
@@ -207,8 +156,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="index of the frame advected forward; negative "
                         "values count from the end, Python-style "
                         "(default: -1, the last frame)")
-    _add_common(p)
-    table["nowcast"] = p
 
     p = subs.add_parser("verify", help="score a forecast volume against truth")
     p.add_argument("forecast", help="forecast .rvol path")
@@ -216,8 +163,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("-o", "--out", default=None, help="metrics CSV path")
     p.add_argument("--offset", type=int, default=None,
                    help="truth frame index of lead 1 (default: aligned ends)")
-    _add_common(p)
-    table["verify"] = p
 
     p = subs.add_parser("analyze", help="dataset analyses over a directory of volumes")
     p.add_argument("directory", help="directory of .rvol files")
@@ -227,10 +172,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--level-pair", type=_level_pair, default=None,
                    help="low,mid level indices for pair analyses "
                         "(default: 0 and min(2, Z - 1))")
-    _add_common(p)
-    table["analyze"] = p
 
-    return parser, table
+    return parser
 
 
 def _cmd_synth(args) -> int:
@@ -637,23 +580,31 @@ def _write_matrix(path: Path, mat: np.ndarray) -> None:
     _write_csv(path, ["level"] + [str(j) for j in range(mat.shape[1])], rows)
 
 
+_COMMANDS = {
+    "synth": _cmd_synth,
+    "estimate": _cmd_estimate,
+    "nowcast": _cmd_nowcast,
+    "verify": _cmd_verify,
+    "analyze": _cmd_analyze,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, table = build_parser()
     try:
-        args = _apply_config(parser, table, argv)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "nowcast":
-            return _cmd_nowcast(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_analyze(args)
+        args = build_parser().parse_args(argv)
+        # an output whose directory is missing fails before any input is
+        # read or any volume rendered
+        out = getattr(args, "out", None)
+        if out and not Path(out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    out)
+        return _COMMANDS[args.command](args)
     except (FormatError, NoOverlapError, DivergedError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: @FILE arguments nest too deeply", file=sys.stderr)
         return 1
     except MemoryError as exc:
         # a backstop: sizes a user controls are bounded before allocation

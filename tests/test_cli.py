@@ -2,6 +2,7 @@ import argparse
 import csv
 import os
 import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -373,8 +374,7 @@ class TestVerify:
         fc = tmp_path / "fc.rvol"
         assert run("nowcast", vol, d / "u.truth.rmf", "-k", "8",
                    "--start-frame", "7", "-o", fc) == 0
-        parser, _ = build_parser()
-        args = parser.parse_args(["verify", str(fc), str(vol),
+        args = build_parser().parse_args(["verify", str(fc), str(vol),
                                   "--offset", "17"])
         with pytest.raises(ValueError, match=r"truth volume \(T=24\) cannot "
                                              r"cover 8 leads at offset 17"):
@@ -939,171 +939,156 @@ class TestAnalyzeEqualsWholeVolumeReferences:
                    [f"{stem}_split.csv" for _, stem, _ in files])
 
 
-class TestConfigFile:
-    def test_line_without_equals_is_rejected(self, tmp_path, capsys):
-        from voxflow import cli
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("# a comment\nmode 3d\n")
-        with pytest.raises(ValueError, match="config line is not key = "
-                                             "value: 'mode 3d'"):
-            cli._load_config(cfg)
-        assert run("estimate", "v.rvol", "--config", cfg) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: config line is not key = value: 'mode 3d'"]
+@pytest.fixture(scope="module")
+def file_runs(tmp_path_factory):
+    """A corpus of two small volumes with their motions, and a two-lead
+    forecast of the first beside the corpus, for runs whose arguments come
+    from flags or from an @FILE."""
+    d = tmp_path_factory.mktemp("argfile")
+    (d / "corpus").mkdir()
+    for i, stem in enumerate(("20210610_1200", "20210711_1200")):
+        _small_volume(d / "corpus" / f"{stem}.rvol", seed=i)
+    vol = d / "corpus" / "20210610_1200.rvol"
+    assert run("nowcast", vol, vol.with_suffix(".truth.rmf"), "-k", "2",
+               "--start-frame", "3", "-o", d / "fc.rvol") == 0
+    return d
 
-    def test_config_sets_defaults_cli_overrides(self, tmp_path, capsys):
-        cfg = tmp_path / "flow.cfg"
-        cfg.write_text("preset = noisy\nseed = 9\n# a comment\n")
-        out = tmp_path / "n.rvol"
-        assert run("synth", "--config", cfg, "-o", out) == 0
-        assert read_rvol(out).shape == (8, 2, 128, 128)
-        # the flag wins over the file
-        out2 = tmp_path / "u.rvol"
-        assert run("synth", "--config", cfg, "--preset", "uniform",
-                    "-o", out2) == 0
-        assert read_rvol(out2).shape == (8, 8, 128, 128)
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense = 1\n")
-        with pytest.raises(SystemExit) as err:
-            run("synth", "--config", cfg, "--preset", "uniform",
-                "-o", tmp_path / "x.rvol")
-        assert err.value.code == 2
+def _file_argv(command: str, d: Path, out: Path) -> tuple[list, list]:
+    """(positional arguments, options one per list) of a run of command on
+    the file_runs data in d that writes into the directory out."""
+    vol = d / "corpus" / "20210610_1200.rvol"
+    return {
+        "synth": ([], [["--preset", "noisy"], ["--seed", "3"],
+                       ["--frames", "2"], ["--quantize"],
+                       ["-o", out / "s.rvol"]]),
+        "estimate": ([vol], [["--mode", "2d-cmax"], ["--inputs", "3"],
+                             ["--scales", "1,2"], ["--denoise"],
+                             ["-o", out / "m.rmf"]]),
+        "nowcast": ([vol, vol.with_suffix(".truth.rmf")],
+                    [["-k", "2"], ["--start-frame", "3"],
+                     ["-o", out / "fc.rvol"]]),
+        "verify": ([d / "fc.rvol", vol],
+                   [["--offset", "3"], ["-o", out / "m.csv"]]),
+        "analyze": ([d / "corpus"], [["--which", "motion-corr"],
+                                     ["--level-pair", "1,0"], ["-o", out]]),
+    }[command]
 
-    @pytest.mark.parametrize("command, line, message", [
-        _case("command0", ("synth", "--preset", "uniform"), "seed = abc",
-              "config key seed: invalid literal for int() with base 10: 'abc'"),
-        _case("command1", ("estimate", "v.rvol"), "scales = 1,x",
-              "config key scales: expected comma-separated integers such as "
-              "1,2,4, got '1,x'"),
-        # the removed lk baseline's window, and the descent's momentum
-        _case("command2", ("estimate", "v.rvol"), "window = 15",
-              "unknown config key: window"),
-        _case("command3", ("estimate", "v.rvol"), "momentum = 0.9",
-              "unknown config key: momentum"),
-        _case("command4", ("estimate", "v.rvol"), "mode = lk",
-              "config key mode: expected one of 3d, 2d-cmax, got 'lk'"),
-        _case("command5", ("synth",), "preset = bogus",
-              "config key preset: expected one of uniform, rotation, shear2, "
-              "shear8, noisy, split, got 'bogus'"),
-        # the removed iteration cap
-        _case("command6", ("estimate", "v.rvol"), "iters = 5",
-              "unknown config key: iters"),
-        _case("command7", ("estimate", "v.rvol"), "scales = 0",
-              "config key scales: expected comma-separated integers such as "
-              "1,2,4, got '0'"),
-        # the removed options that restated the library's values
-        _case("command8", ("estimate", "v.rvol"), "beta = 0.2",
-              "unknown config key: beta"),
-        _case("command9", ("verify", "f.rvol", "t.rvol"),
-              "thresholds = 1,5,10", "unknown config key: thresholds"),
-        _case("command10", ("analyze", "d"), "thresholds-dbz = 0,20",
-              "unknown config key: thresholds_dbz"),
-        _case("command11", ("analyze", "d"), "threshold = 1",
-              "unknown config key: threshold"),
-        _case("command12", ("analyze", "d"), "coverage-dbz = 20",
-              "unknown config key: coverage_dbz"),
-        _case("command13", ("analyze", "d"), "gap-minutes = 60",
-              "unknown config key: gap_minutes"),
-        _case("command14", ("analyze", "d"), "top-k = 3",
-              "unknown config key: top_k"),
-        _case("command15", ("analyze", "d"), "bins = 20",
-              "unknown config key: bins"),
-        _case("command16", ("estimate", "v.rvol"), "use-future = true",
-              "unknown config key: use_future"),
-        # the removed trace path: the trace is always <out stem>_trace.csv
-        _case("command17", ("estimate", "v.rvol"), "trace = t.csv",
-              "unknown config key: trace"),
-        # a file sets options only: each command's positional arguments,
-        # --config and -h are not keys
-        _case("estimate_volume", ("estimate", "v.rvol"), "volume = w.rvol",
-              "unknown config key: volume"),
-        _case("nowcast_volume", ("nowcast", "v.rvol", "m.rmf"),
-              "volume = w.rvol", "unknown config key: volume"),
-        _case("nowcast_motion", ("nowcast", "v.rvol", "m.rmf"),
-              "motion = n.rmf", "unknown config key: motion"),
-        _case("verify_forecast", ("verify", "f.rvol", "t.rvol"),
-              "forecast = g.rvol", "unknown config key: forecast"),
-        _case("verify_truth", ("verify", "f.rvol", "t.rvol"),
-              "truth = u.rvol", "unknown config key: truth"),
-        _case("analyze_directory", ("analyze", "d"), "directory = e",
-              "unknown config key: directory"),
-        _case("config", ("estimate", "v.rvol"), "config = other.cfg",
-              "unknown config key: config"),
-        _case("help", ("estimate", "v.rvol"), "help = yes",
-              "unknown config key: help"),
+
+#: a value of each command's first _file_argv option that writes other
+#: bytes than the one _file_argv gives
+_DECOYS = {"synth": ["--preset", "shear2"], "estimate": ["--mode", "3d"],
+           "nowcast": ["-k", "3"], "verify": ["--offset", "2"],
+           "analyze": ["--which", "ratios"]}
+
+
+def _written(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+class TestArgumentFile:
+    """An argument @FILE stands for the arguments on FILE's lines, split as
+    a shell splits words, with # comments skipped."""
+
+    @pytest.mark.parametrize("command", sorted(_DECOYS))
+    def test_options_in_a_file_write_the_flag_runs_bytes(
+            self, file_runs, tmp_path, command):
+        # "file" and "earlier" hold every option, "decoy" and "override" a
+        # decoy for the first; "earlier" gives the decoy before @FILE and
+        # "override" the first option after it
+        written = {}
+        for how in ("flags", "file", "earlier", "decoy", "override"):
+            (tmp_path / how).mkdir()
+            positionals, options = _file_argv(command, file_runs,
+                                              tmp_path / how)
+            decoy = _DECOYS[command]
+            args = tmp_path / f"{how}.args"
+            lines = [decoy] + options[1:] if how in ("decoy", "override") \
+                else options
+            args.write_text("".join(shlex.join(map(str, line)) + "\n"
+                                    for line in lines))
+            argv = {"flags": sum(options, []), "file": [f"@{args}"],
+                    "earlier": decoy + [f"@{args}"], "decoy": [f"@{args}"],
+                    "override": [f"@{args}"] + options[0]}[how]
+            assert run(command, *positionals, *argv) == 0
+            written[how] = _written(tmp_path / how)
+        assert written["flags"]
+        assert written["decoy"] != written["flags"]
+        for how in ("file", "earlier", "override"):
+            assert written[how] == written["flags"], how
+
+    def test_comments_blank_lines_quotes_and_nested_files(self, file_runs,
+                                                          tmp_path):
+        vol = file_runs / "corpus" / "20210610_1200.rvol"
+        motion = vol.with_suffix(".truth.rmf")
+        spaced = tmp_path / "out dir"
+        spaced.mkdir()
+        nested = tmp_path / "nested.args"
+        nested.write_text(f'-o "{spaced}/fc 1.rvol"  # a path with spaces\n')
+        args = tmp_path / "n.args"
+        args.write_text(f"# two leads from frame 3\n\n-k 2   # leads\n   \n"
+                        f"--start-frame 3\n@{nested}\n")
+        assert run("nowcast", vol, motion, f"@{args}") == 0
+        assert run("nowcast", vol, motion, "-k", "2", "--start-frame", "3",
+                   "-o", tmp_path / "flags.rvol") == 0
+        assert (spaced / "fc 1.rvol").read_bytes() == \
+            (tmp_path / "flags.rvol").read_bytes()
+
+    @pytest.mark.parametrize("name, content, code, message", [
+        pytest.param("missing", None, 2, r"voxflow: error: \[Errno 2\] "
+                     r"No such file or directory: 'missing'", id="missing"),
+        pytest.param("directory", "", 2, r"voxflow: error: \[Errno \d+\] "
+                     r"Is a directory: 'directory'", id="directory"),
+        # decoded in the locale's encoding: a usage or a data error
+        pytest.param("non_utf8", b"--frames \xff\n", None, None,
+                     id="non_utf8"),
+        pytest.param("unclosed_quote", b'-o "s.rvol\n', 1,
+                     r"error: No closing quotation", id="unclosed_quote"),
+        pytest.param("names_itself", b"@names_itself\n", 1,
+                     r"error: @FILE arguments nest too deeply",
+                     id="names_itself"),
     ])
-    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys,
-                                                       command, line, message):
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(line + "\n")
-        with pytest.raises(SystemExit) as err:
-            run(*command, "--config", cfg, "-o", tmp_path / "x.out")
-        assert err.value.code == 2
-        last = capsys.readouterr().err.strip().splitlines()[-1]
-        assert last == f"voxflow: error: {message}"
-
-    def test_required_option_from_config_writes_what_the_flag_writes(
-            self, tmp_path):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        vol = corpus / "v.rvol"
-        _small_volume(vol)
-        cfg = tmp_path / "n.cfg"
-        cfg.write_text("leads = 4\n")
-        truth = vol.with_suffix(".truth.rmf")
-        assert run("nowcast", vol, truth, "-k", "4",
-                   "-o", tmp_path / "flag.rvol") == 0
-        assert run("nowcast", vol, truth, "--config", cfg,
-                   "-o", tmp_path / "file.rvol") == 0
-        assert (tmp_path / "flag.rvol").read_bytes() == \
-            (tmp_path / "file.rvol").read_bytes()
-        cfg.write_text("which = ratios\n")
-        assert run("analyze", corpus, "--which", "ratios",
-                   "-o", tmp_path / "flag") == 0
-        assert run("analyze", corpus, "--config", cfg,
-                   "-o", tmp_path / "file") == 0
-        written = sorted(p.name for p in (tmp_path / "flag").iterdir())
-        assert written == sorted(p.name for p in (tmp_path / "file").iterdir())
-        assert "rainy_ratios.csv" in written
-        for name in written:
-            assert (tmp_path / "flag" / name).read_bytes() == \
-                (tmp_path / "file" / name).read_bytes()
-
-    def test_non_boolean_flag_value_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "q.cfg"
-        out = tmp_path / "q.rvol"
-        cfg.write_text("preset = uniform\nquantize = maybe\n")
-        with pytest.raises(SystemExit) as err:
-            run("synth", "--config", cfg, "-o", out)
-        assert err.value.code == 2
-        assert "config key quantize" in capsys.readouterr().err
-        assert not out.exists()
-        cfg.write_text("preset = uniform\nframes = 2\nquantize = OFF\n")
-        assert run("synth", "--config", cfg, "-o", out) == 0
-        assert out.read_bytes()[21] == 0  # dtype f32: not quantized
+    def test_unreadable_file_is_one_error_line(self, tmp_path, name, content,
+                                               code, message):
+        if content == "":
+            (tmp_path / name).mkdir()
+        elif content is not None:
+            (tmp_path / name).write_bytes(content)
+        child = run_limited("synth", "--preset", "uniform", "-o", "s.rvol",
+                            f"@{name}", cwd=tmp_path)
+        assert child.returncode in ((1, 2) if code is None else (code,))
+        assert "Traceback" not in child.stderr
+        errors = [line for line in child.stderr.splitlines()
+                  if "error:" in line]
+        assert errors == child.stderr.splitlines()[-1:], child.stderr
+        assert re.fullmatch(message or r"(voxflow( \w+)?: )?error: .+",
+                            errors[0]), errors
+        assert not (tmp_path / "s.rvol").exists()
 
 
 #: each command's arguments by dest, in parser order; a value the library
 #: already holds has no option (README "Fixed constants")
 _SURFACE = {
-    "synth": ["preset", "out", "seed", "frames", "crop_scale", "quantize",
-              "config"],
-    "estimate": ["volume", "mode", "out", "inputs", "scales", "denoise",
-                 "config"],
-    "nowcast": ["volume", "motion", "leads", "out", "start_frame", "config"],
-    "verify": ["forecast", "truth", "out", "offset", "config"],
-    "analyze": ["directory", "which", "outdir", "level_pair", "config"],
+    "synth": ["preset", "out", "seed", "frames", "crop_scale", "quantize"],
+    "estimate": ["volume", "mode", "out", "inputs", "scales", "denoise"],
+    "nowcast": ["volume", "motion", "leads", "out", "start_frame"],
+    "verify": ["forecast", "truth", "out", "offset"],
+    "analyze": ["directory", "which", "outdir", "level_pair"],
 }
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, taken from the parser's subparsers
+    action."""
+    return next(a.choices for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
 
 
 class TestCommandSurface:
     def test_each_command_has_exactly_its_listed_arguments(self, capsys):
-        _, table = build_parser()
         assert {command: [a.dest for a in sub._actions
                           if not isinstance(a, argparse._HelpAction)]
-                for command, sub in table.items()} == _SURFACE
+                for command, sub in _subcommands().items()} == _SURFACE
         for command in _SURFACE:
             with pytest.raises(SystemExit) as err:
                 run(command, "--help")
@@ -1200,10 +1185,20 @@ class TestErrors:
         _case("argv27", ("estimate", "v.rvol", "--trace", "t.csv"),
               re.compile(r"voxflow: error: unrecognized arguments: "
                          r"--trace t.csv")),
+        # the removed config file: its arguments are an @FILE now
+        _case("argv28", ("estimate", "v.rvol", "--config", "x"),
+              re.compile(r"voxflow: error: unrecognized arguments: "
+                         r"--config x")),
     ])
-    def test_malformed_list_is_usage_error(self, capsys, argv, form):
+    @pytest.mark.parametrize("through_file", [False, True],
+                             ids=["flags", "file"])
+    def test_malformed_list_is_usage_error(self, capsys, tmp_path, argv, form,
+                                           through_file):
+        # through a file, the arguments after the subcommand are its one line
+        args = tmp_path / "a.args"
+        args.write_text(shlex.join(argv[1:]) + "\n")
         with pytest.raises(SystemExit) as err:
-            run(*argv)
+            run(*(argv[:1] + (f"@{args}",) if through_file else argv))
         assert err.value.code == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines[0].startswith("usage: voxflow")
@@ -1239,13 +1234,22 @@ class TestErrors:
             f"frames: the smallest, {k}, leaves {128 // k} x {128 // k}"]
         assert not (d / "never.rmf").exists()
 
-    def test_missing_config_file_is_data_error(self, tmp_path, capsys):
-        missing = tmp_path / "missing.cfg"
-        assert run("synth", "--config", missing, "--preset", "uniform",
-                   "-o", tmp_path / "x.rvol") == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: [Errno 2] No such file or directory: "
-                       f"'{missing}'"]
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--preset", "uniform", "--crop-scale"),
+        ("estimate", "v.rvol"),
+        ("nowcast", "v.rvol", "m.rmf", "-k", "2"),
+        ("verify", "f.rvol", "t.rvol"),
+    ], ids=lambda argv: argv[0])
+    def test_output_in_a_missing_directory_fails_before_the_work(
+            self, tmp_path, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command began its work")
+        monkeypatch.setattr("voxflow.cli.generate", refuse)
+        monkeypatch.setattr("voxflow.cli.rvol.RvolReader", refuse)
+        out = tmp_path / "missing" / "x.out"
+        assert run(*argv, "-o", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno 2] No such file or directory: '{out}'"]
 
     def test_diverged_estimate_is_data_error(self, uniform_files, monkeypatch,
                                              capsys):
@@ -1465,7 +1469,8 @@ class TestStartup:
 
 
 #: option and positional values that a careless or hostile caller passes
-_HOSTILE = ["0", "-1", "1000000000000", "1e308", "nan", "inf", "", "abc"]
+_HOSTILE = ["0", "-1", "1000000000000", "1e308", "nan", "inf", "", "abc",
+            "@", "@missing"]
 
 
 @pytest.fixture(scope="module")
@@ -1498,8 +1503,7 @@ def _hostile_argv(draw, command: str, fixtures) -> list[str]:
     """argv of the subcommand built from the parser's own actions: the
     fixture values, a drawn choice for each choice option, drawn flags, and
     a hostile value for one or two of the actions that take a value."""
-    _, table = build_parser()
-    actions = [a for a in table[command]._actions
+    actions = [a for a in _subcommands()[command]._actions
                if not isinstance(a, argparse._HelpAction)]
     values = {k: str(v) for k, v in fixtures[command].items()}
     for a in actions:
@@ -1524,7 +1528,7 @@ def _hostile_argv(draw, command: str, fixtures) -> list[str]:
 
 
 class TestHostileArguments:
-    @pytest.mark.parametrize("command", sorted(build_parser()[1]))
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
     @settings(max_examples=8, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
