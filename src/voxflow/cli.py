@@ -98,10 +98,14 @@ def parse_stem_timestamp(stem: str) -> datetime | None:
 
 def _arg_line(line: str) -> list[str]:
     """The arguments of one line of an @FILE: split as a shell splits
-    words, from a # to the end of the line skipped. shlex is imported
-    here, so start-up does not load it."""
+    words, from a # to the end of the line skipped; a line shlex cannot
+    split is a ValueError that quotes it. shlex is imported here, so
+    start-up does not load it."""
     import shlex
-    return shlex.split(line, comments=True)
+    try:
+        return shlex.split(line, comments=True)
+    except ValueError as exc:
+        raise ValueError(f"@FILE line {line!r}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,6 +603,10 @@ def main(argv: list[str] | None = None) -> int:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
                                     out)
         return _COMMANDS[args.command](args)
+    except UnicodeDecodeError as exc:
+        # argparse reading an @FILE is the only text decoding voxflow does
+        print(f"error: @FILE is not text: {exc}", file=sys.stderr)
+        return 1
     except (FormatError, NoOverlapError, DivergedError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

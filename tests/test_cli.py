@@ -53,11 +53,12 @@ def _limit_child():
     resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
 
 
-def run_limited(*args, cwd=None) -> subprocess.CompletedProcess:
-    """python -m voxflow.cli ARGS in a child process under _limit_child."""
+def run_limited(*args, cwd=None, **env) -> subprocess.CompletedProcess:
+    """python -m voxflow.cli ARGS in a child process under _limit_child,
+    with the environment variables env added."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1", **env)
     return subprocess.run(
         [sys.executable, "-m", "voxflow.cli", *map(str, args)], cwd=cwd,
         env=env, capture_output=True, text=True, timeout=120,
@@ -1039,11 +1040,14 @@ class TestArgumentFile:
                      r"No such file or directory: 'missing'", id="missing"),
         pytest.param("directory", "", 2, r"voxflow: error: \[Errno \d+\] "
                      r"Is a directory: 'directory'", id="directory"),
-        # decoded in the locale's encoding: a usage or a data error
-        pytest.param("non_utf8", b"--frames \xff\n", None, None,
+        # decoded as UTF-8: the child runs in UTF-8 mode
+        pytest.param("non_utf8", b"--frames \xff\n", 1,
+                     r"error: @FILE is not text: 'utf-8' codec can't decode "
+                     r"byte 0xff in position 9: invalid start byte",
                      id="non_utf8"),
         pytest.param("unclosed_quote", b'-o "s.rvol\n', 1,
-                     r"error: No closing quotation", id="unclosed_quote"),
+                     r"error: @FILE line '-o \"s\.rvol': No closing "
+                     r"quotation", id="unclosed_quote"),
         pytest.param("names_itself", b"@names_itself\n", 1,
                      r"error: @FILE arguments nest too deeply",
                      id="names_itself"),
@@ -1055,14 +1059,13 @@ class TestArgumentFile:
         elif content is not None:
             (tmp_path / name).write_bytes(content)
         child = run_limited("synth", "--preset", "uniform", "-o", "s.rvol",
-                            f"@{name}", cwd=tmp_path)
-        assert child.returncode in ((1, 2) if code is None else (code,))
+                            f"@{name}", cwd=tmp_path, PYTHONUTF8="1")
+        assert child.returncode == code
         assert "Traceback" not in child.stderr
         errors = [line for line in child.stderr.splitlines()
                   if "error:" in line]
         assert errors == child.stderr.splitlines()[-1:], child.stderr
-        assert re.fullmatch(message or r"(voxflow( \w+)?: )?error: .+",
-                            errors[0]), errors
+        assert re.fullmatch(message, errors[0]), errors
         assert not (tmp_path / "s.rvol").exists()
 
 
