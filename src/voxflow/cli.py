@@ -336,16 +336,14 @@ def _cmd_verify(args) -> int:
 
 
 def _dataset(directory: str):
-    files = sorted(Path(directory).glob("*.rvol"))
-    files = [f for f in files if not f.name.endswith(".nowcast.rvol")]
+    # listing the directory raises the OSError of a missing one or a file
+    files = sorted(Path(directory) / name for name in os.listdir(directory)
+                   if name.endswith(".rvol") and not name.endswith(".nowcast.rvol"))
     if not files:
         raise ValueError("no volumes found")
     epoch = datetime(2000, 1, 1)
-    out = []
-    for idx, f in enumerate(files):
-        ts = parse_stem_timestamp(f.stem) or (epoch + timedelta(minutes=5 * idx))
-        out.append((f, f.stem, ts))
-    return out
+    return [(f, f.stem, parse_stem_timestamp(f.stem)
+             or epoch + timedelta(minutes=5 * idx)) for idx, f in enumerate(files)]
 
 
 def _motion_for(path: Path) -> MotionField | None:

@@ -25,6 +25,12 @@ NO_ECHO_DBZ = -32.0
 DBR_FLOOR = -15.0
 
 
+def _float_array(x) -> np.ndarray:
+    """x as a float32 array if its dtype is float32, else as float64."""
+    x = np.asarray(x)
+    return np.asarray(x, dtype=np.float32 if x.dtype == np.float32 else np.float64)
+
+
 @dataclass
 class RadarVolume:
     """A T x Z x Y x X reflectivity tensor (dBZ) with altitude metadata.
@@ -43,9 +49,7 @@ class RadarVolume:
     rho_hv: np.ndarray | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data)
-        self.data = np.asarray(data, dtype=np.float32 if data.dtype == np.float32
-                               else np.float64)
+        self.data = _float_array(self.data)
         if self.data.ndim != 4:
             raise ValueError(f"data must be 4-D T x Z x Y x X, got shape {self.data.shape}")
         t, z, y, x = self.data.shape
@@ -95,9 +99,7 @@ class RainField:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data)
-        self.data = np.asarray(data, dtype=np.float32 if data.dtype == np.float32
-                               else np.float64)
+        self.data = _float_array(self.data)
         if self.data.ndim != 3:
             raise ValueError(f"data must be Z x Y x X, got shape {self.data.shape}")
         if self.mask is None:
@@ -135,9 +137,7 @@ class MotionField:
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u)
-        self.u = np.asarray(u, dtype=np.float32 if u.dtype == np.float32
-                            else np.float64)
+        self.u = _float_array(self.u)
         if self.u.ndim != 4 or self.u.shape[1] != 2:
             raise ValueError(f"u must have shape Z x 2 x Y x X, got {self.u.shape}")
         # reductions allocate no copy of the field: NaN makes the maximum

@@ -42,6 +42,13 @@ DTYPE_U8 = 1
 _MAX_DIM = 100_000
 
 
+def _check_dims(kind: str, names: str, dims) -> None:
+    for name, dim in zip(names, dims):
+        if not 1 <= dim <= _MAX_DIM:
+            raise ValueError(f"{kind} dimension {name}={dim} is outside "
+                             f"[1, {_MAX_DIM}]")
+
+
 def _quantize_dbz(data: np.ndarray, invalid: np.ndarray) -> np.ndarray:
     """u8 codes; invalid and non-finite cells get 255, as an f32 read has it.
     A value is coded as the float32 that an f32 payload stores, so a float64
@@ -100,10 +107,7 @@ class RvolWriter:
 
     def __init__(self, path: str | Path, shape: tuple[int, int, int, int],
                  z_levels: np.ndarray, dt: float, quantize: bool = False):
-        for name, dim in zip("TZYX", shape):
-            if not 1 <= dim <= _MAX_DIM:
-                raise ValueError(f"RVOL dimension {name}={dim} is outside "
-                                 f"[1, {_MAX_DIM}]")
+        _check_dims("RVOL", "TZYX", shape)
         if not (math.isfinite(dt) and 0 <= round(dt) < 2**32):
             raise ValueError(f"RVOL time step dt={dt} does not round into "
                              f"[0, {2**32 - 1}] seconds")
@@ -398,10 +402,7 @@ def write_motion(path: str | Path, mf: MotionField) -> None:
     rounds past float32's range, is a ValueError, raised before the file is
     opened; a write that raises removes the file."""
     dims = (mf.nz, *mf.grid_shape)
-    for name, dim in zip("ZYX", dims):
-        if not 1 <= dim <= _MAX_DIM:
-            raise ValueError(f"RMF dimension {name}={dim} is outside "
-                             f"[1, {_MAX_DIM}]")
+    _check_dims("RMF", "ZYX", dims)
     # rounding is monotone: the extremes round to finite values only if
     # every value does
     with np.errstate(over="ignore"):

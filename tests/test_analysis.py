@@ -22,7 +22,7 @@ from voxflow.analysis import (
     reflectivity_corr_matrix,
 )
 from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, cmax
-from voxflow.rvol import RvolReader, read_rvol, write_rvol
+from voxflow.rvol import RvolReader, read_motion, read_rvol, write_rvol
 from voxflow.synth import generate, preset
 from voxflow.transform import F32_OVERFLOW_MMH, dbz_reaching, volume_to_rain
 
@@ -526,6 +526,29 @@ class TestFramesGiveTheWholeVolumeResults:
                             motion_pair_corr(mf, one, 0, 1, component),
                             motion_pair_corr(mf, whole, 0, 1, component),
                             equal_nan=True)
+
+    def test_corpus_shape(self, corpus_inputs):
+        """The seed-1 corpus_analyze inputs: four volumes of 8 frames, 8
+        levels at 128^2, with their truth motions."""
+        def results(mf, vol):
+            sample = analysis.motion_sample(mf, vol)
+            rows = analysis.component_rows(sample)
+            return {"rainy_ratio": rainy_ratio(vol, analysis.RAINY_THRESHOLDS_DBZ),
+                    "coverage_ratio": np.float64(coverage_ratio(vol)),
+                    "echo": sample.echo,
+                    **{c: np.array(rows[c]) for c in ("both", "u", "v")}}
+
+        paths = sorted(corpus_inputs.glob("*.rvol"))
+        for path in paths:
+            mf = read_motion(path.with_suffix(".truth.rmf"))
+            with RvolReader(path) as reader:
+                got = results(mf, reader)
+            for name, want in results(mf, read_rvol(path)).items():
+                assert got[name].tobytes() == want.tobytes(), (path.stem, name)
+        with ExitStack() as stack:
+            readers = [stack.enter_context(RvolReader(p)) for p in paths]
+            assert reflectivity_corr_matrix(readers).tobytes() == \
+                reflectivity_corr_matrix(map(read_rvol, paths)).tobytes()
 
     def test_sample_rows_average_to_the_matrix(self):
         mfs, vols = zip(*(_hostile_sample(seed) for seed in self.SEEDS))

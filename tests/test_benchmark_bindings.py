@@ -1,8 +1,10 @@
 """The traced benchmark run wraps voxflow functions by dotted name; every
-name it lists must still resolve, or the traced run loses its layers."""
+name it lists must still resolve, or the traced run loses its layers. The
+harness's self-test passes."""
 
 import importlib.util
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,3 +23,13 @@ def test_every_binding_resolves(monkeypatch):
     assert launcher.BINDINGS
     for binding, _, _ in launcher.BINDINGS:
         assert callable(pkgutil.resolve_name(binding)), binding
+
+
+def test_benchmark_selftest_passes():
+    """benchmarks/selftest.py, the harness's own arithmetic and failure
+    accounting, run as its docstring says: a script from the repository
+    root."""
+    child = subprocess.run(
+        [sys.executable, str(LAUNCHER.parent / "selftest.py")],
+        cwd=LAUNCHER.parents[1], capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr

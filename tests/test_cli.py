@@ -1,5 +1,7 @@
 import argparse
 import csv
+import errno
+import json
 import os
 import re
 import shlex
@@ -10,6 +12,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from itertools import combinations
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -22,13 +25,20 @@ from voxflow.cli import build_parser, main, parse_stem_timestamp
 from voxflow.rvol import (RvolReader, read_motion, read_rvol, write_motion,
                           write_rvol)
 from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, cmax
-from voxflow.synth import PRESET_NAMES
+from voxflow.synth import PRESET_NAMES, generate, preset
 from voxflow.transform import (
     F32_OVERFLOW_MMH,
     dbz_reaching,
     rain_to_dbz,
     volume_to_rain,
 )
+
+from test_analysis import _ref_refl_corr
+from test_synth import _ref_generate
+
+#: every analysis that analyze --which runs
+_ANALYSES = ("ratios", "refl-corr", "motion-corr", "histogram", "outliers",
+             "split")
 
 
 def run(*args):
@@ -90,12 +100,22 @@ class TestSynth:
         assert run("synth", "--preset", "uniform", "-o", out) == 0
         assert "8 x 8 x 128 x 128" in capsys.readouterr().out
 
-    def test_deterministic_given_seed(self, tmp_path):
-        a = tmp_path / "a.rvol"
-        b = tmp_path / "b.rvol"
-        run("synth", "--preset", "noisy", "-o", a, "--seed", "42")
-        run("synth", "--preset", "noisy", "-o", b, "--seed", "42")
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "noisy", "--seed", "42"],
+        ["--preset", "noisy", "--seed", "5"],
+        ["--preset", "uniform", "--crop-scale", "--frames", "2", "--seed", "5"],
+    ], ids=["noisy-42", "noisy-5", "crop-5"])
+    def test_deterministic_given_seed(self, tmp_path, argv):
+        # the speckle path and the 512^2 render, twice in this process and
+        # once in another: neither state left by an earlier run nor
+        # anything that differs between processes may change a byte
+        for name in ("a", "b"):
+            assert run("synth", *argv, "-o", tmp_path / f"{name}.rvol") == 0
+        child = run_limited("synth", *argv, "-o", tmp_path / "c.rvol")
+        assert child.returncode == 0, child.stderr
+        for suffix in (".rvol", ".truth.rmf"):
+            a, b, c = ((tmp_path / f"{n}{suffix}").read_bytes() for n in "abc")
+            assert a == b == c, suffix
 
     def test_missing_output_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -287,6 +307,34 @@ class TestNowcast:
         assert not fc.mask[:, :, :3].any()
         assert fc.mask[:, :, 3:].all()
 
+    def test_float32_forecast_at_the_crop_shape(self, workloads, tmp_path):
+        # on the seed-1 crop_nowcast input (8 levels at 512^2), built by
+        # the benchmark's own set-up, under a fractional motion (the truth
+        # plus 0.37 cells), the forecast of float32 rates keeps the masks
+        # of the float64 library extrapolation and its dBZ lie within 1e-4
+        # of rain_to_dbz of that extrapolation (6.8e-6 measured); the
+        # benchmark's integer-shift oracle cannot see interpolation rounding
+        leads, start_frame = workloads.CROP_LEADS, workloads.START_FRAME
+        workloads.WORKLOADS["crop_nowcast"].setup(1, tmp_path, generate)
+        truth = read_motion(tmp_path / "crop.truth.rmf")
+        frac = tmp_path / "frac.rmf"
+        write_motion(frac, MotionField(truth.u + np.float32(0.37)))
+        assert run("nowcast", tmp_path / "crop.rvol", frac, "-k", leads,
+                   "--start-frame", start_frame, "-o", tmp_path / "fc.rvol") == 0
+        with RvolReader(tmp_path / "crop.rvol") as reader:
+            start = volume_to_rain(reader.read(start_frame, start_frame + 1), 0)
+        assert start.data.dtype == np.float64
+        fc = read_rvol(tmp_path / "fc.rvol")
+        worst, cells = [0.0], [0]
+
+        def compare(t, z, plane, valid):
+            assert np.array_equal(fc.mask[z], valid), (t, z)
+            diff = np.abs(fc.data[t, z][valid] - rain_to_dbz(plane)[valid])
+            worst.append(float(diff.max(initial=0.0)))
+            cells.append(diff.size)
+        extrapolate(start, read_motion(frac), leads, sink=compare)
+        assert sum(cells) > 0 and max(worst) <= 1e-4, max(worst)
+
 
 class TestVerify:
     def test_forecast_equal_truth_scores_perfectly(self, uniform_files, tmp_path):
@@ -388,14 +436,22 @@ class TestCmaxArm:
     """The CMAX arm runs on the volume itself: estimate --mode 2d-cmax,
     then nowcast and verify of the volume with the one-level motion, write
     the bytes that the same commands write from the volume's grid.cmax
-    copy."""
+    copy. The volume is synth's shear2 preset, or one of the seed-1
+    desk_shear scenes, built through the benchmark's own scenario."""
 
-    def test_volume_and_its_cmax_copy_give_the_same_files(self, tmp_path):
+    @pytest.mark.parametrize("scene", [None, 0, 1],
+                             ids=["preset", "desk_shear-0", "desk_shear-1"])
+    def test_volume_and_its_cmax_copy_give_the_same_files(
+            self, tmp_path, workloads, scene):
         volume, copy = tmp_path / "volume", tmp_path / "copy"
         volume.mkdir()
         copy.mkdir()
-        assert run("synth", "--preset", "shear2", "-o",
-                   volume / "s.rvol") == 0
+        if scene is None:
+            assert run("synth", "--preset", "shear2", "-o",
+                       volume / "s.rvol") == 0
+        else:
+            write_rvol(volume / "s.rvol", generate(workloads._scenario(
+                "shear2", np.random.default_rng([1, scene]), seed=1))[0])
         write_rvol(copy / "s.rvol", cmax(read_rvol(volume / "s.rvol")))
         names = ("s.rmf", "s_trace.csv", "s.nowcast.rvol",
                  "s.nowcast.metrics.csv")
@@ -482,8 +538,7 @@ class TestStreamingMemory:
         assert peak < 2 * 8 * np.prod(shape), peak
 
 
-    @pytest.mark.parametrize("which", ["ratios", "refl-corr", "motion-corr",
-                                       "histogram", "outliers", "split"])
+    @pytest.mark.parametrize("which", _ANALYSES)
     def test_analysis_peak_does_not_grow_with_the_corpus(self, tmp_path,
                                                          which):
         # each volume is read one frame at a time and each motion sample is
@@ -759,22 +814,45 @@ class TestAnalyze:
         assert run("analyze", tmp_path, "--which", "ratios") == 1
         assert "no volumes found" in capsys.readouterr().err
 
-    def test_reports_of_any_stem_are_well_formed(self, tmp_path):
+    @pytest.mark.parametrize("name, code", [("missing", errno.ENOENT),
+                                            ("file", errno.ENOTDIR)])
+    def test_missing_directory_or_a_file_is_its_os_error(self, tmp_path,
+                                                         capsys, name, code):
+        (tmp_path / "file").write_bytes(b"")
+        path = tmp_path / name
+        assert run("analyze", path, "--which", "ratios") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno {code}] {os.strerror(code)}: '{path}'"]
+
+    @pytest.mark.parametrize("corpus", ["small", "desk"])
+    def test_reports_of_any_stem_are_well_formed(self, tmp_path, corpus):
         # stems holding markup and CSV delimiters reach the split titles
-        # and file names and the sample ids
-        stems = ['a&b<c,"1', 'a&b<c]]>,"2']
-        for seed, stem in enumerate(stems):
-            _small_volume(tmp_path / f"{stem}.rvol", seed)
+        # and file names, the sample ids and the metrics of a nowcast: two
+        # small 2-level volumes, or synth's 8-level uniform and shear8
+        if corpus == "small":
+            stems, pair = ['a&b<c,"1', 'a&b<c]]>,"2'], ["--level-pair", "0,1"]
+            for seed, stem in enumerate(stems):
+                _small_volume(tmp_path / f"{stem}.rvol", seed)
+        else:
+            stems, pair = ["a&b<c,1", "a&b<c,2"], []
+            for stem, name, seed in zip(stems, ("uniform", "shear8"), (1, 2)):
+                assert run("synth", "--preset", name, "-o",
+                           tmp_path / f"{stem}.rvol", "--seed", seed) == 0
         out = tmp_path / "report"
-        for which in ("ratios", "refl-corr", "motion-corr", "histogram",
-                      "outliers", "split"):
-            assert run("analyze", tmp_path, "--which", which, "--level-pair",
-                       "0,1", "-o", out) == 0
-        svgs = sorted(out.glob("*.svg"))
+        for which in _ANALYSES:
+            assert run("analyze", tmp_path, "--which", which, *pair,
+                       "-o", out) == 0
+        first = tmp_path / stems[0]
+        assert run("nowcast", f"{first}.rvol", f"{first}.truth.rmf", "-k", 4,
+                   "--start-frame", 3) == 0
+        assert run("verify", f"{first}.nowcast.rvol", f"{first}.rvol") == 0
+        svgs = sorted(tmp_path.rglob("*.svg"))
         assert len(svgs) == 8
         for svg in svgs:
             ElementTree.parse(svg)
-        for path in out.glob("*.csv"):
+        csvs = sorted(tmp_path.rglob("*.csv"))
+        assert len(svgs) + len(csvs) >= 20
+        for path in csvs:
             with path.open(newline="") as fh:
                 header, *rows = csv.reader(fh)
             assert all(len(row) == len(header) for row in rows), path.name
@@ -924,20 +1002,89 @@ class TestAnalyzeEqualsWholeVolumeReferences:
         self._same(corpus_dir, tmp_path, "outliers", ["outliers.csv"])
 
     def test_split(self, corpus_dir, tmp_path, refs):
-        from voxflow import analysis, cli
         files, vols, _ = refs
         for (_, stem, _), vol in zip(files, vols):
-            diag = analysis.cell_split_diagnostic(
-                [volume_to_rain(vol, t) for t in range(vol.shape[0])])
-            cli._write_csv(tmp_path / f"{stem}_split.csv",
-                           ["lead", "cmax_components", "level_components",
-                            "cmax_rainy_cells"],
-                           [[li, n, ";".join(str(c) for c in counts), cells]
-                            for li, (n, counts, cells) in enumerate(zip(
-                                diag.cmax_counts, diag.level_counts,
-                                diag.cmax_rainy_cells))])
+            _write_split_reference(tmp_path / f"{stem}_split.csv", vol)
         self._same(corpus_dir, tmp_path, "split",
                    [f"{stem}_split.csv" for _, stem, _ in files])
+
+
+def _write_split_reference(path: Path, vol: RadarVolume) -> None:
+    """The _split.csv of the rain-rate split, where analyze thresholds the
+    stored dBZ at transform.dbz_reaching: every frame converted to mm/h,
+    then counted."""
+    from voxflow import analysis, cli
+    diag = analysis.cell_split_diagnostic(
+        [volume_to_rain(vol, t) for t in range(vol.shape[0])])
+    cli._write_csv(path, ["lead", "cmax_components", "level_components",
+                          "cmax_rainy_cells"],
+                   [[li, n, ";".join(str(c) for c in counts), cells]
+                    for li, (n, counts, cells) in enumerate(zip(
+                        diag.cmax_counts, diag.level_counts,
+                        diag.cmax_rainy_cells))])
+
+
+class TestAnalyzeAtTheCorpusShape:
+    """The six analyze commands on the seed-1 corpus_analyze inputs write
+    the bytes of references formed pair by pair: refl-corr,
+    motion_corr_{both,u,v} and motion_corr_monthwise.csv with each pair's
+    samples gathered and centred on their own, where analyze centres each
+    level once per frame and joint mask, gathers each pair once for all
+    three components and takes each sample's low/mid r from
+    sample_pair_corr; every *_split.csv from the rain-rate split."""
+
+    def test_reports_equal_the_pair_by_pair_references(self, corpus_inputs,
+                                                       tmp_path):
+        from voxflow import analysis, cli
+        got, ref = tmp_path / "got", tmp_path / "ref"
+        ref.mkdir()
+        for which in _ANALYSES:
+            assert run("analyze", corpus_inputs, "--which", which,
+                       "-o", got) == 0
+        files = cli._dataset(corpus_inputs)
+        vols = [read_rvol(p) for p, _, _ in files]
+        mfs = [read_motion(p.with_suffix(".truth.rmf")) for p, _, _ in files]
+        echoes = [((v.data > NO_ECHO_DBZ) & np.isfinite(v.data)).any(0)
+                  for v in vols]
+
+        def motion_r(k, i, j, component):
+            # the pair's region and gathers formed anew for each component
+            mask = vols[k].mask
+            region = (echoes[k][i] | echoes[k][j]) & mask[i] & mask[j]
+            (ui, vi), (uj, vj) = mfs[k].level(i), mfs[k].level(j)
+            a, b = {"u": (ui[region], uj[region]),
+                    "v": (vi[region], vj[region]),
+                    "both": (np.concatenate([ui[region], vi[region]]),
+                             np.concatenate([uj[region], vj[region]]))
+                    }[component]
+            return analysis._pearson(a, b) if region.sum() >= 2 \
+                else float("nan")
+
+        z = vols[0].shape[1]
+        cli._write_matrix(ref / "reflectivity_corr.csv", _ref_refl_corr(vols))
+        for component in ("both", "u", "v"):
+            cli._write_matrix(
+                ref / f"motion_corr_{component}.csv", analysis.pair_mean(z, [
+                    (i, j, motion_r(k, i, j, component))
+                    for k in range(len(vols))
+                    for i, j in combinations(range(z), 2)]))
+        # analyze's default level pair (0, 2) of every sample with a
+        # finite r; only the .csv is compared, so the .svg is left aside
+        finite = [(r, ts) for r, (_, _, ts) in zip(
+                      [motion_r(k, 0, 2, "both") for k in range(len(vols))],
+                      files) if np.isfinite(r)]
+        cli._write_boxstats(tmp_path, "motion_corr_monthwise",
+                            [r for r, _ in finite], [ts for _, ts in finite],
+                            "", "")
+        (tmp_path / "motion_corr_monthwise.csv").rename(
+            ref / "motion_corr_monthwise.csv")
+        for (_, stem, _), vol in zip(files, vols):
+            _write_split_reference(ref / f"{stem}_split.csv", vol)
+        names = sorted(p.name for p in ref.iterdir())
+        assert len(names) == 5 + len(files)
+        for name in names:
+            assert (got / name).read_bytes() == (ref / name).read_bytes(), \
+                name
 
 
 @pytest.fixture(scope="module")
@@ -1067,6 +1214,55 @@ class TestArgumentFile:
         assert errors == child.stderr.splitlines()[-1:], child.stderr
         assert re.fullmatch(message, errors[0]), errors
         assert not (tmp_path / "s.rvol").exists()
+
+
+class TestReadmePipeline:
+    """The README's command-line pipeline as written, each command in its
+    own process with the run directory as datadir; then estimate, nowcast,
+    verify and analyze again with their options in @FILE argument files,
+    which must write the same bytes; then the README's diagnostic fit over
+    all 24 frames. The removed --use-future and --config are usage errors
+    (exit 2)."""
+
+    def test_commands_as_written(self, tmp_path):
+        def voxflow(*args, code=0):
+            child = run_limited(*args, cwd=tmp_path)
+            assert child.returncode == code, (args, child.stderr)
+
+        voxflow("synth", "--preset", "shear2", "-o", "s.rvol", "--seed", "42")
+        voxflow("estimate", "s.rvol", "--mode", "3d", "--inputs", "8",
+                "-o", "s.rmf")
+        voxflow("nowcast", "s.rvol", "s.rmf", "-k", "16", "--start-frame", "7",
+                "-o", "s.nowcast.rvol")
+        voxflow("verify", "s.nowcast.rvol", "s.rvol", "-o", "s.metrics.csv")
+        voxflow("analyze", tmp_path, "--which", "motion-corr",
+                "--level-pair", "0,1")
+        for command, options in (
+                ("estimate", "--mode 3d\n--inputs 8\n"),
+                ("nowcast", "-k 16\n--start-frame 7\n"),
+                ("verify", "--offset 8\n"),
+                ("analyze", "--which motion-corr\n--level-pair 0,1\n")):
+            (tmp_path / f"{command}.args").write_text(options)
+        voxflow("estimate", "s.rvol", "@estimate.args", "-o", "args.rmf")
+        voxflow("nowcast", "s.rvol", "s.rmf", "@nowcast.args",
+                "-o", "args.nowcast.rvol")
+        voxflow("verify", "s.nowcast.rvol", "s.rvol", "@verify.args",
+                "-o", "args.metrics.csv")
+        voxflow("analyze", tmp_path, "@analyze.args", "-o", "args_report")
+        report = sorted((tmp_path / "args_report").iterdir())
+        assert report
+        for flags, args in [("s.rmf", "args.rmf"),
+                            ("s_trace.csv", "args_trace.csv"),
+                            ("s.nowcast.rvol", "args.nowcast.rvol"),
+                            ("s.metrics.csv", "args.metrics.csv"),
+                            *((f.name, f"args_report/{f.name}")
+                              for f in report)]:
+            assert (tmp_path / flags).read_bytes() == \
+                (tmp_path / args).read_bytes(), flags
+        voxflow("estimate", "s.rvol", "--mode", "3d", "--inputs", "24",
+                "-o", "fit.rmf")
+        voxflow("estimate", "s.rvol", "--use-future", "-o", "gone.rmf", code=2)
+        voxflow("estimate", "s.rvol", "--config", "x", code=2)
 
 
 #: each command's arguments by dest, in parser order; a value the library
@@ -1418,33 +1614,13 @@ def _small_volume(path: Path, seed: int = 0) -> None:
 
 
 _NO_SCIPY_CHILD = """
+import json
 import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 import voxflow
 import voxflow.cli
 
-data, out = sys.argv[1:]
-vol, truth = data + "/20210610_1200.rvol", data + "/20210610_1200.truth.rmf"
-noisy = out + "/noisy.rvol"
-for argv in (
-        ["synth", "--preset", "noisy", "--frames", "3", "-o", noisy],
-        ["synth", "--preset", "noisy", "--frames", "3", "--quantize",
-         "-o", out + "/noisy_u8.rvol"],
-        ["estimate", noisy, "--mode", "3d", "--inputs", "3", "--scales", "1,2",
-         "--denoise", "-o", out + "/noisy_3d.rmf"],
-        ["estimate", noisy, "--mode", "2d-cmax", "--inputs", "3",
-         "--scales", "1,2", "--denoise", "-o", out + "/noisy_2d.rmf"],
-        ["estimate", vol, "--mode", "3d", "--inputs", "4",
-         "--scales", "1,2", "-o", out + "/3d.rmf"],
-        ["estimate", vol, "--mode", "2d-cmax", "--inputs", "4",
-         "--scales", "1,2", "-o", out + "/2d.rmf"],
-        ["nowcast", vol, truth, "-k", "2", "--start-frame", "3",
-         "-o", out + "/fc.rvol"],
-        ["verify", out + "/fc.rvol", vol, "-o", out + "/metrics.csv"],
-        ["analyze", data, "--which", "motion-corr", "--level-pair", "0,1",
-         "-o", out],
-        ["analyze", data, "--which", "split", "-o", out],
-        ["synth", "--preset", "shear2", "--frames", "2", "-o", out + "/s.rvol"]):
+for argv in json.loads(sys.argv[1]):
     assert voxflow.cli.main(argv) == 0, argv
 loaded = sorted(m for m, module in sys.modules.items()
                 if m.split(".")[0] == "scipy" and module is not None)
@@ -1458,17 +1634,66 @@ class TestStartup:
         and runs synth of the noisy preset (f32 and 8-bit), estimate with
         --denoise (3d, 2d-cmax), estimate (3d, 2d-cmax), nowcast, verify,
         analyze motion-corr, analyze split and synth of a preset without
-        speckle; every command returns 0."""
-        (tmp_path / "data").mkdir()
-        (tmp_path / "out").mkdir()
-        _small_volume(tmp_path / "data" / "20210610_1200.rvol")
+        speckle; then, on the whole seed-5 noisy preset, synth (f32 and
+        8-bit), estimate --denoise of 8 inputs (3d, 2d-cmax), nowcast,
+        verify and all six analyses. Every command returns 0, and the
+        seed-5 files are those that write_rvol and write_motion write from
+        the SciPy reference renderer of tests/test_synth.py."""
+        data, out, d, ref = (tmp_path / n for n in ("data", "out", "d", "ref"))
+        for directory in (data, out, d, ref):
+            directory.mkdir()
+        vol, truth = data / "20210610_1200.rvol", data / "20210610_1200.truth.rmf"
+        _small_volume(vol)
+        noisy = out / "noisy.rvol"
+        argvs = [
+            ["synth", "--preset", "noisy", "--frames", "3", "-o", noisy],
+            ["synth", "--preset", "noisy", "--frames", "3", "--quantize",
+             "-o", out / "noisy_u8.rvol"],
+            ["estimate", noisy, "--mode", "3d", "--inputs", "3", "--scales",
+             "1,2", "--denoise", "-o", out / "noisy_3d.rmf"],
+            ["estimate", noisy, "--mode", "2d-cmax", "--inputs", "3",
+             "--scales", "1,2", "--denoise", "-o", out / "noisy_2d.rmf"],
+            ["estimate", vol, "--mode", "3d", "--inputs", "4",
+             "--scales", "1,2", "-o", out / "3d.rmf"],
+            ["estimate", vol, "--mode", "2d-cmax", "--inputs", "4",
+             "--scales", "1,2", "-o", out / "2d.rmf"],
+            ["nowcast", vol, truth, "-k", "2", "--start-frame", "3",
+             "-o", out / "fc.rvol"],
+            ["verify", out / "fc.rvol", vol, "-o", out / "metrics.csv"],
+            ["analyze", data, "--which", "motion-corr", "--level-pair", "0,1",
+             "-o", out],
+            ["analyze", data, "--which", "split", "-o", out],
+            ["synth", "--preset", "shear2", "--frames", "2",
+             "-o", out / "s.rvol"],
+            ["synth", "--preset", "noisy", "--seed", "5", "-o", d / "n.rvol"],
+            ["synth", "--preset", "noisy", "--seed", "5", "--quantize",
+             "-o", d / "q.rvol"],
+            ["estimate", d / "n.rvol", "--mode", "3d", "--inputs", "8",
+             "--denoise", "-o", d / "n.rmf"],
+            ["estimate", d / "n.rvol", "--mode", "2d-cmax", "--inputs", "8",
+             "--denoise", "-o", d / "cmax.rmf"],
+            ["nowcast", d / "n.rvol", d / "n.rmf", "-k", "4", "--start-frame",
+             "3", "-o", d / "n.nowcast.rvol"],
+            ["verify", d / "n.nowcast.rvol", d / "n.rvol",
+             "-o", d / "n.metrics.csv"],
+            *(["analyze", d, "--which", which, "-o", d / "report"]
+              for which in _ANALYSES)]
         src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
         child = subprocess.run(
-            [sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path / "data"),
-             str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120)
+            [sys.executable, "-c", _NO_SCIPY_CHILD,
+             json.dumps([[str(a) for a in argv] for argv in argvs])],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120)
         assert child.returncode == 0, child.stderr
+        want, want_truth = _ref_generate(preset("noisy", seed=5))
+        write_rvol(ref / "n.rvol", want)
+        write_rvol(ref / "q.rvol", want, quantize=True)
+        write_motion(ref / "truth.rmf", want_truth)
+        for name, ref_name in (("n.rvol", "n.rvol"), ("q.rvol", "q.rvol"),
+                               ("n.truth.rmf", "truth.rmf"),
+                               ("q.truth.rmf", "truth.rmf")):
+            assert (d / name).read_bytes() == (ref / ref_name).read_bytes(), \
+                name
 
 
 #: option and positional values that a careless or hostile caller passes

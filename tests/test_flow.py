@@ -22,7 +22,8 @@ from voxflow.flow import (
     loss_total,
 )
 from voxflow.grid import DBR_FLOOR, MotionField, RainField, avg_pool2d, upsample2d
-from voxflow.transform import rain_to_dbr
+from voxflow.synth import generate, preset
+from voxflow.transform import rain_to_dbr, volume_to_rain
 
 
 def rain_field(dbr, mask=None):
@@ -571,6 +572,29 @@ class TestWorkspaceEvaluate:
             want = _ref_evaluate(obj, u, want_grad=want_grad)
             assert all(_same_bytes(a, b) for a, b in zip(got, want)), call
 
+    def test_bitwise_equal_at_the_desk_shape(self, workloads):
+        """8 float64 dBR frames of the seed-1 desk_uniform8 input (8 levels
+        at 128^2), built through the benchmark's own scenario, all valid
+        and with a masked block, at scales 1,2,4 and 1,2,4,8, for one
+        motion and a batch of two, with and without the gradient."""
+        vol, truth = generate(workloads._scenario(
+            "uniform", np.random.default_rng(1), frames=24, seed=1))
+        frames = [volume_to_rain(vol, t) for t in range(8)]
+        data = [rain_to_dbr(f) for f in frames]
+        masked = [f.mask.copy() for f in frames]
+        for m in masked:
+            m[:, 40:72, 24:80] = False
+        u = truth.u + np.random.default_rng(1).uniform(-0.5, 0.5, truth.u.shape)
+        for masks in ([f.mask for f in frames], masked):
+            for scales in ((1, 2, 4), (1, 2, 4, 8)):
+                obj = SequenceObjective(data, masks, LossConfig(scales=scales))
+                for field in (u, np.stack([u, truth.u])):
+                    for want_grad in (True, False):
+                        got = obj.evaluate(field, want_grad)
+                        want = _ref_evaluate(obj, field, want_grad)
+                        assert all(_same_bytes(a, b) for a, b in zip(
+                            got, want)), (scales, field.shape, want_grad)
+
     def test_lost_overlap_is_infinite_as_in_reference(self):
         rng = np.random.default_rng(7)
         frames = [smooth_random(rng)[None] for _ in range(3)]
@@ -670,8 +694,6 @@ def desk_levels():
     """(name, frames, masks, truth motion) of every level of the shear2,
     uniform and rotation desk scenes: the 8 dBR input frames the estimator
     sees."""
-    from voxflow.synth import generate, preset
-    from voxflow.transform import volume_to_rain
     levels = []
     for name in ("shear2", "uniform", "rotation"):
         vol, truth = generate(preset(name))

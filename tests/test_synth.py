@@ -255,7 +255,8 @@ def _assert_same_bytes(scn):
     """generate's volume and truth motion are the float64 references
     rounded once to float32 (the truth stays float64 where a velocity
     overflows float32), and write_rvol and write_motion write the same
-    files from either; write_rvol as f32 and as u8 codes."""
+    files from either; write_rvol as f32 and as u8 codes. Returns
+    generate's volume and truth."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # cells starting outside
         got, got_truth = generate(scn)
@@ -283,6 +284,7 @@ def _assert_same_bytes(scn):
         files = [Path(d) / f"{side}.rmf" for side in ("got", "want")]
         assert _motion_file(files[0], got_truth) == \
             _motion_file(files[1], want_truth), "write_motion"
+    return got, got_truth
 
 
 @st.composite
@@ -344,6 +346,13 @@ class TestByteIdentityWithReference:
 
     def test_crop_scale(self):
         _assert_same_bytes(preset("uniform", crop_scale=True, frames=2))
+
+    @pytest.mark.parametrize("name", ["corpus_analyze", "crop_nowcast"])
+    def test_benchmark_inputs(self, workloads, tmp_path, name):
+        """The seed-1 inputs that the benchmark's own set-up builds:
+        crop_nowcast's 16 frames at 512^2 and corpus_analyze's four volumes
+        of 8 frames, 8 levels at 128^2."""
+        workloads.WORKLOADS[name].setup(1, tmp_path, _assert_same_bytes)
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
