@@ -24,7 +24,7 @@ from .advect import extrapolate
 from .denoise import denoise_volume
 from .errors import DivergedError, FormatError, NoOverlapError
 from .flow import LossConfig
-from .grid import MotionField, RadarVolume, RainField, cmax
+from .grid import RadarVolume, RainField, cmax
 from .synth import PRESET_NAMES, generate, preset
 from .transform import (F32_OVERFLOW_MMH, dbz_reaching, rain_to_dbz,
                         volume_to_rain)
@@ -346,10 +346,10 @@ def _dataset(directory: str):
              or epoch + timedelta(minutes=5 * idx)) for idx, f in enumerate(files)]
 
 
-def _motion_for(path: Path) -> MotionField | None:
+def _motion_file(path: Path) -> Path | None:
     for cand in (path.with_suffix(".rmf"), path.with_suffix(".truth.rmf")):
         if cand.exists():
-            return rvol.read_motion(cand)
+            return cand
     return None
 
 
@@ -357,21 +357,25 @@ def _motion_samples(files, args):
     """(stem, timestamp, open reader, motion, low/mid level pair) of every
     volume with a motion file.
 
-    The motion file is looked up before the volume is opened, and the level
-    count is checked by _same_levels and the pair taken by _pair before any
-    frame is read; the reader is closed when the next sample is asked for.
-    Once the files are exhausted, the count of volumes without a motion
-    file is noted on stderr, and a corpus where no volume has one is a
-    data error.
+    The motion file is looked up before the volume is opened. The level
+    count is checked by _same_levels, the motion's Z x Y x X against the
+    volume header's and the pair taken by _pair before any frame is read;
+    the reader is closed when the next sample is asked for. Once the files
+    are exhausted, the count of volumes without a motion file is noted on
+    stderr, and a corpus where no volume has one is a data error.
     """
     skipped, nz = 0, None
     for path, stem, ts in files:
-        mf = _motion_for(path)
-        if mf is None:
+        mpath = _motion_file(path)
+        if mpath is None:
             skipped += 1
             continue
+        mf = rvol.read_motion(mpath)
         with rvol.RvolReader(path) as reader:
             nz = _same_levels(path, reader.header.z, nz)
+            if (mf.nz, *mf.grid_shape) != reader.header[1:4]:
+                raise ValueError(f"{mpath} has Z, Y, X = {(mf.nz, *mf.grid_shape)}"
+                                 f", but its volume {path} has {reader.header[1:4]}")
             yield stem, ts, reader, mf, _pair(args, nz)
     if skipped:
         print(f"note: {skipped} volume(s) had no motion file and were skipped",

@@ -308,21 +308,18 @@ def _optimize_level(frames: list[np.ndarray], masks: list[np.ndarray],
 
 def estimate_variational(
     inputs: Sequence[RainField],
-    future: Sequence[RainField] | None = None,
     cfg: LossConfig | None = None,
 ) -> VariationalResult:
-    """Estimate a per-level motion field minimizing the total loss.
+    """Estimate a per-level motion field minimizing the inputs' total loss.
 
-    When ``future`` is omitted the objective covers only the observed input
-    frames (inference mode); when given, the concatenated observed+future
-    sequence is fit (diagnostic mode). Levels are processed one after
-    another from the lowest, each minimizing its own loss; a level above
-    the first starts from the level below's final motion only when that
-    motion scores lower on the level's coarsest stage than its own global
-    fit (recorded in ``from_below``). Each descent stage follows this
-    module's constants and ends after MAX_ITERS trial steps at most. A level with no precipitation signal comes back as a
-    zero field with status NO_SIGNAL. A grid that no configured scale pools
-    to at least 4 x 4 cells is a ValueError.
+    Levels are processed one after another from the lowest, each
+    minimizing its own loss; a level above the first starts from the level
+    below's final motion only when that motion scores lower on the level's
+    coarsest stage than its own global fit (recorded in ``from_below``).
+    Each descent stage follows this module's constants and ends after
+    MAX_ITERS trial steps at most. A level with no precipitation signal
+    comes back as a zero field with status NO_SIGNAL. A grid that no
+    configured scale pools to at least 4 x 4 cells is a ValueError.
 
     Fields in mm/h are converted to dBR one level at a time, just before
     that level runs, so no dBR copy of the whole sequence is held.
@@ -331,9 +328,8 @@ def estimate_variational(
     if len(inputs) < 2:
         raise ValueError("need at least 2 input frames")
 
-    phi = list(inputs) + (list(future) if future else [])
-    shape = phi[0].data.shape
-    for f in phi:
+    shape = inputs[0].data.shape
+    for f in inputs:
         if f.data.shape != shape:
             raise ValueError("all frames must share one shape")
     ny, nx = shape[1:]
@@ -350,9 +346,9 @@ def estimate_variational(
         # gives that level's planes of a whole-field conversion; they are
         # freed before the next level is converted
         level = [rain_to_dbr(RainField(f.data[z:z + 1], mask=f.mask[z:z + 1]))
-                 for f in phi]
+                 for f in inputs]
         motion[z], status, trace, started_below = _optimize_level(
-            [d[0] for d in level], [f.mask[z] for f in phi], cfg,
+            [d[0] for d in level], [f.mask[z] for f in inputs], cfg,
             motion[z - 1] if z else None)
         del level
         statuses.append(status)

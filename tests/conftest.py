@@ -1,7 +1,10 @@
 """Fixtures shared by the test modules: the benchmark's workload module,
-read and never changed, and the corpus its set-up builds."""
+read and never changed, the corpus its set-up builds and the peak-RSS runner."""
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +33,18 @@ def corpus_inputs(workloads, tmp_path_factory):
     d = tmp_path_factory.mktemp("corpus_analyze")
     workloads.WORKLOADS["corpus_analyze"].setup(1, d, generate)
     return d
+
+
+@pytest.fixture(scope="session")
+def peak_rss():
+    """Runs an argv, with src/ as its PYTHONPATH, under tests/peak_rss.py (a
+    small stdlib parent) and returns the runner's exit code and peak RSS."""
+    root = Path(__file__).resolve().parents[1]
+
+    def measure(argv, cwd=None) -> dict:
+        out = subprocess.run(
+            [sys.executable, root / "tests" / "peak_rss.py", *map(str, argv)],
+            cwd=cwd, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            stdout=subprocess.PIPE, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+    return measure

@@ -81,9 +81,8 @@ def test_motion_recovery_uniform():
 def test_shear_contrast():
     vol, truth = generate(preset("shear2"))
     n = 8
-    inputs = rain_frames(vol, range(n))
-    future = rain_frames(vol, range(n, 24))
-    res3d = estimate_variational(inputs, future=future, cfg=ACCEPT_CFG)
+    # the motion is fit to all 24 frames; the forecasts start at frame n - 1
+    res3d = estimate_variational(rain_frames(vol, range(24)), cfg=ACCEPT_CFG)
     precip = volume_to_rain(vol, n - 1).data > PRECIP_MMH
     for z in range(2):
         epe = mean_endpoint_error(MotionField(res3d.motion.u[z:z + 1]),
@@ -92,9 +91,7 @@ def test_shear_contrast():
         assert epe < 0.5, f"3d level {z} endpoint error {epe:.3f}"
 
     cvol = cmax(vol)
-    res2d = estimate_variational(rain_frames(cvol, range(n)),
-                                 future=rain_frames(cvol, range(n, 24)),
-                                 cfg=ACCEPT_CFG)
+    res2d = estimate_variational(rain_frames(cvol, range(24)), cfg=ACCEPT_CFG)
     cmax_precip = volume_to_rain(cvol, n - 1).data > PRECIP_MMH
     for z in range(2):
         epe = mean_endpoint_error(res2d.motion, MotionField(truth.u[z:z + 1]),

@@ -691,7 +691,7 @@ class TestAnalyze:
         assert run("analyze", dataset_dir, "--which", "motion-corr",
                    "-o", tmp_path / "got") == 0
         paths = [p for p, _, _ in cli._dataset(dataset_dir)]
-        mfs = [cli._motion_for(p) for p in paths]
+        mfs = [read_motion(cli._motion_file(p)) for p in paths]
         vols = [read_rvol(p) for p in paths]
         for component in ("both", "u", "v"):
             name = f"motion_corr_{component}.csv"
@@ -726,7 +726,21 @@ class TestAnalyze:
         assert run("analyze", tmp_path, "--which", which, "--level-pair",
                    "0,1", "-o", tmp_path / "report") == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: motion grid (12, 12) differs from volume grid (24, 24)"]
+            f"error: {tmp_path / 'v.rmf'} has Z, Y, X = (2, 12, 12), but its "
+            f"volume {tmp_path / 'v.rvol'} has (2, 24, 24)"]
+
+    @pytest.mark.parametrize("which", ["motion-corr", "histogram", "outliers"])
+    def test_motion_of_another_level_count_is_one_error_line(
+            self, tmp_path, capsys, which):
+        assert run("synth", "--preset", "uniform", "--frames", "2",
+                   "-o", tmp_path / "u.rvol") == 0
+        write_motion(tmp_path / "u.rmf", MotionField(np.zeros((2, 2, 128, 128))))
+        capsys.readouterr()
+        assert run("analyze", tmp_path, "--which", which,
+                   "-o", tmp_path / "report") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'u.rmf'} has Z, Y, X = (2, 128, 128), but its "
+            f"volume {tmp_path / 'u.rvol'} has (8, 128, 128)"]
 
     @pytest.mark.parametrize("which", ["motion-corr", "histogram"])
     @pytest.mark.parametrize("pair", ["0,9", "0,-1"])
@@ -901,7 +915,7 @@ class TestAnalyzeEqualsWholeVolumeReferences:
         files = cli._dataset(corpus_dir)
         vols = [read_rvol(p) for p, _, _ in files]
         assert vols[0].mask.sum() < vols[1].mask.sum()
-        return files, vols, [cli._motion_for(p) for p, _, _ in files]
+        return files, vols, [read_motion(cli._motion_file(p)) for p, _, _ in files]
 
     def _same(self, corpus_dir, tmp_path, which, expected):
         assert run("analyze", corpus_dir, "--which", which,

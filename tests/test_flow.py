@@ -288,6 +288,16 @@ class TestLossDivergence:
         assert loss_divergence(MotionField(-2.0 * u)) == pytest.approx(
             2.0 * loss_divergence(mf))
 
+    def test_levels_add_in_order(self):
+        # 12 levels: np.sum pairs 8 or more, and on this field it rounds
+        # apart from the in-order sum
+        u = np.random.default_rng(4).normal(size=(12, 2, 10, 10))
+        per_level = np.abs(_sobel_interior(u, _Workspace())).reshape(12, -1)
+        total = 0.0
+        for level_sum in per_level.sum(axis=-1):
+            total += level_sum
+        assert loss_divergence(MotionField(u)) == total / per_level.size
+
 
 class TestLossTotal:
     def test_beta_bounds_rejected(self):

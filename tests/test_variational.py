@@ -147,23 +147,12 @@ class TestEstimateVariational:
         np.testing.assert_array_equal(res.motion.u[1], res_flipped.motion.u[0])
 
     def test_future_frames_extend_the_fit(self):
+        # three observed frames and the three after them, fit as one sequence
         vol, truth = blob_scene(velocities=[[[2.0, 1.0]]], t_count=6)
         frames = [volume_to_rain(vol, t) for t in range(6)]
-        res = estimate_variational(frames[:3], future=frames[3:],
-                                   cfg=FAST_CFG)
+        res = estimate_variational(frames, cfg=FAST_CFG)
         pm = volume_to_rain(vol, 5).data > 0.1
         assert mean_endpoint_error(res.motion, truth, pm) < 0.3
-
-    def test_future_frames_fit_as_the_whole_sequence(self):
-        # the diagnostic fit: inputs plus future frames give the bytes of
-        # the same frames passed as the inputs, as estimate --inputs T does
-        vol, _ = blob_scene(velocities=[[[2.0, 1.0]]], t_count=5)
-        frames = [volume_to_rain(vol, t) for t in range(5)]
-        split = estimate_variational(frames[:2], future=frames[2:],
-                                     cfg=FAST_CFG)
-        whole = estimate_variational(frames, cfg=FAST_CFG)
-        assert split.motion.u.tobytes() == whole.motion.u.tobytes()
-        assert split.traces == whole.traces
 
     def test_deterministic_across_runs(self):
         vol, _ = blob_scene(velocities=[[[1.0, 1.0]]], t_count=3)

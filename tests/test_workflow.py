@@ -1,19 +1,19 @@
 """The CI workflow adds to tier-1 only what a pytest process cannot check.
 Every oracle lives in tests/, which each change runs before it is pushed;
 a step holding a heredoc, a cmp or a python -c one-liner is an oracle
-that only CI would run."""
+that only CI would run. The peak-RSS bounds need a small parent process,
+tests/peak_rss.py, which must read the child's peak, not this process's."""
 
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
-#: steps that need what tier-1 lacks: an installed package, or a peak RSS
-#: read from a small parent, as a pytest process's own high-water mark
-#: carries over fork and exec
-EXEMPT = {"The voxflow console script", "Estimate memory at crop scale",
-          "Nowcast and verify memory at crop scale",
-          "Analyze memory at crop scale", "Synth memory at crop scale"}
+#: the step that needs what tier-1 lacks: an installed package
+EXEMPT = {"The voxflow console script"}
 #: the benchmark steps' one check of run.py's JSON result
 CORRECT = ("| python3 -c \"import json, sys; sys.exit(0 if "
            "json.load(sys.stdin)['correct'] is True else 1)\"")
@@ -34,3 +34,16 @@ def test_no_step_holds_an_inline_oracle():
         if name not in EXEMPT and any(map(ORACLE.search, lines)):
             found.append(name)
     assert not found, found
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is KiB on Linux only")
+def test_runner_reads_the_child_not_the_test_process(peak_rss):
+    # a child waited for by this process itself would read at least the
+    # 200 MB held here: Linux carries the high-water mark over fork and exec
+    import resource
+    held = b"\1" * (200 << 20)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >= 200 << 10
+    result = peak_rss([sys.executable, "-c", "pass"])
+    assert result["returncode"] == 0 and result["peak_rss_mb"] < 50, result
+    del held
