@@ -377,19 +377,11 @@ class RankedOutliers:
 
 
 def _avg_ranks(values: list[float]) -> np.ndarray:
-    """Average ranks (1-based) of the values, ascending."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = np.zeros(len(values))
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    """Average ranks (1-based) of the values, ascending: a group of c equal
+    values ending at rank r shares rank r - (c - 1) / 2."""
+    _, group, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def rank_outliers(samples: Sequence[OutlierSample]) -> RankedOutliers:

@@ -251,8 +251,6 @@ def pool_mask_all(mask: np.ndarray, k: int) -> np.ndarray:
 def upsample2d(field: np.ndarray, k: int) -> np.ndarray:
     """Block-replicate the trailing two axes by factor k (adjoint layout of
     avg_pool2d)."""
-    if k == 1:
-        return np.asarray(field, dtype=np.float64).copy()
     return np.repeat(np.repeat(field, k, axis=-2), k, axis=-1)
 
 

@@ -61,8 +61,10 @@ def _counts(p: np.ndarray, o: np.ndarray, threshold: float) -> tuple[int, int, i
     value >= threshold."""
     py = p >= threshold
     oy = o >= threshold
-    return (int(np.count_nonzero(py & oy)), int(np.count_nonzero(~py & oy)),
-            int(np.count_nonzero(py & ~oy)), int(np.count_nonzero(~py & ~oy)))
+    hits = int(np.count_nonzero(py & oy))
+    n_py, n_oy = int(np.count_nonzero(py)), int(np.count_nonzero(oy))
+    # the other three cells from the margins
+    return hits, n_oy - hits, n_py - hits, p.size - n_py - n_oy + hits
 
 
 def continuous_metrics(pred: RainField, obs: RainField) -> tuple[float, float, float]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from voxflow import analysis
 from voxflow.analysis import (
     OutlierSample,
+    _avg_ranks,
     cell_split_diagnostic,
     count_components,
     coverage_ratio,
@@ -745,6 +746,43 @@ class TestRankOutliers:
         for order in (samples, samples[::-1]):
             with pytest.raises(ValueError, match="sample 'b' .* finite"):
                 rank_outliers(order)
+
+
+def _ref_avg_ranks(values):
+    """Average 1-based ranks by a walk over the sorted indices, as
+    _avg_ranks took them before np.unique."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = np.zeros(len(values))
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAvgRanks:
+    @staticmethod
+    def _assert_ranks(values):
+        got, want = _avg_ranks(values), _ref_avg_ranks(values)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), values
+
+    def test_seeded_tie_heavy_lists(self):
+        rng = np.random.default_rng(50)
+        for _ in range(500):
+            n = int(rng.integers(0, 40))
+            self._assert_ranks([float(v) for v in rng.choice(
+                [-0.0, 0.0, -1.5, 0.25, 2.0, 7.0], n)])
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 1.0, -0.0], [], [3.0] * 9, [0.5, 0.25, 0.5, 0.125],
+    ], ids=["negative-zero", "empty", "all-equal", "one-tie"])
+    def test_edge_cases(self, values):
+        self._assert_ranks(values)
 
 
 class TestCellSplitDiagnostic:

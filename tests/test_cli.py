@@ -63,15 +63,23 @@ def _limit_child():
     resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
 
 
-def run_limited(*args, cwd=None, **env) -> subprocess.CompletedProcess:
-    """python -m voxflow.cli ARGS in a child process under _limit_child,
-    with the environment variables env added."""
+#: the BLAS thread variables, unset
+_NO_THREAD_VARS = dict.fromkeys(
+    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
+
+
+def run_limited(*args, cwd=None, entry="voxflow.cli",
+                **env) -> subprocess.CompletedProcess:
+    """python -m ENTRY ARGS in a child process under _limit_child, with one
+    BLAS thread and the environment variables env added; a None value
+    unsets its variable."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1", **env)
+    env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", **env}
     return subprocess.run(
-        [sys.executable, "-m", "voxflow.cli", *map(str, args)], cwd=cwd,
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", entry, *map(str, args)], cwd=cwd,
+        env={k: v for k, v in env.items() if v is not None},
+        capture_output=True, text=True, timeout=120,
         preexec_fn=_limit_child)
 
 
@@ -1838,10 +1846,27 @@ class TestTimestampParsing:
         assert child.returncode == 0, child.stderr
 
 
+#: a child that runs python -m voxflow --help, then prints its thread
+#: count and the three BLAS thread variables
+_HELP_THREADS_CHILD = """
+import json, os, runpy, sys
+sys.argv = ["voxflow", "--help"]
+try:
+    runpy.run_module("voxflow", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps([len(os.listdir("/proc/self/task")),
+                  *map(os.environ.get, ("OMP_NUM_THREADS",
+                                        "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS"))]))
+"""
+
+
 class TestEntryPoint:
-    """run() serves python -m voxflow.cli and the voxflow script: it
-    freezes the import-time heap and exits with main()'s code; main()
-    leaves the collector alone."""
+    """run() serves python -m voxflow.cli, and through voxflow.__main__
+    python -m voxflow and the voxflow script: it freezes the import-time
+    heap and exits with main()'s code; main() leaves the collector alone.
+    voxflow.__main__ first gives each unset BLAS thread variable "1"."""
 
     def test_run_freezes_then_exits_with_mains_code(self, monkeypatch,
                                                     capsys):
@@ -1871,7 +1896,7 @@ class TestEntryPoint:
         root = Path(__file__).resolve().parents[1]
         with open(root / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
-        assert scripts == {"voxflow": "voxflow.cli:run"}
+        assert scripts == {"voxflow": "voxflow.__main__:main"}
         # a frozen process still ends with main()'s exit code and output
         child = run_limited("analyze", tmp_path, "--which", "ratios")
         assert child.returncode == 1
@@ -1889,6 +1914,60 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert child.returncode == 1
         assert child.stdout == "True\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="no /proc/self/task to count threads in")
+    @pytest.mark.parametrize("env, one_thread, want", [
+        ({}, True, ["1", "1", "1"]),
+        ({"OPENBLAS_NUM_THREADS": "2"}, False, ["1", "2", "1"]),
+    ], ids=["unset", "openblas-2"])
+    def test_module_entry_defaults_one_blas_thread(self, env, one_thread,
+                                                   want):
+        root = Path(__file__).resolve().parents[1]
+        child = subprocess.run(
+            [sys.executable, "-c", _HELP_THREADS_CHILD],
+            env={**{k: v for k, v in os.environ.items()
+                    if k not in _NO_THREAD_VARS},
+                 "PYTHONPATH": str(root / "src"), **env},
+            capture_output=True, text=True, timeout=120, check=True)
+        threads, *variables = json.loads(child.stdout.splitlines()[-1])
+        assert variables == want
+        assert threads == 1 or not one_thread
+
+    def test_both_entries_write_the_same_bytes(self, tmp_path):
+        """Every command, an error and a usage error, through python -m
+        voxflow.cli with one BLAS thread set and through python -m voxflow
+        with none set, each in its own directory: the same exit codes,
+        stdout, stderr and files."""
+        commands = [
+            ("--help",), ("synth", "--preset", "shear2", "--frames", "4",
+                          "-o", "s.rvol"),
+            ("estimate", "d/20210610_1200.rvol", "--inputs", "2",
+             "--scales", "1,2", "-o", "e.rmf"),
+            ("nowcast", "d/20210610_1200.rvol", "e.rmf", "-k", "3",
+             "-o", "fc.rvol"),
+            ("verify", "fc.rvol", "d/20210610_1200.rvol", "-o", "m.csv"),
+            *(("analyze", "d", "--which", which, "-o", "report")
+              for which in _ANALYSES),
+            ("analyze", "empty", "--which", "ratios"),
+            ("estimate", "s.rvol", "--config", "x"),
+        ]
+        outputs = {}
+        for entry, env in (("voxflow.cli", {}), ("voxflow", _NO_THREAD_VARS)):
+            run_dir = tmp_path / entry
+            for sub in ("d", "empty"):
+                (run_dir / sub).mkdir(parents=True)
+            _small_volume(run_dir / "d" / "20210610_1200.rvol")
+            results = [run_limited(*args, cwd=run_dir, entry=entry, **env)
+                       for args in commands]
+            outputs[entry] = ([(r.returncode, r.stdout, r.stderr)
+                               for r in results],
+                              {str(f.relative_to(run_dir)): f.read_bytes()
+                               for f in sorted(run_dir.rglob("*"))
+                               if f.is_file()})
+        codes = [code for code, _, _ in outputs["voxflow"][0]]
+        assert codes == [0] * (len(commands) - 2) + [1, 2]
+        assert outputs["voxflow"] == outputs["voxflow.cli"]
 
 
 class TestPipelineDeterminism:

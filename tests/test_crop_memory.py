@@ -18,14 +18,16 @@ CASES = {
     # (about 124 MB) or motion (about 140 MB)
     "nowcast": ("nowcast v16/c.rvol v16/c.truth.rmf -k 8 --start-frame 7 "
                 "-o fc.rvol", 120),
-    # one lead of each volume pooled at a time (about 63 MB); whole-volume
-    # reads (about 450 MB)
-    "verify": ("verify fc.rvol v16/c.rvol -o m.csv", 100),
+    # one lead of each volume pooled at a time (about 63 MB); every pooled
+    # lead of both volumes held (about 95 MB) or whole-volume reads (about
+    # 450 MB)
+    "verify": ("verify fc.rvol v16/c.rvol -o m.csv", 80),
     # one float64 copy of the inputs, one workspace for all loss scales, the
-    # descent's float32 history of 3 pairs (about 187 MB); a second float64
-    # copy (48 MiB more) or a workspace per scale (about 248 MB)
+    # descent's float32 history of 3 pairs (about 184 MB); a float32 copy
+    # of the inputs (about 209 MB), a second float64 copy (48 MiB more) or
+    # a workspace per scale (about 248 MB)
     "estimate": ("estimate v3/c.rvol --mode 3d --inputs 3 --scales 1,2,4 "
-                 "-o v3/c.rmf", 215),
+                 "-o v3/c.rmf", 205),
     # one float32 frame at a time and a float32 truth motion (about 82 and
     # 90 MB); a float64 motion (about 96 and 103 MB), float64 frames (about
     # 123 and 129 MB) or whole-volume reads (about 270 and 350 MB)

@@ -563,6 +563,15 @@ class TestTypes:
             tracemalloc.stop()
         assert peak < u.size
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_upsample_keeps_the_dtype_at_every_factor(self, dtype, k):
+        f = np.arange(6, dtype=dtype).reshape(2, 3)
+        up = upsample2d(f, k)
+        assert up.dtype == dtype
+        assert np.array_equal(up, np.kron(f, np.ones((k, k))))
+        assert not np.shares_memory(up, f)
+
     def test_upsample_inverts_pool_for_constant_blocks(self):
         f = upsample2d(np.array([[1.0, 2.0], [3.0, 4.0]]), 3)
         np.testing.assert_allclose(avg_pool2d(f, 3),

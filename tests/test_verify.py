@@ -4,7 +4,9 @@ import pytest
 from voxflow.errors import NoOverlapError
 from voxflow.grid import RainField, cmax_field
 from voxflow.verify import (
+    THRESHOLDS_MMH,
     ContingencyTable,
+    _counts,
     contingency,
     continuous_metrics,
     precision_recall_ets,
@@ -125,6 +127,56 @@ class TestContingency:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ContingencyTable(hits=-1)
+
+
+def _ref_counts(p, o, threshold):
+    """The four cells each counted from its own mask, as _counts did before
+    it took three of them from the margins."""
+    py = p >= threshold
+    oy = o >= threshold
+    return (int(np.count_nonzero(py & oy)), int(np.count_nonzero(~py & oy)),
+            int(np.count_nonzero(py & ~oy)), int(np.count_nonzero(~py & ~oy)))
+
+
+class TestCountsFromMargins:
+    """_counts takes misses, false alarms and correct negatives from the
+    hits and the two margins; each case gives the four-mask counts."""
+
+    @staticmethod
+    def _assert_counts(p, o):
+        for thr in (0.0, *THRESHOLDS_MMH, np.inf):
+            got = _counts(p, o, thr)
+            assert got == _ref_counts(p, o, thr), thr
+            assert all(type(c) is int for c in got)
+
+    def test_seeded_tie_heavy_rates(self):
+        # integer rates hit every threshold exactly; some are -0.0 or +inf
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            n = int(rng.integers(0, 60))
+            p, o = (rng.choice([-0.0, 0.0, 1.0, 2.0, 5.0, 9.0, 10.0, 11.0,
+                                np.inf], n) for _ in "po")
+            self._assert_counts(p, o)
+
+    @pytest.mark.parametrize("p, o", [
+        ([-0.0, 0.0, -0.0], [0.0, -0.0, 1.0]),
+        ([], []),
+        ([5.0] * 7, [5.0] * 7),
+        ([1.0, 5.0, 10.0, 4.999], [10.0, 5.0, 1.0, 5.0]),
+        ([np.inf, np.inf, 0.0], [np.inf, 3.0, np.inf]),
+    ], ids=["negative-zero", "empty", "all-equal", "threshold-hit", "inf"])
+    def test_edge_cases(self, p, o):
+        self._assert_counts(np.array(p), np.array(o))
+
+    def test_no_jointly_valid_cell(self):
+        mask = np.zeros((1, 4, 4), bool)
+        mask[0, :2] = True
+        pred = mmh(np.full((1, 4, 4), 7.0), mask)
+        obs = mmh(np.full((1, 4, 4), 7.0), ~mask)
+        for thr in THRESHOLDS_MMH:
+            t = contingency(pred, obs, thr)
+            assert (t.hits, t.misses, t.false_alarms,
+                    t.correct_negatives) == (0, 0, 0, 0)
 
 
 class TestPrecisionRecallEts:
