@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the noisy preset's speckle; the other "
                         "presets write the same bytes for every seed")
-    p.add_argument("--frames", type=_int_in(1, rvol._MAX_DIM), default=None,
+    p.add_argument("--frames", type=_int_in(1, rvol.MAX_DIM), default=None,
                    help="override the preset's frame count (>= 1)")
     p.add_argument("--crop-scale", action="store_true",
                    help="512 x 512 geometry; the uniform preset only")
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None,
                    help="output .rmf path; the loss trace is written beside "
                         "it as <stem>_trace.csv")
-    p.add_argument("--inputs", type=_int_in(2, rvol._MAX_DIM), default=8,
+    p.add_argument("--inputs", type=_int_in(2, rvol.MAX_DIM), default=8,
                    help="number of leading frames fed to the estimator; the "
                         "frame count fits the whole volume")
     p.add_argument("--scales", type=_scales, default="1,2,4,8")
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "AND of every lead's mask.")
     p.add_argument("volume", help="input .rvol path")
     p.add_argument("motion", help="input .rmf path")
-    p.add_argument("-k", "--leads", type=_int_in(1, rvol._MAX_DIM),
+    p.add_argument("-k", "--leads", type=_int_in(1, rvol.MAX_DIM),
                    required=True)
     p.add_argument("-o", "--out", default=None, help="output forecast .rvol")
     p.add_argument("--start-frame", type=int, default=-1,

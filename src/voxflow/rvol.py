@@ -3,19 +3,22 @@
 RVOL layout, little-endian:
     magic "RVOL" | u8 version (0x01)
     u32 T, Z, Y, X | u8 dtype (0 = f32, 1 = u8 quantized) | u32 dt_seconds
-    Z x f32 altitudes (m)
+    Z x f32 altitudes (m), finite and strictly increasing
     payload row-major [t][z][y][x]:
         dtype 0: f32, invalid cells stored as NaN
         dtype 1: u8 with dBZ = v/2 - 32 (covers [-32, 95] in 0.5 dBZ steps),
                  v = 255 reserved for invalid
-    optional trailing chunk "RHOH": u8 payload [t][z][y][x], rho_hv = v/200,
-        which ends the file
+    optional trailing chunk "RHOH": u8 payload [t][z][y][x], rho_hv = v/200
+        with v in [0, 200], which ends the file
 
 RMF1 layout, little-endian:
     magic "RMF1" | u32 Z, Y, X | f32 payload [z][component][y][x]
     (component 0 = x-displacement, 1 = y-displacement, grid cells per step)
     read_motion returns the payload as a float32 MotionField, in the buffer
     it is read into.
+
+Every dimension lies in [1, MAX_DIM]. Each field rule is one function, so
+the readers (FormatError) refuse what the writers (ValueError) refuse.
 """
 
 from __future__ import annotations
@@ -39,14 +42,31 @@ RMF_MAGIC = b"RMF1"
 DTYPE_F32 = 0
 DTYPE_U8 = 1
 
-_MAX_DIM = 100_000
+MAX_DIM = 100_000
+
+_RVOL_HEADER = struct.Struct("<4sBIIIIBI")  # up to the altitudes
+_RMF_HEADER = struct.Struct("<4sIII")  # up to the payload
 
 
-def _check_dims(kind: str, names: str, dims) -> None:
+def _check_dims(kind: str, names: str, dims, reading: bool = False) -> None:
+    """Each of dims, named by names, in [1, MAX_DIM]: the first outside is
+    a FormatError naming it when reading, else a ValueError."""
     for name, dim in zip(names, dims):
-        if not 1 <= dim <= _MAX_DIM:
-            raise ValueError(f"{kind} dimension {name}={dim} is outside "
-                             f"[1, {_MAX_DIM}]")
+        if not 1 <= dim <= MAX_DIM:
+            raise (FormatError(name, f"implausible dimension {dim}") if reading
+                   else ValueError(f"{kind} dimension {name}={dim} is outside "
+                                   f"[1, {MAX_DIM}]"))
+
+
+def _check_altitudes(levels: np.ndarray, z: int, reading: bool = False) -> None:
+    """levels, float32, as z finite, strictly increasing values: otherwise a
+    FormatError when reading, else a ValueError."""
+    if levels.shape != (z,) or not np.isfinite(levels).all() \
+            or not np.all(np.diff(levels) > 0):
+        raise (FormatError("altitudes", "z_levels must be finite and "
+                                        "strictly increasing") if reading
+               else ValueError(f"RVOL altitudes {levels.tolist()} are not "
+                               f"{z} finite increasing float32 values"))
 
 
 def _quantize_dbz(data: np.ndarray, invalid: np.ndarray) -> np.ndarray:
@@ -95,9 +115,9 @@ class RvolWriter:
     """An RVOL file written one (t, z) reflectivity plane at a time.
 
     Opening writes the header and the altitudes. A dimension or altitude
-    that RvolReader would reject, a non-finite altitude, or a dt that does
-    not round into the header's u32 is a ValueError, raised before the file
-    is opened; a header write that raises removes the file. write() stores
+    that RvolReader would reject, or a dt that does not round into the
+    header's u32, is a ValueError, raised before the file is opened; a
+    header write that raises removes the file. write() stores
     a plane at its offset in the payload, in any order, as f32 or, with
     quantize, as u8; a (t, z) outside the volume, or a plane or validity of
     another shape, is a ValueError, raised before the seek. Used as a
@@ -113,18 +133,15 @@ class RvolWriter:
                              f"[0, {2**32 - 1}] seconds")
         with np.errstate(over="ignore"):  # a huge altitude casts to inf
             levels = np.asarray(z_levels, dtype="<f4")
-        if levels.shape != (shape[1],) or not np.isfinite(levels).all() \
-                or not np.all(np.diff(levels) > 0):
-            raise ValueError(f"RVOL altitudes {levels.tolist()} are not "
-                             f"{shape[1]} finite increasing float32 values")
+        _check_altitudes(levels, shape[1])
         self.path, self.shape = Path(path), tuple(shape)
         self._dtype = DTYPE_U8 if quantize else DTYPE_F32
         self._plane_bytes = (1 if quantize else 4) * shape[2] * shape[3]
         self._unwritten = np.ones(shape[:2], dtype=bool)
         self._fh = fh = open(path, "wb")
         try:
-            fh.write(RVOL_MAGIC + struct.pack("<BIIIIBI", RVOL_VERSION, *shape,
-                                              self._dtype, int(round(dt))))
+            fh.write(_RVOL_HEADER.pack(RVOL_MAGIC, RVOL_VERSION, *shape,
+                                       self._dtype, int(round(dt))))
             fh.write(levels.tobytes())
         except BaseException:
             fh.close()
@@ -184,9 +201,8 @@ class RvolWriter:
 
 def write_rvol(path: str | Path, vol: RadarVolume, quantize: bool = False) -> None:
     """Write vol as RVOL, its reflectivity as f32 or, with quantize, as u8:
-    RvolWriter's whole-volume case. rho_hv has no invalid code, so a
-    non-finite rho_hv value is a ValueError, raised before the file is
-    opened."""
+    RvolWriter's whole-volume case. A non-finite rho_hv value, which RHOH
+    cannot store, is a ValueError, raised before the file is opened."""
     if vol.rho_hv is not None:
         _check_rho_finite(vol.rho_hv)
     with RvolWriter(path, vol.shape, vol.z_levels, vol.dt, quantize) as out:
@@ -204,9 +220,16 @@ def _read_into(fh, buf, what: str = "payload"):
     return buf
 
 
-def _unpack(fh, fmt: str, what: str) -> tuple:
-    return struct.unpack(fmt, _read_into(fh, bytearray(struct.calcsize(fmt)),
-                                         what))
+def _read_header(fh, layout: struct.Struct, magic: bytes) -> tuple:
+    """The fields of layout after its magic, which is checked first, so a
+    file of another format fails on it, then the header's length."""
+    raw = fh.read(layout.size)
+    if raw[:4] != magic:
+        raise FormatError("magic", f"expected {magic!r}, got {raw[:4]!r}")
+    if len(raw) != layout.size:
+        raise FormatError("header", f"truncated file: expected "
+                                    f"{layout.size} bytes")
+    return layout.unpack(raw)[1:]
 
 
 def _check_size(fh, declared: int, what: str = "payload") -> None:
@@ -218,24 +241,8 @@ def _check_size(fh, declared: int, what: str = "payload") -> None:
                                 f"file holds {left}")
 
 
-def _read_dims(fh, names: str) -> tuple[int, ...]:
-    """The u32 dimensions named by names, each in [1, _MAX_DIM]."""
-    dims = _unpack(fh, f"<{len(names)}I", "dims")
-    for name, dim in zip(names, dims):
-        if dim == 0 or dim > _MAX_DIM:
-            raise FormatError(name, f"implausible dimension {dim}")
-    return dims
-
-
-def _check_magic(fh, magic: bytes) -> None:
-    got = fh.read(4)
-    if got != magic:
-        raise FormatError("magic", f"expected {magic!r}, got {got!r}")
-
-
 class RvolHeader(NamedTuple):
-    """The fixed-size RVOL header: dimensions, payload dtype code and the
-    time step."""
+    """The fixed-size RVOL header: dimensions, dtype code and time step."""
 
     t: int
     z: int
@@ -243,19 +250,6 @@ class RvolHeader(NamedTuple):
     x: int
     dtype: int
     dt_seconds: int
-
-
-def _parse_header(fh) -> RvolHeader:
-    _check_magic(fh, RVOL_MAGIC)
-    (version,) = _unpack(fh, "<B", "version")
-    if version != RVOL_VERSION:
-        raise FormatError("version", f"unsupported version {version}")
-    t, z, y, x = _read_dims(fh, "TZYX")
-    (dtype,) = _unpack(fh, "<B", "dtype")
-    if dtype not in (DTYPE_F32, DTYPE_U8):
-        raise FormatError("dtype", f"unknown dtype code {dtype}")
-    (dt_seconds,) = _unpack(fh, "<I", "dt_seconds")
-    return RvolHeader(t, z, y, x, dtype, dt_seconds)
 
 
 class RvolReader:
@@ -285,18 +279,22 @@ class RvolReader:
     def __init__(self, path: str | Path):
         self._fh = fh = open(path, "rb")
         try:
-            self.header = head = _parse_header(fh)
-            t, z, y, x, dtype = head[:5]
+            version, t, z, y, x, dtype, dt = _read_header(fh, _RVOL_HEADER,
+                                                          RVOL_MAGIC)
+            if version != RVOL_VERSION:
+                raise FormatError("version", f"unsupported version {version}")
+            _check_dims("RVOL", "TZYX", (t, z, y, x), reading=True)
+            if dtype not in (DTYPE_F32, DTYPE_U8):
+                raise FormatError("dtype", f"unknown dtype code {dtype}")
+            self.header = RvolHeader(t, z, y, x, dtype, dt)
             self._stored = "<f4" if dtype == DTYPE_F32 else np.uint8
             self._frame = (z, y, x)
             self._frame_bytes = np.dtype(self._stored).itemsize * z * y * x
             n = t * z * y * x
             _check_size(fh, 4 * z + t * self._frame_bytes)
-            self.z_levels = _read_into(fh, np.empty(z, "<f4"),
-                                       "altitudes").astype(np.float64)
-            if z > 1 and not np.all(np.diff(self.z_levels) > 0):
-                raise FormatError("altitudes",
-                                  "z_levels must be strictly increasing")
+            levels = _read_into(fh, np.empty(z, "<f4"), "altitudes")
+            _check_altitudes(levels, z, reading=True)
+            self.z_levels = levels.astype(np.float64)
             self._payload = fh.tell()
             self._rho = None
             fh.seek(t * self._frame_bytes, os.SEEK_CUR)
@@ -341,7 +339,7 @@ class RvolReader:
     def read(self, start: int, stop: int) -> RadarVolume:
         """Frames [start, stop) with the file's static mask, decoded as a
         whole-file read decodes them. A range that is empty or outside
-        [0, T) is a FormatError."""
+        [0, T), or an RHOH code above 200 in it, is a FormatError."""
         mask = self._seek(start, stop)
         count = stop - start
         data = _decode(_read_into(self._fh, np.empty((count,) + self._frame,
@@ -349,8 +347,11 @@ class RvolReader:
         rho = None
         if self._rho is not None:
             self._fh.seek(self._rho + start * mask.size)
-            rho = _read_into(self._fh, np.empty(data.shape, np.uint8),
-                             "rho_hv").astype(np.float64) / 200.0
+            codes = _read_into(self._fh, np.empty(data.shape, np.uint8),
+                               "rho_hv")
+            if codes.max() > 200:
+                raise FormatError("rho_hv", f"code {codes.max()} is above 200")
+            rho = codes.astype(np.float64) / 200.0
         return RadarVolume(data=data, z_levels=self.z_levels,
                            dt=float(self.header.dt_seconds), mask=mask.copy(),
                            rho_hv=rho)
@@ -412,8 +413,7 @@ def write_motion(path: str | Path, mf: MotionField) -> None:
                          "which RMF1 cannot store")
     with open(path, "wb") as fh:
         try:
-            fh.write(RMF_MAGIC)
-            fh.write(struct.pack("<III", *dims))
+            fh.write(_RMF_HEADER.pack(RMF_MAGIC, *dims))
             for level in mf.u:
                 fh.write(level.astype("<f4"))
         except BaseException:
@@ -424,10 +424,9 @@ def write_motion(path: str | Path, mf: MotionField) -> None:
 
 def read_motion(path: str | Path) -> MotionField:
     with open(path, "rb") as fh:
-        _check_magic(fh, RMF_MAGIC)
-        z, y, x = _read_dims(fh, "ZYX")
-        n = z * 2 * y * x
-        _check_size(fh, 4 * n)
+        z, y, x = _read_header(fh, _RMF_HEADER, RMF_MAGIC)
+        _check_dims("RMF", "ZYX", (z, y, x), reading=True)
+        _check_size(fh, 8 * z * y * x)
         raw = _read_into(fh, np.empty((z, 2, y, x), "<f4"))
         if fh.read(1):
             raise FormatError("chunk", "unexpected trailing bytes after the payload")

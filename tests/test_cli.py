@@ -1589,6 +1589,77 @@ class TestRatesBeyondFloat32:
         assert not (tmp_path / "r" / "v_split.csv").exists()
 
 
+#: altitudes of _small_volume's two levels that no writer stores
+_UNWRITTEN_ALTITUDES = [[-np.inf, 2000.0], [1000.0, np.inf], [np.nan, 2000.0]]
+
+
+def _unwritten_volume(path: Path, levels) -> str:
+    """_small_volume at path with a rho_hv of 1, changed as no writer writes
+    it: its altitudes set to levels or, where levels is None, the first
+    RHOH code of every frame set to 255. Returns the error line a reader
+    gives it."""
+    _small_volume(path)
+    vol = read_rvol(path)
+    write_rvol(path, RadarVolume(data=vol.data, z_levels=vol.z_levels,
+                                 rho_hv=np.ones(vol.shape)))
+    raw = bytearray(path.read_bytes())
+    if levels is None:
+        rho = len(raw) - vol.data.size  # the RHOH codes end the file
+        raw[rho::vol.data[0].size] = bytes([255] * vol.shape[0])
+        error = "error: rho_hv: code 255 is above 200"
+    else:
+        raw[26:34] = struct.pack("<2f", *levels)  # after the 26-byte header
+        error = ("error: altitudes: z_levels must be finite and strictly "
+                 "increasing")
+    path.write_bytes(bytes(raw))
+    return error
+
+
+@pytest.mark.parametrize("levels", [*_UNWRITTEN_ALTITUDES, None], ids=str)
+class TestVolumesNoWriterWrites:
+    """Altitudes or RHOH codes that no writer stores end each command that
+    reads them in exit 1 and one error line, before any output is
+    written."""
+
+    def test_estimate(self, tmp_path, capsys, levels):
+        vol, out = tmp_path / "v.rvol", tmp_path / "v.rmf"
+        error = _unwritten_volume(vol, levels)
+        assert run("estimate", vol, "--denoise", "--inputs", "2",
+                   "--scales", "1", "-o", out) == 1
+        assert capsys.readouterr().err.splitlines() == [error]
+        assert not out.exists() and not (tmp_path / "v_trace.csv").exists()
+
+    def test_nowcast(self, tmp_path, capsys, levels):
+        vol, fc = tmp_path / "v.rvol", tmp_path / "fc.rvol"
+        error = _unwritten_volume(vol, levels)
+        assert run("nowcast", vol, vol.with_suffix(".truth.rmf"), "-k", "2",
+                   "-o", fc) == 1
+        assert capsys.readouterr().err.splitlines() == [error]
+        assert not fc.exists()
+
+    def test_analyze(self, tmp_path, capsys, levels):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        error = _unwritten_volume(d / "v.rvol", levels)
+        assert run("analyze", d, "--which", "split",
+                   "-o", tmp_path / "r") == 1
+        assert capsys.readouterr().err.splitlines() == [error]
+        assert not (tmp_path / "r" / "v_split.csv").exists()
+
+
+@pytest.mark.parametrize("levels", _UNWRITTEN_ALTITUDES, ids=str)
+def test_verify_of_altitudes_no_writer_writes(tmp_path, capsys, levels):
+    # verify pools the stored reflectivity and reads no RHOH code
+    vol, out = tmp_path / "v.rvol", tmp_path / "m.csv"
+    error = _unwritten_volume(vol, levels)
+    clean = tmp_path / "clean.rvol"
+    _small_volume(clean)
+    assert run("verify", clean, vol, "-o", out) == 1
+    assert run("verify", vol, clean, "-o", out) == 1
+    assert capsys.readouterr().err.splitlines() == [error, error]
+    assert not out.exists()
+
+
 def test_nowcast_takes_the_largest_rates_float32_holds(tmp_path):
     # 639 dBZ is about 3.2e38 mm/h, inside float32's range: it is advected
     # and written back as about 639 dBZ

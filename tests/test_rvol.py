@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from voxflow.errors import FormatError
 from voxflow import rvol as rvol_module
@@ -278,6 +278,16 @@ class TestFloat32Volumes:
         assert peak < vol.rho_hv.size, peak
 
 
+def _raw_rvol(dims, levels, quantize) -> bytes:
+    """An RVOL file with header dims, altitudes levels and the dtype of
+    quantize, as the layout lays them out, and a zero payload of the size
+    the header declares; no writer check applies."""
+    t, z, y, x = dims
+    return (RVOL_MAGIC + struct.pack("<BIIIIBI", 1, *dims, int(quantize), 300)
+            + np.asarray(levels, dtype="<f4").tobytes()
+            + bytes((1 if quantize else 4) * t * z * y * x))
+
+
 class TestRvolValidation:
     def test_bad_magic_names_field(self, tmp_path):
         path = tmp_path / "bad.rvol"
@@ -343,6 +353,39 @@ class TestRvolValidation:
         with pytest.raises(FormatError) as err:
             read_rvol(path)
         assert err.value.field == "altitudes"
+
+    @pytest.mark.parametrize("levels", [[np.nan], [np.inf], [500.0, np.inf],
+                                        [-np.inf, 500.0], [np.nan, 500.0]])
+    def test_non_finite_altitudes(self, tmp_path, levels):
+        # the writer refuses each of these; the reader refuses it on opening
+        path = tmp_path / "a.rvol"
+        path.write_bytes(_raw_rvol((1, len(levels), 2, 2), levels, False))
+        with pytest.raises(FormatError) as err:
+            RvolReader(path)
+        assert err.value.field == "altitudes"
+
+    @pytest.mark.parametrize("code", [201, 255])
+    def test_rho_code_above_200(self, tmp_path, code):
+        vol = sample_volume(np.random.default_rng(12), with_rho=True)
+        vol.rho_hv[2, 1, 4, 4] = 1.0
+        path = tmp_path / "r.rvol"
+        write_rvol(path, vol)
+        raw = bytearray(path.read_bytes())
+        # the RHOH codes end the file
+        cell = len(raw) - vol.data.size + np.ravel_multi_index((2, 1, 4, 4),
+                                                               vol.shape)
+        assert raw[cell] == 200
+        raw[cell] = code
+        path.write_bytes(bytes(raw))
+        # the codes are checked as a read decodes them: opening and frames
+        # without the code pass, the frame that holds it fails
+        with RvolReader(path) as reader:
+            assert reader.read(0, 2).rho_hv.max() <= 1.0
+            with pytest.raises(FormatError) as err:
+                reader.read(1, 3)
+        assert str(err.value) == f"rho_hv: code {code} is above 200"
+        with pytest.raises(FormatError, match="rho_hv: code"):
+            read_rvol(path)
 
     def test_unknown_trailing_chunk(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -1137,6 +1180,80 @@ def _read_or_format_error(name: str, path, raw: bytes, data) -> None:
         assert isinstance(reader(path, **data.draw(kwargs)), kind)
     except FormatError:
         pass
+
+
+#: the edges of the dimension rule, [1, 100000]
+_EDGE_DIM = st.sampled_from([0, 100_000, 100_001])
+#: altitudes that are non-finite, equal or decreasing in a pair
+_ALTITUDE = st.sampled_from([np.nan, np.inf, -np.inf, 500.0, 1500.0])
+
+
+@st.composite
+def _dims(draw, n: int) -> tuple[int, ...]:
+    """n dimensions of 1 or 2, one of which may be an edge of the rule, so
+    that a payload of the declared size stays at most 3.2 MB."""
+    dims = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    axis = draw(st.integers(-1, n - 1))
+    if axis >= 0:
+        dims[axis] = draw(_EDGE_DIM)
+    return tuple(dims)
+
+
+def _reader_refuses(read, path, raw: bytes) -> bool:
+    """Whether read(path) raises FormatError on a file of raw bytes. The
+    file is removed after: truncating a file just written, as the next
+    example would, can flush it to disk first (ext4's auto_da_alloc)."""
+    path.write_bytes(raw)
+    try:
+        read(path)
+    except FormatError:
+        return True
+    finally:
+        path.unlink()
+    return False
+
+
+class TestWritersRefuseWhatReadersRefuse:
+    """Each header both sides can express: the writer raises ValueError
+    exactly when the reader raises FormatError on the same header, written
+    raw with a payload of the declared size."""
+
+    @_FUZZ
+    @given(dims=_dims(4), drawn=st.lists(_ALTITUDE, min_size=2, max_size=2),
+           quantize=st.booleans())
+    @example(dims=(1, 1, 1, 1), drawn=[np.nan, 500.0], quantize=False)
+    @example(dims=(1, 2, 1, 1), drawn=[500.0, np.inf], quantize=True)
+    def test_rvol_header(self, tmp_path, dims, drawn, quantize):
+        # Z drawn altitudes, or 0, 10, 20, ... where Z is an edge
+        z = dims[1]
+        levels = drawn[:z] if z <= 2 else np.arange(z) * 10.0
+        # a writer that opens raises too, at the exit of a block that
+        # writes no plane, and removes its file
+        with pytest.raises(ValueError) as err:
+            with RvolWriter(tmp_path / "w.rvol", dims, levels, 300.0,
+                            quantize):
+                pass
+        writer_refuses = "never written" not in str(err.value)
+        assert _reader_refuses(lambda p: RvolReader(p).close(),
+                               tmp_path / "r.rvol",
+                               _raw_rvol(dims, levels, quantize)) \
+            == writer_refuses
+
+    @_FUZZ
+    @given(dims=_dims(3))
+    def test_rmf_header(self, tmp_path, dims):
+        z, y, x = dims
+        path = tmp_path / "w.rmf"
+        try:
+            write_motion(path, MotionField(np.zeros((z, 2, y, x), np.float32)))
+        except ValueError:
+            writer_refuses = True
+        else:
+            writer_refuses = False
+            path.unlink()
+        assert _reader_refuses(read_motion, tmp_path / "r.rmf",
+                               RMF_MAGIC + struct.pack("<III", *dims)
+                               + bytes(8 * z * y * x)) == writer_refuses
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
