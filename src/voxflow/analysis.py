@@ -116,13 +116,11 @@ def reflectivity_corr_matrix(
     """Mean pixel-wise Pearson correlation between altitude-level pairs.
 
     Every frame of every volume is one sample; a sample qualifies only when
-    echo above ECHO_THRESHOLD_DBZ is present at all altitude levels. A cell
-    holding a non-finite dBZ is skipped in that frame, as an RVOL file
-    stores it as invalid. Entries with no usable samples are NaN; the
-    diagonal is exactly 1. vols may be any iterable, such as a generator
-    that opens one volume at a time, and each volume is iterated for its
-    frames; an empty one, or one whose volumes differ in level count,
-    raises ValueError.
+    echo above ECHO_THRESHOLD_DBZ is present at all altitude levels.
+    Entries with no usable samples are NaN; the diagonal is exactly 1. vols
+    may be any iterable, such as a generator that opens one volume at a
+    time, and each volume is iterated for its frames; an empty one, or one
+    whose volumes differ in level count, raises ValueError.
     """
     z = None
     rows = []
@@ -133,10 +131,9 @@ def reflectivity_corr_matrix(
                 raise ValueError(f"volume {n} has Z={part.shape[1]}, "
                                  f"expected Z={z}")
             for frame in part.data:
-                valid = part.mask & np.isfinite(frame)
-                if all((frame[zi][valid[zi]] > ECHO_THRESHOLD_DBZ).any()
+                if all((frame[zi][part.mask[zi]] > ECHO_THRESHOLD_DBZ).any()
                        for zi in range(z)):
-                    rows += _frame_rows(frame, valid)
+                    rows += _frame_rows(frame, part.mask)
     if z is None:
         raise ValueError("no volumes given")
     return pair_mean(z, rows)
@@ -183,14 +180,12 @@ class MotionSample(NamedTuple):
 def motion_sample(mf: MotionField,
                   vol: Iterable[RadarVolume]) -> MotionSample:
     """The MotionSample of a motion field and its input volume. A cell is
-    echo where it holds finite dBZ above NO_ECHO_DBZ in some frame; the
-    frames' echo planes are OR-ed one at a time. No frames at all is a
-    ValueError."""
+    echo where it holds dBZ above NO_ECHO_DBZ in some frame; the frames'
+    echo planes are OR-ed one at a time. No frames at all is a ValueError."""
     echo = None
     for part in vol:
-        planes = ((part.data > NO_ECHO_DBZ) & np.isfinite(part.data)).any(0)
-        echo = planes if echo is None else np.logical_or(echo, planes,
-                                                         out=echo)
+        planes = (part.data > NO_ECHO_DBZ).any(0)
+        echo = planes if echo is None else np.logical_or(echo, planes, out=echo)
     if echo is None:
         raise ValueError("no frames given")
     return MotionSample(mf, echo, part.mask)
@@ -240,11 +235,11 @@ def motion_pair_corr(mf: MotionField, vol: Iterable[RadarVolume], i: int,
     the precipitating region of the corresponding input slices.
 
     The region is the cells valid at both levels where either level holds
-    finite dBZ above NO_ECHO_DBZ in some frame: exactly the cells whose
-    summed time-mean rain rate of the two slices is above 0 mm/h. component
-    selects 'u', 'v', or 'both' (u and v concatenated into one vector).
-    Level indices outside [0, Z) raise ValueError. vol is read one frame
-    at a time, as for motion_sample.
+    dBZ above NO_ECHO_DBZ in some frame: exactly the cells whose summed
+    time-mean rain rate of the two slices is above 0 mm/h. component selects
+    'u', 'v', or 'both' (u and v concatenated into one vector). Level
+    indices outside [0, Z) raise ValueError. vol is read one frame at a
+    time, as for motion_sample.
     """
     return sample_pair_corr(motion_sample(mf, vol), i, j, component)
 
@@ -490,12 +485,12 @@ def cell_split_diagnostic(volume_nowcast: Iterable[RainField | RadarVolume],
     them, or a dBZ volume, as the nowcast command writes it, whose frames
     are the leads. A cell is wet where it is valid and its rain rate is at
     or above threshold mm/h. A RainField's rates are compared in float64,
-    so a float32 field counts as its float64 copy does. A volume's finite
-    dBZ are compared at transform.dbz_reaching of the threshold for their
-    dtype, so no frame is converted to rain rate and each counts as its
-    volume_to_rain does, bit for bit. A NaN threshold is a ValueError. The
-    leads are taken one at a time, so a lazy iterable or an open
-    RvolReader holds one at a time.
+    so a float32 field counts as its float64 copy does. A volume's dBZ are
+    compared at transform.dbz_reaching of the threshold for their dtype, so
+    no frame is converted to rain rate and each counts as its volume_to_rain
+    does, bit for bit. A NaN threshold is a ValueError. The leads are taken
+    one at a time, so a lazy iterable or an open RvolReader holds one at a
+    time.
     """
     if math.isnan(threshold):
         raise ValueError("the split threshold is NaN")
@@ -522,6 +517,4 @@ def _wet(lead: RainField | RadarVolume, threshold: float) -> np.ndarray:
     if isinstance(lead, RainField):
         return ((lead.data >= np.float64(threshold)) & lead.mask)[None]
     wet = lead.data >= dbz_reaching(threshold, lead.data.dtype.type)
-    wet &= lead.mask
-    wet &= np.isfinite(lead.data)
-    return wet
+    return np.logical_and(wet, lead.mask, out=wet)

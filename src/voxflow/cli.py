@@ -208,15 +208,14 @@ _TRACE_HEADER = ["level", "iteration", "loss_total", "loss_multiscale",
 
 
 def _in_range(vol: RadarVolume, path: str | Path) -> RadarVolume:
-    """vol, unless a valid cell holds finite reflectivity whose rain rate
-    float32 cannot hold (dBZ at or above transform.dbz_reaching of
-    F32_OVERFLOW_MMH, 639.5198 in float32): that is a ValueError that
-    names the file. nowcast advects its rates in float32, and every
-    command that reads reflectivity as rain rate refuses such a frame the
-    same way, split included, which thresholds it in dBZ."""
+    """vol, unless a valid cell holds reflectivity whose rain rate float32
+    cannot hold (dBZ at or above transform.dbz_reaching of F32_OVERFLOW_MMH,
+    639.5198 in float32): that is a ValueError that names the file. nowcast
+    advects its rates in float32, and every command that reads reflectivity
+    as rain rate refuses such a frame the same way, split included, which
+    thresholds it in dBZ."""
     hot = vol.data >= dbz_reaching(F32_OVERFLOW_MMH, vol.data.dtype.type)
-    hot &= vol.mask
-    if hot.any() and np.isfinite(vol.data[hot]).any():
+    if np.logical_and(hot, vol.mask, out=hot).any():
         raise ValueError(f"{path}: a valid rain rate is beyond float32's "
                          "range (reflectivity above about 639.5 dBZ)")
     return vol

@@ -2,9 +2,12 @@
 
 Axis order is fixed as T x Z x Y x X, row-major, everywhere in the package.
 Validity is carried as explicit boolean masks (True = valid observation);
-sentinel values are never stored inside float arrays. A RainField always
-holds rain rate in mm/h; the dBR frames the objective compares are bare
-arrays made by transform.rain_to_dbr.
+sentinel values are never stored inside float arrays. A RadarVolume holds
+what an RVOL file holds: a non-finite reflectivity makes its cell invalid in
+every frame and reads as NO_ECHO_DBZ, and the Z altitudes are finite and
+strictly increasing once rounded to float32. A RainField always holds rain
+rate in mm/h; the dBR frames the objective compares are bare arrays made by
+transform.rain_to_dbr.
 """
 
 from __future__ import annotations
@@ -31,6 +34,27 @@ def _float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float32 if x.dtype == np.float32 else np.float64)
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether a holds no NaN or infinity, by a max/min pair without a copy."""
+    return not a.size or bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+
+
+def float32_altitudes(z_levels, z: int) -> np.ndarray:
+    """z_levels in float32, as RVOL stores them, if z finite values strictly
+    increasing once rounded; else a ValueError naming the first bad one."""
+    with np.errstate(over="ignore"):  # a huge altitude rounds to inf
+        levels = np.asarray(z_levels, dtype=np.float32)
+    fault = f"of shape {levels.shape}"
+    if levels.shape == (z,):
+        bad = ~np.isfinite(levels)
+        bad[1:] |= ~(levels[1:] > levels[:-1])
+        if not bad.any():
+            return levels
+        fault = f"(altitude {bad.argmax()} is {levels[bad.argmax()]})"
+    raise ValueError(f"RVOL altitudes {fault} are not {z} finite "
+                     "increasing float32 values")
+
+
 @dataclass
 class RadarVolume:
     """A T x Z x Y x X reflectivity tensor (dBZ) with altitude metadata.
@@ -39,7 +63,8 @@ class RadarVolume:
     library creates float32 volumes, RVOL's own precision, and consumers
     that do arithmetic on the reflectivity read it in float64. mask is
     Z x Y x X, static over time; rho_hv (copolar correlation coefficient in
-    [0, 1]) is optional and matches data's full shape.
+    [0, 1]) is optional and matches data's full shape. A non-finite value
+    is fixed up frame by frame in copies, never in the caller's arrays.
     """
 
     data: np.ndarray
@@ -54,16 +79,17 @@ class RadarVolume:
             raise ValueError(f"data must be 4-D T x Z x Y x X, got shape {self.data.shape}")
         t, z, y, x = self.data.shape
         self.z_levels = np.asarray(self.z_levels, dtype=np.float64)
-        if self.z_levels.shape != (z,):
-            raise ValueError(f"z_levels length {self.z_levels.size} != Z={z}")
-        if z > 1 and not np.all(np.diff(self.z_levels) > 0):
-            raise ValueError("z_levels must be strictly increasing")
-        if self.mask is None:
-            self.mask = np.ones((z, y, x), dtype=bool)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != (z, y, x):
-                raise ValueError(f"mask shape {self.mask.shape} != {(z, y, x)}")
+        float32_altitudes(self.z_levels, z)
+        self.mask = (np.ones((z, y, x), dtype=bool) if self.mask is None
+                     else np.asarray(self.mask, dtype=bool))
+        if self.mask.shape != (z, y, x):
+            raise ValueError(f"mask shape {self.mask.shape} != {(z, y, x)}")
+        if not all_finite(self.data):
+            self.data, self.mask = self.data.copy(), self.mask.copy()
+            for frame in self.data:
+                finite = np.isfinite(frame)
+                self.mask &= finite
+                np.copyto(frame, NO_ECHO_DBZ, where=~finite)
         if self.rho_hv is not None:
             self.rho_hv = np.asarray(self.rho_hv, dtype=np.float64)
             if self.rho_hv.shape != self.data.shape:
@@ -140,10 +166,7 @@ class MotionField:
         self.u = _float_array(self.u)
         if self.u.ndim != 4 or self.u.shape[1] != 2:
             raise ValueError(f"u must have shape Z x 2 x Y x X, got {self.u.shape}")
-        # reductions allocate no copy of the field: NaN makes the maximum
-        # NaN, and an infinity shows in the maximum or the minimum
-        if self.u.size and not (np.isfinite(self.u.max())
-                                and np.isfinite(self.u.min())):
+        if not all_finite(self.u):
             raise ValueError("motion field must be finite everywhere")
 
     @property
@@ -421,16 +444,14 @@ def column_max(data: np.ndarray, where: np.ndarray, mask: np.ndarray,
 def cmax(vol: RadarVolume) -> RadarVolume:
     """Column-maximum composite: max over all altitude levels (Z -> 1).
 
-    The maximum is taken over the valid, finite cells of a column, the
-    cells that volume_to_rain converts; an output cell is invalid only when
-    every cell of its column is invalid, and a valid one without a finite
-    valid cell holds -inf, which converts to an invalid cell. So
-    volume_to_rain(cmax(vol), t) equals cmax_field(volume_to_rain(vol, t)),
-    the Z-R map being monotone. z_levels become the top level. rho_hv is
-    dropped: the quality field has no defined pooling semantics.
+    The maximum is taken over the valid cells of a column, the cells that
+    volume_to_rain converts; an output cell is invalid only when every cell
+    of its column is invalid. So volume_to_rain(cmax(vol), t) equals
+    cmax_field(volume_to_rain(vol, t)), the Z-R map being monotone.
+    z_levels become the top level. rho_hv is dropped: the quality field has
+    no defined pooling semantics.
     """
-    data, mask = column_max(vol.data, vol.mask & np.isfinite(vol.data),
-                            vol.mask, NO_ECHO_DBZ)
+    data, mask = column_max(vol.data, vol.mask, vol.mask, NO_ECHO_DBZ)
     return RadarVolume(data=data, z_levels=vol.z_levels.max(keepdims=True),
                        dt=vol.dt, mask=mask)
 

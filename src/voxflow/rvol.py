@@ -32,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError
-from .grid import NO_ECHO_DBZ, MotionField, RadarVolume, column_max
+from .grid import (NO_ECHO_DBZ, MotionField, RadarVolume, all_finite,
+                   column_max, float32_altitudes)
 
 RVOL_MAGIC = b"RVOL"
 RVOL_VERSION = 1
@@ -56,17 +57,6 @@ def _check_dims(kind: str, names: str, dims, reading: bool = False) -> None:
             raise (FormatError(name, f"implausible dimension {dim}") if reading
                    else ValueError(f"{kind} dimension {name}={dim} is outside "
                                    f"[1, {MAX_DIM}]"))
-
-
-def _check_altitudes(levels: np.ndarray, z: int, reading: bool = False) -> None:
-    """levels, float32, as z finite, strictly increasing values: otherwise a
-    FormatError when reading, else a ValueError."""
-    if levels.shape != (z,) or not np.isfinite(levels).all() \
-            or not np.all(np.diff(levels) > 0):
-        raise (FormatError("altitudes", "z_levels must be finite and "
-                                        "strictly increasing") if reading
-               else ValueError(f"RVOL altitudes {levels.tolist()} are not "
-                               f"{z} finite increasing float32 values"))
 
 
 def _quantize_dbz(data: np.ndarray, invalid: np.ndarray) -> np.ndarray:
@@ -103,10 +93,8 @@ def _decode(raw: np.ndarray) -> np.ndarray:
 
 
 def _check_rho_finite(rho: np.ndarray) -> None:
-    """A ValueError when rho holds a non-finite value, which RHOH cannot
-    store. The reductions allocate no copy: NaN makes the maximum NaN, and
-    an infinity shows in the maximum or the minimum."""
-    if rho.size and not (np.isfinite(rho.max()) and np.isfinite(rho.min())):
+    """A ValueError if rho holds a non-finite value, which RHOH cannot store."""
+    if not all_finite(rho):
         raise ValueError("rho_hv holds non-finite values, which RVOL "
                          "cannot store")
 
@@ -131,9 +119,7 @@ class RvolWriter:
         if not (math.isfinite(dt) and 0 <= round(dt) < 2**32):
             raise ValueError(f"RVOL time step dt={dt} does not round into "
                              f"[0, {2**32 - 1}] seconds")
-        with np.errstate(over="ignore"):  # a huge altitude casts to inf
-            levels = np.asarray(z_levels, dtype="<f4")
-        _check_altitudes(levels, shape[1])
+        levels = float32_altitudes(z_levels, shape[1])
         self.path, self.shape = Path(path), tuple(shape)
         self._dtype = DTYPE_U8 if quantize else DTYPE_F32
         self._plane_bytes = (1 if quantize else 4) * shape[2] * shape[3]
@@ -142,7 +128,7 @@ class RvolWriter:
         try:
             fh.write(_RVOL_HEADER.pack(RVOL_MAGIC, RVOL_VERSION, *shape,
                                        self._dtype, int(round(dt))))
-            fh.write(levels.tobytes())
+            fh.write(levels.astype("<f4", copy=False))
         except BaseException:
             fh.close()
             self.path.unlink(missing_ok=True)
@@ -258,9 +244,9 @@ class RvolReader:
     Opening reads and checks the header, the altitudes and where the
     payload and the optional RHOH chunk lie, and that nothing follows them;
     it does not read the payload. The static mask covers every frame: the
-    first read() or read_cmax() checks the stored values of every frame for
-    invalid cells (non-finite f32, u8 255), one frame at a time and without
-    decoding it, and later reads reuse that mask.
+    first read() or read_cmax() checks every frame's stored values for
+    invalid cells (non-finite f32, u8 255) and its RHOH codes (one above 200
+    is a FormatError), a frame at a time and undecoded; later reads reuse it.
 
     Frames are decoded to float32 dBZ, RVOL's own precision: an f32 payload
     in the buffer it is read into, u8 codes by elementwise arithmetic in
@@ -293,8 +279,11 @@ class RvolReader:
             n = t * z * y * x
             _check_size(fh, 4 * z + t * self._frame_bytes)
             levels = _read_into(fh, np.empty(z, "<f4"), "altitudes")
-            _check_altitudes(levels, z, reading=True)
-            self.z_levels = levels.astype(np.float64)
+            try:
+                self.z_levels = float32_altitudes(levels, z).astype(np.float64)
+            except ValueError:
+                raise FormatError("altitudes", "z_levels must be finite and "
+                                               "strictly increasing") from None
             self._payload = fh.tell()
             self._rho = None
             fh.seek(t * self._frame_bytes, os.SEEK_CUR)
@@ -315,8 +304,8 @@ class RvolReader:
 
     def _seek(self, start: int, stop: int) -> np.ndarray:
         """The static mask, with the file at frame start. A range that is
-        empty or outside [0, T) is a FormatError. The first call scans
-        every frame for the mask, in buffers freed before it returns."""
+        empty or outside [0, T) is a FormatError. The first call scans the
+        values and RHOH codes of every frame, in buffers it frees."""
         t = self.header.t
         if not 0 <= start < stop <= t:
             raise FormatError("frames", f"range [{start}, {stop}) is empty or "
@@ -332,6 +321,12 @@ class RvolReader:
                 else:
                     np.isfinite(frame, out=ok)
                 mask &= ok
+            if self._rho is not None:
+                self._fh.seek(self._rho)
+                codes = np.empty(self._frame, np.uint8)
+                for _ in range(t):
+                    if (top := _read_into(self._fh, codes, "rho_hv").max()) > 200:
+                        raise FormatError("rho_hv", f"code {top} is above 200")
             self._mask = mask
         self._fh.seek(self._payload + start * self._frame_bytes)
         return self._mask
@@ -339,7 +334,7 @@ class RvolReader:
     def read(self, start: int, stop: int) -> RadarVolume:
         """Frames [start, stop) with the file's static mask, decoded as a
         whole-file read decodes them. A range that is empty or outside
-        [0, T), or an RHOH code above 200 in it, is a FormatError."""
+        [0, T) is a FormatError."""
         mask = self._seek(start, stop)
         count = stop - start
         data = _decode(_read_into(self._fh, np.empty((count,) + self._frame,
@@ -347,11 +342,8 @@ class RvolReader:
         rho = None
         if self._rho is not None:
             self._fh.seek(self._rho + start * mask.size)
-            codes = _read_into(self._fh, np.empty(data.shape, np.uint8),
-                               "rho_hv")
-            if codes.max() > 200:
-                raise FormatError("rho_hv", f"code {codes.max()} is above 200")
-            rho = codes.astype(np.float64) / 200.0
+            rho = _read_into(self._fh, np.empty(data.shape, np.uint8),
+                             "rho_hv") / 200.0
         return RadarVolume(data=data, z_levels=self.z_levels,
                            dt=float(self.header.dt_seconds), mask=mask.copy(),
                            rho_hv=rho)

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxflow import analysis
 from voxflow.analysis import (
@@ -566,6 +566,63 @@ class TestFramesGiveTheWholeVolumeResults:
                      lambda: analysis.motion_sample(mf, [])):
             with pytest.raises(ValueError, match="no frames given"):
                 call()
+
+
+@st.composite
+def _non_finite_volumes(draw) -> RadarVolume:
+    """float32 T x Z x Y x X volumes, T and Z in 1..3, of finite dBZ with
+    NaN and +-inf in some frames only, and a partial mask."""
+    t, z, y, x = (draw(st.integers(lo, hi))
+                  for lo, hi in ((1, 3), (1, 3), (2, 6), (2, 6)))
+    finite = st.sampled_from([NO_ECHO_DBZ, 0.0, 20.0]) \
+        | st.floats(-40.0, 60.0, width=32)
+    special = finite | st.sampled_from([np.nan, np.inf, -np.inf])
+    frames = draw(st.lists(st.booleans(), min_size=t, max_size=t))
+    data = [draw(st.lists(special if holds else finite, min_size=z * y * x,
+                          max_size=z * y * x)) for holds in frames]
+    mask = draw(st.lists(st.booleans(), min_size=z * y * x,
+                         max_size=z * y * x))
+    return RadarVolume(data=np.float32(data).reshape(t, z, y, x),
+                       z_levels=500.0 * np.arange(1, z + 1),
+                       mask=np.reshape(mask, (z, y, x)))
+
+
+class TestMemoryEqualsDisk:
+    """A volume and an RvolReader of its f32 file give the same bytes for
+    every statistic, whatever non-finite values the volume was given: the
+    volume applies the file's rules when it is made. denoise is left out:
+    its morphology reads masked cells, which the file stores as invalid."""
+
+    @staticmethod
+    def _results(mf, vol, pooled):
+        """Each statistic of vol, whose frames pool to pooled, as bytes."""
+        rains = [volume_to_rain(frame, 0) for frame in (*vol, *pooled)]
+        return {
+            "rainy_ratio": rainy_ratio(
+                vol, analysis.RAINY_THRESHOLDS_DBZ).tobytes(),
+            "coverage_ratio": np.float64(coverage_ratio(vol)).tobytes(),
+            "reflectivity_corr": reflectivity_corr_matrix([vol]).tobytes(),
+            "motion_pair_corr": np.float64(motion_pair_corr(
+                mf, vol, 0, mf.nz - 1)).tobytes(),
+            "motion_corr": motion_corr_matrix([mf], [vol]).tobytes(),
+            "split": _counts(cell_split_diagnostic(vol)),
+            "rain": [(r.data.tobytes(), r.mask.tobytes()) for r in rains]}
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(vol=_non_finite_volumes(), seed=st.integers(0, 2 ** 16))
+    def test_every_statistic(self, tmp_path, vol, seed):
+        mf = MotionField(np.random.default_rng(seed).normal(
+            0.0, 1.0, (vol.shape[1], 2) + vol.shape[2:]))
+        path = tmp_path / "v.rvol"
+        write_rvol(path, vol)
+        try:
+            with RvolReader(path) as reader:
+                got = self._results(mf, reader, [
+                    reader.read_cmax(t) for t in range(reader.header.t)])
+        finally:
+            path.unlink()
+        assert got == self._results(mf, vol, list(map(cmax, vol)))
 
 
 class TestFloat32Volumes:

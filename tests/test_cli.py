@@ -1660,6 +1660,34 @@ def test_verify_of_altitudes_no_writer_writes(tmp_path, capsys, levels):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "clean.rvol", "v.rvol"], ["verify", "v.rvol", "clean.rvol"],
+    *(["nowcast", "v.rvol", motion, "-k", "2", "--start-frame", start]
+      for motion in ("clean.truth.rmf", "one.rmf") for start in ("0", "5")),
+], ids=["verify-truth", "verify-forecast", "nowcast-levels-first",
+        "nowcast-levels-last", "nowcast-cmax-first", "nowcast-cmax-last"])
+def test_rhoh_code_of_the_last_frame_ends_every_read(tmp_path, capsys, argv):
+    # the first read of a volume checks the RHOH codes of every frame,
+    # whether it decodes a frame (the per-level nowcast) or pools one to
+    # its column maximum on the stored values (verify, and nowcast with a
+    # one-level motion)
+    _small_volume(tmp_path / "clean.rvol")
+    clean = read_rvol(tmp_path / "clean.rvol")
+    vol = tmp_path / "v.rvol"
+    write_rvol(vol, RadarVolume(data=clean.data, z_levels=clean.z_levels,
+                                rho_hv=np.ones(clean.shape)))
+    raw = bytearray(vol.read_bytes())
+    raw[-1] = 255  # the RHOH codes end the file
+    vol.write_bytes(bytes(raw))
+    write_motion(tmp_path / "one.rmf", MotionField.zero(1, 24, 24))
+    out = tmp_path / "out"
+    assert run(*[tmp_path / a if a.endswith(("rvol", "rmf")) else a
+                 for a in argv], "-o", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: rho_hv: code 255 is above 200"]
+    assert not out.exists()
+
+
 def test_nowcast_takes_the_largest_rates_float32_holds(tmp_path):
     # 639 dBZ is about 3.2e38 mm/h, inside float32's range: it is advected
     # and written back as about 639 dBZ

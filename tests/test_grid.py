@@ -153,14 +153,14 @@ class TestMaxPoolVertical:
         assert not out.mask[0, 0, 1]
 
     def test_non_finite_valid_cells_are_skipped(self):
-        # volume_to_rain leaves a non-finite cell invalid, so the maximum
-        # skips it; a column with no finite valid cell holds -inf
+        # the volume makes a non-finite cell invalid, so the maximum skips
+        # it; a column with no finite cell is invalid and holds NO_ECHO_DBZ
         data = np.array([[[[np.nan, 40.0, -np.inf, np.nan]],
                           [[20.0, np.inf, np.inf, np.nan]]]])
         vol = RadarVolume(data=data, z_levels=[500.0, 1000.0])
         out = cmax(vol)
-        assert out.data[0, 0, 0].tolist() == [20.0, 40.0, -np.inf, -np.inf]
-        assert out.mask[0, 0].tolist() == [True] * 4
+        assert out.data[0, 0, 0].tolist() == [20.0, 40.0, -32.0, -32.0]
+        assert out.mask[0, 0].tolist() == [True, True, False, False]
 
 
 def pool_max_reference(data, mask, fill):
@@ -444,6 +444,29 @@ class TestTypes:
             vol = RadarVolume(data=data, z_levels=[500.0])
             assert vol.data.dtype == np.float64
             np.testing.assert_array_equal(vol.data, np.asarray(data))
+
+    def test_non_finite_data_is_invalid_in_every_frame(self):
+        # as an RVOL file of the volume has it: the cell is invalid in
+        # every frame and the value reads as NO_ECHO_DBZ, in copies
+        data = np.float32([[[[1.0, np.nan]], [[2.0, 3.0]]],
+                           [[[np.inf, 4.0]], [[-np.inf, 5.0]]]])
+        mask = np.ones((2, 1, 2), bool)
+        given = data.copy(), mask.copy()
+        vol = RadarVolume(data=data, z_levels=[500.0, 1000.0], mask=mask)
+        assert data.tobytes() == given[0].tobytes()
+        assert mask.tobytes() == given[1].tobytes()
+        assert vol.data.dtype == np.float32
+        assert vol.data.tolist() == [[[[1.0, -32.0]], [[2.0, 3.0]]],
+                                     [[[-32.0, 4.0]], [[-32.0, 5.0]]]]
+        assert vol.mask.tolist() == [[[False, False]], [[False, True]]]
+
+    @pytest.mark.parametrize("levels", [
+        [np.nan], [500.0, np.inf], [1000.0, 1000.00001], [500.0, 1e39]])
+    def test_radar_volume_takes_the_altitudes_rvol_stores(self, levels):
+        z = len(levels)
+        with pytest.raises(ValueError, match=f"are not {z} finite increasing "
+                                             "float32 values"):
+            RadarVolume(data=np.zeros((1, z, 2, 2)), z_levels=levels)
 
     def test_rain_field_keeps_float32_and_float64(self):
         for dtype in (np.float32, np.float64):

@@ -377,13 +377,14 @@ class TestRvolValidation:
         assert raw[cell] == 200
         raw[cell] = code
         path.write_bytes(bytes(raw))
-        # the codes are checked as a read decodes them: opening and frames
-        # without the code pass, the frame that holds it fails
-        with RvolReader(path) as reader:
-            assert reader.read(0, 2).rho_hv.max() <= 1.0
-            with pytest.raises(FormatError) as err:
-                reader.read(1, 3)
-        assert str(err.value) == f"rho_hv: code {code} is above 200"
+        # opening passes; the first read of any frame, decoded or pooled,
+        # checks the codes of every frame and fails
+        for first in (lambda r: r.read(0, 2), lambda r: r.read_cmax(0),
+                      lambda r: r.read(2, 3)):
+            with RvolReader(path) as reader:
+                with pytest.raises(FormatError) as err:
+                    first(reader)
+            assert str(err.value) == f"rho_hv: code {code} is above 200"
         with pytest.raises(FormatError, match="rho_hv: code"):
             read_rvol(path)
 
@@ -631,6 +632,19 @@ class TestRvolWriter:
         with pytest.raises(ValueError, match="RVOL altitudes .* are not 2 "
                                              "finite increasing float32"):
             RvolWriter(tmp_path / "v.rvol", (3, 2, 8, 10), z_levels, 300.0)
+        assert not (tmp_path / "v.rvol").exists()
+
+    def test_altitude_message_names_the_first_fault(self, tmp_path):
+        # Z = MAX_DIM altitudes, one of them NaN: the message names Z and
+        # the first value that breaks the rule, not every altitude
+        levels = np.arange(100_000.0)
+        levels[70_000] = np.nan
+        with pytest.raises(ValueError) as err:
+            RvolWriter(tmp_path / "v.rvol", (1, 100_000, 1, 1), levels, 300.0)
+        assert str(err.value) == ("RVOL altitudes (altitude 70000 is nan) are "
+                                  "not 100000 finite increasing float32 "
+                                  "values")
+        assert len(str(err.value)) < 100
         assert not (tmp_path / "v.rvol").exists()
 
     def test_extreme_time_steps_round_trip(self, tmp_path):
@@ -1173,13 +1187,16 @@ _FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 def _read_or_format_error(name: str, path, raw: bytes, data) -> None:
-    """The reader's only outcomes: a valid object or a FormatError."""
+    """The reader's only outcomes: a valid object or a FormatError. The
+    file is removed after, as in _reader_refuses."""
     reader, kind, _, kwargs = READERS[name]
     path.write_bytes(raw)
     try:
         assert isinstance(reader(path, **data.draw(kwargs)), kind)
     except FormatError:
         pass
+    finally:
+        path.unlink()
 
 
 #: the edges of the dimension rule, [1, 100000]
