@@ -25,6 +25,7 @@ from .denoise import denoise_volume
 from .errors import DivergedError, FormatError, NoOverlapError
 from .flow import LossConfig
 from .grid import RadarVolume, RainField, cmax
+from .output import open_output
 from .synth import PRESET_NAMES, generate, preset
 from .transform import (F32_OVERFLOW_MMH, dbz_reaching, rain_to_dbz,
                         volume_to_rain)
@@ -40,7 +41,7 @@ def _fmt(v: float) -> str:
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     """Floats through _fmt; a field holding a comma or a quote is quoted."""
-    with path.open("w", newline="") as fh:
+    with open_output(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header] + [
             [_fmt(c) if isinstance(c, float) else str(c) for c in row]
             for row in rows])

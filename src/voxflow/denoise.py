@@ -52,18 +52,19 @@ def polarimetric_filter(vol: RadarVolume) -> RadarVolume:
 def morphological_clean(vol: RadarVolume) -> RadarVolume:
     """Remove small isolated echo regions per altitude level.
 
-    Per level and frame, independently: the binary echo mask (reflectivity
-    above ECHO_THRESHOLD_DBZ) is opened OPEN_ITERS times with the 3x3
-    diamond element; cells above PROTECT_DBZ, dilated DILATE_ITERS times
-    with the same element, are exempt from removal. Removed cells become
-    no-echo.
+    Per level and frame, independently: the binary echo mask (valid cells
+    with reflectivity above ECHO_THRESHOLD_DBZ) is opened OPEN_ITERS times
+    with the 3x3 diamond element; valid cells above PROTECT_DBZ, dilated
+    DILATE_ITERS times with the same element, are exempt from removal.
+    Removed cells become no-echo. A masked cell is never echo, as in an
+    RVOL file, which stores it as invalid.
     """
     data = vol.data.copy()
-    echo = data > ECHO_THRESHOLD_DBZ
+    echo = (data > ECHO_THRESHOLD_DBZ) & vol.mask
     eroded = diamond_morphology(echo, OPEN_ITERS, np.logical_and)
     opened = diamond_morphology(eroded, OPEN_ITERS, np.logical_or)
-    protected = diamond_morphology(data > PROTECT_DBZ, DILATE_ITERS,
-                                   np.logical_or)
+    protected = diamond_morphology((data > PROTECT_DBZ) & vol.mask,
+                                   DILATE_ITERS, np.logical_or)
     data[echo & ~opened & ~protected] = NO_ECHO_DBZ
     rho = vol.rho_hv.copy() if vol.rho_hv is not None else None
     return RadarVolume(data=data, z_levels=vol.z_levels, dt=vol.dt,

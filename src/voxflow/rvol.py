@@ -34,6 +34,7 @@ import numpy as np
 from .errors import FormatError
 from .grid import (NO_ECHO_DBZ, MotionField, RadarVolume, all_finite,
                    column_max, float32_altitudes)
+from .output import open_output
 
 RVOL_MAGIC = b"RVOL"
 RVOL_VERSION = 1
@@ -124,7 +125,7 @@ class RvolWriter:
         self._dtype = DTYPE_U8 if quantize else DTYPE_F32
         self._plane_bytes = (1 if quantize else 4) * shape[2] * shape[3]
         self._unwritten = np.ones(shape[:2], dtype=bool)
-        self._fh = fh = open(path, "wb")
+        self._fh = fh = open_output(path, "wb", open)
         try:
             fh.write(_RVOL_HEADER.pack(RVOL_MAGIC, RVOL_VERSION, *shape,
                                        self._dtype, int(round(dt))))
@@ -403,7 +404,7 @@ def write_motion(path: str | Path, mf: MotionField) -> None:
     if not np.isfinite(ends).all():
         raise ValueError("motion field holds values beyond float32's range, "
                          "which RMF1 cannot store")
-    with open(path, "wb") as fh:
+    with open_output(path, "wb", open) as fh:
         try:
             fh.write(_RMF_HEADER.pack(RMF_MAGIC, *dims))
             for level in mf.u:

@@ -9,6 +9,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
+from .output import open_output
+
 PALETTE = ("#1f77b4", "#2ca02c", "#d62728", "#9467bd", "#ff7f0e", "#8c564b")
 LINE_SIZE = (640, 420)  # canvas (width, height) in pixels
 BOX_SIZE = (720, 420)
@@ -16,11 +18,13 @@ MARGIN = 56  # line and box charts: canvas edge to axes box, in pixels
 CELL = 34  # side of a heatmap cell in pixels
 
 
-def _svg(width: int, height: int, body: list[str]) -> str:
+def _write_svg(path: str | Path, width: int, height: int,
+               body: list[str]) -> None:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">')
-    return "\n".join([head, '<rect width="100%" height="100%" fill="white"/>']
-                     + body + ["</svg>"]) + "\n"
+    with open_output(path, "w") as fh:
+        fh.write("\n".join([head, '<rect width="100%" height="100%" fill="white"/>']
+                           + body + ["</svg>"]) + "\n")
 
 
 def _fmt(v: float) -> str:
@@ -50,8 +54,8 @@ def _chart(path: str | Path, size: tuple[int, int], ys: Sequence[float],
     (else sx is None). Without ys, writes the "no data" canvas; returns None."""
     width, height = size
     if not ys:
-        Path(path).write_text(_svg(width, height, [
-            f'<text x="{width / 2}" y="{height / 2}" text-anchor="middle">no data</text>']))
+        _write_svg(path, width, height, [
+            f'<text x="{width / 2}" y="{height / 2}" text-anchor="middle">no data</text>'])
         return None
     pw, ph = width - 2 * MARGIN, height - 2 * MARGIN
     sy, y_ticks = _scale(ys, height - MARGIN, -ph)
@@ -92,7 +96,7 @@ def line_chart(series: dict[str, Sequence[tuple[float, float]]], path: str | Pat
                     f'stroke="{color}" stroke-width="1.5"/>')
         body.append(f'<text x="{MARGIN + 8}" y="{MARGIN + 16 + 14 * idx}" '
                     f'font-size="11" fill="{color}">{_text(name)}</text>')
-    Path(path).write_text(_svg(*LINE_SIZE, body))
+    _write_svg(path, *LINE_SIZE, body)
 
 
 def _heat_color(t: float) -> str:
@@ -146,7 +150,7 @@ def heatmap(matrix, path: str | Path, title: str = "",
     for j in range(cols):
         body.append(f'<text x="{margin + j * CELL + CELL / 2}" y="{margin - 8}" '
                     f'text-anchor="middle" font-size="10">{j}</text>')
-    Path(path).write_text(_svg(width, height, body))
+    _write_svg(path, width, height, body)
 
 
 def box_plot(stats: dict, path: str | Path, title: str = "",
@@ -178,4 +182,4 @@ def box_plot(stats: dict, path: str | Path, title: str = "",
                         'fill="none" stroke="#333"/>')
         body.append(f'<text x="{cx:.1f}" y="{height - MARGIN + 16}" '
                     f'text-anchor="middle" font-size="10">{_text(label)}</text>')
-    Path(path).write_text(_svg(width, height, body))
+    _write_svg(path, width, height, body)

@@ -22,6 +22,7 @@ from voxflow.analysis import (
     rank_outliers,
     reflectivity_corr_matrix,
 )
+from voxflow.denoise import denoise_volume
 from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, RainField, cmax
 from voxflow.rvol import RvolReader, read_motion, read_rvol, write_rvol
 from voxflow.synth import generate, preset
@@ -587,17 +588,24 @@ def _non_finite_volumes(draw) -> RadarVolume:
                        mask=np.reshape(mask, (z, y, x)))
 
 
+def _valid_bytes(vol: RadarVolume) -> tuple[bytes, bytes]:
+    """vol's valid cells and its mask as bytes: a file stores no value in
+    a masked cell."""
+    return vol.data[:, vol.mask].tobytes(), vol.mask.tobytes()
+
+
 class TestMemoryEqualsDisk:
     """A volume and an RvolReader of its f32 file give the same bytes for
     every statistic, whatever non-finite values the volume was given: the
-    volume applies the file's rules when it is made. denoise is left out:
-    its morphology reads masked cells, which the file stores as invalid."""
+    volume applies the file's rules when it is made."""
 
     @staticmethod
-    def _results(mf, vol, pooled):
-        """Each statistic of vol, whose frames pool to pooled, as bytes."""
+    def _results(mf, vol, pooled, whole):
+        """Each statistic of vol, whose frames pool to pooled and which
+        reads whole as one RadarVolume, as bytes."""
         rains = [volume_to_rain(frame, 0) for frame in (*vol, *pooled)]
         return {
+            "denoise": _valid_bytes(denoise_volume(whole)),
             "rainy_ratio": rainy_ratio(
                 vol, analysis.RAINY_THRESHOLDS_DBZ).tobytes(),
             "coverage_ratio": np.float64(coverage_ratio(vol)).tobytes(),
@@ -619,10 +627,25 @@ class TestMemoryEqualsDisk:
         try:
             with RvolReader(path) as reader:
                 got = self._results(mf, reader, [
-                    reader.read_cmax(t) for t in range(reader.header.t)])
+                    reader.read_cmax(t) for t in range(reader.header.t)],
+                    reader.read(0, reader.header.t))
         finally:
             path.unlink()
-        assert got == self._results(mf, vol, list(map(cmax, vol)))
+        assert got == self._results(mf, vol, list(map(cmax, vol)), vol)
+
+    def test_denoise_ignores_a_masked_column(self, tmp_path):
+        """A masked column through a 5 x 5 echo block splits it in the file,
+        and so in memory: the two halves are too thin to survive opening."""
+        data = np.full((1, 1, 12, 12), NO_ECHO_DBZ, dtype=np.float32)
+        data[0, 0, 3:8, 3:8] = 30.0
+        mask = np.ones((1, 12, 12), dtype=bool)
+        mask[0, :, 5] = False
+        vol = RadarVolume(data=data, z_levels=[500.0], mask=mask)
+        write_rvol(tmp_path / "v.rvol", vol)
+        got = denoise_volume(read_rvol(tmp_path / "v.rvol"))
+        want = denoise_volume(vol)
+        assert _valid_bytes(got) == _valid_bytes(want)
+        assert (want.data[:, mask] == NO_ECHO_DBZ).all()
 
 
 class TestFloat32Volumes:

@@ -1,6 +1,8 @@
 import errno
 import io
+import os
 import re
+import stat
 import struct
 import tracemalloc
 import warnings
@@ -9,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from voxflow.errors import FormatError
+from voxflow import cli, output, svgplot
 from voxflow import rvol as rvol_module
+from voxflow.errors import FormatError
 from voxflow.grid import NO_ECHO_DBZ, MotionField, RadarVolume, cmax
 from voxflow.rvol import (
     RHOH_MAGIC,
@@ -1288,3 +1291,97 @@ class TestReadersFuzz:
     def test_mutated_valid_file(self, tmp_path, valid_bytes, name, data):
         raw = data.draw(_mutated(valid_bytes[name]))
         _read_or_format_error(name, tmp_path / "f", raw, data)
+
+
+def _write_volume(path):
+    write_rvol(path, sample_volume(np.random.default_rng(0), with_rho=True))
+
+
+def _write_motion_file(path):
+    write_motion(path, MotionField(np.random.default_rng(1).normal(
+        0.0, 1.0, (2, 2, 4, 5))))
+
+
+def _write_csv(path):
+    cli._write_csv(path, ["level", "name"], [[0, 'a, "b"'], [1, 0.1]])
+
+
+def _write_chart(path):
+    svgplot.line_chart({"a": [(0.0, 1.0), (1.0, 2.5)]}, path, title="t < u")
+
+
+OUTPUT_WRITERS = {"rvol": _write_volume, "rmf": _write_motion_file,
+                  "csv": _write_csv, "svg": _write_chart}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_WRITERS))
+class TestOutputReplacement:
+    """Every writer opens its output through output.open_output: an
+    existing single-link regular file is replaced by a new file with the
+    same permission bits, and anything else is written through as open()
+    writes it. No case points at a device, which a wrong rule would
+    unlink."""
+
+    @staticmethod
+    def _fresh(tmp_path, name) -> bytes:
+        path = tmp_path / "fresh"
+        OUTPUT_WRITERS[name](path)
+        return path.read_bytes()
+
+    def test_existing_file_becomes_a_new_file(self, tmp_path, name):
+        out = tmp_path / "out"
+        out.write_bytes(b"old output")
+        out.chmod(0o640)
+        with open(out, "rb") as old:
+            OUTPUT_WRITERS[name](out)
+            assert os.fstat(old.fileno()).st_ino != os.stat(out).st_ino
+            assert old.read() == b"old output"
+        assert out.read_bytes() == self._fresh(tmp_path, name)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+
+    def test_symlink_is_written_through(self, tmp_path, name):
+        target, out = tmp_path / "target", tmp_path / "out"
+        target.write_bytes(b"old output")
+        out.symlink_to(target)
+        OUTPUT_WRITERS[name](out)
+        assert out.is_symlink()
+        assert target.read_bytes() == self._fresh(tmp_path, name)
+
+    def test_hard_linked_file_is_rewritten_in_place(self, tmp_path, name):
+        out, other = tmp_path / "out", tmp_path / "other"
+        out.write_bytes(b"old output")
+        os.link(out, other)
+        inode = os.stat(out).st_ino
+        OUTPUT_WRITERS[name](out)
+        fresh = self._fresh(tmp_path, name)
+        assert os.stat(out).st_ino == inode
+        assert out.read_bytes() == other.read_bytes() == fresh
+
+    def test_file_the_directory_keeps_is_rewritten_in_place(
+            self, tmp_path, name, monkeypatch):
+        """An unlink the directory refuses (read-only, or sticky and owned
+        by another user) leaves the file to be truncated as before."""
+        out = tmp_path / "out"
+        out.write_bytes(b"old output")
+        inode = os.stat(out).st_ino
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(output.os, "unlink", refuse)
+        OUTPUT_WRITERS[name](out)
+        monkeypatch.undo()
+        assert os.stat(out).st_ino == inode
+        assert out.read_bytes() == self._fresh(tmp_path, name)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_read_only_output_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out.rvol"
+    out.write_bytes(b"old output")
+    out.chmod(0o444)
+    assert cli.main(["synth", "--preset", "shear2", "--frames", "2",
+                     "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out.read_bytes() == b"old output"
